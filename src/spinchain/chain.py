@@ -11,7 +11,7 @@ import cmath
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Literal
 
 Boundary = Literal["open", "closed"]
@@ -195,7 +195,7 @@ class QdpEvent:
                 raise ValueError("local_unitary events need a gate (gamma, delta)")
             gamma, delta = complex(self.gate[0]), complex(self.gate[1])
             norm = abs(gamma) ** 2 + abs(delta) ** 2
-            if abs(norm - 1.0) > _NORM_TOL * 10:
+            if not abs(norm - 1.0) <= _NORM_TOL * 10:  # NaN fails this test too
                 raise ValueError(f"|gamma|^2 + |delta|^2 must be 1, got {norm}")
             if abs(delta) > _NORM_TOL and abs(gamma.imag) > 1e-9:
                 raise ValueError(

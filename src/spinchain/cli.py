@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import concurrent.futures
+import itertools
 import json
 import math
 import pathlib
@@ -25,8 +26,8 @@ from . import __version__
 from .chain import CONVENTIONS, ChainSpec, InitialState, QdpEvent, conventions_hash
 from .green1 import green1_reduced, reduced_profile
 from .green2 import QuadratureError
-from .harper import HarperSpec, floquet_step, qdp_and_detect
-from .protocols import FidelityGrid, UnitaryQdpEngine, fidelity_grid
+from .harper import HarperSpec, fidelity_from_amplitudes, kicked_amplitudes, qdp_and_detect
+from .protocols import UnitaryQdpEngine, fidelity_grid, grid_csv
 from . import oracle
 
 EXIT_OK = 0
@@ -207,14 +208,6 @@ def _subparser_for(parser: argparse.ArgumentParser, command: str) -> argparse.Ar
 # --------------------------------------------------------------------------
 
 
-def _grid_csv(l_values, t_values, values: np.ndarray) -> str:
-    lines = ["l,t,value"]
-    for j, t in enumerate(t_values):
-        for i, l in enumerate(l_values):
-            lines.append(f"{l},{t:.11e},{values[i, j]:.11e}")
-    return "\n".join(lines) + "\n"
-
-
 def _write_outputs(args: argparse.Namespace, payload: str, meta: dict) -> None:
     out = pathlib.Path(args.out)
     out.write_text(payload)
@@ -251,6 +244,8 @@ def _grid_axes(args: argparse.Namespace) -> tuple[list[int], list[float]]:
     lmax = args.lmax if args.lmax is not None else args.n
     if not 1 <= args.lmin <= lmax <= args.n:
         raise ValueError(f"need 1 <= lmin <= lmax <= n, got {args.lmin}..{lmax} on n={args.n}")
+    if not all(math.isfinite(v) for v in (args.tmin, args.tmax, args.dt)):
+        raise ValueError("tmin, tmax and dt must be finite")
     if args.dt <= 0 or args.tmax < args.tmin:
         raise ValueError("need dt > 0 and tmax >= tmin")
     ls = list(range(args.lmin, lmax + 1))
@@ -258,11 +253,14 @@ def _grid_axes(args: argparse.Namespace) -> tuple[list[int], list[float]]:
     return ls, ts
 
 
-def _gate(args: argparse.Namespace) -> tuple[complex, complex]:
-    return (
-        complex(args.gamma_abs),
-        args.delta_abs * cmath.exp(1j * args.delta_phase),
-    )
+def _event(args: argparse.Namespace, kind: str) -> QdpEvent:
+    """The local process at --site and --t0; a local unitary takes its gate from the gate flags."""
+    if not 1 <= args.site <= args.n:
+        raise ValueError(f"need 1 <= site <= n, got site {args.site} on n={args.n}")
+    gate = None
+    if kind == "local_unitary":
+        gate = (complex(args.gamma_abs), args.delta_abs * cmath.exp(1j * args.delta_phase))
+    return QdpEvent(kind, m=args.site, t0=args.t0, gate=gate)
 
 
 def _initial(alpha2: float | None) -> InitialState | None:
@@ -286,69 +284,51 @@ def _threaded_columns(t_values, column_fn, threads: int) -> list[np.ndarray]:
 # --------------------------------------------------------------------------
 
 
+def _run_grid(args: argparse.Namespace, column) -> int:
+    """Fill the (l, t) grid one time column at a time; column(ls, t) gives one column."""
+    ls, ts = _grid_axes(args)
+    cols = _threaded_columns(ts, lambda t: column(ls, t), args.threads)
+    meta = _metadata(args, {"grid": {"l": [ls[0], ls[-1]], "t": [ts[0], ts[-1]], "dt": args.dt}})
+    _write_outputs(args, grid_csv(ls, ts, np.column_stack(cols)), meta)
+    return EXIT_OK
+
+
 def _run_fidelity(args: argparse.Namespace) -> int:
     spec = _chain_spec(args)
-    ls, ts = _grid_axes(args)
     initial = _initial(args.alpha2)
-
-    def column(t: float) -> np.ndarray:
-        grid = fidelity_grid(spec, "free", ls, [t], initial=initial)
-        return grid.values[:, 0]
-
-    cols = _threaded_columns(ts, column, args.threads)
-    values = np.column_stack(cols)
-    meta = _metadata(args, {"grid": {"l": [ls[0], ls[-1]], "t": [ts[0], ts[-1]], "dt": args.dt}})
-    _write_outputs(args, _grid_csv(ls, ts, values), meta)
-    return EXIT_OK
+    return _run_grid(
+        args, lambda ls, t: fidelity_grid(spec, "free", ls, [t], initial=initial).values[:, 0]
+    )
 
 
 def _run_qdp_diff(args: argparse.Namespace) -> int:
     spec = _chain_spec(args)
-    ls, ts = _grid_axes(args)
-    event = QdpEvent("projective", m=args.site, t0=args.t0)
-
-    def column(t: float) -> np.ndarray:
-        return fidelity_grid(spec, "difference", ls, [t], event=event).values[:, 0]
-
-    cols = _threaded_columns(ts, column, args.threads)
-    values = np.column_stack(cols)
-    meta = _metadata(args, {"grid": {"l": [ls[0], ls[-1]], "t": [ts[0], ts[-1]], "dt": args.dt}})
-    _write_outputs(args, _grid_csv(ls, ts, values), meta)
-    return EXIT_OK
+    event = _event(args, "projective")
+    return _run_grid(
+        args, lambda ls, t: fidelity_grid(spec, "difference", ls, [t], event=event).values[:, 0]
+    )
 
 
 def _run_unitary_qdp(args: argparse.Namespace) -> int:
     spec = _chain_spec(args)
-    ls, ts = _grid_axes(args)
-    event = QdpEvent("local_unitary", m=args.site, t0=args.t0, gate=_gate(args))
+    event = _event(args, "local_unitary")
     scenario = "difference" if args.diff else "unitary_qdp"
-
-    def column(t: float) -> np.ndarray:
-        return fidelity_grid(spec, scenario, ls, [t], event=event).values[:, 0]
-
-    cols = _threaded_columns(ts, column, args.threads)
-    values = np.column_stack(cols)
-    meta = _metadata(args, {"grid": {"l": [ls[0], ls[-1]], "t": [ts[0], ts[-1]], "dt": args.dt}})
-    _write_outputs(args, _grid_csv(ls, ts, values), meta)
-    return EXIT_OK
+    return _run_grid(
+        args, lambda ls, t: fidelity_grid(spec, scenario, ls, [t], event=event).values[:, 0]
+    )
 
 
 def _run_two_magnon_split(args: argparse.Namespace) -> int:
     spec = _chain_spec(args)
-    ls, ts = _grid_axes(args)
-    event = QdpEvent("local_unitary", m=args.site, t0=args.t0, gate=_gate(args))
+    event = _event(args, "local_unitary")
 
-    def column(t: float) -> np.ndarray:
+    def column(ls: list[int], t: float) -> np.ndarray:
         if t < event.t0:
             return np.zeros(len(ls))
         engine = UnitaryQdpEngine(spec, event, t)
         return np.array([engine.split_fidelity(l, args.part) for l in ls])
 
-    cols = _threaded_columns(ts, column, args.threads)
-    values = np.column_stack(cols)
-    meta = _metadata(args, {"grid": {"l": [ls[0], ls[-1]], "t": [ts[0], ts[-1]], "dt": args.dt}})
-    _write_outputs(args, _grid_csv(ls, ts, values), meta)
-    return EXIT_OK
+    return _run_grid(args, column)
 
 
 def _run_harper(args: argparse.Namespace) -> int:
@@ -357,24 +337,14 @@ def _run_harper(args: argparse.Namespace) -> int:
         raise ValueError("kick count must be >= 0")
     initial = _initial(args.alpha2)
     ls = list(range(1, spec.n + 1))
-    step = floquet_step(spec)
-    psi = np.zeros(spec.n, dtype=complex)
-    psi[0] = 1.0
-    columns, ts = [], []
-    for n in range(args.kicks + 1):
-        if n > 0:
-            psi = step @ psi
-        ts.append(n * spec.tau)
-        if initial is None:
-            columns.append(0.5 + np.abs(psi) ** 2 / 6.0 + psi.real / 3.0)
-        else:
-            a, b = initial.alpha, initial.beta
-            x = abs(b) ** 2 * np.abs(psi) ** 2
-            y = b * np.conj(a) * psi
-            columns.append(abs(a) ** 2 * (1 - x) + abs(b) ** 2 * x + 2 * (a * np.conj(b) * y).real)
-    values = np.column_stack(columns)
+    ts = [n * spec.tau for n in range(args.kicks + 1)]
+    seed = np.zeros(spec.n, dtype=complex)
+    seed[0] = 1.0
+    # one vector stepped once per kick, read out after every kick
+    kicks = itertools.islice(kicked_amplitudes(spec, seed), args.kicks + 1)
+    values = np.column_stack([fidelity_from_amplitudes(psi, initial) for (psi,) in kicks])
     meta = _metadata(args, {"grid": {"l": [1, spec.n], "kicks": args.kicks, "dt": spec.tau}})
-    _write_outputs(args, _grid_csv(ls, ts, values), meta)
+    _write_outputs(args, grid_csv(ls, ts, values), meta)
     return EXIT_OK
 
 
@@ -393,7 +363,7 @@ def _run_detector(args: argparse.Namespace) -> int:
         ts.append(n * spec.tau)
     values = np.column_stack(columns)
     meta = _metadata(args, {"grid": {"l": [1, spec.n], "kicks": [args.qdp_kick, args.kicks], "dt": spec.tau}})
-    _write_outputs(args, _grid_csv(ls, ts, values), meta)
+    _write_outputs(args, grid_csv(ls, ts, values), meta)
     return EXIT_OK
 
 

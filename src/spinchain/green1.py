@@ -14,10 +14,8 @@ e^{-i*eps0*t}.
 """
 from __future__ import annotations
 
-import cmath
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,17 +26,6 @@ _I_POW = np.array([1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j])
 
 #: Chains at least this large use the lattice Bessel forms by default.
 AUTO_BESSEL_MIN_N = 100
-
-
-@dataclass(frozen=True)
-class Green1Value:
-    """One-magnon transition amplitude from site ``x`` to site ``xp`` after time ``t``."""
-
-    value: complex
-    x: int
-    xp: int
-    t: float
-    method: str
 
 
 def reduced_hop_amplitudes(offsets: np.ndarray | list[int], z: float) -> np.ndarray:
@@ -137,12 +124,3 @@ def green1_reduced(x: int, xp: int, t: float, spec: ChainSpec, method: str = "au
         p = _closed_momenta(spec.n)
         return complex(np.mean(np.exp(1j * (p * (xp - x) + z * np.cos(p)))))
     raise ValueError(f"unknown method {method!r}")
-
-
-def green1(x: int, xp: int, t: float, spec: ChainSpec, method: str = "auto") -> Green1Value:
-    """Full amplitude G^{xp}_x(t) = <xp| e^{-iHt} |x>, including the e^{-i*eps0*t} phase."""
-    if method == "auto":
-        method = choose_method(spec)
-    reduced = green1_reduced(x, xp, t, spec, method)
-    phase = cmath.exp(-1j * spec.ground_energy * t)
-    return Green1Value(value=phase * reduced, x=x, xp=xp, t=t, method=method)

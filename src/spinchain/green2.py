@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
@@ -45,17 +45,7 @@ class QuadratureError(RuntimeError):
         self.achieved = achieved
 
 
-@dataclass(frozen=True)
-class ScatterPhase:
-    """Contact phase shift theta(p1, p2) of two magnons, principal value in (-pi, pi]."""
-
-    theta: float
-    p1: float
-    p2: float
-    delta: float
-
-
-def theta_phase(p1: float, p2: float, delta: float) -> ScatterPhase:
+def theta_phase(p1: float, p2: float, delta: float) -> float:
     """Scattering phase from tan(theta/2) = B/A via atan2 (all branches covered).
 
     A = cos((p1+p2)/2) - Delta*cos((p1-p2)/2), B = Delta*sin((p1-p2)/2).
@@ -68,7 +58,7 @@ def theta_phase(p1: float, p2: float, delta: float) -> ScatterPhase:
         theta -= 2.0 * math.pi
     elif theta <= -math.pi:
         theta += 2.0 * math.pi
-    return ScatterPhase(theta=theta, p1=p1, p2=p2, delta=delta)
+    return theta
 
 
 def _exchange_weight(p1: np.ndarray, p2: np.ndarray, delta: float) -> np.ndarray:
@@ -85,36 +75,6 @@ def _exchange_weight(p1: np.ndarray, p2: np.ndarray, delta: float) -> np.ndarray
     den = a - 1j * b
     safe = np.where(np.abs(den) > 0.0, den, 1.0)
     return np.where(np.abs(den) > 0.0, 2.0 * a / safe, 0.0)
-
-
-@dataclass(frozen=True)
-class BoundStateParam:
-    """Bound two-magnon branch parametrized by the real rapidity q."""
-
-    q: float
-
-    @property
-    def lambda1(self) -> complex:
-        return complex(self.q, 0.5)
-
-    @property
-    def lambda2(self) -> complex:
-        return complex(self.q, -0.5)
-
-    @property
-    def total_momentum(self) -> float:
-        """P(q) = 2*atan(1/q) on the continuous branch with P in (0, 2*pi)."""
-        p = 2.0 * math.atan2(1.0, self.q)  # (0, 2*pi) as q runs +inf -> -inf
-        return p
-
-    def energy(self, spec: ChainSpec) -> float:
-        """Band energy eps0 + 4J/(1+q^2) (= eps0 + 2/(1+q^2) at the default J = 1/2).
-
-        Like the two-magnon band formula, this quotes the energy with the full
-        anisotropy cost; the evolution kernel of green2_bound uses the
-        implemented Hamiltonian's eigenvalue, lower by 8*J (delta = 1 here).
-        """
-        return spec.ground_energy + 4.0 * spec.j / (1.0 + self.q * self.q)
 
 
 def bound_wavefunction(x1: int, x2: int, q: float) -> complex:
@@ -391,44 +351,6 @@ def _normalize_pair(x1: int, x2: int) -> tuple[int, int]:
     return (x1, x2) if x1 < x2 else (x2, x1)
 
 
-def _restricted_scattering(
-    s1: int, s2: int, d1: int, d2: int, t: float, spec: ChainSpec, tol: float
-) -> tuple[complex, float]:
-    """Experimental |delta| < 1 form: momenta restricted to [-phi, phi], measure 1/(4 phi^2).
-
-    Degenerate at |delta| = 1 and not continuous against the full-range form;
-    kept as a labeled alternative, validated only for its own contract
-    (deterministic value with a trustworthy error estimate).
-    """
-    if not abs(spec.delta) < 1.0:
-        raise ValueError("restricted scattering form requires |delta| < 1")
-    phi = math.pi - math.acos(-spec.delta)
-    z = 4.0 * spec.j * t
-
-    def run(n_panels: int) -> complex:
-        p, w = _panel_nodes(-phi, phi, n_panels, grade_edges=False)
-        p1 = p[:, None]
-        p2 = p[None, :]
-        ex = np.exp
-        theta_factor = _exchange_weight(p1, p2, spec.delta) - 1.0  # e^{i theta}
-        psi_d = ex(1j * (p1 * d1 + p2 * d2)) - theta_factor * ex(1j * (p1 * d2 + p2 * d1))
-        psi_s = ex(1j * (p1 * s1 + p2 * s2)) - theta_factor * ex(1j * (p1 * s2 + p2 * s1))
-        integrand = psi_d * np.conj(psi_s) * ex(1j * z * (np.cos(p1) + np.cos(p2)))
-        return complex((w[:, None] * w[None, :] * integrand).sum()) / (4.0 * phi * phi)
-
-    k = _scatter_panel_count(z, int(max(abs(s1), abs(s2), abs(d1), abs(d2))), t)
-    coarse = run(k)
-    fine = run(math.ceil(1.45 * k) + 1)
-    err = abs(fine - coarse)
-    if err > tol:
-        finer = run(math.ceil(2.1 * k) + 2)
-        err = abs(finer - fine)
-        fine = finer
-        if err > tol:
-            raise QuadratureError("restricted scattering quadrature did not converge", err)
-    return fine, err
-
-
 def green2_scattering(
     x1: int,
     x2: int,
@@ -437,25 +359,17 @@ def green2_scattering(
     t: float,
     spec: ChainSpec,
     *,
-    form: str = "full",
     tol: float = 1e-6,
 ) -> Green2Value:
     """Scattering-part two-magnon amplitude (x1,x2) -> (x1p,x2p) after time t.
 
-    ``form='full'`` integrates both momenta over the full Brillouin zone (the
-    default at every delta); ``form='restricted'`` is the experimental
-    |delta| < 1 variant with momenta limited to [-phi, phi].
+    Both momenta are integrated over the full Brillouin zone at every delta.
     """
     s1, s2 = _normalize_pair(x1, x2)
     d1, d2 = _normalize_pair(x1p, x2p)
     if t < 0:
         raise ValueError(f"time must be >= 0, got {t}")
     phase = cmath.exp(-1j * spec.ground_energy * t)
-    if form == "restricted":
-        value, err = _restricted_scattering(s1, s2, d1, d2, t, spec, tol)
-        return Green2Value(phase * value, s1, s2, d1, d2, t, "scattering", err)
-    if form != "full":
-        raise ValueError(f"unknown scattering form {form!r}")
     max_off = int(max(abs(d1 - s1), abs(d2 - s2), abs(d1 - s2), abs(d2 - s1)))
     engine = TwoMagnonEngine(
         j=spec.j, delta=spec.delta, t=t, max_offset=max_off, tol=tol, include_bound=False

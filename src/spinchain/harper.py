@@ -17,7 +17,9 @@ f_l = occupation difference with/without the measurement makes visible.
 """
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,8 +32,10 @@ __all__ = [
     "hopping_matrix",
     "kick_phases",
     "floquet_step",
+    "kicked_amplitudes",
     "propagate",
     "free_occupation_profile",
+    "fidelity_from_amplitudes",
     "fidelity_free_kicked",
     "qdp_and_detect",
     "spread_metric",
@@ -58,6 +62,8 @@ class HarperSpec:
             raise ValueError(f"need at least 2 sites, got {self.n}")
         if not (self.tau > 0.0 and math.isfinite(self.tau)):
             raise ValueError(f"kick interval tau must be > 0, got {self.tau}")
+        if not (math.isfinite(self.g) and math.isfinite(self.eta)):
+            raise ValueError(f"g and eta must be finite, got g = {self.g}, eta = {self.eta}")
         if self.boundary not in ("open", "closed"):
             raise ValueError(f"unknown boundary {self.boundary!r}")
 
@@ -104,6 +110,31 @@ def floquet_step(spec: HarperSpec) -> np.ndarray:
     return _hop_factor(spec) * kick_phases(spec)[np.newaxis, :]
 
 
+def kicked_amplitudes(spec: HarperSpec, *seeds: np.ndarray) -> Iterator[tuple[np.ndarray, ...]]:
+    """The seed vectors after 0, 1, 2, ... periods, each stepped once per kick.
+
+    The Floquet step is built once per call; every yield is a tuple holding
+    one evolved vector per seed.
+    """
+    step = floquet_step(spec)
+    vectors = seeds
+    while True:
+        yield vectors
+        vectors = tuple(step @ v for v in vectors)
+
+
+def _after_kicks(spec: HarperSpec, n_kicks: int, *seeds: np.ndarray) -> tuple[np.ndarray, ...]:
+    if n_kicks < 0:
+        raise ValueError(f"kick count must be >= 0, got {n_kicks}")
+    return next(itertools.islice(kicked_amplitudes(spec, *seeds), n_kicks, None))
+
+
+def _site_one(spec: HarperSpec, amplitude: complex = 1.0) -> np.ndarray:
+    psi = np.zeros(spec.n, dtype=complex)
+    psi[0] = amplitude
+    return psi
+
+
 def propagate(spec: HarperSpec, n_kicks: int, initial: InitialState) -> tuple[complex, np.ndarray]:
     """Evolve the encoded state through n_kicks periods.
 
@@ -111,24 +142,8 @@ def propagate(spec: HarperSpec, n_kicks: int, initial: InitialState) -> tuple[co
     amplitude is constant: the kick potential and the hopping both annihilate
     the empty chain.
     """
-    if n_kicks < 0:
-        raise ValueError(f"kick count must be >= 0, got {n_kicks}")
-    psi = np.zeros(spec.n, dtype=complex)
-    psi[0] = initial.beta
-    step = floquet_step(spec)
-    for _ in range(n_kicks):
-        psi = step @ psi
+    (psi,) = _after_kicks(spec, n_kicks, _site_one(spec, initial.beta))
     return complex(initial.alpha), psi
-
-
-def _site_amplitudes(spec: HarperSpec, n_kicks: int) -> np.ndarray:
-    """Unit-seed amplitude vector: n_kicks periods applied to a particle at site 1."""
-    psi = np.zeros(spec.n, dtype=complex)
-    psi[0] = 1.0
-    step = floquet_step(spec)
-    for _ in range(n_kicks):
-        psi = step @ psi
-    return psi
 
 
 def free_occupation_profile(spec: HarperSpec, n_kicks: int, initial: InitialState) -> np.ndarray:
@@ -137,25 +152,34 @@ def free_occupation_profile(spec: HarperSpec, n_kicks: int, initial: InitialStat
     return np.abs(psi) ** 2
 
 
-def fidelity_free_kicked(spec: HarperSpec, n_kicks: int, initial: InitialState | None = None) -> np.ndarray:
-    """Transfer fidelity per site after n_kicks periods, no interruption.
+def _bloch_fidelity(abs2: np.ndarray, re_coherence: np.ndarray) -> np.ndarray:
+    """Bloch average of the fidelity whose excitation weight is |beta|^2 * abs2."""
+    m = BLOCH_MOMENTS
+    return (
+        m.abs_alpha_sq
+        + (m.abs_alpha_4 - m.alpha_sq_beta_sq) * abs2
+        + 2.0 * m.alpha_sq_beta_sq * re_coherence
+    )
+
+
+def fidelity_from_amplitudes(u: np.ndarray, initial: InitialState | None = None) -> np.ndarray:
+    """Transfer fidelity per site from the unit-seed amplitudes u (particle released at site 1).
 
     Without ``initial``: the analytic Bloch-sphere average
-    1/2 + |u_l|^2/6 + Re(u_l)/3 built from the unit-seed amplitudes u.
-    With it: the per-state fidelity of (alpha, beta).
+    1/2 + |u_l|^2/6 + Re(u_l)/3.  With it: the per-state fidelity of (alpha, beta).
     """
-    u = _site_amplitudes(spec, n_kicks)
     if initial is None:
-        m = BLOCH_MOMENTS
-        return (
-            m.abs_alpha_sq
-            + (m.abs_alpha_4 - m.alpha_sq_beta_sq) * np.abs(u) ** 2
-            + 2.0 * m.alpha_sq_beta_sq * u.real
-        )
+        return _bloch_fidelity(np.abs(u) ** 2, u.real)
     alpha, beta = initial.alpha, initial.beta
     x = abs(beta) ** 2 * np.abs(u) ** 2
     y = beta * np.conj(alpha) * u
     return abs(alpha) ** 2 * (1.0 - x) + abs(beta) ** 2 * x + 2.0 * (alpha * np.conj(beta) * y).real
+
+
+def fidelity_free_kicked(spec: HarperSpec, n_kicks: int, initial: InitialState | None = None) -> np.ndarray:
+    """Transfer fidelity per site after n_kicks periods, no interruption."""
+    (u,) = _after_kicks(spec, n_kicks, _site_one(spec))
+    return fidelity_from_amplitudes(u, initial)
 
 
 @dataclass(frozen=True)
@@ -204,37 +228,23 @@ def qdp_and_detect(
         raise ValueError(f"need 0 <= n0 <= n, got n0 = {n0}, n = {n}")
     alpha, beta = complex(initial.alpha), complex(initial.beta)
 
-    u_mid = _site_amplitudes(spec, n0)
-    found = u_mid[m - 1]
+    (u_mid,) = _after_kicks(spec, n0, _site_one(spec))
     survive_seed = u_mid.copy()
     survive_seed[m - 1] = 0.0
-
-    step = floquet_step(spec)
-    h = survive_seed
-    k = np.zeros(spec.n, dtype=complex)
-    k[m - 1] = found
-    u_free = u_mid
-    for _ in range(n - n0):
-        h = step @ h
-        k = step @ k
-        u_free = step @ u_free
+    collapse_seed = np.zeros(spec.n, dtype=complex)
+    collapse_seed[m - 1] = u_mid[m - 1]
+    h, k, u_free = _after_kicks(spec, n - n0, survive_seed, collapse_seed, u_mid)
 
     abs2 = np.abs(h) ** 2 + np.abs(k) ** 2
     occupation = abs(beta) ** 2 * abs2
     coherence = alpha * np.conj(beta) * np.conj(h)
     free_occ = abs(beta) ** 2 * np.abs(u_free) ** 2
     detector = occupation - free_occ
-    mom = BLOCH_MOMENTS
-    fidelity = (
-        mom.abs_alpha_sq
-        + (mom.abs_alpha_4 - mom.alpha_sq_beta_sq) * abs2
-        + 2.0 * mom.alpha_sq_beta_sq * h.real
-    )
     return HarperQdpResult(
         occupation=occupation,
         coherence=coherence,
         detector=detector,
-        fidelity=fidelity,
+        fidelity=_bloch_fidelity(abs2, h.real),
         free_occupation=free_occ,
         m=m,
         n0=n0,

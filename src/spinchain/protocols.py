@@ -15,8 +15,7 @@ out of every physical combination).
 from __future__ import annotations
 
 import cmath
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
@@ -82,31 +81,26 @@ def _bloch_from_quadratic(abs2: float, re_coherence: float) -> float:
 # --------------------------------------------------------------------------
 
 
-def free_rdm(l: int, t: float, spec: ChainSpec, initial: InitialState, *, method: str = "auto") -> RdmElements:
+def free_rdm(l: int, t: float, spec: ChainSpec, initial: InitialState) -> RdmElements:
     """RDM elements at site l after free evolution of the encoded state."""
-    g = green1_reduced(1, l, t, spec, method=method)
+    g = green1_reduced(1, l, t, spec)
     x = abs(initial.beta) ** 2 * abs(g) ** 2
     y = initial.beta * np.conj(initial.alpha) * g
     return RdmElements(x=float(x), y=complex(y), l=l, t=t)
 
 
 def fidelity_free(
-    l: int,
-    t: float,
-    spec: ChainSpec,
-    *,
-    initial: InitialState | None = None,
-    method: str = "auto",
+    l: int, t: float, spec: ChainSpec, *, initial: InitialState | None = None
 ) -> float:
     """Transfer fidelity at site l under free evolution.
 
     Without ``initial`` the result is the analytic Bloch-sphere average
     1/2 + |g|^2/6 + Re(g)/3 in reduced phases; with it, the per-state value.
     """
-    g = green1_reduced(1, l, t, spec, method=method)
+    g = green1_reduced(1, l, t, spec)
     if initial is None:
         return _bloch_from_quadratic(abs(g) ** 2, g.real)
-    rdm = free_rdm(l, t, spec, initial, method=method)
+    rdm = free_rdm(l, t, spec, initial)
     return state_fidelity(rdm.x, rdm.y, initial.alpha, initial.beta)
 
 
@@ -147,17 +141,15 @@ def _check_measurement_times(t: float, t0: float) -> None:
         )
 
 
-def hk_propagators(
-    y: int, yp: int, m: int, t: float, t0: float, spec: ChainSpec, *, method: str = "auto"
-) -> QdpPropagators:
+def hk_propagators(y: int, yp: int, m: int, t: float, t0: float, spec: ChainSpec) -> QdpPropagators:
     """Measurement-split propagators by the literal intermediate-site sum.
 
     h is accumulated as sum_{y'' != m} g(y -> y''; t0) g(y'' -> yp; t - t0),
     not as g - k, so the h + k = g identity is a real composition test.
     """
     _check_measurement_times(t, t0)
-    first = reduced_profile(y, t0, spec, method=method)
-    second = reduced_profile(yp, t - t0, spec, method=method)  # = g(y'' -> yp) by symmetry
+    first = reduced_profile(y, t0, spec)
+    second = reduced_profile(yp, t - t0, spec)  # = g(y'' -> yp) by symmetry
     sites = np.arange(1, spec.n + 1)
     keep = sites != m
     h_red = np.sum(first[keep] * second[keep])
@@ -168,22 +160,20 @@ def hk_propagators(
     )
 
 
-def _reduced_hk_rows(
-    m: int, t: float, t0: float, spec: ChainSpec, method: str
-) -> tuple[np.ndarray, np.ndarray]:
+def _reduced_hk_rows(m: int, t: float, t0: float, spec: ChainSpec) -> tuple[np.ndarray, np.ndarray]:
     """Reduced (h, k) from source site 1 to every site, via the fast difference route."""
-    g_t = reduced_profile(1, t, spec, method=method)
-    g_tau = reduced_profile(m, t - t0, spec, method=method)
-    k_row = reduced_profile(1, t0, spec, method=method)[m - 1] * g_tau
+    g_t = reduced_profile(1, t, spec)
+    g_tau = reduced_profile(m, t - t0, spec)
+    k_row = reduced_profile(1, t0, spec)[m - 1] * g_tau
     return g_t - k_row, k_row
 
 
 def projective_rdm(
-    l: int, m: int, t: float, t0: float, spec: ChainSpec, initial: InitialState, *, method: str = "auto"
+    l: int, m: int, t: float, t0: float, spec: ChainSpec, initial: InitialState
 ) -> RdmElements:
     """RDM elements at site l after a projective measurement of site m at t0."""
     _check_measurement_times(t, t0)
-    h_row, k_row = _reduced_hk_rows(m, t, t0, spec, method)
+    h_row, k_row = _reduced_hk_rows(m, t, t0, spec)
     h, k = h_row[l - 1], k_row[l - 1]
     b2 = abs(initial.beta) ** 2
     x = b2 * (abs(h) ** 2 + abs(k) ** 2)
@@ -199,32 +189,26 @@ def fidelity_projective(
     spec: ChainSpec,
     *,
     initial: InitialState | None = None,
-    method: str = "auto",
 ) -> float:
     """Transfer fidelity at site l with a site-m measurement at t0 (Bloch or per-state)."""
     _check_measurement_times(t, t0)
-    h_row, k_row = _reduced_hk_rows(m, t, t0, spec, method)
+    h_row, k_row = _reduced_hk_rows(m, t, t0, spec)
     h, k = h_row[l - 1], k_row[l - 1]
     if initial is None:
         return _bloch_from_quadratic(abs(h) ** 2 + abs(k) ** 2, h.real)
-    rdm = projective_rdm(l, m, t, t0, spec, initial, method=method)
+    rdm = projective_rdm(l, m, t, t0, spec, initial)
     return state_fidelity(rdm.x, rdm.y, initial.alpha, initial.beta)
 
 
-def delta_fidelity_projective(
-    l: int, m: int, t: float, t0: float, spec: ChainSpec, *, method: str = "auto"
-) -> float:
+def delta_fidelity_projective(l: int, m: int, t: float, t0: float, spec: ChainSpec) -> float:
     """Bloch-averaged fidelity change caused by the measurement.
 
     Exact reduced form (|k|^2 - Re(conj(g) k) - Re k)/3, algebraically equal
     to fidelity_projective - fidelity_free.
     """
     _check_measurement_times(t, t0)
-    g = green1_reduced(1, l, t, spec, method=method)
-    k = (
-        green1_reduced(1, m, t0, spec, method=method)
-        * green1_reduced(m, l, t - t0, spec, method=method)
-    )
+    g = green1_reduced(1, l, t, spec)
+    k = green1_reduced(1, m, t0, spec) * green1_reduced(m, l, t - t0, spec)
     return float((abs(k) ** 2 - (np.conj(g) * k).real - k.real) / 3.0)
 
 
@@ -260,14 +244,7 @@ class UnitaryQdpEngine:
     propagator, so all sector norms are conserved to rounding.
     """
 
-    def __init__(
-        self,
-        spec: ChainSpec,
-        event: QdpEvent,
-        t: float,
-        *,
-        window: int | None = None,
-    ):
+    def __init__(self, spec: ChainSpec, event: QdpEvent, t: float):
         if event.kind != "local_unitary":
             raise ValueError(f"engine needs a local_unitary event, got {event.kind!r}")
         _check_measurement_times(t, event.t0)
@@ -290,7 +267,6 @@ class UnitaryQdpEngine:
         pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
         self.pairs = pairs
         self.pair_index = {p: idx for idx, p in enumerate(pairs)}
-        self._window = window
 
         n_pairs = len(pairs)
         self.l_scattering = np.zeros(n_pairs, dtype=complex)
@@ -325,22 +301,12 @@ class UnitaryQdpEngine:
         return float(np.sum(np.abs(self.l_total) ** 2))
 
     def _partner_view(self, l: int, part: Green2Part) -> tuple[np.ndarray, np.ndarray]:
-        """(partner sites y, L(l, y)) for all y != l, optionally window-limited."""
-        n = self.spec.n
+        """(partner sites y, L(l, y)) for all y != l."""
         table = self.pair_table(part)
         ys, vals = [], []
-        for y in range(1, n + 1):
+        for y in range(1, self.spec.n + 1):
             if y == l:
                 continue
-            if self._window is not None:
-                m = self.event.m
-                near = min(
-                    min(abs(y - 1), n - abs(y - 1)),
-                    min(abs(y - m), n - abs(y - m)),
-                    min(abs(y - l), n - abs(y - l)),
-                )
-                if near > self._window:
-                    continue
             pair = (l, y) if l < y else (y, l)
             ys.append(y)
             vals.append(table[self.pair_index[pair]])
@@ -448,6 +414,15 @@ def two_magnon_split_fidelity(
 # --------------------------------------------------------------------------
 
 
+def grid_csv(l_values, t_values, values: np.ndarray) -> str:
+    """CSV rows l,t,value with time as the outer loop, 12 significant digits."""
+    lines = ["l,t,value"]
+    for j, t in enumerate(t_values):
+        for i, l in enumerate(l_values):
+            lines.append(f"{l},{t:.11e},{values[i, j]:.11e}")
+    return "\n".join(lines) + "\n"
+
+
 @dataclass(frozen=True)
 class FidelityGrid:
     """Fidelity values over a site x time lattice for one scenario."""
@@ -463,16 +438,13 @@ class FidelityGrid:
         if self.values.shape != (len(self.l_values), len(self.t_values)):
             raise ValueError("grid shape must be (len(l_values), len(t_values))")
         lo, hi = (-1.0, 1.0) if self.scenario == "difference" else (0.0, 1.0)
-        if np.any(self.values < lo - 1e-9) or np.any(self.values > hi + 1e-9):
-            raise ValueError(f"{self.scenario} grid values leave [{lo}, {hi}]")
+        # written as "all inside" so that NaN, which compares False, fails too
+        if not np.all((self.values >= lo - 1e-9) & (self.values <= hi + 1e-9)):
+            raise ValueError(f"{self.scenario} grid values leave [{lo}, {hi}] or are NaN")
 
     def to_csv(self) -> str:
         """CSV rows l,t,value with time as the outer loop, 12 significant digits."""
-        lines = ["l,t,value"]
-        for j, t in enumerate(self.t_values):
-            for i, l in enumerate(self.l_values):
-                lines.append(f"{l},{t:.11e},{self.values[i, j]:.11e}")
-        return "\n".join(lines) + "\n"
+        return grid_csv(self.l_values, self.t_values, self.values)
 
 
 def fidelity_grid(
@@ -483,8 +455,6 @@ def fidelity_grid(
     *,
     event: QdpEvent | None = None,
     initial: InitialState | None = None,
-    method: str = "auto",
-    window: int | None = None,
 ) -> FidelityGrid:
     """Fill a fidelity lattice; times before t0 fall back to free values (0 for difference).
 
@@ -504,32 +474,26 @@ def fidelity_grid(
     for j, t in enumerate(t_values):
         before = t < event.t0 and event.kind != "none"
         if scenario == "free" or (before and scenario != "difference"):
-            col = [fidelity_free(l, t, spec, initial=initial, method=method) for l in l_values]
+            col = [fidelity_free(l, t, spec, initial=initial) for l in l_values]
         elif before and scenario == "difference":
             col = [0.0 for _ in l_values]
         elif scenario == "projective_qdp" or (
             scenario == "difference" and event.kind == "projective"
         ):
             if scenario == "difference":
-                col = [
-                    delta_fidelity_projective(l, event.m, t, event.t0, spec, method=method)
-                    for l in l_values
-                ]
+                col = [delta_fidelity_projective(l, event.m, t, event.t0, spec) for l in l_values]
             else:
                 col = [
-                    fidelity_projective(l, event.m, t, event.t0, spec, initial=initial, method=method)
+                    fidelity_projective(l, event.m, t, event.t0, spec, initial=initial)
                     for l in l_values
                 ]
         elif scenario == "unitary_qdp" or (
             scenario == "difference" and event.kind == "local_unitary"
         ):
-            engine = UnitaryQdpEngine(spec, event, t, window=window)
+            engine = UnitaryQdpEngine(spec, event, t)
             col = [engine.fidelity(l) for l in l_values]
             if scenario == "difference":
-                col = [
-                    c - fidelity_free(l, t, spec, method=method)
-                    for c, l in zip(col, l_values)
-                ]
+                col = [c - fidelity_free(l, t, spec) for c, l in zip(col, l_values)]
         else:
             raise ValueError(f"unknown scenario {scenario!r}")
         values[:, j] = col

@@ -124,7 +124,22 @@ def test_exit_codes_for_bad_usage(tmp_path):
     ]) == 2
     assert main(["detector", "--qdp-kick", "10", "--kicks", "5",
                  "--out", str(tmp_path / "x.csv")]) == 2
+    # non-finite parameters and out-of-range sites
+    assert main(["fidelity", "--n", "10", "--tmax", "inf", "--out", str(tmp_path / "x.csv")]) == 2
+    assert main(["fidelity", "--n", "10", "--tmin", "nan", "--out", str(tmp_path / "x.csv")]) == 2
+    assert main(["fidelity", "--n", "10", "--dt", "nan", "--out", str(tmp_path / "x.csv")]) == 2
+    assert main(["qdp-diff", "--n", "10", "--site", "50", "--tmax", "5",
+                 "--out", str(tmp_path / "x.csv")]) == 2
+    assert main(["unitary-qdp", "--n", "10", "--site", "50", "--tmax", "5",
+                 "--out", str(tmp_path / "x.csv")]) == 2
+    assert main(["two-magnon-split", "--n", "10", "--site", "11", "--tmax", "4",
+                 "--out", str(tmp_path / "x.csv")]) == 2
+    assert main(["harper", "--n", "10", "--g", "nan", "--out", str(tmp_path / "x.csv")]) == 2
+    assert main(["harper", "--n", "10", "--eta", "nan", "--out", str(tmp_path / "x.csv")]) == 2
+    assert main(["two-magnon-split", "--n", "10", "--delta-abs", "nan", "--tmax", "5",
+                 "--out", str(tmp_path / "x.csv")]) == 2
     assert main(["--help"]) == 0
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_exit_code_for_failed_numerical_check(tmp_path):

@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 from spinchain.bessel import bessel_j
-from spinchain.chain import ChainSpec, reduced_phase
+from spinchain.chain import ChainSpec
 from spinchain.green1 import (
     choose_method,
-    green1,
     green1_reduced,
     reduced_hop_amplitudes,
     reduced_profile,
@@ -77,15 +76,6 @@ def test_hop_amplitudes_phase_and_parity():
 def test_method_chooser_prefers_exact_sums_on_small_chains():
     assert choose_method(ChainSpec(99, "open", 0.5, 1.0)) == "momentum_sum"
     assert choose_method(ChainSpec(100, "open", 0.5, 1.0)) == "bessel"
-
-
-def test_full_amplitude_carries_reference_phase():
-    spec = ChainSpec(14, "open", 0.5, 1.0)
-    t = 2.3
-    full = green1(1, 4, t, spec)
-    reduced = green1_reduced(1, 4, t, spec)
-    assert full.value == pytest.approx(reduced_phase(spec, t) * reduced, abs=1e-14)
-    assert full.method == "momentum_sum"
 
 
 def test_site_validation():

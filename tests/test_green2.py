@@ -28,12 +28,11 @@ def _reduced(value, t, spec=SPEC):
 
 
 def test_scatter_phase_structure():
-    val = theta_phase(math.pi / 2, -math.pi / 2, 1.0)
-    assert val.theta == pytest.approx(math.pi / 2, abs=1e-12)
+    assert theta_phase(math.pi / 2, -math.pi / 2, 1.0) == pytest.approx(math.pi / 2, abs=1e-12)
     forward = theta_phase(0.7, 1.9, 1.0)
     backward = theta_phase(1.9, 0.7, 1.0)
-    assert forward.theta == pytest.approx(-backward.theta, abs=1e-12)
-    assert theta_phase(1.1, 1.1, 1.0).theta == pytest.approx(0.0, abs=1e-12)
+    assert forward == pytest.approx(-backward, abs=1e-12)
+    assert theta_phase(1.1, 1.1, 1.0) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_time_zero_hand_values():
@@ -132,22 +131,10 @@ def test_parts_resolve_the_total():
     assert engine.part("bound") == engine.bound
 
 
-def test_restricted_form_contract():
-    # the experimental limited-momentum-range variant integrates a different
-    # weight (half the zone as delta -> 0), so it is checked against its own
-    # contract: deterministic, labeled, and within its reported error estimate
-    spec = ChainSpec(40, "closed", 0.5, 0.4)
-    first = green2_scattering(19, 22, 20, 23, 0.8, spec, form="restricted", tol=1e-4)
-    second = green2_scattering(19, 22, 20, 23, 0.8, spec, form="restricted", tol=1e-4)
-    assert first.value == second.value
-    assert first.part == "scattering"
-    assert 0 <= first.error <= 1e-4
-
-
 def test_interior_singularity_raises_instead_of_degrading():
     spec = ChainSpec(40, "closed", 0.5, 0.5)
     with pytest.raises(QuadratureError) as info:
-        green2_scattering(19, 22, 19, 22, 1.0, spec, form="restricted", tol=1e-12)
+        green2_scattering(19, 22, 19, 22, 1.0, spec, tol=1e-12)
     assert info.value.achieved > 0
 
 
@@ -186,5 +173,3 @@ def test_ring_validation():
         green2_bound(1, 2, 1, 2, 1.0, ChainSpec(12, "closed", 0.5, 0.3))
     with pytest.raises(ValueError):
         green2_scattering(1, 2, 1, 2, -1.0, SPEC)
-    with pytest.raises(ValueError):
-        green2_scattering(1, 2, 1, 2, 1.0, SPEC, form="diagonal")

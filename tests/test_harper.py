@@ -228,6 +228,11 @@ def test_parameter_validation():
         HarperSpec(n=5, g=1.0, tau=math.inf)
     with pytest.raises(ValueError):
         HarperSpec(n=5, g=1.0, tau=0.1, boundary="ring")
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            HarperSpec(n=5, g=bad, tau=0.1)
+        with pytest.raises(ValueError):
+            HarperSpec(n=5, g=1.0, tau=0.1, eta=bad)
     spec = HarperSpec(n=5, g=1.0, tau=0.1)
     with pytest.raises(ValueError):
         propagate(spec, -1, InitialState(0.0, 1.0))

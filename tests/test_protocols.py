@@ -229,6 +229,18 @@ def test_grid_csv_layout():
     assert lines[3].startswith("1,1.50000000000e+00")
 
 
+def test_grid_rejects_nan_values():
+    with pytest.raises(ValueError):
+        FidelityGrid(
+            values=np.array([[0.5, np.nan]]),
+            l_values=(1,),
+            t_values=(0.0, 1.5),
+            scenario="free",
+            event=QdpEvent(kind="none"),
+            spec=OPEN12,
+        )
+
+
 def test_time_ordering_validation():
     with pytest.raises(ValueError):
         fidelity_projective(3, 2, 1.0, 2.0, OPEN12)
