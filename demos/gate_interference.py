@@ -23,12 +23,12 @@ def main() -> None:
     event = QdpEvent("local_unitary", m=15, t0=7.5, gate=(0.0, 1.0))
 
     best = (-1.0, 0, 0.0)
+    engine = UnitaryQdpEngine(ring, event)
     for k in range(1, 19):
         t = 7.5 + 0.25 * k
-        engine = UnitaryQdpEngine(ring, event, t)
         g = reduced_profile(1, t, ring)
         free = 0.5 + np.abs(g) ** 2 / 6.0 + g.real / 3.0
-        gated = np.array([engine.fidelity(l) for l in range(1, 101)])
+        gated = engine.fidelity_row(t)
         gain = (gated - free) / free
         idx = int(np.argmax(gain))
         if gain[idx] > best[0]:
@@ -37,10 +37,9 @@ def main() -> None:
     print(f"  best relative fidelity gain: {best[0]:+.2%} at site {best[1]}, t = {best[2]:.2f}")
 
     probe = QdpEvent("local_unitary", m=10, t0=5.0, gate=(0.0, 1.0))
-    engine = UnitaryQdpEngine(ring, probe, 6.0)
-    sites = range(1, 101)
-    scattering = sum(engine.split_fidelity(l, "scattering") for l in sites)
-    bound = sum(engine.split_fidelity(l, "bound") for l in sites)
+    engine = UnitaryQdpEngine(ring, probe)
+    scattering = float(np.sum(engine.split_row(6.0, "scattering")))
+    bound = float(np.sum(engine.split_row(6.0, "bound")))
     print("\nWhere does the injected pair weight go? (gate at site 10, t0 = 5)")
     print(f"  scattering-continuum share of the averaged-fidelity weight: {scattering:.4f}")
     print(f"  interaction-bound share:                                    {bound:.4f}")

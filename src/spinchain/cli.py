@@ -4,7 +4,8 @@ Every grid subcommand writes two files: the CSV named by ``--out`` (header
 ``l,t,value``, time as the outer loop, 12 significant digits) and a metadata
 sidecar ``<out>.meta.json`` echoing the resolved parameters, the convention
 fingerprint, and the relevant tolerances.  Outputs are byte-identical across
-re-runs and worker counts.
+re-runs.  Each grid command fills its grid one row of sites per time and
+builds its kernels once; ``--threads`` is still accepted but has no effect.
 
 Exit codes: 0 success, 2 unusable arguments or config file, 3 a numerical
 check failed or a quadrature did not converge, 4 output could not be written.
@@ -13,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import concurrent.futures
 import itertools
 import json
 import math
@@ -24,10 +24,11 @@ import numpy as np
 
 from . import __version__
 from .chain import CONVENTIONS, ChainSpec, InitialState, QdpEvent, conventions_hash
-from .green1 import green1_reduced, reduced_profile
+from .green1 import reduced_profile
 from .green2 import QuadratureError
 from .harper import HarperSpec, fidelity_from_amplitudes, kicked_amplitudes, qdp_and_detect
-from .protocols import UnitaryQdpEngine, fidelity_grid, grid_csv
+from .protocols import UnitaryQdpEngine, fidelity_grid, grid_csv, hk_propagators
+from .protocols import projective_rdm, unitary_qdp_state
 from . import oracle
 
 EXIT_OK = 0
@@ -36,6 +37,9 @@ EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
 _CSV_FORMAT = "l,t,value; t outer, l inner; 12 significant digits"
+
+#: Largest grid (sites x times) a command fills; a larger one exits 2 before allocation.
+MAX_GRID_CELLS = 10**7
 
 
 class CheckFailure(RuntimeError):
@@ -57,8 +61,7 @@ def _add_chain_flags(p: argparse.ArgumentParser, *, boundary_default: str = "ope
 def _add_common_flags(p: argparse.ArgumentParser, default_out: str) -> None:
     p.add_argument("--out", default=default_out, help="output CSV path")
     p.add_argument("--config", default=None, help="key = value file; flags override it")
-    p.add_argument("--threads", type=int, default=1, help="worker threads for grid columns")
-    p.add_argument("--tol", type=float, default=None, help="tolerance override for checks")
+    p.add_argument("--threads", type=int, default=1, help="accepted for compatibility; no effect")
 
 
 def _add_grid_flags(p: argparse.ArgumentParser, tmax: float, dt: float) -> None:
@@ -143,10 +146,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle-check", help="cross-validate against dense matrix evolution")
     p.add_argument("--n", type=int, default=12)
     _add_common_flags(p, "oracle_check.json")
+    p.add_argument("--tol", type=float, default=None, help="tolerance override for the checks")
 
     p = sub.add_parser("calibrate", help="verify propagator conventions against dense evolution")
     p.add_argument("--n", type=int, default=12)
     _add_common_flags(p, "calibration.json")
+    p.add_argument("--tol", type=float, default=None, help="tolerance override for the checks")
 
     return parser
 
@@ -240,6 +245,12 @@ def _chain_spec(args: argparse.Namespace) -> ChainSpec:
     return ChainSpec(args.n, args.boundary, args.j, args.delta)
 
 
+def _check_grid_size(sites: int, times: float) -> None:
+    """Refuse a grid above MAX_GRID_CELLS; ``times`` may be a float, even inf."""
+    if sites * times > MAX_GRID_CELLS:
+        raise ValueError(f"grid of {sites} x {times:.4g} cells is over {MAX_GRID_CELLS}")
+
+
 def _grid_axes(args: argparse.Namespace) -> tuple[list[int], list[float]]:
     lmax = args.lmax if args.lmax is not None else args.n
     if not 1 <= args.lmin <= lmax <= args.n:
@@ -248,8 +259,10 @@ def _grid_axes(args: argparse.Namespace) -> tuple[list[int], list[float]]:
         raise ValueError("tmin, tmax and dt must be finite")
     if args.dt <= 0 or args.tmax < args.tmin:
         raise ValueError("need dt > 0 and tmax >= tmin")
+    steps = (args.tmax - args.tmin) / args.dt
+    _check_grid_size(lmax - args.lmin + 1, steps + 1)
     ls = list(range(args.lmin, lmax + 1))
-    ts = [round(args.tmin + k * args.dt, 12) for k in range(int((args.tmax - args.tmin) / args.dt + 1e-9) + 1)]
+    ts = [round(args.tmin + k * args.dt, 12) for k in range(int(steps + 1e-9) + 1)]
     return ls, ts
 
 
@@ -271,70 +284,56 @@ def _initial(alpha2: float | None) -> InitialState | None:
     return InitialState(math.sqrt(alpha2), math.sqrt(1.0 - alpha2))
 
 
-def _threaded_columns(t_values, column_fn, threads: int) -> list[np.ndarray]:
-    """Evaluate column_fn(t) for each t, in order, optionally on a worker pool."""
-    if threads <= 1:
-        return [column_fn(t) for t in t_values]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(column_fn, t_values))
-
-
 # --------------------------------------------------------------------------
 # Grid subcommands
 # --------------------------------------------------------------------------
 
 
-def _run_grid(args: argparse.Namespace, column) -> int:
-    """Fill the (l, t) grid one time column at a time; column(ls, t) gives one column."""
+def _run_grid(args: argparse.Namespace, fill) -> int:
+    """Fill the (l, t) grid in one call; fill(ls, ts) gives the values, shape (len(ls), len(ts))."""
     ls, ts = _grid_axes(args)
-    cols = _threaded_columns(ts, lambda t: column(ls, t), args.threads)
     meta = _metadata(args, {"grid": {"l": [ls[0], ls[-1]], "t": [ts[0], ts[-1]], "dt": args.dt}})
-    _write_outputs(args, grid_csv(ls, ts, np.column_stack(cols)), meta)
+    _write_outputs(args, grid_csv(ls, ts, fill(ls, ts)), meta)
     return EXIT_OK
 
 
-def _run_fidelity(args: argparse.Namespace) -> int:
+def _run_fidelity_grid(args: argparse.Namespace) -> int:
+    """fidelity, qdp-diff and unitary-qdp: one fidelity_grid call fills the whole grid."""
     spec = _chain_spec(args)
-    initial = _initial(args.alpha2)
-    return _run_grid(
-        args, lambda ls, t: fidelity_grid(spec, "free", ls, [t], initial=initial).values[:, 0]
-    )
+    if args.command == "fidelity":
+        scenario, event, initial = "free", None, _initial(args.alpha2)
+    elif args.command == "qdp-diff":
+        scenario, event, initial = "difference", _event(args, "projective"), None
+    else:
+        scenario = "difference" if args.diff else "unitary_qdp"
+        event, initial = _event(args, "local_unitary"), None
 
+    def fill(ls: list[int], ts: list[float]) -> np.ndarray:
+        return fidelity_grid(spec, scenario, ls, ts, event=event, initial=initial).values
 
-def _run_qdp_diff(args: argparse.Namespace) -> int:
-    spec = _chain_spec(args)
-    event = _event(args, "projective")
-    return _run_grid(
-        args, lambda ls, t: fidelity_grid(spec, "difference", ls, [t], event=event).values[:, 0]
-    )
-
-
-def _run_unitary_qdp(args: argparse.Namespace) -> int:
-    spec = _chain_spec(args)
-    event = _event(args, "local_unitary")
-    scenario = "difference" if args.diff else "unitary_qdp"
-    return _run_grid(
-        args, lambda ls, t: fidelity_grid(spec, scenario, ls, [t], event=event).values[:, 0]
-    )
+    return _run_grid(args, fill)
 
 
 def _run_two_magnon_split(args: argparse.Namespace) -> int:
     spec = _chain_spec(args)
     event = _event(args, "local_unitary")
 
-    def column(ls: list[int], t: float) -> np.ndarray:
-        if t < event.t0:
-            return np.zeros(len(ls))
-        engine = UnitaryQdpEngine(spec, event, t)
-        return np.array([engine.split_fidelity(l, args.part) for l in ls])
+    def fill(ls: list[int], ts: list[float]) -> np.ndarray:
+        engine = UnitaryQdpEngine(spec, event)
+        sites = np.array(ls) - 1
+        return np.column_stack([
+            engine.split_row(t, args.part)[sites] if t >= event.t0 else np.zeros(len(ls))
+            for t in ts
+        ])
 
-    return _run_grid(args, column)
+    return _run_grid(args, fill)
 
 
 def _run_harper(args: argparse.Namespace) -> int:
     spec = HarperSpec(args.n, args.g, args.tau, eta=args.eta, boundary=args.boundary)
     if args.kicks < 0:
         raise ValueError("kick count must be >= 0")
+    _check_grid_size(spec.n, args.kicks + 1)
     initial = _initial(args.alpha2)
     ls = list(range(1, spec.n + 1))
     ts = [n * spec.tau for n in range(args.kicks + 1)]
@@ -352,6 +351,7 @@ def _run_detector(args: argparse.Namespace) -> int:
     spec = HarperSpec(args.n, args.g, args.tau, eta=args.eta, boundary=args.boundary)
     if not 0 <= args.qdp_kick <= args.kicks:
         raise ValueError("need 0 <= qdp-kick <= kicks")
+    _check_grid_size(spec.n, args.kicks - args.qdp_kick + 1)
     initial = _initial(args.alpha2)
     if initial is None:
         raise ValueError("the detector needs a definite encoded state (--alpha2)")
@@ -389,8 +389,6 @@ def _run_oracle_check(args: argparse.Namespace) -> int:
 
     # Propagator splitting: survive + collapse amplitudes reassemble free motion.
     worst = 0.0
-    from .protocols import hk_propagators
-
     for boundary in ("open", "closed"):
         spec = ChainSpec(n, boundary, 0.5, 1.0)
         for _ in range(100):
@@ -399,7 +397,7 @@ def _run_oracle_check(args: argparse.Namespace) -> int:
             t0 = float(rng.uniform(0.0, 3.0))
             t = t0 + float(rng.uniform(0.0, 3.0))
             props = hk_propagators(1, l, m, t, t0, spec)
-            g = cmath.exp(-1j * spec.ground_energy * t) * green1_reduced(1, l, t, spec)
+            g = cmath.exp(-1j * spec.ground_energy * t) * reduced_profile(1, t, spec)[l - 1]
             worst = max(worst, abs(props.h + props.k - g))
     record("splitting identity", worst, tol)
 
@@ -407,8 +405,6 @@ def _run_oracle_check(args: argparse.Namespace) -> int:
     spec = ChainSpec(n, "open", 0.5, 1.0)
     basis = oracle.make_basis("vacuum_one_two", n)
     ham = oracle.build_hamiltonian(spec, "vacuum_one_two")
-    from .protocols import projective_rdm
-
     worst = 0.0
     m, t0, t = max(1, n // 2), 1.0, 2.5
     for alpha2 in (1.0, 0.5, 0.0):
@@ -428,8 +424,6 @@ def _run_oracle_check(args: argparse.Namespace) -> int:
     spec = ChainSpec(n, "closed", 0.5, 1.0)
     basis2 = oracle.make_basis("vacuum_one_two", n)
     ham2 = oracle.build_hamiltonian(spec, "vacuum_one_two")
-    from .protocols import unitary_qdp_state
-
     worst = 0.0
     for gate in ((1 / math.sqrt(2), 1 / math.sqrt(2)), (0.0, 1.0)):
         event = QdpEvent("local_unitary", m=max(1, n // 3), t0=1.5, gate=gate)
@@ -504,9 +498,9 @@ def _run_calibrate(args: argparse.Namespace) -> int:
 
 
 _RUNNERS = {
-    "fidelity": _run_fidelity,
-    "qdp-diff": _run_qdp_diff,
-    "unitary-qdp": _run_unitary_qdp,
+    "fidelity": _run_fidelity_grid,
+    "qdp-diff": _run_fidelity_grid,
+    "unitary-qdp": _run_fidelity_grid,
     "two-magnon-split": _run_two_magnon_split,
     "harper": _run_harper,
     "detector": _run_detector,

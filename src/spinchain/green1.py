@@ -98,29 +98,3 @@ def reduced_profile(x: int, t: float, spec: ChainSpec, method: str = "auto") -> 
             + reduced_hop_amplitudes(targets - x + n, z)
         )
     raise ValueError(f"unknown method {method!r}")
-
-
-def green1_reduced(x: int, xp: int, t: float, spec: ChainSpec, method: str = "auto") -> complex:
-    """Scalar e^{+i*eps0*t} G^{xp}_x(t)."""
-    _check_site(x, spec, "x")
-    _check_site(xp, spec, "x'")
-    if t < 0:
-        raise ValueError(f"time must be >= 0, got {t}")
-    if method == "auto":
-        method = choose_method(spec)
-    z = 4.0 * spec.j * t
-    if method == "bessel":
-        if spec.boundary == "open":
-            parts = reduced_hop_amplitudes([xp - x, xp + x], z)
-            return complex(parts[0] - parts[1])
-        parts = reduced_hop_amplitudes([xp - x, xp - x - spec.n, xp - x + spec.n], z)
-        return complex(parts.sum())
-    if method == "momentum_sum":
-        if spec.boundary == "open":
-            modes, cos_p = _open_modes(spec.n)
-            return complex(
-                np.sum(modes[:, x - 1] * modes[:, xp - 1] * np.exp(1j * z * cos_p))
-            )
-        p = _closed_momenta(spec.n)
-        return complex(np.mean(np.exp(1j * (p * (xp - x) + z * np.cos(p)))))
-    raise ValueError(f"unknown method {method!r}")

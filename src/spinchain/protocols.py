@@ -7,6 +7,10 @@ instantaneous local unitary gate at site m at t0 (which opens the two-magnon
 channel). Fidelities are reported per encoded state or averaged analytically
 over the Bloch sphere.
 
+Every formula is evaluated as a row over all target sites at one time; the
+single-site functions pick their entry out of the same row, and grids are
+filled one row per time.
+
 Phase bookkeeping: public amplitudes (QdpPropagators, UnitaryState) carry full
 phases, so H + K reproduces the one-magnon propagator exactly. Fidelity
 formulas consume reduced amplitudes (the e^{-i*eps0*t} reference phase drops
@@ -21,16 +25,25 @@ from typing import Literal
 import numpy as np
 
 from .chain import BLOCH_MOMENTS, ChainSpec, InitialState, QdpEvent
-from .green1 import green1_reduced, reduced_profile
-from .green2 import RingTwoMagnon
+from .green1 import reduced_profile
+from .green2 import Part, RingTwoMagnon
 
 Scenario = Literal["free", "projective_qdp", "unitary_qdp", "difference"]
-Green2Part = Literal["bound", "scattering", "total"]
 
 
 # --------------------------------------------------------------------------
 # Reduced-density-matrix elements and fidelity forms
 # --------------------------------------------------------------------------
+
+
+def _check_rdm(x, y) -> None:
+    """Raise unless every (x, y) is a physical site RDM: x in [0, 1], |y|^2 <= x(1-x)."""
+    # written as "all inside" so that NaN, which compares False, fails too
+    if not np.all((x >= -1e-9) & (x <= 1.0 + 1e-9)):
+        raise ValueError(f"excitation weight x outside [0, 1]: {np.min(x)} .. {np.max(x)}")
+    excess = np.abs(y) ** 2 - x * (1.0 - x)
+    if np.any(excess > 1e-9):
+        raise ValueError(f"coherence |y|^2 exceeds the bound x(1-x) by {np.max(excess):.3e}")
 
 
 @dataclass(frozen=True)
@@ -43,25 +56,19 @@ class RdmElements:
     t: float
 
     def __post_init__(self):
-        if not -1e-9 <= self.x <= 1.0 + 1e-9:
-            raise ValueError(f"excitation weight x = {self.x} outside [0, 1]")
-        if abs(self.y) ** 2 > self.x * (1.0 - self.x) + 1e-9:
-            raise ValueError(
-                f"coherence |y|^2 = {abs(self.y)**2:.3e} violates RDM positivity "
-                f"bound x(1-x) = {self.x * (1.0 - self.x):.3e}"
-            )
+        _check_rdm(self.x, self.y)
 
 
-def state_fidelity(x: float, y: complex, alpha: complex, beta: complex) -> float:
-    """Transfer fidelity of the encoded state against RDM elements (x, y)."""
-    return float(
+def state_fidelity(x, y, alpha: complex, beta: complex):
+    """Transfer fidelity of the encoded state against RDM elements (x, y); rows allowed."""
+    return (
         abs(alpha) ** 2 * (1.0 - x)
         + abs(beta) ** 2 * x
         + 2.0 * (alpha * np.conj(beta) * y).real
     )
 
 
-def _bloch_from_quadratic(abs2: float, re_coherence: float) -> float:
+def _bloch_from_quadratic(abs2, re_coherence):
     """Bloch average of |alpha|^2(1-x) + |beta|^2 x + 2|alpha|^2|beta|^2 Re(c).
 
     Valid whenever x = |beta|^2 * abs2 and the coherence term is
@@ -76,17 +83,48 @@ def _bloch_from_quadratic(abs2: float, re_coherence: float) -> float:
     )
 
 
+def _rdm_row(weight: np.ndarray, amp: np.ndarray, initial: InitialState):
+    """Checked RDM rows (x, y) from the site weight per |beta|^2 and the coherent amplitude."""
+    x = abs(initial.beta) ** 2 * weight
+    y = initial.beta * np.conj(initial.alpha) * amp
+    _check_rdm(x, y)
+    return x, y
+
+
+def _rdm_at(weight, amp, initial: InitialState, l: int, t: float) -> RdmElements:
+    x, y = _rdm_row(weight, amp, initial)
+    return RdmElements(x=float(_at(x, l)), y=complex(_at(y, l)), l=l, t=t)
+
+
+def _fidelity_row(weight: np.ndarray, amp: np.ndarray, initial: InitialState | None) -> np.ndarray:
+    """Bloch-averaged (no ``initial``) or per-state fidelity row."""
+    if initial is None:
+        return _bloch_from_quadratic(weight, amp.real)
+    x, y = _rdm_row(weight, amp, initial)
+    return state_fidelity(x, y, initial.alpha, initial.beta)
+
+
+def _at(row: np.ndarray, l: int):
+    """Entry of a site row at the 1-based site l."""
+    if not 1 <= l <= row.shape[0]:
+        raise ValueError(f"site l={l} out of range 1..{row.shape[0]}")
+    return row[l - 1]
+
+
 # --------------------------------------------------------------------------
 # Free transfer
 # --------------------------------------------------------------------------
 
 
+def _free_parts(t: float, spec: ChainSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(site weight, coherent amplitude) rows of free evolution from site 1."""
+    g = reduced_profile(1, t, spec)
+    return np.abs(g) ** 2, g
+
+
 def free_rdm(l: int, t: float, spec: ChainSpec, initial: InitialState) -> RdmElements:
     """RDM elements at site l after free evolution of the encoded state."""
-    g = green1_reduced(1, l, t, spec)
-    x = abs(initial.beta) ** 2 * abs(g) ** 2
-    y = initial.beta * np.conj(initial.alpha) * g
-    return RdmElements(x=float(x), y=complex(y), l=l, t=t)
+    return _rdm_at(*_free_parts(t, spec), initial, l, t)
 
 
 def fidelity_free(
@@ -97,11 +135,7 @@ def fidelity_free(
     Without ``initial`` the result is the analytic Bloch-sphere average
     1/2 + |g|^2/6 + Re(g)/3 in reduced phases; with it, the per-state value.
     """
-    g = green1_reduced(1, l, t, spec)
-    if initial is None:
-        return _bloch_from_quadratic(abs(g) ** 2, g.real)
-    rdm = free_rdm(l, t, spec, initial)
-    return state_fidelity(rdm.x, rdm.y, initial.alpha, initial.beta)
+    return float(_at(_fidelity_row(*_free_parts(t, spec), initial), l))
 
 
 # --------------------------------------------------------------------------
@@ -160,25 +194,30 @@ def hk_propagators(y: int, yp: int, m: int, t: float, t0: float, spec: ChainSpec
     )
 
 
-def _reduced_hk_rows(m: int, t: float, t0: float, spec: ChainSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Reduced (h, k) from source site 1 to every site, via the fast difference route."""
-    g_t = reduced_profile(1, t, spec)
+def _reduced_gk_rows(m: int, t: float, t0: float, spec: ChainSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced free (g) and collapse (k) rows from source site 1 to every site; h = g - k."""
+    _check_measurement_times(t, t0)
     g_tau = reduced_profile(m, t - t0, spec)
-    k_row = reduced_profile(1, t0, spec)[m - 1] * g_tau
-    return g_t - k_row, k_row
+    return reduced_profile(1, t, spec), reduced_profile(1, t0, spec)[m - 1] * g_tau
+
+
+def _projective_parts(m: int, t: float, t0: float, spec: ChainSpec):
+    """(site weight, coherent amplitude) rows after the measurement: |h|^2 + |k|^2 and h."""
+    g, k = _reduced_gk_rows(m, t, t0, spec)
+    h = g - k
+    return np.abs(h) ** 2 + np.abs(k) ** 2, h
+
+
+def _delta_projective_row(m: int, t: float, t0: float, spec: ChainSpec) -> np.ndarray:
+    g, k = _reduced_gk_rows(m, t, t0, spec)
+    return (np.abs(k) ** 2 - (np.conj(g) * k).real - k.real) / 3.0
 
 
 def projective_rdm(
     l: int, m: int, t: float, t0: float, spec: ChainSpec, initial: InitialState
 ) -> RdmElements:
     """RDM elements at site l after a projective measurement of site m at t0."""
-    _check_measurement_times(t, t0)
-    h_row, k_row = _reduced_hk_rows(m, t, t0, spec)
-    h, k = h_row[l - 1], k_row[l - 1]
-    b2 = abs(initial.beta) ** 2
-    x = b2 * (abs(h) ** 2 + abs(k) ** 2)
-    y = initial.beta * np.conj(initial.alpha) * h
-    return RdmElements(x=float(x), y=complex(y), l=l, t=t)
+    return _rdm_at(*_projective_parts(m, t, t0, spec), initial, l, t)
 
 
 def fidelity_projective(
@@ -191,13 +230,7 @@ def fidelity_projective(
     initial: InitialState | None = None,
 ) -> float:
     """Transfer fidelity at site l with a site-m measurement at t0 (Bloch or per-state)."""
-    _check_measurement_times(t, t0)
-    h_row, k_row = _reduced_hk_rows(m, t, t0, spec)
-    h, k = h_row[l - 1], k_row[l - 1]
-    if initial is None:
-        return _bloch_from_quadratic(abs(h) ** 2 + abs(k) ** 2, h.real)
-    rdm = projective_rdm(l, m, t, t0, spec, initial)
-    return state_fidelity(rdm.x, rdm.y, initial.alpha, initial.beta)
+    return float(_at(_fidelity_row(*_projective_parts(m, t, t0, spec), initial), l))
 
 
 def delta_fidelity_projective(l: int, m: int, t: float, t0: float, spec: ChainSpec) -> float:
@@ -206,10 +239,7 @@ def delta_fidelity_projective(l: int, m: int, t: float, t0: float, spec: ChainSp
     Exact reduced form (|k|^2 - Re(conj(g) k) - Re k)/3, algebraically equal
     to fidelity_projective - fidelity_free.
     """
-    _check_measurement_times(t, t0)
-    g = green1_reduced(1, l, t, spec)
-    k = green1_reduced(1, m, t0, spec) * green1_reduced(m, l, t - t0, spec)
-    return float((abs(k) ** 2 - (np.conj(g) * k).real - k.real) / 3.0)
+    return float(_at(_delta_projective_row(m, t, t0, spec), l))
 
 
 # --------------------------------------------------------------------------
@@ -235,127 +265,118 @@ class UnitaryState:
 
 
 class UnitaryQdpEngine:
-    """Gate-protocol amplitudes on a closed ring at one observation time.
+    """Gate-protocol amplitudes on a closed ring, for any observation time t >= t0.
 
-    Builds the two-magnon pair amplitudes L(y1, y2): the gate turns the
-    one-magnon wavepacket amplitude at each companion site into a source
-    pair with the gate site, which then evolves through the exact ring
-    two-magnon propagator. One-magnon pieces use the exact finite-ring
-    propagator, so all sector norms are conserved to rounding.
+    The gate turns the one-magnon wavepacket amplitude at each companion site
+    into a source pair with the gate site, which then evolves through the
+    exact ring two-magnon propagator into the pair amplitudes L(y1, y2; t).
+    What does not depend on t -- the ring kernel, the amplitudes at t0 and
+    the source pair state -- is built once here; each per-time method
+    evolves the source once per propagator part it needs. One-magnon pieces
+    use the exact finite-ring propagator, so all sector norms are conserved
+    to rounding.
     """
 
-    def __init__(self, spec: ChainSpec, event: QdpEvent, t: float):
+    def __init__(self, spec: ChainSpec, event: QdpEvent):
         if event.kind != "local_unitary":
             raise ValueError(f"engine needs a local_unitary event, got {event.kind!r}")
-        _check_measurement_times(t, event.t0)
         if spec.boundary != "closed":
             raise ValueError(
                 "two-magnon gate amplitudes are implemented on closed chains; "
                 "the open-boundary pair channel is not available"
             )
+        if event.m > spec.n:
+            raise ValueError(f"gate site m={event.m} out of range 1..{spec.n}")
         self.spec = spec
         self.event = event
-        self.t = t
-        self.tau = t - event.t0
-        n = spec.n
-        m = event.m
-
         self.u0 = reduced_profile(1, event.t0, spec, method="momentum_sum")
-        self.g_t = reduced_profile(1, t, spec, method="momentum_sum")
-        self.g_tau = reduced_profile(m, self.tau, spec, method="momentum_sum")
-
-        pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-        self.pairs = pairs
-        self.pair_index = {p: idx for idx, p in enumerate(pairs)}
-
-        n_pairs = len(pairs)
-        self.l_scattering = np.zeros(n_pairs, dtype=complex)
-        self.l_bound = np.zeros(n_pairs, dtype=complex)
-        self.bound_count = 0
-        if event.delta == 0.0:
-            # Phase-only gate: the magnon number is conserved, no pair channel.
-            self.l_total = self.l_scattering + self.l_bound
-            return
-
-        ring = RingTwoMagnon(spec)
-        self.bound_count = ring.bound_count
-        source = np.zeros(n_pairs, dtype=complex)
-        for y2 in range(1, n + 1):
-            if y2 == m:
-                continue
-            pair = (m, y2) if m < y2 else (y2, m)
-            source[self.pair_index[pair]] = self.u0[y2 - 1]
-        self.l_scattering = ring.evolve_pair_state(source, self.tau, "scattering")
-        self.l_bound = ring.evolve_pair_state(source, self.tau, "bound")
-        self.l_total = self.l_scattering + self.l_bound
-
-    def pair_table(self, part: Green2Part = "total") -> np.ndarray:
-        return {
-            "bound": self.l_bound,
-            "scattering": self.l_scattering,
-            "total": self.l_total,
-        }[part]
-
-    def two_magnon_weight(self) -> float:
-        """sum over pairs |L|^2; equals sum_{y'' != m} |g(1 -> y''; t0)|^2 exactly."""
-        return float(np.sum(np.abs(self.l_total) ** 2))
-
-    def _partner_view(self, l: int, part: Green2Part) -> tuple[np.ndarray, np.ndarray]:
-        """(partner sites y, L(l, y)) for all y != l."""
-        table = self.pair_table(part)
-        ys, vals = [], []
-        for y in range(1, self.spec.n + 1):
-            if y == l:
-                continue
-            pair = (l, y) if l < y else (y, l)
-            ys.append(y)
-            vals.append(table[self.pair_index[pair]])
-        return np.array(ys, dtype=np.int64), np.array(vals, dtype=complex)
-
-    def fidelity(self, l: int) -> float:
-        """Bloch-averaged transfer fidelity at site l."""
-        gamma2 = abs(self.event.gamma) ** 2
-        delta2 = abs(self.event.delta) ** 2
-        g_t_l = self.g_t[l - 1]
-        g_tau_l = self.g_tau[l - 1]
-        ys, l_vals = self._partner_view(l, "total")
-        pair_sum = float(np.sum(np.abs(l_vals) ** 2))
-        cross = complex(np.sum(self.g_tau[ys - 1] * np.conj(l_vals)))
-        return float(
-            0.5
-            + (gamma2 / 6.0) * (abs(g_t_l) ** 2 + 2.0 * g_t_l.real)
-            + (delta2 / 6.0) * (pair_sum - abs(g_tau_l) ** 2 + 2.0 * cross.real)
+        # A phase-only gate conserves the magnon number: no pair channel.
+        self.ring = RingTwoMagnon(spec) if event.delta != 0.0 else None
+        self.bound_count = self.ring.bound_count if self.ring else 0
+        self.pairs = self.ring.pairs if self.ring else []
+        first, second = np.array(self.pairs, dtype=np.int64).reshape(-1, 2).T - 1
+        self._first, self._second = first, second
+        # each pair holding the gate site starts with the amplitude of its partner
+        m = event.m - 1
+        self._source = np.where(first == m, self.u0[second], 0.0) + np.where(
+            second == m, self.u0[first], 0.0
         )
 
-    def split_fidelity(self, l: int, part: Green2Part) -> float:
-        """Two-magnon contribution of one propagator part to the averaged fidelity."""
-        delta2 = abs(self.event.delta) ** 2
-        _, l_vals = self._partner_view(l, part)
-        return float((delta2 / 6.0) * np.sum(np.abs(l_vals) ** 2))
+    def _one_magnon_rows(self, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """Reduced rows from site 1 over t and from the gate site over t - t0."""
+        _check_measurement_times(t, self.event.t0)
+        g_t = reduced_profile(1, t, self.spec, method="momentum_sum")
+        tau = t - self.event.t0
+        return g_t, reduced_profile(self.event.m, tau, self.spec, method="momentum_sum")
 
-    def state(self, initial: InitialState) -> UnitaryState:
+    def _pair_amplitudes(self, t: float, part: Part) -> np.ndarray:
+        """Reduced L(y1, y2; t) of one propagator part, indexed like ``pairs``."""
+        _check_measurement_times(t, self.event.t0)
+        if self.ring is None:
+            return self._source
+        return self.ring.evolve_pair_state(self._source, t - self.event.t0, part)
+
+    def _pair_matrix(self, t: float, part: Part) -> np.ndarray:
+        """L as a symmetric N x N matrix with zero diagonal: row l holds L(l, y) for every y."""
+        n = self.spec.n
+        matrix = np.zeros((n, n), dtype=complex)
+        amps = self._pair_amplitudes(t, part)
+        matrix[self._first, self._second] = amps
+        matrix[self._second, self._first] = amps
+        return matrix
+
+    def two_magnon_weight(self, t: float) -> float:
+        """sum over pairs |L|^2; equals sum_{y'' != m} |g(1 -> y''; t0)|^2 exactly."""
+        return float(np.sum(np.abs(self._pair_amplitudes(t, "total")) ** 2))
+
+    def fidelity_row(self, t: float) -> np.ndarray:
+        """Bloch-averaged transfer fidelity at every site."""
+        gamma2 = abs(self.event.gamma) ** 2
+        delta2 = abs(self.event.delta) ** 2
+        g_t, g_tau = self._one_magnon_rows(t)
+        pairs = self._pair_matrix(t, "total")
+        pair_sum = np.sum(np.abs(pairs) ** 2, axis=1)
+        cross = np.conj(pairs) @ g_tau
+        return (
+            0.5
+            + (gamma2 / 6.0) * (np.abs(g_t) ** 2 + 2.0 * g_t.real)
+            + (delta2 / 6.0) * (pair_sum - np.abs(g_tau) ** 2 + 2.0 * cross.real)
+        )
+
+    def split_row(self, t: float, part: Part) -> np.ndarray:
+        """Two-magnon contribution of one propagator part to the averaged fidelity, every site.
+
+        Cross terms between bound and scattering parts appear only in the
+        total pair amplitudes, never inside a single part.
+        """
+        delta2 = abs(self.event.delta) ** 2
+        return (delta2 / 6.0) * np.sum(np.abs(self._pair_matrix(t, part)) ** 2, axis=1)
+
+    def state(self, t: float, initial: InitialState) -> UnitaryState:
         """Full-phase sector amplitudes for one encoded state."""
         alpha, beta = initial.alpha, initial.beta
         ev = self.event
         gamma, delta = ev.gamma, ev.delta
-        phase = cmath.exp(-1j * self.spec.ground_energy * self.t)
+        g_t, g_tau = self._one_magnon_rows(t)
+        amps = self._pair_amplitudes(t, "total")
+        phase = cmath.exp(-1j * self.spec.ground_energy * t)
         vac = phase * (alpha * gamma - beta * np.conj(delta) * self.u0[ev.m - 1])
-        one = phase * (alpha * delta * self.g_tau + beta * gamma * self.g_t)
+        one = phase * (alpha * delta * g_tau + beta * gamma * g_t)
         two = {
-            pair: phase * beta * delta * self.l_total[idx]
-            for pair, idx in self.pair_index.items()
-            if abs(self.l_total[idx]) > 0.0
+            pair: phase * beta * delta * amp
+            for pair, amp in zip(self.pairs, amps)
+            if abs(amp) > 0.0
         }
         norm_sq = (
             abs(vac) ** 2
             + float(np.sum(np.abs(one) ** 2))
-            + abs(beta * delta) ** 2 * self.two_magnon_weight()
+            + abs(beta * delta) ** 2 * float(np.sum(np.abs(amps) ** 2))
         )
         return UnitaryState(
             vacuum=complex(vac),
             one_magnon=one,
             two_magnon=two,
-            t=self.t,
+            t=t,
             event=ev,
             norm_defect=abs(1.0 - norm_sq),
         )
@@ -365,48 +386,10 @@ def unitary_qdp_state(
     event: QdpEvent, t: float, spec: ChainSpec, initial: InitialState
 ) -> UnitaryState:
     """Sector amplitudes after encoding, free flight to t0, local gate, flight to t."""
-    engine = UnitaryQdpEngine(spec, event, t)
-    state = engine.state(initial)
+    state = UnitaryQdpEngine(spec, event).state(t, initial)
     if abs(event.delta) == 0.0 and state.norm_defect > 1e-10:
         raise ValueError(f"norm defect {state.norm_defect:.3e} with a phase-only gate")
     return state
-
-
-def unitary_rdm(
-    l: int, event: QdpEvent, t: float, spec: ChainSpec, initial: InitialState
-) -> RdmElements:
-    """RDM elements at site l after the gate protocol (closed ring)."""
-    engine = UnitaryQdpEngine(spec, event, t)
-    state = engine.state(initial)
-    a_l = state.one_magnon[l - 1]
-    ys, l_vals = engine._partner_view(l, "total")
-    phase = cmath.exp(-1j * spec.ground_energy * t)
-    b_vals = phase * initial.beta * event.delta * l_vals
-    x = abs(a_l) ** 2 + float(np.sum(np.abs(b_vals) ** 2))
-    y = a_l * np.conj(state.vacuum) + complex(
-        np.sum(b_vals * np.conj(state.one_magnon[ys - 1]))
-    )
-    return RdmElements(x=float(x), y=complex(y), l=l, t=t)
-
-
-def fidelity_unitary_qdp(l: int, event: QdpEvent, t: float, spec: ChainSpec) -> float:
-    """Bloch-averaged transfer fidelity at site l under the gate protocol."""
-    return UnitaryQdpEngine(spec, event, t).fidelity(l)
-
-
-def two_magnon_split_fidelity(
-    l: int,
-    event: QdpEvent,
-    t: float,
-    spec: ChainSpec,
-    part: Green2Part,
-) -> float:
-    """Two-magnon fidelity contribution restricted to one propagator part.
-
-    Cross terms between bound and scattering parts appear only in the total
-    pair amplitudes, never inside a single part.
-    """
-    return UnitaryQdpEngine(spec, event, t).split_fidelity(l, part)
 
 
 # --------------------------------------------------------------------------
@@ -456,47 +439,45 @@ def fidelity_grid(
     event: QdpEvent | None = None,
     initial: InitialState | None = None,
 ) -> FidelityGrid:
-    """Fill a fidelity lattice; times before t0 fall back to free values (0 for difference).
+    """Fill a fidelity lattice one row over all sites per time, then pick ``l_values``.
 
-    ``scenario='difference'`` subtracts the free average from the event's
-    scenario average (projective or unitary by event kind).
+    Times before t0 fall back to free values (0 for ``scenario='difference'``,
+    which subtracts the free average from the event's scenario average,
+    projective or unitary by event kind). A gate scenario builds one
+    ``UnitaryQdpEngine`` for the whole grid.
     """
     l_values = tuple(int(l) for l in l_values)
     t_values = tuple(float(t) for t in t_values)
     if event is None:
         event = QdpEvent(kind="none", m=1, t0=0.0)
-    needs_event = scenario in ("projective_qdp", "unitary_qdp") or (
-        scenario == "difference" and event.kind != "none"
-    )
-    if needs_event and event.kind == "none":
+    if any(not 1 <= l <= spec.n for l in l_values):
+        raise ValueError(f"grid sites must lie in 1..{spec.n}")
+    if scenario not in ("free", "projective_qdp", "unitary_qdp", "difference"):
+        raise ValueError(f"unknown scenario {scenario!r}")
+    if scenario != "free" and event.kind == "none":
         raise ValueError(f"scenario {scenario!r} needs a QDP event")
+    gated = scenario == "unitary_qdp" or (
+        scenario == "difference" and event.kind == "local_unitary"
+    )
+    engine = UnitaryQdpEngine(spec, event) if gated else None
+
+    def row(t: float) -> np.ndarray:
+        if scenario == "free" or t < event.t0:
+            if scenario == "difference":
+                return np.zeros(spec.n)
+            return _fidelity_row(*_free_parts(t, spec), initial)
+        if engine is not None and scenario == "difference":
+            return engine.fidelity_row(t) - _fidelity_row(*_free_parts(t, spec), None)
+        if engine is not None:
+            return engine.fidelity_row(t)
+        if scenario == "difference":
+            return _delta_projective_row(event.m, t, event.t0, spec)
+        return _fidelity_row(*_projective_parts(event.m, t, event.t0, spec), initial)
+
+    sites = np.array(l_values, dtype=np.int64) - 1
     values = np.zeros((len(l_values), len(t_values)))
     for j, t in enumerate(t_values):
-        before = t < event.t0 and event.kind != "none"
-        if scenario == "free" or (before and scenario != "difference"):
-            col = [fidelity_free(l, t, spec, initial=initial) for l in l_values]
-        elif before and scenario == "difference":
-            col = [0.0 for _ in l_values]
-        elif scenario == "projective_qdp" or (
-            scenario == "difference" and event.kind == "projective"
-        ):
-            if scenario == "difference":
-                col = [delta_fidelity_projective(l, event.m, t, event.t0, spec) for l in l_values]
-            else:
-                col = [
-                    fidelity_projective(l, event.m, t, event.t0, spec, initial=initial)
-                    for l in l_values
-                ]
-        elif scenario == "unitary_qdp" or (
-            scenario == "difference" and event.kind == "local_unitary"
-        ):
-            engine = UnitaryQdpEngine(spec, event, t)
-            col = [engine.fidelity(l) for l in l_values]
-            if scenario == "difference":
-                col = [c - fidelity_free(l, t, spec) for c, l in zip(col, l_values)]
-        else:
-            raise ValueError(f"unknown scenario {scenario!r}")
-        values[:, j] = col
+        values[:, j] = row(t)[sites]
     return FidelityGrid(
         values=values,
         l_values=l_values,

@@ -138,8 +138,43 @@ def test_exit_codes_for_bad_usage(tmp_path):
     assert main(["harper", "--n", "10", "--eta", "nan", "--out", str(tmp_path / "x.csv")]) == 2
     assert main(["two-magnon-split", "--n", "10", "--delta-abs", "nan", "--tmax", "5",
                  "--out", str(tmp_path / "x.csv")]) == 2
+    # --tol belongs to the two checks only
+    assert main(["fidelity", "--n", "6", "--tmax", "0.5", "--tol", "1e-30",
+                 "--out", str(tmp_path / "x.csv")]) == 2
     assert main(["--help"]) == 0
     assert list(tmp_path.iterdir()) == []
+
+
+def test_oversized_grids_exit_before_allocation(tmp_path):
+    # every grid here is refused from its axis bounds alone, before any list is built
+    out = ["--out", str(tmp_path / "x.csv")]
+    assert main(["fidelity", "--n", "10", "--tmax", "1e6", "--dt", "1"] + out) == 2  # 10 000 010 cells
+    assert main(["fidelity", "--tmax", "1e12", "--dt", "1e-3"] + out) == 2
+    assert main(["qdp-diff", "--tmax", "1e300", "--dt", "1e-300"] + out) == 2  # span / dt is inf
+    assert main(["unitary-qdp", "--n", "100000000", "--tmax", "0"] + out) == 2
+    assert main(["two-magnon-split", "--n", "12", "--tmax", "1e9"] + out) == 2
+    assert main(["harper", "--n", "10", "--kicks", "1000000"] + out) == 2
+    assert main(["detector", "--n", "10", "--qdp-kick", "0", "--kicks", "1000000"] + out) == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_each_gate_command_builds_its_ring_kernel_once(tmp_path, monkeypatch):
+    from spinchain import green2
+
+    builds = []
+    original = green2.RingTwoMagnon.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(args)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(green2.RingTwoMagnon, "__init__", counting_init)
+    ring = ["--n", "12", "--boundary", "closed", "--site", "3", "--t0", "1.0",
+            "--tmax", "3.0", "--dt", "0.5"]  # five columns at or after t0
+    for command in ("unitary-qdp", "two-magnon-split"):
+        builds.clear()
+        assert main([command, *ring, "--out", str(tmp_path / f"{command}.csv")]) == 0
+        assert len(builds) == 1, command
 
 
 def test_exit_code_for_failed_numerical_check(tmp_path):

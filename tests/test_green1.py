@@ -9,7 +9,6 @@ from spinchain.bessel import bessel_j
 from spinchain.chain import ChainSpec
 from spinchain.green1 import (
     choose_method,
-    green1_reduced,
     reduced_hop_amplitudes,
     reduced_profile,
 )
@@ -83,7 +82,7 @@ def test_site_validation():
     with pytest.raises(ValueError):
         reduced_profile(0, 1.0, spec)
     with pytest.raises(ValueError):
-        green1_reduced(1, 11, 1.0, spec)
+        reduced_profile(11, 1.0, spec)
     with pytest.raises(ValueError):
         reduced_profile(1, -0.5, spec)
     with pytest.raises(ValueError):

@@ -5,8 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from spinchain.chain import ChainSpec, InitialState, QdpEvent, reduced_phase
-from spinchain.green1 import green1_reduced, reduced_profile
+from spinchain import oracle
+from spinchain.chain import ChainSpec, InitialState, QdpEvent, gate_from_axis, reduced_phase
+from spinchain.green1 import reduced_profile
 from spinchain.protocols import (
     FidelityGrid,
     UnitaryQdpEngine,
@@ -14,10 +15,8 @@ from spinchain.protocols import (
     fidelity_free,
     fidelity_grid,
     fidelity_projective,
-    fidelity_unitary_qdp,
     hk_propagators,
     projective_rdm,
-    two_magnon_split_fidelity,
     unitary_qdp_state,
 )
 
@@ -48,7 +47,7 @@ def test_survive_and_collapse_compose_to_free_propagator():
         t0 = float(rng.uniform(0, 4))
         t = t0 + float(rng.uniform(0, 4))
         split = hk_propagators(y, yp, m, t, t0, spec)
-        free = green1_reduced(y, yp, t, spec) * reduced_phase(spec, t)
+        free = reduced_profile(y, t, spec)[yp - 1] * reduced_phase(spec, t)
         assert split.h + split.k == pytest.approx(free, abs=1e-12)
 
 
@@ -112,7 +111,7 @@ def test_gate_channels_match_dense_golden(golden):
         assert np.max(
             np.abs(state.one_magnon / phase - record["values"][f"{label}_one"])
         ) <= tol
-        engine = UnitaryQdpEngine(CLOSED12, event, t)
+        engine = UnitaryQdpEngine(CLOSED12, event)
         got_pairs = np.array([state.two_magnon.get(p, 0j) for p in engine.pairs]) / phase
         assert np.max(np.abs(got_pairs - record["values"][f"{label}_two"])) <= tol
         got_fids = np.array(
@@ -124,6 +123,55 @@ def test_gate_channels_match_dense_golden(golden):
             ]
         )
         assert np.max(np.abs(got_fids - record["values"][f"{label}_fidelity"].real)) <= 1e-9
+
+
+def test_averaged_gate_row_matches_bloch_average_of_state_fidelities():
+    # the row's partner sums against a per-pair loop over the sector amplitudes,
+    # averaged over the Bloch sphere by a rule that is exact for these integrands
+    event = QdpEvent("local_unitary", m=4, t0=1.5, gate=gate_from_axis(0.6, 0.8, 1.1))
+    engine = UnitaryQdpEngine(CLOSED12, event)
+    t = 3.2
+    row = engine.fidelity_row(t)
+    for l in (1, 4, 7, 12):
+
+        def fidelity(alpha, beta):
+            initial = InitialState(alpha, beta)
+            return _state_fidelity_from_channels(engine.state(t, initial), l, initial, CLOSED12)
+
+        assert row[l - 1] == pytest.approx(oracle.bloch_average(fidelity), abs=1e-12)
+
+
+def test_gate_state_matches_dense_evolution_on_random_rings():
+    # rings of 3..12 sites (odd and even) at three anisotropies, random gates,
+    # sites, times and encoded states, against the dense paired-sector oracle
+    rng = np.random.default_rng(20261018)
+    worst = 0.0
+    for case in range(42):
+        n = 3 + case % 10
+        spec = ChainSpec(n, "closed", 0.5, (0.0, 0.5, 1.0)[case % 3])
+        axis = rng.uniform(0.0, 2.0 * np.pi)
+        gate = gate_from_axis(np.cos(axis), np.sin(axis), rng.uniform(0.0, np.pi))
+        event = QdpEvent("local_unitary", m=int(rng.integers(1, n + 1)),
+                         t0=float(rng.uniform(0.0, 3.0)), gate=gate)
+        t = event.t0 + float(rng.uniform(0.0, 3.0))
+        alpha2 = rng.uniform(0.0, 1.0)
+        initial = InitialState(np.sqrt(alpha2),
+                               np.sqrt(1.0 - alpha2) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)))
+
+        basis = oracle.make_basis("vacuum_one_two", n)
+        ham = oracle.build_hamiltonian(spec, "vacuum_one_two")
+        mid = oracle.evolve(oracle.encoded_state(initial.alpha, initial.beta, basis), ham, event.t0)
+        dense = oracle.evolve(oracle.apply_local(gate, event.m, mid), ham, t - event.t0).vector
+
+        state = unitary_qdp_state(event, t, spec, initial)
+        two = [state.two_magnon.get(p, 0j) - dense[basis.pair_index(*p)] for p in basis.pairs]
+        worst = max(
+            worst,
+            abs(state.vacuum - dense[0]),
+            float(np.max(np.abs(state.one_magnon - dense[1 : n + 1]))),
+            float(np.max(np.abs(two))),
+        )
+    assert worst <= 1e-10
 
 
 def _state_fidelity_from_channels(state, l, initial, spec):
@@ -146,55 +194,47 @@ def test_gate_identity_at_origin_reduces_to_free_interference():
     # the averaged fidelity pinned to the free interference term
     spec = ChainSpec(24, "closed", 0.5, 1.0)
     event = QdpEvent("local_unitary", m=1, t0=0.0, gate=(1 / np.sqrt(2), 1 / np.sqrt(2)))
+    engine = UnitaryQdpEngine(spec, event)
     for t in (0.5, 2.0, 6.5):
-        engine = UnitaryQdpEngine(spec, event, t)
+        row = engine.fidelity_row(t)
+        g = reduced_profile(1, t, spec)
         for l in (1, 5, 12, 24):
-            g = green1_reduced(1, l, t, spec)
-            assert engine.fidelity(l) - 0.5 - g.real / 6 == pytest.approx(0.0, abs=1e-10)
+            assert row[l - 1] - 0.5 - g[l - 1].real / 6 == pytest.approx(0.0, abs=1e-10)
 
 
 def test_phase_only_gate_has_no_pair_channel():
     event = QdpEvent("local_unitary", m=3, t0=1.0, gate=(1.0, 0.0))
-    engine = UnitaryQdpEngine(CLOSED12, event, 2.5)
-    assert engine.two_magnon_weight() == 0.0
+    engine = UnitaryQdpEngine(CLOSED12, event)
+    assert engine.two_magnon_weight(2.5) == 0.0
     assert engine.bound_count == 0
 
 
 def test_pair_weight_equals_injected_companion_weight():
     event = QdpEvent("local_unitary", m=4, t0=2.0, gate=(0.0, 1.0))
-    engine = UnitaryQdpEngine(CLOSED12, event, 5.0)
+    engine = UnitaryQdpEngine(CLOSED12, event)
     u0 = reduced_profile(1, 2.0, CLOSED12)
     expected = float(np.sum(np.abs(u0) ** 2) - abs(u0[3]) ** 2)
-    assert engine.two_magnon_weight() == pytest.approx(expected, abs=1e-12)
+    assert engine.two_magnon_weight(5.0) == pytest.approx(expected, abs=1e-12)
     # and it is a constant of the motion
-    later = UnitaryQdpEngine(CLOSED12, event, 9.0)
-    assert later.two_magnon_weight() == pytest.approx(expected, abs=1e-12)
+    assert engine.two_magnon_weight(9.0) == pytest.approx(expected, abs=1e-12)
 
 
 def test_split_fidelity_parts_add_up_over_the_ring():
     event = QdpEvent("local_unitary", m=4, t0=2.0, gate=(0.0, 1.0))
-    engine = UnitaryQdpEngine(CLOSED12, event, 5.0)
-    sites = range(1, CLOSED12.n + 1)
-    totals = {l: engine.split_fidelity(l, "total") for l in sites}
-    bounds = {l: engine.split_fidelity(l, "bound") for l in sites}
-    scatters = {l: engine.split_fidelity(l, "scattering") for l in sites}
-    for l in sites:
-        assert totals[l] >= 0.0 and bounds[l] >= 0.0 and scatters[l] >= 0.0
-        assert two_magnon_split_fidelity(l, event, 5.0, CLOSED12, part="total") == pytest.approx(
-            totals[l], abs=1e-12
-        )
+    engine = UnitaryQdpEngine(CLOSED12, event)
+    totals = engine.split_row(5.0, "total")
+    bounds = engine.split_row(5.0, "bound")
+    scatters = engine.split_row(5.0, "scattering")
+    assert np.all(totals >= 0.0) and np.all(bounds >= 0.0) and np.all(scatters >= 0.0)
     # the projector split is orthogonal, so the cross term cancels once every
     # pair is counted (each pair shows up in the partner sums of both its sites)
-    assert sum(bounds.values()) + sum(scatters.values()) == pytest.approx(
-        sum(totals.values()), abs=1e-10
-    )
+    assert np.sum(bounds) + np.sum(scatters) == pytest.approx(np.sum(totals), abs=1e-10)
     gate_weight = abs(event.delta) ** 2 / 6.0
-    assert sum(totals.values()) == pytest.approx(
-        2.0 * gate_weight * engine.two_magnon_weight(), abs=1e-10
+    assert np.sum(totals) == pytest.approx(
+        2.0 * gate_weight * engine.two_magnon_weight(5.0), abs=1e-10
     )
-    assert fidelity_unitary_qdp(4, event, 5.0, CLOSED12) == pytest.approx(
-        engine.fidelity(4), abs=1e-12
-    )
+    grid = fidelity_grid(CLOSED12, "unitary_qdp", [4], [5.0], event=event)
+    assert grid.values[0, 0] == pytest.approx(engine.fidelity_row(5.0)[3], abs=1e-12)
 
 
 def test_grid_fills_pre_event_cells_with_reference_values():
@@ -241,10 +281,22 @@ def test_grid_rejects_nan_values():
         )
 
 
+def test_sites_outside_the_chain_are_rejected():
+    # every single-site form indexes a row over the chain; no index may wrap
+    with pytest.raises(ValueError):
+        fidelity_free(13, 1.0, OPEN12)
+    with pytest.raises(ValueError):
+        fidelity_projective(0, 3, 2.0, 1.0, OPEN12)
+    with pytest.raises(ValueError):
+        projective_rdm(13, 3, 2.0, 1.0, OPEN12, InitialState(0.6, 0.8))
+    with pytest.raises(ValueError):
+        fidelity_grid(OPEN12, "free", [0, 1], [1.0])
+
+
 def test_time_ordering_validation():
     with pytest.raises(ValueError):
         fidelity_projective(3, 2, 1.0, 2.0, OPEN12)
     with pytest.raises(ValueError):
-        UnitaryQdpEngine(CLOSED12, QdpEvent("local_unitary", m=2, t0=3.0, gate=(0.0, 1.0)), 2.0)
+        UnitaryQdpEngine(CLOSED12, QdpEvent("local_unitary", m=2, t0=3.0, gate=(0.0, 1.0))).fidelity_row(2.0)
     with pytest.raises(ValueError):
-        UnitaryQdpEngine(OPEN12, QdpEvent("local_unitary", m=2, t0=1.0, gate=(0.0, 1.0)), 2.0)
+        UnitaryQdpEngine(OPEN12, QdpEvent("local_unitary", m=2, t0=1.0, gate=(0.0, 1.0)))
