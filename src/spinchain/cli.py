@@ -26,7 +26,7 @@ from . import __version__
 from .chain import CONVENTIONS, ChainSpec, InitialState, QdpEvent, conventions_hash
 from .green1 import reduced_profile
 from .green2 import QuadratureError
-from .harper import HarperSpec, fidelity_from_amplitudes, kicked_amplitudes, qdp_and_detect
+from .harper import HarperSpec, fidelity_from_amplitudes, kicked_amplitudes, qdp_readouts
 from .protocols import UnitaryQdpEngine, fidelity_grid, grid_csv, hk_propagators
 from .protocols import projective_rdm, unitary_qdp_state
 from . import oracle
@@ -356,12 +356,10 @@ def _run_detector(args: argparse.Namespace) -> int:
     if initial is None:
         raise ValueError("the detector needs a definite encoded state (--alpha2)")
     ls = list(range(1, spec.n + 1))
-    columns, ts = [], []
-    for n in range(args.qdp_kick, args.kicks + 1):
-        res = qdp_and_detect(spec, args.qdp_site, args.qdp_kick, n, initial)
-        columns.append(res.detector)
-        ts.append(n * spec.tau)
-    values = np.column_stack(columns)
+    ts = [n * spec.tau for n in range(args.qdp_kick, args.kicks + 1)]
+    # the branches are stepped once per kick, read out after every kick
+    readouts = itertools.islice(qdp_readouts(spec, args.qdp_site, args.qdp_kick, initial), len(ts))
+    values = np.column_stack([res.detector for res in readouts])
     meta = _metadata(args, {"grid": {"l": [1, spec.n], "kicks": [args.qdp_kick, args.kicks], "dt": spec.tau}})
     _write_outputs(args, grid_csv(ls, ts, values), meta)
     return EXIT_OK

@@ -33,6 +33,10 @@ from .green1 import reduced_hop_amplitudes
 
 Part = Literal["bound", "scattering", "total"]
 
+#: Largest ring RingTwoMagnon builds; its stacked sector modes take 4 N^3 bytes.
+MAX_RING_SITES = 512
+_BOUND_MARGIN = 1e-9  # relative to 8J: how far below the continuum a bound level sits
+
 _GL_ORDER = 16
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_ORDER)
 
@@ -444,6 +448,13 @@ class RingTwoMagnon:
     gives machine-precision ring propagation -- including through-the-seam
     interaction and winding, which infinite-line kernels only approximate.
 
+    A pair state maps onto an N x floor(N/2) grid over (pair centre site,
+    folded separation): cell (x, r) holds the pair {x, x + r} (sites mod N),
+    and an antipodal pair of an even ring fills both of its cells with weight
+    1/sqrt(2). One FFT over the centre axis turns the grid into all momentum
+    sectors at once; the sector blocks are stacked, zero-padded to a common
+    size, and diagonalized by one batched eigh.
+
     Sector eigenstates below the infinite-chain continuum bottom
     -8J|cos(P/2)| form the bound band; the rest scatter. Propagation can be
     restricted to either part.
@@ -452,7 +463,9 @@ class RingTwoMagnon:
     reference), matching the reduced one-magnon conventions.
     """
 
-    def __init__(self, spec: ChainSpec, *, bound_margin: float = 1e-9):
+    def __init__(self, spec: ChainSpec):
+        if spec.n > MAX_RING_SITES:
+            raise ValueError(f"ring of {spec.n} sites is over the limit of {MAX_RING_SITES}")
         if spec.boundary != "closed":
             raise ValueError("ring propagator needs a closed chain")
         n = spec.n
@@ -462,66 +475,37 @@ class RingTwoMagnon:
         j = spec.j
         self.pairs = [(i, jj) for i in range(1, n + 1) for jj in range(i + 1, n + 1)]
         self.pair_index = {p: idx for idx, p in enumerate(self.pairs)}
-        n_pairs = len(self.pairs)
 
-        d1 = np.array([p[0] for p in self.pairs])
-        d2 = np.array([p[1] for p in self.pairs])
-        sep = d2 - d1
-        folded = np.minimum(sep, n - sep)
-        self._rfold = folded - 1  # 0-based row in each sector block
-        # representative site whose phase carries the pair's sector coefficient
-        rep = np.where(sep <= n - sep, d1, d2)
-
-        order = np.argsort(self._rfold, kind="stable")
-        self._order = order
-        self._rfold_sorted = self._rfold[order]
-        starts = np.searchsorted(self._rfold_sorted, np.arange(folded.max()))
-        self._group_starts = starts
-
-        self._evals: list[np.ndarray] = []
-        self._evecs: list[np.ndarray] = []
-        self._bound_mask: list[np.ndarray] = []
-        self._coeff: list[np.ndarray] = []
-        self.bound_count = 0
+        # the pair held by every grid cell (x, r), as an index into self.pairs
         r_full = n // 2
-        for k in range(n):
-            omega = cmath.exp(2j * math.pi * k / n)
-            r_max = r_full
-            if n % 2 == 0 and k % 2 == 1:
-                r_max = r_full - 1
-            dim = r_max
-            block = np.zeros((dim, dim), dtype=complex)
-            for r in range(1, dim):  # hop between separations r and r+1
-                block[r, r - 1] = -2.0 * j * (1.0 + omega)
-            block[0, 0] += -4.0 * j * spec.delta
-            if n % 2 == 0:
-                if k % 2 == 0 and dim >= 2:
-                    block[dim - 1, dim - 2] *= math.sqrt(2.0)
-            else:
-                block[dim - 1, dim - 1] += (
-                    -2.0 * j * (omega ** r_max * (1.0 + omega))
-                ).real * 1.0
-            block = block + block.conj().T - np.diag(np.diag(block))
-            evals, evecs = np.linalg.eigh(block)
-            bottom = -8.0 * j * abs(math.cos(math.pi * k / n))
-            mask = evals < bottom - bound_margin * 8.0 * j
-            self.bound_count += int(np.sum(mask))
-            self._evals.append(evals)
-            self._evecs.append(evecs)
-            self._bound_mask.append(mask)
-            coeff = (omega ** (-rep)) / math.sqrt(n)
-            if n % 2 == 0:
-                anti = sep == n - sep
-                if k % 2 == 0:
-                    coeff = np.where(
-                        anti,
-                        (omega ** (-d1.astype(float)) + omega ** (-d2.astype(float)))
-                        / math.sqrt(2.0 * n),
-                        coeff,
-                    )
-                else:
-                    coeff = np.where(anti, 0.0, coeff)
-            self._coeff.append(coeff.astype(complex))
+        x, r = np.meshgrid(np.arange(n), np.arange(1, r_full + 1), indexing="ij")
+        lo, hi = np.minimum(x, (x + r) % n), np.maximum(x, (x + r) % n)
+        self._cell_pair = (lo * n - lo * (lo + 1) // 2 + hi - lo - 1).ravel()
+        self._cell_weight = np.where(2 * r == n, 1.0 / math.sqrt(2.0), 1.0).ravel()
+
+        # sector blocks, lower band only (eigh reads the lower triangle)
+        k = np.arange(n)
+        omega = np.exp(2j * math.pi * k / n)
+        blocks = np.zeros((n, r_full, r_full), dtype=complex)
+        rows = np.arange(1, r_full)
+        blocks[:, rows, rows - 1] = (-2.0 * j * (1.0 + omega))[:, None]
+        blocks[:, 0, 0] = -4.0 * j * spec.delta
+        live = np.ones((n, r_full), dtype=bool)
+        if n % 2 == 0:
+            odd = k % 2 == 1
+            blocks[~odd, -1, -2] *= math.sqrt(2.0)
+            # odd sectors have no antipodal row: decouple it and park its
+            # level above the whole spectrum, so it is the last mode
+            blocks[odd, -1, -2] = 0.0
+            blocks[odd, -1, -1] = 4.0 * j * (abs(spec.delta) + 4.0)
+            live[odd, -1] = False
+        else:
+            blocks[:, -1, -1] += (-2.0 * j * omega**r_full * (1.0 + omega)).real
+        self._evals, self._evecs = np.linalg.eigh(blocks)
+        bottom = -8.0 * j * np.abs(np.cos(math.pi * k / n))
+        bound = self._evals < (bottom - _BOUND_MARGIN * 8.0 * j)[:, None]
+        self.bound_count = int(np.sum(bound))
+        self._keep = {"total": live, "bound": bound, "scattering": live & ~bound}
 
     def evolve_pair_state(self, psi: np.ndarray, t: float, part: Part = "total") -> np.ndarray:
         """Evolve a pair-basis wavefunction for time t through the chosen part.
@@ -532,23 +516,15 @@ class RingTwoMagnon:
         psi = np.asarray(psi, dtype=complex)
         if psi.shape != (len(self.pairs),):
             raise ValueError(f"pair state must have shape ({len(self.pairs)},)")
+        grid = (psi[self._cell_pair] * self._cell_weight).reshape(self._evals.shape)
+        sectors = np.fft.fft(grid, axis=0, norm="ortho")
+        # mode amplitudes V^H s per sector, as conj(s^H V): no conjugate copy of V
+        modes = np.conj(np.conj(sectors)[:, None, :] @ self._evecs)[:, 0, :]
+        modes *= np.exp(-1j * self._evals * t) * self._keep[part]
+        sectors = (self._evecs @ modes[:, :, None])[:, :, 0]
+        back = np.fft.ifft(sectors, axis=0, norm="ortho").ravel() * self._cell_weight
         out = np.zeros_like(psi)
-        for k in range(self.spec.n):
-            coeff = self._coeff[k]
-            dim = self._evals[k].shape[0]
-            contrib = (psi * coeff)[self._order]
-            comp = np.add.reduceat(contrib, self._group_starts)[:dim]
-            evecs = self._evecs[k]
-            if part == "total":
-                keep = slice(None)
-            else:
-                keep = self._bound_mask[k] if part == "bound" else ~self._bound_mask[k]
-            modes = evecs[:, keep]
-            phases = np.exp(-1j * self._evals[k][keep] * t)
-            evolved = modes @ (phases * (modes.conj().T @ comp))
-            # pairs whose folded separation exceeds this sector's dimension
-            # carry coefficient 0, so the clipped gather adds nothing there
-            out += np.conj(coeff) * evolved[np.minimum(self._rfold, dim - 1)]
+        np.add.at(out, self._cell_pair, back)
         return out
 
     def propagator_column(

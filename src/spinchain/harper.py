@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import BLOCH_MOMENTS, Boundary, InitialState
+from .chain import Boundary, InitialState
+from .protocols import _bloch_from_quadratic, _fidelity_row
 
 __all__ = [
     "HarperSpec",
@@ -37,6 +38,7 @@ __all__ = [
     "free_occupation_profile",
     "fidelity_from_amplitudes",
     "fidelity_free_kicked",
+    "qdp_readouts",
     "qdp_and_detect",
     "spread_metric",
 ]
@@ -152,28 +154,13 @@ def free_occupation_profile(spec: HarperSpec, n_kicks: int, initial: InitialStat
     return np.abs(psi) ** 2
 
 
-def _bloch_fidelity(abs2: np.ndarray, re_coherence: np.ndarray) -> np.ndarray:
-    """Bloch average of the fidelity whose excitation weight is |beta|^2 * abs2."""
-    m = BLOCH_MOMENTS
-    return (
-        m.abs_alpha_sq
-        + (m.abs_alpha_4 - m.alpha_sq_beta_sq) * abs2
-        + 2.0 * m.alpha_sq_beta_sq * re_coherence
-    )
-
-
 def fidelity_from_amplitudes(u: np.ndarray, initial: InitialState | None = None) -> np.ndarray:
     """Transfer fidelity per site from the unit-seed amplitudes u (particle released at site 1).
 
     Without ``initial``: the analytic Bloch-sphere average
     1/2 + |u_l|^2/6 + Re(u_l)/3.  With it: the per-state fidelity of (alpha, beta).
     """
-    if initial is None:
-        return _bloch_fidelity(np.abs(u) ** 2, u.real)
-    alpha, beta = initial.alpha, initial.beta
-    x = abs(beta) ** 2 * np.abs(u) ** 2
-    y = beta * np.conj(alpha) * u
-    return abs(alpha) ** 2 * (1.0 - x) + abs(beta) ** 2 * x + 2.0 * (alpha * np.conj(beta) * y).real
+    return _fidelity_row(np.abs(u) ** 2, u, initial)
 
 
 def fidelity_free_kicked(spec: HarperSpec, n_kicks: int, initial: InitialState | None = None) -> np.ndarray:
@@ -208,24 +195,17 @@ class HarperQdpResult:
             raise ValueError(f"detector profile must sum to 0, got {total:.3e}")
 
 
-def qdp_and_detect(
-    spec: HarperSpec,
-    m: int,
-    n0: int,
-    n: int,
-    initial: InitialState,
-) -> HarperQdpResult:
-    """Measure the occupation of site m after n0 kicks, read out after n kicks.
+def qdp_readouts(spec: HarperSpec, m: int, n0: int, initial: InitialState) -> Iterator[HarperQdpResult]:
+    """Readouts after kicks n0, n0 + 1, ... of a site-m occupation measurement at kick n0.
 
     The measurement splits the evolution into a survive branch (amplitude at m
     removed, vacuum component retained) and a collapse branch (the amplitude
-    found at m, re-released from m); both branches evolve freely for the
-    remaining n - n0 kicks and are summed incoherently.
+    found at m, re-released from m); both branches evolve freely after kick
+    n0 and are summed incoherently.  Each branch, and the uninterrupted run,
+    is stepped once per kick.
     """
     if not 1 <= m <= spec.n:
         raise ValueError(f"measurement site m = {m} outside 1..{spec.n}")
-    if not 0 <= n0 <= n:
-        raise ValueError(f"need 0 <= n0 <= n, got n0 = {n0}, n = {n}")
     alpha, beta = complex(initial.alpha), complex(initial.beta)
 
     (u_mid,) = _after_kicks(spec, n0, _site_one(spec))
@@ -233,23 +213,34 @@ def qdp_and_detect(
     survive_seed[m - 1] = 0.0
     collapse_seed = np.zeros(spec.n, dtype=complex)
     collapse_seed[m - 1] = u_mid[m - 1]
-    h, k, u_free = _after_kicks(spec, n - n0, survive_seed, collapse_seed, u_mid)
+    kicks = kicked_amplitudes(spec, survive_seed, collapse_seed, u_mid)
+    for n, (h, k, u_free) in enumerate(kicks, start=n0):
+        abs2 = np.abs(h) ** 2 + np.abs(k) ** 2
+        occupation = abs(beta) ** 2 * abs2
+        free_occ = abs(beta) ** 2 * np.abs(u_free) ** 2
+        yield HarperQdpResult(
+            occupation=occupation,
+            coherence=alpha * np.conj(beta) * np.conj(h),
+            detector=occupation - free_occ,
+            fidelity=_bloch_from_quadratic(abs2, h.real),
+            free_occupation=free_occ,
+            m=m,
+            n0=n0,
+            n=n,
+        )
 
-    abs2 = np.abs(h) ** 2 + np.abs(k) ** 2
-    occupation = abs(beta) ** 2 * abs2
-    coherence = alpha * np.conj(beta) * np.conj(h)
-    free_occ = abs(beta) ** 2 * np.abs(u_free) ** 2
-    detector = occupation - free_occ
-    return HarperQdpResult(
-        occupation=occupation,
-        coherence=coherence,
-        detector=detector,
-        fidelity=_bloch_fidelity(abs2, h.real),
-        free_occupation=free_occ,
-        m=m,
-        n0=n0,
-        n=n,
-    )
+
+def qdp_and_detect(
+    spec: HarperSpec,
+    m: int,
+    n0: int,
+    n: int,
+    initial: InitialState,
+) -> HarperQdpResult:
+    """Measure the occupation of site m after n0 kicks, read out after n kicks."""
+    if not 0 <= n0 <= n:
+        raise ValueError(f"need 0 <= n0 <= n, got n0 = {n0}, n = {n}")
+    return next(itertools.islice(qdp_readouts(spec, m, n0, initial), n - n0, None))
 
 
 def spread_metric(profile: np.ndarray) -> float:

@@ -444,7 +444,8 @@ def fidelity_grid(
     Times before t0 fall back to free values (0 for ``scenario='difference'``,
     which subtracts the free average from the event's scenario average,
     projective or unitary by event kind). A gate scenario builds one
-    ``UnitaryQdpEngine`` for the whole grid.
+    ``UnitaryQdpEngine`` for the whole grid. The Bloch-only ``unitary_qdp``
+    and ``difference`` scenarios refuse a per-state ``initial``.
     """
     l_values = tuple(int(l) for l in l_values)
     t_values = tuple(float(t) for t in t_values)
@@ -456,6 +457,8 @@ def fidelity_grid(
         raise ValueError(f"unknown scenario {scenario!r}")
     if scenario != "free" and event.kind == "none":
         raise ValueError(f"scenario {scenario!r} needs a QDP event")
+    if initial is not None and scenario in ("unitary_qdp", "difference"):
+        raise ValueError(f"scenario {scenario!r} is Bloch-averaged only; drop initial")
     gated = scenario == "unitary_qdp" or (
         scenario == "difference" and event.kind == "local_unitary"
     )

@@ -6,13 +6,14 @@ process boundary to check exit-code propagation of the installed module.
 from __future__ import annotations
 
 import json
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from spinchain.chain import ChainSpec, conventions_hash
+from spinchain.chain import ChainSpec, InitialState, conventions_hash
 from spinchain.cli import main
 from spinchain.harper import HarperSpec, fidelity_free_kicked
 from spinchain.protocols import fidelity_grid
@@ -155,6 +156,9 @@ def test_oversized_grids_exit_before_allocation(tmp_path):
     assert main(["two-magnon-split", "--n", "12", "--tmax", "1e9"] + out) == 2
     assert main(["harper", "--n", "10", "--kicks", "1000000"] + out) == 2
     assert main(["detector", "--n", "10", "--qdp-kick", "0", "--kicks", "1000000"] + out) == 2
+    # small grids on rings over green2.MAX_RING_SITES: the ring kernel refuses them
+    assert main(["unitary-qdp", "--boundary", "closed", "--n", "1000", "--tmax", "0"] + out) == 2
+    assert main(["two-magnon-split", "--n", "1000", "--tmax", "0"] + out) == 2
     assert list(tmp_path.iterdir()) == []
 
 
@@ -226,20 +230,35 @@ def test_harper_grid_matches_library(tmp_path):
         assert np.allclose(got, expected, atol=1e-10)
 
 
-def test_detector_grid_sums_to_zero_per_column(tmp_path):
+def test_detector_grid_sums_to_zero_per_column(tmp_path, monkeypatch):
+    from spinchain import harper
+
+    steps = []
+    original = harper.floquet_step
+
+    def counting_step(spec):
+        steps.append(spec)
+        return original(spec)
+
+    monkeypatch.setattr(harper, "floquet_step", counting_step)
     out = tmp_path / "det.csv"
     assert main([
         "detector", "--n", "12", "--g", "1.0", "--tau", "0.3",
         "--qdp-site", "2", "--qdp-kick", "2", "--kicks", "5",
         "--out", str(out),
     ]) == 0
+    assert len(steps) <= 2  # each vector is stepped once per kick, not once per column
     rows = _read_csv(out)
     ts = sorted({t for _, t, _ in rows})
     assert len(ts) == 4  # kicks 2..5 inclusive
-    for t in ts:
+    spec = HarperSpec(12, 1.0, 0.3)
+    initial = InitialState(math.sqrt(0.5), math.sqrt(0.5))
+    for n, t in enumerate(ts, start=2):
         column = [v for _, tt, v in rows if tt == t]
         assert len(column) == 12
         assert abs(sum(column)) < 1e-10
+        want = harper.qdp_and_detect(spec, 2, 2, n, initial).detector
+        assert column == [float(f"{v:.11e}") for v in want]
 
 
 def test_unitary_qdp_and_split_commands_run(tmp_path):

@@ -7,9 +7,11 @@ import math
 import numpy as np
 import pytest
 
+from spinchain import oracle
 from spinchain.chain import ChainSpec, reduced_phase
 from spinchain.green1 import reduced_hop_amplitudes
 from spinchain.green2 import (
+    MAX_RING_SITES,
     QuadratureError,
     RingTwoMagnon,
     TwoMagnonEngine,
@@ -166,9 +168,31 @@ def test_ring_parts_are_unitary_complement():
     assert np.linalg.norm(later_bound) == pytest.approx(np.linalg.norm(bound), abs=1e-12)
 
 
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 12, 13])
+def test_ring_parts_match_dense_evolution_and_bound_projector(n):
+    # odd and even rings down to the smallest sizes, where the padded odd
+    # sectors and the antipodal cells of the pair grid are a large share
+    spec = ChainSpec(n, "closed", 0.5, 1.0)
+    ring = RingTwoMagnon(spec)
+    rng = np.random.default_rng(n)
+    psi = rng.normal(size=len(ring.pairs)) + 1j * rng.normal(size=len(ring.pairs))
+    psi /= np.linalg.norm(psi)
+    ham = oracle.build_hamiltonian(spec, "two_excitation")
+    assert list(ham.basis.pairs) == ring.pairs
+    t = 2.3
+    dense = oracle.evolve(oracle.DenseState(psi, ham.basis), ham, t).vector
+    total = ring.evolve_pair_state(psi, t, "total")
+    assert np.max(np.abs(total - _reduced(dense, t, spec))) < 1e-12
+    projector = oracle.bound_band_projector(spec).projector
+    bound = ring.evolve_pair_state(psi, t, "bound")
+    assert np.max(np.abs(bound - projector @ total)) < 1e-12
+
+
 def test_ring_validation():
     with pytest.raises(ValueError):
         RingTwoMagnon(ChainSpec(12, "open", 0.5, 1.0))
+    with pytest.raises(ValueError):
+        RingTwoMagnon(ChainSpec(MAX_RING_SITES + 1, "closed", 0.5, 1.0))
     with pytest.raises(ValueError):
         green2_bound(1, 2, 1, 2, 1.0, ChainSpec(12, "closed", 0.5, 0.3))
     with pytest.raises(ValueError):

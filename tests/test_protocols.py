@@ -252,6 +252,24 @@ def test_grid_fills_pre_event_cells_with_reference_values():
     assert np.allclose(recomposed, diff.values, atol=1e-12)
 
 
+def test_bloch_only_grids_refuse_a_per_state_initial():
+    # a gate or difference grid is Bloch-averaged after t0; a per-state
+    # initial would mix per-state values before t0 with averaged ones after
+    state = InitialState(0.6, 0.8)
+    gate = QdpEvent("local_unitary", m=3, t0=1.0, gate=(0.0, 1.0))
+    with pytest.raises(ValueError):
+        fidelity_grid(CLOSED12, "unitary_qdp", [1, 2], [0.5, 2.0], event=gate, initial=state)
+    with pytest.raises(ValueError):
+        fidelity_grid(CLOSED12, "difference", [1, 2], [0.5, 2.0], event=gate, initial=state)
+    measure = QdpEvent("projective", m=3, t0=1.0)
+    with pytest.raises(ValueError):
+        fidelity_grid(OPEN12, "difference", [1, 2], [0.5, 2.0], event=measure, initial=state)
+    per_state = fidelity_grid(OPEN12, "projective_qdp", [1, 2], [0.5, 2.0], event=measure, initial=state)
+    assert per_state.values[0, 1] == pytest.approx(
+        fidelity_projective(1, 3, 2.0, 1.0, OPEN12, initial=state), abs=1e-15
+    )
+
+
 def test_grid_csv_layout():
     grid = FidelityGrid(
         values=np.array([[0.5, 0.25], [1.0, 0.125]]),
