@@ -8,7 +8,7 @@ re-runs.  Each grid command fills its grid one row of sites per time and
 builds its kernels once; ``--threads`` is still accepted but has no effect.
 
 Exit codes: 0 success, 2 unusable arguments or config file, 3 a numerical
-check failed or a quadrature did not converge, 4 output could not be written.
+check failed, 4 output could not be written.
 """
 from __future__ import annotations
 
@@ -25,7 +25,6 @@ import numpy as np
 from . import __version__
 from .chain import CONVENTIONS, ChainSpec, InitialState, QdpEvent, conventions_hash
 from .green1 import reduced_profile
-from .green2 import QuadratureError
 from .harper import HarperSpec, fidelity_from_amplitudes, kicked_amplitudes, qdp_readouts
 from .protocols import UnitaryQdpEngine, fidelity_grid, grid_csv, hk_propagators
 from .protocols import projective_rdm, unitary_qdp_state
@@ -518,9 +517,6 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
     try:
         return _RUNNERS[args.command](args)
-    except QuadratureError as exc:
-        print(f"error: quadrature did not converge: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
     except CheckFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -212,9 +212,9 @@ def test_criterion_07_gate_protocol_matches_dense_evolution():
 def test_criterion_08_pair_kernel_completeness_and_free_factorization():
     start = time.perf_counter()
     ring40 = ChainSpec(40, "closed", 0.5, 1.0)
-    assert abs(green2(10, 11, 10, 11, 0.0, ring40).value - 1.0) <= 1e-3
+    assert abs(green2(10, 11, 10, 11, 0.0, ring40).value - 1.0) <= 1e-12
     for target in ((11, 12), (9, 13), (8, 10)):
-        assert abs(green2(10, 11, *target, 0.0, ring40).value) <= 1e-3
+        assert abs(green2(10, 11, *target, 0.0, ring40).value) <= 1e-12
 
     event = QdpEvent("local_unitary", m=10, t0=2.0, gate=(0.0, 1.0))
     engine = UnitaryQdpEngine(ring40, event)
@@ -229,7 +229,7 @@ def test_criterion_08_pair_kernel_completeness_and_free_factorization():
         hops = reduced_hop_amplitudes(
             [dst[0] - src[0], dst[1] - src[1], dst[0] - src[1], dst[1] - src[0]], z
         )
-        assert got == pytest.approx(hops[0] * hops[1] - hops[2] * hops[3], abs=1e-6)
+        assert got == pytest.approx(hops[0] * hops[1] - hops[2] * hops[3], abs=1e-12)
     assert time.perf_counter() - start < 300.0
 
 

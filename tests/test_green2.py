@@ -1,8 +1,6 @@
-"""Two-magnon kernels: hand values, completeness, factorization, ring propagator."""
+"""Two-magnon ring kernel: dense evolution, hand values, completeness, factorization."""
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 import pytest
@@ -10,17 +8,7 @@ import pytest
 from spinchain import oracle
 from spinchain.chain import ChainSpec, reduced_phase
 from spinchain.green1 import reduced_hop_amplitudes
-from spinchain.green2 import (
-    MAX_RING_SITES,
-    QuadratureError,
-    RingTwoMagnon,
-    TwoMagnonEngine,
-    bound_wavefunction,
-    green2,
-    green2_bound,
-    green2_scattering,
-    theta_phase,
-)
+from spinchain.green2 import MAX_RING_SITES, RingTwoMagnon, green2
 
 SPEC = ChainSpec(40, "closed", 0.5, 1.0)
 
@@ -29,57 +17,48 @@ def _reduced(value, t, spec=SPEC):
     return value / reduced_phase(spec, t)
 
 
-def test_scatter_phase_structure():
-    assert theta_phase(math.pi / 2, -math.pi / 2, 1.0) == pytest.approx(math.pi / 2, abs=1e-12)
-    forward = theta_phase(0.7, 1.9, 1.0)
-    backward = theta_phase(1.9, 0.7, 1.0)
-    assert forward == pytest.approx(-backward, abs=1e-12)
-    assert theta_phase(1.1, 1.1, 1.0) == pytest.approx(0.0, abs=1e-12)
+@pytest.mark.parametrize("delta", [0.5, 1.0])
+def test_green2_matches_dense_evolution_on_the_ring(delta):
+    # by t = 10 the pair's waves have crossed the seam of the 40-site ring
+    spec = ChainSpec(40, "closed", 0.5, delta)
+    ham = oracle.build_hamiltonian(spec, "two_excitation")
+    seed = np.zeros(ham.basis.dim, dtype=complex)
+    seed[ham.basis.pair_index(10, 11)] = 1.0
+    for t in (2.0, 10.0, 20.0):
+        dense = oracle.evolve(oracle.DenseState(seed, ham.basis), ham, t).vector
+        for target in ((10, 11), (30, 31), (20, 25)):
+            got = green2(10, 11, *target, t, spec).value
+            assert abs(got - dense[ham.basis.pair_index(*target)]) < 1e-12
+    with pytest.raises(ValueError):
+        green2(10, 11, 10, 11, 1.0, ChainSpec(40, "open", 0.5, delta))
 
 
 def test_time_zero_hand_values():
-    # same-pair weights: scattering and pair-bound halves of the identity
-    diag_s = green2_scattering(10, 11, 10, 11, 0.0, SPEC)
-    assert _reduced(diag_s.value, 0.0) == pytest.approx(0.5, abs=3e-6)
-    diag_b = green2_bound(10, 11, 10, 11, 0.0, SPEC)
-    assert _reduced(diag_b.value, 0.0) == pytest.approx(0.5, abs=1e-9)
-    total = green2(10, 11, 10, 11, 0.0, SPEC)
-    assert _reduced(total.value, 0.0) == pytest.approx(1.0, abs=3e-6)
-    # shifted neighbor pair: the parts cancel exactly in the total
-    off_s = green2_scattering(10, 11, 11, 12, 0.0, SPEC)
-    assert _reduced(off_s.value, 0.0) == pytest.approx(0.25, abs=3e-6)
-    off_b = green2_bound(10, 11, 11, 12, 0.0, SPEC)
-    assert _reduced(off_b.value, 0.0) == pytest.approx(-0.25, abs=1e-9)
-    off_total = green2(10, 11, 11, 12, 0.0, SPEC)
-    assert abs(_reduced(off_total.value, 0.0)) < 3e-6
-
-
-def test_time_zero_bound_weights_follow_pair_confinement():
-    # (1/2)^separation twice: 1/2, 1/8, 1/16 at separations 1, 2, 3
-    for sep, expected in ((1, 0.5), (2, 0.125), (3, 0.0625)):
-        value = green2_bound(15, 15 + sep, 15, 15 + sep, 0.0, SPEC)
-        assert _reduced(value.value, 0.0) == pytest.approx(expected, abs=1e-9)
+    # the total is the identity; the ring's bound band holds the pair-bound share
+    projector = oracle.bound_band_projector(SPEC).projector
+    basis = oracle.make_basis("two_excitation", SPEC.n)
+    source = basis.pair_index(10, 11)
+    for target, identity in (((10, 11), 1.0), ((11, 12), 0.0)):
+        total = green2(10, 11, *target, 0.0, SPEC).value
+        assert abs(total - identity) < 1e-12
+        bound = green2(10, 11, *target, 0.0, SPEC, part="bound").value
+        scatter = green2(10, 11, *target, 0.0, SPEC, part="scattering").value
+        want = projector[basis.pair_index(*target), source]
+        assert abs(bound - want) < 1e-12
+        assert abs(scatter - (identity - want)) < 1e-12
 
 
 def test_bound_weights_match_dense_band_projection(golden):
     census = golden("bound_census")
     weights = census["values"]["bound_diag_weights_n40"].real
     for sep, oracle_weight in zip((1, 2, 3), weights):
-        value = green2_bound(19, 19 + sep, 19, 19 + sep, 0.0, SPEC)
+        value = green2(19, 19 + sep, 19, 19 + sep, 0.0, SPEC, part="bound")
         assert _reduced(value.value, 0.0).real == pytest.approx(
             oracle_weight, abs=census["tolerance"]
         )
     for n, expected in ((12, 9), (20, 17), (40, 35)):
         ring = RingTwoMagnon(ChainSpec(n, "closed", 0.5, 1.0))
         assert ring.bound_count == expected
-
-
-def test_bound_wavefunction_decay():
-    q = 0.8
-    amp1 = abs(bound_wavefunction(10, 11, q))
-    amp2 = abs(bound_wavefunction(10, 12, q))
-    ratio = (q * q / (1 + q * q)) ** 0.5
-    assert amp2 / amp1 == pytest.approx(ratio, abs=1e-12)
 
 
 def test_free_point_factorizes_into_free_fermion_determinant():
@@ -92,7 +71,7 @@ def test_free_point_factorizes_into_free_fermion_determinant():
             [dst[0] - src[0], dst[1] - src[1], dst[0] - src[1], dst[1] - src[0]], z
         )
         expected = hops[0] * hops[1] - hops[2] * hops[3]
-        assert got == pytest.approx(expected, abs=1e-6)
+        assert got == pytest.approx(expected, abs=1e-12)
 
 
 def test_line_kernels_match_dense_ring_mid_chain(golden):
@@ -101,43 +80,17 @@ def test_line_kernels_match_dense_ring_mid_chain(golden):
     targets = [tuple(p) for p in record["inputs"]["targets"]]
     for t in record["inputs"]["times"]:
         want = record["values"][f"t{t}"]
-        engine = TwoMagnonEngine(
-            j=SPEC.j,
-            delta=SPEC.delta,
-            t=t,
-            max_offset=12,
-            max_pair_span=14,
-            max_sum_offset=14,
-            tol=1e-5,
-        )
-        s1 = np.full(len(targets), source[0])
-        s2 = np.full(len(targets), source[1])
-        d1 = np.array([p[0] for p in targets])
-        d2 = np.array([p[1] for p in targets])
-        got = engine.total(s1, s2, d1, d2)
+        got = np.array([_reduced(green2(*source, *p, t, SPEC).value, t) for p in targets])
         assert np.max(np.abs(got - want)) <= record["tolerance"]
 
 
 def test_parts_resolve_the_total():
     t = 1.2
-    engine = TwoMagnonEngine(
-        j=0.5, delta=1.0, t=t, max_offset=8, max_pair_span=12, max_sum_offset=8, tol=1e-5
-    )
-    s1 = np.array([10, 10, 9])
-    s2 = np.array([11, 13, 14])
-    d1 = np.array([9, 11, 10])
-    d2 = np.array([12, 12, 15])
-    total = engine.total(s1, s2, d1, d2)
-    split = engine.scattering(s1, s2, d1, d2) + engine.bound(s1, s2, d1, d2)
-    assert np.max(np.abs(total - split)) < 1e-14
-    assert engine.part("bound") == engine.bound
-
-
-def test_interior_singularity_raises_instead_of_degrading():
-    spec = ChainSpec(40, "closed", 0.5, 0.5)
-    with pytest.raises(QuadratureError) as info:
-        green2_scattering(19, 22, 19, 22, 1.0, spec, tol=1e-12)
-    assert info.value.achieved > 0
+    for src, dst in (((10, 11), (9, 12)), ((10, 13), (11, 12)), ((9, 14), (10, 15))):
+        total = green2(*src, *dst, t, SPEC).value
+        bound = green2(*src, *dst, t, SPEC, part="bound").value
+        scatter = green2(*src, *dst, t, SPEC, part="scattering").value
+        assert abs(total - bound - scatter) < 1e-14
 
 
 def test_ring_propagator_matches_dense_evolution(golden):
@@ -194,6 +147,8 @@ def test_ring_validation():
     with pytest.raises(ValueError):
         RingTwoMagnon(ChainSpec(MAX_RING_SITES + 1, "closed", 0.5, 1.0))
     with pytest.raises(ValueError):
-        green2_bound(1, 2, 1, 2, 1.0, ChainSpec(12, "closed", 0.5, 0.3))
+        green2(1, 2, 1, 2, 1.0, ChainSpec(12, "open", 0.5, 0.3), part="bound")
     with pytest.raises(ValueError):
-        green2_scattering(1, 2, 1, 2, -1.0, SPEC)
+        green2(1, 2, 1, 2, -1.0, SPEC, part="scattering")
+    with pytest.raises(ValueError):
+        green2(1, 2, 40, 41, 1.0, SPEC)

@@ -216,11 +216,10 @@ def pair_propagator_columns() -> None:
 
 
 def line_kernel_targets() -> None:
-    """Ring amplitudes at N=40 for central pairs, where the infinite-line kernels apply.
+    """Ring amplitudes at N=40 from one central source pair to nearby targets.
 
-    Sources and targets sit mid-ring and the times keep every winding image
-    below 1e-9, so the line-kernel route must match these inside its
-    scattering-quadrature floor.
+    ``green2`` reads these off the exact ring kernel, so it must match them to
+    rounding level.
     """
     spec = ChainSpec(40, "closed", 0.5, 1.0)
     ham = build_hamiltonian(spec, "two_excitation")
@@ -247,7 +246,7 @@ def line_kernel_targets() -> None:
             "times": times,
         },
         values=values,
-        tolerance=3e-6,
+        tolerance=1e-12,
     )
 
 
