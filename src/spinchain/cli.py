@@ -372,6 +372,9 @@ def _run_detector(args: argparse.Namespace) -> int:
 def _run_oracle_check(args: argparse.Namespace) -> int:
     tol = args.tol if args.tol is not None else 1e-9
     n = args.n
+    # the gate check needs a two-magnon ring and a dense pair sector
+    if not 3 <= n <= oracle.MAX_PAIR_N:
+        raise ValueError(f"oracle-check needs 3 <= n <= {oracle.MAX_PAIR_N}, got n={n}")
     report: dict[str, dict] = {}
     failures = []
 

@@ -1,9 +1,10 @@
 """Two-magnon propagators on closed rings: exact evolution split into bound and scattering parts.
 
-``RingTwoMagnon`` diagonalizes the two-excitation sector of a ring once, one
-short chain over pair separations per total momentum, and evolves any pair
-state exactly. Its sector eigenstates below the continuum bottom form the
-bound band; the rest scatter; the two parts resolve the identity.
+``RingTwoMagnon`` diagonalizes the two-excitation sector of a ring once, as
+floor(N/2) + 1 real blocks over pair separations (momenta k and N - k share
+one), and evolves any pair state exactly. Its sector eigenstates below the
+continuum bottom form the bound band; the rest scatter; the two parts resolve
+the identity.
 ``green2`` reads one amplitude between ordered site pairs off that kernel.
 
 Amplitudes inside ``RingTwoMagnon`` are reduced (measured from the polarized
@@ -23,7 +24,7 @@ from .chain import ChainSpec, reduced_phase
 
 Part = Literal["bound", "scattering", "total"]
 
-#: Largest ring RingTwoMagnon builds; its stacked sector modes take 4 N^3 bytes.
+#: Largest ring RingTwoMagnon builds; its floor(N/2) + 1 real blocks take N^3 bytes.
 MAX_RING_SITES = 512
 _BOUND_MARGIN = 1e-9  # relative to 8J: how far below the continuum a bound level sits
 
@@ -62,8 +63,9 @@ class RingTwoMagnon:
     folded separation): cell (x, r) holds the pair {x, x + r} (sites mod N),
     and an antipodal pair of an even ring fills both of its cells with weight
     1/sqrt(2). One FFT over the centre axis turns the grid into all momentum
-    sectors at once; the sector blocks are stacked, zero-padded to a common
-    size, and diagonalized by one batched eigh.
+    sectors at once. A diagonal gauge per sector makes its block real, and
+    sectors k and N - k then share one block, so floor(N/2) + 1 real blocks
+    (N^3 bytes of modes) are diagonalized by one batched eigh.
 
     Sector eigenstates below the infinite-chain continuum bottom
     -8J|cos(P/2)| form the bound band; the rest scatter. Propagation can be
@@ -93,16 +95,22 @@ class RingTwoMagnon:
         self._cell_pair = (lo * n - lo * (lo + 1) // 2 + hi - lo - 1).ravel()
         self._cell_weight = np.where(2 * r == n, 1.0 / math.sqrt(2.0), 1.0).ravel()
 
-        # sector blocks, lower band only (eigh reads the lower triangle)
+        # Sector k hops -4J cos(pi k'/N) e^{i pi k'/N}, k' = k - N above N/2, so
+        # the gauge e^{-i r pi k'/N} on separation row r makes its block real;
+        # sectors k and N - k (equal |cos|, parity and fold term) then share
+        # block b = min(k, N - k). Lower band only (eigh reads that triangle).
         k = np.arange(n)
-        omega = np.exp(2j * math.pi * k / n)
-        blocks = np.zeros((n, r_full, r_full), dtype=complex)
+        signed_k = np.where(2 * k > n, k - n, k)
+        self._gauge = np.exp(-1j * math.pi * np.outer(signed_k, np.arange(r_full)) / n)
+        b = np.arange(r_full + 1)
+        cos_b = np.cos(math.pi * b / n)
+        blocks = np.zeros((r_full + 1, r_full, r_full))
         rows = np.arange(1, r_full)
-        blocks[:, rows, rows - 1] = (-2.0 * j * (1.0 + omega))[:, None]
+        blocks[:, rows, rows - 1] = (-4.0 * j * cos_b)[:, None]
         blocks[:, 0, 0] = -4.0 * j * spec.delta
-        live = np.ones((n, r_full), dtype=bool)
+        live = np.ones((r_full + 1, r_full), dtype=bool)
         if n % 2 == 0:
-            odd = k % 2 == 1
+            odd = b % 2 == 1
             blocks[~odd, -1, -2] *= math.sqrt(2.0)
             # odd sectors have no antipodal row: decouple it and park its
             # level above the whole spectrum, so it is the last mode
@@ -110,11 +118,12 @@ class RingTwoMagnon:
             blocks[odd, -1, -1] = 4.0 * j * (abs(spec.delta) + 4.0)
             live[odd, -1] = False
         else:
-            blocks[:, -1, -1] += (-2.0 * j * omega**r_full * (1.0 + omega)).real
+            blocks[:, -1, -1] += -4.0 * j * (-1.0) ** b * cos_b
         self._evals, self._evecs = np.linalg.eigh(blocks)
-        bottom = -8.0 * j * np.abs(np.cos(math.pi * k / n))
-        bound = self._evals < (bottom - _BOUND_MARGIN * 8.0 * j)[:, None]
-        self.bound_count = int(np.sum(bound))
+        bound = self._evals < (-8.0 * j * cos_b - _BOUND_MARGIN * 8.0 * j)[:, None]
+        # blocks 0 and N/2 serve one sector, every other block two
+        sectors_per_block = np.where((b == 0) | (2 * b == n), 1, 2)
+        self.bound_count = int(np.sum(bound.sum(axis=1) * sectors_per_block))
         self._keep = {"total": live, "bound": bound, "scattering": live & ~bound}
 
     def evolve_pair_state(self, psi: np.ndarray, t: float, part: Part = "total") -> np.ndarray:
@@ -126,12 +135,17 @@ class RingTwoMagnon:
         psi = np.asarray(psi, dtype=complex)
         if psi.shape != (len(self.pairs),):
             raise ValueError(f"pair state must have shape ({len(self.pairs)},)")
-        grid = (psi[self._cell_pair] * self._cell_weight).reshape(self._evals.shape)
-        sectors = np.fft.fft(grid, axis=0, norm="ortho")
-        # mode amplitudes V^H s per sector, as conj(s^H V): no conjugate copy of V
-        modes = np.conj(np.conj(sectors)[:, None, :] @ self._evecs)[:, 0, :]
-        modes *= np.exp(-1j * self._evals * t) * self._keep[part]
-        sectors = (self._evecs @ modes[:, :, None])[:, :, 0]
+        n, blocks = len(self._gauge), len(self._evals)
+        grid = (psi[self._cell_pair] * self._cell_weight).reshape(self._gauge.shape)
+        sectors = np.fft.fft(grid, axis=0, norm="ortho") * self._gauge
+        # sectors k and N - k as the two complex columns of block k, each
+        # column a pair of real ones against the shared real modes
+        paired = np.stack((sectors[:blocks], sectors[-np.arange(blocks)]), axis=-1)
+        modes = (self._evecs.transpose(0, 2, 1) @ paired.view(float)).view(complex)
+        modes *= (np.exp(-1j * self._evals * t) * self._keep[part])[:, :, None]
+        paired = (self._evecs @ modes.view(float)).view(complex)
+        sectors = np.concatenate((paired[:, :, 0], paired[n - blocks : 0 : -1, :, 1]))
+        sectors *= np.conj(self._gauge)
         back = np.fft.ifft(sectors, axis=0, norm="ortho").ravel() * self._cell_weight
         out = np.zeros_like(psi)
         np.add.at(out, self._cell_pair, back)

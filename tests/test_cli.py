@@ -215,6 +215,14 @@ def test_oracle_check_passes(tmp_path):
     assert all(entry["pass"] for entry in report.values())
 
 
+@pytest.mark.parametrize("n", [2, 65, 600])
+def test_oracle_check_refuses_a_bad_size_before_any_check(tmp_path, capsys, n):
+    out = tmp_path / "oracle.json"
+    assert main(["oracle-check", "--n", str(n), "--out", str(out)]) == 2
+    assert "ok" not in capsys.readouterr().out
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_harper_grid_matches_library(tmp_path):
     out = tmp_path / "h.csv"
     assert main([

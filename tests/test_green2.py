@@ -141,6 +141,36 @@ def test_ring_parts_match_dense_evolution_and_bound_projector(n):
     assert np.max(np.abs(bound - projector @ total)) < 1e-12
 
 
+@pytest.mark.parametrize("delta", [0.0, 0.5, -0.7, 2.0])
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 12, 13])
+def test_folded_blocks_match_dense_evolution_over_delta(n, delta):
+    # sectors k and N - k share one real block at every anisotropy; negative
+    # delta makes the contact well repulsive and moves the parked level
+    spec = ChainSpec(n, "closed", 0.5, delta)
+    ring = RingTwoMagnon(spec)
+    rng = np.random.default_rng(n)
+    psi = rng.normal(size=len(ring.pairs)) + 1j * rng.normal(size=len(ring.pairs))
+    psi /= np.linalg.norm(psi)
+    ham = oracle.build_hamiltonian(spec, "two_excitation")
+    t = 2.3
+    dense = oracle.evolve(oracle.DenseState(psi, ham.basis), ham, t).vector
+    total = ring.evolve_pair_state(psi, t, "total")
+    assert np.max(np.abs(total - _reduced(dense, t, spec))) < 1e-12
+    bound = ring.evolve_pair_state(psi, t, "bound")
+    scatter = ring.evolve_pair_state(psi, t, "scattering")
+    assert np.max(np.abs(bound + scatter - total)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [12, 13])
+def test_ring_keeps_floor_half_plus_one_real_blocks(n):
+    # N^3 bytes of modes: a complex block per sector would take 4 N^3
+    ring = RingTwoMagnon(ChainSpec(n, "closed", 0.5, 1.0))
+    r = n // 2
+    assert ring._evecs.dtype == np.float64
+    assert ring._evecs.shape == (r + 1, r, r)
+    assert ring._evals.shape == (r + 1, r)
+
+
 def test_ring_validation():
     with pytest.raises(ValueError):
         RingTwoMagnon(ChainSpec(12, "open", 0.5, 1.0))
