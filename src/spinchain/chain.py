@@ -34,11 +34,6 @@ CONVENTIONS: dict[str, str] = {
     "free_propagator_phase": "i**n * J_n(z) per lattice offset n",
     "two_magnon_band_energy": "eps0 + 4*J*(Delta - cos p1) + 4*J*(Delta - cos p2)",
     "two_magnon_evolution_energy": "band energy - 8*J*Delta (polarized reference)",
-    "scattering_measure": "1/(8*pi^2) d^2p over [0, 2*pi]^2, two-term pair wave",
-    "bound_measure": (
-        "1/(2*pi) dq * 2/(1+q^2) * q^(-2) * (q^2/(1+q^2))^(x12/2),"
-        " total momentum P = 2*atan(1/q) on the continuous branch (0, 2*pi)"
-    ),
     "qdp_time_convention": "at t == t0 the local process has already been applied",
     "gate": "V|up> = gamma|up> + delta|down>, V|down> = -conj(delta)|up> + gamma|down>, gamma real",
 }

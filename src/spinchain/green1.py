@@ -1,12 +1,17 @@
 """One-magnon propagators G^{x'}_x(t) = <x'| e^{-iHt} |x> on open and closed chains.
 
-Two routes with disjoint failure modes:
+One route: ``free_propagator`` takes a single inverse FFT of exp(i*z*cos p)
+over the momenta of a ring and reads the row off it.  A closed chain of N
+sites is that ring; an open chain of N sites is the antisymmetric part of a
+ring of 2(N+1) sites (the method of images in spectral form).  Both are exact
+for every N and t.
 
-* ``momentum_sum`` — exact finite-N eigenmode sums (sine modes on open chains,
-  plane waves on closed ones); authoritative for any N.
-* ``bessel`` — boundary-free / half-infinite lattice forms built from i^n J_n(4Jt);
-  O(1) per element and the right choice for large-N grids, valid while the
-  wavefront (speed 4J) has not wrapped or reflected.
+Open chains of ``HALF_INFINITE_MIN_N`` or more sites are modelled as
+half-infinite: their rows come from an open chain long enough that no front
+comes back from its far end, and only the first N entries are kept.
+
+``reduced_hop_amplitudes`` gives the boundary-free i^n J_n(4Jt) hops, an
+independent reference for the spectral rows before any front returns.
 
 "Reduced" quantities carry the convenience phase e^{+i*eps0*t}, i.e. energies
 are measured from the fully polarized reference state; full amplitudes restore
@@ -14,18 +19,15 @@ e^{-i*eps0*t}.
 """
 from __future__ import annotations
 
-import functools
-import math
-
 import numpy as np
 
-from .bessel import bessel_j_sequence
-from .chain import ChainSpec
+from .bessel import MAX_ARG, bessel_j_sequence, truncation_order
+from .chain import Boundary, ChainSpec
 
 _I_POW = np.array([1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j])
 
-#: Chains at least this large use the lattice Bessel forms by default.
-AUTO_BESSEL_MIN_N = 100
+#: Open chains at least this large are modelled as half-infinite (see the module docstring).
+HALF_INFINITE_MIN_N = 100
 
 
 def reduced_hop_amplitudes(offsets: np.ndarray | list[int], z: float) -> np.ndarray:
@@ -43,23 +45,22 @@ def reduced_hop_amplitudes(offsets: np.ndarray | list[int], z: float) -> np.ndar
     return phases * signs * values
 
 
-@functools.lru_cache(maxsize=128)
-def _open_modes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sine eigenmodes of the open chain: (modes[I-1, x-1], cos p_I)."""
-    sites = np.arange(1, n + 1)
-    p = math.pi * sites / (n + 1)
-    modes = math.sqrt(2.0 / (n + 1)) * np.sin(np.outer(p, sites))
-    return modes, np.cos(p)
+def free_propagator(n: int, boundary: Boundary, z: float, sources) -> np.ndarray:
+    """<x'| exp(i*z*T/2) |x> for every target x' = 1..n, T the unit hopping matrix.
 
-
-@functools.lru_cache(maxsize=128)
-def _closed_momenta(n: int) -> np.ndarray:
-    return 2.0 * math.pi * np.arange(n) / n
-
-
-def choose_method(spec: ChainSpec) -> str:
-    """Default route: exact momentum sums for small N, Bessel forms for long chains."""
-    return "bessel" if spec.n >= AUTO_BESSEL_MIN_N else "momentum_sum"
+    ``sources`` is one site (a row of length n) or a (1, n) array of sites
+    (the n x n matrix, targets down the rows).  At z = 4*J*t this is the
+    reduced one-magnon propagator; at z = -2*tau it is exp(-i*tau*T).
+    """
+    m = n if boundary == "closed" else 2 * (n + 1)
+    g = np.fft.ifft(np.exp(1j * z * np.cos(2.0 * np.pi * np.arange(m) / m)))
+    sources = np.asarray(sources)
+    targets = np.arange(1, n + 1)
+    if sources.ndim:
+        targets = targets[:, np.newaxis]
+    if boundary == "closed":
+        return g[(targets - sources) % m]
+    return g[targets - sources] - g[targets + sources]
 
 
 def _check_site(x: int, spec: ChainSpec, name: str) -> None:
@@ -67,34 +68,15 @@ def _check_site(x: int, spec: ChainSpec, name: str) -> None:
         raise ValueError(f"site {name}={x} out of range 1..{spec.n}")
 
 
-def reduced_profile(x: int, t: float, spec: ChainSpec, method: str = "auto") -> np.ndarray:
+def reduced_profile(x: int, t: float, spec: ChainSpec) -> np.ndarray:
     """e^{+i*eps0*t} G^{x'}_x(t) for every target x' = 1..N, as an array of length N."""
     _check_site(x, spec, "x")
     if t < 0:
         raise ValueError(f"time must be >= 0, got {t}")
-    if method == "auto":
-        method = choose_method(spec)
     z = 4.0 * spec.j * t
-    n = spec.n
-    if method == "momentum_sum":
-        if spec.boundary == "open":
-            modes, cos_p = _open_modes(n)
-            weighted = modes[:, x - 1] * np.exp(1j * z * cos_p)
-            return modes.T @ weighted
-        p = _closed_momenta(n)
-        offsets = np.arange(1, n + 1) - x
-        kernel = np.exp(1j * z * np.cos(p)) / n
-        return np.exp(1j * np.outer(offsets, p)) @ kernel
-    if method == "bessel":
-        targets = np.arange(1, n + 1)
-        direct = reduced_hop_amplitudes(targets - x, z)
-        if spec.boundary == "open":
-            return direct - reduced_hop_amplitudes(targets + x, z)
-        # Ring targets are reachable both ways round; adjacent windings cover
-        # every front that has not yet wrapped a full circumference.
-        return (
-            direct
-            + reduced_hop_amplitudes(targets - x - n, z)
-            + reduced_hop_amplitudes(targets - x + n, z)
-        )
-    raise ValueError(f"unknown method {method!r}")
+    if not z <= MAX_ARG:
+        raise ValueError(f"4*J*t must be <= {MAX_ARG}, got {z}")
+    width = spec.n
+    if spec.boundary == "open" and spec.n >= HALF_INFINITE_MIN_N:
+        width += truncation_order(z)
+    return free_propagator(width, spec.boundary, z, x)[: spec.n]

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import Boundary, InitialState
+from .green1 import free_propagator
 from .protocols import _bloch_from_quadratic, _fidelity_row
 
 __all__ = [
@@ -88,28 +89,15 @@ def kick_phases(spec: HarperSpec) -> np.ndarray:
     return np.exp(-1j * spec.tau * spec.g * np.cos(2.0 * np.pi * j * spec.eta / spec.n))
 
 
-def _hop_factor(spec: HarperSpec) -> np.ndarray:
-    """exp(-i*tau*T) from the analytic eigenmodes of the hopping matrix.
-
-    Open chains diagonalize in sine modes sin(j*k*pi/(N+1)) with energies
-    2*cos(k*pi/(N+1)); closed chains in plane waves exp(2*pi*i*j*k/N) with
-    energies 2*cos(2*pi*k/N).
-    """
-    n = spec.n
-    if spec.boundary == "open":
-        j = np.arange(1, n + 1)
-        modes = np.sqrt(2.0 / (n + 1)) * np.sin(np.outer(j, j) * np.pi / (n + 1))
-        energies = 2.0 * np.cos(np.arange(1, n + 1) * np.pi / (n + 1))
-        return (modes * np.exp(-1j * spec.tau * energies)) @ modes.T
-    j = np.arange(n)
-    modes = np.exp(2j * np.pi * np.outer(j, j) / n) / math.sqrt(n)
-    energies = 2.0 * np.cos(2.0 * np.pi * j / n)
-    return (modes * np.exp(-1j * spec.tau * energies)) @ modes.conj().T
-
-
 def floquet_step(spec: HarperSpec) -> np.ndarray:
-    """One-period unitary: hop factor times diagonal kick phases (kick acts first)."""
-    return _hop_factor(spec) * kick_phases(spec)[np.newaxis, :]
+    """One-period unitary: hop factor times diagonal kick phases (kick acts first).
+
+    The hop factor exp(-i*tau*T) is the free propagator at z = -2*tau, since
+    the hopping matrix T has eigenvalues 2*cos p.
+    """
+    sites = np.arange(1, spec.n + 1)[np.newaxis, :]
+    hop = free_propagator(spec.n, spec.boundary, -2.0 * spec.tau, sites)
+    return hop * kick_phases(spec)[np.newaxis, :]
 
 
 def kicked_amplitudes(spec: HarperSpec, *seeds: np.ndarray) -> Iterator[tuple[np.ndarray, ...]]:

@@ -289,7 +289,7 @@ class UnitaryQdpEngine:
             raise ValueError(f"gate site m={event.m} out of range 1..{spec.n}")
         self.spec = spec
         self.event = event
-        self.u0 = reduced_profile(1, event.t0, spec, method="momentum_sum")
+        self.u0 = reduced_profile(1, event.t0, spec)
         # A phase-only gate conserves the magnon number: no pair channel.
         self.ring = RingTwoMagnon(spec) if event.delta != 0.0 else None
         self.bound_count = self.ring.bound_count if self.ring else 0
@@ -305,9 +305,9 @@ class UnitaryQdpEngine:
     def _one_magnon_rows(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         """Reduced rows from site 1 over t and from the gate site over t - t0."""
         _check_measurement_times(t, self.event.t0)
-        g_t = reduced_profile(1, t, self.spec, method="momentum_sum")
+        g_t = reduced_profile(1, t, self.spec)
         tau = t - self.event.t0
-        return g_t, reduced_profile(self.event.m, tau, self.spec, method="momentum_sum")
+        return g_t, reduced_profile(self.event.m, tau, self.spec)
 
     def _pair_amplitudes(self, t: float, part: Part) -> np.ndarray:
         """Reduced L(y1, y2; t) of one propagator part, indexed like ``pairs``."""

@@ -54,7 +54,7 @@ def test_criterion_01_one_magnon_propagator_matches_dense_evolution():
     worst = 0.0
     for t in (0.5, 1.0, 2.0, 5.0):
         dense = oracle.evolve(seed, ham, t).vector
-        mine = reduced_phase(spec, t) * reduced_profile(1, t, spec, method="momentum_sum")
+        mine = reduced_phase(spec, t) * reduced_profile(1, t, spec)
         worst = max(worst, float(np.max(np.abs(mine - dense))))
     elapsed = time.perf_counter() - start
     assert worst <= 1e-10

@@ -7,6 +7,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import pathlib
 import subprocess
 import sys
 
@@ -17,6 +19,8 @@ from spinchain.chain import ChainSpec, InitialState, conventions_hash
 from spinchain.cli import main
 from spinchain.harper import HarperSpec, fidelity_free_kicked
 from spinchain.protocols import fidelity_grid
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def _read_csv(path):
@@ -162,6 +166,13 @@ def test_oversized_grids_exit_before_allocation(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_times_past_the_bessel_domain_exit_2_and_write_nothing(tmp_path):
+    # 4*J*t = 4e5 is over bessel.MAX_ARG on the small exact chain too
+    out = ["--out", str(tmp_path / "x.csv")]
+    assert main(["fidelity", "--n", "12", "--tmin", "2e5", "--tmax", "2e5"] + out) == 2
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_each_gate_command_builds_its_ring_kernel_once(tmp_path, monkeypatch):
     from spinchain import green2
 
@@ -197,7 +208,7 @@ def test_calibrate_passes_at_default_tolerance(tmp_path):
     out = tmp_path / "cal.json"
     assert main(["calibrate", "--n", "12", "--out", str(out)]) == 0
     report = json.loads(out.read_text())
-    assert len(report) == 4  # two propagator routes, two boundaries
+    assert len(report) == 4  # n = 12 and n = 100, two boundaries each
     assert all(entry["pass"] for entry in report.values())
     assert all(entry["worst"] <= entry["tolerance"] for entry in report.values())
 
@@ -290,8 +301,10 @@ def test_unitary_qdp_and_split_commands_run(tmp_path):
 
 
 def test_exit_code_crosses_the_process_boundary():
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "spinchain.cli", "fidelity", "--n", "not-a-number"],
+        env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
     )
     assert proc.returncode == 2
