@@ -78,16 +78,6 @@ class ChainSpec:
         """Energy of the fully polarized reference state: -J * n_bonds."""
         return -self.j * self.n_bonds
 
-    def momentum_grid(self) -> list[tuple[float, int]]:
-        """Allowed one-magnon momenta as ``(p, index)`` pairs.
-
-        Open boundary: p = pi*I/(N+1), I = 1..N (sine modes).
-        Closed boundary: p = 2*pi*I/N, I = 0..N-1 (plane waves).
-        """
-        if self.boundary == "open":
-            return [(math.pi * i / (self.n + 1), i) for i in range(1, self.n + 1)]
-        return [(2.0 * math.pi * i / self.n, i) for i in range(self.n)]
-
     def site_range(self) -> range:
         """1-based site indices."""
         return range(1, self.n + 1)

@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .chain import CONVENTIONS, ChainSpec, InitialState, QdpEvent, conventions_hash
+from .chain import CONVENTIONS, ChainSpec, InitialState, QdpEvent, conventions_hash, reduced_phase
 from .green1 import HALF_INFINITE_MIN_N, reduced_profile
 from .harper import HarperSpec, fidelity_from_amplitudes, kicked_amplitudes, qdp_readouts
 from .protocols import UnitaryQdpEngine, fidelity_grid, grid_csv, hk_propagators
@@ -397,7 +397,7 @@ def _run_oracle_check(args: argparse.Namespace) -> int:
             t0 = float(rng.uniform(0.0, 3.0))
             t = t0 + float(rng.uniform(0.0, 3.0))
             props = hk_propagators(1, l, m, t, t0, spec)
-            g = cmath.exp(-1j * spec.ground_energy * t) * reduced_profile(1, t, spec)[l - 1]
+            g = reduced_phase(spec, t) * reduced_profile(1, t, spec)[l - 1]
             worst = max(worst, abs(props.h + props.k - g))
     record("splitting identity", worst, tol)
 
@@ -436,9 +436,9 @@ def _run_oracle_check(args: argparse.Namespace) -> int:
         worst = max(worst, abs(mine.vacuum - final.vector[0]))
         for y in range(1, n + 1):
             worst = max(worst, abs(mine.one_magnon[y - 1] - final.vector[1 + y - 1]))
-        for pair in basis2.pairs:
-            caught = final.vector[basis2.pair_index(*pair)]
-            worst = max(worst, abs(complex(mine.two_magnon.get(pair, 0.0)) - caught))
+        for y1, y2 in basis2.pairs:
+            caught = final.vector[basis2.pair_index(y1, y2)]
+            worst = max(worst, abs(mine.two_magnon[y1 - 1, y2 - 1] - caught))
     record("gate protocol vs dense evolution", worst, max(tol, 1e-8))
 
     # Paired-band census on a 20-site ring.
@@ -479,8 +479,7 @@ def _run_calibrate(args: argparse.Namespace) -> int:
             worst = 0.0
             for t in (0.7, 2.3, 5.0):
                 dense = oracle.evolve(seed, ham, t).vector
-                phase = cmath.exp(-1j * spec.ground_energy * t)
-                mine = phase * reduced_profile(1, t, spec)
+                mine = reduced_phase(spec, t) * reduced_profile(1, t, spec)
                 worst = max(worst, float(np.max(np.abs(mine - dense))))
             name = f"one-magnon propagator ({boundary}, n={n})"
             ok = worst <= tol

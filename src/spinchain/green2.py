@@ -2,10 +2,11 @@
 
 ``RingTwoMagnon`` diagonalizes the two-excitation sector of a ring once, as
 floor(N/2) + 1 real blocks over pair separations (momenta k and N - k share
-one), and evolves any pair state exactly. Its sector eigenstates below the
-continuum bottom form the bound band; the rest scatter; the two parts resolve
-the identity.
-``green2`` reads one amplitude between ordered site pairs off that kernel.
+one), and evolves any pair state exactly. A pair state is a symmetric
+complex N x N matrix with a zero diagonal: entry (y1 - 1, y2 - 1) holds the
+pair {y1, y2}. Its sector eigenstates below the continuum bottom form the
+bound band; the rest scatter; the two parts resolve the identity.
+``green2`` evolves one source pair and reads one target entry.
 
 Amplitudes inside ``RingTwoMagnon`` are reduced (measured from the polarized
 reference, like green1's reduced rows); ``green2`` returns full amplitudes,
@@ -59,13 +60,15 @@ class RingTwoMagnon:
     gives machine-precision ring propagation, including through-the-seam
     interaction and winding.
 
-    A pair state maps onto an N x floor(N/2) grid over (pair centre site,
-    folded separation): cell (x, r) holds the pair {x, x + r} (sites mod N),
-    and an antipodal pair of an even ring fills both of its cells with weight
-    1/sqrt(2). One FFT over the centre axis turns the grid into all momentum
-    sectors at once. A diagonal gauge per sector makes its block real, and
-    sectors k and N - k then share one block, so floor(N/2) + 1 real blocks
-    (N^3 bytes of modes) are diagonalized by one batched eigh.
+    A pair state is the symmetric N x N matrix with a zero diagonal that
+    holds pair {y1, y2} at (y1 - 1, y2 - 1). Internally it is read onto an
+    N x floor(N/2) grid over (pair centre site, folded separation): cell
+    (x, r) holds the pair {x, x + r} (sites mod N), and an antipodal pair of
+    an even ring fills both of its cells with weight 1/sqrt(2). One FFT over
+    the centre axis turns the grid into all momentum sectors at once. A
+    diagonal gauge per sector makes its block real, and sectors k and N - k
+    then share one block, so floor(N/2) + 1 real blocks (N^3 bytes of modes)
+    are diagonalized by one batched eigh.
 
     Sector eigenstates below the infinite-chain continuum bottom
     -8J|cos(P/2)| form the bound band; the rest scatter. Propagation can be
@@ -85,15 +88,12 @@ class RingTwoMagnon:
             raise ValueError("two magnons need at least 3 sites")
         self.spec = spec
         j = spec.j
-        self.pairs = [(i, jj) for i in range(1, n + 1) for jj in range(i + 1, n + 1)]
-        self.pair_index = {p: idx for idx, p in enumerate(self.pairs)}
 
-        # the pair held by every grid cell (x, r), as an index into self.pairs
+        # grid cell (x, r) reads the pair matrix at (x, x + r mod N)
         r_full = n // 2
-        x, r = np.meshgrid(np.arange(n), np.arange(1, r_full + 1), indexing="ij")
-        lo, hi = np.minimum(x, (x + r) % n), np.maximum(x, (x + r) % n)
-        self._cell_pair = (lo * n - lo * (lo + 1) // 2 + hi - lo - 1).ravel()
-        self._cell_weight = np.where(2 * r == n, 1.0 / math.sqrt(2.0), 1.0).ravel()
+        r = np.arange(1, r_full + 1)
+        self._cell_cols = (np.arange(n)[:, None] + r) % n
+        self._cell_weight = np.where(2 * r == n, 1.0 / math.sqrt(2.0), 1.0)
 
         # Sector k hops -4J cos(pi k'/N) e^{i pi k'/N}, k' = k - N above N/2, so
         # the gauge e^{-i r pi k'/N} on separation row r makes its block real;
@@ -127,16 +127,21 @@ class RingTwoMagnon:
         self._keep = {"total": live, "bound": bound, "scattering": live & ~bound}
 
     def evolve_pair_state(self, psi: np.ndarray, t: float, part: Part = "total") -> np.ndarray:
-        """Evolve a pair-basis wavefunction for time t through the chosen part.
+        """Evolve a pair state for time t through the chosen part.
 
-        psi is indexed like ``self.pairs`` (ordered ring pairs). The three
-        parts resolve the identity: bound + scattering = total propagation.
+        psi is a symmetric N x N matrix with a zero diagonal; entry
+        (y1 - 1, y2 - 1) holds the pair {y1, y2}. The result has the same
+        form. The three parts resolve the identity: bound + scattering =
+        total propagation.
         """
         psi = np.asarray(psi, dtype=complex)
-        if psi.shape != (len(self.pairs),):
-            raise ValueError(f"pair state must have shape ({len(self.pairs)},)")
         n, blocks = len(self._gauge), len(self._evals)
-        grid = (psi[self._cell_pair] * self._cell_weight).reshape(self._gauge.shape)
+        if psi.shape != (n, n):
+            raise ValueError(f"pair state must have shape ({n}, {n})")
+        if np.any(psi != psi.T) or np.any(np.diagonal(psi) != 0):
+            raise ValueError("pair state must be symmetric with a zero diagonal")
+        rows = np.arange(n)[:, None]
+        grid = psi[rows, self._cell_cols] * self._cell_weight
         sectors = np.fft.fft(grid, axis=0, norm="ortho") * self._gauge
         # sectors k and N - k as the two complex columns of block k, each
         # column a pair of real ones against the shared real modes
@@ -146,18 +151,11 @@ class RingTwoMagnon:
         paired = (self._evecs @ modes.view(float)).view(complex)
         sectors = np.concatenate((paired[:, :, 0], paired[n - blocks : 0 : -1, :, 1]))
         sectors *= np.conj(self._gauge)
-        back = np.fft.ifft(sectors, axis=0, norm="ortho").ravel() * self._cell_weight
-        out = np.zeros_like(psi)
-        np.add.at(out, self._cell_pair, back)
-        return out
-
-    def propagator_column(
-        self, s1: int, s2: int, t: float, part: Part = "total"
-    ) -> np.ndarray:
-        """Reduced amplitudes from ring pair (s1, s2) to every ordered ring pair."""
-        psi = np.zeros(len(self.pairs), dtype=complex)
-        psi[self.pair_index[_normalize_pair(s1, s2)]] = 1.0
-        return self.evolve_pair_state(psi, t, part)
+        back = np.fft.ifft(sectors, axis=0, norm="ortho") * self._cell_weight
+        # an antipodal pair has a cell in each triangle; the sum joins them
+        half = np.zeros_like(psi)
+        half[rows, self._cell_cols] = back
+        return half + half.T
 
 
 def green2(
@@ -174,7 +172,8 @@ def green2(
         raise ValueError(f"time must be >= 0, got {t}")
     if min(s1, d1) < 1 or max(s2, d2) > spec.n:
         raise ValueError(f"pair sites must lie in 1..{spec.n}")
-    ring = RingTwoMagnon(spec)
-    column = ring.propagator_column(s1, s2, t, part)
-    value = reduced_phase(spec, t) * complex(column[ring.pair_index[(d1, d2)]])
+    source = np.zeros((spec.n, spec.n), dtype=complex)
+    source[s1 - 1, s2 - 1] = source[s2 - 1, s1 - 1] = 1.0
+    evolved = RingTwoMagnon(spec).evolve_pair_state(source, t, part)
+    value = reduced_phase(spec, t) * complex(evolved[d1 - 1, d2 - 1])
     return Green2Value(value, s1, s2, d1, d2, t, part)

@@ -18,13 +18,12 @@ out of every physical combination).
 """
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
 
-from .chain import BLOCH_MOMENTS, ChainSpec, InitialState, QdpEvent
+from .chain import BLOCH_MOMENTS, ChainSpec, InitialState, QdpEvent, reduced_phase
 from .green1 import reduced_profile
 from .green2 import Part, RingTwoMagnon
 
@@ -122,11 +121,6 @@ def _free_parts(t: float, spec: ChainSpec) -> tuple[np.ndarray, np.ndarray]:
     return np.abs(g) ** 2, g
 
 
-def free_rdm(l: int, t: float, spec: ChainSpec, initial: InitialState) -> RdmElements:
-    """RDM elements at site l after free evolution of the encoded state."""
-    return _rdm_at(*_free_parts(t, spec), initial, l, t)
-
-
 def fidelity_free(
     l: int, t: float, spec: ChainSpec, *, initial: InitialState | None = None
 ) -> float:
@@ -188,7 +182,7 @@ def hk_propagators(y: int, yp: int, m: int, t: float, t0: float, spec: ChainSpec
     keep = sites != m
     h_red = np.sum(first[keep] * second[keep])
     k_red = first[m - 1] * second[m - 1]
-    phase = cmath.exp(-1j * spec.ground_energy * t)
+    phase = reduced_phase(spec, t)
     return QdpPropagators(
         h=complex(phase * h_red), k=complex(phase * k_red), y=y, yp=yp, m=m, t=t, t0=t0
     )
@@ -251,14 +245,15 @@ def delta_fidelity_projective(l: int, m: int, t: float, t0: float, spec: ChainSp
 class UnitaryState:
     """Sector amplitudes (full phases) after a local gate at site m, time t0.
 
-    two_magnon maps ordered ring pairs (y1 < y2) to amplitudes; norm_defect
-    is |1 - total norm^2|, which the exact sector propagators keep at
-    rounding level for every gate.
+    two_magnon is a symmetric N x N matrix with a zero diagonal: entry
+    (y1 - 1, y2 - 1) holds the pair {y1, y2}. norm_defect is
+    |1 - total norm^2|, which the exact sector propagators keep at rounding
+    level for every gate.
     """
 
     vacuum: complex
     one_magnon: np.ndarray
-    two_magnon: dict[tuple[int, int], complex]
+    two_magnon: np.ndarray
     t: float
     event: QdpEvent
     norm_defect: float
@@ -293,14 +288,12 @@ class UnitaryQdpEngine:
         # A phase-only gate conserves the magnon number: no pair channel.
         self.ring = RingTwoMagnon(spec) if event.delta != 0.0 else None
         self.bound_count = self.ring.bound_count if self.ring else 0
-        self.pairs = self.ring.pairs if self.ring else []
-        first, second = np.array(self.pairs, dtype=np.int64).reshape(-1, 2).T - 1
-        self._first, self._second = first, second
         # each pair holding the gate site starts with the amplitude of its partner
-        m = event.m - 1
-        self._source = np.where(first == m, self.u0[second], 0.0) + np.where(
-            second == m, self.u0[first], 0.0
-        )
+        self._source = np.zeros((spec.n, spec.n), dtype=complex)
+        if self.ring is not None:
+            m = event.m - 1
+            self._source[m] = self._source[:, m] = self.u0
+            self._source[m, m] = 0.0
 
     def _one_magnon_rows(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         """Reduced rows from site 1 over t and from the gate site over t - t0."""
@@ -309,25 +302,16 @@ class UnitaryQdpEngine:
         tau = t - self.event.t0
         return g_t, reduced_profile(self.event.m, tau, self.spec)
 
-    def _pair_amplitudes(self, t: float, part: Part) -> np.ndarray:
-        """Reduced L(y1, y2; t) of one propagator part, indexed like ``pairs``."""
+    def _pair_matrix(self, t: float, part: Part) -> np.ndarray:
+        """Reduced L of one propagator part, symmetric with zero diagonal: row l holds L(l, y)."""
         _check_measurement_times(t, self.event.t0)
         if self.ring is None:
             return self._source
         return self.ring.evolve_pair_state(self._source, t - self.event.t0, part)
 
-    def _pair_matrix(self, t: float, part: Part) -> np.ndarray:
-        """L as a symmetric N x N matrix with zero diagonal: row l holds L(l, y) for every y."""
-        n = self.spec.n
-        matrix = np.zeros((n, n), dtype=complex)
-        amps = self._pair_amplitudes(t, part)
-        matrix[self._first, self._second] = amps
-        matrix[self._second, self._first] = amps
-        return matrix
-
     def two_magnon_weight(self, t: float) -> float:
         """sum over pairs |L|^2; equals sum_{y'' != m} |g(1 -> y''; t0)|^2 exactly."""
-        return float(np.sum(np.abs(self._pair_amplitudes(t, "total")) ** 2))
+        return float(np.sum(np.abs(self._pair_matrix(t, "total")) ** 2)) / 2.0
 
     def fidelity_row(self, t: float) -> np.ndarray:
         """Bloch-averaged transfer fidelity at every site."""
@@ -358,24 +342,19 @@ class UnitaryQdpEngine:
         ev = self.event
         gamma, delta = ev.gamma, ev.delta
         g_t, g_tau = self._one_magnon_rows(t)
-        amps = self._pair_amplitudes(t, "total")
-        phase = cmath.exp(-1j * self.spec.ground_energy * t)
+        amps = self._pair_matrix(t, "total")
+        phase = reduced_phase(self.spec, t)
         vac = phase * (alpha * gamma - beta * np.conj(delta) * self.u0[ev.m - 1])
         one = phase * (alpha * delta * g_tau + beta * gamma * g_t)
-        two = {
-            pair: phase * beta * delta * amp
-            for pair, amp in zip(self.pairs, amps)
-            if abs(amp) > 0.0
-        }
         norm_sq = (
             abs(vac) ** 2
             + float(np.sum(np.abs(one) ** 2))
-            + abs(beta * delta) ** 2 * float(np.sum(np.abs(amps) ** 2))
+            + abs(beta * delta) ** 2 * float(np.sum(np.abs(amps) ** 2)) / 2.0
         )
         return UnitaryState(
             vacuum=complex(vac),
             one_magnon=one,
-            two_magnon=two,
+            two_magnon=phase * beta * delta * amps,
             t=t,
             event=ev,
             norm_defect=abs(1.0 - norm_sq),

@@ -163,19 +163,7 @@ def test_criterion_06_measurement_splitting_identities():
     assert worst_delta <= 1e-10
 
 
-def _state_fidelity_from_channels(state, l: int, initial: InitialState) -> float:
-    x = abs(state.one_magnon[l - 1]) ** 2
-    y = state.one_magnon[l - 1] * np.conj(state.vacuum)
-    for (p1, p2), amp in state.two_magnon.items():
-        if l in (p1, p2):
-            x += abs(amp) ** 2
-            partner = p2 if l == p1 else p1
-            y += amp * np.conj(state.one_magnon[partner - 1])
-    a, b = initial.alpha, initial.beta
-    return float(abs(a) ** 2 * (1 - x) + abs(b) ** 2 * x + 2 * np.real(a * np.conj(b) * y))
-
-
-def test_criterion_07_gate_protocol_matches_dense_evolution():
+def test_criterion_07_gate_protocol_matches_dense_evolution(channel_fidelity):
     spec = ChainSpec(12, "closed", 0.5, 1.0)
     basis = oracle.make_basis("vacuum_one_two", 12)
     ham = oracle.build_hamiltonian(spec, "vacuum_one_two")
@@ -190,14 +178,14 @@ def test_criterion_07_gate_protocol_matches_dense_evolution():
         one_dense = final.vector[1:13]
         assert float(np.max(np.abs(state.one_magnon - one_dense))) <= 1e-10
         worst_two = max(
-            abs(complex(state.two_magnon.get(pair, 0.0)) - final.vector[basis.pair_index(*pair)])
-            for pair in basis.pairs
+            abs(state.two_magnon[y1 - 1, y2 - 1] - final.vector[basis.pair_index(y1, y2)])
+            for y1, y2 in basis.pairs
         )
         assert worst_two <= 1e-10
         for l in (1, 4, 8, 12):
             x, y = oracle.rdm_site(final, l)
             dense_fid = oracle.transfer_fidelity(x, y, initial.alpha, initial.beta)
-            assert abs(_state_fidelity_from_channels(state, l, initial) - dense_fid) <= 1e-10
+            assert abs(channel_fidelity(state, l, initial) - dense_fid) <= 1e-10
     # a balanced gate at the source site before any motion pins the averaged
     # fidelity to one half plus the free interference term
     ring = ChainSpec(24, "closed", 0.5, 1.0)

@@ -48,15 +48,6 @@ def test_two_magnon_energy_is_sum_of_shifted_branches():
     assert two_magnon_energy(p1, p2, spec) == pytest.approx(expected, abs=1e-14)
 
 
-def test_momentum_grids():
-    closed = [p for p, _ in ChainSpec(6, "closed", 0.5, 1.0).momentum_grid()]
-    assert np.allclose(closed, 2 * math.pi * np.arange(6) / 6)
-    open_grid = [p for p, _ in ChainSpec(5, "open", 0.5, 1.0).momentum_grid()]
-    assert np.allclose(open_grid, math.pi * np.arange(1, 6) / 6)
-    # a single open site still has the band-center mode
-    assert [p for p, _ in ChainSpec(1, "open", 0.5, 1.0).momentum_grid()] == [math.pi / 2]
-
-
 def test_spec_validation():
     with pytest.raises(ValueError):
         ChainSpec(0, "open", 0.5, 1.0)

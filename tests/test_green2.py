@@ -17,6 +17,20 @@ def _reduced(value, t, spec=SPEC):
     return value / reduced_phase(spec, t)
 
 
+def _matrix(pairs, n):
+    """Symmetric pair matrix of a pair vector in oracle order."""
+    matrix = np.zeros((n, n), dtype=complex)
+    matrix[np.triu_indices(n, 1)] = pairs
+    return matrix + matrix.T
+
+
+def _random_pairs(n, seed):
+    rng = np.random.default_rng(seed)
+    size = n * (n - 1) // 2
+    psi = rng.normal(size=size) + 1j * rng.normal(size=size)
+    return psi / np.linalg.norm(psi)
+
+
 @pytest.mark.parametrize("delta", [0.5, 1.0])
 def test_green2_matches_dense_evolution_on_the_ring(delta):
     # by t = 10 the pair's waves have crossed the seam of the 40-site ring
@@ -97,9 +111,11 @@ def test_ring_propagator_matches_dense_evolution(golden):
     record = golden("ring2_n12")
     spec = ChainSpec(12, "closed", 0.5, 1.0)
     ring = RingTwoMagnon(spec)
-    source = tuple(record["inputs"]["source_pair"])
+    s1, s2 = record["inputs"]["source_pair"]
+    source = np.zeros((12, 12), dtype=complex)
+    source[s1 - 1, s2 - 1] = source[s2 - 1, s1 - 1] = 1.0
     for t in record["inputs"]["times"]:
-        got = ring.propagator_column(*source, t)
+        got = ring.evolve_pair_state(source, t)[np.triu_indices(12, 1)]
         want = record["values"][f"t{t}"]
         assert np.max(np.abs(got - want)) <= record["tolerance"]
 
@@ -107,17 +123,16 @@ def test_ring_propagator_matches_dense_evolution(golden):
 def test_ring_parts_are_unitary_complement():
     spec = ChainSpec(14, "closed", 0.5, 1.0)
     ring = RingTwoMagnon(spec)
-    rng = np.random.default_rng(11)
-    psi = rng.normal(size=len(ring.pairs)) + 1j * rng.normal(size=len(ring.pairs))
-    psi /= np.linalg.norm(psi)
+    psi = _matrix(_random_pairs(14, 11), 14)
+    upper = np.triu_indices(14, 1)
     t = 2.7
-    total = ring.evolve_pair_state(psi, t, "total")
-    bound = ring.evolve_pair_state(psi, t, "bound")
-    scatter = ring.evolve_pair_state(psi, t, "scattering")
+    total = ring.evolve_pair_state(psi, t, "total")[upper]
+    bound = ring.evolve_pair_state(psi, t, "bound")[upper]
+    scatter = ring.evolve_pair_state(psi, t, "scattering")[upper]
     assert np.max(np.abs(total - bound - scatter)) < 1e-12
     assert np.linalg.norm(total) == pytest.approx(1.0, abs=1e-12)
     # the split is spectral, so each part's weight is conserved in time
-    later_bound = ring.evolve_pair_state(psi, 2 * t, "bound")
+    later_bound = ring.evolve_pair_state(psi, 2 * t, "bound")[upper]
     assert np.linalg.norm(later_bound) == pytest.approx(np.linalg.norm(bound), abs=1e-12)
 
 
@@ -127,17 +142,16 @@ def test_ring_parts_match_dense_evolution_and_bound_projector(n):
     # sectors and the antipodal cells of the pair grid are a large share
     spec = ChainSpec(n, "closed", 0.5, 1.0)
     ring = RingTwoMagnon(spec)
-    rng = np.random.default_rng(n)
-    psi = rng.normal(size=len(ring.pairs)) + 1j * rng.normal(size=len(ring.pairs))
-    psi /= np.linalg.norm(psi)
+    psi = _random_pairs(n, n)
+    upper = np.triu_indices(n, 1)
     ham = oracle.build_hamiltonian(spec, "two_excitation")
-    assert list(ham.basis.pairs) == ring.pairs
+    assert list(ham.basis.pairs) == [(i + 1, j + 1) for i, j in zip(*upper)]
     t = 2.3
     dense = oracle.evolve(oracle.DenseState(psi, ham.basis), ham, t).vector
-    total = ring.evolve_pair_state(psi, t, "total")
+    total = ring.evolve_pair_state(_matrix(psi, n), t, "total")[upper]
     assert np.max(np.abs(total - _reduced(dense, t, spec))) < 1e-12
     projector = oracle.bound_band_projector(spec).projector
-    bound = ring.evolve_pair_state(psi, t, "bound")
+    bound = ring.evolve_pair_state(_matrix(psi, n), t, "bound")[upper]
     assert np.max(np.abs(bound - projector @ total)) < 1e-12
 
 
@@ -148,16 +162,15 @@ def test_folded_blocks_match_dense_evolution_over_delta(n, delta):
     # delta makes the contact well repulsive and moves the parked level
     spec = ChainSpec(n, "closed", 0.5, delta)
     ring = RingTwoMagnon(spec)
-    rng = np.random.default_rng(n)
-    psi = rng.normal(size=len(ring.pairs)) + 1j * rng.normal(size=len(ring.pairs))
-    psi /= np.linalg.norm(psi)
+    psi = _random_pairs(n, n)
+    upper = np.triu_indices(n, 1)
     ham = oracle.build_hamiltonian(spec, "two_excitation")
     t = 2.3
     dense = oracle.evolve(oracle.DenseState(psi, ham.basis), ham, t).vector
-    total = ring.evolve_pair_state(psi, t, "total")
+    total = ring.evolve_pair_state(_matrix(psi, n), t, "total")[upper]
     assert np.max(np.abs(total - _reduced(dense, t, spec))) < 1e-12
-    bound = ring.evolve_pair_state(psi, t, "bound")
-    scatter = ring.evolve_pair_state(psi, t, "scattering")
+    bound = ring.evolve_pair_state(_matrix(psi, n), t, "bound")[upper]
+    scatter = ring.evolve_pair_state(_matrix(psi, n), t, "scattering")[upper]
     assert np.max(np.abs(bound + scatter - total)) < 1e-12
 
 
@@ -182,3 +195,15 @@ def test_ring_validation():
         green2(1, 2, 1, 2, -1.0, SPEC, part="scattering")
     with pytest.raises(ValueError):
         green2(1, 2, 40, 41, 1.0, SPEC)
+    # the kernel reads one triangle per pair, so a pair state must be a
+    # symmetric matrix with a zero diagonal
+    ring = RingTwoMagnon(ChainSpec(6, "closed", 0.5, 1.0))
+    psi = _matrix(_random_pairs(6, 3), 6)
+    lopsided = psi.copy()
+    lopsided[0, 3] += 1e-3
+    with pytest.raises(ValueError):
+        ring.evolve_pair_state(lopsided, 1.0)
+    with pytest.raises(ValueError):
+        ring.evolve_pair_state(psi + np.eye(6), 1.0)
+    with pytest.raises(ValueError):
+        ring.evolve_pair_state(psi[np.triu_indices(6, 1)], 1.0)

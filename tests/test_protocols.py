@@ -93,7 +93,7 @@ def test_rdm_is_physical():
     assert abs(rdm.y) ** 2 <= rdm.x * (1 - rdm.x) + 1e-12
 
 
-def test_gate_channels_match_dense_golden(golden):
+def test_gate_channels_match_dense_golden(golden, channel_fidelity):
     record = golden("unitary_n12")
     m, t0, t = record["inputs"]["m"], record["inputs"]["t0"], record["inputs"]["t"]
     alpha = complex(*record["inputs"]["alpha"])
@@ -111,21 +111,15 @@ def test_gate_channels_match_dense_golden(golden):
         assert np.max(
             np.abs(state.one_magnon / phase - record["values"][f"{label}_one"])
         ) <= tol
-        engine = UnitaryQdpEngine(CLOSED12, event)
-        got_pairs = np.array([state.two_magnon.get(p, 0j) for p in engine.pairs]) / phase
+        got_pairs = state.two_magnon[np.triu_indices(12, 1)] / phase
         assert np.max(np.abs(got_pairs - record["values"][f"{label}_two"])) <= tol
         got_fids = np.array(
-            [
-                np.real(
-                    _state_fidelity_from_channels(state, l, initial, CLOSED12)
-                )
-                for l in record["inputs"]["sites"]
-            ]
+            [channel_fidelity(state, l, initial) for l in record["inputs"]["sites"]]
         )
         assert np.max(np.abs(got_fids - record["values"][f"{label}_fidelity"].real)) <= 1e-9
 
 
-def test_averaged_gate_row_matches_bloch_average_of_state_fidelities():
+def test_averaged_gate_row_matches_bloch_average_of_state_fidelities(channel_fidelity):
     # the row's partner sums against a per-pair loop over the sector amplitudes,
     # averaged over the Bloch sphere by a rule that is exact for these integrands
     event = QdpEvent("local_unitary", m=4, t0=1.5, gate=gate_from_axis(0.6, 0.8, 1.1))
@@ -136,7 +130,7 @@ def test_averaged_gate_row_matches_bloch_average_of_state_fidelities():
 
         def fidelity(alpha, beta):
             initial = InitialState(alpha, beta)
-            return _state_fidelity_from_channels(engine.state(t, initial), l, initial, CLOSED12)
+            return channel_fidelity(engine.state(t, initial), l, initial)
 
         assert row[l - 1] == pytest.approx(oracle.bloch_average(fidelity), abs=1e-12)
 
@@ -164,7 +158,10 @@ def test_gate_state_matches_dense_evolution_on_random_rings():
         dense = oracle.evolve(oracle.apply_local(gate, event.m, mid), ham, t - event.t0).vector
 
         state = unitary_qdp_state(event, t, spec, initial)
-        two = [state.two_magnon.get(p, 0j) - dense[basis.pair_index(*p)] for p in basis.pairs]
+        two = [
+            state.two_magnon[y1 - 1, y2 - 1] - dense[basis.pair_index(y1, y2)]
+            for y1, y2 in basis.pairs
+        ]
         worst = max(
             worst,
             abs(state.vacuum - dense[0]),
@@ -172,21 +169,6 @@ def test_gate_state_matches_dense_evolution_on_random_rings():
             float(np.max(np.abs(two))),
         )
     assert worst <= 1e-10
-
-
-def _state_fidelity_from_channels(state, l, initial, spec):
-    """Per-state transfer fidelity from the sector amplitudes."""
-    vac = state.vacuum
-    one = state.one_magnon
-    x = abs(one[l - 1]) ** 2
-    y = one[l - 1] * np.conj(vac)
-    for (p1, p2), amp in state.two_magnon.items():
-        if l in (p1, p2):
-            x += abs(amp) ** 2
-            partner = p2 if l == p1 else p1
-            y += amp * np.conj(one[partner - 1])
-    alpha, beta = initial.alpha, initial.beta
-    return abs(alpha) ** 2 * (1 - x) + abs(beta) ** 2 * x + 2 * np.real(alpha * np.conj(beta) * y)
 
 
 def test_gate_identity_at_origin_reduces_to_free_interference():
