@@ -4,7 +4,9 @@ Every grid subcommand writes two files: the CSV named by ``--out`` (header
 ``l,t,value``, time as the outer loop, 12 significant digits) and a metadata
 sidecar ``<out>.meta.json`` echoing the resolved parameters, the convention
 fingerprint, and the relevant tolerances.  Outputs are byte-identical across
-re-runs.  Each grid command fills its grid one row of sites per time and
+re-runs.  Each grid command streams one row of sites per time through
+``protocols.grid_values``, which refuses NaN and values outside [0, 1]
+([-1, 1] for differences and the detector) before any file is written, and
 builds its kernels once; ``--threads`` is still accepted but has no effect.
 
 Exit codes: 0 success, 2 unusable arguments or config file, 3 a numerical
@@ -26,7 +28,7 @@ from . import __version__
 from .chain import CONVENTIONS, ChainSpec, InitialState, QdpEvent, conventions_hash, reduced_phase
 from .green1 import HALF_INFINITE_MIN_N, reduced_profile
 from .harper import HarperSpec, fidelity_from_amplitudes, kicked_amplitudes, qdp_readouts
-from .protocols import UnitaryQdpEngine, fidelity_grid, grid_csv, hk_propagators
+from .protocols import UnitaryQdpEngine, fidelity_grid, grid_csv, grid_values, hk_propagators
 from .protocols import projective_rdm, unitary_qdp_state
 from . import oracle
 
@@ -250,7 +252,8 @@ def _check_grid_size(sites: int, times: float) -> None:
         raise ValueError(f"grid of {sites} x {times:.4g} cells is over {MAX_GRID_CELLS}")
 
 
-def _grid_axes(args: argparse.Namespace) -> tuple[list[int], list[float]]:
+def _grid_axes(args: argparse.Namespace) -> tuple[list[int], list[float], dict]:
+    """Site and time axes from the grid flags, and the sidecar's grid block."""
     lmax = args.lmax if args.lmax is not None else args.n
     if not 1 <= args.lmin <= lmax <= args.n:
         raise ValueError(f"need 1 <= lmin <= lmax <= n, got {args.lmin}..{lmax} on n={args.n}")
@@ -262,7 +265,7 @@ def _grid_axes(args: argparse.Namespace) -> tuple[list[int], list[float]]:
     _check_grid_size(lmax - args.lmin + 1, steps + 1)
     ls = list(range(args.lmin, lmax + 1))
     ts = [round(args.tmin + k * args.dt, 12) for k in range(int(steps + 1e-9) + 1)]
-    return ls, ts
+    return ls, ts, {"l": [ls[0], ls[-1]], "t": [ts[0], ts[-1]], "dt": args.dt}
 
 
 def _event(args: argparse.Namespace, kind: str) -> QdpEvent:
@@ -288,11 +291,9 @@ def _initial(alpha2: float | None) -> InitialState | None:
 # --------------------------------------------------------------------------
 
 
-def _run_grid(args: argparse.Namespace, fill) -> int:
-    """Fill the (l, t) grid in one call; fill(ls, ts) gives the values, shape (len(ls), len(ts))."""
-    ls, ts = _grid_axes(args)
-    meta = _metadata(args, {"grid": {"l": [ls[0], ls[-1]], "t": [ts[0], ts[-1]], "dt": args.dt}})
-    _write_outputs(args, grid_csv(ls, ts, fill(ls, ts)), meta)
+def _write_grid(args: argparse.Namespace, ls, ts, values: np.ndarray, grid_meta: dict) -> int:
+    """Write a ``grid_values`` grid as CSV, with ``grid_meta`` as the sidecar's grid block."""
+    _write_outputs(args, grid_csv(ls, ts, values), _metadata(args, {"grid": grid_meta}))
     return EXIT_OK
 
 
@@ -306,30 +307,26 @@ def _run_fidelity_grid(args: argparse.Namespace) -> int:
     else:
         scenario = "difference" if args.diff else "unitary_qdp"
         event, initial = _event(args, "local_unitary"), None
-
-    def fill(ls: list[int], ts: list[float]) -> np.ndarray:
-        return fidelity_grid(spec, scenario, ls, ts, event=event, initial=initial).values
-
-    return _run_grid(args, fill)
+    ls, ts, grid_meta = _grid_axes(args)
+    values = fidelity_grid(spec, scenario, ls, ts, event=event, initial=initial)
+    return _write_grid(args, ls, ts, values, grid_meta)
 
 
 def _run_two_magnon_split(args: argparse.Namespace) -> int:
-    spec = _chain_spec(args)
     event = _event(args, "local_unitary")
+    ls, ts, grid_meta = _grid_axes(args)
+    engine = UnitaryQdpEngine(_chain_spec(args), event)
+    before = np.zeros(args.n)
+    rows = (engine.split_row(t, args.part) if t >= event.t0 else before for t in ts)
+    return _write_grid(args, ls, ts, grid_values(ls, rows), grid_meta)
 
-    def fill(ls: list[int], ts: list[float]) -> np.ndarray:
-        engine = UnitaryQdpEngine(spec, event)
-        sites = np.array(ls) - 1
-        return np.column_stack([
-            engine.split_row(t, args.part)[sites] if t >= event.t0 else np.zeros(len(ls))
-            for t in ts
-        ])
 
-    return _run_grid(args, fill)
+def _harper_spec(args: argparse.Namespace) -> HarperSpec:
+    return HarperSpec(args.n, args.g, args.tau, eta=args.eta, boundary=args.boundary)
 
 
 def _run_harper(args: argparse.Namespace) -> int:
-    spec = HarperSpec(args.n, args.g, args.tau, eta=args.eta, boundary=args.boundary)
+    spec = _harper_spec(args)
     if args.kicks < 0:
         raise ValueError("kick count must be >= 0")
     _check_grid_size(spec.n, args.kicks + 1)
@@ -340,14 +337,12 @@ def _run_harper(args: argparse.Namespace) -> int:
     seed[0] = 1.0
     # one vector stepped once per kick, read out after every kick
     kicks = itertools.islice(kicked_amplitudes(spec, seed), args.kicks + 1)
-    values = np.column_stack([fidelity_from_amplitudes(psi, initial) for (psi,) in kicks])
-    meta = _metadata(args, {"grid": {"l": [1, spec.n], "kicks": args.kicks, "dt": spec.tau}})
-    _write_outputs(args, grid_csv(ls, ts, values), meta)
-    return EXIT_OK
+    values = grid_values(ls, (fidelity_from_amplitudes(psi, initial) for (psi,) in kicks))
+    return _write_grid(args, ls, ts, values, {"l": [1, spec.n], "kicks": args.kicks, "dt": spec.tau})
 
 
 def _run_detector(args: argparse.Namespace) -> int:
-    spec = HarperSpec(args.n, args.g, args.tau, eta=args.eta, boundary=args.boundary)
+    spec = _harper_spec(args)
     if not 0 <= args.qdp_kick <= args.kicks:
         raise ValueError("need 0 <= qdp-kick <= kicks")
     _check_grid_size(spec.n, args.kicks - args.qdp_kick + 1)
@@ -358,10 +353,9 @@ def _run_detector(args: argparse.Namespace) -> int:
     ts = [n * spec.tau for n in range(args.qdp_kick, args.kicks + 1)]
     # the branches are stepped once per kick, read out after every kick
     readouts = itertools.islice(qdp_readouts(spec, args.qdp_site, args.qdp_kick, initial), len(ts))
-    values = np.column_stack([res.detector for res in readouts])
-    meta = _metadata(args, {"grid": {"l": [1, spec.n], "kicks": [args.qdp_kick, args.kicks], "dt": spec.tau}})
-    _write_outputs(args, grid_csv(ls, ts, values), meta)
-    return EXIT_OK
+    values = grid_values(ls, (res.detector for res in readouts), lo=-1.0)
+    grid_meta = {"l": [1, spec.n], "kicks": [args.qdp_kick, args.kicks], "dt": spec.tau}
+    return _write_grid(args, ls, ts, values, grid_meta)
 
 
 # --------------------------------------------------------------------------

@@ -179,7 +179,8 @@ class HarperQdpResult:
 
     def __post_init__(self) -> None:
         total = float(np.sum(self.detector))
-        if abs(total) > 1e-9:
+        # written as "not within" so that NaN, which compares False, fails too
+        if not abs(total) <= 1e-9:
             raise ValueError(f"detector profile must sum to 0, got {total:.3e}")
 
 

@@ -385,28 +385,21 @@ def grid_csv(l_values, t_values, values: np.ndarray) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class FidelityGrid:
-    """Fidelity values over a site x time lattice for one scenario."""
+def grid_values(l_values, rows, lo: float = 0.0) -> np.ndarray:
+    """Stack site rows, one per time and each over every site, into a checked grid.
 
-    values: np.ndarray
-    l_values: tuple[int, ...]
-    t_values: tuple[float, ...]
-    scenario: Scenario
-    event: QdpEvent
-    spec: ChainSpec
-
-    def __post_init__(self):
-        if self.values.shape != (len(self.l_values), len(self.t_values)):
-            raise ValueError("grid shape must be (len(l_values), len(t_values))")
-        lo, hi = (-1.0, 1.0) if self.scenario == "difference" else (0.0, 1.0)
-        # written as "all inside" so that NaN, which compares False, fails too
-        if not np.all((self.values >= lo - 1e-9) & (self.values <= hi + 1e-9)):
-            raise ValueError(f"{self.scenario} grid values leave [{lo}, {hi}] or are NaN")
-
-    def to_csv(self) -> str:
-        """CSV rows l,t,value with time as the outer loop, 12 significant digits."""
-        return grid_csv(self.l_values, self.t_values, self.values)
+    Picks the 1-based sites ``l_values`` out of every row and returns the
+    (len(l_values), times) array. Raises ValueError unless every value lies
+    in [lo, 1] to 1e-9; ``lo`` is -1 for differences and 0 for fidelities.
+    """
+    sites = np.asarray(l_values, dtype=np.int64) - 1
+    columns = [row[sites] for row in rows]
+    # the reshape keeps the (sites, 0) shape of a grid with no times
+    values = np.array(columns).reshape(len(columns), len(sites)).T
+    # written as "all inside" so that NaN, which compares False, fails too
+    if not np.all((values >= lo - 1e-9) & (values <= 1.0 + 1e-9)):
+        raise ValueError(f"grid values leave [{lo:g}, 1] or are NaN")
+    return values
 
 
 def fidelity_grid(
@@ -417,8 +410,8 @@ def fidelity_grid(
     *,
     event: QdpEvent | None = None,
     initial: InitialState | None = None,
-) -> FidelityGrid:
-    """Fill a fidelity lattice one row over all sites per time, then pick ``l_values``.
+) -> np.ndarray:
+    """The (len(l_values), len(t_values)) fidelity grid of one scenario, via ``grid_values``.
 
     Times before t0 fall back to free values (0 for ``scenario='difference'``,
     which subtracts the free average from the event's scenario average,
@@ -456,15 +449,5 @@ def fidelity_grid(
             return _delta_projective_row(event.m, t, event.t0, spec)
         return _fidelity_row(*_projective_parts(event.m, t, event.t0, spec), initial)
 
-    sites = np.array(l_values, dtype=np.int64) - 1
-    values = np.zeros((len(l_values), len(t_values)))
-    for j, t in enumerate(t_values):
-        values[:, j] = row(t)[sites]
-    return FidelityGrid(
-        values=values,
-        l_values=l_values,
-        t_values=t_values,
-        scenario=scenario,
-        event=event,
-        spec=spec,
-    )
+    lo = -1.0 if scenario == "difference" else 0.0
+    return grid_values(l_values, (row(t) for t in t_values), lo)

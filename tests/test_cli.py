@@ -48,7 +48,7 @@ def test_fidelity_grid_matches_library_and_reruns_byte_identical(tmp_path):
     assert rows[0][1] == 0.0 and rows[-1][1] == 1.0
     grid = fidelity_grid(ChainSpec(8, "open", 0.5, 1.0), "free", ls, ts)
     for l, t, v in rows:
-        assert v == pytest.approx(grid.values[ls.index(l), ts.index(t)], rel=1e-10, abs=1e-12)
+        assert v == pytest.approx(grid[ls.index(l), ts.index(t)], rel=1e-10, abs=1e-12)
 
 
 def test_thread_count_does_not_change_output(tmp_path):
@@ -142,6 +142,14 @@ def test_exit_codes_for_bad_usage(tmp_path):
     assert main(["harper", "--n", "10", "--g", "nan", "--out", str(tmp_path / "x.csv")]) == 2
     assert main(["harper", "--n", "10", "--eta", "nan", "--out", str(tmp_path / "x.csv")]) == 2
     assert main(["two-magnon-split", "--n", "10", "--delta-abs", "nan", "--tmax", "5",
+                 "--out", str(tmp_path / "x.csv")]) == 2
+    # NaN values in a grid: tau * g overflows the kick phase, Delta = 1e308 the pair energies
+    assert main(["harper", "--n", "8", "--g", "1e10", "--tau", "1e300", "--kicks", "2",
+                 "--out", str(tmp_path / "x.csv")]) == 2
+    assert main(["detector", "--n", "8", "--g", "1e10", "--tau", "1e300", "--qdp-kick", "1",
+                 "--kicks", "3", "--alpha2", "0.5", "--out", str(tmp_path / "x.csv")]) == 2
+    assert main(["two-magnon-split", "--n", "8", "--boundary", "closed", "--site", "3",
+                 "--t0", "1", "--tmax", "2", "--dt", "1", "--delta", "1e308", "--part", "total",
                  "--out", str(tmp_path / "x.csv")]) == 2
     # --tol belongs to the two checks only
     assert main(["fidelity", "--n", "6", "--tmax", "0.5", "--tol", "1e-30",

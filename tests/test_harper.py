@@ -242,3 +242,6 @@ def test_parameter_validation():
         qdp_and_detect(spec, 6, 1, 3, InitialState(0.0, 1.0))
     with pytest.raises(ValueError):
         qdp_and_detect(spec, 2, 4, 3, InitialState(0.0, 1.0))
+    # tau * g overflows, so every kick phase and the detector are NaN
+    with pytest.raises(ValueError):
+        qdp_and_detect(HarperSpec(8, 1e10, 1e300), 2, 1, 3, InitialState(0.6, 0.8))

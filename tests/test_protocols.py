@@ -9,12 +9,13 @@ from spinchain import oracle
 from spinchain.chain import ChainSpec, InitialState, QdpEvent, gate_from_axis, reduced_phase
 from spinchain.green1 import reduced_profile
 from spinchain.protocols import (
-    FidelityGrid,
     UnitaryQdpEngine,
     delta_fidelity_projective,
     fidelity_free,
     fidelity_grid,
     fidelity_projective,
+    grid_csv,
+    grid_values,
     hk_propagators,
     projective_rdm,
     unitary_qdp_state,
@@ -216,7 +217,7 @@ def test_split_fidelity_parts_add_up_over_the_ring():
         2.0 * gate_weight * engine.two_magnon_weight(5.0), abs=1e-10
     )
     grid = fidelity_grid(CLOSED12, "unitary_qdp", [4], [5.0], event=event)
-    assert grid.values[0, 0] == pytest.approx(engine.fidelity_row(5.0)[3], abs=1e-12)
+    assert grid[0, 0] == pytest.approx(engine.fidelity_row(5.0)[3], abs=1e-12)
 
 
 def test_grid_fills_pre_event_cells_with_reference_values():
@@ -224,14 +225,14 @@ def test_grid_fills_pre_event_cells_with_reference_values():
     l_values = [1, 2, 3]
     t_values = [1.0, 2.0, 3.0]
     diff = fidelity_grid(OPEN12, "difference", l_values, t_values, event=event)
-    assert diff.values.shape == (3, 3)
-    assert np.all(diff.values[:, 0] == 0.0)  # before the event nothing changed
-    assert np.any(diff.values[:, 1:] != 0.0)
+    assert diff.shape == (3, 3)
+    assert np.all(diff[:, 0] == 0.0)  # before the event nothing changed
+    assert np.any(diff[:, 1:] != 0.0)
     free = fidelity_grid(OPEN12, "free", l_values, t_values)
     measured = fidelity_grid(OPEN12, "projective_qdp", l_values, t_values, event=event)
-    assert np.allclose(measured.values[:, 0], free.values[:, 0], atol=1e-12)
-    recomposed = measured.values - free.values
-    assert np.allclose(recomposed, diff.values, atol=1e-12)
+    assert np.allclose(measured[:, 0], free[:, 0], atol=1e-12)
+    recomposed = measured - free
+    assert np.allclose(recomposed, diff, atol=1e-12)
 
 
 def test_bloch_only_grids_refuse_a_per_state_initial():
@@ -247,21 +248,14 @@ def test_bloch_only_grids_refuse_a_per_state_initial():
     with pytest.raises(ValueError):
         fidelity_grid(OPEN12, "difference", [1, 2], [0.5, 2.0], event=measure, initial=state)
     per_state = fidelity_grid(OPEN12, "projective_qdp", [1, 2], [0.5, 2.0], event=measure, initial=state)
-    assert per_state.values[0, 1] == pytest.approx(
+    assert per_state[0, 1] == pytest.approx(
         fidelity_projective(1, 3, 2.0, 1.0, OPEN12, initial=state), abs=1e-15
     )
 
 
 def test_grid_csv_layout():
-    grid = FidelityGrid(
-        values=np.array([[0.5, 0.25], [1.0, 0.125]]),
-        l_values=(1, 2),
-        t_values=(0.0, 1.5),
-        scenario="free",
-        event=QdpEvent(kind="none"),
-        spec=OPEN12,
-    )
-    lines = grid.to_csv().strip().split("\n")
+    csv = grid_csv((1, 2), (0.0, 1.5), np.array([[0.5, 0.25], [1.0, 0.125]]))
+    lines = csv.strip().split("\n")
     assert lines[0] == "l,t,value"
     assert lines[1].startswith("1,0.00000000000e+00,5.00000000000e-01")
     # time is the outer loop: both sites at t=0 come before any t=1.5 row
@@ -269,16 +263,12 @@ def test_grid_csv_layout():
     assert lines[3].startswith("1,1.50000000000e+00")
 
 
-def test_grid_rejects_nan_values():
+@pytest.mark.parametrize(
+    "bad, lo", [(np.nan, 0.0), (1.5, 0.0), (-1.5, -1.0)], ids=["nan", "above-one", "below-lo"]
+)
+def test_grid_rejects_nan_values(bad, lo):
     with pytest.raises(ValueError):
-        FidelityGrid(
-            values=np.array([[0.5, np.nan]]),
-            l_values=(1,),
-            t_values=(0.0, 1.5),
-            scenario="free",
-            event=QdpEvent(kind="none"),
-            spec=OPEN12,
-        )
+        grid_values([1], [np.array([0.5]), np.array([bad])], lo=lo)
 
 
 def test_sites_outside_the_chain_are_rejected():
