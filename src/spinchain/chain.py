@@ -67,6 +67,11 @@ class ChainSpec:
             raise ValueError(f"coupling j must be positive and finite, got {self.j}")
         if not math.isfinite(self.delta):
             raise ValueError(f"delta must be finite, got {self.delta}")
+        # the largest pair-kernel entry, 4*J*(|Delta| + 4), must not overflow
+        if not math.isfinite(4.0 * self.j * (abs(self.delta) + 4.0)):
+            raise ValueError(
+                f"4*j*(|delta| + 4) must be finite, got j = {self.j}, delta = {self.delta}"
+            )
 
     @property
     def n_bonds(self) -> int:

@@ -10,9 +10,6 @@ Open chains of ``HALF_INFINITE_MIN_N`` or more sites are modelled as
 half-infinite: their rows come from an open chain long enough that no front
 comes back from its far end, and only the first N entries are kept.
 
-``reduced_hop_amplitudes`` gives the boundary-free i^n J_n(4Jt) hops, an
-independent reference for the spectral rows before any front returns.
-
 "Reduced" quantities carry the convenience phase e^{+i*eps0*t}, i.e. energies
 are measured from the fully polarized reference state; full amplitudes restore
 e^{-i*eps0*t}.
@@ -21,28 +18,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bessel import MAX_ARG, bessel_j_sequence, truncation_order
+from .bessel import MAX_ARG, truncation_order
 from .chain import Boundary, ChainSpec
-
-_I_POW = np.array([1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j])
 
 #: Open chains at least this large are modelled as half-infinite (see the module docstring).
 HALF_INFINITE_MIN_N = 100
-
-
-def reduced_hop_amplitudes(offsets: np.ndarray | list[int], z: float) -> np.ndarray:
-    """i^n J_n(z) for integer lattice offsets n (vectorized, either sign).
-
-    This is the boundary-free one-magnon propagator with the reference-state
-    phase removed: <x+n| e^{-iHt} |x> * e^{+i*eps0*t} at z = 4*J*t.
-    """
-    offsets = np.asarray(offsets, dtype=np.int64)
-    magnitudes = np.abs(offsets)
-    seq = bessel_j_sequence(int(magnitudes.max(initial=0)), z)
-    values = seq[magnitudes]
-    phases = _I_POW[offsets % 4]
-    signs = np.where((offsets < 0) & (magnitudes % 2 == 1), -1.0, 1.0)
-    return phases * signs * values
 
 
 def free_propagator(n: int, boundary: Boundary, z: float, sources) -> np.ndarray:

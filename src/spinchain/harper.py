@@ -67,6 +67,11 @@ class HarperSpec:
             raise ValueError(f"kick interval tau must be > 0, got {self.tau}")
         if not (math.isfinite(self.g) and math.isfinite(self.eta)):
             raise ValueError(f"g and eta must be finite, got g = {self.g}, eta = {self.eta}")
+        # the kick phase tau*g*cos(2*pi*j*eta/n) must not overflow on its way
+        if not math.isfinite(self.tau * self.g):
+            raise ValueError(f"tau * g must be finite, got tau = {self.tau}, g = {self.g}")
+        if not math.isfinite(2.0 * math.pi * self.n * self.eta):
+            raise ValueError(f"2*pi*n*eta must be finite, got n = {self.n}, eta = {self.eta}")
         if self.boundary not in ("open", "closed"):
             raise ValueError(f"unknown boundary {self.boundary!r}")
 

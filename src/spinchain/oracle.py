@@ -3,9 +3,10 @@
 Everything in this module is built from raw bit and pair bookkeeping — never
 from the analytic dispersion, Bessel, or Bethe formulas — so that the
 analytic modules and this one form two genuinely independent routes to the
-same numbers. Supported bases: the full 2^N space (N <= 12), single- and
-two-excitation sectors (N <= 64), and their direct sum with the vacuum
-("vacuum_one_two", the natural home of local-gate pipelines).
+same numbers. Supported bases: the full 2^N space (N <= 12), the
+single-excitation sector (N <= 2016), the two-excitation sector (N <= 64),
+and the direct sum of the vacuum with both ("vacuum_one_two", the natural
+home of local-gate pipelines).
 """
 from __future__ import annotations
 
@@ -24,6 +25,8 @@ Sector = Literal["full", "one_excitation", "two_excitation", "vacuum_one_two"]
 
 MAX_FULL_N = 12
 MAX_PAIR_N = 64
+#: As large as the pair sector at MAX_PAIR_N: 2016 x 2016 doubles, 32 MB.
+MAX_ONE_N = MAX_PAIR_N * (MAX_PAIR_N - 1) // 2
 
 
 def _bonds(spec: ChainSpec) -> list[tuple[int, int]]:
@@ -151,6 +154,8 @@ def build_hamiltonian(spec: ChainSpec, sector: Sector) -> DenseHamiltonian:
             raise ValueError(f"full space limited to N <= {MAX_FULL_N}, got {spec.n}")
         matrix = _build_full(spec)
     elif sector == "one_excitation":
+        if spec.n > MAX_ONE_N:
+            raise ValueError(f"one-excitation sector limited to N <= {MAX_ONE_N}, got {spec.n}")
         matrix = _build_one(spec)
     elif sector == "two_excitation":
         if spec.n > MAX_PAIR_N:

@@ -20,7 +20,7 @@ import pytest
 from spinchain import oracle
 from spinchain.chain import ChainSpec, InitialState, QdpEvent, reduced_phase
 from spinchain.cli import main as cli_main
-from spinchain.green1 import reduced_hop_amplitudes, reduced_profile
+from spinchain.green1 import reduced_profile
 from spinchain.green2 import green2
 from spinchain.harper import (
     HarperSpec,
@@ -38,6 +38,8 @@ from spinchain.protocols import (
     hk_propagators,
     unitary_qdp_state,
 )
+
+from bessel_reference import reduced_hop_amplitudes
 
 OPEN100 = ChainSpec(100, "open", 0.5, 1.0)
 

@@ -1,11 +1,13 @@
-"""Cylinder-function evaluator: reference values, identities, stability."""
+"""Reference Bessel evaluator and the package's truncation rule: values, identities, stability."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from spinchain.bessel import bessel_j, bessel_j_sequence, start_order, truncation_order
+from spinchain.bessel import truncation_order
+
+from bessel_reference import bessel_j, bessel_j_sequence, start_order
 
 # High-precision reference values (30-digit arbitrary-precision evaluation).
 REFERENCE = [

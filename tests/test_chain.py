@@ -55,6 +55,11 @@ def test_spec_validation():
         ChainSpec(4, "diagonal", 0.5, 1.0)  # type: ignore[arg-type]
     with pytest.raises(ValueError):
         ChainSpec(4, "open", 0.0, 1.0)
+    # the pair energy 4*J*(|Delta| + 4) overflows; the message names both fields
+    ChainSpec(4, "closed", 0.5, 1e300)
+    for j, delta in ((0.5, 1e308), (1e308, 1.0), (1e308, -1e308)):
+        with pytest.raises(ValueError, match=r"j = .*delta = "):
+            ChainSpec(4, "closed", j, delta)
 
 
 def test_initial_state_norm():

@@ -158,6 +158,38 @@ def test_exit_codes_for_bad_usage(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv,fields", [
+    (["harper", "--n", "8", "--g", "1e10", "--tau", "1e300", "--kicks", "2"], ("tau", "g")),
+    (["detector", "--n", "8", "--g", "1e10", "--tau", "1e300", "--qdp-kick", "1",
+      "--kicks", "3", "--alpha2", "0.5"], ("tau", "g")),
+    (["harper", "--n", "8", "--eta", "1e308", "--kicks", "2"], ("n", "eta")),
+    (["two-magnon-split", "--n", "8", "--boundary", "closed", "--site", "3", "--t0", "1",
+      "--tmax", "2", "--dt", "1", "--delta", "1e308", "--part", "total"], ("j", "delta")),
+    (["fidelity", "--n", "8", "--j", "1e308", "--tmax", "0"], ("j", "delta")),
+])
+def test_overflowing_parameters_are_refused_by_name(tmp_path, capsys, argv, fields):
+    assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    for field in fields:
+        assert f"{field} = " in err, err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_calibrate_refuses_a_dense_matrix_too_large_to_hold(tmp_path, monkeypatch):
+    from spinchain import oracle
+
+    original = oracle._build_one
+
+    def guarded(spec):
+        if spec.n > 10_000:  # 800 MB of doubles
+            pytest.fail(f"dense {spec.n} x {spec.n} one-excitation matrix requested")
+        return original(spec)
+
+    monkeypatch.setattr(oracle, "_build_one", guarded)
+    assert main(["calibrate", "--n", "100000", "--out", str(tmp_path / "c.json")]) == 2
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_oversized_grids_exit_before_allocation(tmp_path):
     # every grid here is refused from its axis bounds alone, before any list is built
     out = ["--out", str(tmp_path / "x.csv")]

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from spinchain import oracle
-from spinchain.bessel import MAX_ARG, bessel_j
+from spinchain.bessel import MAX_ARG
 from spinchain.chain import ChainSpec, reduced_phase
-from spinchain.green1 import reduced_hop_amplitudes, reduced_profile
+from spinchain.green1 import reduced_profile
+
+from bessel_reference import bessel_j, reduced_hop_amplitudes
 
 
 @pytest.mark.parametrize("boundary", ["open", "closed"])

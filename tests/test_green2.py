@@ -7,8 +7,9 @@ import pytest
 
 from spinchain import oracle
 from spinchain.chain import ChainSpec, reduced_phase
-from spinchain.green1 import reduced_hop_amplitudes
 from spinchain.green2 import MAX_RING_SITES, RingTwoMagnon, green2
+
+from bessel_reference import reduced_hop_amplitudes
 
 SPEC = ChainSpec(40, "closed", 0.5, 1.0)
 

@@ -245,3 +245,9 @@ def test_parameter_validation():
     # tau * g overflows, so every kick phase and the detector are NaN
     with pytest.raises(ValueError):
         qdp_and_detect(HarperSpec(8, 1e10, 1e300), 2, 1, 3, InitialState(0.6, 0.8))
+    # the spec itself refuses it, and a potential phase 2*pi*n*eta that overflows, by name
+    HarperSpec(n=5, g=1e10, tau=1e290, eta=1e300)
+    with pytest.raises(ValueError, match=r"tau = .*g = "):
+        HarperSpec(8, 1e10, 1e300)
+    with pytest.raises(ValueError, match=r"n = .*eta = "):
+        HarperSpec(n=8, g=1.0, tau=0.1, eta=1e308)
