@@ -462,6 +462,9 @@ def _run_calibrate(args: argparse.Namespace) -> int:
     front stays well short of the far end.
     """
     tol = args.tol if args.tol is not None else 1e-10
+    # refused before the smaller sizes are built and evolved
+    if args.n > oracle.MAX_ONE_N:
+        raise ValueError(f"dense check limited to n <= {oracle.MAX_ONE_N}, got n = {args.n}")
     report: dict[str, dict] = {}
     failures = []
     for n in sorted({args.n, max(args.n, HALF_INFINITE_MIN_N)}):

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bessel import MAX_ARG
 from .chain import Boundary, InitialState
 from .green1 import free_propagator
 from .protocols import _bloch_from_quadratic, _fidelity_row
@@ -44,6 +45,9 @@ __all__ = [
     "spread_metric",
 ]
 
+#: Largest chain: the dense n x n complex Floquet step is then 64 MB.
+MAX_N = 2048
+
 
 @dataclass(frozen=True)
 class HarperSpec:
@@ -61,8 +65,8 @@ class HarperSpec:
     boundary: Boundary = "open"
 
     def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError(f"need at least 2 sites, got {self.n}")
+        if not 2 <= self.n <= MAX_N:
+            raise ValueError(f"need 2 <= n <= {MAX_N} sites, got n = {self.n}")
         if not (self.tau > 0.0 and math.isfinite(self.tau)):
             raise ValueError(f"kick interval tau must be > 0, got {self.tau}")
         if not (math.isfinite(self.g) and math.isfinite(self.eta)):
@@ -72,6 +76,9 @@ class HarperSpec:
             raise ValueError(f"tau * g must be finite, got tau = {self.tau}, g = {self.g}")
         if not math.isfinite(2.0 * math.pi * self.n * self.eta):
             raise ValueError(f"2*pi*n*eta must be finite, got n = {self.n}, eta = {self.eta}")
+        # the hop factor is free_propagator at z = -2*tau, whose phases round past MAX_ARG
+        if 2.0 * self.tau > MAX_ARG:
+            raise ValueError(f"2*tau must be <= {MAX_ARG}, got tau = {self.tau}")
         if self.boundary not in ("open", "closed"):
             raise ValueError(f"unknown boundary {self.boundary!r}")
 

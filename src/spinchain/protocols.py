@@ -377,12 +377,12 @@ def unitary_qdp_state(
 
 
 def grid_csv(l_values, t_values, values: np.ndarray) -> str:
-    """CSV rows l,t,value with time as the outer loop, 12 significant digits."""
-    lines = ["l,t,value"]
-    for j, t in enumerate(t_values):
-        for i, l in enumerate(l_values):
-            lines.append(f"{l},{t:.11e},{values[i, j]:.11e}")
-    return "\n".join(lines) + "\n"
+    """CSV rows l,t,value, time outer, 12 significant digits: one ``%`` per time's column."""
+    template = "".join(f"{l},%s,%.11e\n" for l in l_values)
+    blocks = ["l,t,value\n"]
+    for t, column in zip(t_values, values.T):
+        blocks.append(template.replace("%s", f"{t:.11e}") % tuple(column.tolist()))
+    return "".join(blocks)
 
 
 def grid_values(l_values, rows, lo: float = 0.0) -> np.ndarray:

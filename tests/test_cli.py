@@ -166,6 +166,11 @@ def test_exit_codes_for_bad_usage(tmp_path):
     (["two-magnon-split", "--n", "8", "--boundary", "closed", "--site", "3", "--t0", "1",
       "--tmax", "2", "--dt", "1", "--delta", "1e308", "--part", "total"], ("j", "delta")),
     (["fidelity", "--n", "8", "--j", "1e308", "--tmax", "0"], ("j", "delta")),
+    # finite, but the hop phases 2*tau*cos p would be rounding noise
+    (["harper", "--n", "8", "--g", "0", "--tau", "1e300", "--kicks", "2"], ("tau",)),
+    # a dense 3e6 x 3e6 Floquet step; refused before anything is allocated
+    (["harper", "--n", "3000000", "--kicks", "0"], ("n",)),
+    (["detector", "--n", "3000000", "--qdp-kick", "0", "--kicks", "0", "--alpha2", "0.5"], ("n",)),
 ])
 def test_overflowing_parameters_are_refused_by_name(tmp_path, capsys, argv, fields):
     assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 2
@@ -175,18 +180,15 @@ def test_overflowing_parameters_are_refused_by_name(tmp_path, capsys, argv, fiel
     assert list(tmp_path.iterdir()) == []
 
 
-def test_calibrate_refuses_a_dense_matrix_too_large_to_hold(tmp_path, monkeypatch):
+def test_calibrate_refuses_a_dense_matrix_too_large_to_hold(tmp_path, monkeypatch, capsys):
     from spinchain import oracle
 
-    original = oracle._build_one
+    def refused(spec):
+        pytest.fail(f"dense {spec.n} x {spec.n} one-excitation matrix built before the refusal")
 
-    def guarded(spec):
-        if spec.n > 10_000:  # 800 MB of doubles
-            pytest.fail(f"dense {spec.n} x {spec.n} one-excitation matrix requested")
-        return original(spec)
-
-    monkeypatch.setattr(oracle, "_build_one", guarded)
+    monkeypatch.setattr(oracle, "_build_one", refused)
     assert main(["calibrate", "--n", "100000", "--out", str(tmp_path / "c.json")]) == 2
+    assert "n = 100000" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -12,9 +12,11 @@ import math
 import numpy as np
 import pytest
 
+from spinchain.bessel import MAX_ARG
 from spinchain.chain import ChainSpec, InitialState
 from spinchain.green1 import reduced_profile
 from spinchain.harper import (
+    MAX_N,
     HarperSpec,
     fidelity_free_kicked,
     floquet_step,
@@ -246,8 +248,20 @@ def test_parameter_validation():
     with pytest.raises(ValueError):
         qdp_and_detect(HarperSpec(8, 1e10, 1e300), 2, 1, 3, InitialState(0.6, 0.8))
     # the spec itself refuses it, and a potential phase 2*pi*n*eta that overflows, by name
-    HarperSpec(n=5, g=1e10, tau=1e290, eta=1e300)
+    HarperSpec(n=5, g=1e300, tau=1.0, eta=1e300)
     with pytest.raises(ValueError, match=r"tau = .*g = "):
         HarperSpec(8, 1e10, 1e300)
     with pytest.raises(ValueError, match=r"n = .*eta = "):
         HarperSpec(n=8, g=1.0, tau=0.1, eta=1e308)
+    # finite, but past the argument where the hop factor's phases are exact
+    with pytest.raises(ValueError, match=r"tau = "):
+        HarperSpec(8, 0.0, 1e300)
+    with pytest.raises(ValueError, match=r"tau = "):
+        HarperSpec(8, 0.0, MAX_ARG / 2 * (1 + 1e-12))
+    HarperSpec(8, 0.0, MAX_ARG / 2)
+    # the dense n x n Floquet step is bounded; the refusal allocates nothing
+    with pytest.raises(ValueError, match=r"n = 3000000"):
+        HarperSpec(n=3_000_000, g=1.0, tau=0.1)
+    with pytest.raises(ValueError, match=r"n = "):
+        HarperSpec(n=MAX_N + 1, g=1.0, tau=0.1)
+    HarperSpec(n=MAX_N, g=1.0, tau=0.1)

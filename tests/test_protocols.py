@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
+from csv_reference import grid_csv_reference
 from spinchain import oracle
 from spinchain.chain import ChainSpec, InitialState, QdpEvent, gate_from_axis, reduced_phase
 from spinchain.green1 import reduced_profile
@@ -261,6 +264,49 @@ def test_grid_csv_layout():
     # time is the outer loop: both sites at t=0 come before any t=1.5 row
     assert lines[2].startswith("2,0.00000000000e+00")
     assert lines[3].startswith("1,1.50000000000e+00")
+
+
+_EDGE_VALUES = (0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324, -1.0, 1.0)
+
+
+def _kicked_times(count):
+    return [k * 0.1 for k in range(count)]
+
+
+def _rounded_times(count, tmin=0.3, dt=0.1):
+    return [round(tmin + k * dt, 12) for k in range(count)]
+
+
+def _assert_same_csv(got: str, want: str) -> None:
+    """Byte equality, reported as the first differing line (a full diff takes minutes)."""
+    if got == want:
+        return
+    pairs = itertools.zip_longest(got.split("\n"), want.split("\n"))
+    line, (a, b) = next((i, p) for i, p in enumerate(pairs) if p[0] != p[1])
+    pytest.fail(f"line {line}: {a!r} != reference {b!r} (lengths {len(got)}, {len(want)})")
+
+
+@pytest.mark.parametrize("sites, times", [
+    (range(1, 2), _kicked_times(1)),
+    (range(1, 2), _rounded_times(1)),
+    (range(1, 2), _kicked_times(len(_EDGE_VALUES))),  # every edge value in one site row
+    (range(1, 101), _kicked_times(501)),
+    (range(1, 101), _rounded_times(501, tmin=0.0, dt=0.25)),
+    (range(1, 11), _kicked_times(1000)),
+    (range(1, 11), _rounded_times(1000, dt=0.01)),
+    (range(7, 20), _rounded_times(40, tmin=2.5)),  # --lmin 7
+    (range(1, 6), []),
+], ids=["1x1-kicked", "1x1-rounded", "1x8-edges", "100x501-kicked", "100x501-rounded",
+        "10x1000-kicked", "10x1000-rounded", "lmin7", "no-times"])
+def test_grid_csv_matches_the_per_cell_reference(sites, times):
+    ls = list(sites)
+    rng = np.random.default_rng(len(ls) * 1009 + len(times))
+    values = rng.uniform(-1.0, 1.0, size=(len(ls), len(times)))
+    # plant every edge value along the flattened grid
+    values.flat[: len(_EDGE_VALUES)] = _EDGE_VALUES[: values.size]
+    _assert_same_csv(grid_csv(ls, times, values), grid_csv_reference(ls, times, values))
+    if not times:
+        assert grid_csv(ls, times, values) == "l,t,value\n"
 
 
 @pytest.mark.parametrize(
