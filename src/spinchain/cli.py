@@ -4,10 +4,11 @@ Every grid subcommand writes two files: the CSV named by ``--out`` (header
 ``l,t,value``, time as the outer loop, 12 significant digits) and a metadata
 sidecar ``<out>.meta.json`` echoing the resolved parameters, the convention
 fingerprint, and the relevant tolerances.  Outputs are byte-identical across
-re-runs.  Each grid command streams one row of sites per time through
-``protocols.grid_values``, which refuses NaN and values outside [0, 1]
-([-1, 1] for differences and the detector) before any file is written, and
-builds its kernels once; ``--threads`` is still accepted but has no effect.
+re-runs.  Each grid command has its own runner, which builds its kernels
+once and streams one row of sites per time (before ``--t0``: the free row,
+or zeros for a difference) into ``protocols.grid_values``; that refuses NaN
+and values outside [0, 1] ([-1, 1] for differences and the detector) before
+any file is written.  ``--threads`` is still accepted but has no effect.
 
 Exit codes: 0 success, 2 unusable arguments or config file, 3 a numerical
 check failed, 4 output could not be written.
@@ -28,8 +29,8 @@ from . import __version__
 from .chain import CONVENTIONS, ChainSpec, InitialState, QdpEvent, conventions_hash, reduced_phase
 from .green1 import HALF_INFINITE_MIN_N, reduced_profile
 from .harper import HarperSpec, fidelity_from_amplitudes, kicked_amplitudes, qdp_readouts
-from .protocols import UnitaryQdpEngine, fidelity_grid, grid_csv, grid_values, hk_propagators
-from .protocols import projective_rdm, unitary_qdp_state
+from .protocols import UnitaryQdpEngine, delta_fidelity_projective_row, fidelity_free_row
+from .protocols import grid_csv, grid_values, hk_propagators, projective_rdm, unitary_qdp_state
 from . import oracle
 
 EXIT_OK = 0
@@ -177,6 +178,10 @@ def _parse_config_file(path: str) -> dict[str, str]:
     return entries
 
 
+_TRUE_WORDS = ("1", "true", "yes", "on")
+_FALSE_WORDS = ("0", "false", "no", "off")
+
+
 def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
     """Parse argv; when --config names a file, use it for defaults (flags win)."""
     args = parser.parse_args(argv)
@@ -193,11 +198,14 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.
         if action is None:
             raise ValueError(f"config key {key!r} is not a flag of {args.command!r}")
         if isinstance(action, argparse._StoreTrueAction):
-            defaults[key] = value.lower() in ("1", "true", "yes", "on")
-        elif action.type is not None:
-            defaults[key] = action.type(value)
+            if value.lower() not in _TRUE_WORDS + _FALSE_WORDS:
+                raise ValueError(f"config key {key!r} takes one of {_TRUE_WORDS + _FALSE_WORDS}")
+            defaults[key] = value.lower() in _TRUE_WORDS
         else:
-            defaults[key] = value
+            converted = action.type(value) if action.type is not None else value
+            if action.choices is not None and converted not in action.choices:
+                raise ValueError(f"config key {key!r} takes one of {tuple(action.choices)}")
+            defaults[key] = converted
     subparser.set_defaults(**defaults)
     return parser.parse_args(argv)
 
@@ -297,18 +305,36 @@ def _write_grid(args: argparse.Namespace, ls, ts, values: np.ndarray, grid_meta:
     return EXIT_OK
 
 
-def _run_fidelity_grid(args: argparse.Namespace) -> int:
-    """fidelity, qdp-diff and unitary-qdp: one fidelity_grid call fills the whole grid."""
-    spec = _chain_spec(args)
-    if args.command == "fidelity":
-        scenario, event, initial = "free", None, _initial(args.alpha2)
-    elif args.command == "qdp-diff":
-        scenario, event, initial = "difference", _event(args, "projective"), None
-    else:
-        scenario = "difference" if args.diff else "unitary_qdp"
-        event, initial = _event(args, "local_unitary"), None
+def _run_fidelity(args: argparse.Namespace) -> int:
+    spec, initial = _chain_spec(args), _initial(args.alpha2)
     ls, ts, grid_meta = _grid_axes(args)
-    values = fidelity_grid(spec, scenario, ls, ts, event=event, initial=initial)
+    rows = (fidelity_free_row(t, spec, initial) for t in ts)
+    return _write_grid(args, ls, ts, grid_values(ls, rows), grid_meta)
+
+
+def _run_qdp_diff(args: argparse.Namespace) -> int:
+    spec, event = _chain_spec(args), _event(args, "projective")
+    ls, ts, grid_meta = _grid_axes(args)
+    before = np.zeros(args.n)
+    rows = (delta_fidelity_projective_row(event.m, t, event.t0, spec) if t >= event.t0 else before
+            for t in ts)
+    return _write_grid(args, ls, ts, grid_values(ls, rows, lo=-1.0), grid_meta)
+
+
+def _run_unitary_qdp(args: argparse.Namespace) -> int:
+    """Gated fidelity, or with --diff its change against free evolution (0 before t0)."""
+    spec, event = _chain_spec(args), _event(args, "local_unitary")
+    ls, ts, grid_meta = _grid_axes(args)
+    engine = UnitaryQdpEngine(spec, event)
+    before = np.zeros(args.n)
+
+    def row(t: float) -> np.ndarray:
+        if t < event.t0:
+            return before if args.diff else fidelity_free_row(t, spec)
+        gated = engine.fidelity_row(t)
+        return gated - fidelity_free_row(t, spec) if args.diff else gated
+
+    values = grid_values(ls, (row(t) for t in ts), lo=-1.0 if args.diff else 0.0)
     return _write_grid(args, ls, ts, values, grid_meta)
 
 
@@ -363,8 +389,16 @@ def _run_detector(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------------------
 
 
+def _tolerance(args: argparse.Namespace, default: float) -> float:
+    """--tol, or the check's default; refused unless finite and > 0."""
+    tol = args.tol if args.tol is not None else default
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and > 0, got tol = {tol}")
+    return tol
+
+
 def _run_oracle_check(args: argparse.Namespace) -> int:
-    tol = args.tol if args.tol is not None else 1e-9
+    tol = _tolerance(args, 1e-9)
     n = args.n
     # the gate check needs a two-magnon ring and a dense pair sector
     if not 3 <= n <= oracle.MAX_PAIR_N:
@@ -461,7 +495,7 @@ def _run_calibrate(args: argparse.Namespace) -> int:
     HALF_INFINITE_MIN_N sites, where open chains are half-infinite: there the
     front stays well short of the far end.
     """
-    tol = args.tol if args.tol is not None else 1e-10
+    tol = _tolerance(args, 1e-10)
     # refused before the smaller sizes are built and evolved
     if args.n > oracle.MAX_ONE_N:
         raise ValueError(f"dense check limited to n <= {oracle.MAX_ONE_N}, got n = {args.n}")
@@ -493,9 +527,9 @@ def _run_calibrate(args: argparse.Namespace) -> int:
 
 
 _RUNNERS = {
-    "fidelity": _run_fidelity_grid,
-    "qdp-diff": _run_fidelity_grid,
-    "unitary-qdp": _run_fidelity_grid,
+    "fidelity": _run_fidelity,
+    "qdp-diff": _run_qdp_diff,
+    "unitary-qdp": _run_unitary_qdp,
     "two-magnon-split": _run_two_magnon_split,
     "harper": _run_harper,
     "detector": _run_detector,

@@ -134,6 +134,8 @@ class RingTwoMagnon:
         form. The three parts resolve the identity: bound + scattering =
         total propagation.
         """
+        if part not in self._keep:
+            raise ValueError(f"unknown part {part!r}; expected one of {tuple(self._keep)}")
         psi = np.asarray(psi, dtype=complex)
         n, blocks = len(self._gauge), len(self._evals)
         if psi.shape != (n, n):

@@ -7,9 +7,11 @@ instantaneous local unitary gate at site m at t0 (which opens the two-magnon
 channel). Fidelities are reported per encoded state or averaged analytically
 over the Bloch sphere.
 
-Every formula is evaluated as a row over all target sites at one time; the
-single-site functions pick their entry out of the same row, and grids are
-filled one row per time.
+Every formula is evaluated as a row over all target sites at one time
+(``fidelity_free_row``, ``delta_fidelity_projective_row``,
+``UnitaryQdpEngine.fidelity_row``); the single-site functions pick their
+entry out of the same row, and ``grid_values`` stacks one row per time into
+a checked grid.
 
 Phase bookkeeping: public amplitudes (QdpPropagators, UnitaryState) carry full
 phases, so H + K reproduces the one-magnon propagator exactly. Fidelity
@@ -19,15 +21,12 @@ out of every physical combination).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
 
 from .chain import BLOCH_MOMENTS, ChainSpec, InitialState, QdpEvent, reduced_phase
 from .green1 import reduced_profile
 from .green2 import Part, RingTwoMagnon
-
-Scenario = Literal["free", "projective_qdp", "unitary_qdp", "difference"]
 
 
 # --------------------------------------------------------------------------
@@ -115,21 +114,21 @@ def _at(row: np.ndarray, l: int):
 # --------------------------------------------------------------------------
 
 
-def _free_parts(t: float, spec: ChainSpec) -> tuple[np.ndarray, np.ndarray]:
-    """(site weight, coherent amplitude) rows of free evolution from site 1."""
+def fidelity_free_row(t: float, spec: ChainSpec, initial: InitialState | None = None) -> np.ndarray:
+    """Transfer fidelity at every site under free evolution from site 1.
+
+    Without ``initial`` the result is the analytic Bloch-sphere average
+    1/2 + |g|^2/6 + Re(g)/3 in reduced phases; with it, the per-state value.
+    """
     g = reduced_profile(1, t, spec)
-    return np.abs(g) ** 2, g
+    return _fidelity_row(np.abs(g) ** 2, g, initial)
 
 
 def fidelity_free(
     l: int, t: float, spec: ChainSpec, *, initial: InitialState | None = None
 ) -> float:
-    """Transfer fidelity at site l under free evolution.
-
-    Without ``initial`` the result is the analytic Bloch-sphere average
-    1/2 + |g|^2/6 + Re(g)/3 in reduced phases; with it, the per-state value.
-    """
-    return float(_at(_fidelity_row(*_free_parts(t, spec), initial), l))
+    """Transfer fidelity at site l under free evolution: entry l of ``fidelity_free_row``."""
+    return float(_at(fidelity_free_row(t, spec, initial), l))
 
 
 # --------------------------------------------------------------------------
@@ -176,6 +175,8 @@ def hk_propagators(y: int, yp: int, m: int, t: float, t0: float, spec: ChainSpec
     not as g - k, so the h + k = g identity is a real composition test.
     """
     _check_measurement_times(t, t0)
+    if not 1 <= m <= spec.n:
+        raise ValueError(f"measured site m={m} out of range 1..{spec.n}")
     first = reduced_profile(y, t0, spec)
     second = reduced_profile(yp, t - t0, spec)  # = g(y'' -> yp) by symmetry
     sites = np.arange(1, spec.n + 1)
@@ -202,7 +203,12 @@ def _projective_parts(m: int, t: float, t0: float, spec: ChainSpec):
     return np.abs(h) ** 2 + np.abs(k) ** 2, h
 
 
-def _delta_projective_row(m: int, t: float, t0: float, spec: ChainSpec) -> np.ndarray:
+def delta_fidelity_projective_row(m: int, t: float, t0: float, spec: ChainSpec) -> np.ndarray:
+    """Bloch-averaged fidelity change at every site caused by measuring site m at t0.
+
+    Exact reduced form (|k|^2 - Re(conj(g) k) - Re k)/3, algebraically equal
+    to the projective minus the free averaged fidelity.
+    """
     g, k = _reduced_gk_rows(m, t, t0, spec)
     return (np.abs(k) ** 2 - (np.conj(g) * k).real - k.real) / 3.0
 
@@ -228,12 +234,8 @@ def fidelity_projective(
 
 
 def delta_fidelity_projective(l: int, m: int, t: float, t0: float, spec: ChainSpec) -> float:
-    """Bloch-averaged fidelity change caused by the measurement.
-
-    Exact reduced form (|k|^2 - Re(conj(g) k) - Re k)/3, algebraically equal
-    to fidelity_projective - fidelity_free.
-    """
-    return float(_at(_delta_projective_row(m, t, t0, spec), l))
+    """Bloch-averaged fidelity change at site l: entry l of ``delta_fidelity_projective_row``."""
+    return float(_at(delta_fidelity_projective_row(m, t, t0, spec), l))
 
 
 # --------------------------------------------------------------------------
@@ -401,53 +403,3 @@ def grid_values(l_values, rows, lo: float = 0.0) -> np.ndarray:
         raise ValueError(f"grid values leave [{lo:g}, 1] or are NaN")
     return values
 
-
-def fidelity_grid(
-    spec: ChainSpec,
-    scenario: Scenario,
-    l_values,
-    t_values,
-    *,
-    event: QdpEvent | None = None,
-    initial: InitialState | None = None,
-) -> np.ndarray:
-    """The (len(l_values), len(t_values)) fidelity grid of one scenario, via ``grid_values``.
-
-    Times before t0 fall back to free values (0 for ``scenario='difference'``,
-    which subtracts the free average from the event's scenario average,
-    projective or unitary by event kind). A gate scenario builds one
-    ``UnitaryQdpEngine`` for the whole grid. The Bloch-only ``unitary_qdp``
-    and ``difference`` scenarios refuse a per-state ``initial``.
-    """
-    l_values = tuple(int(l) for l in l_values)
-    t_values = tuple(float(t) for t in t_values)
-    if event is None:
-        event = QdpEvent(kind="none", m=1, t0=0.0)
-    if any(not 1 <= l <= spec.n for l in l_values):
-        raise ValueError(f"grid sites must lie in 1..{spec.n}")
-    if scenario not in ("free", "projective_qdp", "unitary_qdp", "difference"):
-        raise ValueError(f"unknown scenario {scenario!r}")
-    if scenario != "free" and event.kind == "none":
-        raise ValueError(f"scenario {scenario!r} needs a QDP event")
-    if initial is not None and scenario in ("unitary_qdp", "difference"):
-        raise ValueError(f"scenario {scenario!r} is Bloch-averaged only; drop initial")
-    gated = scenario == "unitary_qdp" or (
-        scenario == "difference" and event.kind == "local_unitary"
-    )
-    engine = UnitaryQdpEngine(spec, event) if gated else None
-
-    def row(t: float) -> np.ndarray:
-        if scenario == "free" or t < event.t0:
-            if scenario == "difference":
-                return np.zeros(spec.n)
-            return _fidelity_row(*_free_parts(t, spec), initial)
-        if engine is not None and scenario == "difference":
-            return engine.fidelity_row(t) - _fidelity_row(*_free_parts(t, spec), None)
-        if engine is not None:
-            return engine.fidelity_row(t)
-        if scenario == "difference":
-            return _delta_projective_row(event.m, t, event.t0, spec)
-        return _fidelity_row(*_projective_parts(event.m, t, event.t0, spec), initial)
-
-    lo = -1.0 if scenario == "difference" else 0.0
-    return grid_values(l_values, (row(t) for t in t_values), lo)

@@ -5,6 +5,7 @@ process boundary to check exit-code propagation of the installed module.
 """
 from __future__ import annotations
 
+import importlib.util
 import json
 import math
 import os
@@ -18,7 +19,7 @@ import pytest
 from spinchain.chain import ChainSpec, InitialState, conventions_hash
 from spinchain.cli import main
 from spinchain.harper import HarperSpec, fidelity_free_kicked
-from spinchain.protocols import fidelity_grid
+from spinchain.protocols import fidelity_free_row
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -30,7 +31,7 @@ def _read_csv(path):
     return parsed
 
 
-def test_fidelity_grid_matches_library_and_reruns_byte_identical(tmp_path):
+def test_fidelity_command_matches_library_and_reruns_byte_identical(tmp_path):
     args = ["fidelity", "--n", "8", "--tmax", "1.0", "--dt", "0.5", "--lmax", "4"]
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     assert main(args + ["--out", str(out1)]) == 0
@@ -46,9 +47,9 @@ def test_fidelity_grid_matches_library_and_reruns_byte_identical(tmp_path):
     # rows iterate t in the outer loop
     assert [r[0] for r in rows[: len(ls)]] == ls
     assert rows[0][1] == 0.0 and rows[-1][1] == 1.0
-    grid = fidelity_grid(ChainSpec(8, "open", 0.5, 1.0), "free", ls, ts)
+    spec = ChainSpec(8, "open", 0.5, 1.0)
     for l, t, v in rows:
-        assert v == pytest.approx(grid[ls.index(l), ts.index(t)], rel=1e-10, abs=1e-12)
+        assert v == pytest.approx(fidelity_free_row(t, spec)[l - 1], rel=1e-10, abs=1e-12)
 
 
 def test_thread_count_does_not_change_output(tmp_path):
@@ -73,6 +74,23 @@ def test_qdp_diff_is_zero_before_the_event(tmp_path):
     after = [v for _, t, v in rows if t > 1.0]
     assert before and all(v == 0.0 for v in before)
     assert any(v != 0.0 for v in after)
+
+
+def test_unitary_qdp_cells_before_t0_are_free_or_zero(tmp_path):
+    # before the gate nothing has happened: the free fidelity, or no change
+    axes = ["--n", "12", "--boundary", "closed", "--tmin", "0.5", "--tmax", "4", "--dt", "0.5",
+            "--lmin", "2", "--lmax", "9"]
+    gate = ["unitary-qdp", *axes, "--site", "3", "--t0", "2.0"]
+    paths = {name: tmp_path / f"{name}.csv" for name in ("free", "gate", "diff")}
+    assert main(["fidelity", *axes, "--out", str(paths["free"])]) == 0
+    assert main([*gate, "--out", str(paths["gate"])]) == 0
+    assert main([*gate, "--diff", "--out", str(paths["diff"])]) == 0
+    lines = {name: path.read_text().splitlines()[1:] for name, path in paths.items()}
+    before = [float(line.split(",")[1]) for line in lines["free"]].index(2.0)
+    assert before == 3 * 8  # t = 0.5, 1.0, 1.5 at sites 2..9, time outer
+    assert lines["gate"][:before] == lines["free"][:before]
+    assert all(line.endswith(",0.00000000000e+00") for line in lines["diff"][:before])
+    assert lines["gate"][before:] != lines["free"][before:]
 
 
 def test_config_file_sets_defaults_and_flags_override(tmp_path):
@@ -105,6 +123,14 @@ def test_config_file_rejects_unknown_keys(tmp_path):
     cfg.write_text("command = harper\n")
     assert main(["fidelity", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
     assert main(["fidelity", "--config", str(tmp_path / "missing.cfg")]) == 2
+    # values are checked as the flags check them: a choice, or a true or false word
+    cfg.write_text("part = foo\n")
+    assert main(["two-magnon-split", "--n", "10", "--site", "3", "--t0", "1", "--tmax", "2",
+                 "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+    cfg.write_text("diff = maybe\n")
+    assert main(["unitary-qdp", "--n", "10", "--site", "3", "--t0", "1", "--tmax", "2",
+                 "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_metadata_sidecar_contents(tmp_path):
@@ -154,6 +180,11 @@ def test_exit_codes_for_bad_usage(tmp_path):
     # --tol belongs to the two checks only
     assert main(["fidelity", "--n", "6", "--tmax", "0.5", "--tol", "1e-30",
                  "--out", str(tmp_path / "x.csv")]) == 2
+    # a tolerance must be finite and positive; it is checked before any check is built
+    report = ["--out", str(tmp_path / "x.json")]
+    assert main(["oracle-check", "--n", "6", "--tol", "inf", *report]) == 2
+    assert main(["oracle-check", "--n", "6", "--tol", "nan", *report]) == 2
+    assert main(["calibrate", "--tol", "-1", *report]) == 2
     assert main(["--help"]) == 0
     assert list(tmp_path.iterdir()) == []
 
@@ -340,6 +371,20 @@ def test_unitary_qdp_and_split_commands_run(tmp_path):
     split_values = [v for _, _, v in _read_csv(out2)]
     assert all(v >= 0.0 for v in split_values)
     assert any(v > 0.0 for v in split_values)
+
+
+def test_readme_outputs_tool_runs_every_readme_command(tmp_path):
+    path = ROOT / "tools" / "readme_outputs.py"
+    spec = importlib.util.spec_from_file_location("readme_outputs", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    results = tool.run(tmp_path)
+    assert len(results) == 8
+    for argv, code in results:
+        assert code == 0, argv
+        out = pathlib.Path(argv[argv.index("--out") + 1])
+        assert out.parent == tmp_path
+        assert out.is_file() and out.with_name(out.name + ".meta.json").is_file()
 
 
 def test_exit_code_crosses_the_process_boundary():

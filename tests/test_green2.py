@@ -196,6 +196,8 @@ def test_ring_validation():
         green2(1, 2, 1, 2, -1.0, SPEC, part="scattering")
     with pytest.raises(ValueError):
         green2(1, 2, 40, 41, 1.0, SPEC)
+    with pytest.raises(ValueError):
+        green2(1, 2, 1, 2, 1.0, SPEC, part="foo")
     # the kernel reads one triangle per pair, so a pair state must be a
     # symmetric matrix with a zero diagonal
     ring = RingTwoMagnon(ChainSpec(6, "closed", 0.5, 1.0))

@@ -15,7 +15,6 @@ from spinchain.protocols import (
     UnitaryQdpEngine,
     delta_fidelity_projective,
     fidelity_free,
-    fidelity_grid,
     fidelity_projective,
     grid_csv,
     grid_values,
@@ -219,41 +218,6 @@ def test_split_fidelity_parts_add_up_over_the_ring():
     assert np.sum(totals) == pytest.approx(
         2.0 * gate_weight * engine.two_magnon_weight(5.0), abs=1e-10
     )
-    grid = fidelity_grid(CLOSED12, "unitary_qdp", [4], [5.0], event=event)
-    assert grid[0, 0] == pytest.approx(engine.fidelity_row(5.0)[3], abs=1e-12)
-
-
-def test_grid_fills_pre_event_cells_with_reference_values():
-    event = QdpEvent("projective", m=3, t0=2.0)
-    l_values = [1, 2, 3]
-    t_values = [1.0, 2.0, 3.0]
-    diff = fidelity_grid(OPEN12, "difference", l_values, t_values, event=event)
-    assert diff.shape == (3, 3)
-    assert np.all(diff[:, 0] == 0.0)  # before the event nothing changed
-    assert np.any(diff[:, 1:] != 0.0)
-    free = fidelity_grid(OPEN12, "free", l_values, t_values)
-    measured = fidelity_grid(OPEN12, "projective_qdp", l_values, t_values, event=event)
-    assert np.allclose(measured[:, 0], free[:, 0], atol=1e-12)
-    recomposed = measured - free
-    assert np.allclose(recomposed, diff, atol=1e-12)
-
-
-def test_bloch_only_grids_refuse_a_per_state_initial():
-    # a gate or difference grid is Bloch-averaged after t0; a per-state
-    # initial would mix per-state values before t0 with averaged ones after
-    state = InitialState(0.6, 0.8)
-    gate = QdpEvent("local_unitary", m=3, t0=1.0, gate=(0.0, 1.0))
-    with pytest.raises(ValueError):
-        fidelity_grid(CLOSED12, "unitary_qdp", [1, 2], [0.5, 2.0], event=gate, initial=state)
-    with pytest.raises(ValueError):
-        fidelity_grid(CLOSED12, "difference", [1, 2], [0.5, 2.0], event=gate, initial=state)
-    measure = QdpEvent("projective", m=3, t0=1.0)
-    with pytest.raises(ValueError):
-        fidelity_grid(OPEN12, "difference", [1, 2], [0.5, 2.0], event=measure, initial=state)
-    per_state = fidelity_grid(OPEN12, "projective_qdp", [1, 2], [0.5, 2.0], event=measure, initial=state)
-    assert per_state[0, 1] == pytest.approx(
-        fidelity_projective(1, 3, 2.0, 1.0, OPEN12, initial=state), abs=1e-15
-    )
 
 
 def test_grid_csv_layout():
@@ -325,8 +289,11 @@ def test_sites_outside_the_chain_are_rejected():
         fidelity_projective(0, 3, 2.0, 1.0, OPEN12)
     with pytest.raises(ValueError):
         projective_rdm(13, 3, 2.0, 1.0, OPEN12, InitialState(0.6, 0.8))
+    # the measured site of the split propagators is checked too
     with pytest.raises(ValueError):
-        fidelity_grid(OPEN12, "free", [0, 1], [1.0])
+        hk_propagators(1, 2, 0, 2.0, 1.0, OPEN12)
+    with pytest.raises(ValueError):
+        hk_propagators(1, 2, 13, 2.0, 1.0, OPEN12)
 
 
 def test_time_ordering_validation():
