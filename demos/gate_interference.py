@@ -14,8 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from spinchain.chain import ChainSpec, QdpEvent
-from spinchain.green1 import reduced_profile
-from spinchain.protocols import UnitaryQdpEngine
+from spinchain.protocols import UnitaryQdpEngine, fidelity_free_row
 
 
 def main() -> None:
@@ -26,8 +25,7 @@ def main() -> None:
     engine = UnitaryQdpEngine(ring, event)
     for k in range(1, 19):
         t = 7.5 + 0.25 * k
-        g = reduced_profile(1, t, ring)
-        free = 0.5 + np.abs(g) ** 2 / 6.0 + g.real / 3.0
+        free = fidelity_free_row(t, ring)
         gated = engine.fidelity_row(t)
         gain = (gated - free) / free
         idx = int(np.argmax(gain))

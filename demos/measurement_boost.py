@@ -20,12 +20,7 @@ import numpy as np
 
 from spinchain.chain import ChainSpec
 from spinchain.green1 import reduced_profile
-
-
-def delta_row(spec: ChainSpec, m: int, t0: float, t: float, source_at_probe: complex):
-    g = reduced_profile(1, t, spec)
-    k = source_at_probe * reduced_profile(m, t - t0, spec)
-    return (np.abs(k) ** 2 - (np.conj(g) * k).real - k.real) / 3.0
+from spinchain.protocols import delta_fidelity_projective_row
 
 
 def main() -> None:
@@ -36,10 +31,9 @@ def main() -> None:
         ("probe site 20 at t0 = 10", 20, 10.0),
         ("probe source at t0 = 10 ", 1, 10.0),
     ):
-        source_at_probe = complex(reduced_profile(1, t0, spec)[m - 1])
         worst = 0.0
         for k in range(1, 1201):
-            row = delta_row(spec, m, t0, t0 + 0.05 * k, source_at_probe)
+            row = delta_fidelity_projective_row(m, t0 + 0.05 * k, t0, spec)
             worst = max(worst, float(np.max(np.abs(row))))
         print(f"  {label}: max |dF| = {worst:.4f}")
 

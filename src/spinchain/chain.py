@@ -83,30 +83,6 @@ class ChainSpec:
         """Energy of the fully polarized reference state: -J * n_bonds."""
         return -self.j * self.n_bonds
 
-    def site_range(self) -> range:
-        """1-based site indices."""
-        return range(1, self.n + 1)
-
-
-def dispersion_one_magnon(p: float, spec: ChainSpec) -> float:
-    """One-magnon energy eps0 - 4*J*cos(p)."""
-    return spec.ground_energy - 4.0 * spec.j * math.cos(p)
-
-
-def two_magnon_energy(p1: float, p2: float, spec: ChainSpec) -> float:
-    """Two-magnon band energy eps0 + 4*J*(Delta - cos p1) + 4*J*(Delta - cos p2).
-
-    Each magnon is quoted with its full anisotropy cost 4*J*Delta. The
-    time-evolution kernels use the spectrum of the implemented Hamiltonian,
-    which in this sector is uniformly lower by 8*J*Delta because the fully
-    polarized reference state sets the zero (see ``CONVENTIONS``).
-    """
-    return (
-        spec.ground_energy
-        + 4.0 * spec.j * (spec.delta - math.cos(p1))
-        + 4.0 * spec.j * (spec.delta - math.cos(p2))
-    )
-
 
 @dataclass(frozen=True)
 class BlochMoments:
@@ -118,10 +94,8 @@ class BlochMoments:
     """
 
     abs_alpha_sq: float = 0.5
-    abs_beta_sq: float = 0.5
     alpha_sq_beta_sq: float = 1.0 / 6.0
     abs_alpha_4: float = 1.0 / 3.0
-    cross: float = 0.0
 
 
 BLOCH_MOMENTS = BlochMoments()
@@ -142,20 +116,7 @@ class InitialState:
             raise ValueError(f"|alpha|^2 + |beta|^2 must be 1, got {norm}")
 
 
-def gate_from_axis(n_x: float, n_y: float, angle: float) -> tuple[complex, complex]:
-    """Gate pair (gamma, delta) for a rotation by ``angle`` about an equatorial axis.
-
-    Returns gamma = cos(angle) (real) and delta = (n_y + i n_x) sin(angle),
-    where (n_x, n_y) is a unit vector in the equatorial plane. These satisfy
-    the unitarity constraints |gamma|^2 + |delta|^2 = 1, Im(gamma) = 0.
-    """
-    n_norm = math.hypot(n_x, n_y)
-    if abs(n_norm - 1.0) > 1e-9:
-        raise ValueError(f"axis (n_x, n_y) must be a unit vector, |n| = {n_norm}")
-    return (math.cos(angle), (n_y + 1j * n_x) * math.sin(angle))
-
-
-QdpKind = Literal["none", "projective", "local_unitary"]
+QdpKind = Literal["projective", "local_unitary"]
 
 
 @dataclass(frozen=True)
@@ -174,7 +135,7 @@ class QdpEvent:
     gate: tuple[complex, complex] | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("none", "projective", "local_unitary"):
+        if self.kind not in ("projective", "local_unitary"):
             raise ValueError(f"unknown QDP kind {self.kind!r}")
         if self.m < 1:
             raise ValueError(f"site index m must be >= 1, got {self.m}")
@@ -206,11 +167,6 @@ class QdpEvent:
         if self.gate is None:
             raise ValueError("event has no gate")
         return complex(self.gate[1])
-
-    def gate_matrix(self) -> list[list[complex]]:
-        """2x2 matrix of V in the (up, down) basis: [[gamma, -conj(delta)], [delta, gamma]]."""
-        g, d = self.gamma, self.delta
-        return [[g, -d.conjugate()], [d, g]]
 
 
 def reduced_phase(spec: ChainSpec, t: float) -> complex:

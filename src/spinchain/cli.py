@@ -30,7 +30,7 @@ from .chain import CONVENTIONS, ChainSpec, InitialState, QdpEvent, conventions_h
 from .green1 import HALF_INFINITE_MIN_N, reduced_profile
 from .harper import HarperSpec, fidelity_from_amplitudes, kicked_amplitudes, qdp_readouts
 from .protocols import UnitaryQdpEngine, delta_fidelity_projective_row, fidelity_free_row
-from .protocols import grid_csv, grid_values, hk_propagators, projective_rdm, unitary_qdp_state
+from .protocols import grid_csv, grid_values, hk_propagators, projective_rdm_row, unitary_qdp_state
 from . import oracle
 
 EXIT_OK = 0
@@ -40,7 +40,8 @@ EXIT_IO = 4
 
 _CSV_FORMAT = "l,t,value; t outer, l inner; 12 significant digits"
 
-#: Largest grid (sites x times) a command fills; a larger one exits 2 before allocation.
+#: Most rows x sites a command computes (all n sites per row, every kick from 0 on the
+#: kicked chain); more exits 2 before allocation.
 MAX_GRID_CELLS = 10**7
 
 
@@ -202,7 +203,13 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.
                 raise ValueError(f"config key {key!r} takes one of {_TRUE_WORDS + _FALSE_WORDS}")
             defaults[key] = value.lower() in _TRUE_WORDS
         else:
-            converted = action.type(value) if action.type is not None else value
+            try:
+                converted = action.type(value) if action.type is not None else value
+            except ValueError:
+                raise ValueError(
+                    f"{args.config}: config key {key!r}: {value!r} is not a valid "
+                    f"{action.type.__name__}"
+                ) from None
             if action.choices is not None and converted not in action.choices:
                 raise ValueError(f"config key {key!r} takes one of {tuple(action.choices)}")
             defaults[key] = converted
@@ -270,7 +277,8 @@ def _grid_axes(args: argparse.Namespace) -> tuple[list[int], list[float], dict]:
     if args.dt <= 0 or args.tmax < args.tmin:
         raise ValueError("need dt > 0 and tmax >= tmin")
     steps = (args.tmax - args.tmin) / args.dt
-    _check_grid_size(lmax - args.lmin + 1, steps + 1)
+    # every row is computed over all n sites, whatever part of it is kept
+    _check_grid_size(args.n, steps + 1)
     ls = list(range(args.lmin, lmax + 1))
     ts = [round(args.tmin + k * args.dt, 12) for k in range(int(steps + 1e-9) + 1)]
     return ls, ts, {"l": [ls[0], ls[-1]], "t": [ts[0], ts[-1]], "dt": args.dt}
@@ -371,7 +379,8 @@ def _run_detector(args: argparse.Namespace) -> int:
     spec = _harper_spec(args)
     if not 0 <= args.qdp_kick <= args.kicks:
         raise ValueError("need 0 <= qdp-kick <= kicks")
-    _check_grid_size(spec.n, args.kicks - args.qdp_kick + 1)
+    # every kick from 0 is stepped, not only the kicks read out
+    _check_grid_size(spec.n, args.kicks + 1)
     initial = _initial(args.alpha2)
     if initial is None:
         raise ValueError("the detector needs a definite encoded state (--alpha2)")
@@ -442,10 +451,10 @@ def _run_oracle_check(args: argparse.Namespace) -> int:
         rho = np.outer(mid, np.conj(mid))
         rho = oracle.kraus_measure(m, rho, basis)
         rho = oracle.evolve_density(rho, ham, t - t0)
+        x, y = projective_rdm_row(m, t, t0, spec, initial)
         for l in (1, m, n):
             x_caught, y_caught = oracle.rdm_site_density(rho, l, basis)
-            mine = projective_rdm(l, m, t, t0, spec, initial)
-            worst = max(worst, abs(mine.x - x_caught), abs(mine.y - y_caught))
+            worst = max(worst, abs(x[l - 1] - x_caught), abs(y[l - 1] - y_caught))
     record("measurement protocol vs dense evolution", worst, tol)
 
     # Gate protocol on the ring against dense evolution in the paired sector.

@@ -10,6 +10,13 @@ dynamics, so the whole evolution - including a projective occupation
 measurement of site m after n0 kicks - reduces to N-dimensional linear
 algebra in the one-particle sector.
 
+Every readout is a stream over kicks: ``kicked_amplitudes`` yields the seed
+vectors after 0, 1, 2, ... periods, and ``qdp_readouts`` yields the measured
+run's readout after every kick from the measurement on.  Callers take the
+kicks they need with ``itertools.islice``.  The measured run's RDM and
+fidelity rows come from the same ``protocols._rdm_row`` / ``_fidelity_row``
+code as the spin chain's.
+
 The kick-strength/kick-interval plane interpolates between transport that is
 ballistic (small g, small tau), localized (large g), and effectively
 instantaneous across the chain (tau near 1), which the detector profile
@@ -27,7 +34,7 @@ import numpy as np
 from .bessel import MAX_ARG
 from .chain import Boundary, InitialState
 from .green1 import free_propagator
-from .protocols import _bloch_from_quadratic, _fidelity_row
+from .protocols import _fidelity_row, _rdm_row
 
 __all__ = [
     "HarperSpec",
@@ -36,12 +43,8 @@ __all__ = [
     "kick_phases",
     "floquet_step",
     "kicked_amplitudes",
-    "propagate",
-    "free_occupation_profile",
     "fidelity_from_amplitudes",
-    "fidelity_free_kicked",
     "qdp_readouts",
-    "qdp_and_detect",
     "spread_metric",
 ]
 
@@ -125,35 +128,6 @@ def kicked_amplitudes(spec: HarperSpec, *seeds: np.ndarray) -> Iterator[tuple[np
         vectors = tuple(step @ v for v in vectors)
 
 
-def _after_kicks(spec: HarperSpec, n_kicks: int, *seeds: np.ndarray) -> tuple[np.ndarray, ...]:
-    if n_kicks < 0:
-        raise ValueError(f"kick count must be >= 0, got {n_kicks}")
-    return next(itertools.islice(kicked_amplitudes(spec, *seeds), n_kicks, None))
-
-
-def _site_one(spec: HarperSpec, amplitude: complex = 1.0) -> np.ndarray:
-    psi = np.zeros(spec.n, dtype=complex)
-    psi[0] = amplitude
-    return psi
-
-
-def propagate(spec: HarperSpec, n_kicks: int, initial: InitialState) -> tuple[complex, np.ndarray]:
-    """Evolve the encoded state through n_kicks periods.
-
-    Returns (vacuum amplitude, one-particle amplitude vector).  The vacuum
-    amplitude is constant: the kick potential and the hopping both annihilate
-    the empty chain.
-    """
-    (psi,) = _after_kicks(spec, n_kicks, _site_one(spec, initial.beta))
-    return complex(initial.alpha), psi
-
-
-def free_occupation_profile(spec: HarperSpec, n_kicks: int, initial: InitialState) -> np.ndarray:
-    """Site-occupation expectation values after n_kicks periods, no interruption."""
-    _, psi = propagate(spec, n_kicks, initial)
-    return np.abs(psi) ** 2
-
-
 def fidelity_from_amplitudes(u: np.ndarray, initial: InitialState | None = None) -> np.ndarray:
     """Transfer fidelity per site from the unit-seed amplitudes u (particle released at site 1).
 
@@ -163,18 +137,13 @@ def fidelity_from_amplitudes(u: np.ndarray, initial: InitialState | None = None)
     return _fidelity_row(np.abs(u) ** 2, u, initial)
 
 
-def fidelity_free_kicked(spec: HarperSpec, n_kicks: int, initial: InitialState | None = None) -> np.ndarray:
-    """Transfer fidelity per site after n_kicks periods, no interruption."""
-    (u,) = _after_kicks(spec, n_kicks, _site_one(spec))
-    return fidelity_from_amplitudes(u, initial)
-
-
 @dataclass(frozen=True)
 class HarperQdpResult:
     """Per-site readout after a site-m occupation measurement at kick n0.
 
-    ``occupation`` and ``coherence`` are the interrupted RDM elements, rows of
-    the measured-then-evolved density matrix; ``detector`` is the occupation
+    ``occupation`` and ``coherence`` are the interrupted RDM rows (x, y) of
+    the measured-then-evolved density matrix, built by ``protocols._rdm_row``
+    in its orientation y = <flipped|rho|unflipped>; ``detector`` is the occupation
     difference against the uninterrupted run (sums to zero: the measurement
     preserves the total particle-number expectation); ``fidelity`` is the
     Bloch-sphere-averaged transfer fidelity.
@@ -207,9 +176,12 @@ def qdp_readouts(spec: HarperSpec, m: int, n0: int, initial: InitialState) -> It
     """
     if not 1 <= m <= spec.n:
         raise ValueError(f"measurement site m = {m} outside 1..{spec.n}")
-    alpha, beta = complex(initial.alpha), complex(initial.beta)
+    if n0 < 0:
+        raise ValueError(f"measurement kick n0 must be >= 0, got n0 = {n0}")
 
-    (u_mid,) = _after_kicks(spec, n0, _site_one(spec))
+    seed = np.zeros(spec.n, dtype=complex)
+    seed[0] = 1.0
+    (u_mid,) = next(itertools.islice(kicked_amplitudes(spec, seed), n0, None))
     survive_seed = u_mid.copy()
     survive_seed[m - 1] = 0.0
     collapse_seed = np.zeros(spec.n, dtype=complex)
@@ -217,31 +189,18 @@ def qdp_readouts(spec: HarperSpec, m: int, n0: int, initial: InitialState) -> It
     kicks = kicked_amplitudes(spec, survive_seed, collapse_seed, u_mid)
     for n, (h, k, u_free) in enumerate(kicks, start=n0):
         abs2 = np.abs(h) ** 2 + np.abs(k) ** 2
-        occupation = abs(beta) ** 2 * abs2
-        free_occ = abs(beta) ** 2 * np.abs(u_free) ** 2
+        occupation, coherence = _rdm_row(abs2, h, initial)
+        free_occ = abs(initial.beta) ** 2 * np.abs(u_free) ** 2
         yield HarperQdpResult(
             occupation=occupation,
-            coherence=alpha * np.conj(beta) * np.conj(h),
+            coherence=coherence,
             detector=occupation - free_occ,
-            fidelity=_bloch_from_quadratic(abs2, h.real),
+            fidelity=_fidelity_row(abs2, h, None),
             free_occupation=free_occ,
             m=m,
             n0=n0,
             n=n,
         )
-
-
-def qdp_and_detect(
-    spec: HarperSpec,
-    m: int,
-    n0: int,
-    n: int,
-    initial: InitialState,
-) -> HarperQdpResult:
-    """Measure the occupation of site m after n0 kicks, read out after n kicks."""
-    if not 0 <= n0 <= n:
-        raise ValueError(f"need 0 <= n0 <= n, got n0 = {n0}, n = {n}")
-    return next(itertools.islice(qdp_readouts(spec, m, n0, initial), n - n0, None))
 
 
 def spread_metric(profile: np.ndarray) -> float:

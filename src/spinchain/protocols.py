@@ -1,17 +1,20 @@
 """State-transfer protocols: free evolution, mid-evolution measurement, local gates.
 
 A single excitation encodes a qubit (alpha, beta) as alpha|vacuum> + beta|site 1>.
-The protocols track the site-l reduced density matrix through free evolution,
-an instantaneous projective measurement of site m at time t0, or an
-instantaneous local unitary gate at site m at t0 (which opens the two-magnon
-channel). Fidelities are reported per encoded state or averaged analytically
-over the Bloch sphere.
+The protocols track the reduced density matrix of every target site through
+free evolution, an instantaneous projective measurement of site m at time t0,
+or an instantaneous local unitary gate at site m at t0 (which opens the
+two-magnon channel). Fidelities are reported per encoded state or averaged
+analytically over the Bloch sphere.
 
-Every formula is evaluated as a row over all target sites at one time
-(``fidelity_free_row``, ``delta_fidelity_projective_row``,
-``UnitaryQdpEngine.fidelity_row``); the single-site functions pick their
-entry out of the same row, and ``grid_values`` stacks one row per time into
-a checked grid.
+Every readout is a row over all target sites at one time
+(``fidelity_free_row``, ``fidelity_projective_row``, ``projective_rdm_row``,
+``delta_fidelity_projective_row``, ``UnitaryQdpEngine.fidelity_row``), and
+``grid_values`` stacks one row per time into a checked grid. ``_rdm_row``
+and ``_fidelity_row`` turn a site-weight row and a coherent-amplitude row
+into the checked RDM rows (x, y), y = <flipped|rho|unflipped>, and the
+fidelity row; the kicked chain (``harper``) reads its measured run through
+the same two.
 
 Phase bookkeeping: public amplitudes (QdpPropagators, UnitaryState) carry full
 phases, so H + K reproduces the one-magnon propagator exactly. Fidelity
@@ -44,19 +47,6 @@ def _check_rdm(x, y) -> None:
         raise ValueError(f"coherence |y|^2 exceeds the bound x(1-x) by {np.max(excess):.3e}")
 
 
-@dataclass(frozen=True)
-class RdmElements:
-    """Site-l qubit reduced density matrix: excitation weight x and coherence y."""
-
-    x: float
-    y: complex
-    l: int
-    t: float
-
-    def __post_init__(self):
-        _check_rdm(self.x, self.y)
-
-
 def state_fidelity(x, y, alpha: complex, beta: complex):
     """Transfer fidelity of the encoded state against RDM elements (x, y); rows allowed."""
     return (
@@ -82,16 +72,14 @@ def _bloch_from_quadratic(abs2, re_coherence):
 
 
 def _rdm_row(weight: np.ndarray, amp: np.ndarray, initial: InitialState):
-    """Checked RDM rows (x, y) from the site weight per |beta|^2 and the coherent amplitude."""
+    """Checked RDM rows (x, y) from the site weight per |beta|^2 and the coherent amplitude.
+
+    y = beta * conj(alpha) * amp is the element <flipped|rho|unflipped>.
+    """
     x = abs(initial.beta) ** 2 * weight
     y = initial.beta * np.conj(initial.alpha) * amp
     _check_rdm(x, y)
     return x, y
-
-
-def _rdm_at(weight, amp, initial: InitialState, l: int, t: float) -> RdmElements:
-    x, y = _rdm_row(weight, amp, initial)
-    return RdmElements(x=float(_at(x, l)), y=complex(_at(y, l)), l=l, t=t)
 
 
 def _fidelity_row(weight: np.ndarray, amp: np.ndarray, initial: InitialState | None) -> np.ndarray:
@@ -100,13 +88,6 @@ def _fidelity_row(weight: np.ndarray, amp: np.ndarray, initial: InitialState | N
         return _bloch_from_quadratic(weight, amp.real)
     x, y = _rdm_row(weight, amp, initial)
     return state_fidelity(x, y, initial.alpha, initial.beta)
-
-
-def _at(row: np.ndarray, l: int):
-    """Entry of a site row at the 1-based site l."""
-    if not 1 <= l <= row.shape[0]:
-        raise ValueError(f"site l={l} out of range 1..{row.shape[0]}")
-    return row[l - 1]
 
 
 # --------------------------------------------------------------------------
@@ -122,13 +103,6 @@ def fidelity_free_row(t: float, spec: ChainSpec, initial: InitialState | None = 
     """
     g = reduced_profile(1, t, spec)
     return _fidelity_row(np.abs(g) ** 2, g, initial)
-
-
-def fidelity_free(
-    l: int, t: float, spec: ChainSpec, *, initial: InitialState | None = None
-) -> float:
-    """Transfer fidelity at site l under free evolution: entry l of ``fidelity_free_row``."""
-    return float(_at(fidelity_free_row(t, spec, initial), l))
 
 
 # --------------------------------------------------------------------------
@@ -213,29 +187,18 @@ def delta_fidelity_projective_row(m: int, t: float, t0: float, spec: ChainSpec) 
     return (np.abs(k) ** 2 - (np.conj(g) * k).real - k.real) / 3.0
 
 
-def projective_rdm(
-    l: int, m: int, t: float, t0: float, spec: ChainSpec, initial: InitialState
-) -> RdmElements:
-    """RDM elements at site l after a projective measurement of site m at t0."""
-    return _rdm_at(*_projective_parts(m, t, t0, spec), initial, l, t)
+def projective_rdm_row(
+    m: int, t: float, t0: float, spec: ChainSpec, initial: InitialState
+) -> tuple[np.ndarray, np.ndarray]:
+    """RDM rows (x, y) at every site after a projective measurement of site m at t0."""
+    return _rdm_row(*_projective_parts(m, t, t0, spec), initial)
 
 
-def fidelity_projective(
-    l: int,
-    m: int,
-    t: float,
-    t0: float,
-    spec: ChainSpec,
-    *,
-    initial: InitialState | None = None,
-) -> float:
-    """Transfer fidelity at site l with a site-m measurement at t0 (Bloch or per-state)."""
-    return float(_at(_fidelity_row(*_projective_parts(m, t, t0, spec), initial), l))
-
-
-def delta_fidelity_projective(l: int, m: int, t: float, t0: float, spec: ChainSpec) -> float:
-    """Bloch-averaged fidelity change at site l: entry l of ``delta_fidelity_projective_row``."""
-    return float(_at(delta_fidelity_projective_row(m, t, t0, spec), l))
+def fidelity_projective_row(
+    m: int, t: float, t0: float, spec: ChainSpec, initial: InitialState | None = None
+) -> np.ndarray:
+    """Transfer fidelity at every site with a site-m measurement at t0 (Bloch or per-state)."""
+    return _fidelity_row(*_projective_parts(m, t, t0, spec), initial)
 
 
 # --------------------------------------------------------------------------
@@ -269,9 +232,10 @@ class UnitaryQdpEngine:
     exact ring two-magnon propagator into the pair amplitudes L(y1, y2; t).
     What does not depend on t -- the ring kernel, the amplitudes at t0 and
     the source pair state -- is built once here; each per-time method
-    evolves the source once per propagator part it needs. One-magnon pieces
-    use the exact finite-ring propagator, so all sector norms are conserved
-    to rounding.
+    evolves the source once per propagator part it needs. A phase-only gate
+    (delta = 0) opens no pair channel: it builds neither and its rows hold
+    O(N) memory. One-magnon pieces use the exact finite-ring propagator, so
+    all sector norms are conserved to rounding.
     """
 
     def __init__(self, spec: ChainSpec, event: QdpEvent):
@@ -290,44 +254,41 @@ class UnitaryQdpEngine:
         # A phase-only gate conserves the magnon number: no pair channel.
         self.ring = RingTwoMagnon(spec) if event.delta != 0.0 else None
         self.bound_count = self.ring.bound_count if self.ring else 0
-        # each pair holding the gate site starts with the amplitude of its partner
-        self._source = np.zeros((spec.n, spec.n), dtype=complex)
         if self.ring is not None:
+            # each pair holding the gate site starts with the amplitude of its partner
             m = event.m - 1
+            self._source = np.zeros((spec.n, spec.n), dtype=complex)
             self._source[m] = self._source[:, m] = self.u0
             self._source[m, m] = 0.0
 
-    def _one_magnon_rows(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """Reduced rows from site 1 over t and from the gate site over t - t0."""
-        _check_measurement_times(t, self.event.t0)
-        g_t = reduced_profile(1, t, self.spec)
-        tau = t - self.event.t0
-        return g_t, reduced_profile(self.event.m, tau, self.spec)
+    def _pair_matrix(self, t: float, part: Part) -> np.ndarray | None:
+        """Reduced L of one propagator part, symmetric with zero diagonal: row l holds L(l, y).
 
-    def _pair_matrix(self, t: float, part: Part) -> np.ndarray:
-        """Reduced L of one propagator part, symmetric with zero diagonal: row l holds L(l, y)."""
+        None for a phase-only gate, whose pair channel stays empty.
+        """
         _check_measurement_times(t, self.event.t0)
         if self.ring is None:
-            return self._source
+            return None
         return self.ring.evolve_pair_state(self._source, t - self.event.t0, part)
 
     def two_magnon_weight(self, t: float) -> float:
         """sum over pairs |L|^2; equals sum_{y'' != m} |g(1 -> y''; t0)|^2 exactly."""
-        return float(np.sum(np.abs(self._pair_matrix(t, "total")) ** 2)) / 2.0
+        pairs = self._pair_matrix(t, "total")
+        return 0.0 if pairs is None else float(np.sum(np.abs(pairs) ** 2)) / 2.0
 
     def fidelity_row(self, t: float) -> np.ndarray:
         """Bloch-averaged transfer fidelity at every site."""
         gamma2 = abs(self.event.gamma) ** 2
         delta2 = abs(self.event.delta) ** 2
-        g_t, g_tau = self._one_magnon_rows(t)
         pairs = self._pair_matrix(t, "total")
+        g_t = reduced_profile(1, t, self.spec)
+        free = 0.5 + (gamma2 / 6.0) * (np.abs(g_t) ** 2 + 2.0 * g_t.real)
+        if pairs is None:
+            return free
+        g_tau = reduced_profile(self.event.m, t - self.event.t0, self.spec)
         pair_sum = np.sum(np.abs(pairs) ** 2, axis=1)
         cross = np.conj(pairs) @ g_tau
-        return (
-            0.5
-            + (gamma2 / 6.0) * (np.abs(g_t) ** 2 + 2.0 * g_t.real)
-            + (delta2 / 6.0) * (pair_sum - np.abs(g_tau) ** 2 + 2.0 * cross.real)
-        )
+        return free + (delta2 / 6.0) * (pair_sum - np.abs(g_tau) ** 2 + 2.0 * cross.real)
 
     def split_row(self, t: float, part: Part) -> np.ndarray:
         """Two-magnon contribution of one propagator part to the averaged fidelity, every site.
@@ -335,16 +296,22 @@ class UnitaryQdpEngine:
         Cross terms between bound and scattering parts appear only in the
         total pair amplitudes, never inside a single part.
         """
+        pairs = self._pair_matrix(t, part)
+        if pairs is None:
+            return np.zeros(self.spec.n)
         delta2 = abs(self.event.delta) ** 2
-        return (delta2 / 6.0) * np.sum(np.abs(self._pair_matrix(t, part)) ** 2, axis=1)
+        return (delta2 / 6.0) * np.sum(np.abs(pairs) ** 2, axis=1)
 
     def state(self, t: float, initial: InitialState) -> UnitaryState:
         """Full-phase sector amplitudes for one encoded state."""
         alpha, beta = initial.alpha, initial.beta
         ev = self.event
         gamma, delta = ev.gamma, ev.delta
-        g_t, g_tau = self._one_magnon_rows(t)
         amps = self._pair_matrix(t, "total")
+        if amps is None:
+            amps = np.zeros((self.spec.n, self.spec.n), dtype=complex)
+        g_t = reduced_profile(1, t, self.spec)
+        g_tau = reduced_profile(ev.m, t - ev.t0, self.spec)
         phase = reduced_phase(self.spec, t)
         vac = phase * (alpha * gamma - beta * np.conj(delta) * self.u0[ev.m - 1])
         one = phase * (alpha * delta * g_tau + beta * gamma * g_t)

@@ -25,16 +25,15 @@ from spinchain.green2 import green2
 from spinchain.harper import (
     HarperSpec,
     floquet_step,
-    free_occupation_profile,
-    qdp_and_detect,
+    kicked_amplitudes,
     qdp_readouts,
     spread_metric,
 )
 from spinchain.protocols import (
     UnitaryQdpEngine,
-    delta_fidelity_projective,
-    fidelity_free,
-    fidelity_projective,
+    delta_fidelity_projective_row,
+    fidelity_free_row,
+    fidelity_projective_row,
     hk_propagators,
     unitary_qdp_state,
 )
@@ -112,8 +111,8 @@ def test_criterion_04_measurement_induced_fidelity_extremes():
             row = _measurement_delta_row(OPEN100, m, t0, t0 + float(off), source_at_probe)
             worst = max(worst, float(np.max(np.abs(row))))
         extremes[label] = worst
-    # tie the vectorized rows to the library's pointwise function
-    probe = delta_fidelity_projective(7, 1, 3.5, 0.0, OPEN100)
+    # tie the vectorized rows to the library's row form
+    probe = delta_fidelity_projective_row(1, 3.5, 0.0, OPEN100)[6]
     row = _measurement_delta_row(OPEN100, 1, 0.0, 3.5, complex(reduced_profile(1, 0.0, OPEN100)[0]))
     assert row[6] == pytest.approx(probe, abs=1e-12)
     elapsed = time.perf_counter() - start
@@ -159,9 +158,9 @@ def test_criterion_06_measurement_splitting_identities():
         weight = float(np.sum(np.abs(h_row) ** 2 + np.abs(k_row) ** 2))
         worst_trace = max(worst_trace, abs(weight - 1.0))
 
-        direct = delta_fidelity_projective(l, m, t, t0, spec)
-        recomposed = fidelity_projective(l, m, t, t0, spec) - fidelity_free(l, t, spec)
-        worst_delta = max(worst_delta, abs(direct - recomposed))
+        direct = delta_fidelity_projective_row(m, t, t0, spec)[l - 1]
+        recomposed = fidelity_projective_row(m, t, t0, spec) - fidelity_free_row(t, spec)
+        worst_delta = max(worst_delta, abs(direct - recomposed[l - 1]))
     assert worst_split <= 1e-9
     assert worst_trace <= 1e-9
     assert worst_delta <= 1e-10
@@ -271,14 +270,20 @@ def test_criterion_11_kicked_chain_transport_properties():
     assert float(np.max(np.abs(u.conj().T @ u - np.eye(100)))) <= 1e-12
 
     balanced = InitialState(1 / math.sqrt(2), 1 / math.sqrt(2))
-    result = qdp_and_detect(spec, 1, 5, 50, balanced)
+    result = next(itertools.islice(qdp_readouts(spec, 1, 5, balanced), 45, None))  # kick 50
+    assert result.n == 50
     assert abs(float(np.sum(result.detector))) <= 1e-10
 
     flip = InitialState(0.0, 1.0)
-    widths = {
-        g: spread_metric(free_occupation_profile(HarperSpec(n=100, g=g, tau=0.1), 200, flip))
-        for g in (1.0, 3.0)
-    }
+    seed = np.zeros(100, dtype=complex)
+    seed[0] = 1.0
+
+    def occupation_after_200_kicks(g: float) -> np.ndarray:
+        kicks = kicked_amplitudes(HarperSpec(n=100, g=g, tau=0.1), seed)
+        (psi,) = next(itertools.islice(kicks, 200, None))
+        return np.abs(psi) ** 2
+
+    widths = {g: spread_metric(occupation_after_200_kicks(g)) for g in (1.0, 3.0)}
     assert widths[3.0] < widths[1.0]
 
     def first_passage_kicks(tau: float) -> int:

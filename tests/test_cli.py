@@ -6,6 +6,7 @@ process boundary to check exit-code propagation of the installed module.
 from __future__ import annotations
 
 import importlib.util
+import itertools
 import json
 import math
 import os
@@ -18,7 +19,7 @@ import pytest
 
 from spinchain.chain import ChainSpec, InitialState, conventions_hash
 from spinchain.cli import main
-from spinchain.harper import HarperSpec, fidelity_free_kicked
+from spinchain.harper import HarperSpec, fidelity_from_amplitudes, kicked_amplitudes
 from spinchain.protocols import fidelity_free_row
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -116,7 +117,7 @@ def test_config_file_sets_defaults_and_flags_override(tmp_path):
     assert meta["parameters"]["dt"] == 0.25
 
 
-def test_config_file_rejects_unknown_keys(tmp_path):
+def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("lmaxx = 5\n")
     assert main(["fidelity", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
@@ -130,6 +131,14 @@ def test_config_file_rejects_unknown_keys(tmp_path):
     cfg.write_text("diff = maybe\n")
     assert main(["unitary-qdp", "--n", "10", "--site", "3", "--t0", "1", "--tmax", "2",
                  "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+    # a value of the wrong type names the file and the key
+    for line, key in (("n = abc\n", "'n'"), ("lmax =\n", "'lmax'")):
+        cfg.write_text(line)
+        capsys.readouterr()
+        assert main(["fidelity", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert str(cfg) in err and key in err, err
+        assert "Traceback" not in err
     assert not (tmp_path / "x.csv").exists()
 
 
@@ -223,8 +232,15 @@ def test_calibrate_refuses_a_dense_matrix_too_large_to_hold(tmp_path, monkeypatc
     assert list(tmp_path.iterdir()) == []
 
 
-def test_oversized_grids_exit_before_allocation(tmp_path):
+def test_oversized_grids_exit_before_allocation(tmp_path, monkeypatch):
     # every grid here is refused from its axis bounds alone, before any list is built
+    from spinchain import cli
+
+    def refused(*args, **kwargs):
+        pytest.fail("a row was computed before the grid guard refused the grid")
+
+    monkeypatch.setattr(cli, "fidelity_free_row", refused)
+    monkeypatch.setattr(cli, "qdp_readouts", refused)
     out = ["--out", str(tmp_path / "x.csv")]
     assert main(["fidelity", "--n", "10", "--tmax", "1e6", "--dt", "1"] + out) == 2  # 10 000 010 cells
     assert main(["fidelity", "--tmax", "1e12", "--dt", "1e-3"] + out) == 2
@@ -233,6 +249,11 @@ def test_oversized_grids_exit_before_allocation(tmp_path):
     assert main(["two-magnon-split", "--n", "12", "--tmax", "1e9"] + out) == 2
     assert main(["harper", "--n", "10", "--kicks", "1000000"] + out) == 2
     assert main(["detector", "--n", "10", "--qdp-kick", "0", "--kicks", "1000000"] + out) == 2
+    # every row spans all n sites, however few of them are kept
+    assert main(["fidelity", "--n", "3000000000", "--lmax", "1", "--tmax", "0"] + out) == 2
+    # every kick from 0 is stepped, however few of them are read out
+    assert main(["detector", "--n", "10", "--qdp-kick", "1000000000",
+                 "--kicks", "1000000000"] + out) == 2
     # small grids on rings over green2.MAX_RING_SITES: the ring kernel refuses them
     assert main(["unitary-qdp", "--boundary", "closed", "--n", "1000", "--tmax", "0"] + out) == 2
     assert main(["two-magnon-split", "--n", "1000", "--tmax", "0"] + out) == 2
@@ -316,8 +337,11 @@ def test_harper_grid_matches_library(tmp_path):
     rows = _read_csv(out)
     assert len(rows) == 8 * 4
     spec = HarperSpec(n=8, g=1.1, tau=0.4)
+    seed = np.zeros(8, dtype=complex)
+    seed[0] = 1.0
     for kicks in (0, 3):
-        expected = fidelity_free_kicked(spec, kicks)
+        (u,) = next(itertools.islice(kicked_amplitudes(spec, seed), kicks, None))
+        expected = fidelity_from_amplitudes(u)
         got = [v for l, t, v in rows if t == pytest.approx(kicks * 0.4)]
         assert np.allclose(got, expected, atol=1e-10)
 
@@ -345,12 +369,13 @@ def test_detector_grid_sums_to_zero_per_column(tmp_path, monkeypatch):
     assert len(ts) == 4  # kicks 2..5 inclusive
     spec = HarperSpec(12, 1.0, 0.3)
     initial = InitialState(math.sqrt(0.5), math.sqrt(0.5))
-    for n, t in enumerate(ts, start=2):
+    readouts = harper.qdp_readouts(spec, 2, 2, initial)
+    for n, t, readout in zip(itertools.count(2), ts, readouts):
         column = [v for _, tt, v in rows if tt == t]
         assert len(column) == 12
         assert abs(sum(column)) < 1e-10
-        want = harper.qdp_and_detect(spec, 2, 2, n, initial).detector
-        assert column == [float(f"{v:.11e}") for v in want]
+        assert readout.n == n
+        assert column == [float(f"{v:.11e}") for v in readout.detector]
 
 
 def test_unitary_qdp_and_split_commands_run(tmp_path):

@@ -1,27 +1,26 @@
-"""Smoke test: every demo script runs to completion and prints its narrative."""
+"""Smoke test: every demo script runs to completion and prints its narrative.
+
+Each demo runs through ``tools/readme_outputs.py``'s ``run_demo``, the same
+function that writes the demos' printout for a byte-identity ``diff -r``.
+"""
 
 from __future__ import annotations
 
-import os
+import importlib.util
 import pathlib
-import subprocess
-import sys
 
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-DEMOS = sorted((ROOT / "demos").glob("*.py"))
+_TOOL = ROOT / "tools" / "readme_outputs.py"
+_SPEC = importlib.util.spec_from_file_location("readme_outputs", _TOOL)
+tool = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(tool)
 
 
-@pytest.mark.parametrize("script", DEMOS, ids=lambda path: path.stem)
-def test_demo_runs_and_prints(script):
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, str(script)],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-        timeout=600,
-    )
+@pytest.mark.parametrize("script", tool.DEMOS, ids=lambda path: path.stem)
+def test_demo_runs_and_prints(script, tmp_path):
+    proc = tool.run_demo(script, tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+    assert (tmp_path / "demos" / f"{script.stem}.txt").read_text() == proc.stdout

@@ -3,10 +3,11 @@
 The headline check rebuilds the model in the full 2^N many-body space with an
 independently constructed hopping + kicked-potential Floquet operator and a
 projective occupation measurement, then compares every readout channel of
-``qdp_and_detect`` against it.
+the ``qdp_readouts`` stream against it.
 """
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -18,13 +19,12 @@ from spinchain.green1 import reduced_profile
 from spinchain.harper import (
     MAX_N,
     HarperSpec,
-    fidelity_free_kicked,
+    fidelity_from_amplitudes,
     floquet_step,
-    free_occupation_profile,
     hopping_matrix,
     kick_phases,
-    propagate,
-    qdp_and_detect,
+    kicked_amplitudes,
+    qdp_readouts,
     spread_metric,
 )
 from spinchain.oracle import bloch_average, transfer_fidelity
@@ -33,6 +33,19 @@ from spinchain.oracle import bloch_average, transfer_fidelity
 def _expm_hermitian(h: np.ndarray, scale: complex) -> np.ndarray:
     vals, vecs = np.linalg.eigh(h)
     return (vecs * np.exp(scale * vals)) @ vecs.conj().T
+
+
+def _after_kicks(spec: HarperSpec, n_kicks: int, amplitude: complex = 1.0) -> np.ndarray:
+    """The one-particle vector of a particle released at site 1 with ``amplitude``, after n_kicks."""
+    seed = np.zeros(spec.n, dtype=complex)
+    seed[0] = amplitude
+    (psi,) = next(itertools.islice(kicked_amplitudes(spec, seed), n_kicks, None))
+    return psi
+
+
+def _readout(spec: HarperSpec, m: int, n0: int, n: int, initial: InitialState):
+    """The readout after kick n of a site-m measurement at kick n0."""
+    return next(itertools.islice(qdp_readouts(spec, m, n0, initial), n - n0, None))
 
 
 def test_floquet_step_is_unitary():
@@ -59,7 +72,7 @@ def test_unkicked_closed_chain_matches_one_magnon_propagator():
     spec = HarperSpec(n=12, g=0.0, tau=0.35, boundary="closed")
     chain = ChainSpec(n=12, boundary="closed")
     n_kicks = 5
-    _, psi = propagate(spec, n_kicks, InitialState(0.0, 1.0))
+    psi = _after_kicks(spec, n_kicks)
     reduced = reduced_profile(1, n_kicks * spec.tau, chain)
     assert np.allclose(psi, np.conj(reduced), atol=1e-12)
 
@@ -67,28 +80,36 @@ def test_unkicked_closed_chain_matches_one_magnon_propagator():
 def test_vacuum_amplitude_is_inert():
     spec = HarperSpec(n=8, g=1.2, tau=0.3)
     initial = InitialState(math.sqrt(0.4), math.sqrt(0.6))
-    vac, psi = propagate(spec, 7, initial)
-    assert vac == pytest.approx(initial.alpha, abs=0.0)
+    psi = _after_kicks(spec, 7, initial.beta)
     assert np.sum(np.abs(psi) ** 2) == pytest.approx(abs(initial.beta) ** 2, abs=1e-12)
+    # in the full many-body space the vacuum keeps alpha, and the one-particle
+    # sector (bit j set <-> particle at site j + 1) is the module's vector
+    full = np.zeros(1 << spec.n, dtype=complex)
+    full[0], full[1] = initial.alpha, initial.beta
+    step = _FullSpaceOracle(spec).step
+    for _ in range(7):
+        full = step @ full
+    assert full[0] == pytest.approx(initial.alpha, abs=1e-12)
+    assert np.allclose(full[1 << np.arange(spec.n)], psi, atol=1e-12)
 
 
 def test_flip_state_fidelity_equals_occupation_profile():
     spec = HarperSpec(n=10, g=0.9, tau=0.4)
     flip = InitialState(0.0, 1.0)
-    fid = fidelity_free_kicked(spec, 4, flip)
-    occ = free_occupation_profile(spec, 4, flip)
+    u = _after_kicks(spec, 4)
+    fid = fidelity_from_amplitudes(u, flip)
+    occ = np.abs(_after_kicks(spec, 4, flip.beta)) ** 2
     assert np.allclose(fid, occ, atol=1e-13)
 
 
 def test_averaged_fidelity_matches_direct_sphere_quadrature():
     spec = HarperSpec(n=8, g=1.1, tau=0.5)
     n_kicks = 3
-    averaged = fidelity_free_kicked(spec, n_kicks)
+    u = _after_kicks(spec, n_kicks)
+    averaged = fidelity_from_amplitudes(u)
     for site in (1, 4, 8):
         direct = bloch_average(
-            lambda a, b: float(
-                fidelity_free_kicked(spec, n_kicks, InitialState(a, b))[site - 1]
-            )
+            lambda a, b: float(fidelity_from_amplitudes(u, InitialState(a, b))[site - 1])
         )
         assert averaged[site - 1] == pytest.approx(direct, abs=1e-12)
 
@@ -155,13 +176,12 @@ def test_measured_run_matches_full_space_rebuild():
     spec = HarperSpec(n=10, g=1.2, tau=0.3)
     m, n0, n = 3, 2, 6
     initial = InitialState(math.sqrt(0.4), math.sqrt(0.6))
-    result = qdp_and_detect(spec, m, n0, n, initial)
+    result = _readout(spec, m, n0, n, initial)
     oracle = _FullSpaceOracle(spec)
     x, y, x_free = oracle.measure_run(initial.alpha, initial.beta, m, n0, n)
 
     assert np.allclose(result.occupation, x, atol=1e-10)
-    # the module stores the opposite orientation of the off-diagonal element
-    assert np.allclose(result.coherence, np.conj(y), atol=1e-10)
+    assert np.allclose(result.coherence, y, atol=1e-10)
     assert np.allclose(result.free_occupation, x_free, atol=1e-10)
     assert np.allclose(result.detector, x - x_free, atol=1e-10)
 
@@ -185,7 +205,7 @@ def test_measured_run_matches_full_space_rebuild():
 
 def test_detector_profile_sums_to_zero():
     spec = HarperSpec(n=30, g=2.0, tau=0.25, boundary="closed")
-    result = qdp_and_detect(spec, 5, 4, 20, InitialState(0.6, 0.8))
+    result = _readout(spec, 5, 4, 20, InitialState(0.6, 0.8))
     assert abs(float(np.sum(result.detector))) < 1e-12
     assert result.m == 5 and result.n0 == 4 and result.n == 20
 
@@ -204,7 +224,7 @@ def test_kicked_walk_converges_first_order_to_static_flow():
             g * np.cos(2.0 * np.pi * j_sites * spec.eta / n_sites)
         )
         exact = _expm_hermitian(static, -1j * total_time) @ seed
-        _, kicked = propagate(spec, steps, InitialState(0.0, 1.0))
+        kicked = _after_kicks(spec, steps)
         errors.append(np.linalg.norm(kicked - exact))
     assert 1.7 < errors[0] / errors[1] < 2.3
     assert 1.7 < errors[1] / errors[2] < 2.3
@@ -237,16 +257,14 @@ def test_parameter_validation():
             HarperSpec(n=5, g=1.0, tau=0.1, eta=bad)
     spec = HarperSpec(n=5, g=1.0, tau=0.1)
     with pytest.raises(ValueError):
-        propagate(spec, -1, InitialState(0.0, 1.0))
+        next(qdp_readouts(spec, 0, 1, InitialState(0.0, 1.0)))
     with pytest.raises(ValueError):
-        qdp_and_detect(spec, 0, 1, 3, InitialState(0.0, 1.0))
-    with pytest.raises(ValueError):
-        qdp_and_detect(spec, 6, 1, 3, InitialState(0.0, 1.0))
-    with pytest.raises(ValueError):
-        qdp_and_detect(spec, 2, 4, 3, InitialState(0.0, 1.0))
+        next(qdp_readouts(spec, 6, 1, InitialState(0.0, 1.0)))
+    with pytest.raises(ValueError, match=r"n0 = -1"):
+        next(qdp_readouts(spec, 2, -1, InitialState(0.0, 1.0)))
     # tau * g overflows, so every kick phase and the detector are NaN
     with pytest.raises(ValueError):
-        qdp_and_detect(HarperSpec(8, 1e10, 1e300), 2, 1, 3, InitialState(0.6, 0.8))
+        _readout(HarperSpec(8, 1e10, 1e300), 2, 1, 3, InitialState(0.6, 0.8))
     # the spec itself refuses it, and a potential phase 2*pi*n*eta that overflows, by name
     HarperSpec(n=5, g=1e300, tau=1.0, eta=1e300)
     with pytest.raises(ValueError, match=r"tau = .*g = "):

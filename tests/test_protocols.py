@@ -3,23 +3,24 @@
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from csv_reference import grid_csv_reference
 from spinchain import oracle
-from spinchain.chain import ChainSpec, InitialState, QdpEvent, gate_from_axis, reduced_phase
+from spinchain.chain import ChainSpec, InitialState, QdpEvent, reduced_phase
 from spinchain.green1 import reduced_profile
 from spinchain.protocols import (
     UnitaryQdpEngine,
-    delta_fidelity_projective,
-    fidelity_free,
-    fidelity_projective,
+    delta_fidelity_projective_row,
+    fidelity_free_row,
+    fidelity_projective_row,
     grid_csv,
     grid_values,
     hk_propagators,
-    projective_rdm,
+    projective_rdm_row,
     unitary_qdp_state,
 )
 
@@ -33,7 +34,7 @@ def test_split_propagator_rows_match_dense_golden(golden, boundary):
     spec = ChainSpec(12, boundary, 0.5, 1.0)
     m, t0 = record["inputs"]["m"], record["inputs"]["t0"]
     for t in record["inputs"]["times"]:
-        rows = [hk_propagators(1, yp, m, t, t0, spec) for yp in spec.site_range()]
+        rows = [hk_propagators(1, yp, m, t, t0, spec) for yp in range(1, spec.n + 1)]
         phase = reduced_phase(spec, t)
         got_h = np.array([r.h for r in rows]) / phase
         got_k = np.array([r.k for r in rows]) / phase
@@ -57,7 +58,7 @@ def test_survive_and_collapse_compose_to_free_propagator():
 def test_measurement_map_preserves_total_weight():
     spec = ChainSpec(18, "open", 0.5, 1.0)
     m, t0, t = 7, 1.2, 3.9
-    rows = [hk_propagators(1, yp, m, t, t0, spec) for yp in spec.site_range()]
+    rows = [hk_propagators(1, yp, m, t, t0, spec) for yp in range(1, spec.n + 1)]
     total = sum(abs(r.h) ** 2 + abs(r.k) ** 2 for r in rows)
     assert total == pytest.approx(1.0, abs=1e-12)
 
@@ -69,9 +70,8 @@ def test_measurement_fidelities_match_dense_kraus_golden(golden):
     for label, (ar, ai, br, bi) in record["inputs"]["states"].items():
         initial = InitialState(complex(ar, ai), complex(br, bi))
         for t in record["inputs"]["times"]:
-            got = np.array(
-                [fidelity_projective(l, m, t, t0, OPEN12, initial=initial) for l in sites]
-            )
+            row = fidelity_projective_row(m, t, t0, OPEN12, initial)
+            got = np.array([row[l - 1] for l in sites])
             want = record["values"][f"{label}_t{t}"].real
             assert np.max(np.abs(got - want)) <= record["tolerance"]
 
@@ -84,16 +84,17 @@ def test_fidelity_change_identity():
         l, m = int(rng.integers(1, n + 1)), int(rng.integers(1, n + 1))
         t0 = float(rng.uniform(0, 3))
         t = t0 + float(rng.uniform(0, 3))
-        direct = delta_fidelity_projective(l, m, t, t0, spec)
-        recomposed = fidelity_projective(l, m, t, t0, spec) - fidelity_free(l, t, spec)
-        assert direct == pytest.approx(recomposed, abs=1e-12)
+        direct = delta_fidelity_projective_row(m, t, t0, spec)[l - 1]
+        recomposed = fidelity_projective_row(m, t, t0, spec) - fidelity_free_row(t, spec)
+        assert direct == pytest.approx(recomposed[l - 1], abs=1e-12)
 
 
 def test_rdm_is_physical():
     initial = InitialState(np.sqrt(0.3), np.sqrt(0.7) * np.exp(0.9j))
-    rdm = projective_rdm(4, 6, 3.0, 1.0, OPEN12, initial)
-    assert 0.0 <= rdm.x <= 1.0
-    assert abs(rdm.y) ** 2 <= rdm.x * (1 - rdm.x) + 1e-12
+    x, y = projective_rdm_row(6, 3.0, 1.0, OPEN12, initial)
+    x4, y4 = x[3], y[3]
+    assert 0.0 <= x4 <= 1.0
+    assert abs(y4) ** 2 <= x4 * (1 - x4) + 1e-12
 
 
 def test_gate_channels_match_dense_golden(golden, channel_fidelity):
@@ -125,7 +126,8 @@ def test_gate_channels_match_dense_golden(golden, channel_fidelity):
 def test_averaged_gate_row_matches_bloch_average_of_state_fidelities(channel_fidelity):
     # the row's partner sums against a per-pair loop over the sector amplitudes,
     # averaged over the Bloch sphere by a rule that is exact for these integrands
-    event = QdpEvent("local_unitary", m=4, t0=1.5, gate=gate_from_axis(0.6, 0.8, 1.1))
+    # a rotation by 1.1 about the equatorial axis (0.6, 0.8): (cos 1.1, (0.8 + 0.6i) sin 1.1)
+    event = QdpEvent("local_unitary", m=4, t0=1.5, gate=(np.cos(1.1), (0.8 + 0.6j) * np.sin(1.1)))
     engine = UnitaryQdpEngine(CLOSED12, event)
     t = 3.2
     row = engine.fidelity_row(t)
@@ -146,8 +148,10 @@ def test_gate_state_matches_dense_evolution_on_random_rings():
     for case in range(42):
         n = 3 + case % 10
         spec = ChainSpec(n, "closed", 0.5, (0.0, 0.5, 1.0)[case % 3])
+        # a rotation by a random angle about a random equatorial axis (cos a, sin a)
         axis = rng.uniform(0.0, 2.0 * np.pi)
-        gate = gate_from_axis(np.cos(axis), np.sin(axis), rng.uniform(0.0, np.pi))
+        angle = rng.uniform(0.0, np.pi)
+        gate = (np.cos(angle), (np.sin(axis) + 1j * np.cos(axis)) * np.sin(angle))
         event = QdpEvent("local_unitary", m=int(rng.integers(1, n + 1)),
                          t0=float(rng.uniform(0.0, 3.0)), gate=gate)
         t = event.t0 + float(rng.uniform(0.0, 3.0))
@@ -192,6 +196,24 @@ def test_phase_only_gate_has_no_pair_channel():
     engine = UnitaryQdpEngine(CLOSED12, event)
     assert engine.two_magnon_weight(2.5) == 0.0
     assert engine.bound_count == 0
+
+
+def test_phase_only_gate_holds_no_pair_matrix():
+    # no pair channel, so nothing of size N x N: 144 MB of zeros at N = 3000
+    spec = ChainSpec(3000, "closed", 0.5, 1.0)
+    event = QdpEvent("local_unitary", m=15, t0=1.0, gate=(1.0, 0.0))
+    tracemalloc.start()
+    try:
+        engine = UnitaryQdpEngine(spec, event)
+        rows = [engine.fidelity_row(t) for t in (1.0, 2.0, 3.0)]
+        split = engine.split_row(2.0, "total")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6, peak
+    assert split.shape == (3000,) and np.all(split == 0.0)
+    for t, row in zip((1.0, 2.0, 3.0), rows):
+        assert np.allclose(row, fidelity_free_row(t, spec), atol=1e-12)
 
 
 def test_pair_weight_equals_injected_companion_weight():
@@ -282,13 +304,13 @@ def test_grid_rejects_nan_values(bad, lo):
 
 
 def test_sites_outside_the_chain_are_rejected():
-    # every single-site form indexes a row over the chain; no index may wrap
+    # the measured site picks an entry of a row over the chain; no index may wrap
     with pytest.raises(ValueError):
-        fidelity_free(13, 1.0, OPEN12)
+        delta_fidelity_projective_row(13, 2.0, 1.0, OPEN12)
     with pytest.raises(ValueError):
-        fidelity_projective(0, 3, 2.0, 1.0, OPEN12)
+        fidelity_projective_row(0, 2.0, 1.0, OPEN12)
     with pytest.raises(ValueError):
-        projective_rdm(13, 3, 2.0, 1.0, OPEN12, InitialState(0.6, 0.8))
+        projective_rdm_row(13, 2.0, 1.0, OPEN12, InitialState(0.6, 0.8))
     # the measured site of the split propagators is checked too
     with pytest.raises(ValueError):
         hk_propagators(1, 2, 0, 2.0, 1.0, OPEN12)
@@ -298,7 +320,9 @@ def test_sites_outside_the_chain_are_rejected():
 
 def test_time_ordering_validation():
     with pytest.raises(ValueError):
-        fidelity_projective(3, 2, 1.0, 2.0, OPEN12)
+        fidelity_projective_row(2, 1.0, 2.0, OPEN12)
+    with pytest.raises(ValueError):
+        projective_rdm_row(2, 1.0, 2.0, OPEN12, InitialState(0.6, 0.8))
     with pytest.raises(ValueError):
         UnitaryQdpEngine(CLOSED12, QdpEvent("local_unitary", m=2, t0=3.0, gate=(0.0, 1.0))).fidelity_row(2.0)
     with pytest.raises(ValueError):

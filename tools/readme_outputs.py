@@ -1,27 +1,33 @@
-"""Run the README's command-line examples and write their outputs into one directory.
+"""Run the README's command-line examples and the demos, writing their outputs into one directory.
 
 Reads the ``spinchain ...`` lines of the first ``sh`` block under the
 "Command-line tool" heading of ``README.md`` (joining ``\\`` continuations),
 points each ``--out`` into OUT_DIR and runs each line in-process through
-``spinchain.cli.main``. Comparing two such directories with ``diff -r`` shows
-whether a change keeps the README's outputs byte-identical.
+``spinchain.cli.main``. Then runs every script in ``demos/`` in its own
+process and writes its stdout to ``OUT_DIR/demos/<name>.txt``. Comparing two
+such directories with ``diff -r`` shows whether a change keeps the README's
+outputs and the demos' printout byte-identical.
 
 Run from the repository root:
 
     PYTHONPATH=src python3 tools/readme_outputs.py OUT_DIR
 
-Exits 1 if any command exits non-zero, after running them all.
+Exits 1 if any command or demo exits non-zero, after running them all.
 """
 
 from __future__ import annotations
 
+import os
 import pathlib
 import shlex
+import subprocess
 import sys
 
 from spinchain.cli import main
 
-README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def readme_commands() -> list[list[str]]:
@@ -52,10 +58,27 @@ def run(out_dir: pathlib.Path) -> list[tuple[list[str], int]]:
     return results
 
 
+def run_demo(script: pathlib.Path, out_dir: pathlib.Path) -> subprocess.CompletedProcess:
+    """Run one demo on this checkout's ``src``; its stdout goes to out_dir/demos/<name>.txt."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(script)],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    (out_dir / "demos").mkdir(parents=True, exist_ok=True)
+    (out_dir / "demos" / f"{script.stem}.txt").write_text(proc.stdout)
+    return proc
+
+
 if __name__ == "__main__":
     if len(sys.argv) != 2:
         sys.exit("usage: readme_outputs.py OUT_DIR")
-    failed = [argv for argv, code in run(pathlib.Path(sys.argv[1])) if code != 0]
-    for argv in failed:
-        print(f"failed: spinchain {shlex.join(argv)}", file=sys.stderr)
+    out_dir = pathlib.Path(sys.argv[1])
+    failed = [f"spinchain {shlex.join(argv)}" for argv, code in run(out_dir) if code != 0]
+    failed += [f"demos/{d.name}" for d in DEMOS if run_demo(d, out_dir).returncode != 0]
+    for name in failed:
+        print(f"failed: {name}", file=sys.stderr)
     sys.exit(1 if failed else 0)
