@@ -35,12 +35,6 @@ class Green2Value:
     """Two-magnon transition amplitude between ordered site pairs."""
 
     value: complex
-    x1: int
-    x2: int
-    x1p: int
-    x2p: int
-    t: float
-    part: Part
 
 
 def _normalize_pair(x1: int, x2: int) -> tuple[int, int]:
@@ -178,4 +172,4 @@ def green2(
     source[s1 - 1, s2 - 1] = source[s2 - 1, s1 - 1] = 1.0
     evolved = RingTwoMagnon(spec).evolve_pair_state(source, t, part)
     value = reduced_phase(spec, t) * complex(evolved[d1 - 1, d2 - 1])
-    return Green2Value(value, s1, s2, d1, d2, t, part)
+    return Green2Value(value)

@@ -3,10 +3,21 @@
 Everything in this module is built from raw bit and pair bookkeeping — never
 from the analytic dispersion, Bessel, or Bethe formulas — so that the
 analytic modules and this one form two genuinely independent routes to the
-same numbers. Supported bases: the full 2^N space (N <= 12), the
-single-excitation sector (N <= 2016), the two-excitation sector (N <= 64),
-and the direct sum of the vacuum with both ("vacuum_one_two", the natural
-home of local-gate pipelines).
+same numbers. Bases and what each supports:
+
+* the full 2^N space (N <= 12): Hamiltonian, evolution, encoded states and
+  site RDMs — the judge of the truncated combined basis;
+* the single-excitation sector (N <= 2016): Hamiltonian, evolution and
+  site projectors;
+* the two-excitation sector (N <= 64): Hamiltonian, evolution and the
+  bound-band projector;
+* "vacuum_one_two", the vacuum plus both sectors (N <= 64): everything the
+  protocols need — encoded states, site projectors, local gates and site
+  RDMs.
+
+An unread projective measurement is its two pure branches p0|psi> and
+p1|psi>: evolution and the site RDM are linear in rho = sum of the branch
+projectors, so RDM entries are summed over the separately evolved branches.
 """
 from __future__ import annotations
 
@@ -15,7 +26,7 @@ import json
 import math
 import pathlib
 from dataclasses import dataclass
-from typing import Callable, Iterable, Literal
+from typing import Callable, Literal
 
 import numpy as np
 
@@ -85,10 +96,9 @@ class DenseState:
 class DenseHamiltonian:
     """Dense real-symmetric Hamiltonian on a sector basis, with cached eigendecomposition."""
 
-    def __init__(self, matrix: np.ndarray, basis: SectorBasis, spec: ChainSpec):
+    def __init__(self, matrix: np.ndarray, basis: SectorBasis):
         self.matrix = matrix
         self.basis = basis
-        self.spec = spec
         self._eig: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
@@ -129,12 +139,10 @@ def _build_one(spec: ChainSpec) -> np.ndarray:
 
 def _build_two(spec: ChainSpec) -> np.ndarray:
     n, j, delta = spec.n, spec.j, spec.delta
-    pairs = ordered_pairs(n)
-    index = {pq: k for k, pq in enumerate(pairs)}
-    dim = len(pairs)
-    h = np.zeros((dim, dim))
+    basis = make_basis("two_excitation", n)
+    h = np.zeros((basis.dim, basis.dim))
     bonds = _bonds(spec)
-    for k, (i1, i2) in enumerate(pairs):
+    for k, (i1, i2) in enumerate(basis.pairs):
         h[k, k] = spec.ground_energy
         for a, b in bonds:
             if {a, b} == {i1, i2}:
@@ -142,8 +150,7 @@ def _build_two(spec: ChainSpec) -> np.ndarray:
             for src, dst in ((a, b), (b, a)):
                 if src in (i1, i2) and dst not in (i1, i2):
                     other = i2 if src == i1 else i1
-                    kk = index[(dst, other) if dst < other else (other, dst)]
-                    h[kk, k] += -2.0 * j
+                    h[basis.pair_index(dst, other), k] += -2.0 * j
     return h
 
 
@@ -173,7 +180,7 @@ def build_hamiltonian(spec: ChainSpec, sector: Sector) -> DenseHamiltonian:
         matrix[1 + spec.n :, 1 + spec.n :] = h2
     else:
         raise ValueError(f"unknown sector {sector!r}")
-    return DenseHamiltonian(matrix, make_basis(sector, spec.n), spec)
+    return DenseHamiltonian(matrix, make_basis(sector, spec.n))
 
 
 def evolve(state: DenseState, ham: DenseHamiltonian, t: float) -> DenseState:
@@ -183,148 +190,75 @@ def evolve(state: DenseState, ham: DenseHamiltonian, t: float) -> DenseState:
     return DenseState(v @ (phases * (v.T @ state.vector)), state.basis)
 
 
-def evolve_density(density: np.ndarray, ham: DenseHamiltonian, t: float) -> np.ndarray:
-    """Exact U rho U^dagger."""
-    w, v = ham.eig
-    u = v @ np.diag(np.exp(-1j * w * t)) @ v.T
-    return u @ density @ u.conj().T
+def _flip_partners(basis: SectorBasis, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """vacuum_one_two indices (up, down) of the configurations with site m
+    unflipped (the vacuum, a magnon at y != m) and of the same configurations
+    with site m flipped (a magnon at m, the pair {y, m})."""
+    others = [y for y in range(1, basis.n + 1) if y != m]
+    return np.array([0] + others), np.array([m] + [basis.pair_index(y, m) for y in others])
 
 
 def _site_flipped_mask(basis: SectorBasis, m: int) -> np.ndarray:
     """Boolean mask: basis elements in which site m carries a flipped spin."""
-    if basis.kind == "full":
-        states = np.arange(basis.dim)
-        return ((states >> (m - 1)) & 1).astype(bool)
     if basis.kind == "one_excitation":
         return np.arange(1, basis.n + 1) == m
-    flip = np.zeros(basis.dim, dtype=bool)
-    if basis.kind == "two_excitation":
-        for k, (i, j) in enumerate(basis.pairs):
-            flip[k] = m in (i, j)
-        return flip
     if basis.kind == "vacuum_one_two":
-        flip[1 + m - 1] = True
-        for k, (i, j) in enumerate(basis.pairs):
-            flip[1 + basis.n + k] = m in (i, j)
+        flip = np.zeros(basis.dim, dtype=bool)
+        flip[_flip_partners(basis, m)[1]] = True
         return flip
-    raise ValueError(f"unknown basis {basis.kind!r}")
+    raise ValueError(f"site projectors need one_excitation or vacuum_one_two basis, got {basis.kind}")
 
 
-def local_gate_matrix(gate: tuple[complex, complex], m: int, basis: SectorBasis) -> np.ndarray:
-    """Matrix of the local gate at site m restricted to the basis.
-
-    Gate convention: V|up> = gamma|up> + delta|down>,
-    V|down> = -conj(delta)|up> + gamma|down>. In truncated-excitation bases
-    the matrix is the restriction of V; amplitude on pair states not
-    containing m would leave a vacuum_one_two basis (three flipped spins) —
-    callers must check for that leak (see apply_local).
-    """
-    gamma, delta = complex(gate[0]), complex(gate[1])
-    if abs(abs(gamma) ** 2 + abs(delta) ** 2 - 1.0) > 1e-10:
-        raise ValueError("gate (gamma, delta) must satisfy |gamma|^2 + |delta|^2 = 1")
-    dim, n = basis.dim, basis.n
-    v = np.zeros((dim, dim), dtype=complex)
-    if basis.kind == "full":
-        states = np.arange(dim)
-        down = ((states >> (m - 1)) & 1).astype(bool)
-        flipped = states ^ (1 << (m - 1))
-        up_states = states[~down]
-        dn_states = states[down]
-        v[up_states, up_states] = gamma
-        v[flipped[~down], up_states] = delta
-        v[dn_states, dn_states] = gamma
-        v[flipped[down], dn_states] = -np.conj(delta)
-        return v
-    if basis.kind != "vacuum_one_two":
-        raise ValueError(f"gates need the full or vacuum_one_two basis, got {basis.kind}")
-    # vacuum <-> magnon at m
-    vac, site_m = 0, 1 + m - 1
-    v[vac, vac] = gamma
-    v[site_m, vac] = delta
-    v[vac, site_m] = -np.conj(delta)
-    v[site_m, site_m] = gamma
-    # magnon at y != m <-> pair {y, m}
-    for y in range(1, n + 1):
-        if y == m:
-            continue
-        site_y = 1 + y - 1
-        pair_ym = basis.pair_index(y, m)
-        v[site_y, site_y] = gamma
-        v[pair_ym, site_y] = delta
-        v[site_y, pair_ym] = -np.conj(delta)
-        v[pair_ym, pair_ym] = gamma
-    # pairs not containing m: diagonal gamma (the delta branch leaks to 3 flips)
-    for i, j in basis.pairs:
-        if m not in (i, j):
-            k = basis.pair_index(i, j)
-            v[k, k] = gamma
-    return v
+def _check_site(m: int, basis: SectorBasis) -> None:
+    if not 1 <= m <= basis.n:
+        raise ValueError(f"site {m} out of range 1..{basis.n}")
 
 
-def apply_local(
-    op: str | tuple[complex, complex],
-    m: int,
-    state: DenseState | np.ndarray,
-    *,
-    leak_tol: float = 1e-10,
-):
+def apply_local(op: str | tuple[complex, complex], m: int, state: DenseState) -> DenseState:
     """Apply a local projector ('p0' / 'p1') or gate (gamma, delta) at site m.
 
-    Accepts a DenseState (returns the possibly unnormalized branch) or a
-    density matrix (returns O rho O^dagger). Gate application on a truncated
-    basis raises if amplitude would leak out of the representable sectors.
+    A projector returns the unnormalized branch. Gate convention:
+    V|up> = gamma|up> + delta|down>, V|down> = -conj(delta)|up> + gamma|down>,
+    on the vacuum_one_two basis only. There V acts on each pair of
+    configurations that differ only at site m; its delta branch out of a pair
+    not containing m would need three flipped spins, so a gate raises when
+    such amplitude would leak out of the basis.
     """
-    basis = state.basis if isinstance(state, DenseState) else None
+    basis, vec = state.basis, state.vector
+    _check_site(m, basis)
     if isinstance(op, str):
         if op not in ("p0", "p1"):
             raise ValueError(f"projector must be 'p0' or 'p1', got {op!r}")
-        if basis is None:
-            raise ValueError("density-matrix input needs an explicit basis: pass DenseState branches")
         mask = _site_flipped_mask(basis, m)
         keep = mask if op == "p1" else ~mask
-        return DenseState(np.where(keep, state.vector, 0.0), basis)
-    if basis is None:
-        raise ValueError("gate on a raw density matrix is not supported; wrap branches as DenseState")
-    if not 1 <= m <= basis.n:
-        raise ValueError(f"site {m} out of range 1..{basis.n}")
-    matrix = local_gate_matrix(op, m, basis)
-    new_vec = matrix @ state.vector
-    if basis.kind == "vacuum_one_two":
-        delta = complex(op[1])
-        leak = 0.0
-        for i, j in basis.pairs:
-            if m not in (i, j):
-                leak += abs(delta) ** 2 * abs(state.vector[basis.pair_index(i, j)]) ** 2
-        if leak > leak_tol:
-            raise ValueError(
-                f"gate at site {m} would move weight {leak:.3e} into the three-magnon "
-                "sector, which this basis cannot represent"
-            )
-    return DenseState(new_vec, basis)
-
-
-def kraus_measure(m: int, density: np.ndarray, basis: SectorBasis) -> np.ndarray:
-    """Unread projective measurement of site m: rho -> P0 rho P0 + P1 rho P1."""
-    mask = _site_flipped_mask(basis, m)
-    p1 = np.where(mask, 1.0, 0.0)
-    p0 = 1.0 - p1
-    return (
-        p0[:, None] * density * p0[None, :]
-        + p1[:, None] * density * p1[None, :]
-    )
+        return DenseState(np.where(keep, vec, 0.0), basis)
+    gamma, delta = complex(op[0]), complex(op[1])
+    if abs(abs(gamma) ** 2 + abs(delta) ** 2 - 1.0) > 1e-10:
+        raise ValueError("gate (gamma, delta) must satisfy |gamma|^2 + |delta|^2 = 1")
+    if basis.kind != "vacuum_one_two":
+        raise ValueError(f"gates need the vacuum_one_two basis, got {basis.kind}")
+    up, down = _flip_partners(basis, m)
+    pairs_without_m = ~_site_flipped_mask(basis, m)
+    pairs_without_m[: 1 + basis.n] = False
+    leak = abs(delta) ** 2 * float(np.sum(np.abs(vec[pairs_without_m]) ** 2))
+    if leak > 1e-10:
+        raise ValueError(
+            f"gate at site {m} would move weight {leak:.3e} into the three-magnon "
+            "sector, which this basis cannot represent"
+        )
+    out = gamma * vec
+    out[up] = gamma * vec[up] - np.conj(delta) * vec[down]
+    out[down] = delta * vec[up] + gamma * vec[down]
+    return DenseState(out, basis)
 
 
 def encoded_state(alpha: complex, beta: complex, basis: SectorBasis) -> DenseState:
     """alpha |all up> + beta |magnon at site 1> in the requested basis."""
-    vec = np.zeros(basis.dim, dtype=complex)
-    if basis.kind == "full":
-        vec[0] = alpha
-        vec[1] = beta  # state index 1 = bit of site 1 set
-    elif basis.kind == "vacuum_one_two":
-        vec[0] = alpha
-        vec[1] = beta
-    else:
+    if basis.kind not in ("full", "vacuum_one_two"):
         raise ValueError(f"encoded states need the vacuum in the basis, got {basis.kind}")
+    vec = np.zeros(basis.dim, dtype=complex)
+    vec[0] = alpha
+    vec[1] = beta  # index 1 is the magnon at site 1 in both bases (bit 0 set in the full one)
     return DenseState(vec, basis)
 
 
@@ -332,10 +266,12 @@ def rdm_site(state: DenseState, l: int) -> tuple[float, complex]:
     """Single-site reduced density matrix entries of site l.
 
     Returns (x, y): x = probability of a flipped spin at l, y = coherence
-    <flipped| rho_l |unflipped>.
+    <flipped| rho_l |unflipped>. For a mixture of branches, sum the entries
+    of the branches.
     """
     basis = state.basis
     vec = state.vector
+    _check_site(l, basis)
     if basis.kind == "full":
         flipped = (1 << (l - 1))
         states = np.arange(basis.dim)
@@ -345,38 +281,8 @@ def rdm_site(state: DenseState, l: int) -> tuple[float, complex]:
         y = complex(np.vdot(vec[partners], vec[states[down]]))
         return x, y
     if basis.kind == "vacuum_one_two":
-        n = basis.n
-        x = abs(vec[1 + l - 1]) ** 2
-        for i, j in basis.pairs:
-            if l in (i, j):
-                x += abs(vec[basis.pair_index(i, j)]) ** 2
-        y = vec[1 + l - 1] * np.conj(vec[0])
-        for y_site in range(1, n + 1):
-            if y_site == l:
-                continue
-            y += vec[basis.pair_index(l, y_site)] * np.conj(vec[1 + y_site - 1])
-        return x, complex(y)
-    raise ValueError(f"single-site RDM needs full or vacuum_one_two basis, got {basis.kind}")
-
-
-def rdm_site_density(density: np.ndarray, l: int, basis: SectorBasis) -> tuple[float, complex]:
-    """(x, y) of site l from a density matrix over the basis."""
-    if basis.kind == "full":
-        states = np.arange(basis.dim)
-        down = ((states >> (l - 1)) & 1).astype(bool)
-        x = float(np.real(np.trace(density[np.ix_(down, down)])))
-        partners = states[down] ^ (1 << (l - 1))
-        y = complex(np.sum(density[states[down], partners]))
-        return x, y
-    if basis.kind == "vacuum_one_two":
-        mask = _site_flipped_mask(basis, l)
-        x = float(np.real(np.trace(density[np.ix_(mask, mask)])))
-        # coherence: sum over configurations of the other sites
-        y = density[1 + l - 1, 0]
-        for y_site in range(1, basis.n + 1):
-            if y_site != l:
-                y += density[basis.pair_index(l, y_site), 1 + y_site - 1]
-        return x, complex(y)
+        up, down = _flip_partners(basis, l)
+        return float(np.sum(np.abs(vec[down]) ** 2)), complex(np.vdot(vec[up], vec[down]))
     raise ValueError(f"single-site RDM needs full or vacuum_one_two basis, got {basis.kind}")
 
 
@@ -417,56 +323,40 @@ class BoundBandResult:
 
     projector: np.ndarray
     count: int
-    ambiguous: int
-    dim: int
-    energies: np.ndarray
 
 
-def _momentum_sector_basis(n: int, k: int) -> tuple[np.ndarray, np.ndarray] | None:
+def _momentum_sector_basis(basis: SectorBasis, k: int) -> np.ndarray:
     """Orthonormal total-momentum-k basis of the ring two-excitation sector.
 
-    Columns are plane waves over the pair center at fixed ring separation r.
-    For even n the antipodal separation r = n/2 pairs are invariant under a
-    half-ring shift, so that column exists only in even-k sectors. Returns
-    (columns, separations) with columns indexed by the ordered-pair basis.
+    Columns are plane waves over the pair center at fixed ring separation r,
+    indexed by ``basis``, the ordered-pair basis of the ring. For even n the antipodal separation
+    r = n/2 pairs are invariant under a half-ring shift, so that column
+    exists only in even-k sectors.
     """
-    pairs = ordered_pairs(n)
-    index = {p: idx for idx, p in enumerate(pairs)}
+    n = basis.n
     p_tot = 2.0 * math.pi * k / n
-    max_sep = n // 2
-    cols, seps = [], []
-    for r in range(1, max_sep + 1):
+    cols = []
+    for r in range(1, n // 2 + 1):
         doubled = (n % 2 == 0) and r == n // 2
         if doubled and k % 2 == 1:
             continue
-        col = np.zeros(len(pairs), dtype=complex)
+        col = np.zeros(basis.dim, dtype=complex)
         j_range = range(1, n // 2 + 1) if doubled else range(1, n + 1)
         for j in j_range:
-            a = j
-            b = (j + r - 1) % n + 1
-            lo, hi = (a, b) if a < b else (b, a)
-            col[index[(lo, hi)]] += cmath.exp(1j * p_tot * (j + 0.5 * r))
+            col[basis.pair_index(j, (j + r - 1) % n + 1)] += cmath.exp(1j * p_tot * (j + 0.5 * r))
         col /= np.linalg.norm(col)
         cols.append(col)
-        seps.append(r)
-    return np.column_stack(cols), np.array(seps)
+    return np.column_stack(cols)
 
 
-def bound_band_projector(
-    spec: ChainSpec,
-    *,
-    separation_cut: int = 5,
-    weight_cut: float = 0.9,
-) -> BoundBandResult:
+def bound_band_projector(spec: ChainSpec) -> BoundBandResult:
     """Projector onto the two-magnon bound band of a delta = 1 ring.
 
     The two-excitation sector is block-diagonalized by total momentum P; the
     lowest level of a sector belongs to the bound band when it drops below
     the scattering continuum bottom eps0 - 8*J*|cos(P/2)| at that momentum.
     This counts N - O(1) states (the near-P = 0 sectors have no level split
-    off). Bound states whose pair-separation weight within
-    ``separation_cut`` falls below ``weight_cut`` are flagged ambiguous:
-    they sit below the continuum but are no longer sharply confined.
+    off).
     """
     if spec.boundary != "closed" or spec.delta != 1.0:
         raise ValueError("bound-band classification needs a closed chain at delta = 1")
@@ -474,30 +364,18 @@ def bound_band_projector(
     n = spec.n
     dim = ham.basis.dim
     projector = np.zeros((dim, dim), dtype=complex)
-    energies = []
     count = 0
-    ambiguous = 0
     scale = 8.0 * spec.j
     for k in range(n):
-        cols, seps = _momentum_sector_basis(n, k)
+        cols = _momentum_sector_basis(ham.basis, k)
         block = cols.conj().T @ ham.matrix @ cols
         w, v = np.linalg.eigh(block)
         bottom = spec.ground_energy - 8.0 * spec.j * abs(math.cos(math.pi * k / n))
         if w[0] < bottom - 1e-9 * scale:
             vec = cols @ v[:, 0]
             projector += np.outer(vec, vec.conj())
-            energies.append(w[0])
             count += 1
-            close_weight = float(np.sum(np.abs(v[seps <= separation_cut, 0]) ** 2))
-            if close_weight < weight_cut:
-                ambiguous += 1
-    return BoundBandResult(
-        projector=projector,
-        count=count,
-        ambiguous=ambiguous,
-        dim=dim,
-        energies=np.array(energies),
-    )
+    return BoundBandResult(projector=projector, count=count)
 
 
 # --------------------------------------------------------------------------

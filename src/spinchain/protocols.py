@@ -121,11 +121,6 @@ class QdpPropagators:
 
     h: complex
     k: complex
-    y: int
-    yp: int
-    m: int
-    t: float
-    t0: float
 
     @property
     def x(self) -> complex:
@@ -158,9 +153,7 @@ def hk_propagators(y: int, yp: int, m: int, t: float, t0: float, spec: ChainSpec
     h_red = np.sum(first[keep] * second[keep])
     k_red = first[m - 1] * second[m - 1]
     phase = reduced_phase(spec, t)
-    return QdpPropagators(
-        h=complex(phase * h_red), k=complex(phase * k_red), y=y, yp=yp, m=m, t=t, t0=t0
-    )
+    return QdpPropagators(h=complex(phase * h_red), k=complex(phase * k_red))
 
 
 def _reduced_gk_rows(m: int, t: float, t0: float, spec: ChainSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -219,8 +212,6 @@ class UnitaryState:
     vacuum: complex
     one_magnon: np.ndarray
     two_magnon: np.ndarray
-    t: float
-    event: QdpEvent
     norm_defect: float
 
 
@@ -324,8 +315,6 @@ class UnitaryQdpEngine:
             vacuum=complex(vac),
             one_magnon=one,
             two_magnon=phase * beta * delta * amps,
-            t=t,
-            event=ev,
             norm_defect=abs(1.0 - norm_sq),
         )
 

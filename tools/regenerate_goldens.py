@@ -28,10 +28,8 @@ from spinchain.oracle import (
     build_hamiltonian,
     encoded_state,
     evolve,
-    evolve_density,
-    kraus_measure,
     make_basis,
-    rdm_site_density,
+    rdm_site,
     save_golden,
     transfer_fidelity,
 )
@@ -93,7 +91,11 @@ def split_propagator_rows() -> None:
 
 
 def measurement_fidelities() -> None:
-    """Per-state transfer fidelities after the measurement protocol, dense Kraus route."""
+    """Per-state transfer fidelities after the measurement protocol, dense branch route.
+
+    The unread measurement leaves the mixture of its two branches, so each
+    site's RDM entries are the sums over the separately evolved branches.
+    """
     spec = ChainSpec(12, "open", 0.5, 1.0)
     m, t0 = 6, 1.5
     times = [2.5, 5.0]
@@ -107,14 +109,12 @@ def measurement_fidelities() -> None:
     values: dict[str, object] = {}
     for label, (alpha, beta) in states.items():
         psi0 = encoded_state(alpha, beta, basis)
-        mid = evolve(psi0, ham, t0)
-        rho_mid = np.outer(mid.vector, mid.vector.conj())
-        rho_mid = kraus_measure(m, rho_mid, basis)
+        branches = [apply_local(p, m, evolve(psi0, ham, t0)) for p in ("p0", "p1")]
         for t in times:
-            rho = evolve_density(rho_mid, ham, t - t0)
+            evolved = [evolve(b, ham, t - t0) for b in branches]
             fids = []
             for l in sites:
-                x, y = rdm_site_density(rho, l, basis)
+                x, y = map(sum, zip(*(rdm_site(b, l) for b in evolved)))
                 fids.append(transfer_fidelity(x, y, alpha, beta))
             values[f"{label}_t{t}"] = np.array(fids)
     save_golden(
@@ -152,17 +152,12 @@ def gate_protocol_channels() -> None:
     for label, gate in gates.items():
         psi0 = encoded_state(alpha, beta, basis)
         mid = evolve(psi0, ham, t0)
-        kicked = apply_local(gate, m, mid)
-        out = evolve(kicked, ham, t - t0).vector
-        reduced = _reduced(spec, t, out)
+        final = evolve(apply_local(gate, m, mid), ham, t - t0)
+        reduced = _reduced(spec, t, final.vector)
         values[f"{label}_vacuum"] = np.array([reduced[0]])
         values[f"{label}_one"] = reduced[1 : 1 + n]
         values[f"{label}_two"] = reduced[1 + n :]
-        rho = np.outer(out, out.conj())
-        fids = []
-        for l in sites:
-            x, y = rdm_site_density(rho, l, basis)
-            fids.append(transfer_fidelity(x, y, alpha, beta))
+        fids = [transfer_fidelity(*rdm_site(final, l), alpha, beta) for l in sites]
         values[f"{label}_fidelity"] = np.array(fids)
     save_golden(
         GOLDEN_DIR / "unitary_n12.json",
