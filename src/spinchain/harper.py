@@ -154,8 +154,6 @@ class HarperQdpResult:
     detector: np.ndarray
     fidelity: np.ndarray
     free_occupation: np.ndarray
-    m: int
-    n0: int
     n: int
 
     def __post_init__(self) -> None:
@@ -197,8 +195,6 @@ def qdp_readouts(spec: HarperSpec, m: int, n0: int, initial: InitialState) -> It
             detector=occupation - free_occ,
             fidelity=_fidelity_row(abs2, h, None),
             free_occupation=free_occ,
-            m=m,
-            n0=n0,
             n=n,
         )
 

@@ -1,19 +1,24 @@
 """Brute-force cross-check machinery: dense Hamiltonians and exact evolution.
 
-Everything in this module is built from raw bit and pair bookkeeping — never
-from the analytic dispersion, Bessel, or Bethe formulas — so that the
+Everything in this module is built from raw configuration bookkeeping --
+never from the analytic dispersion, Bessel, or Bethe formulas -- so that the
 analytic modules and this one form two genuinely independent routes to the
-same numbers. Bases and what each supports:
+same numbers.
 
-* the full 2^N space (N <= 12): Hamiltonian, evolution, encoded states and
-  site RDMs — the judge of the truncated combined basis;
-* the single-excitation sector (N <= 2016): Hamiltonian, evolution and
-  site projectors;
-* the two-excitation sector (N <= 64): Hamiltonian, evolution and the
-  bound-band projector;
-* "vacuum_one_two", the vacuum plus both sectors (N <= 64): everything the
-  protocols need — encoded states, site projectors, local gates and site
-  RDMs.
+A basis is its ``configs``, the sorted tuple of flipped sites of each basis
+state, with a config -> index map. The four sectors hold:
+
+* "full", the 2^N space (N <= 12): bit s - 1 of an index is site s;
+* "one_excitation" (N <= 2016): one magnon at site 1, ..., N;
+* "two_excitation" (N <= 64): the pairs (i, j), i < j, in lexicographic order;
+* "vacuum_one_two" (N <= 64): the vacuum, then the two sectors above.
+
+Each sector supports the Hamiltonian, evolution, site projectors, local gates
+and site RDMs, from one Hamiltonian rule and one site-m flip map. A gate
+refuses to move weight out of the basis (in vacuum_one_two: onto a third
+magnon); an RDM sees no coherence with a sector the basis lacks. Encoded
+states need the vacuum: the full space or vacuum_one_two. The bound-band
+projector lives on the two-excitation ring.
 
 An unread projective measurement is its two pure branches p0|psi> and
 p1|psi>: evolution and the site RDM are linear in rho = sum of the branch
@@ -22,10 +27,12 @@ projectors, so RDM entries are summed over the separately evolved branches.
 from __future__ import annotations
 
 import cmath
+import itertools
 import json
 import math
 import pathlib
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Literal
 
 import numpy as np
@@ -39,47 +46,58 @@ MAX_PAIR_N = 64
 #: As large as the pair sector at MAX_PAIR_N: 2016 x 2016 doubles, 32 MB.
 MAX_ONE_N = MAX_PAIR_N * (MAX_PAIR_N - 1) // 2
 
-
-def _bonds(spec: ChainSpec) -> list[tuple[int, int]]:
-    bonds = [(i, i + 1) for i in range(1, spec.n)]
-    if spec.boundary == "closed":
-        bonds.append((spec.n, 1))
-    return bonds
+# sector -> (largest N, numbers of flipped sites it holds, in basis order)
+_SECTORS = {
+    "full": (MAX_FULL_N, None),
+    "one_excitation": (MAX_ONE_N, (1,)),
+    "two_excitation": (MAX_PAIR_N, (2,)),
+    "vacuum_one_two": (MAX_PAIR_N, (0, 1, 2)),
+}
 
 
 def ordered_pairs(n: int) -> list[tuple[int, int]]:
     """Basis labels of the two-excitation sector: (i, j) with 1 <= i < j <= n."""
-    return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    return list(itertools.combinations(range(1, n + 1), 2))
 
 
 @dataclass(frozen=True)
 class SectorBasis:
+    """A sector basis: ``configs[k]`` is the sorted tuple of flipped sites of basis state k."""
+
     kind: Sector
     n: int
-    dim: int
-    pairs: tuple[tuple[int, int], ...] | None = None
+    configs: tuple[tuple[int, ...], ...]
+
+    @property
+    def dim(self) -> int:
+        return len(self.configs)
+
+    @cached_property
+    def index(self) -> dict[tuple[int, ...], int]:
+        return {config: k for k, config in enumerate(self.configs)}
+
+    @cached_property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        """The two-magnon configs, in basis order."""
+        return tuple(config for config in self.configs if len(config) == 2)
 
     def pair_index(self, i: int, j: int) -> int:
-        """Index of the (sorted) pair within this basis, including block offset."""
-        if self.pairs is None:
-            raise ValueError(f"basis {self.kind} has no pair block")
-        i, j = (i, j) if i < j else (j, i)
-        offset = 1 + self.n if self.kind == "vacuum_one_two" else 0
-        # pairs are lexicographic: index = (i-1)*n - i*(i+1)/2 + j - 1
-        return offset + (i - 1) * self.n - i * (i + 1) // 2 + j - 1
+        """Index of the config with sites i and j flipped."""
+        return self.index[(i, j) if i < j else (j, i)]
 
 
 def make_basis(kind: Sector, n: int) -> SectorBasis:
-    if kind == "full":
-        return SectorBasis(kind, n, 1 << n)
-    if kind == "one_excitation":
-        return SectorBasis(kind, n, n)
-    pairs = tuple(ordered_pairs(n))
-    if kind == "two_excitation":
-        return SectorBasis(kind, n, len(pairs), pairs)
-    if kind == "vacuum_one_two":
-        return SectorBasis(kind, n, 1 + n + len(pairs), pairs)
-    raise ValueError(f"unknown sector {kind!r}")
+    if kind not in _SECTORS:
+        raise ValueError(f"unknown sector {kind!r}")
+    limit, counts = _SECTORS[kind]
+    if n > limit:
+        raise ValueError(f"{kind} sector limited to N <= {limit}, got {n}")
+    sites = range(1, n + 1)
+    if counts is None:  # the full space, indexed by its bits
+        configs = [tuple(s for s in sites if k >> (s - 1) & 1) for k in range(1 << n)]
+    else:
+        configs = [c for count in counts for c in itertools.combinations(sites, count)]
+    return SectorBasis(kind, n, tuple(configs))
 
 
 @dataclass(frozen=True)
@@ -109,78 +127,39 @@ class DenseHamiltonian:
         return self._eig
 
 
-def _build_full(spec: ChainSpec) -> np.ndarray:
-    n, j, delta = spec.n, spec.j, spec.delta
-    dim = 1 << n
-    states = np.arange(dim)
-    bits = (states[:, None] >> np.arange(n)) & 1  # column s-1 is site s; 1 = flipped spin
-    diag = np.full(dim, -j * spec.n_bonds, dtype=float)
-    h = np.zeros((dim, dim))
-    for a, b in _bonds(spec):
-        occ_a = bits[:, a - 1]
-        occ_b = bits[:, b - 1]
-        diag += -4.0 * j * delta * (occ_a * occ_b)
-        differ = occ_a != occ_b
-        partners = states[differ] ^ ((1 << (a - 1)) | (1 << (b - 1)))
-        np.add.at(h, (partners, states[differ]), -2.0 * j)
-    h[np.diag_indices(dim)] += diag
-    return h
-
-
-def _build_one(spec: ChainSpec) -> np.ndarray:
-    n, j = spec.n, spec.j
-    h = np.zeros((n, n))
-    for a, b in _bonds(spec):
-        h[a - 1, b - 1] += -2.0 * j
-        h[b - 1, a - 1] += -2.0 * j
-    h[np.diag_indices(n)] += spec.ground_energy
-    return h
-
-
-def _build_two(spec: ChainSpec) -> np.ndarray:
-    n, j, delta = spec.n, spec.j, spec.delta
-    basis = make_basis("two_excitation", n)
-    h = np.zeros((basis.dim, basis.dim))
-    bonds = _bonds(spec)
-    for k, (i1, i2) in enumerate(basis.pairs):
-        h[k, k] = spec.ground_energy
-        for a, b in bonds:
-            if {a, b} == {i1, i2}:
-                h[k, k] += -4.0 * j * delta
-            for src, dst in ((a, b), (b, a)):
-                if src in (i1, i2) and dst not in (i1, i2):
-                    other = i2 if src == i1 else i1
-                    h[basis.pair_index(dst, other), k] += -2.0 * j
-    return h
-
-
 def build_hamiltonian(spec: ChainSpec, sector: Sector) -> DenseHamiltonian:
-    """Dense Hamiltonian of the requested sector; Hermitian, sector-preserving."""
-    if sector == "full":
-        if spec.n > MAX_FULL_N:
-            raise ValueError(f"full space limited to N <= {MAX_FULL_N}, got {spec.n}")
-        matrix = _build_full(spec)
-    elif sector == "one_excitation":
-        if spec.n > MAX_ONE_N:
-            raise ValueError(f"one-excitation sector limited to N <= {MAX_ONE_N}, got {spec.n}")
-        matrix = _build_one(spec)
-    elif sector == "two_excitation":
-        if spec.n > MAX_PAIR_N:
-            raise ValueError(f"pair sector limited to N <= {MAX_PAIR_N}, got {spec.n}")
-        matrix = _build_two(spec)
-    elif sector == "vacuum_one_two":
-        if spec.n > MAX_PAIR_N:
-            raise ValueError(f"pair sector limited to N <= {MAX_PAIR_N}, got {spec.n}")
-        h1 = _build_one(spec)
-        h2 = _build_two(spec)
-        dim = 1 + spec.n + h2.shape[0]
-        matrix = np.zeros((dim, dim))
-        matrix[0, 0] = spec.ground_energy
-        matrix[1 : 1 + spec.n, 1 : 1 + spec.n] = h1
-        matrix[1 + spec.n :, 1 + spec.n :] = h2
-    else:
-        raise ValueError(f"unknown sector {sector!r}")
-    return DenseHamiltonian(matrix, make_basis(sector, spec.n))
+    """Dense Hamiltonian of the requested sector; Hermitian, sector-preserving.
+
+    Each config starts at the reference energy -J * n_bonds. Per bond, it
+    gains -4 J delta when both ends are flipped, and a -2 J hop to the config
+    with the flip moved across the bond when one end is. Only the bonds of
+    the flipped sites are walked. The one-site ring's self-bond hops the
+    magnon onto itself.
+    """
+    basis = make_basis(sector, spec.n)
+    ends: dict[int, list[int]] = {s: [] for s in range(1, spec.n + 1)}
+    closing = [(spec.n, 1)] if spec.boundary == "closed" else []
+    for a, b in [(i, i + 1) for i in range(1, spec.n)] + closing:
+        ends[a].append(b)
+        ends[b].append(a)
+    contact = -4.0 * spec.j * spec.delta
+    energies = np.empty(basis.dim)
+    rows, cols = [], []
+    for k, config in enumerate(basis.configs):
+        energy = spec.ground_energy
+        for s in config:
+            for o in ends[s]:
+                if o != s and o in config:
+                    if s < o:  # each contact bond once, from its lower end
+                        energy += contact
+                else:
+                    rows.append(basis.index[tuple(sorted(o if x == s else x for x in config))])
+                    cols.append(k)
+        energies[k] = energy
+    matrix = np.zeros((basis.dim, basis.dim))
+    np.add.at(matrix, (np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)), -2.0 * spec.j)
+    matrix[np.diag_indices(basis.dim)] += energies
+    return DenseHamiltonian(matrix, basis)
 
 
 def evolve(state: DenseState, ham: DenseHamiltonian, t: float) -> DenseState:
@@ -190,62 +169,47 @@ def evolve(state: DenseState, ham: DenseHamiltonian, t: float) -> DenseState:
     return DenseState(v @ (phases * (v.T @ state.vector)), state.basis)
 
 
-def _flip_partners(basis: SectorBasis, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """vacuum_one_two indices (up, down) of the configurations with site m
-    unflipped (the vacuum, a magnon at y != m) and of the same configurations
-    with site m flipped (a magnon at m, the pair {y, m})."""
-    others = [y for y in range(1, basis.n + 1) if y != m]
-    return np.array([0] + others), np.array([m] + [basis.pair_index(y, m) for y in others])
-
-
-def _site_flipped_mask(basis: SectorBasis, m: int) -> np.ndarray:
-    """Boolean mask: basis elements in which site m carries a flipped spin."""
-    if basis.kind == "one_excitation":
-        return np.arange(1, basis.n + 1) == m
-    if basis.kind == "vacuum_one_two":
-        flip = np.zeros(basis.dim, dtype=bool)
-        flip[_flip_partners(basis, m)[1]] = True
-        return flip
-    raise ValueError(f"site projectors need one_excitation or vacuum_one_two basis, got {basis.kind}")
-
-
-def _check_site(m: int, basis: SectorBasis) -> None:
+def _flip_map(basis: SectorBasis, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Site-m flip map (flipped, partner): flipped[k] says config k holds site m;
+    partner[k] indexes config k with site m toggled, or is -1 when that config
+    lies outside the basis."""
     if not 1 <= m <= basis.n:
         raise ValueError(f"site {m} out of range 1..{basis.n}")
+    flipped = np.array([m in config for config in basis.configs], dtype=bool)
+    partner = np.array(
+        [basis.index.get(tuple(sorted(set(config) ^ {m})), -1) for config in basis.configs],
+        dtype=np.intp,
+    )
+    return flipped, partner
 
 
 def apply_local(op: str | tuple[complex, complex], m: int, state: DenseState) -> DenseState:
     """Apply a local projector ('p0' / 'p1') or gate (gamma, delta) at site m.
 
     A projector returns the unnormalized branch. Gate convention:
-    V|up> = gamma|up> + delta|down>, V|down> = -conj(delta)|up> + gamma|down>,
-    on the vacuum_one_two basis only. There V acts on each pair of
-    configurations that differ only at site m; its delta branch out of a pair
-    not containing m would need three flipped spins, so a gate raises when
-    such amplitude would leak out of the basis.
+    V|up> = gamma|up> + delta|down>, V|down> = -conj(delta)|up> + gamma|down>.
+    V acts on each pair of configs that differ only at site m; a gate raises
+    when its delta branch would move amplitude onto a config outside the basis
+    (in vacuum_one_two: a pair not containing m, which would need three
+    flipped spins).
     """
     basis, vec = state.basis, state.vector
-    _check_site(m, basis)
+    flipped, partner = _flip_map(basis, m)
     if isinstance(op, str):
         if op not in ("p0", "p1"):
             raise ValueError(f"projector must be 'p0' or 'p1', got {op!r}")
-        mask = _site_flipped_mask(basis, m)
-        keep = mask if op == "p1" else ~mask
+        keep = flipped if op == "p1" else ~flipped
         return DenseState(np.where(keep, vec, 0.0), basis)
     gamma, delta = complex(op[0]), complex(op[1])
     if abs(abs(gamma) ** 2 + abs(delta) ** 2 - 1.0) > 1e-10:
         raise ValueError("gate (gamma, delta) must satisfy |gamma|^2 + |delta|^2 = 1")
-    if basis.kind != "vacuum_one_two":
-        raise ValueError(f"gates need the vacuum_one_two basis, got {basis.kind}")
-    up, down = _flip_partners(basis, m)
-    pairs_without_m = ~_site_flipped_mask(basis, m)
-    pairs_without_m[: 1 + basis.n] = False
-    leak = abs(delta) ** 2 * float(np.sum(np.abs(vec[pairs_without_m]) ** 2))
+    leak = abs(delta) ** 2 * float(np.sum(np.abs(vec[partner < 0]) ** 2))
     if leak > 1e-10:
         raise ValueError(
-            f"gate at site {m} would move weight {leak:.3e} into the three-magnon "
-            "sector, which this basis cannot represent"
+            f"gate at site {m} would move weight {leak:.3e} out of the {basis.kind} basis"
         )
+    up = np.flatnonzero(~flipped & (partner >= 0))
+    down = partner[up]
     out = gamma * vec
     out[up] = gamma * vec[up] - np.conj(delta) * vec[down]
     out[down] = delta * vec[up] + gamma * vec[down]
@@ -254,11 +218,11 @@ def apply_local(op: str | tuple[complex, complex], m: int, state: DenseState) ->
 
 def encoded_state(alpha: complex, beta: complex, basis: SectorBasis) -> DenseState:
     """alpha |all up> + beta |magnon at site 1> in the requested basis."""
-    if basis.kind not in ("full", "vacuum_one_two"):
+    if () not in basis.index:
         raise ValueError(f"encoded states need the vacuum in the basis, got {basis.kind}")
     vec = np.zeros(basis.dim, dtype=complex)
-    vec[0] = alpha
-    vec[1] = beta  # index 1 is the magnon at site 1 in both bases (bit 0 set in the full one)
+    vec[basis.index[()]] = alpha
+    vec[basis.index[(1,)]] = beta
     return DenseState(vec, basis)
 
 
@@ -269,21 +233,11 @@ def rdm_site(state: DenseState, l: int) -> tuple[float, complex]:
     <flipped| rho_l |unflipped>. For a mixture of branches, sum the entries
     of the branches.
     """
-    basis = state.basis
     vec = state.vector
-    _check_site(l, basis)
-    if basis.kind == "full":
-        flipped = (1 << (l - 1))
-        states = np.arange(basis.dim)
-        down = (states & flipped).astype(bool)
-        x = float(np.sum(np.abs(vec[down]) ** 2))
-        partners = states[down] ^ flipped
-        y = complex(np.vdot(vec[partners], vec[states[down]]))
-        return x, y
-    if basis.kind == "vacuum_one_two":
-        up, down = _flip_partners(basis, l)
-        return float(np.sum(np.abs(vec[down]) ** 2)), complex(np.vdot(vec[up], vec[down]))
-    raise ValueError(f"single-site RDM needs full or vacuum_one_two basis, got {basis.kind}")
+    flipped, partner = _flip_map(state.basis, l)
+    paired = flipped & (partner >= 0)
+    x = float(np.sum(np.abs(vec[flipped]) ** 2))
+    return x, complex(np.vdot(vec[partner[paired]], vec[paired]))
 
 
 def transfer_fidelity(x: float, y: complex, alpha: complex, beta: complex) -> float:

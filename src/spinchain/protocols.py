@@ -206,7 +206,7 @@ class UnitaryState:
     two_magnon is a symmetric N x N matrix with a zero diagonal: entry
     (y1 - 1, y2 - 1) holds the pair {y1, y2}. norm_defect is
     |1 - total norm^2|, which the exact sector propagators keep at rounding
-    level for every gate.
+    level for every gate; ``UnitaryQdpEngine.state`` raises above 1e-10.
     """
 
     vacuum: complex
@@ -244,7 +244,6 @@ class UnitaryQdpEngine:
         self.u0 = reduced_profile(1, event.t0, spec)
         # A phase-only gate conserves the magnon number: no pair channel.
         self.ring = RingTwoMagnon(spec) if event.delta != 0.0 else None
-        self.bound_count = self.ring.bound_count if self.ring else 0
         if self.ring is not None:
             # each pair holding the gate site starts with the amplitude of its partner
             m = event.m - 1
@@ -311,22 +310,16 @@ class UnitaryQdpEngine:
             + float(np.sum(np.abs(one) ** 2))
             + abs(beta * delta) ** 2 * float(np.sum(np.abs(amps) ** 2)) / 2.0
         )
+        defect = abs(1.0 - norm_sq)
+        # written as "not within" so that NaN, which compares False, fails too
+        if not defect <= 1e-10:
+            raise ValueError(f"norm defect {defect:.3e} after the gate at site {ev.m}")
         return UnitaryState(
             vacuum=complex(vac),
             one_magnon=one,
             two_magnon=phase * beta * delta * amps,
-            norm_defect=abs(1.0 - norm_sq),
+            norm_defect=defect,
         )
-
-
-def unitary_qdp_state(
-    event: QdpEvent, t: float, spec: ChainSpec, initial: InitialState
-) -> UnitaryState:
-    """Sector amplitudes after encoding, free flight to t0, local gate, flight to t."""
-    state = UnitaryQdpEngine(spec, event).state(t, initial)
-    if abs(event.delta) == 0.0 and state.norm_defect > 1e-10:
-        raise ValueError(f"norm defect {state.norm_defect:.3e} with a phase-only gate")
-    return state
 
 
 # --------------------------------------------------------------------------

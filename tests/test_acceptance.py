@@ -35,7 +35,6 @@ from spinchain.protocols import (
     fidelity_free_row,
     fidelity_projective_row,
     hk_propagators,
-    unitary_qdp_state,
 )
 
 from bessel_reference import reduced_hop_amplitudes
@@ -175,7 +174,7 @@ def test_criterion_07_gate_protocol_matches_dense_evolution(channel_fidelity):
         event = QdpEvent("local_unitary", m=4, t0=2.0, gate=gate)
         mid = oracle.evolve(oracle.encoded_state(initial.alpha, initial.beta, basis), ham, 2.0)
         final = oracle.evolve(oracle.apply_local(gate, 4, mid), ham, 2.0)
-        state = unitary_qdp_state(event, 4.0, spec, initial)
+        state = UnitaryQdpEngine(spec, event).state(4.0, initial)
 
         assert abs(state.vacuum - final.vector[0]) <= 1e-10
         one_dense = final.vector[1:13]

@@ -223,10 +223,10 @@ def test_overflowing_parameters_are_refused_by_name(tmp_path, capsys, argv, fiel
 def test_calibrate_refuses_a_dense_matrix_too_large_to_hold(tmp_path, monkeypatch, capsys):
     from spinchain import oracle
 
-    def refused(spec):
-        pytest.fail(f"dense {spec.n} x {spec.n} one-excitation matrix built before the refusal")
+    def refused(spec, sector):
+        pytest.fail(f"dense {sector} matrix at n = {spec.n} built before the refusal")
 
-    monkeypatch.setattr(oracle, "_build_one", refused)
+    monkeypatch.setattr(oracle, "build_hamiltonian", refused)
     assert main(["calibrate", "--n", "100000", "--out", str(tmp_path / "c.json")]) == 2
     assert "n = 100000" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []

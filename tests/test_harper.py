@@ -207,7 +207,7 @@ def test_detector_profile_sums_to_zero():
     spec = HarperSpec(n=30, g=2.0, tau=0.25, boundary="closed")
     result = _readout(spec, 5, 4, 20, InitialState(0.6, 0.8))
     assert abs(float(np.sum(result.detector))) < 1e-12
-    assert result.m == 5 and result.n0 == 4 and result.n == 20
+    assert result.n == 20
 
 
 def test_kicked_walk_converges_first_order_to_static_flow():

@@ -56,6 +56,24 @@ def test_combined_sector_embeds_the_pure_sectors():
     assert np.max(np.abs(combined[0, 1:])) == 0.0  # sectors never mix
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 6])
+@pytest.mark.parametrize("boundary", ["open", "closed"])
+@pytest.mark.parametrize("delta", [0.4, 1.0])
+def test_every_sector_is_the_full_space_restricted_to_its_configs(n, boundary, delta):
+    # the one-site ring's self-bond is a hop in every sector, never a contact
+    spec = ChainSpec(n, boundary, 0.7, delta)
+    full = build_hamiltonian(spec, "full").matrix
+    ones = [(y,) for y in range(1, n + 1)]
+    pairs = ordered_pairs(n)
+    for sector, configs in (
+        ("one_excitation", ones),
+        ("two_excitation", pairs),
+        ("vacuum_one_two", [()] + ones + pairs),
+    ):
+        rows = [sum(1 << (s - 1) for s in config) for config in configs]
+        assert np.array_equal(build_hamiltonian(spec, sector).matrix, full[np.ix_(rows, rows)]), sector
+
+
 def test_full_space_agrees_with_combined_sector():
     spec = ChainSpec(8, "open", 0.5, 1.0)
     alpha, beta = np.sqrt(0.4), np.sqrt(0.6) * np.exp(0.3j)
@@ -84,6 +102,20 @@ def test_local_gate_preserves_norm_and_acts_locally():
     x_before = rdm_site(state, 6)[0]
     x_after = rdm_site(kicked, 6)[0]
     assert x_after == pytest.approx(x_before, abs=1e-12)
+
+
+def test_gate_agrees_with_the_full_space_and_refuses_a_third_magnon():
+    spec = ChainSpec(5, "closed", 0.5, 1.0)
+    gated = []
+    for sector in ("full", "vacuum_one_two"):
+        ham = build_hamiltonian(spec, sector)
+        mid = evolve(encoded_state(np.sqrt(0.3), np.sqrt(0.7), ham.basis), ham, 1.1)
+        gated.append(evolve(apply_local((0.6, 0.8j), 2, mid), ham, 0.7))
+    for l in range(1, 6):
+        assert rdm_site(gated[0], l) == pytest.approx(rdm_site(gated[1], l), abs=1e-12)
+    apply_local((0.0, 1.0), 4, gated[0])  # the full space holds a third magnon
+    with pytest.raises(ValueError, match="out of the vacuum_one_two basis"):
+        apply_local((0.0, 1.0), 4, gated[1])
 
 
 def test_measurement_branches_resolve_identity():

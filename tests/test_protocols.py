@@ -21,7 +21,6 @@ from spinchain.protocols import (
     grid_values,
     hk_propagators,
     projective_rdm_row,
-    unitary_qdp_state,
 )
 
 OPEN12 = ChainSpec(12, "open", 0.5, 1.0)
@@ -107,7 +106,7 @@ def test_gate_channels_match_dense_golden(golden, channel_fidelity):
     phase = reduced_phase(CLOSED12, t)
     for label, (gr, gi, dr, di) in record["inputs"]["gates"].items():
         event = QdpEvent("local_unitary", m=m, t0=t0, gate=(complex(gr, gi), complex(dr, di)))
-        state = unitary_qdp_state(event, t, CLOSED12, initial)
+        state = UnitaryQdpEngine(CLOSED12, event).state(t, initial)
         assert state.norm_defect < 1e-12
         assert state.vacuum / phase == pytest.approx(
             complex(record["values"][f"{label}_vacuum"][0]), abs=tol
@@ -164,7 +163,7 @@ def test_gate_state_matches_dense_evolution_on_random_rings():
         mid = oracle.evolve(oracle.encoded_state(initial.alpha, initial.beta, basis), ham, event.t0)
         dense = oracle.evolve(oracle.apply_local(gate, event.m, mid), ham, t - event.t0).vector
 
-        state = unitary_qdp_state(event, t, spec, initial)
+        state = UnitaryQdpEngine(spec, event).state(t, initial)
         two = [
             state.two_magnon[y1 - 1, y2 - 1] - dense[basis.pair_index(y1, y2)]
             for y1, y2 in basis.pairs
@@ -195,7 +194,15 @@ def test_phase_only_gate_has_no_pair_channel():
     event = QdpEvent("local_unitary", m=3, t0=1.0, gate=(1.0, 0.0))
     engine = UnitaryQdpEngine(CLOSED12, event)
     assert engine.two_magnon_weight(2.5) == 0.0
-    assert engine.bound_count == 0
+    assert engine.ring is None
+
+
+def test_gate_state_refuses_a_norm_defect(monkeypatch):
+    engine = UnitaryQdpEngine(CLOSED12, QdpEvent("local_unitary", m=3, t0=1.0, gate=(0.6, 0.8)))
+    pairs = engine._pair_matrix
+    monkeypatch.setattr(engine, "_pair_matrix", lambda t, part: 1.01 * pairs(t, part))
+    with pytest.raises(ValueError, match="norm defect"):
+        engine.state(2.5, InitialState(0.6, 0.8))
 
 
 def test_phase_only_gate_holds_no_pair_matrix():
