@@ -1,12 +1,15 @@
 """Two-magnon propagators on closed rings: exact evolution split into bound and scattering parts.
 
 ``RingTwoMagnon`` diagonalizes the two-excitation sector of a ring once, as
-floor(N/2) + 1 real blocks over pair separations (momenta k and N - k share
-one), and evolves any pair state exactly. A pair state is a symmetric
+floor(N/2) + 1 real tridiagonal blocks over pair separations (momenta k and
+N - k share one), and evolves any pair state exactly. The blocks are
+``eigh``ed a few at a time and overwritten by their modes, so the build
+peaks near the N^3 bytes of modes it keeps. A pair state is a symmetric
 complex N x N matrix with a zero diagonal: entry (y1 - 1, y2 - 1) holds the
 pair {y1, y2}. Its sector eigenstates below the continuum bottom form the
 bound band; the rest scatter; the two parts resolve the identity.
-``green2`` evolves one source pair and reads one target entry.
+``green2`` evolves one source pair and reads one target entry, reusing the
+last ring's kernel.
 
 Amplitudes inside ``RingTwoMagnon`` are reduced (measured from the polarized
 reference, like green1's reduced rows); ``green2`` returns full amplitudes,
@@ -15,18 +18,24 @@ sectors and are refused.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Literal
+from typing import Literal, get_args
 
 import numpy as np
 
+from .bessel import MAX_ARG
 from .chain import ChainSpec, reduced_phase
 
 Part = Literal["bound", "scattering", "total"]
 
-#: Largest ring RingTwoMagnon builds; its floor(N/2) + 1 real blocks take N^3 bytes.
+#: Largest ring RingTwoMagnon builds. Its floor(N/2) + 1 real blocks of modes
+#: take N^3 bytes (134 MB at 512 sites), and the build peaks not far above that.
 MAX_RING_SITES = 512
+#: Sector blocks per ``eigh`` call; the build's transient is the modes of a
+#: few such blocks, not of all of them.
+_EIGH_CHUNK = 16
 _BOUND_MARGIN = 1e-9  # relative to 8J: how far below the continuum a bound level sits
 
 
@@ -41,6 +50,19 @@ def _normalize_pair(x1: int, x2: int) -> tuple[int, int]:
     if x1 == x2:
         raise ValueError(f"two-magnon pair needs distinct sites, got ({x1}, {x2})")
     return (x1, x2) if x1 < x2 else (x2, x1)
+
+
+def _check_evolution(t: float, part: str, spec: ChainSpec) -> None:
+    """Refuse an unknown part, and a time whose phases e^{-iEt} would round away.
+
+    4*J*|t| is held to ``bessel.MAX_ARG``, as green1 holds its rows; NaN and
+    infinity fail the bound too.
+    """
+    if part not in get_args(Part):
+        raise ValueError(f"unknown part {part!r}; expected one of {get_args(Part)}")
+    z = 4.0 * spec.j * t
+    if not abs(z) <= MAX_ARG:
+        raise ValueError(f"4*J*|t| must be <= {MAX_ARG}, got {z} at t = {t}")
 
 
 class RingTwoMagnon:
@@ -62,7 +84,10 @@ class RingTwoMagnon:
     the centre axis turns the grid into all momentum sectors at once. A
     diagonal gauge per sector makes its block real, and sectors k and N - k
     then share one block, so floor(N/2) + 1 real blocks (N^3 bytes of modes)
-    are diagonalized by one batched eigh.
+    are diagonalized, ``_EIGH_CHUNK`` blocks per ``eigh`` call, each block
+    overwritten in place by its modes. ``eigh`` sees each block alone either
+    way, so the build holds the blocks plus one chunk's modes rather than
+    every block twice.
 
     Sector eigenstates below the infinite-chain continuum bottom
     -8J|cos(P/2)| form the bound band; the rest scatter. Propagation can be
@@ -113,7 +138,12 @@ class RingTwoMagnon:
             live[odd, -1] = False
         else:
             blocks[:, -1, -1] += -4.0 * j * (-1.0) ** b * cos_b
-        self._evals, self._evecs = np.linalg.eigh(blocks)
+        # a few blocks per eigh, each overwritten by its own modes
+        self._evals = np.empty((r_full + 1, r_full))
+        for start in range(0, r_full + 1, _EIGH_CHUNK):
+            s = slice(start, start + _EIGH_CHUNK)
+            self._evals[s], blocks[s] = np.linalg.eigh(blocks[s])
+        self._evecs = blocks
         bound = self._evals < (-8.0 * j * cos_b - _BOUND_MARGIN * 8.0 * j)[:, None]
         # blocks 0 and N/2 serve one sector, every other block two
         sectors_per_block = np.where((b == 0) | (2 * b == n), 1, 2)
@@ -126,10 +156,10 @@ class RingTwoMagnon:
         psi is a symmetric N x N matrix with a zero diagonal; entry
         (y1 - 1, y2 - 1) holds the pair {y1, y2}. The result has the same
         form. The three parts resolve the identity: bound + scattering =
-        total propagation.
+        total propagation. A NaN or infinite t, or 4*J*|t| above
+        ``bessel.MAX_ARG``, is refused.
         """
-        if part not in self._keep:
-            raise ValueError(f"unknown part {part!r}; expected one of {tuple(self._keep)}")
+        _check_evolution(t, part, self.spec)
         psi = np.asarray(psi, dtype=complex)
         n, blocks = len(self._gauge), len(self._evals)
         if psi.shape != (n, n):
@@ -154,13 +184,24 @@ class RingTwoMagnon:
         return half + half.T
 
 
+@functools.lru_cache(maxsize=1)
+def _ring_kernel(spec: ChainSpec) -> RingTwoMagnon:
+    """The kernel of the ring ``green2`` last read; another ring replaces it."""
+    return RingTwoMagnon(spec)
+
+
 def green2(
     x1: int, x2: int, x1p: int, x2p: int, t: float, spec: ChainSpec, part: Part = "total"
 ) -> Green2Value:
     """Two-magnon amplitude (x1, x2) -> (x1p, x2p) after time t on the ring ``spec``.
 
     ``part`` restricts the propagation to the bound band or the scattering
-    states; the two add up to the total. Open chains raise ValueError.
+    states; the two add up to the total. Open chains raise ValueError, and
+    so do the times ``RingTwoMagnon.evolve_pair_state`` refuses. The ring's
+    kernel is built on the first call for ``spec`` and kept until a call
+    names another ring, so its N^3 bytes of modes (134 MB at 512 sites) stay
+    alive after the call returns; ``_ring_kernel.cache_clear()`` frees them.
+    Arguments are checked before the kernel is looked up.
     """
     s1, s2 = _normalize_pair(x1, x2)
     d1, d2 = _normalize_pair(x1p, x2p)
@@ -168,8 +209,9 @@ def green2(
         raise ValueError(f"time must be >= 0, got {t}")
     if min(s1, d1) < 1 or max(s2, d2) > spec.n:
         raise ValueError(f"pair sites must lie in 1..{spec.n}")
+    _check_evolution(t, part, spec)
     source = np.zeros((spec.n, spec.n), dtype=complex)
     source[s1 - 1, s2 - 1] = source[s2 - 1, s1 - 1] = 1.0
-    evolved = RingTwoMagnon(spec).evolve_pair_state(source, t, part)
+    evolved = _ring_kernel(spec).evolve_pair_state(source, t, part)
     value = reduced_phase(spec, t) * complex(evolved[d1 - 1, d2 - 1])
     return Green2Value(value)

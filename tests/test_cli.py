@@ -265,6 +265,10 @@ def test_times_past_the_bessel_domain_exit_2_and_write_nothing(tmp_path):
     out = ["--out", str(tmp_path / "x.csv")]
     assert main(["fidelity", "--n", "12", "--tmin", "2e5", "--tmax", "2e5"] + out) == 2
     assert list(tmp_path.iterdir()) == []
+    # the ring's pair evolution refuses the same bound
+    split = ["two-magnon-split", "--n", "12", "--boundary", "closed"]
+    assert main(split + ["--tmin", "1e300", "--tmax", "1e300"] + out) == 2
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_each_gate_command_builds_its_ring_kernel_once(tmp_path, monkeypatch):

@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from spinchain import green2 as green2_module
 from spinchain import oracle
 from spinchain.chain import ChainSpec, reduced_phase
-from spinchain.green2 import MAX_RING_SITES, RingTwoMagnon, green2
+from spinchain.green2 import _EIGH_CHUNK, MAX_RING_SITES, RingTwoMagnon, green2
 
 from bessel_reference import reduced_hop_amplitudes
+from ring_reference import ring_modes
 
 SPEC = ChainSpec(40, "closed", 0.5, 1.0)
 
@@ -185,6 +189,72 @@ def test_ring_keeps_floor_half_plus_one_real_blocks(n):
     assert ring._evals.shape == (r + 1, r)
 
 
+# the block count floor(N/2) + 1 on either side of one and two chunks
+_CHUNK_EDGES = [n for c in (_EIGH_CHUNK, 2 * _EIGH_CHUNK) for n in range(2 * c - 4, 2 * c + 2)]
+
+
+@pytest.mark.parametrize("n", list(range(3, 15)) + _CHUNK_EDGES)
+def test_chunked_build_matches_one_dense_eigh(n):
+    for delta in (0.0, 1.0, -0.7, 2.0):
+        spec = ChainSpec(n, "closed", 0.5, delta)
+        ring = RingTwoMagnon(spec)
+        evals, evecs, keep, bound_count = ring_modes(spec)
+        assert np.array_equal(ring._evals, evals)
+        assert np.array_equal(ring._evecs, evecs)
+        assert ring._keep.keys() == keep.keys()
+        for part, mask in keep.items():
+            assert np.array_equal(ring._keep[part], mask)
+        assert ring.bound_count == bound_count
+
+
+def test_build_holds_the_modes_plus_a_chunk():
+    # one eigh over all floor(N/2) + 1 blocks would add as much again as the modes
+    spec = ChainSpec(200, "closed", 0.5, 1.0)
+    RingTwoMagnon(ChainSpec(6, "closed"))  # numpy's lazy set-up stays out of the trace
+    tracemalloc.start()
+    try:
+        ring = RingTwoMagnon(spec)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - kept < ring._evecs.nbytes / 2
+
+
+def test_green2_builds_each_ring_kernel_once(monkeypatch):
+    builds = []
+    original = RingTwoMagnon.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(args)
+        original(self, *args, **kwargs)
+
+    green2_module._ring_kernel.cache_clear()
+    monkeypatch.setattr(RingTwoMagnon, "__init__", counting_init)
+    ring, other = ChainSpec(18, "closed", 0.5, 0.8), ChainSpec(19, "closed", 0.5, 0.8)
+    calls = [((2, 5, 3, 7, t), part) for t in (0.0, 1.5, 4.0)
+             for part in ("total", "bound", "scattering")]
+    calls += [((9, 1, 18, 17, 2.5), "total"), ((4, 11, 11, 4, 0.5), "bound")]
+    values = [green2(*args, ring, part=part).value for args, part in calls]
+    assert len(builds) == 1
+    green2(2, 5, 3, 7, 1.5, other)
+    assert len(builds) == 2
+    # a freshly built kernel gives every value again, to the bit
+    for (args, part), value in zip(calls, values):
+        green2_module._ring_kernel.cache_clear()
+        assert green2(*args, ring, part=part).value == value
+    # bad input is refused before the lookup, and an open chain caches nothing
+    green2_module._ring_kernel.cache_clear()
+    builds.clear()
+    for args, part in (((1, 2, 1, 2, float("nan")), "total"), ((1, 2, 1, 2, 1.0), "foo"),
+                       ((1, 2, 1, 19, 1.0), "total")):
+        with pytest.raises(ValueError):
+            green2(*args, ring, part=part)
+    assert builds == []
+    with pytest.raises(ValueError):
+        green2(1, 2, 1, 2, 1.0, ChainSpec(18, "open", 0.5, 0.8))
+    assert green2_module._ring_kernel.cache_info().currsize == 0
+
+
 def test_ring_validation():
     with pytest.raises(ValueError):
         RingTwoMagnon(ChainSpec(12, "open", 0.5, 1.0))
@@ -198,6 +268,16 @@ def test_ring_validation():
         green2(1, 2, 40, 41, 1.0, SPEC)
     with pytest.raises(ValueError):
         green2(1, 2, 1, 2, 1.0, SPEC, part="foo")
+    # 4*J*|t| past bessel.MAX_ARG would leave only rounding noise in the phases
+    ring12 = RingTwoMagnon(ChainSpec(12, "closed", 0.5, 1.0))
+    source = np.zeros((12, 12), dtype=complex)
+    source[0, 1] = source[1, 0] = 1.0
+    for t in (float("nan"), float("inf"), 1e300):
+        with pytest.raises(ValueError):
+            green2(1, 2, 1, 2, t, ChainSpec(12, "closed"))
+        for signed in (t, -t):
+            with pytest.raises(ValueError):
+                ring12.evolve_pair_state(source, signed)
     # the kernel reads one triangle per pair, so a pair state must be a
     # symmetric matrix with a zero diagonal
     ring = RingTwoMagnon(ChainSpec(6, "closed", 0.5, 1.0))
