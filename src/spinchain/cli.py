@@ -229,9 +229,9 @@ def _subparser_for(parser: argparse.ArgumentParser, command: str) -> argparse.Ar
 # --------------------------------------------------------------------------
 
 
-def _write_outputs(args: argparse.Namespace, payload: str, meta: dict) -> None:
+def _write_outputs(args: argparse.Namespace, payload: bytes, meta: dict) -> None:
     out = pathlib.Path(args.out)
-    out.write_text(payload)
+    out.write_bytes(payload)
     sidecar = out.with_name(out.name + ".meta.json")
     sidecar.write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
     print(f"wrote {out} and {sidecar}")
@@ -487,7 +487,7 @@ def _run_oracle_check(args: argparse.Namespace) -> int:
         failures.append("paired-band census")
 
     meta = _metadata(args, {"report": report})
-    _write_outputs(args, json.dumps(report, sort_keys=True, indent=2) + "\n", meta)
+    _write_outputs(args, (json.dumps(report, sort_keys=True, indent=2) + "\n").encode(), meta)
     if failures:
         raise CheckFailure(f"{len(failures)} oracle check(s) failed: {', '.join(failures)}")
     return EXIT_OK
@@ -519,7 +519,7 @@ def _run_calibrate(args: argparse.Namespace) -> int:
             _record(report, failures, f"one-magnon propagator ({boundary}, n={n})", worst, tol)
     print(f"conventions fingerprint: {conventions_hash()}")
     meta = _metadata(args, {"report": report})
-    _write_outputs(args, json.dumps(report, sort_keys=True, indent=2) + "\n", meta)
+    _write_outputs(args, (json.dumps(report, sort_keys=True, indent=2) + "\n").encode(), meta)
     if failures:
         raise CheckFailure(f"calibration failed for: {', '.join(failures)}")
     return EXIT_OK

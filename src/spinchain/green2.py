@@ -8,8 +8,9 @@ peaks near the N^3 bytes of modes it keeps. A pair state is a symmetric
 complex N x N matrix with a zero diagonal: entry (y1 - 1, y2 - 1) holds the
 pair {y1, y2}. Its sector eigenstates below the continuum bottom form the
 bound band; the rest scatter; the two parts resolve the identity.
-``green2`` evolves one source pair and reads one target entry, reusing the
-last ring's kernel.
+``green2`` evolves one source pair and reads one target entry. Both it and
+the gate protocol take their kernel from ``ring_kernel``, which keeps the
+last ring's kernel for the next caller.
 
 Amplitudes inside ``RingTwoMagnon`` are reduced (measured from the polarized
 reference, like green1's reduced rows); ``green2`` returns full amplitudes,
@@ -185,8 +186,16 @@ class RingTwoMagnon:
 
 
 @functools.lru_cache(maxsize=1)
-def _ring_kernel(spec: ChainSpec) -> RingTwoMagnon:
-    """The kernel of the ring ``green2`` last read; another ring replaces it."""
+def ring_kernel(spec: ChainSpec) -> RingTwoMagnon:
+    """The kernel of the last ring asked for; asking for another ring replaces it.
+
+    ``green2`` and ``protocols.UnitaryQdpEngine`` both read their kernel
+    here, so consecutive gate commands and ``green2`` calls on one ring
+    share one build. The kernel stays alive after its caller returns (N^3
+    bytes of modes, 134 MB at 512 sites); ``ring_kernel.cache_clear()``
+    frees it. A kernel is shared read-only: nothing mutates it after the
+    build.
+    """
     return RingTwoMagnon(spec)
 
 
@@ -198,10 +207,10 @@ def green2(
     ``part`` restricts the propagation to the bound band or the scattering
     states; the two add up to the total. Open chains raise ValueError, and
     so do the times ``RingTwoMagnon.evolve_pair_state`` refuses. The ring's
-    kernel is built on the first call for ``spec`` and kept until a call
-    names another ring, so its N^3 bytes of modes (134 MB at 512 sites) stay
-    alive after the call returns; ``_ring_kernel.cache_clear()`` frees them.
-    Arguments are checked before the kernel is looked up.
+    kernel comes from ``ring_kernel``: built on the first call for ``spec``
+    and kept until another ring is asked for, so its N^3 bytes of modes
+    (134 MB at 512 sites) stay alive after the call returns. Arguments are
+    checked before the kernel is looked up.
     """
     s1, s2 = _normalize_pair(x1, x2)
     d1, d2 = _normalize_pair(x1p, x2p)
@@ -212,6 +221,6 @@ def green2(
     _check_evolution(t, part, spec)
     source = np.zeros((spec.n, spec.n), dtype=complex)
     source[s1 - 1, s2 - 1] = source[s2 - 1, s1 - 1] = 1.0
-    evolved = _ring_kernel(spec).evolve_pair_state(source, t, part)
+    evolved = ring_kernel(spec).evolve_pair_state(source, t, part)
     value = reduced_phase(spec, t) * complex(evolved[d1 - 1, d2 - 1])
     return Green2Value(value)

@@ -29,7 +29,7 @@ import numpy as np
 
 from .chain import BLOCH_MOMENTS, ChainSpec, InitialState, QdpEvent, reduced_phase
 from .green1 import reduced_profile
-from .green2 import Part, RingTwoMagnon
+from .green2 import Part, ring_kernel
 
 
 # --------------------------------------------------------------------------
@@ -222,11 +222,13 @@ class UnitaryQdpEngine:
     into a source pair with the gate site, which then evolves through the
     exact ring two-magnon propagator into the pair amplitudes L(y1, y2; t).
     What does not depend on t -- the ring kernel, the amplitudes at t0 and
-    the source pair state -- is built once here; each per-time method
-    evolves the source once per propagator part it needs. A phase-only gate
-    (delta = 0) opens no pair channel: it builds neither and its rows hold
-    O(N) memory. One-magnon pieces use the exact finite-ring propagator, so
-    all sector norms are conserved to rounding.
+    the source pair state -- is set up once here; each per-time method
+    evolves the source once per propagator part it needs. The kernel comes
+    from ``green2.ring_kernel``, so engines on one ring share one build, and
+    it stays alive after the engine, until another ring is asked for. A
+    phase-only gate (delta = 0) opens no pair channel: it needs neither and
+    its rows hold O(N) memory. One-magnon pieces use the exact finite-ring
+    propagator, so all sector norms are conserved to rounding.
     """
 
     def __init__(self, spec: ChainSpec, event: QdpEvent):
@@ -243,7 +245,7 @@ class UnitaryQdpEngine:
         self.event = event
         self.u0 = reduced_profile(1, event.t0, spec)
         # A phase-only gate conserves the magnon number: no pair channel.
-        self.ring = RingTwoMagnon(spec) if event.delta != 0.0 else None
+        self.ring = ring_kernel(spec) if event.delta != 0.0 else None
         if self.ring is not None:
             # each pair holding the gate site starts with the amplitude of its partner
             m = event.m - 1
@@ -327,13 +329,116 @@ class UnitaryQdpEngine:
 # --------------------------------------------------------------------------
 
 
-def grid_csv(l_values, t_values, values: np.ndarray) -> str:
-    """CSV rows l,t,value, time outer, 12 significant digits: one ``%`` per time's column."""
-    template = "".join(f"{l},%s,%.11e\n" for l in l_values)
-    blocks = ["l,t,value\n"]
-    for t, column in zip(t_values, values.T):
-        blocks.append(template.replace("%s", f"{t:.11e}") % tuple(column.tolist()))
-    return "".join(blocks)
+#: Cells formatted per step of ``grid_csv``; its temporaries scale with this.
+_CHUNK_CELLS = 8192
+#: Bytes of one value field: the widest ``%.11e`` text, "-1.00000000000e-300".
+_FIELD = 19
+#: How close to .5 a scaled fraction may come before Python decides the
+#: rounding. The scaled value carries at most two roundings of 2^-53 each,
+#: under 2.3e-4 of a unit at 1e12, so outside this margin the nearest
+#: integer is that of the exact product.
+_TIE_MARGIN = 1e-3
+#: Four ASCII digits of every n in 0..9999, packed so that a uint8 view of
+#: a gathered uint32 array reads them in order. It is built from grids of
+#: the uint8 codes 48..57 of '0'..'9': integer arithmetic would raise the
+#: import's peak memory by about 1 MB.
+_DIGITS4 = (
+    np.stack(np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4, indexing="ij"), axis=-1)
+    .view(np.uint32)
+    .ravel()
+)
+#: Correctly rounded 10^k for k = -90..112 at index k + 90: the scales
+#: 10^(11 - e) for the two-digit exponents e and one step past them.
+_POW10 = np.array([float(f"1e{k}") for k in range(-90, 113)])
+
+
+def _padded(texts, width: int | None = None) -> np.ndarray:
+    """ASCII texts as the rows of a uint8 matrix, zero-padded; ASCII holds no zero byte."""
+    data = [text.encode() for text in texts]
+    width = max(map(len, data), default=0) if width is None else width
+    return np.frombuffer(b"".join(d.ljust(width, b"\0") for d in data), np.uint8).reshape(
+        len(data), width
+    )
+
+
+def _digits(groups: np.ndarray) -> np.ndarray:
+    """The four ASCII digits of every group in 0..9999, one row each."""
+    return _DIGITS4[groups].view(np.uint8).reshape(-1, 4)
+
+
+def _format_e11(x: np.ndarray, out: np.ndarray) -> None:
+    """Write ``f"{v:.11e}"`` of every float v in x into the rows of ``out``.
+
+    ``out`` is a (len(x), _FIELD) uint8 view; each row gets the text padded
+    with zero bytes. The 12-digit significand is the int64 nearest to
+    |v|*10^(11 - e); Python formats the cells where that can differ from the
+    exact decimal rounding (a scaled fraction within ``_TIE_MARGIN`` of .5)
+    and those outside the two-digit-exponent form (three-digit exponents,
+    inf, nan).
+    """
+    finite = np.isfinite(x)
+    a = np.where(finite, np.abs(x), 0.0)
+    live = a > 0.0
+    e = np.clip(np.floor(np.log10(np.where(live, a, 1.0))), -100, 100).astype(np.int64)
+    # log10 may land one decade off next to a power of ten
+    scaled = a * _POW10[101 - e]
+    e += (scaled >= 1e12) & live
+    e -= (scaled < 1e11) & live
+    scaled = a * _POW10[101 - e]
+    python = ~finite | (live & ((scaled < 1e11) | (scaled >= 1e12)))
+    scaled[python] = 0.0
+    whole = np.floor(scaled)
+    frac = scaled - whole
+    python |= np.abs(frac - 0.5) < _TIE_MARGIN
+    significand = whole.astype(np.int64) + (frac >= 0.5)
+    carry = significand == 10**12  # 9.999999999995e4 prints as 1.00000000000e+05
+    significand[carry] = 10**11
+    e += carry
+    python |= np.abs(e) >= 100
+
+    head = _digits(significand // 10**8)
+    out[:, 0] = np.where(np.signbit(x), ord("-"), 0)
+    out[:, 1] = head[:, 0]
+    out[:, 2] = ord(".")
+    out[:, 3:6] = head[:, 1:]
+    out[:, 6:10] = _digits(significand // 10**4 % 10**4)
+    out[:, 10:14] = _digits(significand % 10**4)
+    out[:, 14] = ord("e")
+    out[:, 15] = np.where(e < 0, ord("-"), ord("+"))
+    out[:, 16:18] = _digits(np.abs(e))[:, 2:]
+    out[:, 18] = 0  # a Python-formatted cell of an earlier chunk may have filled it
+    if python.any():
+        out[python] = _padded((f"{v:.11e}" for v in x[python].tolist()), _FIELD)
+
+
+def grid_csv(l_values, t_values, values: np.ndarray) -> bytearray:
+    """CSV rows l,t,value, time outer, 12 significant digits, as ASCII bytes.
+
+    Byte for byte the text of ``f"{l},{t:.11e},{value:.11e}"`` per cell,
+    built a few time columns (about ``_CHUNK_CELLS`` cells) at a time in one
+    padded uint8 row buffer: the ``l,`` and ``t,`` fields are formatted once
+    each, every value by ``_format_e11``, and the zero pad bytes are dropped
+    as each chunk is appended. The text is held once, in the returned
+    bytearray.
+    """
+    values = np.asarray(values, dtype=float)
+    sites = _padded(f"{l}," for l in l_values)
+    times = _padded(f"{t:.11e}," for t in t_values)
+    (n_sites, site_width), time_width = sites.shape, times.shape[1]
+    value_at = site_width + time_width
+    step = max(1, _CHUNK_CELLS // max(n_sites, 1))
+    rows = np.empty((min(step, len(times)), n_sites, value_at + _FIELD + 1), np.uint8)
+    rows[:, :, :site_width] = sites
+    rows[:, :, -1] = ord("\n")
+    text = bytearray(b"l,t,value\n")
+    for start in range(0, len(times), step):
+        block = rows[: len(times) - start]
+        block[:, :, site_width:value_at] = times[start : start + step, None]
+        cells = block.reshape(-1, block.shape[-1])
+        _format_e11(values[:, start : start + step].T.reshape(-1), cells[:, value_at:-1])
+        flat = block.reshape(-1)
+        text += flat[flat != 0].data
+    return text
 
 
 def grid_values(l_values, rows, lo: float = 0.0) -> np.ndarray:

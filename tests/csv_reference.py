@@ -1,7 +1,8 @@
 """Reference grid CSV formatter for the tests: one f-string per cell.
 
-``protocols.grid_csv`` fills a per-time row template with one ``%`` over a
-column. This module keeps the plain per-cell loop it must match byte for byte.
+``protocols.grid_csv`` writes every value with numpy integer arithmetic and
+leaves Python's formatting to the few cells it cannot settle. This module
+keeps the plain per-cell loop whose text it must match byte for byte.
 """
 from __future__ import annotations
 

@@ -281,13 +281,19 @@ def test_each_gate_command_builds_its_ring_kernel_once(tmp_path, monkeypatch):
         builds.append(args)
         original(self, *args, **kwargs)
 
+    green2.ring_kernel.cache_clear()
     monkeypatch.setattr(green2.RingTwoMagnon, "__init__", counting_init)
     ring = ["--n", "12", "--boundary", "closed", "--site", "3", "--t0", "1.0",
             "--tmax", "3.0", "--dt", "0.5"]  # five columns at or after t0
+    # the gate commands on one ring share one kernel
     for command in ("unitary-qdp", "two-magnon-split"):
-        builds.clear()
         assert main([command, *ring, "--out", str(tmp_path / f"{command}.csv")]) == 0
-        assert len(builds) == 1, command
+    assert len(builds) == 1
+    # a second ring builds one more
+    ring[1] = "13"
+    assert main(["unitary-qdp", *ring, "--out", str(tmp_path / "13.csv")]) == 0
+    assert len(builds) == 2
+    green2.ring_kernel.cache_clear()
 
 
 def test_exit_code_for_failed_numerical_check(tmp_path):

@@ -228,7 +228,7 @@ def test_green2_builds_each_ring_kernel_once(monkeypatch):
         builds.append(args)
         original(self, *args, **kwargs)
 
-    green2_module._ring_kernel.cache_clear()
+    green2_module.ring_kernel.cache_clear()
     monkeypatch.setattr(RingTwoMagnon, "__init__", counting_init)
     ring, other = ChainSpec(18, "closed", 0.5, 0.8), ChainSpec(19, "closed", 0.5, 0.8)
     calls = [((2, 5, 3, 7, t), part) for t in (0.0, 1.5, 4.0)
@@ -240,10 +240,10 @@ def test_green2_builds_each_ring_kernel_once(monkeypatch):
     assert len(builds) == 2
     # a freshly built kernel gives every value again, to the bit
     for (args, part), value in zip(calls, values):
-        green2_module._ring_kernel.cache_clear()
+        green2_module.ring_kernel.cache_clear()
         assert green2(*args, ring, part=part).value == value
     # bad input is refused before the lookup, and an open chain caches nothing
-    green2_module._ring_kernel.cache_clear()
+    green2_module.ring_kernel.cache_clear()
     builds.clear()
     for args, part in (((1, 2, 1, 2, float("nan")), "total"), ((1, 2, 1, 2, 1.0), "foo"),
                        ((1, 2, 1, 19, 1.0), "total")):
@@ -252,7 +252,7 @@ def test_green2_builds_each_ring_kernel_once(monkeypatch):
     assert builds == []
     with pytest.raises(ValueError):
         green2(1, 2, 1, 2, 1.0, ChainSpec(18, "open", 0.5, 0.8))
-    assert green2_module._ring_kernel.cache_info().currsize == 0
+    assert green2_module.ring_kernel.cache_info().currsize == 0
 
 
 def test_ring_validation():

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import itertools
+import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from spinchain import oracle
 from spinchain.chain import ChainSpec, InitialState, QdpEvent, reduced_phase
 from spinchain.green1 import reduced_profile
 from spinchain.protocols import (
+    _CHUNK_CELLS,
     UnitaryQdpEngine,
     delta_fidelity_projective_row,
     fidelity_free_row,
@@ -250,7 +253,7 @@ def test_split_fidelity_parts_add_up_over_the_ring():
 
 
 def test_grid_csv_layout():
-    csv = grid_csv((1, 2), (0.0, 1.5), np.array([[0.5, 0.25], [1.0, 0.125]]))
+    csv = grid_csv((1, 2), (0.0, 1.5), np.array([[0.5, 0.25], [1.0, 0.125]])).decode()
     lines = csv.strip().split("\n")
     assert lines[0] == "l,t,value"
     assert lines[1].startswith("1,0.00000000000e+00,5.00000000000e-01")
@@ -297,9 +300,105 @@ def test_grid_csv_matches_the_per_cell_reference(sites, times):
     values = rng.uniform(-1.0, 1.0, size=(len(ls), len(times)))
     # plant every edge value along the flattened grid
     values.flat[: len(_EDGE_VALUES)] = _EDGE_VALUES[: values.size]
-    _assert_same_csv(grid_csv(ls, times, values), grid_csv_reference(ls, times, values))
+    _assert_same_csv(grid_csv(ls, times, values).decode(), grid_csv_reference(ls, times, values))
     if not times:
-        assert grid_csv(ls, times, values) == "l,t,value\n"
+        assert grid_csv(ls, times, values).decode() == "l,t,value\n"
+
+
+def _every_exponent():
+    """Random doubles in every decade from 1e-320 to 1e308, both signs."""
+    rng = np.random.default_rng(20)
+    decades = np.arange(-320, 308)[:, None] + rng.uniform(0.0, 1.0, size=(628, 4))
+    values = np.concatenate([10.0 ** decades.ravel(), [1e308, np.finfo(float).max]])
+    return np.concatenate([values, -values])
+
+
+def _subnormals_zeros_ones():
+    tiny = np.finfo(float).tiny
+    values = [0.0, 1.0, 5e-324, 1e-323, 1e-320, 1e-310, tiny / 3, tiny - 5e-324, tiny]
+    return np.array([sign * v for v in values for sign in (1.0, -1.0)])
+
+
+def _carries():
+    """One ulp either side of 9.999999999995e k, the rounding into the next decade."""
+    edges = np.array([float(f"9.999999999995e{k}") for k in range(-320, 308)])
+    values = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)])
+    return np.concatenate([values, -values])
+
+
+def _decimal_ties():
+    """The doubles nearest the 13-digit decimal ties d.ddddddddddd5e k."""
+    rng = np.random.default_rng(21)
+    digits = [str(d) for d in rng.integers(10**11, 10**12, size=2)]
+    values = np.array([float(f"{d[0]}.{d[1:]}5e{k}") for k in range(-110, 110) for d in digits])
+    return np.concatenate([values, -values])
+
+
+def _near_ties():
+    """Doubles whose exact |v| * 10^(11 - e) lies within 1e-9 of n + 1/2, exact ties included.
+
+    For v = m * 2^p and k = 11 - e >= 0 the scaled value m * 5^k * 2^(k + p)
+    has s = -(k + p) bits below the point, so picking m = (2^(s-1) + j) / 5^k
+    mod 2^s puts its fraction at 1/2 + j / 2^s.
+    """
+    found = []
+    for e in range(-4, 12):
+        k = 11 - e
+        for lead in (1.1, 2.5, 4.7, 8.3):
+            p = math.frexp(lead * 10.0**e)[1] - 53  # m = v / 2^p in [2^52, 2^53)
+            s = -(k + p)
+            if not 1 <= s <= 50:
+                continue
+            for j in (-1, 0, 1):
+                residue = (2 ** (s - 1) + j) * pow(5**k, -1, 2**s) % 2**s
+                m = round(lead * 10.0**e / 2.0**p) >> s << s | residue
+                v = math.ldexp(m, p)
+                exact = Fraction(v) * 10**k
+                if (Fraction(10) ** e <= Fraction(v) < Fraction(10) ** (e + 1)
+                        and abs(exact % 1 - Fraction(1, 2)) < Fraction(1, 10**9)):
+                    found += [v, -v]
+    assert len(found) > 100
+    return np.array(found)
+
+
+@pytest.mark.parametrize("make", [
+    _every_exponent, _subnormals_zeros_ones, _carries, _decimal_ties, _near_ties,
+    lambda: np.array([np.inf, -np.inf, 0.5, -np.inf]),
+], ids=["every-exponent", "subnormals-zeros-ones", "carries", "decimal-ties", "near-ties", "inf"])
+def test_grid_csv_matches_the_reference_on_adversarial_values(make):
+    values = make()
+    values = np.concatenate([values, np.zeros(-len(values) % 7)]).reshape(7, -1)
+    ls, times = list(range(1, 8)), _kicked_times(values.shape[1])
+    _assert_same_csv(grid_csv(ls, times, values).decode(), grid_csv_reference(ls, times, values))
+
+
+@pytest.mark.parametrize("sites, times", [
+    (1, _CHUNK_CELLS - 1), (1, _CHUNK_CELLS), (1, _CHUNK_CELLS + 1),
+    (3, _CHUNK_CELLS // 3 * 2 + 1),  # two whole chunks and a ragged one-column chunk
+    (_CHUNK_CELLS + 1, 2),  # a column wider than a chunk
+], ids=["chunk-minus-one", "chunk", "chunk-plus-one", "ragged", "wide-column"])
+def test_grid_csv_matches_the_reference_across_chunks(sites, times):
+    rng = np.random.default_rng(sites * 31 + times)
+    shape = (sites, times)
+    values = rng.uniform(-1.0, 1.0, size=shape) * 10.0 ** rng.integers(-40, 5, size=shape)
+    values.flat[: len(_EDGE_VALUES)] = _EDGE_VALUES
+    ls, ts = list(range(1, sites + 1)), _rounded_times(times)
+    _assert_same_csv(grid_csv(ls, ts, values).decode(), grid_csv_reference(ls, ts, values))
+
+
+def test_grid_csv_holds_its_text_once():
+    # 100 x 2001 cells, about 7.8 MB of text
+    ls, times = list(range(1, 101)), _rounded_times(2001, tmin=0.0, dt=0.05)
+    values = np.random.default_rng(22).uniform(0.0, 1.0, size=(len(ls), len(times)))
+    grid_csv(ls[:1], times[:1], values[:1, :1])  # numpy's lazy set-up stays out of the trace
+    tracemalloc.start()
+    try:
+        text = grid_csv(ls, times, values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(text) > 7_000_000
+    assert peak < 1.5 * len(text)
 
 
 @pytest.mark.parametrize(
