@@ -8,9 +8,13 @@ peaks near the N^3 bytes of modes it keeps. A pair state is a symmetric
 complex N x N matrix with a zero diagonal: entry (y1 - 1, y2 - 1) holds the
 pair {y1, y2}. Its sector eigenstates below the continuum bottom form the
 bound band; the rest scatter; the two parts resolve the identity.
+An evolution splits into a time-independent half, ``project`` (the pair
+state's coefficients on the modes), and a per-time half, ``evolve_projected``;
+a caller that evolves one state to many times projects it once.
 ``green2`` evolves one source pair and reads one target entry. Both it and
-the gate protocol take their kernel from ``ring_kernel``, which keeps the
-last ring's kernel for the next caller.
+the gate protocol take their kernel from ``ring_kernel``, which keeps one
+kernel per ring while their modes total at most those of one
+``MAX_RING_SITES`` ring (134.7 MB), dropping the least recently used first.
 
 Amplitudes inside ``RingTwoMagnon`` are reduced (measured from the polarized
 reference, like green1's reduced rows); ``green2`` returns full amplitudes,
@@ -19,8 +23,8 @@ sectors and are refused.
 """
 from __future__ import annotations
 
-import functools
 import math
+from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
 from typing import Literal, get_args
 
@@ -37,6 +41,9 @@ MAX_RING_SITES = 512
 #: Sector blocks per ``eigh`` call; the build's transient is the modes of a
 #: few such blocks, not of all of them.
 _EIGH_CHUNK = 16
+#: Most mode bytes ``ring_kernel`` keeps: the modes of one MAX_RING_SITES ring,
+#: (N/2 + 1) blocks of (N/2)^2 float64 values, 134 742 016 bytes.
+_MAX_KEPT_BYTES = (MAX_RING_SITES // 2 + 1) * (MAX_RING_SITES // 2) ** 2 * 8
 _BOUND_MARGIN = 1e-9  # relative to 8J: how far below the continuum a bound level sits
 
 
@@ -64,6 +71,16 @@ def _check_evolution(t: float, part: str, spec: ChainSpec) -> None:
     z = 4.0 * spec.j * t
     if not abs(z) <= MAX_ARG:
         raise ValueError(f"4*J*|t| must be <= {MAX_ARG}, got {z} at t = {t}")
+
+
+def _check_ring(spec: ChainSpec) -> None:
+    """Refuse a chain ``RingTwoMagnon`` cannot build: open, under 3 or over MAX_RING_SITES sites."""
+    if spec.n > MAX_RING_SITES:
+        raise ValueError(f"ring of {spec.n} sites is over the limit of {MAX_RING_SITES}")
+    if spec.boundary != "closed":
+        raise ValueError("ring propagator needs a closed chain")
+    if spec.n < 3:
+        raise ValueError("two magnons need at least 3 sites")
 
 
 class RingTwoMagnon:
@@ -99,13 +116,8 @@ class RingTwoMagnon:
     """
 
     def __init__(self, spec: ChainSpec):
-        if spec.n > MAX_RING_SITES:
-            raise ValueError(f"ring of {spec.n} sites is over the limit of {MAX_RING_SITES}")
-        if spec.boundary != "closed":
-            raise ValueError("ring propagator needs a closed chain")
+        _check_ring(spec)
         n = spec.n
-        if n < 3:
-            raise ValueError("two magnons need at least 3 sites")
         self.spec = spec
         j = spec.j
 
@@ -151,8 +163,50 @@ class RingTwoMagnon:
         self.bound_count = int(np.sum(bound.sum(axis=1) * sectors_per_block))
         self._keep = {"total": live, "bound": bound, "scattering": live & ~bound}
 
+    def project(self, psi: np.ndarray) -> np.ndarray:
+        """Coefficients of a pair state on the ring's modes, for ``evolve_projected``.
+
+        psi is a symmetric N x N matrix with a zero diagonal; entry
+        (y1 - 1, y2 - 1) holds the pair {y1, y2}. This is the half of an
+        evolution that does not depend on the time: the read onto the
+        (centre, separation) grid, the FFT into sectors, the gauge and the
+        product onto each block's modes.
+        """
+        psi = np.asarray(psi, dtype=complex)
+        n, blocks = len(self._gauge), len(self._evals)
+        if psi.shape != (n, n):
+            raise ValueError(f"pair state must have shape ({n}, {n})")
+        if np.any(psi != psi.T) or np.any(np.diagonal(psi) != 0):
+            raise ValueError("pair state must be symmetric with a zero diagonal")
+        grid = psi[np.arange(n)[:, None], self._cell_cols] * self._cell_weight
+        sectors = np.fft.fft(grid, axis=0, norm="ortho") * self._gauge
+        # sectors k and N - k as the two complex columns of block k, each
+        # column a pair of real ones against the shared real modes
+        paired = np.stack((sectors[:blocks], sectors[-np.arange(blocks)]), axis=-1)
+        return (self._evecs.transpose(0, 2, 1) @ paired.view(float)).view(complex)
+
+    def evolve_projected(self, coeffs: np.ndarray, t: float, part: Part = "total") -> np.ndarray:
+        """The pair state whose ``project`` coefficients are coeffs, evolved for time t.
+
+        Only the part that depends on t: the phases and the part's mode mask,
+        the product back off the modes, the inverse FFT and the scatter into a
+        symmetric N x N matrix with a zero diagonal. coeffs is not modified.
+        A NaN or infinite t, or 4*J*|t| above ``bessel.MAX_ARG``, is refused.
+        """
+        _check_evolution(t, part, self.spec)
+        n, blocks = len(self._gauge), len(self._evals)
+        modes = coeffs * (np.exp(-1j * self._evals * t) * self._keep[part])[:, :, None]
+        paired = (self._evecs @ modes.view(float)).view(complex)
+        sectors = np.concatenate((paired[:, :, 0], paired[n - blocks : 0 : -1, :, 1]))
+        sectors *= np.conj(self._gauge)
+        back = np.fft.ifft(sectors, axis=0, norm="ortho") * self._cell_weight
+        # an antipodal pair has a cell in each triangle; the sum joins them
+        half = np.zeros((n, n), dtype=complex)
+        half[np.arange(n)[:, None], self._cell_cols] = back
+        return half + half.T
+
     def evolve_pair_state(self, psi: np.ndarray, t: float, part: Part = "total") -> np.ndarray:
-        """Evolve a pair state for time t through the chosen part.
+        """Evolve a pair state for time t through the chosen part: ``project``, then ``evolve_projected``.
 
         psi is a symmetric N x N matrix with a zero diagonal; entry
         (y1 - 1, y2 - 1) holds the pair {y1, y2}. The result has the same
@@ -160,43 +214,55 @@ class RingTwoMagnon:
         total propagation. A NaN or infinite t, or 4*J*|t| above
         ``bessel.MAX_ARG``, is refused.
         """
-        _check_evolution(t, part, self.spec)
-        psi = np.asarray(psi, dtype=complex)
-        n, blocks = len(self._gauge), len(self._evals)
-        if psi.shape != (n, n):
-            raise ValueError(f"pair state must have shape ({n}, {n})")
-        if np.any(psi != psi.T) or np.any(np.diagonal(psi) != 0):
-            raise ValueError("pair state must be symmetric with a zero diagonal")
-        rows = np.arange(n)[:, None]
-        grid = psi[rows, self._cell_cols] * self._cell_weight
-        sectors = np.fft.fft(grid, axis=0, norm="ortho") * self._gauge
-        # sectors k and N - k as the two complex columns of block k, each
-        # column a pair of real ones against the shared real modes
-        paired = np.stack((sectors[:blocks], sectors[-np.arange(blocks)]), axis=-1)
-        modes = (self._evecs.transpose(0, 2, 1) @ paired.view(float)).view(complex)
-        modes *= (np.exp(-1j * self._evals * t) * self._keep[part])[:, :, None]
-        paired = (self._evecs @ modes.view(float)).view(complex)
-        sectors = np.concatenate((paired[:, :, 0], paired[n - blocks : 0 : -1, :, 1]))
-        sectors *= np.conj(self._gauge)
-        back = np.fft.ifft(sectors, axis=0, norm="ortho") * self._cell_weight
-        # an antipodal pair has a cell in each triangle; the sum joins them
-        half = np.zeros_like(psi)
-        half[rows, self._cell_cols] = back
-        return half + half.T
+        return self.evolve_projected(self.project(psi), t, part)
 
 
-@functools.lru_cache(maxsize=1)
-def ring_kernel(spec: ChainSpec) -> RingTwoMagnon:
-    """The kernel of the last ring asked for; asking for another ring replaces it.
+_CacheInfo = namedtuple("_CacheInfo", "hits misses currsize kept_bytes")
+
+
+class _RingKernels:
+    """``ring_kernel(spec)``: the ring's kernel, built on its first request and kept.
 
     ``green2`` and ``protocols.UnitaryQdpEngine`` both read their kernel
-    here, so consecutive gate commands and ``green2`` calls on one ring
-    share one build. The kernel stays alive after its caller returns (N^3
-    bytes of modes, 134 MB at 512 sites); ``ring_kernel.cache_clear()``
-    frees it. A kernel is shared read-only: nothing mutates it after the
-    build.
+    here, so gate commands and ``green2`` calls share one build per ring,
+    also when they alternate between rings. Kernels stay alive after their
+    callers return. After each build the least recently used kernels are
+    dropped until the modes kept (``_evecs.nbytes``) total at most
+    ``_MAX_KEPT_BYTES``, the modes of one MAX_RING_SITES ring (134.7 MB);
+    the kernel just built is never dropped. ``cache_clear()`` frees them all,
+    and ``cache_info()`` reports hits, misses, kernels kept and their mode
+    bytes, which depend on what the process asked before. A kernel is
+    shared read-only: nothing mutates it after the build.
     """
-    return RingTwoMagnon(spec)
+
+    def __init__(self) -> None:
+        self._kernels: OrderedDict[ChainSpec, RingTwoMagnon] = OrderedDict()
+        self._hits = self._misses = 0
+
+    def __call__(self, spec: ChainSpec) -> RingTwoMagnon:
+        kernel = self._kernels.get(spec)
+        if kernel is not None:
+            self._hits += 1
+            self._kernels.move_to_end(spec)
+            return kernel
+        self._misses += 1
+        kernel = self._kernels[spec] = RingTwoMagnon(spec)
+        while len(self._kernels) > 1 and self._kept_bytes() > _MAX_KEPT_BYTES:
+            self._kernels.popitem(last=False)
+        return kernel
+
+    def _kept_bytes(self) -> int:
+        return sum(kernel._evecs.nbytes for kernel in self._kernels.values())
+
+    def cache_info(self) -> _CacheInfo:
+        return _CacheInfo(self._hits, self._misses, len(self._kernels), self._kept_bytes())
+
+    def cache_clear(self) -> None:
+        self._kernels.clear()
+        self._hits = self._misses = 0
+
+
+ring_kernel = _RingKernels()
 
 
 def green2(
@@ -208,9 +274,9 @@ def green2(
     states; the two add up to the total. Open chains raise ValueError, and
     so do the times ``RingTwoMagnon.evolve_pair_state`` refuses. The ring's
     kernel comes from ``ring_kernel``: built on the first call for ``spec``
-    and kept until another ring is asked for, so its N^3 bytes of modes
-    (134 MB at 512 sites) stay alive after the call returns. Arguments are
-    checked before the kernel is looked up.
+    and kept for later calls, its N^3 bytes of modes alive after the call
+    returns, under the store's ceiling of one 512-site ring's modes
+    (134.7 MB). Arguments are checked before the kernel is looked up.
     """
     s1, s2 = _normalize_pair(x1, x2)
     d1, d2 = _normalize_pair(x1p, x2p)

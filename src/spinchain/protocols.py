@@ -29,7 +29,7 @@ import numpy as np
 
 from .chain import BLOCH_MOMENTS, ChainSpec, InitialState, QdpEvent, reduced_phase
 from .green1 import reduced_profile
-from .green2 import Part, ring_kernel
+from .green2 import Part, RingTwoMagnon, _check_ring, ring_kernel
 
 
 # --------------------------------------------------------------------------
@@ -221,11 +221,14 @@ class UnitaryQdpEngine:
     The gate turns the one-magnon wavepacket amplitude at each companion site
     into a source pair with the gate site, which then evolves through the
     exact ring two-magnon propagator into the pair amplitudes L(y1, y2; t).
-    What does not depend on t -- the ring kernel, the amplitudes at t0 and
-    the source pair state -- is set up once here; each per-time method
-    evolves the source once per propagator part it needs. The kernel comes
-    from ``green2.ring_kernel``, so engines on one ring share one build, and
-    it stays alive after the engine, until another ring is asked for. A
+    Every argument is checked here. What does not depend on t -- the ring
+    kernel and the source pair state's coefficients on its modes
+    (``RingTwoMagnon.project``) -- is set up once, on the first time at or
+    after t0, so a grid that ends before t0 builds nothing; each per-time
+    method then runs only ``RingTwoMagnon.evolve_projected``, once per
+    propagator part it needs. The kernel comes from ``green2.ring_kernel``,
+    so engines on one ring share one build, and it stays alive after the
+    engine, under that store's ceiling of one 512-site ring's modes. A
     phase-only gate (delta = 0) opens no pair channel: it needs neither and
     its rows hold O(N) memory. One-magnon pieces use the exact finite-ring
     propagator, so all sector norms are conserved to rounding.
@@ -241,17 +244,15 @@ class UnitaryQdpEngine:
             )
         if event.m > spec.n:
             raise ValueError(f"gate site m={event.m} out of range 1..{spec.n}")
+        # A phase-only gate conserves the magnon number: no pair channel.
+        if event.delta != 0.0:
+            _check_ring(spec)
         self.spec = spec
         self.event = event
         self.u0 = reduced_profile(1, event.t0, spec)
-        # A phase-only gate conserves the magnon number: no pair channel.
-        self.ring = ring_kernel(spec) if event.delta != 0.0 else None
-        if self.ring is not None:
-            # each pair holding the gate site starts with the amplitude of its partner
-            m = event.m - 1
-            self._source = np.zeros((spec.n, spec.n), dtype=complex)
-            self._source[m] = self._source[:, m] = self.u0
-            self._source[m, m] = 0.0
+        # the kernel and the projected source, set by the first _pair_matrix
+        self.ring: RingTwoMagnon | None = None
+        self._source_modes: np.ndarray | None = None
 
     def _pair_matrix(self, t: float, part: Part) -> np.ndarray | None:
         """Reduced L of one propagator part, symmetric with zero diagonal: row l holds L(l, y).
@@ -259,9 +260,17 @@ class UnitaryQdpEngine:
         None for a phase-only gate, whose pair channel stays empty.
         """
         _check_measurement_times(t, self.event.t0)
-        if self.ring is None:
+        if self.event.delta == 0.0:
             return None
-        return self.ring.evolve_pair_state(self._source, t - self.event.t0, part)
+        if self.ring is None:
+            # each pair holding the gate site starts with the amplitude of its partner
+            m = self.event.m - 1
+            source = np.zeros((self.spec.n, self.spec.n), dtype=complex)
+            source[m] = source[:, m] = self.u0
+            source[m, m] = 0.0
+            self.ring = ring_kernel(self.spec)
+            self._source_modes = self.ring.project(source)
+        return self.ring.evolve_projected(self._source_modes, t - self.event.t0, part)
 
     def two_magnon_weight(self, t: float) -> float:
         """sum over pairs |L|^2; equals sum_{y'' != m} |g(1 -> y''; t0)|^2 exactly."""

@@ -296,6 +296,26 @@ def test_each_gate_command_builds_its_ring_kernel_once(tmp_path, monkeypatch):
     green2.ring_kernel.cache_clear()
 
 
+def test_gate_grid_ending_before_t0_builds_no_ring_kernel(tmp_path, monkeypatch):
+    from spinchain import green2
+
+    builds = []
+    monkeypatch.setattr(green2.RingTwoMagnon, "__init__", lambda self, spec: builds.append(spec))
+    green2.ring_kernel.cache_clear()
+    ring = ["--n", "12", "--boundary", "closed", "--site", "3", "--t0", "5.0",
+            "--tmax", "4.5", "--dt", "0.5"]  # every column before t0
+    for command in ("unitary-qdp", "two-magnon-split"):
+        assert main([command, *ring, "--out", str(tmp_path / f"{command}.csv")]) == 0
+    assert main(["unitary-qdp", *ring, "--diff", "--out", str(tmp_path / "diff.csv")]) == 0
+    assert builds == []
+    # a ring too large to build is still refused before any time is read
+    big = ["--n", "513", "--boundary", "closed", "--site", "3", "--t0", "50", "--tmax", "10"]
+    assert main(["unitary-qdp", *big, "--out", str(tmp_path / "big.csv")]) == 2
+    assert not (tmp_path / "big.csv").exists()
+    assert builds == []
+    green2.ring_kernel.cache_clear()
+
+
 def test_exit_code_for_failed_numerical_check(tmp_path):
     out = tmp_path / "cal.json"
     assert main(["calibrate", "--n", "8", "--tol", "1e-30", "--out", str(out)]) == 3

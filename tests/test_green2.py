@@ -255,6 +255,94 @@ def test_green2_builds_each_ring_kernel_once(monkeypatch):
     assert green2_module.ring_kernel.cache_info().currsize == 0
 
 
+@pytest.fixture
+def counted_builds(monkeypatch):
+    """Specs of the RingTwoMagnon builds made, with ``ring_kernel`` emptied before and after."""
+    builds = []
+    original = RingTwoMagnon.__init__
+
+    def counting_init(self, spec):
+        builds.append(spec)
+        original(self, spec)
+
+    green2_module.ring_kernel.cache_clear()
+    monkeypatch.setattr(RingTwoMagnon, "__init__", counting_init)
+    yield builds
+    green2_module.ring_kernel.cache_clear()
+
+
+def _mode_bytes(n):
+    return (n // 2 + 1) * (n // 2) ** 2 * 8
+
+
+def test_ring_kernel_keeps_one_kernel_per_ring(counted_builds):
+    ring_kernel = green2_module.ring_kernel
+    a, b = ChainSpec(8, "closed", 0.5, 1.0), ChainSpec(9, "closed", 0.5, 1.0)
+    first = ring_kernel(a)
+    ring_kernel(b)
+    assert ring_kernel(a) is first
+    assert counted_builds == [a, b]
+    info = ring_kernel.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 2, 2)
+    assert info.kept_bytes == _mode_bytes(8) + _mode_bytes(9)
+    # the ceiling is the modes of one MAX_RING_SITES ring, as a one-kernel store held
+    assert green2_module._MAX_KEPT_BYTES == 257 * 256 * 256 * 8 == _mode_bytes(MAX_RING_SITES)
+    ring_kernel.cache_clear()
+    assert ring_kernel.cache_info() == (0, 0, 0, 0)
+
+
+def test_ring_kernel_drops_the_least_recently_used_over_its_ceiling(counted_builds, monkeypatch):
+    ring_kernel = green2_module.ring_kernel
+    a, b, c = (ChainSpec(n, "closed", 0.5, 1.0) for n in (8, 9, 10))
+    monkeypatch.setattr(green2_module, "_MAX_KEPT_BYTES", _mode_bytes(8) + _mode_bytes(10))
+    for spec in (a, b, a, c):  # b is the least recently used when c arrives
+        ring_kernel(spec)
+    assert counted_builds == [a, b, c]
+    assert ring_kernel.cache_info().currsize == 2
+    ring_kernel(a)
+    ring_kernel(c)
+    assert counted_builds == [a, b, c]
+    ring_kernel(b)  # rebuilt; a is now the oldest and goes
+    assert counted_builds == [a, b, c, b]
+    ring_kernel(c)
+    assert counted_builds == [a, b, c, b]
+    # a kernel alone over the ceiling is still returned and kept, by itself
+    big = ChainSpec(14, "closed", 0.5, 1.0)
+    kernel = ring_kernel(big)
+    assert ring_kernel.cache_info().currsize == 1
+    assert ring_kernel(big) is kernel
+    assert ring_kernel.cache_info().kept_bytes == _mode_bytes(14) > green2_module._MAX_KEPT_BYTES
+
+
+def test_ring_kernel_never_keeps_more_than_its_ceiling(counted_builds, monkeypatch):
+    ring_kernel = green2_module.ring_kernel
+    ceiling = 3 * _mode_bytes(10)
+    monkeypatch.setattr(green2_module, "_MAX_KEPT_BYTES", ceiling)
+    sizes = np.random.default_rng(3).integers(3, 13, size=60)
+    for n in sizes:
+        spec = ChainSpec(int(n), "closed", 0.5, 1.0)
+        kernel = ring_kernel(spec)
+        assert kernel.spec == spec
+        info = ring_kernel.cache_info()
+        assert info.kept_bytes <= ceiling
+        assert info.misses == len(counted_builds)
+    assert len(counted_builds) < len(sizes)
+
+
+@pytest.mark.parametrize("n", [7, 12, 13])
+def test_projected_evolution_is_the_pair_state_evolution(n):
+    ring = RingTwoMagnon(ChainSpec(n, "closed", 0.5, 0.8))
+    psi = _matrix(_random_pairs(n, n), n)
+    coeffs = ring.project(psi)
+    kept = coeffs.copy()
+    for part in ("total", "bound", "scattering"):
+        for t in (0.0, 0.7, 4.5):
+            assert np.array_equal(ring.evolve_projected(coeffs, t, part),
+                                  ring.evolve_pair_state(psi, t, part))
+    # one projection serves every time: evolving does not touch it
+    assert np.array_equal(coeffs, kept)
+
+
 def test_ring_validation():
     with pytest.raises(ValueError):
         RingTwoMagnon(ChainSpec(12, "open", 0.5, 1.0))
@@ -278,6 +366,9 @@ def test_ring_validation():
         for signed in (t, -t):
             with pytest.raises(ValueError):
                 ring12.evolve_pair_state(source, signed)
+            # the per-time half checks every time by itself
+            with pytest.raises(ValueError):
+                ring12.evolve_projected(ring12.project(source), signed)
     # the kernel reads one triangle per pair, so a pair state must be a
     # symmetric matrix with a zero diagonal
     ring = RingTwoMagnon(ChainSpec(6, "closed", 0.5, 1.0))
@@ -290,3 +381,7 @@ def test_ring_validation():
         ring.evolve_pair_state(psi + np.eye(6), 1.0)
     with pytest.raises(ValueError):
         ring.evolve_pair_state(psi[np.triu_indices(6, 1)], 1.0)
+    # the time-independent half checks the state
+    for bad in (lopsided, psi + np.eye(6), psi[np.triu_indices(6, 1)], psi[:5, :5]):
+        with pytest.raises(ValueError):
+            ring.project(bad)
