@@ -13,16 +13,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from spinchain.chain import ChainSpec, QdpEvent
+from spinchain.chain import ChainSpec, LocalGate
 from spinchain.protocols import UnitaryQdpEngine, fidelity_free_row
 
 
 def main() -> None:
     ring = ChainSpec(100, "closed", 0.5, 1.0)
-    event = QdpEvent("local_unitary", m=15, t0=7.5, gate=(0.0, 1.0))
+    gate = LocalGate(15, 7.5, 0.0, 1.0)
 
     best = (-1.0, 0, 0.0)
-    engine = UnitaryQdpEngine(ring, event)
+    engine = UnitaryQdpEngine(ring, gate)
     for k in range(1, 19):
         t = 7.5 + 0.25 * k
         free = fidelity_free_row(t, ring)
@@ -34,7 +34,7 @@ def main() -> None:
     print("Bit-flip gate at site 15, t0 = 7.5, on the 100-site ring:")
     print(f"  best relative fidelity gain: {best[0]:+.2%} at site {best[1]}, t = {best[2]:.2f}")
 
-    probe = QdpEvent("local_unitary", m=10, t0=5.0, gate=(0.0, 1.0))
+    probe = LocalGate(10, 5.0, 0.0, 1.0)
     engine = UnitaryQdpEngine(ring, probe)
     scattering = float(np.sum(engine.split_row(6.0, "scattering")))
     bound = float(np.sum(engine.split_row(6.0, "bound")))

@@ -84,22 +84,6 @@ class ChainSpec:
         return -self.j * self.n_bonds
 
 
-@dataclass(frozen=True)
-class BlochMoments:
-    """Uniform Bloch-sphere averages of the initial-qubit amplitudes.
-
-    With ``alpha = cos(theta/2)`` and ``beta = sin(theta/2) e^{i phi}``:
-    <|alpha|^2> = <|beta|^2> = 1/2, <|alpha|^2 |beta|^2> = 1/6,
-    <|alpha|^4> = <|beta|^4> = 1/3, <alpha beta> = 0.
-    """
-
-    abs_alpha_sq: float = 0.5
-    alpha_sq_beta_sq: float = 1.0 / 6.0
-    abs_alpha_4: float = 1.0 / 3.0
-
-
-BLOCH_MOMENTS = BlochMoments()
-
 _NORM_TOL = 1e-12
 
 
@@ -116,57 +100,36 @@ class InitialState:
             raise ValueError(f"|alpha|^2 + |beta|^2 must be 1, got {norm}")
 
 
-QdpKind = Literal["projective", "local_unitary"]
-
-
 @dataclass(frozen=True)
-class QdpEvent:
-    """An instantaneous local process: which kind, where, when, and (if unitary) the gate.
+class LocalGate:
+    """The local unitary gate V applied at site ``m`` at time ``t0``.
 
-    ``kind='projective'`` measures the occupation of site ``m`` without reading
-    the outcome; ``kind='local_unitary'`` applies the gate
-    ``V|up> = gamma|up> + delta|down>``, ``V|down> = -conj(delta)|up> + gamma|down>``
-    at site ``m``. Unitarity of V forces gamma to be real whenever delta != 0.
+    ``V|up> = gamma|up> + delta|down>``, ``V|down> = -conj(delta)|up> + gamma|down>``.
+    Unitarity of V forces gamma to be real whenever delta != 0. gamma and
+    delta are stored as complex numbers.
     """
 
-    kind: QdpKind
-    m: int = 1
-    t0: float = 0.0
-    gate: tuple[complex, complex] | None = None
+    m: int
+    t0: float
+    gamma: complex
+    delta: complex
 
     def __post_init__(self) -> None:
-        if self.kind not in ("projective", "local_unitary"):
-            raise ValueError(f"unknown QDP kind {self.kind!r}")
         if self.m < 1:
             raise ValueError(f"site index m must be >= 1, got {self.m}")
         if not (self.t0 >= 0.0 and math.isfinite(self.t0)):
             raise ValueError(f"t0 must be finite and >= 0, got {self.t0}")
-        if self.kind == "local_unitary":
-            if self.gate is None:
-                raise ValueError("local_unitary events need a gate (gamma, delta)")
-            gamma, delta = complex(self.gate[0]), complex(self.gate[1])
-            norm = abs(gamma) ** 2 + abs(delta) ** 2
-            if not abs(norm - 1.0) <= _NORM_TOL * 10:  # NaN fails this test too
-                raise ValueError(f"|gamma|^2 + |delta|^2 must be 1, got {norm}")
-            if abs(delta) > _NORM_TOL and abs(gamma.imag) > 1e-9:
-                raise ValueError(
-                    "gamma must be real for the gate to be unitary "
-                    f"(got Im(gamma) = {gamma.imag})"
-                )
-        elif self.gate is not None:
-            raise ValueError(f"gate is only meaningful for local_unitary events, kind={self.kind!r}")
-
-    @property
-    def gamma(self) -> complex:
-        if self.gate is None:
-            raise ValueError("event has no gate")
-        return complex(self.gate[0])
-
-    @property
-    def delta(self) -> complex:
-        if self.gate is None:
-            raise ValueError("event has no gate")
-        return complex(self.gate[1])
+        gamma, delta = complex(self.gamma), complex(self.delta)
+        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "delta", delta)
+        norm = abs(gamma) ** 2 + abs(delta) ** 2
+        if not abs(norm - 1.0) <= _NORM_TOL * 10:  # NaN fails this test too
+            raise ValueError(f"|gamma|^2 + |delta|^2 must be 1, got {norm}")
+        if abs(delta) > _NORM_TOL and abs(gamma.imag) > 1e-9:
+            raise ValueError(
+                "gamma must be real for the gate to be unitary "
+                f"(got Im(gamma) = {gamma.imag})"
+            )
 
 
 def reduced_phase(spec: ChainSpec, t: float) -> complex:

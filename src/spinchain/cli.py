@@ -26,7 +26,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .chain import CONVENTIONS, ChainSpec, InitialState, QdpEvent, conventions_hash, reduced_phase
+from .chain import CONVENTIONS, ChainSpec, InitialState, LocalGate, conventions_hash, reduced_phase
 from .green1 import HALF_INFINITE_MIN_N, reduced_profile
 from .harper import HarperSpec, fidelity_from_amplitudes, kicked_amplitudes, qdp_readouts
 from .protocols import UnitaryQdpEngine, delta_fidelity_projective_row, fidelity_free_row
@@ -284,14 +284,19 @@ def _grid_axes(args: argparse.Namespace) -> tuple[list[int], list[float], dict]:
     return ls, ts, {"l": [ls[0], ls[-1]], "t": [ts[0], ts[-1]], "dt": args.dt}
 
 
-def _event(args: argparse.Namespace, kind: str) -> QdpEvent:
-    """The local process at --site and --t0; a local unitary takes its gate from the gate flags."""
+def _site_and_t0(args: argparse.Namespace) -> None:
+    """Refuse a --site outside 1..n and a non-finite or negative --t0."""
     if not 1 <= args.site <= args.n:
         raise ValueError(f"need 1 <= site <= n, got site {args.site} on n={args.n}")
-    gate = None
-    if kind == "local_unitary":
-        gate = (complex(args.gamma_abs), args.delta_abs * cmath.exp(1j * args.delta_phase))
-    return QdpEvent(kind, m=args.site, t0=args.t0, gate=gate)
+    if not (args.t0 >= 0.0 and math.isfinite(args.t0)):
+        raise ValueError(f"t0 must be finite and >= 0, got {args.t0}")
+
+
+def _gate(args: argparse.Namespace) -> LocalGate:
+    """The gate of the gate flags, at --site and --t0."""
+    _site_and_t0(args)
+    delta = args.delta_abs * cmath.exp(1j * args.delta_phase)
+    return LocalGate(args.site, args.t0, complex(args.gamma_abs), delta)
 
 
 def _initial(alpha2: float | None) -> InitialState | None:
@@ -321,23 +326,24 @@ def _run_fidelity(args: argparse.Namespace) -> int:
 
 
 def _run_qdp_diff(args: argparse.Namespace) -> int:
-    spec, event = _chain_spec(args), _event(args, "projective")
+    spec = _chain_spec(args)
+    _site_and_t0(args)
     ls, ts, grid_meta = _grid_axes(args)
     before = np.zeros(args.n)
-    rows = (delta_fidelity_projective_row(event.m, t, event.t0, spec) if t >= event.t0 else before
+    rows = (delta_fidelity_projective_row(args.site, t, args.t0, spec) if t >= args.t0 else before
             for t in ts)
     return _write_grid(args, ls, ts, grid_values(ls, rows, lo=-1.0), grid_meta)
 
 
 def _run_unitary_qdp(args: argparse.Namespace) -> int:
     """Gated fidelity, or with --diff its change against free evolution (0 before t0)."""
-    spec, event = _chain_spec(args), _event(args, "local_unitary")
+    spec, gate = _chain_spec(args), _gate(args)
     ls, ts, grid_meta = _grid_axes(args)
-    engine = UnitaryQdpEngine(spec, event)
+    engine = UnitaryQdpEngine(spec, gate)
     before = np.zeros(args.n)
 
     def row(t: float) -> np.ndarray:
-        if t < event.t0:
+        if t < gate.t0:
             return before if args.diff else fidelity_free_row(t, spec)
         gated = engine.fidelity_row(t)
         return gated - fidelity_free_row(t, spec) if args.diff else gated
@@ -347,11 +353,11 @@ def _run_unitary_qdp(args: argparse.Namespace) -> int:
 
 
 def _run_two_magnon_split(args: argparse.Namespace) -> int:
-    event = _event(args, "local_unitary")
+    gate = _gate(args)
     ls, ts, grid_meta = _grid_axes(args)
-    engine = UnitaryQdpEngine(_chain_spec(args), event)
+    engine = UnitaryQdpEngine(_chain_spec(args), gate)
     before = np.zeros(args.n)
-    rows = (engine.split_row(t, args.part) if t >= event.t0 else before for t in ts)
+    rows = (engine.split_row(t, args.part) if t >= gate.t0 else before for t in ts)
     return _write_grid(args, ls, ts, grid_values(ls, rows), grid_meta)
 
 
@@ -461,18 +467,18 @@ def _run_oracle_check(args: argparse.Namespace) -> int:
     ham = oracle.build_hamiltonian(spec, "vacuum_one_two")
     y1, y2 = np.array(ham.basis.pairs).T - 1  # 0-based sites of each pair, in basis order
     worst = 0.0
-    for gate in ((1 / math.sqrt(2), 1 / math.sqrt(2)), (0.0, 1.0)):
-        event = QdpEvent("local_unitary", m=max(1, n // 3), t0=1.5, gate=gate)
+    for amplitudes in ((1 / math.sqrt(2), 1 / math.sqrt(2)), (0.0, 1.0)):
+        gate = LocalGate(max(1, n // 3), 1.5, *amplitudes)
         initial = InitialState(math.sqrt(0.3), math.sqrt(0.7))
         state = oracle.encoded_state(initial.alpha, initial.beta, ham.basis)
-        mid = oracle.evolve(state, ham, event.t0)
-        final = oracle.evolve(oracle.apply_local(gate, event.m, mid), ham, 3.0 - event.t0).vector
-        mine = UnitaryQdpEngine(spec, event).state(3.0, initial)
+        gated = oracle.apply_local(amplitudes, gate.m, oracle.evolve(state, ham, gate.t0))
+        final = oracle.evolve(gated, ham, 3.0 - gate.t0).vector
+        mine = UnitaryQdpEngine(spec, gate).state(3.0, initial)
         # the sector lists the vacuum, then the n one-magnon configs, then the pairs
         errors = np.concatenate(([mine.vacuum], mine.one_magnon, mine.two_magnon[y1, y2])) - final
         # hypot rounds as a scalar's abs does; the array abs can differ in the last bit
         worst = max(worst, float(np.max(np.hypot(errors.real, errors.imag))))
-    _record(report, failures, "gate protocol vs dense evolution", worst, max(tol, 1e-8))
+    _record(report, failures, "gate protocol vs dense evolution", worst, tol)
 
     # Paired-band census on a 20-site ring.
     result = oracle.bound_band_projector(ChainSpec(20, "closed", 0.5, 1.0))

@@ -63,14 +63,18 @@ def _normalize_pair(x1: int, x2: int) -> tuple[int, int]:
 def _check_evolution(t: float, part: str, spec: ChainSpec) -> None:
     """Refuse an unknown part, and a time whose phases e^{-iEt} would round away.
 
-    4*J*|t| is held to ``bessel.MAX_ARG``, as green1 holds its rows; NaN and
-    infinity fail the bound too.
+    A pair energy is at most 4*J*(|Delta| + 2) in size (a -4*J*Delta contact
+    and two hops of 4*J), so 4*J*(|Delta| + 2)*|t| is held to
+    ``bessel.MAX_ARG``, as green1 holds 4*J*|t|; NaN and infinity fail the
+    bound too.
     """
     if part not in get_args(Part):
         raise ValueError(f"unknown part {part!r}; expected one of {get_args(Part)}")
-    z = 4.0 * spec.j * t
+    z = 4.0 * spec.j * (abs(spec.delta) + 2.0) * t
     if not abs(z) <= MAX_ARG:
-        raise ValueError(f"4*J*|t| must be <= {MAX_ARG}, got {z} at t = {t}")
+        raise ValueError(
+            f"4*J*(|Delta| + 2)*|t| must be <= {MAX_ARG}, got {z} at t = {t}, Delta = {spec.delta}"
+        )
 
 
 def _check_ring(spec: ChainSpec) -> None:
@@ -191,7 +195,8 @@ class RingTwoMagnon:
         Only the part that depends on t: the phases and the part's mode mask,
         the product back off the modes, the inverse FFT and the scatter into a
         symmetric N x N matrix with a zero diagonal. coeffs is not modified.
-        A NaN or infinite t, or 4*J*|t| above ``bessel.MAX_ARG``, is refused.
+        A NaN or infinite t, or 4*J*(|Delta| + 2)*|t| above ``bessel.MAX_ARG``,
+        is refused.
         """
         _check_evolution(t, part, self.spec)
         n, blocks = len(self._gauge), len(self._evals)
@@ -211,7 +216,7 @@ class RingTwoMagnon:
         psi is a symmetric N x N matrix with a zero diagonal; entry
         (y1 - 1, y2 - 1) holds the pair {y1, y2}. The result has the same
         form. The three parts resolve the identity: bound + scattering =
-        total propagation. A NaN or infinite t, or 4*J*|t| above
+        total propagation. A NaN or infinite t, or 4*J*(|Delta| + 2)*|t| above
         ``bessel.MAX_ARG``, is refused.
         """
         return self.evolve_projected(self.project(psi), t, part)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import BLOCH_MOMENTS, ChainSpec, InitialState, QdpEvent, reduced_phase
+from .chain import ChainSpec, InitialState, LocalGate, reduced_phase
 from .green1 import reduced_profile
 from .green2 import Part, RingTwoMagnon, _check_ring, ring_kernel
 
@@ -56,18 +56,25 @@ def state_fidelity(x, y, alpha: complex, beta: complex):
     )
 
 
+# Uniform Bloch-sphere averages of the qubit amplitudes, alpha = cos(theta/2)
+# and beta = sin(theta/2) e^{i phi}: <|alpha|^2> = 1/2, <|alpha|^2 |beta|^2> = 1/6
+# and <|alpha|^4> = 1/3.
+_ABS_ALPHA_SQ = 0.5
+_ALPHA_SQ_BETA_SQ = 1.0 / 6.0
+_ABS_ALPHA_4 = 1.0 / 3.0
+
+
 def _bloch_from_quadratic(abs2, re_coherence):
     """Bloch average of |alpha|^2(1-x) + |beta|^2 x + 2|alpha|^2|beta|^2 Re(c).
 
     Valid whenever x = |beta|^2 * abs2 and the coherence term is
     |alpha|^2 |beta|^2 * re_coherence; uses the exact sphere moments.
     """
-    m = BLOCH_MOMENTS
     return (
-        m.abs_alpha_sq
-        - m.alpha_sq_beta_sq * abs2
-        + m.abs_alpha_4 * abs2
-        + 2.0 * m.alpha_sq_beta_sq * re_coherence
+        _ABS_ALPHA_SQ
+        - _ALPHA_SQ_BETA_SQ * abs2
+        + _ABS_ALPHA_4 * abs2
+        + 2.0 * _ALPHA_SQ_BETA_SQ * re_coherence
     )
 
 
@@ -218,9 +225,10 @@ class UnitaryState:
 class UnitaryQdpEngine:
     """Gate-protocol amplitudes on a closed ring, for any observation time t >= t0.
 
-    The gate turns the one-magnon wavepacket amplitude at each companion site
-    into a source pair with the gate site, which then evolves through the
-    exact ring two-magnon propagator into the pair amplitudes L(y1, y2; t).
+    The gate (a ``chain.LocalGate``) turns the one-magnon wavepacket amplitude
+    at each companion site into a source pair with the gate site, which then
+    evolves through the exact ring two-magnon propagator into the pair
+    amplitudes L(y1, y2; t).
     Every argument is checked here. What does not depend on t -- the ring
     kernel and the source pair state's coefficients on its modes
     (``RingTwoMagnon.project``) -- is set up once, on the first time at or
@@ -234,22 +242,20 @@ class UnitaryQdpEngine:
     propagator, so all sector norms are conserved to rounding.
     """
 
-    def __init__(self, spec: ChainSpec, event: QdpEvent):
-        if event.kind != "local_unitary":
-            raise ValueError(f"engine needs a local_unitary event, got {event.kind!r}")
+    def __init__(self, spec: ChainSpec, gate: LocalGate):
         if spec.boundary != "closed":
             raise ValueError(
                 "two-magnon gate amplitudes are implemented on closed chains; "
                 "the open-boundary pair channel is not available"
             )
-        if event.m > spec.n:
-            raise ValueError(f"gate site m={event.m} out of range 1..{spec.n}")
+        if gate.m > spec.n:
+            raise ValueError(f"gate site m={gate.m} out of range 1..{spec.n}")
         # A phase-only gate conserves the magnon number: no pair channel.
-        if event.delta != 0.0:
+        if gate.delta != 0.0:
             _check_ring(spec)
         self.spec = spec
-        self.event = event
-        self.u0 = reduced_profile(1, event.t0, spec)
+        self.gate = gate
+        self.u0 = reduced_profile(1, gate.t0, spec)
         # the kernel and the projected source, set by the first _pair_matrix
         self.ring: RingTwoMagnon | None = None
         self._source_modes: np.ndarray | None = None
@@ -259,18 +265,18 @@ class UnitaryQdpEngine:
 
         None for a phase-only gate, whose pair channel stays empty.
         """
-        _check_measurement_times(t, self.event.t0)
-        if self.event.delta == 0.0:
+        _check_measurement_times(t, self.gate.t0)
+        if self.gate.delta == 0.0:
             return None
         if self.ring is None:
             # each pair holding the gate site starts with the amplitude of its partner
-            m = self.event.m - 1
+            m = self.gate.m - 1
             source = np.zeros((self.spec.n, self.spec.n), dtype=complex)
             source[m] = source[:, m] = self.u0
             source[m, m] = 0.0
             self.ring = ring_kernel(self.spec)
             self._source_modes = self.ring.project(source)
-        return self.ring.evolve_projected(self._source_modes, t - self.event.t0, part)
+        return self.ring.evolve_projected(self._source_modes, t - self.gate.t0, part)
 
     def two_magnon_weight(self, t: float) -> float:
         """sum over pairs |L|^2; equals sum_{y'' != m} |g(1 -> y''; t0)|^2 exactly."""
@@ -279,14 +285,14 @@ class UnitaryQdpEngine:
 
     def fidelity_row(self, t: float) -> np.ndarray:
         """Bloch-averaged transfer fidelity at every site."""
-        gamma2 = abs(self.event.gamma) ** 2
-        delta2 = abs(self.event.delta) ** 2
+        gamma2 = abs(self.gate.gamma) ** 2
+        delta2 = abs(self.gate.delta) ** 2
         pairs = self._pair_matrix(t, "total")
         g_t = reduced_profile(1, t, self.spec)
         free = 0.5 + (gamma2 / 6.0) * (np.abs(g_t) ** 2 + 2.0 * g_t.real)
         if pairs is None:
             return free
-        g_tau = reduced_profile(self.event.m, t - self.event.t0, self.spec)
+        g_tau = reduced_profile(self.gate.m, t - self.gate.t0, self.spec)
         pair_sum = np.sum(np.abs(pairs) ** 2, axis=1)
         cross = np.conj(pairs) @ g_tau
         return free + (delta2 / 6.0) * (pair_sum - np.abs(g_tau) ** 2 + 2.0 * cross.real)
@@ -300,21 +306,21 @@ class UnitaryQdpEngine:
         pairs = self._pair_matrix(t, part)
         if pairs is None:
             return np.zeros(self.spec.n)
-        delta2 = abs(self.event.delta) ** 2
+        delta2 = abs(self.gate.delta) ** 2
         return (delta2 / 6.0) * np.sum(np.abs(pairs) ** 2, axis=1)
 
     def state(self, t: float, initial: InitialState) -> UnitaryState:
         """Full-phase sector amplitudes for one encoded state."""
         alpha, beta = initial.alpha, initial.beta
-        ev = self.event
-        gamma, delta = ev.gamma, ev.delta
+        gate = self.gate
+        gamma, delta = gate.gamma, gate.delta
         amps = self._pair_matrix(t, "total")
         if amps is None:
             amps = np.zeros((self.spec.n, self.spec.n), dtype=complex)
         g_t = reduced_profile(1, t, self.spec)
-        g_tau = reduced_profile(ev.m, t - ev.t0, self.spec)
+        g_tau = reduced_profile(gate.m, t - gate.t0, self.spec)
         phase = reduced_phase(self.spec, t)
-        vac = phase * (alpha * gamma - beta * np.conj(delta) * self.u0[ev.m - 1])
+        vac = phase * (alpha * gamma - beta * np.conj(delta) * self.u0[gate.m - 1])
         one = phase * (alpha * delta * g_tau + beta * gamma * g_t)
         norm_sq = (
             abs(vac) ** 2
@@ -324,7 +330,7 @@ class UnitaryQdpEngine:
         defect = abs(1.0 - norm_sq)
         # written as "not within" so that NaN, which compares False, fails too
         if not defect <= 1e-10:
-            raise ValueError(f"norm defect {defect:.3e} after the gate at site {ev.m}")
+            raise ValueError(f"norm defect {defect:.3e} after the gate at site {gate.m}")
         return UnitaryState(
             vacuum=complex(vac),
             one_magnon=one,

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from spinchain import oracle
-from spinchain.chain import ChainSpec, InitialState, QdpEvent, reduced_phase
+from spinchain.chain import ChainSpec, InitialState, LocalGate, reduced_phase
 from spinchain.cli import main as cli_main
 from spinchain.green1 import reduced_profile
 from spinchain.green2 import green2
@@ -170,11 +170,11 @@ def test_criterion_07_gate_protocol_matches_dense_evolution(channel_fidelity):
     basis = oracle.make_basis("vacuum_one_two", 12)
     ham = oracle.build_hamiltonian(spec, "vacuum_one_two")
     initial = InitialState(math.sqrt(0.3), math.sqrt(0.7))
-    for gate in ((1 / math.sqrt(2), 1 / math.sqrt(2)), (0.0, 1.0)):
-        event = QdpEvent("local_unitary", m=4, t0=2.0, gate=gate)
+    for amplitudes in ((1 / math.sqrt(2), 1 / math.sqrt(2)), (0.0, 1.0)):
+        gate = LocalGate(4, 2.0, *amplitudes)
         mid = oracle.evolve(oracle.encoded_state(initial.alpha, initial.beta, basis), ham, 2.0)
-        final = oracle.evolve(oracle.apply_local(gate, 4, mid), ham, 2.0)
-        state = UnitaryQdpEngine(spec, event).state(4.0, initial)
+        final = oracle.evolve(oracle.apply_local(amplitudes, 4, mid), ham, 2.0)
+        state = UnitaryQdpEngine(spec, gate).state(4.0, initial)
 
         assert abs(state.vacuum - final.vector[0]) <= 1e-10
         one_dense = final.vector[1:13]
@@ -191,8 +191,8 @@ def test_criterion_07_gate_protocol_matches_dense_evolution(channel_fidelity):
     # a balanced gate at the source site before any motion pins the averaged
     # fidelity to one half plus the free interference term
     ring = ChainSpec(24, "closed", 0.5, 1.0)
-    event = QdpEvent("local_unitary", m=1, t0=0.0, gate=(1 / math.sqrt(2), 1 / math.sqrt(2)))
-    engine = UnitaryQdpEngine(ring, event)
+    gate = LocalGate(1, 0.0, 1 / math.sqrt(2), 1 / math.sqrt(2))
+    engine = UnitaryQdpEngine(ring, gate)
     for t in (0.5, 2.0, 6.5):
         g = reduced_profile(1, t, ring)
         residual = float(np.max(np.abs(engine.fidelity_row(t) - 0.5 - g.real / 6.0)))
@@ -206,8 +206,8 @@ def test_criterion_08_pair_kernel_completeness_and_free_factorization():
     for target in ((11, 12), (9, 13), (8, 10)):
         assert abs(green2(10, 11, *target, 0.0, ring40).value) <= 1e-12
 
-    event = QdpEvent("local_unitary", m=10, t0=2.0, gate=(0.0, 1.0))
-    engine = UnitaryQdpEngine(ring40, event)
+    gate = LocalGate(10, 2.0, 0.0, 1.0)
+    engine = UnitaryQdpEngine(ring40, gate)
     weights = [engine.two_magnon_weight(t) for t in (3.0, 7.0)]
     assert abs(weights[0] - weights[1]) <= 1e-3
 
@@ -228,9 +228,9 @@ def test_criterion_09_paired_band_census_and_scattering_dominance():
     assert 17 <= census.count <= 20
 
     ring = ChainSpec(100, "closed", 0.5, 1.0)
-    event = QdpEvent("local_unitary", m=10, t0=5.0, gate=(0.0, 1.0))
+    gate = LocalGate(10, 5.0, 0.0, 1.0)
 
-    engine = UnitaryQdpEngine(ring, event)
+    engine = UnitaryQdpEngine(ring, gate)
 
     def part_weights(t: float) -> tuple[float, float]:
         return (
@@ -247,10 +247,10 @@ def test_criterion_09_paired_band_census_and_scattering_dominance():
 
 def test_criterion_10_gate_induced_relative_fidelity_gain_region():
     ring = ChainSpec(100, "closed", 0.5, 1.0)
-    event = QdpEvent("local_unitary", m=15, t0=7.5, gate=(0.0, 1.0))
+    gate = LocalGate(15, 7.5, 0.0, 1.0)
     best = -math.inf
     region_points = 0
-    engine = UnitaryQdpEngine(ring, event)
+    engine = UnitaryQdpEngine(ring, gate)
     for k in range(1, 19):
         t = 7.5 + 0.25 * k
         free = _averaged_free_row(ring, t)

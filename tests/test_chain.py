@@ -7,15 +7,16 @@ import math
 import numpy as np
 import pytest
 
+from spinchain import protocols
 from spinchain.chain import (
-    BLOCH_MOMENTS,
     CONVENTIONS,
     ChainSpec,
     InitialState,
-    QdpEvent,
+    LocalGate,
     conventions_hash,
     reduced_phase,
 )
+from spinchain.oracle import bloch_average
 
 
 def test_ground_energy_counts_bonds_and_ignores_anisotropy():
@@ -47,26 +48,38 @@ def test_initial_state_norm():
 
 
 def test_bloch_moments_are_exact_sphere_integrals():
-    assert BLOCH_MOMENTS.abs_alpha_sq == pytest.approx(0.5, abs=1e-15)
-    assert BLOCH_MOMENTS.abs_alpha_4 == pytest.approx(1 / 3, abs=1e-15)
-    assert BLOCH_MOMENTS.alpha_sq_beta_sq == pytest.approx(1 / 6, abs=1e-15)
+    # the constants the averaged fidelity rows read, against the oracle's sphere quadrature
+    moments = (
+        (protocols._ABS_ALPHA_SQ, lambda a, b: abs(a) ** 2),
+        (protocols._ABS_ALPHA_SQ, lambda a, b: abs(b) ** 2),
+        (protocols._ALPHA_SQ_BETA_SQ, lambda a, b: abs(a) ** 2 * abs(b) ** 2),
+        (protocols._ABS_ALPHA_4, lambda a, b: abs(a) ** 4),
+        (protocols._ABS_ALPHA_4, lambda a, b: abs(b) ** 4),
+    )
+    for constant, integrand in moments:
+        assert constant == pytest.approx(bloch_average(integrand), abs=1e-15)
+    assert bloch_average(lambda a, b: (a * b).real) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_gate_event_requires_real_diagonal_and_unit_norm():
-    event = QdpEvent("local_unitary", m=3, t0=1.0, gate=(0.6, 0.8j))
-    assert (event.gamma, event.delta) == (0.6, 0.8j)
-    with pytest.raises(ValueError):
-        QdpEvent("local_unitary", m=3, t0=1.0, gate=(0.6j, 0.8))
-    with pytest.raises(ValueError):
-        QdpEvent("local_unitary", m=3, t0=1.0, gate=(0.6, 0.9))
-    with pytest.raises(ValueError):
-        QdpEvent("projective", m=0, t0=1.0)
-    with pytest.raises(ValueError):
-        QdpEvent("teleport", m=1, t0=1.0)  # type: ignore[arg-type]
-    with pytest.raises(ValueError):
-        QdpEvent("none", m=1, t0=1.0)  # type: ignore[arg-type]
-    with pytest.raises(ValueError):
-        QdpEvent("projective", m=1, t0=1.0, gate=(0.0, 1.0))
+    gate = LocalGate(3, 1.0, 0.6, 0.8j)
+    assert (gate.gamma, gate.delta) == (0.6, 0.8j)
+    # stored as complex numbers whatever the caller passes
+    assert type(LocalGate(1, 0.0, 1, 0).gamma) is complex
+    assert type(LocalGate(1, 0.0, 0.0, 1.0).delta) is complex
+    with pytest.raises(ValueError, match="gamma must be real"):
+        LocalGate(3, 1.0, 0.6j, 0.8)
+    with pytest.raises(ValueError, match=r"\|gamma\|\^2 \+ \|delta\|\^2 must be 1"):
+        LocalGate(3, 1.0, 0.6, 0.9)
+    with pytest.raises(ValueError, match=r"\|gamma\|\^2 \+ \|delta\|\^2 must be 1"):
+        LocalGate(3, 1.0, float("nan"), 0.0)
+    with pytest.raises(ValueError, match="site index m must be >= 1"):
+        LocalGate(0, 1.0, 0.0, 1.0)
+    for t0 in (float("nan"), float("inf"), -1.0):
+        with pytest.raises(ValueError, match="t0 must be finite and >= 0"):
+            LocalGate(1, t0, 0.0, 1.0)
+    # a phase-only gate may carry a complex gamma
+    LocalGate(1, 0.0, 0.6 + 0.8j, 0.0)
 
 
 def test_conventions_fingerprint_is_stable_and_covers_every_rule():

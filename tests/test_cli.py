@@ -155,7 +155,7 @@ def test_metadata_sidecar_contents(tmp_path):
     assert "package_version" in meta
 
 
-def test_exit_codes_for_bad_usage(tmp_path):
+def test_exit_codes_for_bad_usage(tmp_path, capsys):
     assert main(["no-such-command"]) == 2
     assert main(["fidelity", "--n", "not-a-number"]) == 2
     assert main(["fidelity", "--alpha2", "1.5", "--out", str(tmp_path / "x.csv")]) == 2
@@ -174,6 +174,11 @@ def test_exit_codes_for_bad_usage(tmp_path):
                  "--out", str(tmp_path / "x.csv")]) == 2
     assert main(["two-magnon-split", "--n", "10", "--site", "11", "--tmax", "4",
                  "--out", str(tmp_path / "x.csv")]) == 2
+    for command, t0 in itertools.product(("qdp-diff", "unitary-qdp", "two-magnon-split"),
+                                         ("nan", "inf", "-1")):
+        assert main([command, "--n", "12", "--boundary", "closed", "--site", "3", "--t0", t0,
+                     "--tmax", "2", "--out", str(tmp_path / "x.csv")]) == 2
+        assert "t0 must be finite and >= 0" in capsys.readouterr().err
     assert main(["harper", "--n", "10", "--g", "nan", "--out", str(tmp_path / "x.csv")]) == 2
     assert main(["harper", "--n", "10", "--eta", "nan", "--out", str(tmp_path / "x.csv")]) == 2
     assert main(["two-magnon-split", "--n", "10", "--delta-abs", "nan", "--tmax", "5",
@@ -260,7 +265,7 @@ def test_oversized_grids_exit_before_allocation(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_times_past_the_bessel_domain_exit_2_and_write_nothing(tmp_path):
+def test_times_past_the_bessel_domain_exit_2_and_write_nothing(tmp_path, capsys):
     # 4*J*t = 4e5 is over bessel.MAX_ARG on the small exact chain too
     out = ["--out", str(tmp_path / "x.csv")]
     assert main(["fidelity", "--n", "12", "--tmin", "2e5", "--tmax", "2e5"] + out) == 2
@@ -268,6 +273,14 @@ def test_times_past_the_bessel_domain_exit_2_and_write_nothing(tmp_path):
     # the ring's pair evolution refuses the same bound
     split = ["two-magnon-split", "--n", "12", "--boundary", "closed"]
     assert main(split + ["--tmin", "1e300", "--tmax", "1e300"] + out) == 2
+    assert list(tmp_path.iterdir()) == []
+    # with the pair energies' 4*J*(|Delta| + 2) in place of 4*J: here 4*J*|t| is
+    # only 2, but 4*J*(|Delta| + 2)*|t| is 2e8
+    ring = ["--n", "6", "--boundary", "closed", "--delta", "1e8", "--site", "2", "--t0", "0.5",
+            "--tmax", "1.5"]
+    for command in ("unitary-qdp", "two-magnon-split"):
+        assert main([command, *ring] + out) == 2
+        assert "Delta = 100000000.0" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -348,6 +361,10 @@ def test_oracle_check_passes(tmp_path):
         "paired-band census",
     }
     assert all(entry["pass"] for entry in report.values())
+    # every dense comparison, the gate's included, is held to the default --tol
+    for name in ("splitting identity", "measurement protocol vs dense evolution",
+                 "gate protocol vs dense evolution"):
+        assert report[name]["tolerance"] == 1e-9, name
 
 
 @pytest.mark.parametrize("n", [2, 65, 600])

@@ -9,6 +9,7 @@ import pytest
 
 from spinchain import green2 as green2_module
 from spinchain import oracle
+from spinchain.bessel import MAX_ARG
 from spinchain.chain import ChainSpec, reduced_phase
 from spinchain.green2 import _EIGH_CHUNK, MAX_RING_SITES, RingTwoMagnon, green2
 
@@ -385,3 +386,25 @@ def test_ring_validation():
     for bad in (lopsided, psi + np.eye(6), psi[np.triu_indices(6, 1)], psi[:5, :5]):
         with pytest.raises(ValueError):
             ring.project(bad)
+
+
+def test_pair_times_are_bounded_by_the_ring_spectral_radius():
+    # a pair energy reaches 4*J*(|Delta| + 2): at a large Delta the phases E*t
+    # round away long before 4*J*|t| reaches bessel.MAX_ARG
+    for delta in (1e8, 1e14):
+        spec = ChainSpec(6, "closed", 0.5, delta)
+        ring = RingTwoMagnon(spec)
+        source = np.zeros((6, 6), dtype=complex)
+        source[0, 1] = source[1, 0] = 1.0
+        with pytest.raises(ValueError, match=r"at t = 0\.7, Delta = "):
+            ring.evolve_pair_state(source, 0.7)
+        with pytest.raises(ValueError, match=r"at t = 0\.7, Delta = "):
+            green2(1, 2, 1, 2, 0.7, spec)
+    # the bound itself is admitted, and a time one part in 1e12 past it is not
+    for delta, t_max in ((2.0, MAX_ARG / 8.0), (0.0, MAX_ARG / 4.0), (-2.0, MAX_ARG / 8.0)):
+        ring = RingTwoMagnon(ChainSpec(6, "closed", 0.5, delta))
+        coeffs = ring.project(_matrix(_random_pairs(6, 1), 6))
+        ring.evolve_projected(coeffs, t_max)
+        ring.evolve_projected(coeffs, -t_max)
+        with pytest.raises(ValueError):
+            ring.evolve_projected(coeffs, t_max * (1.0 + 1e-12))

@@ -12,7 +12,7 @@ import pytest
 
 from csv_reference import grid_csv_reference
 from spinchain import oracle
-from spinchain.chain import ChainSpec, InitialState, QdpEvent, reduced_phase
+from spinchain.chain import ChainSpec, InitialState, LocalGate, reduced_phase
 from spinchain.green1 import reduced_profile
 from spinchain.protocols import (
     _CHUNK_CELLS,
@@ -108,8 +108,8 @@ def test_gate_channels_match_dense_golden(golden, channel_fidelity):
     tol = record["tolerance"]
     phase = reduced_phase(CLOSED12, t)
     for label, (gr, gi, dr, di) in record["inputs"]["gates"].items():
-        event = QdpEvent("local_unitary", m=m, t0=t0, gate=(complex(gr, gi), complex(dr, di)))
-        state = UnitaryQdpEngine(CLOSED12, event).state(t, initial)
+        gate = LocalGate(m, t0, complex(gr, gi), complex(dr, di))
+        state = UnitaryQdpEngine(CLOSED12, gate).state(t, initial)
         assert state.norm_defect < 1e-12
         assert state.vacuum / phase == pytest.approx(
             complex(record["values"][f"{label}_vacuum"][0]), abs=tol
@@ -129,8 +129,8 @@ def test_averaged_gate_row_matches_bloch_average_of_state_fidelities(channel_fid
     # the row's partner sums against a per-pair loop over the sector amplitudes,
     # averaged over the Bloch sphere by a rule that is exact for these integrands
     # a rotation by 1.1 about the equatorial axis (0.6, 0.8): (cos 1.1, (0.8 + 0.6i) sin 1.1)
-    event = QdpEvent("local_unitary", m=4, t0=1.5, gate=(np.cos(1.1), (0.8 + 0.6j) * np.sin(1.1)))
-    engine = UnitaryQdpEngine(CLOSED12, event)
+    gate = LocalGate(4, 1.5, np.cos(1.1), (0.8 + 0.6j) * np.sin(1.1))
+    engine = UnitaryQdpEngine(CLOSED12, gate)
     t = 3.2
     row = engine.fidelity_row(t)
     for l in (1, 4, 7, 12):
@@ -153,20 +153,19 @@ def test_gate_state_matches_dense_evolution_on_random_rings():
         # a rotation by a random angle about a random equatorial axis (cos a, sin a)
         axis = rng.uniform(0.0, 2.0 * np.pi)
         angle = rng.uniform(0.0, np.pi)
-        gate = (np.cos(angle), (np.sin(axis) + 1j * np.cos(axis)) * np.sin(angle))
-        event = QdpEvent("local_unitary", m=int(rng.integers(1, n + 1)),
-                         t0=float(rng.uniform(0.0, 3.0)), gate=gate)
-        t = event.t0 + float(rng.uniform(0.0, 3.0))
+        amplitudes = (np.cos(angle), (np.sin(axis) + 1j * np.cos(axis)) * np.sin(angle))
+        gate = LocalGate(int(rng.integers(1, n + 1)), float(rng.uniform(0.0, 3.0)), *amplitudes)
+        t = gate.t0 + float(rng.uniform(0.0, 3.0))
         alpha2 = rng.uniform(0.0, 1.0)
         initial = InitialState(np.sqrt(alpha2),
                                np.sqrt(1.0 - alpha2) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)))
 
         basis = oracle.make_basis("vacuum_one_two", n)
         ham = oracle.build_hamiltonian(spec, "vacuum_one_two")
-        mid = oracle.evolve(oracle.encoded_state(initial.alpha, initial.beta, basis), ham, event.t0)
-        dense = oracle.evolve(oracle.apply_local(gate, event.m, mid), ham, t - event.t0).vector
+        mid = oracle.evolve(oracle.encoded_state(initial.alpha, initial.beta, basis), ham, gate.t0)
+        dense = oracle.evolve(oracle.apply_local(amplitudes, gate.m, mid), ham, t - gate.t0).vector
 
-        state = UnitaryQdpEngine(spec, event).state(t, initial)
+        state = UnitaryQdpEngine(spec, gate).state(t, initial)
         two = [
             state.two_magnon[y1 - 1, y2 - 1] - dense[basis.pair_index(y1, y2)]
             for y1, y2 in basis.pairs
@@ -184,8 +183,8 @@ def test_gate_identity_at_origin_reduces_to_free_interference():
     # a balanced gate applied at the source site before any propagation leaves
     # the averaged fidelity pinned to the free interference term
     spec = ChainSpec(24, "closed", 0.5, 1.0)
-    event = QdpEvent("local_unitary", m=1, t0=0.0, gate=(1 / np.sqrt(2), 1 / np.sqrt(2)))
-    engine = UnitaryQdpEngine(spec, event)
+    gate = LocalGate(1, 0.0, 1 / np.sqrt(2), 1 / np.sqrt(2))
+    engine = UnitaryQdpEngine(spec, gate)
     for t in (0.5, 2.0, 6.5):
         row = engine.fidelity_row(t)
         g = reduced_profile(1, t, spec)
@@ -194,14 +193,14 @@ def test_gate_identity_at_origin_reduces_to_free_interference():
 
 
 def test_phase_only_gate_has_no_pair_channel():
-    event = QdpEvent("local_unitary", m=3, t0=1.0, gate=(1.0, 0.0))
-    engine = UnitaryQdpEngine(CLOSED12, event)
+    gate = LocalGate(3, 1.0, 1.0, 0.0)
+    engine = UnitaryQdpEngine(CLOSED12, gate)
     assert engine.two_magnon_weight(2.5) == 0.0
     assert engine.ring is None
 
 
 def test_gate_state_refuses_a_norm_defect(monkeypatch):
-    engine = UnitaryQdpEngine(CLOSED12, QdpEvent("local_unitary", m=3, t0=1.0, gate=(0.6, 0.8)))
+    engine = UnitaryQdpEngine(CLOSED12, LocalGate(3, 1.0, 0.6, 0.8))
     pairs = engine._pair_matrix
     monkeypatch.setattr(engine, "_pair_matrix", lambda t, part: 1.01 * pairs(t, part))
     with pytest.raises(ValueError, match="norm defect"):
@@ -211,10 +210,10 @@ def test_gate_state_refuses_a_norm_defect(monkeypatch):
 def test_phase_only_gate_holds_no_pair_matrix():
     # no pair channel, so nothing of size N x N: 144 MB of zeros at N = 3000
     spec = ChainSpec(3000, "closed", 0.5, 1.0)
-    event = QdpEvent("local_unitary", m=15, t0=1.0, gate=(1.0, 0.0))
+    gate = LocalGate(15, 1.0, 1.0, 0.0)
     tracemalloc.start()
     try:
-        engine = UnitaryQdpEngine(spec, event)
+        engine = UnitaryQdpEngine(spec, gate)
         rows = [engine.fidelity_row(t) for t in (1.0, 2.0, 3.0)]
         split = engine.split_row(2.0, "total")
         _, peak = tracemalloc.get_traced_memory()
@@ -227,8 +226,8 @@ def test_phase_only_gate_holds_no_pair_matrix():
 
 
 def test_pair_weight_equals_injected_companion_weight():
-    event = QdpEvent("local_unitary", m=4, t0=2.0, gate=(0.0, 1.0))
-    engine = UnitaryQdpEngine(CLOSED12, event)
+    gate = LocalGate(4, 2.0, 0.0, 1.0)
+    engine = UnitaryQdpEngine(CLOSED12, gate)
     u0 = reduced_profile(1, 2.0, CLOSED12)
     expected = float(np.sum(np.abs(u0) ** 2) - abs(u0[3]) ** 2)
     assert engine.two_magnon_weight(5.0) == pytest.approx(expected, abs=1e-12)
@@ -237,8 +236,8 @@ def test_pair_weight_equals_injected_companion_weight():
 
 
 def test_split_fidelity_parts_add_up_over_the_ring():
-    event = QdpEvent("local_unitary", m=4, t0=2.0, gate=(0.0, 1.0))
-    engine = UnitaryQdpEngine(CLOSED12, event)
+    gate = LocalGate(4, 2.0, 0.0, 1.0)
+    engine = UnitaryQdpEngine(CLOSED12, gate)
     totals = engine.split_row(5.0, "total")
     bounds = engine.split_row(5.0, "bound")
     scatters = engine.split_row(5.0, "scattering")
@@ -246,7 +245,7 @@ def test_split_fidelity_parts_add_up_over_the_ring():
     # the projector split is orthogonal, so the cross term cancels once every
     # pair is counted (each pair shows up in the partner sums of both its sites)
     assert np.sum(bounds) + np.sum(scatters) == pytest.approx(np.sum(totals), abs=1e-10)
-    gate_weight = abs(event.delta) ** 2 / 6.0
+    gate_weight = abs(gate.delta) ** 2 / 6.0
     assert np.sum(totals) == pytest.approx(
         2.0 * gate_weight * engine.two_magnon_weight(5.0), abs=1e-10
     )
@@ -430,6 +429,6 @@ def test_time_ordering_validation():
     with pytest.raises(ValueError):
         projective_rdm_row(2, 1.0, 2.0, OPEN12, InitialState(0.6, 0.8))
     with pytest.raises(ValueError):
-        UnitaryQdpEngine(CLOSED12, QdpEvent("local_unitary", m=2, t0=3.0, gate=(0.0, 1.0))).fidelity_row(2.0)
+        UnitaryQdpEngine(CLOSED12, LocalGate(2, 3.0, 0.0, 1.0)).fidelity_row(2.0)
     with pytest.raises(ValueError):
-        UnitaryQdpEngine(OPEN12, QdpEvent("local_unitary", m=2, t0=1.0, gate=(0.0, 1.0)))
+        UnitaryQdpEngine(OPEN12, LocalGate(2, 1.0, 0.0, 1.0))
