@@ -190,14 +190,15 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.
         return args
     entries = _parse_config_file(args.config)
     subparser = _subparser_for(parser, args.command)
-    actions = {a.dest: a for a in subparser._actions}
+    # --help and --config are flags, but a config file cannot set them
+    actions = {a.dest: a for a in subparser._actions if a.dest not in ("help", "config")}
     defaults = {}
     for key, value in entries.items():
         if key == "command":
             raise ValueError("config files cannot change the subcommand")
         action = actions.get(key)
         if action is None:
-            raise ValueError(f"config key {key!r} is not a flag of {args.command!r}")
+            raise ValueError(f"{args.config}: config key {key!r} sets no flag of {args.command!r}")
         if isinstance(action, argparse._StoreTrueAction):
             if value.lower() not in _TRUE_WORDS + _FALSE_WORDS:
                 raise ValueError(f"config key {key!r} takes one of {_TRUE_WORDS + _FALSE_WORDS}")
@@ -441,9 +442,9 @@ def _run_oracle_check(args: argparse.Namespace) -> int:
             l = int(rng.integers(1, n + 1))
             t0 = float(rng.uniform(0.0, 3.0))
             t = t0 + float(rng.uniform(0.0, 3.0))
-            props = hk_propagators(1, l, m, t, t0, spec)
+            h, k = hk_propagators(1, l, m, t, t0, spec)
             g = reduced_phase(spec, t) * reduced_profile(1, t, spec)[l - 1]
-            worst = max(worst, abs(props.h + props.k - g))
+            worst = max(worst, abs(h + k - g))
     _record(report, failures, "splitting identity", worst, tol)
 
     # Measurement protocol against its two dense branches, each evolved exactly.

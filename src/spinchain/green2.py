@@ -79,10 +79,10 @@ def _check_evolution(t: float, part: str, spec: ChainSpec) -> None:
 
 def _check_ring(spec: ChainSpec) -> None:
     """Refuse a chain ``RingTwoMagnon`` cannot build: open, under 3 or over MAX_RING_SITES sites."""
-    if spec.n > MAX_RING_SITES:
-        raise ValueError(f"ring of {spec.n} sites is over the limit of {MAX_RING_SITES}")
     if spec.boundary != "closed":
         raise ValueError("ring propagator needs a closed chain")
+    if spec.n > MAX_RING_SITES:
+        raise ValueError(f"ring of {spec.n} sites is over the limit of {MAX_RING_SITES}")
     if spec.n < 3:
         raise ValueError("two magnons need at least 3 sites")
 

@@ -15,7 +15,7 @@ vectors after 0, 1, 2, ... periods, and ``qdp_readouts`` yields the measured
 run's readout after every kick from the measurement on.  Callers take the
 kicks they need with ``itertools.islice``.  The measured run's RDM and
 fidelity rows come from the same ``protocols._rdm_row`` / ``_fidelity_row``
-code as the spin chain's.
+code as the spin chain's, and so does ``fidelity_from_amplitudes``.
 
 The kick-strength/kick-interval plane interpolates between transport that is
 ballistic (small g, small tau), localized (large g), and effectively
@@ -34,7 +34,7 @@ import numpy as np
 from .bessel import MAX_ARG
 from .chain import Boundary, InitialState
 from .green1 import free_propagator
-from .protocols import _fidelity_row, _rdm_row
+from .protocols import _fidelity_row, _rdm_row, fidelity_from_amplitudes
 
 __all__ = [
     "HarperSpec",
@@ -126,15 +126,6 @@ def kicked_amplitudes(spec: HarperSpec, *seeds: np.ndarray) -> Iterator[tuple[np
     while True:
         yield vectors
         vectors = tuple(step @ v for v in vectors)
-
-
-def fidelity_from_amplitudes(u: np.ndarray, initial: InitialState | None = None) -> np.ndarray:
-    """Transfer fidelity per site from the unit-seed amplitudes u (particle released at site 1).
-
-    Without ``initial``: the analytic Bloch-sphere average
-    1/2 + |u_l|^2/6 + Re(u_l)/3.  With it: the per-state fidelity of (alpha, beta).
-    """
-    return _fidelity_row(np.abs(u) ** 2, u, initial)
 
 
 @dataclass(frozen=True)

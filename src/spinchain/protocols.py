@@ -13,11 +13,13 @@ Every readout is a row over all target sites at one time
 ``grid_values`` stacks one row per time into a checked grid. ``_rdm_row``
 and ``_fidelity_row`` turn a site-weight row and a coherent-amplitude row
 into the checked RDM rows (x, y), y = <flipped|rho|unflipped>, and the
-fidelity row; the kicked chain (``harper``) reads its measured run through
-the same two.
+fidelity row; the kicked chain (``harper``) reads its runs through the same
+two and ``fidelity_from_amplitudes``. The gate's readouts, ``_gate_fidelity_row``
+and ``_gate_state``, are formulas on reduced rows and on the pair matrix
+that ``UnitaryQdpEngine`` supplies.
 
-Phase bookkeeping: public amplitudes (QdpPropagators, UnitaryState) carry full
-phases, so H + K reproduces the one-magnon propagator exactly. Fidelity
+Phase bookkeeping: public amplitudes (``hk_propagators``, UnitaryState) carry
+full phases, so h + k reproduces the one-magnon propagator exactly. Fidelity
 formulas consume reduced amplitudes (the e^{-i*eps0*t} reference phase drops
 out of every physical combination).
 """
@@ -102,36 +104,23 @@ def _fidelity_row(weight: np.ndarray, amp: np.ndarray, initial: InitialState | N
 # --------------------------------------------------------------------------
 
 
-def fidelity_free_row(t: float, spec: ChainSpec, initial: InitialState | None = None) -> np.ndarray:
-    """Transfer fidelity at every site under free evolution from site 1.
+def fidelity_from_amplitudes(u: np.ndarray, initial: InitialState | None = None) -> np.ndarray:
+    """Transfer fidelity per site from the amplitudes u of an excitation released at site 1.
 
-    Without ``initial`` the result is the analytic Bloch-sphere average
-    1/2 + |g|^2/6 + Re(g)/3 in reduced phases; with it, the per-state value.
+    Without ``initial``: the analytic Bloch-sphere average
+    1/2 + |u_l|^2/6 + Re(u_l)/3.  With it: the per-state fidelity of (alpha, beta).
     """
-    g = reduced_profile(1, t, spec)
-    return _fidelity_row(np.abs(g) ** 2, g, initial)
+    return _fidelity_row(np.abs(u) ** 2, u, initial)
+
+
+def fidelity_free_row(t: float, spec: ChainSpec, initial: InitialState | None = None) -> np.ndarray:
+    """Transfer fidelity at every site under free evolution from site 1, in reduced phases."""
+    return fidelity_from_amplitudes(reduced_profile(1, t, spec), initial)
 
 
 # --------------------------------------------------------------------------
 # Projective mid-evolution measurement
 # --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class QdpPropagators:
-    """Survive (h) and collapse (k) amplitudes of a measurement at site m, time t0.
-
-    Full-phase amplitudes: h + k equals the free propagator from y to yp over
-    time t, because h excludes exactly the intermediate configuration that k
-    captures.
-    """
-
-    h: complex
-    k: complex
-
-    @property
-    def x(self) -> complex:
-        return self.h + self.k
 
 
 def _check_measurement_times(t: float, t0: float) -> None:
@@ -144,11 +133,14 @@ def _check_measurement_times(t: float, t0: float) -> None:
         )
 
 
-def hk_propagators(y: int, yp: int, m: int, t: float, t0: float, spec: ChainSpec) -> QdpPropagators:
-    """Measurement-split propagators by the literal intermediate-site sum.
+def hk_propagators(
+    y: int, yp: int, m: int, t: float, t0: float, spec: ChainSpec
+) -> tuple[complex, complex]:
+    """Survive (h) and collapse (k) amplitudes of a measurement at site m, time t0.
 
-    h is accumulated as sum_{y'' != m} g(y -> y''; t0) g(y'' -> yp; t - t0),
-    not as g - k, so the h + k = g identity is a real composition test.
+    Full phases, by the literal intermediate-site sum: h is accumulated as
+    sum_{y'' != m} g(y -> y''; t0) g(y'' -> yp; t - t0), not as g - k, so
+    the identity h + k = g(y -> yp; t) is a real composition test.
     """
     _check_measurement_times(t, t0)
     if not 1 <= m <= spec.n:
@@ -160,7 +152,7 @@ def hk_propagators(y: int, yp: int, m: int, t: float, t0: float, spec: ChainSpec
     h_red = np.sum(first[keep] * second[keep])
     k_red = first[m - 1] * second[m - 1]
     phase = reduced_phase(spec, t)
-    return QdpPropagators(h=complex(phase * h_red), k=complex(phase * k_red))
+    return complex(phase * h_red), complex(phase * k_red)
 
 
 def _reduced_gk_rows(m: int, t: float, t0: float, spec: ChainSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -213,7 +205,7 @@ class UnitaryState:
     two_magnon is a symmetric N x N matrix with a zero diagonal: entry
     (y1 - 1, y2 - 1) holds the pair {y1, y2}. norm_defect is
     |1 - total norm^2|, which the exact sector propagators keep at rounding
-    level for every gate; ``UnitaryQdpEngine.state`` raises above 1e-10.
+    level for every gate; ``_gate_state`` raises above 1e-10.
     """
 
     vacuum: complex
@@ -222,32 +214,71 @@ class UnitaryState:
     norm_defect: float
 
 
+def _gate_fidelity_row(gate: LocalGate, g_t, g_tau, pairs) -> np.ndarray:
+    """Bloch-averaged transfer fidelity at every site l after the gate.
+
+    Takes the reduced rows g_t = g(1 -> l; t) and g_tau = g(m -> l; t - t0)
+    and the reduced pair matrix L (None for an empty pair channel). gamma * g_t
+    is read by the free Bloch rule; L adds its weight and its interference
+    with delta * g_tau.
+    """
+    gamma2 = abs(gate.gamma) ** 2
+    free = _bloch_from_quadratic(gamma2 * np.abs(g_t) ** 2, gamma2 * g_t.real)
+    if pairs is None:
+        return free
+    pair_sum = np.sum(np.abs(pairs) ** 2, axis=1)
+    cross = np.conj(pairs) @ g_tau
+    return free + (abs(gate.delta) ** 2 / 6.0) * (pair_sum - np.abs(g_tau) ** 2 + 2.0 * cross.real)
+
+
+def _gate_state(
+    gate: LocalGate, u0_m: complex, g_t, g_tau, pairs, phase: complex, initial: InitialState
+) -> UnitaryState:
+    """Sector amplitudes for one encoded state from ``_gate_fidelity_row``'s inputs.
+
+    ``u0_m`` is g(1 -> m; t0) and ``phase`` the full phase at t; a norm defect
+    above 1e-10 raises ValueError.
+    """
+    alpha, beta = initial.alpha, initial.beta
+    gamma, delta = gate.gamma, gate.delta
+    if pairs is None:
+        pairs = np.zeros((len(g_t), len(g_t)), dtype=complex)
+    vac = phase * (alpha * gamma - beta * np.conj(delta) * u0_m)
+    one = phase * (alpha * delta * g_tau + beta * gamma * g_t)
+    norm_sq = (
+        abs(vac) ** 2
+        + float(np.sum(np.abs(one) ** 2))
+        + abs(beta * delta) ** 2 * float(np.sum(np.abs(pairs) ** 2)) / 2.0
+    )
+    defect = abs(1.0 - norm_sq)
+    # written as "not within" so that NaN, which compares False, fails too
+    if not defect <= 1e-10:
+        raise ValueError(f"norm defect {defect:.3e} after the gate at site {gate.m}")
+    return UnitaryState(
+        vacuum=complex(vac),
+        one_magnon=one,
+        two_magnon=phase * beta * delta * pairs,
+        norm_defect=defect,
+    )
+
+
 class UnitaryQdpEngine:
-    """Gate-protocol amplitudes on a closed ring, for any observation time t >= t0.
+    """The gate protocol's pair source, read at any observation time t >= t0.
 
     The gate (a ``chain.LocalGate``) turns the one-magnon wavepacket amplitude
     at each companion site into a source pair with the gate site, which then
-    evolves through the exact ring two-magnon propagator into the pair
-    amplitudes L(y1, y2; t).
-    Every argument is checked here. What does not depend on t -- the ring
-    kernel and the source pair state's coefficients on its modes
-    (``RingTwoMagnon.project``) -- is set up once, on the first time at or
-    after t0, so a grid that ends before t0 builds nothing; each per-time
-    method then runs only ``RingTwoMagnon.evolve_projected``, once per
-    propagator part it needs. The kernel comes from ``green2.ring_kernel``,
-    so engines on one ring share one build, and it stays alive after the
-    engine, under that store's ceiling of one 512-site ring's modes. A
-    phase-only gate (delta = 0) opens no pair channel: it needs neither and
-    its rows hold O(N) memory. One-magnon pieces use the exact finite-ring
-    propagator, so all sector norms are conserved to rounding.
+    evolves into the pair amplitudes L(y1, y2; t). ``_pair_matrix`` picks the
+    propagator: the exact kernel of ``green2.ring_kernel``, which refuses any
+    chain but a ring of 3 to 512 sites. It takes the kernel and projects the
+    source onto its modes (``RingTwoMagnon.project``) once, on the first time
+    at or after t0, so a grid that ends before t0 builds nothing; each time
+    then runs only ``RingTwoMagnon.evolve_projected``. Engines on one ring
+    share its kernel. The per-time methods hand L and the one-magnon rows to
+    ``_gate_fidelity_row`` and ``_gate_state``. A phase-only gate (delta = 0)
+    opens no pair channel: it runs on any chain, in O(N) memory.
     """
 
     def __init__(self, spec: ChainSpec, gate: LocalGate):
-        if spec.boundary != "closed":
-            raise ValueError(
-                "two-magnon gate amplitudes are implemented on closed chains; "
-                "the open-boundary pair channel is not available"
-            )
         if gate.m > spec.n:
             raise ValueError(f"gate site m={gate.m} out of range 1..{spec.n}")
         # A phase-only gate conserves the magnon number: no pair channel.
@@ -278,6 +309,11 @@ class UnitaryQdpEngine:
             self._source_modes = self.ring.project(source)
         return self.ring.evolve_projected(self._source_modes, t - self.gate.t0, part)
 
+    def _rows(self, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """Reduced rows g(1 -> l; t) and g(m -> l; t - t0) over every site l."""
+        spec, gate = self.spec, self.gate
+        return reduced_profile(1, t, spec), reduced_profile(gate.m, t - gate.t0, spec)
+
     def two_magnon_weight(self, t: float) -> float:
         """sum over pairs |L|^2; equals sum_{y'' != m} |g(1 -> y''; t0)|^2 exactly."""
         pairs = self._pair_matrix(t, "total")
@@ -285,17 +321,8 @@ class UnitaryQdpEngine:
 
     def fidelity_row(self, t: float) -> np.ndarray:
         """Bloch-averaged transfer fidelity at every site."""
-        gamma2 = abs(self.gate.gamma) ** 2
-        delta2 = abs(self.gate.delta) ** 2
         pairs = self._pair_matrix(t, "total")
-        g_t = reduced_profile(1, t, self.spec)
-        free = 0.5 + (gamma2 / 6.0) * (np.abs(g_t) ** 2 + 2.0 * g_t.real)
-        if pairs is None:
-            return free
-        g_tau = reduced_profile(self.gate.m, t - self.gate.t0, self.spec)
-        pair_sum = np.sum(np.abs(pairs) ** 2, axis=1)
-        cross = np.conj(pairs) @ g_tau
-        return free + (delta2 / 6.0) * (pair_sum - np.abs(g_tau) ** 2 + 2.0 * cross.real)
+        return _gate_fidelity_row(self.gate, *self._rows(t), pairs)
 
     def split_row(self, t: float, part: Part) -> np.ndarray:
         """Two-magnon contribution of one propagator part to the averaged fidelity, every site.
@@ -311,32 +338,9 @@ class UnitaryQdpEngine:
 
     def state(self, t: float, initial: InitialState) -> UnitaryState:
         """Full-phase sector amplitudes for one encoded state."""
-        alpha, beta = initial.alpha, initial.beta
-        gate = self.gate
-        gamma, delta = gate.gamma, gate.delta
-        amps = self._pair_matrix(t, "total")
-        if amps is None:
-            amps = np.zeros((self.spec.n, self.spec.n), dtype=complex)
-        g_t = reduced_profile(1, t, self.spec)
-        g_tau = reduced_profile(gate.m, t - gate.t0, self.spec)
-        phase = reduced_phase(self.spec, t)
-        vac = phase * (alpha * gamma - beta * np.conj(delta) * self.u0[gate.m - 1])
-        one = phase * (alpha * delta * g_tau + beta * gamma * g_t)
-        norm_sq = (
-            abs(vac) ** 2
-            + float(np.sum(np.abs(one) ** 2))
-            + abs(beta * delta) ** 2 * float(np.sum(np.abs(amps) ** 2)) / 2.0
-        )
-        defect = abs(1.0 - norm_sq)
-        # written as "not within" so that NaN, which compares False, fails too
-        if not defect <= 1e-10:
-            raise ValueError(f"norm defect {defect:.3e} after the gate at site {gate.m}")
-        return UnitaryState(
-            vacuum=complex(vac),
-            one_magnon=one,
-            two_magnon=phase * beta * delta * amps,
-            norm_defect=defect,
-        )
+        pairs = self._pair_matrix(t, "total")
+        u0_m, phase = self.u0[self.gate.m - 1], reduced_phase(self.spec, t)
+        return _gate_state(self.gate, u0_m, *self._rows(t), pairs, phase, initial)
 
 
 # --------------------------------------------------------------------------

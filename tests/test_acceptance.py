@@ -147,9 +147,9 @@ def test_criterion_06_measurement_splitting_identities():
         t0 = float(rng.uniform(0.0, 4.0))
         t = t0 + float(rng.uniform(0.0, 4.0))
 
-        props = hk_propagators(y, yp, m, t, t0, spec)
+        h, k = hk_propagators(y, yp, m, t, t0, spec)
         free = reduced_phase(spec, t) * reduced_profile(y, t, spec)[yp - 1]
-        worst_split = max(worst_split, abs(props.x - free))
+        worst_split = max(worst_split, abs(h + k - free))
 
         source_at_probe = reduced_profile(y, t0, spec)[m - 1]
         k_row = source_at_probe * reduced_profile(m, t - t0, spec)

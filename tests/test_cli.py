@@ -94,6 +94,33 @@ def test_unitary_qdp_cells_before_t0_are_free_or_zero(tmp_path):
     assert lines["gate"][before:] != lines["free"][before:]
 
 
+def test_phase_only_gate_diff_is_exactly_zero(tmp_path):
+    # delta = 0 leaves a global phase: the gated rows are the free rows, bit for bit
+    out = tmp_path / "d.csv"
+    assert main([
+        "unitary-qdp", "--n", "100", "--boundary", "closed", "--site", "15", "--t0", "7.5",
+        "--tmax", "12", "--dt", "0.25", "--gamma-abs", "1", "--delta-abs", "0", "--diff",
+        "--out", str(out),
+    ]) == 0
+    lines = out.read_text().splitlines()[1:]
+    assert len(lines) == 100 * 49
+    assert all(line.endswith(",0.00000000000e+00") for line in lines)
+
+
+def test_gate_chain_rule_phase_only_anywhere_flipping_on_rings(tmp_path, capsys):
+    axes = ["--n", "100", "--boundary", "open", "--tmax", "12", "--dt", "0.25"]
+    gate = ["unitary-qdp", *axes, "--site", "15", "--t0", "7.5"]
+    free, gated, flipped = (tmp_path / f"{name}.csv" for name in ("free", "gated", "flipped"))
+    assert main(["fidelity", *axes, "--out", str(free)]) == 0
+    assert main([*gate, "--gamma-abs", "1", "--delta-abs", "0", "--out", str(gated)]) == 0
+    assert gated.read_bytes() == free.read_bytes()
+    # a flipping gate opens the pair channel, which only the ring kernel evolves
+    capsys.readouterr()
+    assert main([*gate, "--gamma-abs", "0", "--delta-abs", "1", "--out", str(flipped)]) == 2
+    assert "closed chain" in capsys.readouterr().err
+    assert not flipped.exists()
+
+
 def test_config_file_sets_defaults_and_flags_override(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
@@ -131,8 +158,9 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     cfg.write_text("diff = maybe\n")
     assert main(["unitary-qdp", "--n", "10", "--site", "3", "--t0", "1", "--tmax", "2",
                  "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
-    # a value of the wrong type names the file and the key
-    for line, key in (("n = abc\n", "'n'"), ("lmax =\n", "'lmax'")):
+    # a value of the wrong type, or a flag a file cannot set, names the file and the key
+    for line, key in (("n = abc\n", "'n'"), ("lmax =\n", "'lmax'"), ("help = yes\n", "'help'"),
+                      ("config = other.cfg\n", "'config'")):
         cfg.write_text(line)
         capsys.readouterr()
         assert main(["fidelity", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
