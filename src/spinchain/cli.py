@@ -28,9 +28,9 @@ import numpy as np
 from . import __version__
 from .chain import CONVENTIONS, ChainSpec, InitialState, LocalGate, conventions_hash, reduced_phase
 from .green1 import HALF_INFINITE_MIN_N, reduced_profile
-from .harper import HarperSpec, fidelity_from_amplitudes, kicked_amplitudes, qdp_readouts
-from .protocols import UnitaryQdpEngine, delta_fidelity_projective_row, fidelity_free_row
-from .protocols import grid_csv, grid_values, hk_propagators, projective_rdm_row
+from .harper import HarperSpec, kicked_amplitudes, qdp_readouts
+from .protocols import UnitaryQdpEngine, delta_fidelity_projective_row, fidelity_free_row, grid_csv
+from .protocols import fidelity_from_amplitudes, grid_values, hk_propagators, projective_rdm_row
 from . import oracle
 
 EXIT_OK = 0
@@ -165,9 +165,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_config_file(path: str) -> dict[str, str]:
-    """Read ``key = value`` lines; '#' starts a comment, blank lines ignored."""
+    """Read ``key = value`` lines ('#' comments); an unreadable file or a repeated key raises."""
     entries: dict[str, str] = {}
-    text = pathlib.Path(path).read_text()
+    try:
+        text = pathlib.Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValueError(f"{path}: cannot read config file: {exc}") from None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -175,7 +178,10 @@ def _parse_config_file(path: str) -> dict[str, str]:
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        entries[key.replace("-", "_")] = value
+        key = key.replace("-", "_")
+        if key in entries:
+            raise ValueError(f"{path}:{lineno}: config key {key!r} is given twice")
+        entries[key] = value
     return entries
 
 
@@ -550,7 +556,7 @@ def main(argv: list[str] | None = None) -> int:
         args = _apply_config(parser, sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
-    except (ValueError, FileNotFoundError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:

@@ -8,13 +8,14 @@ peaks near the N^3 bytes of modes it keeps. A pair state is a symmetric
 complex N x N matrix with a zero diagonal: entry (y1 - 1, y2 - 1) holds the
 pair {y1, y2}. Its sector eigenstates below the continuum bottom form the
 bound band; the rest scatter; the two parts resolve the identity.
-An evolution splits into a time-independent half, ``project`` (the pair
-state's coefficients on the modes), and a per-time half, ``evolve_projected``;
+An evolution is always two calls: ``project`` (the pair state's coefficients
+on the modes, independent of the time), then ``evolve_projected`` (per time);
 a caller that evolves one state to many times projects it once.
-``green2`` evolves one source pair and reads one target entry. Both it and
-the gate protocol take their kernel from ``ring_kernel``, which keeps one
-kernel per ring while their modes total at most those of one
-``MAX_RING_SITES`` ring (134.7 MB), dropping the least recently used first.
+``green2`` projects one source pair, evolves it and reads one target
+entry. Both it and the gate protocol take their kernel from
+``ring_kernel``, which keeps one kernel per ring while their modes total at
+most those of one ``MAX_RING_SITES`` ring (134.7 MB), dropping the least
+recently used first.
 
 Amplitudes inside ``RingTwoMagnon`` are reduced (measured from the polarized
 reference, like green1's reduced rows); ``green2`` returns full amplitudes,
@@ -195,8 +196,8 @@ class RingTwoMagnon:
         Only the part that depends on t: the phases and the part's mode mask,
         the product back off the modes, the inverse FFT and the scatter into a
         symmetric N x N matrix with a zero diagonal. coeffs is not modified.
-        A NaN or infinite t, or 4*J*(|Delta| + 2)*|t| above ``bessel.MAX_ARG``,
-        is refused.
+        The bound and scattering parts add up to the total. A NaN or infinite
+        t, or 4*J*(|Delta| + 2)*|t| above ``bessel.MAX_ARG``, is refused.
         """
         _check_evolution(t, part, self.spec)
         n, blocks = len(self._gauge), len(self._evals)
@@ -209,17 +210,6 @@ class RingTwoMagnon:
         half = np.zeros((n, n), dtype=complex)
         half[np.arange(n)[:, None], self._cell_cols] = back
         return half + half.T
-
-    def evolve_pair_state(self, psi: np.ndarray, t: float, part: Part = "total") -> np.ndarray:
-        """Evolve a pair state for time t through the chosen part: ``project``, then ``evolve_projected``.
-
-        psi is a symmetric N x N matrix with a zero diagonal; entry
-        (y1 - 1, y2 - 1) holds the pair {y1, y2}. The result has the same
-        form. The three parts resolve the identity: bound + scattering =
-        total propagation. A NaN or infinite t, or 4*J*(|Delta| + 2)*|t| above
-        ``bessel.MAX_ARG``, is refused.
-        """
-        return self.evolve_projected(self.project(psi), t, part)
 
 
 _CacheInfo = namedtuple("_CacheInfo", "hits misses currsize kept_bytes")
@@ -277,7 +267,8 @@ def green2(
 
     ``part`` restricts the propagation to the bound band or the scattering
     states; the two add up to the total. Open chains raise ValueError, and
-    so do the times ``RingTwoMagnon.evolve_pair_state`` refuses. The ring's
+    so do the times ``RingTwoMagnon.evolve_projected`` refuses. The source
+    pair is projected onto the kernel's modes and evolved once. The ring's
     kernel comes from ``ring_kernel``: built on the first call for ``spec``
     and kept for later calls, its N^3 bytes of modes alive after the call
     returns, under the store's ceiling of one 512-site ring's modes
@@ -292,6 +283,7 @@ def green2(
     _check_evolution(t, part, spec)
     source = np.zeros((spec.n, spec.n), dtype=complex)
     source[s1 - 1, s2 - 1] = source[s2 - 1, s1 - 1] = 1.0
-    evolved = ring_kernel(spec).evolve_pair_state(source, t, part)
+    ring = ring_kernel(spec)
+    evolved = ring.evolve_projected(ring.project(source), t, part)
     value = reduced_phase(spec, t) * complex(evolved[d1 - 1, d2 - 1])
     return Green2Value(value)

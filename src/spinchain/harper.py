@@ -15,7 +15,8 @@ vectors after 0, 1, 2, ... periods, and ``qdp_readouts`` yields the measured
 run's readout after every kick from the measurement on.  Callers take the
 kicks they need with ``itertools.islice``.  The measured run's RDM and
 fidelity rows come from the same ``protocols._rdm_row`` / ``_fidelity_row``
-code as the spin chain's, and so does ``fidelity_from_amplitudes``.
+code as the spin chain's; a free run's seed vector is read by
+``protocols.fidelity_from_amplitudes``, the spin chain's free readout.
 
 The kick-strength/kick-interval plane interpolates between transport that is
 ballistic (small g, small tau), localized (large g), and effectively
@@ -34,19 +35,7 @@ import numpy as np
 from .bessel import MAX_ARG
 from .chain import Boundary, InitialState
 from .green1 import free_propagator
-from .protocols import _fidelity_row, _rdm_row, fidelity_from_amplitudes
-
-__all__ = [
-    "HarperSpec",
-    "HarperQdpResult",
-    "hopping_matrix",
-    "kick_phases",
-    "floquet_step",
-    "kicked_amplitudes",
-    "fidelity_from_amplitudes",
-    "qdp_readouts",
-    "spread_metric",
-]
+from .protocols import _fidelity_row, _rdm_row
 
 #: Largest chain: the dense n x n complex Floquet step is then 64 MB.
 MAX_N = 2048

@@ -203,7 +203,8 @@ class UnitaryState:
     """Sector amplitudes (full phases) after a local gate at site m, time t0.
 
     two_magnon is a symmetric N x N matrix with a zero diagonal: entry
-    (y1 - 1, y2 - 1) holds the pair {y1, y2}. norm_defect is
+    (y1 - 1, y2 - 1) holds the pair {y1, y2}; after a phase-only gate it is
+    a read-only view of zeros. norm_defect is
     |1 - total norm^2|, which the exact sector propagators keep at rounding
     level for every gate; ``_gate_state`` raises above 1e-10.
     """
@@ -218,14 +219,15 @@ def _gate_fidelity_row(gate: LocalGate, g_t, g_tau, pairs) -> np.ndarray:
     """Bloch-averaged transfer fidelity at every site l after the gate.
 
     Takes the reduced rows g_t = g(1 -> l; t) and g_tau = g(m -> l; t - t0)
-    and the reduced pair matrix L (None for an empty pair channel). gamma * g_t
-    is read by the free Bloch rule; L adds its weight and its interference
-    with delta * g_tau.
+    and the reduced pair matrix L (None for an empty pair channel, where the
+    gate is a global phase and the row is the free readout of g_t).
+    Otherwise gamma * g_t is read by the free Bloch rule, and L adds its
+    weight and its interference with delta * g_tau.
     """
+    if pairs is None:
+        return fidelity_from_amplitudes(g_t)
     gamma2 = abs(gate.gamma) ** 2
     free = _bloch_from_quadratic(gamma2 * np.abs(g_t) ** 2, gamma2 * g_t.real)
-    if pairs is None:
-        return free
     pair_sum = np.sum(np.abs(pairs) ** 2, axis=1)
     cross = np.conj(pairs) @ g_tau
     return free + (abs(gate.delta) ** 2 / 6.0) * (pair_sum - np.abs(g_tau) ** 2 + 2.0 * cross.real)
@@ -241,25 +243,19 @@ def _gate_state(
     """
     alpha, beta = initial.alpha, initial.beta
     gamma, delta = gate.gamma, gate.delta
-    if pairs is None:
-        pairs = np.zeros((len(g_t), len(g_t)), dtype=complex)
     vac = phase * (alpha * gamma - beta * np.conj(delta) * u0_m)
     one = phase * (alpha * delta * g_tau + beta * gamma * g_t)
-    norm_sq = (
-        abs(vac) ** 2
-        + float(np.sum(np.abs(one) ** 2))
-        + abs(beta * delta) ** 2 * float(np.sum(np.abs(pairs) ** 2)) / 2.0
-    )
+    norm_sq = abs(vac) ** 2 + float(np.sum(np.abs(one) ** 2))
+    if pairs is None:
+        two = np.broadcast_to(np.complex128(0.0), (len(g_t), len(g_t)))
+    else:
+        two = phase * beta * delta * pairs
+        norm_sq += abs(beta * delta) ** 2 * float(np.sum(np.abs(pairs) ** 2)) / 2.0
     defect = abs(1.0 - norm_sq)
     # written as "not within" so that NaN, which compares False, fails too
     if not defect <= 1e-10:
         raise ValueError(f"norm defect {defect:.3e} after the gate at site {gate.m}")
-    return UnitaryState(
-        vacuum=complex(vac),
-        one_magnon=one,
-        two_magnon=phase * beta * delta * pairs,
-        norm_defect=defect,
-    )
+    return UnitaryState(complex(vac), one, two, defect)
 
 
 class UnitaryQdpEngine:
@@ -275,7 +271,9 @@ class UnitaryQdpEngine:
     then runs only ``RingTwoMagnon.evolve_projected``. Engines on one ring
     share its kernel. The per-time methods hand L and the one-magnon rows to
     ``_gate_fidelity_row`` and ``_gate_state``. A phase-only gate (delta = 0)
-    opens no pair channel: it runs on any chain, in O(N) memory.
+    opens no pair channel: it runs on any chain, in O(N) memory, its
+    fidelity rows are the free readout ``fidelity_from_amplitudes`` of g_t
+    for every gamma ``LocalGate`` admits, and ``state`` holds no N x N matrix.
     """
 
     def __init__(self, spec: ChainSpec, gate: LocalGate):

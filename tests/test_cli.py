@@ -19,8 +19,8 @@ import pytest
 
 from spinchain.chain import ChainSpec, InitialState, conventions_hash
 from spinchain.cli import main
-from spinchain.harper import HarperSpec, fidelity_from_amplitudes, kicked_amplitudes
-from spinchain.protocols import fidelity_free_row
+from spinchain.harper import HarperSpec, kicked_amplitudes
+from spinchain.protocols import fidelity_free_row, fidelity_from_amplitudes
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -107,6 +107,22 @@ def test_phase_only_gate_diff_is_exactly_zero(tmp_path):
     assert all(line.endswith(",0.00000000000e+00") for line in lines)
 
 
+def test_admitted_phase_only_gate_is_exactly_the_free_readout(tmp_path):
+    # |gamma| = 0.999999999999 is admitted as a global phase, so the rows are
+    # exactly the free readout
+    axes = ["--n", "20", "--tmax", "3", "--dt", "0.5"]
+    gate = ["unitary-qdp", *axes, "--boundary", "open", "--site", "3", "--t0", "1",
+            "--gamma-abs", "0.999999999999", "--delta-abs", "0"]
+    free, gated, diff = (tmp_path / f"{name}.csv" for name in ("free", "gated", "diff"))
+    assert main(["fidelity", *axes, "--out", str(free)]) == 0
+    assert main([*gate, "--out", str(gated)]) == 0
+    assert main([*gate, "--diff", "--out", str(diff)]) == 0
+    assert gated.read_bytes() == free.read_bytes()
+    lines = diff.read_text().splitlines()[1:]
+    assert len(lines) == 20 * 7
+    assert all(line.endswith(",0.00000000000e+00") for line in lines)
+
+
 def test_gate_chain_rule_phase_only_anywhere_flipping_on_rings(tmp_path, capsys):
     axes = ["--n", "100", "--boundary", "open", "--tmax", "12", "--dt", "0.25"]
     gate = ["unitary-qdp", *axes, "--site", "15", "--t0", "7.5"]
@@ -151,6 +167,22 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     cfg.write_text("command = harper\n")
     assert main(["fidelity", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
     assert main(["fidelity", "--config", str(tmp_path / "missing.cfg")]) == 2
+    # a file that cannot be read, or that gives a key twice ('-' and '_'
+    # spell one key), exits 2 and names the file
+    (tmp_path / "dir.cfg").mkdir()
+    cfg_twice = tmp_path / "twice.cfg"
+    for path, data, key in ((tmp_path / "dir.cfg", None, "cannot read"),
+                            (tmp_path / "latin1.cfg", b"n = 10 # \xe9\n", "cannot read"),
+                            (cfg_twice, b"n = 10\nn = 12\n", "'n'"),
+                            (cfg_twice, b"delta-abs = 0\ndelta_abs = 1\n", "'delta_abs'")):
+        if data is not None:
+            path.write_bytes(data)
+        capsys.readouterr()
+        assert main(["unitary-qdp", "--site", "3", "--config", str(path),
+                     "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and key in err, err
+        assert "Traceback" not in err
     # values are checked as the flags check them: a choice, or a true or false word
     cfg.write_text("part = foo\n")
     assert main(["two-magnon-split", "--n", "10", "--site", "3", "--t0", "1", "--tmax", "2",
@@ -485,6 +517,29 @@ def test_readme_outputs_tool_runs_every_readme_command(tmp_path):
         out = pathlib.Path(argv[argv.index("--out") + 1])
         assert out.parent == tmp_path
         assert out.is_file() and out.with_name(out.name + ".meta.json").is_file()
+
+
+def test_bench_compare_states_the_verdict_against_the_bound():
+    path = ROOT / "tools" / "bench.py"
+    spec = importlib.util.spec_from_file_location("bench", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    tight = [1.00, 1.01, 0.99, 1.02, 0.98, 1.00, 1.01, 0.99, 1.00, 1.00]
+    wide = [0.6, 1.4, 0.7, 1.3, 0.8, 1.2, 0.9, 1.1, 1.0, 1.0]
+    # the bound is a fraction of the parent's median: 20 % slower is inside 25 %, 30 % is not
+    slower = tool.compare(tight, [v * 1.2 for v in tight], "lower", 0.25)
+    assert slower["allowed"] == 0.25
+    assert slower["within_bound"] and not slower["unresolved"]
+    assert not tool.compare(tight, [v * 1.3 for v in tight], "lower", 0.25)["within_bound"]
+    # a spread wider than the bound on either side leaves the verdict unresolved ...
+    assert tool.compare(tight, wide, "lower", 0.25)["unresolved"]
+    assert tool.compare(wide, tight, "lower", 0.25)["unresolved"]
+    # ... unless every change run beats every parent run
+    apart = tool.compare([v + 1.0 for v in wide], wide, "lower", 0.1)
+    assert apart["within_bound"] and not apart["unresolved"]
+    # a higher-is-better metric is worse when it drops
+    assert tool.compare([1.0] * 10, [0.97] * 10, "higher", 0.05)["within_bound"]
+    assert not tool.compare([1.0] * 10, [0.9] * 10, "higher", 0.05)["within_bound"]
 
 
 def test_exit_code_crosses_the_process_boundary():

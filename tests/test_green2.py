@@ -121,7 +121,7 @@ def test_ring_propagator_matches_dense_evolution(golden):
     source = np.zeros((12, 12), dtype=complex)
     source[s1 - 1, s2 - 1] = source[s2 - 1, s1 - 1] = 1.0
     for t in record["inputs"]["times"]:
-        got = ring.evolve_pair_state(source, t)[np.triu_indices(12, 1)]
+        got = ring.evolve_projected(ring.project(source), t)[np.triu_indices(12, 1)]
         want = record["values"][f"t{t}"]
         assert np.max(np.abs(got - want)) <= record["tolerance"]
 
@@ -132,13 +132,14 @@ def test_ring_parts_are_unitary_complement():
     psi = _matrix(_random_pairs(14, 11), 14)
     upper = np.triu_indices(14, 1)
     t = 2.7
-    total = ring.evolve_pair_state(psi, t, "total")[upper]
-    bound = ring.evolve_pair_state(psi, t, "bound")[upper]
-    scatter = ring.evolve_pair_state(psi, t, "scattering")[upper]
+    coeffs = ring.project(psi)
+    total = ring.evolve_projected(coeffs, t, "total")[upper]
+    bound = ring.evolve_projected(coeffs, t, "bound")[upper]
+    scatter = ring.evolve_projected(coeffs, t, "scattering")[upper]
     assert np.max(np.abs(total - bound - scatter)) < 1e-12
     assert np.linalg.norm(total) == pytest.approx(1.0, abs=1e-12)
     # the split is spectral, so each part's weight is conserved in time
-    later_bound = ring.evolve_pair_state(psi, 2 * t, "bound")[upper]
+    later_bound = ring.evolve_projected(coeffs, 2 * t, "bound")[upper]
     assert np.linalg.norm(later_bound) == pytest.approx(np.linalg.norm(bound), abs=1e-12)
 
 
@@ -154,10 +155,11 @@ def test_ring_parts_match_dense_evolution_and_bound_projector(n):
     assert list(ham.basis.pairs) == [(i + 1, j + 1) for i, j in zip(*upper)]
     t = 2.3
     dense = oracle.evolve(oracle.DenseState(psi, ham.basis), ham, t).vector
-    total = ring.evolve_pair_state(_matrix(psi, n), t, "total")[upper]
+    coeffs = ring.project(_matrix(psi, n))
+    total = ring.evolve_projected(coeffs, t, "total")[upper]
     assert np.max(np.abs(total - _reduced(dense, t, spec))) < 1e-12
     projector = oracle.bound_band_projector(spec).projector
-    bound = ring.evolve_pair_state(_matrix(psi, n), t, "bound")[upper]
+    bound = ring.evolve_projected(coeffs, t, "bound")[upper]
     assert np.max(np.abs(bound - projector @ total)) < 1e-12
 
 
@@ -173,10 +175,11 @@ def test_folded_blocks_match_dense_evolution_over_delta(n, delta):
     ham = oracle.build_hamiltonian(spec, "two_excitation")
     t = 2.3
     dense = oracle.evolve(oracle.DenseState(psi, ham.basis), ham, t).vector
-    total = ring.evolve_pair_state(_matrix(psi, n), t, "total")[upper]
+    coeffs = ring.project(_matrix(psi, n))
+    total = ring.evolve_projected(coeffs, t, "total")[upper]
     assert np.max(np.abs(total - _reduced(dense, t, spec))) < 1e-12
-    bound = ring.evolve_pair_state(_matrix(psi, n), t, "bound")[upper]
-    scatter = ring.evolve_pair_state(_matrix(psi, n), t, "scattering")[upper]
+    bound = ring.evolve_projected(coeffs, t, "bound")[upper]
+    scatter = ring.evolve_projected(coeffs, t, "scattering")[upper]
     assert np.max(np.abs(bound + scatter - total)) < 1e-12
 
 
@@ -339,7 +342,7 @@ def test_projected_evolution_is_the_pair_state_evolution(n):
     for part in ("total", "bound", "scattering"):
         for t in (0.0, 0.7, 4.5):
             assert np.array_equal(ring.evolve_projected(coeffs, t, part),
-                                  ring.evolve_pair_state(psi, t, part))
+                                  ring.evolve_projected(ring.project(psi), t, part))
     # one projection serves every time: evolving does not touch it
     assert np.array_equal(coeffs, kept)
 
@@ -365,8 +368,6 @@ def test_ring_validation():
         with pytest.raises(ValueError):
             green2(1, 2, 1, 2, t, ChainSpec(12, "closed"))
         for signed in (t, -t):
-            with pytest.raises(ValueError):
-                ring12.evolve_pair_state(source, signed)
             # the per-time half checks every time by itself
             with pytest.raises(ValueError):
                 ring12.evolve_projected(ring12.project(source), signed)
@@ -376,12 +377,6 @@ def test_ring_validation():
     psi = _matrix(_random_pairs(6, 3), 6)
     lopsided = psi.copy()
     lopsided[0, 3] += 1e-3
-    with pytest.raises(ValueError):
-        ring.evolve_pair_state(lopsided, 1.0)
-    with pytest.raises(ValueError):
-        ring.evolve_pair_state(psi + np.eye(6), 1.0)
-    with pytest.raises(ValueError):
-        ring.evolve_pair_state(psi[np.triu_indices(6, 1)], 1.0)
     # the time-independent half checks the state
     for bad in (lopsided, psi + np.eye(6), psi[np.triu_indices(6, 1)], psi[:5, :5]):
         with pytest.raises(ValueError):
@@ -397,7 +392,7 @@ def test_pair_times_are_bounded_by_the_ring_spectral_radius():
         source = np.zeros((6, 6), dtype=complex)
         source[0, 1] = source[1, 0] = 1.0
         with pytest.raises(ValueError, match=r"at t = 0\.7, Delta = "):
-            ring.evolve_pair_state(source, 0.7)
+            ring.evolve_projected(ring.project(source), 0.7)
         with pytest.raises(ValueError, match=r"at t = 0\.7, Delta = "):
             green2(1, 2, 1, 2, 0.7, spec)
     # the bound itself is admitted, and a time one part in 1e12 past it is not

@@ -19,7 +19,6 @@ from spinchain.green1 import reduced_profile
 from spinchain.harper import (
     MAX_N,
     HarperSpec,
-    fidelity_from_amplitudes,
     floquet_step,
     hopping_matrix,
     kick_phases,
@@ -28,6 +27,7 @@ from spinchain.harper import (
     spread_metric,
 )
 from spinchain.oracle import bloch_average, transfer_fidelity
+from spinchain.protocols import fidelity_from_amplitudes
 
 
 def _expm_hermitian(h: np.ndarray, scale: complex) -> np.ndarray:

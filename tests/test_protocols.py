@@ -223,6 +223,18 @@ def test_phase_only_gate_holds_no_pair_matrix():
     for t, row in zip((1.0, 2.0, 3.0), rows):
         # the one free Bloch rule, so exactly the free rows
         assert np.array_equal(row, fidelity_free_row(t, spec))
+    # state() too: its two_magnon is a read-only zero view, no N x N matrix
+    engine = UnitaryQdpEngine(ChainSpec(1000, "open", 0.5, 1.0), gate)
+    tracemalloc.start()
+    try:
+        state = engine.state(2.0, InitialState(0.6, 0.8))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6, peak
+    assert state.two_magnon.shape == (1000, 1000) and not np.any(state.two_magnon)
+    assert not state.two_magnon.flags.writeable
+    assert state.norm_defect <= 1e-10
 
 
 def test_pair_weight_equals_injected_companion_weight():

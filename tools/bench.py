@@ -19,9 +19,14 @@ The output holds, per workload, the ``correct`` flag of every run and, per
 end-to-end metric of ``BENCHMARK.json``, both sides' runs, median, quartiles
 (``statistics.quantiles``, exclusive method), min and max; the number of
 pairs the change wins (ties count for neither); the parent's interquartile
-range; and the change of the median. It also keeps every distinct
-``environment`` line the runs print (CPU count, numpy, BLAS and its thread
-count). Exits 1 if a run fails.
+range; the change of the median; and the verdict against the metric's
+``bound``, read as a fraction of the parent's median (``allowed``, in the
+metric's unit): ``within_bound`` (the change's median is worse by at most
+``allowed``) and ``unresolved`` (either side's interquartile range is wider
+than ``allowed``, so the runs cannot tell, unless every change run beats
+every parent run). It also keeps every distinct ``environment`` line the
+runs print (CPU count, numpy, BLAS and its thread count). Exits 1 if a run
+fails.
 """
 from __future__ import annotations
 
@@ -71,13 +76,21 @@ def summary(runs: list[float]) -> dict:
             "q1": round(q1, 4), "q3": round(q3, 4), "runs": [round(v, 4) for v in runs]}
 
 
-def compare(parent: list[float], change: list[float], better: str) -> dict:
+def compare(parent: list[float], change: list[float], better: str, bound: float) -> dict:
+    """One metric's runs on both sides, and the verdict against bound x the parent's median."""
     sign = 1.0 if better == "lower" else -1.0
     wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
     p, c = summary(parent), summary(change)
+    allowed = bound * abs(statistics.median(parent))
+    worse = sign * (statistics.median(change) - statistics.median(parent))
+    iqr = max(q3 - q1 for q1, _, q3 in (statistics.quantiles(parent, n=4),
+                                         statistics.quantiles(change, n=4)))
+    separated = max(sign * v for v in change) < min(sign * v for v in parent)
     return {"parent": p, "change": c, "better": better, f"change_wins_of_{len(parent)}": wins,
             "parent_iqr": round(p["q3"] - p["q1"], 4),
-            "median_change": round(c["median"] - p["median"], 4)}
+            "median_change": round(c["median"] - p["median"], 4),
+            "allowed": round(allowed, 4), "within_bound": worse <= allowed,
+            "unresolved": iqr > allowed and not separated}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -90,7 +103,7 @@ def main(argv: list[str] | None = None) -> int:
     if same.returncode == 0:
         ap.error(f"the working tree's tracked files equal {args.parent}; nothing to compare")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    metrics = {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
 
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
         sha = export(args.parent, pathlib.Path(tmp))
@@ -111,8 +124,8 @@ def main(argv: list[str] | None = None) -> int:
                 "correct": {side: [r["correct"] for r in rs] for side, rs in runs.items()},
                 "metrics": {
                     m: compare([r["metrics"][m]["value"] for r in runs["parent"]],
-                               [r["metrics"][m]["value"] for r in runs["change"]], better)
-                    for m, better in metrics.items()
+                               [r["metrics"][m]["value"] for r in runs["change"]], better, bound)
+                    for m, (better, bound) in metrics.items()
                 },
             }
 
@@ -132,7 +145,8 @@ def main(argv: list[str] | None = None) -> int:
             wins = cmp[f"change_wins_of_{PAIRS}"]
             print(f"{wl:14s} {m:8s} {cmp['parent']['median']:10.4f} ->"
                   f" {cmp['change']['median']:10.4f}  parent IQR {cmp['parent_iqr']:.4f}"
-                  f"  change wins {wins}/{PAIRS}")
+                  f"  change wins {wins}/{PAIRS}  within bound {cmp['within_bound']}"
+                  f"  unresolved {cmp['unresolved']}")
     return 0
 
 
