@@ -201,13 +201,15 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.
     defaults = {}
     for key, value in entries.items():
         if key == "command":
-            raise ValueError("config files cannot change the subcommand")
+            raise ValueError(f"{args.config}: config files cannot change the subcommand")
         action = actions.get(key)
         if action is None:
             raise ValueError(f"{args.config}: config key {key!r} sets no flag of {args.command!r}")
         if isinstance(action, argparse._StoreTrueAction):
             if value.lower() not in _TRUE_WORDS + _FALSE_WORDS:
-                raise ValueError(f"config key {key!r} takes one of {_TRUE_WORDS + _FALSE_WORDS}")
+                raise ValueError(
+                    f"{args.config}: config key {key!r} takes one of {_TRUE_WORDS + _FALSE_WORDS}"
+                )
             defaults[key] = value.lower() in _TRUE_WORDS
         else:
             try:
@@ -218,7 +220,9 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.
                     f"{action.type.__name__}"
                 ) from None
             if action.choices is not None and converted not in action.choices:
-                raise ValueError(f"config key {key!r} takes one of {tuple(action.choices)}")
+                raise ValueError(
+                    f"{args.config}: config key {key!r} takes one of {tuple(action.choices)}"
+                )
             defaults[key] = converted
     subparser.set_defaults(**defaults)
     return parser.parse_args(argv)

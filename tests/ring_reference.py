@@ -1,11 +1,10 @@
 """Reference modes of the ring two-magnon kernel, from one dense array and one eigh.
 
-``green2.RingTwoMagnon`` diagonalizes its sector blocks a few per ``eigh``
-call, overwriting each block by its modes. This module is the plain form
-the tests judge that build by: every block filled into one
-(floor(N/2) + 1, floor(N/2), floor(N/2)) array and diagonalized by a single
-batched ``np.linalg.eigh``. LAPACK sees each block alone either way, so the
-two must agree bit for bit.
+``green2.RingTwoMagnon`` builds the modes of its sector blocks from their
+Bethe-ansatz roots and never forms a block. This module is the independent
+judge the tests hold that build to, at a tolerance: every block filled into
+one (floor(N/2) + 1, floor(N/2), floor(N/2)) array and diagonalized by a
+single batched ``np.linalg.eigh``.
 """
 from __future__ import annotations
 

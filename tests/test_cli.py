@@ -164,8 +164,6 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("lmaxx = 5\n")
     assert main(["fidelity", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
-    cfg.write_text("command = harper\n")
-    assert main(["fidelity", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
     assert main(["fidelity", "--config", str(tmp_path / "missing.cfg")]) == 2
     # a file that cannot be read, or that gives a key twice ('-' and '_'
     # spell one key), exits 2 and names the file
@@ -183,13 +181,19 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
         err = capsys.readouterr().err
         assert str(path) in err and key in err, err
         assert "Traceback" not in err
-    # values are checked as the flags check them: a choice, or a true or false word
-    cfg.write_text("part = foo\n")
-    assert main(["two-magnon-split", "--n", "10", "--site", "3", "--t0", "1", "--tmax", "2",
-                 "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
-    cfg.write_text("diff = maybe\n")
-    assert main(["unitary-qdp", "--n", "10", "--site", "3", "--t0", "1", "--tmax", "2",
-                 "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+    # values are checked as the flags check them (a choice, or a true or false
+    # word), and the subcommand is the command line's; each refusal names the file
+    for line, command in (("part = foo\n", ["two-magnon-split", "--n", "10", "--site", "3",
+                                            "--t0", "1", "--tmax", "2"]),
+                          ("diff = maybe\n", ["unitary-qdp", "--n", "10", "--site", "3",
+                                              "--t0", "1", "--tmax", "2"]),
+                          ("command = harper\n", ["fidelity"])):
+        cfg.write_text(line)
+        capsys.readouterr()
+        assert main([*command, "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert f"{cfg}: " in err and line.split()[0] in err, err
+        assert "Traceback" not in err
     # a value of the wrong type, or a flag a file cannot set, names the file and the key
     for line, key in (("n = abc\n", "'n'"), ("lmax =\n", "'lmax'"), ("help = yes\n", "'help'"),
                       ("config = other.cfg\n", "'config'")):

@@ -11,7 +11,7 @@ from spinchain import green2 as green2_module
 from spinchain import oracle
 from spinchain.bessel import MAX_ARG
 from spinchain.chain import ChainSpec, reduced_phase
-from spinchain.green2 import _EIGH_CHUNK, MAX_RING_SITES, RingTwoMagnon, green2
+from spinchain.green2 import _MODE_CHUNK, MAX_RING_SITES, RingTwoMagnon, green2
 
 from bessel_reference import reduced_hop_amplitudes
 from ring_reference import ring_modes
@@ -194,21 +194,59 @@ def test_ring_keeps_floor_half_plus_one_real_blocks(n):
 
 
 # the block count floor(N/2) + 1 on either side of one and two chunks
-_CHUNK_EDGES = [n for c in (_EIGH_CHUNK, 2 * _EIGH_CHUNK) for n in range(2 * c - 4, 2 * c + 2)]
+_CHUNK_EDGES = [n for c in (_MODE_CHUNK, 2 * _MODE_CHUNK) for n in range(2 * c - 4, 2 * c + 2)]
 
 
-@pytest.mark.parametrize("n", list(range(3, 15)) + _CHUNK_EDGES)
+@pytest.mark.parametrize("n", sorted(set(range(3, 41)) | set(_CHUNK_EDGES) | {63, 64, 199, 200}))
 def test_chunked_build_matches_one_dense_eigh(n):
-    for delta in (0.0, 1.0, -0.7, 2.0):
+    # the modes built from the blocks' roots against one batched eigh: the same
+    # masks and census, the levels, orthonormal modes, and every block rebuilt
+    for delta in (0.0, 0.5, -0.5, 1.0, -1.0, 1 + 1 / n, 1 + 2 / n, 2.0, -3.0, 1e8, -1e8):
         spec = ChainSpec(n, "closed", 0.5, delta)
         ring = RingTwoMagnon(spec)
         evals, evecs, keep, bound_count = ring_modes(spec)
-        assert np.array_equal(ring._evals, evals)
-        assert np.array_equal(ring._evecs, evecs)
         assert ring._keep.keys() == keep.keys()
         for part, mask in keep.items():
             assert np.array_equal(ring._keep[part], mask)
         assert ring.bound_count == bound_count
+        scale = max(1.0, 4.0 * spec.j * (abs(delta) + 2.0))
+        assert np.max(np.abs(ring._evals - evals)) <= 1e-13 * scale
+        modes = ring._evecs
+        assert np.max(np.abs(modes.transpose(0, 2, 1) @ modes - np.eye(n // 2))) <= 1e-12
+        rebuilt = (modes * ring._evals[:, None, :]) @ modes.transpose(0, 2, 1)
+        blocks = (evecs * evals[:, None, :]) @ evecs.transpose(0, 2, 1)
+        assert np.max(np.abs(rebuilt - blocks)) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize(
+    "n, delta",
+    [(n, 1.0) for n in (4, 6, 12, 13)]  # u = 1: block 0's lowest level sits on -8J
+    + [(n, 1.0 + 1.0 / n) for n in (5, 8, 12, 13)]  # the finite-size window above u = 1
+    + [(3, 0.5), (3, -3.0), (4, 0.5), (4, -3.0)]  # 1 x 1 blocks; block N/2 of 4 hops ~1e-16
+    + [(n, -3.0) for n in (5, 7, 13)]  # antibound modes, the staggered parity flipped
+    + [(6, 1e8), (7, -1e8), (12, 1e8), (13, -1e8)],
+)
+def test_bethe_roots_match_dense_evolution_at_the_edge_cases(n, delta):
+    spec = ChainSpec(n, "closed", 0.5, delta)
+    ring = RingTwoMagnon(spec)
+    # at |Delta| = 1e8 the pair energies reach 2e8, and e^{-iEt} turns 200 times by t = 1e-6
+    t = 2.3 if abs(delta) < 10 else 1e-6
+    psi = _random_pairs(n, n)
+    upper = np.triu_indices(n, 1)
+    ham = oracle.build_hamiltonian(spec, "two_excitation")
+    dense = oracle.evolve(oracle.DenseState(psi, ham.basis), ham, t).vector
+    coeffs = ring.project(_matrix(psi, n))
+    total = ring.evolve_projected(coeffs, t, "total")[upper]
+    assert np.max(np.abs(total - _reduced(dense, t, spec))) < 1e-12
+    bound = ring.evolve_projected(coeffs, t, "bound")[upper]
+    scatter = ring.evolve_projected(coeffs, t, "scattering")[upper]
+    assert np.max(np.abs(bound + scatter - total)) < 1e-12
+    if delta == 1.0:
+        projector = oracle.bound_band_projector(spec).projector
+        assert np.max(np.abs(bound - projector @ total)) < 1e-12
+        # the zero-momentum threshold state: exactly on the continuum bottom, not bound
+        assert ring._evals[0, 0] == -8.0 * spec.j
+        assert not ring._keep["bound"][0, 0]
 
 
 def test_build_holds_the_modes_plus_a_chunk():
