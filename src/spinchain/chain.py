@@ -95,8 +95,9 @@ class InitialState:
     beta: complex
 
     def __post_init__(self) -> None:
-        norm = abs(self.alpha) ** 2 + abs(self.beta) ** 2
-        if abs(norm - 1.0) > 1e-10:
+        # abs(x) * abs(x) gives inf where abs(x) ** 2 would raise OverflowError
+        norm = abs(self.alpha) * abs(self.alpha) + abs(self.beta) * abs(self.beta)
+        if not abs(norm - 1.0) <= 1e-10:  # NaN fails this test too
             raise ValueError(f"|alpha|^2 + |beta|^2 must be 1, got {norm}")
 
 
@@ -122,7 +123,7 @@ class LocalGate:
         gamma, delta = complex(self.gamma), complex(self.delta)
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "delta", delta)
-        norm = abs(gamma) ** 2 + abs(delta) ** 2
+        norm = abs(gamma) * abs(gamma) + abs(delta) * abs(delta)  # inf, not OverflowError
         if not abs(norm - 1.0) <= _NORM_TOL * 10:  # NaN fails this test too
             raise ValueError(f"|gamma|^2 + |delta|^2 must be 1, got {norm}")
         if abs(delta) > _NORM_TOL and abs(gamma.imag) > 1e-9:

@@ -403,7 +403,7 @@ def _run_detector(args: argparse.Namespace) -> int:
         raise ValueError("the detector needs a definite encoded state (--alpha2)")
     ls = list(range(1, spec.n + 1))
     ts = [n * spec.tau for n in range(args.qdp_kick, args.kicks + 1)]
-    # the branches are stepped once per kick, read out after every kick
+    # two rows are stepped once per kick, read out after every kick
     readouts = itertools.islice(qdp_readouts(spec, args.qdp_site, args.qdp_kick, initial), len(ts))
     values = grid_values(ls, (res.detector for res in readouts), lo=-1.0)
     grid_meta = {"l": [1, spec.n], "kicks": [args.qdp_kick, args.kicks], "dt": spec.tau}

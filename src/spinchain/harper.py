@@ -13,10 +13,11 @@ algebra in the one-particle sector.
 Every readout is a stream over kicks: ``kicked_amplitudes`` yields the seed
 vectors after 0, 1, 2, ... periods, and ``qdp_readouts`` yields the measured
 run's readout after every kick from the measurement on.  Callers take the
-kicks they need with ``itertools.islice``.  The measured run's RDM and
-fidelity rows come from the same ``protocols._rdm_row`` / ``_fidelity_row``
-code as the spin chain's; a free run's seed vector is read by
-``protocols.fidelity_from_amplitudes``, the spin chain's free readout.
+kicks they need with ``itertools.islice``.  The measured run is read as the
+spin chain's is: the free row g and the collapse row k, both stepped, go
+through ``protocols._projective_parts`` (survive row h = g - k) and then
+``protocols._rdm_row`` / ``_fidelity_row``; a free run's seed vector is read
+by ``protocols.fidelity_from_amplitudes``, the spin chain's free readout.
 
 The kick-strength/kick-interval plane interpolates between transport that is
 ballistic (small g, small tau), localized (large g), and effectively
@@ -35,7 +36,7 @@ import numpy as np
 from .bessel import MAX_ARG
 from .chain import Boundary, InitialState
 from .green1 import free_propagator
-from .protocols import _fidelity_row, _rdm_row
+from .protocols import _fidelity_row, _projective_parts, _rdm_row
 
 #: Largest chain: the dense n x n complex Floquet step is then 64 MB.
 MAX_N = 2048
@@ -75,18 +76,6 @@ class HarperSpec:
             raise ValueError(f"unknown boundary {self.boundary!r}")
 
 
-def hopping_matrix(spec: HarperSpec) -> np.ndarray:
-    """Real symmetric nearest-neighbour hopping matrix (+1 on each bond)."""
-    t = np.zeros((spec.n, spec.n))
-    idx = np.arange(spec.n - 1)
-    t[idx, idx + 1] = 1.0
-    t[idx + 1, idx] = 1.0
-    if spec.boundary == "closed":
-        t[0, spec.n - 1] += 1.0
-        t[spec.n - 1, 0] += 1.0
-    return t
-
-
 def kick_phases(spec: HarperSpec) -> np.ndarray:
     """Diagonal kick factor exp(-i*tau*g*cos(2*pi*j*eta/N)), sites j = 1..N."""
     j = np.arange(1, spec.n + 1)
@@ -122,8 +111,9 @@ class HarperQdpResult:
     """Per-site readout after a site-m occupation measurement at kick n0.
 
     ``occupation`` and ``coherence`` are the interrupted RDM rows (x, y) of
-    the measured-then-evolved density matrix, built by ``protocols._rdm_row``
-    in its orientation y = <flipped|rho|unflipped>; ``detector`` is the occupation
+    the measured-then-evolved density matrix, read off the free and collapse
+    rows by ``protocols._projective_parts`` and ``protocols._rdm_row``, in the
+    latter's orientation y = <flipped|rho|unflipped>; ``detector`` is the occupation
     difference against the uninterrupted run (sums to zero: the measurement
     preserves the total particle-number expectation); ``fidelity`` is the
     Bloch-sphere-averaged transfer fidelity.
@@ -146,11 +136,11 @@ class HarperQdpResult:
 def qdp_readouts(spec: HarperSpec, m: int, n0: int, initial: InitialState) -> Iterator[HarperQdpResult]:
     """Readouts after kicks n0, n0 + 1, ... of a site-m occupation measurement at kick n0.
 
-    The measurement splits the evolution into a survive branch (amplitude at m
-    removed, vacuum component retained) and a collapse branch (the amplitude
-    found at m, re-released from m); both branches evolve freely after kick
-    n0 and are summed incoherently.  Each branch, and the uninterrupted run,
-    is stepped once per kick.
+    Two rows are stepped once per kick from kick n0: the free row g, the
+    run from site 1 carried on past the measurement, and the row released
+    from site m at kick n0.  The collapse row is k = u(n0)[m] times the
+    latter, the survive row h = g - k, and ``protocols._projective_parts``
+    sums the two branches incoherently, as it does for the spin chain.
     """
     if not 1 <= m <= spec.n:
         raise ValueError(f"measurement site m = {m} outside 1..{spec.n}")
@@ -160,20 +150,17 @@ def qdp_readouts(spec: HarperSpec, m: int, n0: int, initial: InitialState) -> It
     seed = np.zeros(spec.n, dtype=complex)
     seed[0] = 1.0
     (u_mid,) = next(itertools.islice(kicked_amplitudes(spec, seed), n0, None))
-    survive_seed = u_mid.copy()
-    survive_seed[m - 1] = 0.0
-    collapse_seed = np.zeros(spec.n, dtype=complex)
-    collapse_seed[m - 1] = u_mid[m - 1]
-    kicks = kicked_amplitudes(spec, survive_seed, collapse_seed, u_mid)
-    for n, (h, k, u_free) in enumerate(kicks, start=n0):
-        abs2 = np.abs(h) ** 2 + np.abs(k) ** 2
-        occupation, coherence = _rdm_row(abs2, h, initial)
-        free_occ = abs(initial.beta) ** 2 * np.abs(u_free) ** 2
+    released = np.zeros(spec.n, dtype=complex)
+    released[m - 1] = 1.0
+    for n, (g, g_m) in enumerate(kicked_amplitudes(spec, u_mid, released), start=n0):
+        weight, h = _projective_parts(g, u_mid[m - 1] * g_m)
+        occupation, coherence = _rdm_row(weight, h, initial)
+        free_occ = abs(initial.beta) ** 2 * np.abs(g) ** 2
         yield HarperQdpResult(
             occupation=occupation,
             coherence=coherence,
             detector=occupation - free_occ,
-            fidelity=_fidelity_row(abs2, h, None),
+            fidelity=_fidelity_row(weight, h, None),
             free_occupation=free_occ,
             n=n,
         )

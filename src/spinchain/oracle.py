@@ -201,7 +201,8 @@ def apply_local(op: str | tuple[complex, complex], m: int, state: DenseState) ->
         keep = flipped if op == "p1" else ~flipped
         return DenseState(np.where(keep, vec, 0.0), basis)
     gamma, delta = complex(op[0]), complex(op[1])
-    if abs(abs(gamma) ** 2 + abs(delta) ** 2 - 1.0) > 1e-10:
+    # abs(x) * abs(x) gives inf where ** 2 would overflow; NaN fails "not within" too
+    if not abs(abs(gamma) * abs(gamma) + abs(delta) * abs(delta) - 1.0) <= 1e-10:
         raise ValueError("gate (gamma, delta) must satisfy |gamma|^2 + |delta|^2 = 1")
     leak = abs(delta) ** 2 * float(np.sum(np.abs(vec[partner < 0]) ** 2))
     if leak > 1e-10:

@@ -13,8 +13,12 @@ Every readout is a row over all target sites at one time
 ``grid_values`` stacks one row per time into a checked grid. ``_rdm_row``
 and ``_fidelity_row`` turn a site-weight row and a coherent-amplitude row
 into the checked RDM rows (x, y), y = <flipped|rho|unflipped>, and the
-fidelity row; the kicked chain (``harper``) reads its runs through the same
-two and ``fidelity_from_amplitudes``. The gate's readouts, ``_gate_fidelity_row``
+fidelity row. The measurement's survive/collapse rule is one formula,
+``_projective_parts(g, k)``: from a free row g and a collapse row k it gives
+the site weight |h|^2 + |k|^2 and the survive row h = g - k. The spin chain
+feeds it the rows of ``_reduced_gk_rows``; the kicked chain (``harper``)
+feeds it two stepped rows and reads its free runs through
+``fidelity_from_amplitudes``. The gate's readouts, ``_gate_fidelity_row``
 and ``_gate_state``, are formulas on reduced rows and on the pair matrix
 that ``UnitaryQdpEngine`` supplies.
 
@@ -162,9 +166,11 @@ def _reduced_gk_rows(m: int, t: float, t0: float, spec: ChainSpec) -> tuple[np.n
     return reduced_profile(1, t, spec), reduced_profile(1, t0, spec)[m - 1] * g_tau
 
 
-def _projective_parts(m: int, t: float, t0: float, spec: ChainSpec):
-    """(site weight, coherent amplitude) rows after the measurement: |h|^2 + |k|^2 and h."""
-    g, k = _reduced_gk_rows(m, t, t0, spec)
+def _projective_parts(g: np.ndarray, k: np.ndarray):
+    """(site weight, coherent amplitude) rows after the measurement: |h|^2 + |k|^2 and h.
+
+    g is the free row and k the collapse row, so the survive row is h = g - k.
+    """
     h = g - k
     return np.abs(h) ** 2 + np.abs(k) ** 2, h
 
@@ -183,14 +189,14 @@ def projective_rdm_row(
     m: int, t: float, t0: float, spec: ChainSpec, initial: InitialState
 ) -> tuple[np.ndarray, np.ndarray]:
     """RDM rows (x, y) at every site after a projective measurement of site m at t0."""
-    return _rdm_row(*_projective_parts(m, t, t0, spec), initial)
+    return _rdm_row(*_projective_parts(*_reduced_gk_rows(m, t, t0, spec)), initial)
 
 
 def fidelity_projective_row(
     m: int, t: float, t0: float, spec: ChainSpec, initial: InitialState | None = None
 ) -> np.ndarray:
     """Transfer fidelity at every site with a site-m measurement at t0 (Bloch or per-state)."""
-    return _fidelity_row(*_projective_parts(m, t, t0, spec), initial)
+    return _fidelity_row(*_projective_parts(*_reduced_gk_rows(m, t, t0, spec)), initial)
 
 
 # --------------------------------------------------------------------------

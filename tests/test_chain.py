@@ -45,6 +45,10 @@ def test_initial_state_norm():
     InitialState(1 / math.sqrt(2), 1j / math.sqrt(2))
     with pytest.raises(ValueError):
         InitialState(1.0, 0.5)
+    # an amplitude too large to square is refused, not an OverflowError; NaN is refused too
+    for alpha, beta in ((1e155, 0.0), (0.0, 1e200j), (math.nan, 0.0), (0.0, math.inf)):
+        with pytest.raises(ValueError, match=r"\|alpha\|\^2 \+ \|beta\|\^2 must be 1"):
+            InitialState(alpha, beta)
 
 
 def test_bloch_moments_are_exact_sphere_integrals():
@@ -73,6 +77,10 @@ def test_gate_event_requires_real_diagonal_and_unit_norm():
         LocalGate(3, 1.0, 0.6, 0.9)
     with pytest.raises(ValueError, match=r"\|gamma\|\^2 \+ \|delta\|\^2 must be 1"):
         LocalGate(3, 1.0, float("nan"), 0.0)
+    # a value too large to square is refused, not an OverflowError
+    for gamma, delta in ((1e155, 0.0), (0.0, 1e200), (0.0, 1e200j)):
+        with pytest.raises(ValueError, match=r"\|gamma\|\^2 \+ \|delta\|\^2 must be 1"):
+            LocalGate(3, 1.0, gamma, delta)
     with pytest.raises(ValueError, match="site index m must be >= 1"):
         LocalGate(0, 1.0, 0.0, 1.0)
     for t0 in (float("nan"), float("inf"), -1.0):

@@ -255,6 +255,13 @@ def test_exit_codes_for_bad_usage(tmp_path, capsys):
     assert main(["two-magnon-split", "--n", "8", "--boundary", "closed", "--site", "3",
                  "--t0", "1", "--tmax", "2", "--dt", "1", "--delta", "1e308", "--part", "total",
                  "--out", str(tmp_path / "x.csv")]) == 2
+    # a gate amplitude too large to square is refused as bad input, not an OverflowError
+    for command, flag in itertools.product(("unitary-qdp", "two-magnon-split"),
+                                           (["--gamma-abs", "1e155"], ["--delta-abs", "1e200"])):
+        assert main([command, "--n", "5", "--boundary", "closed", "--site", "2", "--t0", "0.1",
+                     "--tmax", "1", "--dt", "0.5", *flag, "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "|gamma|^2 + |delta|^2 must be 1" in err and "Traceback" not in err
     # --tol belongs to the two checks only
     assert main(["fidelity", "--n", "6", "--tmax", "0.5", "--tol", "1e-30",
                  "--out", str(tmp_path / "x.csv")]) == 2

@@ -250,7 +250,8 @@ def test_bethe_roots_match_dense_evolution_at_the_edge_cases(n, delta):
 
 
 def test_build_holds_the_modes_plus_a_chunk():
-    # one eigh over all floor(N/2) + 1 blocks would add as much again as the modes
+    # the modes are written a few blocks at a time: filling all floor(N/2) + 1 blocks'
+    # temporaries at once would add as much again as the modes
     spec = ChainSpec(200, "closed", 0.5, 1.0)
     RingTwoMagnon(ChainSpec(6, "closed"))  # numpy's lazy set-up stays out of the trace
     tracemalloc.start()

@@ -20,7 +20,6 @@ from spinchain.harper import (
     MAX_N,
     HarperSpec,
     floquet_step,
-    hopping_matrix,
     kick_phases,
     kicked_amplitudes,
     qdp_readouts,
@@ -114,6 +113,18 @@ def test_averaged_fidelity_matches_direct_sphere_quadrature():
         assert averaged[site - 1] == pytest.approx(direct, abs=1e-12)
 
 
+def hopping_matrix(spec: HarperSpec) -> np.ndarray:
+    """Dense reference of the hop: real symmetric nearest-neighbour matrix, +1 on each bond."""
+    t = np.zeros((spec.n, spec.n))
+    idx = np.arange(spec.n - 1)
+    t[idx, idx + 1] = 1.0
+    t[idx + 1, idx] = 1.0
+    if spec.boundary == "closed":
+        t[0, spec.n - 1] += 1.0
+        t[spec.n - 1, 0] += 1.0
+    return t
+
+
 class _FullSpaceOracle:
     """Independent many-body rebuild: 2^N space, occupation-number bit basis."""
 
@@ -201,6 +212,23 @@ def test_measured_run_matches_full_space_rebuild():
             )
         )
         assert result.fidelity[site - 1] == pytest.approx(direct, abs=1e-10)
+
+
+def test_measured_run_steps_two_rows(monkeypatch):
+    # the free row and the row released from m at n0: no survive, collapse or re-seeded free copy
+    from spinchain import harper
+
+    calls = []
+    original = harper.kicked_amplitudes
+
+    def counting(spec, *seeds):
+        calls.append(len(seeds))
+        return original(spec, *seeds)
+
+    monkeypatch.setattr(harper, "kicked_amplitudes", counting)
+    spec = HarperSpec(n=10, g=1.2, tau=0.3)
+    _readout(spec, 3, 2, 6, InitialState(0.6, 0.8))
+    assert calls and max(calls) <= 2
 
 
 def test_detector_profile_sums_to_zero():

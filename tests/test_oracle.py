@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib.util
+import math
 import pathlib
 
 import numpy as np
@@ -116,6 +117,15 @@ def test_gate_agrees_with_the_full_space_and_refuses_a_third_magnon():
     apply_local((0.0, 1.0), 4, gated[0])  # the full space holds a third magnon
     with pytest.raises(ValueError, match="out of the vacuum_one_two basis"):
         apply_local((0.0, 1.0), 4, gated[1])
+
+
+def test_gate_norm_check_refuses_overflow_and_nan():
+    basis = make_basis("vacuum_one_two", 5)
+    psi = encoded_state(np.sqrt(0.5), np.sqrt(0.5), basis)
+    # abs(gamma) ** 2 would raise OverflowError; NaN passes a "> tol" test
+    for gate in ((1e155, 0.0), (0.0, 1e200), (math.nan, 0.0), (0.0, math.nan)):
+        with pytest.raises(ValueError, match=r"\|gamma\|\^2 \+ \|delta\|\^2 = 1"):
+            apply_local(gate, 3, psi)
 
 
 def test_measurement_branches_resolve_identity():
