@@ -10,6 +10,10 @@ or zeros for a difference) into ``protocols.grid_values``; that refuses NaN
 and values outside [0, 1] ([-1, 1] for differences and the detector) before
 any file is written.  ``--threads`` is still accepted but has no effect.
 
+``main`` builds the argument parser on its first call and reuses it, unchanged,
+for every later call in the process.  A ``--config`` file's values become the
+defaults of a parser built for that call alone, so they never reach another.
+
 Exit codes: 0 success, 2 unusable arguments or config file, 3 a numerical
 check failed, 4 output could not be written.
 """
@@ -17,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import itertools
 import json
 import math
@@ -159,6 +164,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser of every ``main()`` call, built on the first; nothing may change it."""
+    return build_parser()
+
+
 # --------------------------------------------------------------------------
 # Config file support
 # --------------------------------------------------------------------------
@@ -190,7 +201,11 @@ _FALSE_WORDS = ("0", "false", "no", "off")
 
 
 def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
-    """Parse argv; when --config names a file, use it for defaults (flags win)."""
+    """Parse argv; when --config names a file, use it for defaults (flags win).
+
+    ``parser`` is shared by every call and only read: the file's values become
+    defaults of a private ``build_parser()`` made for this call, never of a later one.
+    """
     args = parser.parse_args(argv)
     if getattr(args, "config", None) is None:
         return args
@@ -224,8 +239,9 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.
                     f"{args.config}: config key {key!r} takes one of {tuple(action.choices)}"
                 )
             defaults[key] = converted
-    subparser.set_defaults(**defaults)
-    return parser.parse_args(argv)
+    private = build_parser()
+    _subparser_for(private, args.command).set_defaults(**defaults)
+    return private.parse_args(argv)
 
 
 def _subparser_for(parser: argparse.ArgumentParser, command: str) -> argparse.ArgumentParser:
@@ -555,9 +571,8 @@ _RUNNERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = _apply_config(parser, sys.argv[1:] if argv is None else list(argv))
+        args = _apply_config(_shared_parser(), sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     except ValueError as exc:

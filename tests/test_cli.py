@@ -206,6 +206,65 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_config_defaults_stay_with_their_call(tmp_path):
+    # a config file's values are defaults of its own call: a later plain run in
+    # the same process, after a run, a refusal or an overridden run, uses the stock ones
+    plain = ["fidelity", "--tmax", "0.5", "--lmax", "3"]
+
+    def run_plain(name):
+        out = tmp_path / name
+        assert main([*plain, "--out", str(out)]) == 0
+        return out.read_bytes(), (tmp_path / f"{name}.meta.json").read_bytes()
+
+    reference = run_plain("reference.csv")
+    params = json.loads(reference[1])["parameters"]
+    assert (params["n"], params["boundary"], params["dt"]) == (100, "open", 0.25)
+    assert sorted({t for _, t, _ in _read_csv(tmp_path / "reference.csv")}) == [0.0, 0.25, 0.5]
+
+    cfg = tmp_path / "run.cfg"
+    settings = "boundary = closed\ndt = 0.5\nn = "
+    for i, (text, flags, code) in enumerate((
+            (settings + "8\n", [], 0),
+            (settings + "abc\n", [], 2),
+            (settings + "8\n", ["--n", "6", "--boundary", "open", "--dt", "0.25"], 0))):
+        cfg.write_text(text)
+        assert main([*plain, "--config", str(cfg), *flags,
+                     "--out", str(tmp_path / f"config{i}.csv")]) == code
+        assert run_plain(f"plain{i}.csv") == reference, text
+
+
+def test_main_builds_the_parser_once_per_process(tmp_path, monkeypatch, capsys):
+    from spinchain import cli
+
+    builds = []
+
+    def counting_build():
+        builds.append(1)
+        return build_parser()
+
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    cli._shared_parser.cache_clear()
+    plain = ["fidelity", "--n", "4", "--tmax", "0", "--out", str(tmp_path / "x.csv")]
+    assert main(plain) == 0
+    assert len(builds) == 1
+    assert main(["fidelity", "--n", "not-a-number"]) == 2
+    capsys.readouterr()
+    assert main(["unitary-qdp", "--help"]) == 0
+    first_help = capsys.readouterr().out
+    assert "--delta-phase" in first_help
+    assert main(plain) == 0
+    capsys.readouterr()
+    assert main(["unitary-qdp", "--help"]) == 0
+    assert capsys.readouterr().out == first_help
+    assert len(builds) == 1
+    # a config run sets its defaults on a parser of its own
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n = 4\n")
+    assert main([*plain, "--config", str(cfg)]) == 0
+    assert len(builds) == 2
+
+
 def test_metadata_sidecar_contents(tmp_path):
     out = tmp_path / "m.csv"
     assert main(["fidelity", "--n", "6", "--tmax", "0.5", "--dt", "0.5", "--out", str(out)]) == 0
