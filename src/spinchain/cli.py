@@ -6,9 +6,12 @@ sidecar ``<out>.meta.json`` echoing the resolved parameters, the convention
 fingerprint, and the relevant tolerances.  Outputs are byte-identical across
 re-runs.  Each grid command has its own runner, which builds its kernels
 once and streams one row of sites per time (before ``--t0``: the free row,
-or zeros for a difference) into ``protocols.grid_values``; that refuses NaN
-and values outside [0, 1] ([-1, 1] for differences and the detector) before
-any file is written.  ``--threads`` is still accepted but has no effect.
+or zeros for a difference) into ``protocols.grid_values``; the kicked-chain
+commands compute their rows a block of kicks at a time and stream the rows
+of each block.  ``grid_values`` refuses NaN and values outside [0, 1]
+([-1, 1] for differences and the detector) before any file is written, and
+the CSV and its sidecar are written both or neither.  ``--threads`` is still
+accepted but has no effect.
 
 ``main`` builds the argument parser on its first call and reuses it, unchanged,
 for every later call in the process.  A ``--config`` file's values become the
@@ -21,10 +24,12 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import errno
 import functools
 import itertools
 import json
 import math
+import os
 import pathlib
 import sys
 
@@ -257,10 +262,35 @@ def _subparser_for(parser: argparse.ArgumentParser, command: str) -> argparse.Ar
 
 
 def _write_outputs(args: argparse.Namespace, payload: bytes, meta: dict) -> None:
+    """Write the output and its sidecar, both or neither.
+
+    Each goes to a temporary file beside its name first, and only when both
+    are complete are they renamed onto their names. A rename within one
+    directory fails only onto a directory, so both names are checked for
+    that before the first rename. On any failure the temporary files are
+    removed and the old outputs stay as they were. A name that is a symlink
+    is written through, onto its target, as ``open`` writes it; a rename
+    would replace the link itself.
+    """
     out = pathlib.Path(args.out)
-    out.write_bytes(payload)
     sidecar = out.with_name(out.name + ".meta.json")
-    sidecar.write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
+    meta_text = (json.dumps(meta, sort_keys=True, indent=2) + "\n").encode()
+    files = [(pathlib.Path(os.path.realpath(path)) if path.is_symlink() else path, text)
+             for path, text in ((out, payload), (sidecar, meta_text))]
+    staged = []
+    try:
+        for path, text in files:
+            staged.append(path.with_name(f".{path.name}.{os.getpid()}.tmp"))
+            staged[-1].write_bytes(text)
+        for path, _ in files:
+            if path.is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+        for (path, _), tmp in zip(files, staged):
+            os.replace(tmp, path)
+    except BaseException:
+        for tmp in staged:
+            tmp.unlink(missing_ok=True)
+        raise
     print(f"wrote {out} and {sidecar}")
 
 
@@ -402,9 +432,10 @@ def _run_harper(args: argparse.Namespace) -> int:
     ts = [n * spec.tau for n in range(args.kicks + 1)]
     seed = np.zeros(spec.n, dtype=complex)
     seed[0] = 1.0
-    # one vector stepped once per kick, read out after every kick
-    kicks = itertools.islice(kicked_amplitudes(spec, seed), args.kicks + 1)
-    values = grid_values(ls, (fidelity_from_amplitudes(psi, initial) for (psi,) in kicks))
+    # one vector stepped once per kick, read out a block of kicks at a time
+    blocks = kicked_amplitudes(spec, seed, kicks=args.kicks)
+    rows = (fidelity_from_amplitudes(psi, initial) for (psi,) in blocks)
+    values = grid_values(ls, itertools.chain.from_iterable(rows))
     return _write_grid(args, ls, ts, values, {"l": [1, spec.n], "kicks": args.kicks, "dt": spec.tau})
 
 
@@ -419,9 +450,10 @@ def _run_detector(args: argparse.Namespace) -> int:
         raise ValueError("the detector needs a definite encoded state (--alpha2)")
     ls = list(range(1, spec.n + 1))
     ts = [n * spec.tau for n in range(args.qdp_kick, args.kicks + 1)]
-    # two rows are stepped once per kick, read out after every kick
-    readouts = itertools.islice(qdp_readouts(spec, args.qdp_site, args.qdp_kick, initial), len(ts))
-    values = grid_values(ls, (res.detector for res in readouts), lo=-1.0)
+    # two rows are stepped once per kick, read out a block of kicks at a time
+    readouts = qdp_readouts(spec, args.qdp_site, args.qdp_kick, initial, kicks=args.kicks)
+    rows = itertools.chain.from_iterable(res.detector for res in readouts)
+    values = grid_values(ls, rows, lo=-1.0)
     grid_meta = {"l": [1, spec.n], "kicks": [args.qdp_kick, args.kicks], "dt": spec.tau}
     return _write_grid(args, ls, ts, values, grid_meta)
 

@@ -26,7 +26,6 @@ projectors, so RDM entries are summed over the separately evolved branches.
 """
 from __future__ import annotations
 
-import cmath
 import itertools
 import json
 import math
@@ -280,28 +279,30 @@ class BoundBandResult:
     count: int
 
 
-def _momentum_sector_basis(basis: SectorBasis, k: int) -> np.ndarray:
-    """Orthonormal total-momentum-k basis of the ring two-excitation sector.
+def _momentum_columns(basis: SectorBasis) -> np.ndarray:
+    """Orthonormal total-momentum bases of the ring two-excitation sector, all k at once.
 
-    Columns are plane waves over the pair center at fixed ring separation r,
-    indexed by ``basis``, the ordered-pair basis of the ring. For even n the antipodal separation
-    r = n/2 pairs are invariant under a half-ring shift, so that column
-    exists only in even-k sectors.
+    Entry [:, k, c] is column c of sector k = 0..n-1: a plane wave over the
+    pair center at ring separation r = c + 1, indexed by ``basis``, the
+    two-excitation basis of the ring, whose configs are its pairs. For even
+    n the antipodal separation r = n/2 pairs are invariant under a half-ring
+    shift, so that column, the last, belongs only to even-k sectors. A table
+    from each pair (i, j) to its basis index places every separation's
+    entries, and one exponential per separation gives their phases in every
+    sector.
     """
     n = basis.n
-    p_tot = 2.0 * math.pi * k / n
-    cols = []
-    for r in range(1, n // 2 + 1):
-        doubled = (n % 2 == 0) and r == n // 2
-        if doubled and k % 2 == 1:
-            continue
-        col = np.zeros(basis.dim, dtype=complex)
-        j_range = range(1, n // 2 + 1) if doubled else range(1, n + 1)
-        for j in j_range:
-            col[basis.pair_index(j, (j + r - 1) % n + 1)] += cmath.exp(1j * p_tot * (j + 0.5 * r))
-        col /= np.linalg.norm(col)
-        cols.append(col)
-    return np.column_stack(cols)
+    table = np.empty((n + 1, n + 1), dtype=np.intp)
+    first, second = np.array(basis.pairs).reshape(-1, 2).T
+    table[first, second] = table[second, first] = np.arange(basis.dim)
+    p_tot = 2.0 * math.pi * np.arange(n) / n
+    cols = np.zeros((basis.dim, n, n // 2), dtype=complex)
+    for c in range(n // 2):
+        r = c + 1
+        j = np.arange(1, (n // 2 if 2 * r == n else n) + 1)
+        phases = np.exp(1j * np.multiply.outer(j + 0.5 * r, p_tot))
+        cols[table[j, (j + r - 1) % n + 1], :, c] = phases / math.sqrt(len(j))
+    return cols
 
 
 def bound_band_projector(spec: ChainSpec) -> BoundBandResult:
@@ -311,26 +312,26 @@ def bound_band_projector(spec: ChainSpec) -> BoundBandResult:
     lowest level of a sector belongs to the bound band when it drops below
     the scattering continuum bottom eps0 - 8*J*|cos(P/2)| at that momentum.
     This counts N - O(1) states (the near-P = 0 sectors have no level split
-    off).
+    off). The projector is V V^H, V the bound levels as columns.
     """
     if spec.boundary != "closed" or spec.delta != 1.0:
         raise ValueError("bound-band classification needs a closed chain at delta = 1")
     ham = build_hamiltonian(spec, "two_excitation")
     n = spec.n
-    dim = ham.basis.dim
-    projector = np.zeros((dim, dim), dtype=complex)
-    count = 0
+    cols = _momentum_columns(ham.basis)
+    bound = []
     scale = 8.0 * spec.j
     for k in range(n):
-        cols = _momentum_sector_basis(ham.basis, k)
-        block = cols.conj().T @ ham.matrix @ cols
-        w, v = np.linalg.eigh(block)
+        width = n // 2 - (n % 2 == 0 and k % 2 == 1)
+        sector = cols[:, k, :width]
+        # the real Hamiltonian on the interleaved real and imaginary parts of the columns
+        h_sector = (ham.matrix @ sector.view(float)).view(complex)
+        w, v = np.linalg.eigh(sector.conj().T @ h_sector)
         bottom = spec.ground_energy - 8.0 * spec.j * abs(math.cos(math.pi * k / n))
         if w[0] < bottom - 1e-9 * scale:
-            vec = cols @ v[:, 0]
-            projector += np.outer(vec, vec.conj())
-            count += 1
-    return BoundBandResult(projector=projector, count=count)
+            bound.append(sector @ v[:, 0])
+    levels = np.array(bound).reshape(-1, ham.basis.dim).T
+    return BoundBandResult(projector=levels @ levels.conj().T, count=len(bound))
 
 
 # --------------------------------------------------------------------------

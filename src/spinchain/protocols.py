@@ -8,16 +8,17 @@ two-magnon channel). Fidelities are reported per encoded state or averaged
 analytically over the Bloch sphere.
 
 Every readout is a row over all target sites at one time
-(``fidelity_free_row``, ``fidelity_projective_row``, ``projective_rdm_row``,
+(``fidelity_free_row``, ``projective_rdm_row``,
 ``delta_fidelity_projective_row``, ``UnitaryQdpEngine.fidelity_row``), and
 ``grid_values`` stacks one row per time into a checked grid. ``_rdm_row``
 and ``_fidelity_row`` turn a site-weight row and a coherent-amplitude row
 into the checked RDM rows (x, y), y = <flipped|rho|unflipped>, and the
-fidelity row. The measurement's survive/collapse rule is one formula,
+fidelity row; both act elementwise, so the kicked chain hands them whole
+blocks of kicks. The measurement's survive/collapse rule is one formula,
 ``_projective_parts(g, k)``: from a free row g and a collapse row k it gives
 the site weight |h|^2 + |k|^2 and the survive row h = g - k. The spin chain
 feeds it the rows of ``_reduced_gk_rows``; the kicked chain (``harper``)
-feeds it two stepped rows and reads its free runs through
+feeds it two stepped blocks and reads its free runs through
 ``fidelity_from_amplitudes``. The gate's readouts, ``_gate_fidelity_row``
 and ``_gate_state``, are formulas on reduced rows and on the pair matrix
 that ``UnitaryQdpEngine`` supplies.
@@ -190,13 +191,6 @@ def projective_rdm_row(
 ) -> tuple[np.ndarray, np.ndarray]:
     """RDM rows (x, y) at every site after a projective measurement of site m at t0."""
     return _rdm_row(*_projective_parts(*_reduced_gk_rows(m, t, t0, spec)), initial)
-
-
-def fidelity_projective_row(
-    m: int, t: float, t0: float, spec: ChainSpec, initial: InitialState | None = None
-) -> np.ndarray:
-    """Transfer fidelity at every site with a site-m measurement at t0 (Bloch or per-state)."""
-    return _fidelity_row(*_projective_parts(*_reduced_gk_rows(m, t, t0, spec)), initial)
 
 
 # --------------------------------------------------------------------------

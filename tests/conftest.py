@@ -1,4 +1,4 @@
-"""Shared fixtures: golden-file access for the dual-route regression tests."""
+"""Shared fixtures: golden-file access for the dual-route regression tests, test-side readouts."""
 
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from spinchain.oracle import decode_complex, load_golden
+from spinchain.protocols import _fidelity_row, _projective_parts, _reduced_gk_rows
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
 
@@ -53,3 +54,17 @@ def channel_fidelity():
         return float(abs(a) ** 2 * (1 - x) + abs(b) ** 2 * x + 2 * np.real(a * np.conj(b) * y))
 
     return _fidelity
+
+
+@pytest.fixture(scope="session")
+def fidelity_projective_row():
+    """Transfer fidelity at every site with a site-m measurement at t0 (Bloch or per-state).
+
+    The library's measurement readouts composed into one fidelity row; no CLI
+    command writes it (``qdp-diff`` reads ``delta_fidelity_projective_row``).
+    """
+
+    def _row(m: int, t: float, t0: float, spec, initial=None) -> np.ndarray:
+        return _fidelity_row(*_projective_parts(*_reduced_gk_rows(m, t, t0, spec)), initial)
+
+    return _row

@@ -33,7 +33,6 @@ from spinchain.protocols import (
     UnitaryQdpEngine,
     delta_fidelity_projective_row,
     fidelity_free_row,
-    fidelity_projective_row,
     hk_propagators,
 )
 
@@ -138,7 +137,7 @@ def test_criterion_05_matched_measurement_arrival_population_plateau():
         assert 0.05 <= gain <= 0.15, (l, gain)
 
 
-def test_criterion_06_measurement_splitting_identities():
+def test_criterion_06_measurement_splitting_identities(fidelity_projective_row):
     rng = np.random.default_rng(20260814)
     worst_split, worst_trace, worst_delta = 0.0, 0.0, 0.0
     for i in range(1000):
@@ -269,28 +268,29 @@ def test_criterion_11_kicked_chain_transport_properties():
     assert float(np.max(np.abs(u.conj().T @ u - np.eye(100)))) <= 1e-12
 
     balanced = InitialState(1 / math.sqrt(2), 1 / math.sqrt(2))
-    result = next(itertools.islice(qdp_readouts(spec, 1, 5, balanced), 45, None))  # kick 50
-    assert result.n == 50
-    assert abs(float(np.sum(result.detector))) <= 1e-10
+    for result in qdp_readouts(spec, 1, 5, balanced, kicks=50):
+        pass
+    assert result.n[-1] == 50
+    assert abs(float(np.sum(result.detector[-1]))) <= 1e-10
 
     flip = InitialState(0.0, 1.0)
     seed = np.zeros(100, dtype=complex)
     seed[0] = 1.0
 
     def occupation_after_200_kicks(g: float) -> np.ndarray:
-        kicks = kicked_amplitudes(HarperSpec(n=100, g=g, tau=0.1), seed)
-        (psi,) = next(itertools.islice(kicks, 200, None))
-        return np.abs(psi) ** 2
+        for (block,) in kicked_amplitudes(HarperSpec(n=100, g=g, tau=0.1), seed, kicks=200):
+            pass
+        return np.abs(block[-1]) ** 2
 
     widths = {g: spread_metric(occupation_after_200_kicks(g)) for g in (1.0, 3.0)}
     assert widths[3.0] < widths[1.0]
 
     def first_passage_kicks(tau: float) -> int:
         # one readout stream after the kick-5 measurement, kicks 6..600
-        readouts = qdp_readouts(HarperSpec(n=100, g=1.0, tau=tau), 1, 5, flip)
-        for result in itertools.islice(readouts, 1, 596):
-            if abs(result.detector[-1]) > 1e-3:
-                return result.n
+        for result in qdp_readouts(HarperSpec(n=100, g=1.0, tau=tau), 1, 5, flip, kicks=600):
+            passed = result.n[(result.n > 5) & (np.abs(result.detector[:, -1]) > 1e-3)]
+            if passed.size:
+                return int(passed[0])
         raise AssertionError("no far-end passage within 600 kicks")
 
     slow = first_passage_kicks(0.1)

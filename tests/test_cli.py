@@ -471,6 +471,40 @@ def test_exit_code_for_unwritable_output(tmp_path):
     assert main(["fidelity", "--n", "6", "--tmax", "0.5", "--out", str(target)]) == 4
 
 
+@pytest.mark.parametrize("earlier", [False, True], ids=["fresh", "over-earlier-run"])
+def test_outputs_are_written_both_or_neither(tmp_path, capsys, earlier):
+    # a sidecar name that is a directory: exit 4, and the CSV is neither written nor replaced
+    out = tmp_path / "x.csv"
+    args = ["fidelity", "--n", "6", "--tmax", "1", "--dt", "0.5", "--out", str(out)]
+    if earlier:
+        assert main(args) == 0
+        (tmp_path / "x.csv.meta.json").unlink()
+    before = sorted(p.name for p in tmp_path.iterdir())
+    old = out.read_bytes() if earlier else None
+    (tmp_path / "x.csv.meta.json").mkdir()
+    assert main(args[:2] + ["7"] + args[3:]) == 4
+    assert "Is a directory" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(before + ["x.csv.meta.json"])
+    assert (out.read_bytes() if earlier else None) == old
+    # the CSV name a directory: nothing beside it is written either
+    (tmp_path / "x.csv.meta.json").rmdir()
+    (tmp_path / "d.csv").mkdir()
+    assert main(args[:-1] + [str(tmp_path / "d.csv")]) == 4
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(before + ["d.csv"])
+
+
+def test_outputs_replace_earlier_files_and_write_through_symlinks(tmp_path):
+    target, link = tmp_path / "real.csv", tmp_path / "link.csv"
+    link.symlink_to(target)
+    args = ["fidelity", "--n", "6", "--tmax", "1", "--dt", "0.5", "--out", str(link)]
+    assert main(args) == 0
+    first = target.read_bytes()
+    assert main(args[:2] + ["7"] + args[3:]) == 0
+    assert link.is_symlink() and target.read_bytes() != first
+    names = sorted(p.name for p in tmp_path.iterdir())
+    assert names == ["link.csv", "link.csv.meta.json", "real.csv"]
+
+
 def test_calibrate_passes_at_default_tolerance(tmp_path):
     out = tmp_path / "cal.json"
     assert main(["calibrate", "--n", "12", "--out", str(out)]) == 0
@@ -516,9 +550,9 @@ def test_harper_grid_matches_library(tmp_path):
     spec = HarperSpec(n=8, g=1.1, tau=0.4)
     seed = np.zeros(8, dtype=complex)
     seed[0] = 1.0
+    (block,) = next(kicked_amplitudes(spec, seed, kicks=3))
     for kicks in (0, 3):
-        (u,) = next(itertools.islice(kicked_amplitudes(spec, seed), kicks, None))
-        expected = fidelity_from_amplitudes(u)
+        expected = fidelity_from_amplitudes(block[kicks])
         got = [v for l, t, v in rows if t == pytest.approx(kicks * 0.4)]
         assert np.allclose(got, expected, atol=1e-10)
 
@@ -546,13 +580,13 @@ def test_detector_grid_sums_to_zero_per_column(tmp_path, monkeypatch):
     assert len(ts) == 4  # kicks 2..5 inclusive
     spec = HarperSpec(12, 1.0, 0.3)
     initial = InitialState(math.sqrt(0.5), math.sqrt(0.5))
-    readouts = harper.qdp_readouts(spec, 2, 2, initial)
-    for n, t, readout in zip(itertools.count(2), ts, readouts):
+    (readout,) = harper.qdp_readouts(spec, 2, 2, initial, kicks=5)
+    assert list(readout.n) == [2, 3, 4, 5]
+    for t, detector in zip(ts, readout.detector, strict=True):
         column = [v for _, tt, v in rows if tt == t]
         assert len(column) == 12
         assert abs(sum(column)) < 1e-10
-        assert readout.n == n
-        assert column == [float(f"{v:.11e}") for v in readout.detector]
+        assert column == [float(f"{v:.11e}") for v in detector]
 
 
 def test_unitary_qdp_and_split_commands_run(tmp_path):

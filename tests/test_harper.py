@@ -3,18 +3,23 @@
 The headline check rebuilds the model in the full 2^N many-body space with an
 independently constructed hopping + kicked-potential Floquet operator and a
 projective occupation measurement, then compares every readout channel of
-the ``qdp_readouts`` stream against it.
+the ``qdp_readouts`` stream against it.  The CLI's kicked grids are held,
+byte for byte, to a per-kick ``v = step @ v`` loop across block edges.
 """
 from __future__ import annotations
 
-import itertools
+import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from csv_reference import grid_csv_reference
+from spinchain import harper
 from spinchain.bessel import MAX_ARG
 from spinchain.chain import ChainSpec, InitialState
+from spinchain.cli import main
 from spinchain.green1 import reduced_profile
 from spinchain.harper import (
     MAX_N,
@@ -26,7 +31,7 @@ from spinchain.harper import (
     spread_metric,
 )
 from spinchain.oracle import bloch_average, transfer_fidelity
-from spinchain.protocols import fidelity_from_amplitudes
+from spinchain.protocols import _projective_parts, _rdm_row, fidelity_from_amplitudes
 
 
 def _expm_hermitian(h: np.ndarray, scale: complex) -> np.ndarray:
@@ -38,13 +43,16 @@ def _after_kicks(spec: HarperSpec, n_kicks: int, amplitude: complex = 1.0) -> np
     """The one-particle vector of a particle released at site 1 with ``amplitude``, after n_kicks."""
     seed = np.zeros(spec.n, dtype=complex)
     seed[0] = amplitude
-    (psi,) = next(itertools.islice(kicked_amplitudes(spec, seed), n_kicks, None))
-    return psi
+    for (block,) in kicked_amplitudes(spec, seed, kicks=n_kicks):
+        pass
+    return block[-1]
 
 
 def _readout(spec: HarperSpec, m: int, n0: int, n: int, initial: InitialState):
-    """The readout after kick n of a site-m measurement at kick n0."""
-    return next(itertools.islice(qdp_readouts(spec, m, n0, initial), n - n0, None))
+    """The readout after kick n of a site-m measurement at kick n0: the last block's last row."""
+    for block in qdp_readouts(spec, m, n0, initial, kicks=n):
+        pass
+    return SimpleNamespace(**{f.name: getattr(block, f.name)[-1] for f in dataclasses.fields(block)})
 
 
 def test_floquet_step_is_unitary():
@@ -123,6 +131,38 @@ def hopping_matrix(spec: HarperSpec) -> np.ndarray:
         t[0, spec.n - 1] += 1.0
         t[spec.n - 1, 0] += 1.0
     return t
+
+
+def per_kick_vectors(spec: HarperSpec, kicks: int, *seeds: np.ndarray) -> list[tuple]:
+    """Reference stepper: the seed vectors after kicks 0..kicks, one ``v = step @ v`` per kick."""
+    step = floquet_step(spec)
+    vectors = [seeds]
+    for _ in range(kicks):
+        vectors.append(tuple(step @ v for v in vectors[-1]))
+    return vectors
+
+
+def harper_csv_reference(spec: HarperSpec, kicks: int, initial: InitialState | None) -> str:
+    """The ``harper`` command's CSV, stepped and read one kick at a time."""
+    seed = np.eye(spec.n, dtype=complex)[0]
+    rows = [fidelity_from_amplitudes(u, initial) for (u,) in per_kick_vectors(spec, kicks, seed)]
+    ts = [n * spec.tau for n in range(kicks + 1)]
+    return grid_csv_reference(range(1, spec.n + 1), ts, np.array(rows).T)
+
+
+def detector_csv_reference(
+    spec: HarperSpec, m: int, n0: int, kicks: int, initial: InitialState
+) -> str:
+    """The ``detector`` command's CSV, stepped and read one kick at a time."""
+    seed = np.eye(spec.n, dtype=complex)[0]
+    u_mid = per_kick_vectors(spec, n0, seed)[-1][0]
+    rows = []
+    for g, g_m in per_kick_vectors(spec, kicks - n0, u_mid, np.eye(spec.n, dtype=complex)[m - 1]):
+        weight, h = _projective_parts(g, u_mid[m - 1] * g_m)
+        occupation, _ = _rdm_row(weight, h, initial)
+        rows.append(occupation - abs(initial.beta) ** 2 * np.abs(g) ** 2)
+    ts = [n * spec.tau for n in range(n0, kicks + 1)]
+    return grid_csv_reference(range(1, spec.n + 1), ts, np.array(rows).T)
 
 
 class _FullSpaceOracle:
@@ -215,20 +255,19 @@ def test_measured_run_matches_full_space_rebuild():
 
 
 def test_measured_run_steps_two_rows(monkeypatch):
-    # the free row and the row released from m at n0: no survive, collapse or re-seeded free copy
-    from spinchain import harper
-
+    # one row to the measurement, then the free row and the row released from m at n0:
+    # no survive, collapse or re-seeded free copy
     calls = []
     original = harper.kicked_amplitudes
 
-    def counting(spec, *seeds):
-        calls.append(len(seeds))
-        return original(spec, *seeds)
+    def counting(spec, *seeds, kicks):
+        calls.append((len(seeds), kicks))
+        return original(spec, *seeds, kicks=kicks)
 
     monkeypatch.setattr(harper, "kicked_amplitudes", counting)
     spec = HarperSpec(n=10, g=1.2, tau=0.3)
     _readout(spec, 3, 2, 6, InitialState(0.6, 0.8))
-    assert calls and max(calls) <= 2
+    assert calls == [(1, 2), (2, 4)]
 
 
 def test_detector_profile_sums_to_zero():
@@ -236,6 +275,22 @@ def test_detector_profile_sums_to_zero():
     result = _readout(spec, 5, 4, 20, InitialState(0.6, 0.8))
     assert abs(float(np.sum(result.detector))) < 1e-12
     assert result.n == 20
+
+
+def test_blocks_hold_consecutive_kicks(monkeypatch):
+    # every block but the last has max(1, _BLOCK_CELLS // n) rows, and the kicks run on unbroken
+    spec = HarperSpec(n=5, g=1.2, tau=0.3)
+    seed = np.eye(5, dtype=complex)[0]
+    for cells, rows in ((23, 4), (5, 1), (4, 1)):
+        monkeypatch.setattr(harper, "_BLOCK_CELLS", cells)
+        sizes = [len(block) for (block,) in kicked_amplitudes(spec, seed, kicks=10)]
+        assert sizes[:-1] == [rows] * (len(sizes) - 1) and sum(sizes) == 11
+        readouts = qdp_readouts(spec, 2, 3, InitialState(0.6, 0.8), kicks=10)
+        starts = [int(block.n[0]) for block in readouts]
+        assert starts == list(range(3, 11, rows))
+    assert [len(b) for (b,) in kicked_amplitudes(spec, seed, kicks=0)] == [1]
+    with pytest.raises(ValueError, match="kick count"):
+        next(kicked_amplitudes(spec, seed, kicks=-1))
 
 
 def test_kicked_walk_converges_first_order_to_static_flow():
@@ -285,11 +340,13 @@ def test_parameter_validation():
             HarperSpec(n=5, g=1.0, tau=0.1, eta=bad)
     spec = HarperSpec(n=5, g=1.0, tau=0.1)
     with pytest.raises(ValueError):
-        next(qdp_readouts(spec, 0, 1, InitialState(0.0, 1.0)))
+        next(qdp_readouts(spec, 0, 1, InitialState(0.0, 1.0), kicks=3))
     with pytest.raises(ValueError):
-        next(qdp_readouts(spec, 6, 1, InitialState(0.0, 1.0)))
+        next(qdp_readouts(spec, 6, 1, InitialState(0.0, 1.0), kicks=3))
     with pytest.raises(ValueError, match=r"n0 = -1"):
-        next(qdp_readouts(spec, 2, -1, InitialState(0.0, 1.0)))
+        next(qdp_readouts(spec, 2, -1, InitialState(0.0, 1.0), kicks=3))
+    with pytest.raises(ValueError, match=r"n0 = 4, kicks = 3"):
+        next(qdp_readouts(spec, 2, 4, InitialState(0.0, 1.0), kicks=3))
     # tau * g overflows, so every kick phase and the detector are NaN
     with pytest.raises(ValueError):
         _readout(HarperSpec(8, 1e10, 1e300), 2, 1, 3, InitialState(0.6, 0.8))
@@ -311,3 +368,26 @@ def test_parameter_validation():
     with pytest.raises(ValueError, match=r"n = "):
         HarperSpec(n=MAX_N + 1, g=1.0, tau=0.1)
     HarperSpec(n=MAX_N, g=1.0, tau=0.1)
+
+
+@pytest.mark.parametrize("boundary", ["open", "closed"])
+@pytest.mark.parametrize("n", [2, 7, 333])
+@pytest.mark.parametrize("rows", [1, 4])
+def test_kicked_grids_match_the_per_kick_reference_across_block_edges(
+    tmp_path, monkeypatch, boundary, n, rows
+):
+    # 14 kicks span 4 blocks of 4 rows (or 14 of 1); the measurement falls on
+    # the first kick, on a block edge, and on the last kick
+    monkeypatch.setattr(harper, "_BLOCK_CELLS", rows * n + n - 1)
+    kicks, g, tau, alpha2 = 13, 1.3, 0.35, 0.3
+    spec = HarperSpec(n, g, tau, boundary=boundary)
+    chain = ["--n", str(n), "--boundary", boundary, "--g", str(g), "--tau", str(tau)]
+    out = tmp_path / "h.csv"
+    assert main(["harper", *chain, "--kicks", str(kicks), "--out", str(out)]) == 0
+    assert out.read_text() == harper_csv_reference(spec, kicks, None)
+    initial = InitialState(math.sqrt(alpha2), math.sqrt(1.0 - alpha2))
+    m = min(n, 2)
+    for n0 in (0, rows, kicks):
+        assert main(["detector", *chain, "--kicks", str(kicks), "--qdp-site", str(m),
+                     "--qdp-kick", str(n0), "--alpha2", str(alpha2), "--out", str(out)]) == 0
+        assert out.read_text() == detector_csv_reference(spec, m, n0, kicks, initial), n0

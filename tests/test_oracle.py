@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from spinchain.chain import ChainSpec, conventions_hash
+from spinchain.green2 import RingTwoMagnon
 from spinchain.oracle import (
     DenseState,
     apply_local,
@@ -169,17 +170,32 @@ def test_transfer_fidelity_formula():
     assert transfer_fidelity(0.0, 0j, alpha, beta) == pytest.approx(abs(alpha) ** 2, abs=1e-12)
 
 
-def test_bound_band_projector_structure(golden):
-    spec = ChainSpec(20, "closed", 0.5, 1.0)
-    result = bound_band_projector(spec)
-    census = golden("bound_census")
-    assert result.count == int(census["values"]["count_n20"][0].real)
+def _assert_projector_structure(spec: ChainSpec, result) -> None:
+    """A Hermitian idempotent of trace ``count`` that commutes with the Hamiltonian."""
     p = result.projector
     assert np.max(np.abs(p - p.conj().T)) < 1e-12
     assert np.max(np.abs(p @ p - p)) < 1e-12
     assert np.trace(p).real == pytest.approx(result.count, abs=1e-9)
     ham = build_hamiltonian(spec, "two_excitation")
     assert np.max(np.abs(p @ ham.matrix - ham.matrix @ p)) < 1e-9
+
+
+def test_bound_band_projector_structure(golden):
+    spec = ChainSpec(20, "closed", 0.5, 1.0)
+    result = bound_band_projector(spec)
+    census = golden("bound_census")
+    assert result.count == int(census["values"]["count_n20"][0].real)
+    _assert_projector_structure(spec, result)
+
+
+def test_bound_band_census_matches_the_ring_kernel_on_odd_and_even_rings():
+    # odd rings have no antipodal pair column; the ring kernel counts its bound modes by roots
+    for n in range(4, 31):
+        spec = ChainSpec(n, "closed", 0.5, 1.0)
+        result = bound_band_projector(spec)
+        assert result.count == RingTwoMagnon(spec).bound_count, n
+        if n == 21:
+            _assert_projector_structure(spec, result)
 
 
 def test_pair_ordering_contract():

@@ -19,7 +19,6 @@ from spinchain.protocols import (
     UnitaryQdpEngine,
     delta_fidelity_projective_row,
     fidelity_free_row,
-    fidelity_projective_row,
     grid_csv,
     grid_values,
     hk_propagators,
@@ -64,7 +63,7 @@ def test_measurement_map_preserves_total_weight():
     assert total == pytest.approx(1.0, abs=1e-12)
 
 
-def test_measurement_fidelities_match_dense_kraus_golden(golden):
+def test_measurement_fidelities_match_dense_kraus_golden(golden, fidelity_projective_row):
     record = golden("projective_n12")
     m, t0 = record["inputs"]["m"], record["inputs"]["t0"]
     sites = record["inputs"]["sites"]
@@ -77,7 +76,7 @@ def test_measurement_fidelities_match_dense_kraus_golden(golden):
             assert np.max(np.abs(got - want)) <= record["tolerance"]
 
 
-def test_fidelity_change_identity():
+def test_fidelity_change_identity(fidelity_projective_row):
     rng = np.random.default_rng(5)
     for _ in range(60):
         n = int(rng.integers(4, 28))
@@ -420,7 +419,7 @@ def test_grid_rejects_nan_values(bad, lo):
         grid_values([1], [np.array([0.5]), np.array([bad])], lo=lo)
 
 
-def test_sites_outside_the_chain_are_rejected():
+def test_sites_outside_the_chain_are_rejected(fidelity_projective_row):
     # the measured site picks an entry of a row over the chain; no index may wrap
     with pytest.raises(ValueError):
         delta_fidelity_projective_row(13, 2.0, 1.0, OPEN12)
@@ -435,7 +434,7 @@ def test_sites_outside_the_chain_are_rejected():
         hk_propagators(1, 2, 13, 2.0, 1.0, OPEN12)
 
 
-def test_time_ordering_validation():
+def test_time_ordering_validation(fidelity_projective_row):
     with pytest.raises(ValueError):
         fidelity_projective_row(2, 1.0, 2.0, OPEN12)
     with pytest.raises(ValueError):

@@ -8,9 +8,10 @@ process and writes its stdout to ``OUT_DIR/demos/<name>.txt``. Comparing two
 such directories with ``diff -r`` shows whether a change keeps the README's
 outputs and the demos' printout byte-identical.
 
-Run from the repository root:
+Run from the repository root (the script puts this checkout's ``src`` first
+on ``sys.path``):
 
-    PYTHONPATH=src python3 tools/readme_outputs.py OUT_DIR
+    python3 tools/readme_outputs.py OUT_DIR
 
 Exits 1 if any command or demo exits non-zero, after running them all.
 """
@@ -23,9 +24,11 @@ import shlex
 import subprocess
 import sys
 
-from spinchain.cli import main
-
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from spinchain.cli import main  # noqa: E402  (needs ROOT/src on sys.path)
+
 README = ROOT / "README.md"
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
