@@ -37,10 +37,10 @@ import numpy as np
 
 from . import __version__
 from .chain import CONVENTIONS, ChainSpec, InitialState, LocalGate, conventions_hash, reduced_phase
-from .green1 import HALF_INFINITE_MIN_N, reduced_profile
+from .green1 import HALF_INFINITE_MIN_N, free_propagator, reduced_profile
 from .harper import HarperSpec, kicked_amplitudes, qdp_readouts
 from .protocols import UnitaryQdpEngine, delta_fidelity_projective_row, fidelity_free_row, grid_csv
-from .protocols import fidelity_from_amplitudes, grid_values, hk_propagators, projective_rdm_row
+from .protocols import fidelity_from_amplitudes, grid_values, projective_rdm_row
 from . import oracle
 
 EXIT_OK = 0
@@ -480,6 +480,45 @@ def _record(report: dict, failures: list, name: str, worst: float, bound: float)
         failures.append(name)
 
 
+def _splitting_samples(n: int) -> list[tuple[complex, complex, complex]]:
+    """(h, k, g) of the splitting check's samples: 100 per boundary, drawn from default_rng(7).
+
+    Each sample draws a measured site m, a target l and times t0 <= t. h and
+    k are the full-phase survive and collapse amplitudes from site 1 to l
+    of a measurement at m, time t0, and g the free amplitude g(1 -> l; t).
+    h is the literal intermediate-site sum over y'' != m of
+    g(1 -> y''; t0) g(l -> y''; t - t0), not g - k, so h + k = g is a real
+    composition test. A boundary's rows come from three batched
+    ``free_propagator`` calls; oracle-check's chains are shorter than
+    HALF_INFINITE_MIN_N, so these are the rows of ``reduced_profile``.
+    """
+    rng = np.random.default_rng(7)
+    sites = np.arange(1, n + 1)
+    samples = []
+    for boundary in ("open", "closed"):
+        spec = ChainSpec(n, boundary, 0.5, 1.0)
+        draws = []
+        for _ in range(100):
+            m = int(rng.integers(1, n + 1))
+            l = int(rng.integers(1, n + 1))
+            t0 = float(rng.uniform(0.0, 3.0))
+            draws.append((m, l, t0, t0 + float(rng.uniform(0.0, 3.0))))
+        m, l, t0, t = (np.array(column) for column in zip(*draws))
+        scale, ones = 4.0 * spec.j, np.ones_like(m)
+        first = free_propagator(n, boundary, scale * t0, ones)
+        second = free_propagator(n, boundary, scale * (t - t0), l)  # = g(y'' -> l) by symmetry
+        free = free_propagator(n, boundary, scale * t, ones)
+        h_red = (first * second)[sites != m[:, np.newaxis]].reshape(len(m), n - 1).sum(axis=1)
+        for i, (m_i, l_i, _, t_i) in enumerate(draws):
+            # scalar products: the array forms can round differently in the last bit
+            phase = reduced_phase(spec, t_i)
+            k_red = first[i, m_i - 1] * second[i, m_i - 1]
+            samples.append(
+                (complex(phase * h_red[i]), complex(phase * k_red), phase * free[i, l_i - 1])
+            )
+    return samples
+
+
 def _run_oracle_check(args: argparse.Namespace) -> int:
     tol = _tolerance(args, 1e-9)
     n = args.n
@@ -489,20 +528,10 @@ def _run_oracle_check(args: argparse.Namespace) -> int:
     report: dict[str, dict] = {}
     failures = []
 
-    rng = np.random.default_rng(7)
-
     # Propagator splitting: survive + collapse amplitudes reassemble free motion.
     worst = 0.0
-    for boundary in ("open", "closed"):
-        spec = ChainSpec(n, boundary, 0.5, 1.0)
-        for _ in range(100):
-            m = int(rng.integers(1, n + 1))
-            l = int(rng.integers(1, n + 1))
-            t0 = float(rng.uniform(0.0, 3.0))
-            t = t0 + float(rng.uniform(0.0, 3.0))
-            h, k = hk_propagators(1, l, m, t, t0, spec)
-            g = reduced_phase(spec, t) * reduced_profile(1, t, spec)[l - 1]
-            worst = max(worst, abs(h + k - g))
+    for h, k, g in _splitting_samples(n):
+        worst = max(worst, abs(h + k - g))
     _record(report, failures, "splitting identity", worst, tol)
 
     # Measurement protocol against its two dense branches, each evolved exactly.
@@ -575,7 +604,8 @@ def _run_calibrate(args: argparse.Namespace) -> int:
         for boundary in ("open", "closed"):
             spec = ChainSpec(n, boundary, 0.5, 1.0)
             ham = oracle.build_hamiltonian(spec, "one_excitation")
-            seed = oracle.DenseState(np.eye(n, dtype=complex)[0], ham.basis)
+            seed = oracle.DenseState(np.zeros(n, dtype=complex), ham.basis)
+            seed.vector[0] = 1.0
             worst = 0.0
             for t in (0.7, 2.3, 5.0):
                 dense = oracle.evolve(seed, ham, t).vector

@@ -6,7 +6,9 @@ analytic modules and this one form two genuinely independent routes to the
 same numbers.
 
 A basis is its ``configs``, the sorted tuple of flipped sites of each basis
-state, with a config -> index map. The four sectors hold:
+state, with a config -> index map. Array code reads the same configs as the
+rows of one site table (``sites``), and ``lookup`` finds the index of every
+row of such a table at once. The four sectors hold:
 
 * "full", the 2^N space (N <= 12): bit s - 1 of an index is site s;
 * "one_excitation" (N <= 2016): one magnon at site 1, ..., N;
@@ -14,11 +16,11 @@ state, with a config -> index map. The four sectors hold:
 * "vacuum_one_two" (N <= 64): the vacuum, then the two sectors above.
 
 Each sector supports the Hamiltonian, evolution, site projectors, local gates
-and site RDMs, from one Hamiltonian rule and one site-m flip map. A gate
-refuses to move weight out of the basis (in vacuum_one_two: onto a third
-magnon); an RDM sees no coherence with a sector the basis lacks. Encoded
-states need the vacuum: the full space or vacuum_one_two. The bound-band
-projector lives on the two-excitation ring.
+and site RDMs, from one Hamiltonian rule and one site-m flip map, both array
+operations on the site table. A gate refuses to move weight out of the basis
+(in vacuum_one_two: onto a third magnon); an RDM sees no coherence with a
+sector the basis lacks. Encoded states need the vacuum: the full space or
+vacuum_one_two. The bound-band projector lives on the two-excitation ring.
 
 An unread projective measurement is its two pure branches p0|psi> and
 p1|psi>: evolution and the site RDM are linear in rho = sum of the branch
@@ -84,6 +86,42 @@ class SectorBasis:
         """Index of the config with sites i and j flipped."""
         return self.index[(i, j) if i < j else (j, i)]
 
+    @cached_property
+    def sites(self) -> np.ndarray:
+        """Row k holds the sites of config k, ascending after the zeros that pad it
+        to the longest config."""
+        lengths = np.fromiter(map(len, self.configs), np.intp, self.dim)
+        width = int(lengths.max(initial=0))
+        row = np.repeat(np.arange(self.dim), lengths)
+        ends = np.cumsum(lengths)
+        table = np.zeros((self.dim, width), dtype=np.intp)
+        # a config's last site goes to the last column
+        table[row, np.arange(len(row)) + width - ends[row]] = np.fromiter(
+            itertools.chain.from_iterable(self.configs), np.intp, len(row)
+        )
+        return table
+
+    def _keys(self, table: np.ndarray) -> np.ndarray:
+        """Each row of a ``sites``-style table read as the digits of one number, base n + 1."""
+        return table @ (self.n + 1) ** np.arange(table.shape[1] - 1, -1, -1)
+
+    @cached_property
+    def _sorted_keys(self) -> tuple[np.ndarray, np.ndarray]:
+        keys = self._keys(self.sites)
+        order = np.argsort(keys)
+        return keys[order], order
+
+    def lookup(self, table: np.ndarray) -> np.ndarray:
+        """Index of the config in each row of ``table``, or -1 where the basis lacks it.
+
+        Rows are laid out as in ``sites`` (ascending after zero padding) at
+        any width; the padding adds nothing to a row's key.
+        """
+        keys, order = self._sorted_keys
+        wanted = self._keys(table)
+        at = np.minimum(np.searchsorted(keys, wanted), self.dim - 1)
+        return np.where(keys[at] == wanted, order[at], -1)
+
 
 def make_basis(kind: Sector, n: int) -> SectorBasis:
     if kind not in _SECTORS:
@@ -132,31 +170,29 @@ def build_hamiltonian(spec: ChainSpec, sector: Sector) -> DenseHamiltonian:
     Each config starts at the reference energy -J * n_bonds. Per bond, it
     gains -4 J delta when both ends are flipped, and a -2 J hop to the config
     with the flip moved across the bond when one end is. Only the bonds of
-    the flipped sites are walked. The one-site ring's self-bond hops the
-    magnon onto itself.
+    the flipped sites are walked, all at once: each flipped site has a bond
+    to either side. The one-site ring's two bonds are self-bonds and the
+    two-site ring's two bonds join the same sites, so their hops count twice.
     """
     basis = make_basis(sector, spec.n)
-    ends: dict[int, list[int]] = {s: [] for s in range(1, spec.n + 1)}
-    closing = [(spec.n, 1)] if spec.boundary == "closed" else []
-    for a, b in [(i, i + 1) for i in range(1, spec.n)] + closing:
-        ends[a].append(b)
-        ends[b].append(a)
-    contact = -4.0 * spec.j * spec.delta
-    energies = np.empty(basis.dim)
-    rows, cols = [], []
-    for k, config in enumerate(basis.configs):
-        energy = spec.ground_energy
-        for s in config:
-            for o in ends[s]:
-                if o != s and o in config:
-                    if s < o:  # each contact bond once, from its lower end
-                        energy += contact
-                else:
-                    rows.append(basis.index[tuple(sorted(o if x == s else x for x in config))])
-                    cols.append(k)
-        energies[k] = energy
+    n, sites = spec.n, basis.sites
+    # [k, p, side]: the site across each bond of the p-th site of config k
+    across = sites[:, :, np.newaxis] + np.array([-1, 1])
+    if spec.boundary == "closed":
+        across = (across - 1) % n + 1
+    bond = (sites[:, :, np.newaxis] > 0) & (across >= 1) & (across <= n)
+    occupied = (across[..., np.newaxis] == sites[:, np.newaxis, np.newaxis, :]).any(axis=-1)
+    contact = bond & occupied & (across != sites[:, :, np.newaxis])
+    # each contact bond once, from its lower end, added one at a time
+    contacts = np.sum(contact & (sites[:, :, np.newaxis] < across), axis=(1, 2))
+    energies = np.full(basis.dim, spec.ground_energy)
+    for count in range(1, int(contacts.max(initial=0)) + 1):
+        np.add(energies, -4.0 * spec.j * spec.delta, out=energies, where=contacts >= count)
+    k, p, side = np.nonzero(bond & ~contact)
+    moved = sites[k]
+    moved[np.arange(len(k)), p] = across[k, p, side]
     matrix = np.zeros((basis.dim, basis.dim))
-    np.add.at(matrix, (np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)), -2.0 * spec.j)
+    np.add.at(matrix, (basis.lookup(np.sort(moved, axis=1)), k), -2.0 * spec.j)
     matrix[np.diag_indices(basis.dim)] += energies
     return DenseHamiltonian(matrix, basis)
 
@@ -174,12 +210,11 @@ def _flip_map(basis: SectorBasis, m: int) -> tuple[np.ndarray, np.ndarray]:
     lies outside the basis."""
     if not 1 <= m <= basis.n:
         raise ValueError(f"site {m} out of range 1..{basis.n}")
-    flipped = np.array([m in config for config in basis.configs], dtype=bool)
-    partner = np.array(
-        [basis.index.get(tuple(sorted(set(config) ^ {m})), -1) for config in basis.configs],
-        dtype=np.intp,
-    )
-    return flipped, partner
+    held = basis.sites == m
+    flipped = held.any(axis=1)
+    # m leaves the configs that hold it and joins, in a new first column, the others
+    toggled = np.column_stack((np.where(flipped, 0, m), np.where(held, 0, basis.sites)))
+    return flipped, basis.lookup(np.sort(toggled, axis=1))
 
 
 def apply_local(op: str | tuple[complex, complex], m: int, state: DenseState) -> DenseState:

@@ -23,10 +23,11 @@ feeds it two stepped blocks and reads its free runs through
 and ``_gate_state``, are formulas on reduced rows and on the pair matrix
 that ``UnitaryQdpEngine`` supplies.
 
-Phase bookkeeping: public amplitudes (``hk_propagators``, UnitaryState) carry
-full phases, so h + k reproduces the one-magnon propagator exactly. Fidelity
-formulas consume reduced amplitudes (the e^{-i*eps0*t} reference phase drops
-out of every physical combination).
+Phase bookkeeping: the gate's public amplitudes (UnitaryState) carry full
+phases. Fidelity formulas consume reduced amplitudes (the e^{-i*eps0*t}
+reference phase drops out of every physical combination). The survive row
+is read here as h = g - k; ``oracle-check`` composes it independently, as
+the literal sum over the intermediate sites y'' != m, and tests h + k = g.
 """
 from __future__ import annotations
 
@@ -136,28 +137,6 @@ def _check_measurement_times(t: float, t0: float) -> None:
             f"t = {t} precedes the measurement at t0 = {t0}; use the free forms "
             "for earlier times (at t = t0 the measurement has already occurred)"
         )
-
-
-def hk_propagators(
-    y: int, yp: int, m: int, t: float, t0: float, spec: ChainSpec
-) -> tuple[complex, complex]:
-    """Survive (h) and collapse (k) amplitudes of a measurement at site m, time t0.
-
-    Full phases, by the literal intermediate-site sum: h is accumulated as
-    sum_{y'' != m} g(y -> y''; t0) g(y'' -> yp; t - t0), not as g - k, so
-    the identity h + k = g(y -> yp; t) is a real composition test.
-    """
-    _check_measurement_times(t, t0)
-    if not 1 <= m <= spec.n:
-        raise ValueError(f"measured site m={m} out of range 1..{spec.n}")
-    first = reduced_profile(y, t0, spec)
-    second = reduced_profile(yp, t - t0, spec)  # = g(y'' -> yp) by symmetry
-    sites = np.arange(1, spec.n + 1)
-    keep = sites != m
-    h_red = np.sum(first[keep] * second[keep])
-    k_red = first[m - 1] * second[m - 1]
-    phase = reduced_phase(spec, t)
-    return complex(phase * h_red), complex(phase * k_red)
 
 
 def _reduced_gk_rows(m: int, t: float, t0: float, spec: ChainSpec) -> tuple[np.ndarray, np.ndarray]:

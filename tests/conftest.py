@@ -1,4 +1,4 @@
-"""Shared fixtures: golden-file access for the dual-route regression tests, test-side readouts."""
+"""Shared fixtures: golden-file access for the dual-route regression tests, test-side references."""
 
 from __future__ import annotations
 
@@ -7,8 +7,15 @@ import pathlib
 import numpy as np
 import pytest
 
+from spinchain.chain import reduced_phase
+from spinchain.green1 import reduced_profile
 from spinchain.oracle import decode_complex, load_golden
-from spinchain.protocols import _fidelity_row, _projective_parts, _reduced_gk_rows
+from spinchain.protocols import (
+    _check_measurement_times,
+    _fidelity_row,
+    _projective_parts,
+    _reduced_gk_rows,
+)
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
 
@@ -68,3 +75,30 @@ def fidelity_projective_row():
         return _fidelity_row(*_projective_parts(*_reduced_gk_rows(m, t, t0, spec)), initial)
 
     return _row
+
+
+@pytest.fixture(scope="session")
+def hk_propagators():
+    """Survive (h) and collapse (k) amplitudes of a measurement at site m, time t0.
+
+    Full phases, one sample at a time, by the literal intermediate-site sum:
+    h is accumulated as sum_{y'' != m} g(y -> y''; t0) g(y'' -> yp; t - t0),
+    not as g - k, so the identity h + k = g(y -> yp; t) is a real composition
+    test. The reference that ``oracle-check``'s batched splitting check is
+    held to.
+    """
+
+    def _hk(y: int, yp: int, m: int, t: float, t0: float, spec) -> tuple[complex, complex]:
+        _check_measurement_times(t, t0)
+        if not 1 <= m <= spec.n:
+            raise ValueError(f"measured site m={m} out of range 1..{spec.n}")
+        first = reduced_profile(y, t0, spec)
+        second = reduced_profile(yp, t - t0, spec)  # = g(y'' -> yp) by symmetry
+        sites = np.arange(1, spec.n + 1)
+        keep = sites != m
+        h_red = np.sum(first[keep] * second[keep])
+        k_red = first[m - 1] * second[m - 1]
+        phase = reduced_phase(spec, t)
+        return complex(phase * h_red), complex(phase * k_red)
+
+    return _hk

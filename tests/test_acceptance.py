@@ -33,7 +33,6 @@ from spinchain.protocols import (
     UnitaryQdpEngine,
     delta_fidelity_projective_row,
     fidelity_free_row,
-    hk_propagators,
 )
 
 from bessel_reference import reduced_hop_amplitudes
@@ -137,7 +136,7 @@ def test_criterion_05_matched_measurement_arrival_population_plateau():
         assert 0.05 <= gain <= 0.15, (l, gain)
 
 
-def test_criterion_06_measurement_splitting_identities(fidelity_projective_row):
+def test_criterion_06_measurement_splitting_identities(fidelity_projective_row, hk_propagators):
     rng = np.random.default_rng(20260814)
     worst_split, worst_trace, worst_delta = 0.0, 0.0, 0.0
     for i in range(1000):

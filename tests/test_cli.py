@@ -17,8 +17,9 @@ import sys
 import numpy as np
 import pytest
 
-from spinchain.chain import ChainSpec, InitialState, conventions_hash
-from spinchain.cli import main
+from spinchain.chain import ChainSpec, InitialState, conventions_hash, reduced_phase
+from spinchain.cli import _splitting_samples, main
+from spinchain.green1 import reduced_profile
 from spinchain.harper import HarperSpec, kicked_amplitudes
 from spinchain.protocols import fidelity_free_row, fidelity_from_amplitudes
 
@@ -529,6 +530,31 @@ def test_oracle_check_passes(tmp_path):
     for name in ("splitting identity", "measurement protocol vs dense evolution",
                  "gate protocol vs dense evolution"):
         assert report[name]["tolerance"] == 1e-9, name
+
+
+@pytest.mark.parametrize("n", [3, 12, 64])
+def test_splitting_check_is_the_one_sample_reference(tmp_path, hk_propagators, n):
+    # the check's own draws, one sample at a time, as the batched check makes them
+    rng = np.random.default_rng(7)
+    want, worst = [], 0.0
+    for boundary in ("open", "closed"):
+        spec = ChainSpec(n, boundary, 0.5, 1.0)
+        for _ in range(100):
+            m = int(rng.integers(1, n + 1))
+            l = int(rng.integers(1, n + 1))
+            t0 = float(rng.uniform(0.0, 3.0))
+            t = t0 + float(rng.uniform(0.0, 3.0))
+            h, k = hk_propagators(1, l, m, t, t0, spec)
+            g = reduced_phase(spec, t) * reduced_profile(1, t, spec)[l - 1]
+            want.append((h, k, g))
+            worst = max(worst, abs(h + k - g))
+    got = _splitting_samples(n)
+    assert len(got) == 200
+    for (h, k, g), (h_ref, k_ref, g_ref) in zip(got, want):
+        assert (h, k, g) == (h_ref, k_ref, g_ref)
+    out = tmp_path / "oracle.json"
+    assert main(["oracle-check", "--n", str(n), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["splitting identity"]["worst"] == worst
 
 
 @pytest.mark.parametrize("n", [2, 65, 600])

@@ -8,7 +8,8 @@ import pytest
 from spinchain import oracle
 from spinchain.bessel import MAX_ARG
 from spinchain.chain import ChainSpec, reduced_phase
-from spinchain.green1 import reduced_profile
+from spinchain.green1 import free_propagator, reduced_profile
+from spinchain.harper import HarperSpec, floquet_step, kick_phases
 
 from bessel_reference import bessel_j, reduced_hop_amplitudes
 
@@ -110,3 +111,22 @@ def test_refuses_arguments_past_the_bessel_domain(boundary):
     for t in (MAX_ARG, float("inf"), float("nan")):
         with pytest.raises(ValueError):
             reduced_profile(1, t, spec)
+
+
+@pytest.mark.parametrize("boundary", ["open", "closed"])
+@pytest.mark.parametrize("n", [1, 2, 12, 64, 101])
+def test_batched_rows_equal_the_single_rows(boundary, n):
+    rng = np.random.default_rng(n)
+    z = np.concatenate(([0.0, 0.0, 2.0, -2.0], rng.uniform(-60.0, 60.0, 12)))
+    sources = np.concatenate(([1, n, n, 1], rng.integers(1, n + 1, 12)))
+    rows = free_propagator(n, boundary, z, sources)
+    assert rows.shape == (len(z), n)
+    for row, z_r, source in zip(rows, z, sources):
+        assert np.array_equal(row, free_propagator(n, boundary, float(z_r), int(source)))
+
+
+@pytest.mark.parametrize("boundary", ["open", "closed"])
+def test_floquet_step_is_the_single_rows_as_columns(boundary):
+    spec = HarperSpec(12, 1.3, 0.7, boundary=boundary)
+    columns = [free_propagator(12, boundary, -2.0 * spec.tau, x) for x in range(1, 13)]
+    assert np.array_equal(floquet_step(spec), np.column_stack(columns) * kick_phases(spec))

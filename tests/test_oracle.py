@@ -13,6 +13,7 @@ from spinchain.chain import ChainSpec, conventions_hash
 from spinchain.green2 import RingTwoMagnon
 from spinchain.oracle import (
     DenseState,
+    _flip_map,
     apply_local,
     bloch_average,
     bound_band_projector,
@@ -74,6 +75,50 @@ def test_every_sector_is_the_full_space_restricted_to_its_configs(n, boundary, d
     ):
         rows = [sum(1 << (s - 1) for s in config) for config in configs]
         assert np.array_equal(build_hamiltonian(spec, sector).matrix, full[np.ix_(rows, rows)]), sector
+
+
+def _hamiltonian_reference(spec, sector):
+    """The sector Hamiltonian by a walk over every config and each bond of its flipped sites."""
+    basis = make_basis(sector, spec.n)
+    ends = {s: [] for s in range(1, spec.n + 1)}
+    closing = [(spec.n, 1)] if spec.boundary == "closed" else []
+    for a, b in [(i, i + 1) for i in range(1, spec.n)] + closing:
+        ends[a].append(b)
+        ends[b].append(a)
+    contact = -4.0 * spec.j * spec.delta
+    energies = np.empty(basis.dim)
+    rows, cols = [], []
+    for k, config in enumerate(basis.configs):
+        energy = spec.ground_energy
+        for s in config:
+            for o in ends[s]:
+                if o != s and o in config:
+                    if s < o:  # each contact bond once, from its lower end
+                        energy += contact
+                else:
+                    rows.append(basis.index[tuple(sorted(o if x == s else x for x in config))])
+                    cols.append(k)
+        energies[k] = energy
+    matrix = np.zeros((basis.dim, basis.dim))
+    np.add.at(matrix, (np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)), -2.0 * spec.j)
+    matrix[np.diag_indices(basis.dim)] += energies
+    return matrix
+
+
+@pytest.mark.parametrize("sector, sizes", [
+    ("full", (1, 2, 3, 8)),
+    ("one_excitation", (1, 2, 3, 40)),
+    ("two_excitation", (1, 2, 3, 4, 13)),
+    ("vacuum_one_two", (1, 2, 3, 13)),
+])
+@pytest.mark.parametrize("boundary", ["open", "closed"])
+def test_hamiltonian_equals_the_config_by_config_walk(sector, sizes, boundary):
+    # inexact J and delta, so energies summed in another order or as a product would differ
+    for n in sizes:
+        for j, delta in ((0.7, 1.0 / 3.0), (0.3, -1.7), (1.1, 0.1)):
+            spec = ChainSpec(n, boundary, j, delta)
+            want = _hamiltonian_reference(spec, sector)
+            assert np.array_equal(build_hamiltonian(spec, sector).matrix, want), (n, j, delta)
 
 
 def test_full_space_agrees_with_combined_sector():
@@ -139,6 +184,35 @@ def test_measurement_branches_resolve_identity():
     assert np.allclose(survive.vector + found.vector, state.vector, atol=1e-14)
     assert np.vdot(survive.vector, found.vector) == pytest.approx(0.0, abs=1e-14)
     assert survive.norm() ** 2 + found.norm() ** 2 == pytest.approx(1.0, abs=1e-12)
+
+
+def _flip_map_reference(basis, m):
+    """The site-m flip map, one config at a time through the config -> index map."""
+    flipped = np.array([m in config for config in basis.configs], dtype=bool)
+    partner = np.array(
+        [basis.index.get(tuple(sorted(set(config) ^ {m})), -1) for config in basis.configs],
+        dtype=np.intp,
+    )
+    return flipped, partner
+
+
+@pytest.mark.parametrize(
+    "sector, n",
+    [("full", 1), ("full", 2), ("full", 7), ("one_excitation", 1), ("one_excitation", 100),
+     ("two_excitation", 2), ("two_excitation", 9), ("vacuum_one_two", 1),
+     ("vacuum_one_two", 12)],
+)
+def test_flip_map_matches_the_config_by_config_map(sector, n):
+    basis = make_basis(sector, n)
+    for m in range(1, n + 1):
+        flipped, partner = _flip_map(basis, m)
+        want_flipped, want_partner = _flip_map_reference(basis, m)
+        assert np.array_equal(flipped, want_flipped), m
+        assert np.array_equal(partner, want_partner), m
+        assert partner.dtype == np.intp
+    for m in (0, n + 1):
+        with pytest.raises(ValueError, match="out of range"):
+            _flip_map(basis, m)
 
 
 @pytest.mark.parametrize("m", [0, 6])

@@ -21,7 +21,6 @@ from spinchain.protocols import (
     fidelity_free_row,
     grid_csv,
     grid_values,
-    hk_propagators,
     projective_rdm_row,
 )
 
@@ -30,7 +29,7 @@ CLOSED12 = ChainSpec(12, "closed", 0.5, 1.0)
 
 
 @pytest.mark.parametrize("boundary", ["open", "closed"])
-def test_split_propagator_rows_match_dense_golden(golden, boundary):
+def test_split_propagator_rows_match_dense_golden(golden, hk_propagators, boundary):
     record = golden("hk_n12")
     spec = ChainSpec(12, boundary, 0.5, 1.0)
     m, t0 = record["inputs"]["m"], record["inputs"]["t0"]
@@ -42,7 +41,7 @@ def test_split_propagator_rows_match_dense_golden(golden, boundary):
         assert np.max(np.abs(got_k - record["values"][f"{boundary}_k_t{t}"])) <= record["tolerance"]
 
 
-def test_survive_and_collapse_compose_to_free_propagator():
+def test_survive_and_collapse_compose_to_free_propagator(hk_propagators):
     rng = np.random.default_rng(3)
     for _ in range(60):
         n = int(rng.integers(4, 30))
@@ -55,7 +54,7 @@ def test_survive_and_collapse_compose_to_free_propagator():
         assert h + k == pytest.approx(free, abs=1e-12)
 
 
-def test_measurement_map_preserves_total_weight():
+def test_measurement_map_preserves_total_weight(hk_propagators):
     spec = ChainSpec(18, "open", 0.5, 1.0)
     m, t0, t = 7, 1.2, 3.9
     rows = [hk_propagators(1, yp, m, t, t0, spec) for yp in range(1, spec.n + 1)]
@@ -419,7 +418,7 @@ def test_grid_rejects_nan_values(bad, lo):
         grid_values([1], [np.array([0.5]), np.array([bad])], lo=lo)
 
 
-def test_sites_outside_the_chain_are_rejected(fidelity_projective_row):
+def test_sites_outside_the_chain_are_rejected(fidelity_projective_row, hk_propagators):
     # the measured site picks an entry of a row over the chain; no index may wrap
     with pytest.raises(ValueError):
         delta_fidelity_projective_row(13, 2.0, 1.0, OPEN12)
