@@ -9,9 +9,10 @@ once and streams one row of sites per time (before ``--t0``: the free row,
 or zeros for a difference) into ``protocols.grid_values``; the kicked-chain
 commands compute their rows a block of kicks at a time and stream the rows
 of each block.  ``grid_values`` refuses NaN and values outside [0, 1]
-([-1, 1] for differences and the detector) before any file is written, and
-the CSV and its sidecar are written both or neither.  ``--threads`` is still
-accepted but has no effect.
+([-1, 1] for differences and the detector) before any file is written.
+``protocols.grid_csv``'s chunks are written one by one into a temporary
+file, and the CSV and its sidecar are renamed into place both or neither.
+``--threads`` is still accepted but has no effect.
 
 ``main`` builds the argument parser on its first call and reuses it, unchanged,
 for every later call in the process.  A ``--config`` file's values become the
@@ -32,6 +33,7 @@ import math
 import os
 import pathlib
 import sys
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -261,27 +263,30 @@ def _subparser_for(parser: argparse.ArgumentParser, command: str) -> argparse.Ar
 # --------------------------------------------------------------------------
 
 
-def _write_outputs(args: argparse.Namespace, payload: bytes, meta: dict) -> None:
-    """Write the output and its sidecar, both or neither.
+def _write_outputs(args: argparse.Namespace, chunks: Iterable, meta: dict) -> None:
+    """Write the output, given as bytes-like chunks, and its sidecar, both or neither.
 
-    Each goes to a temporary file beside its name first, and only when both
-    are complete are they renamed onto their names. A rename within one
-    directory fails only onto a directory, so both names are checked for
-    that before the first rename. On any failure the temporary files are
-    removed and the old outputs stay as they were. A name that is a symlink
-    is written through, onto its target, as ``open`` writes it; a rename
-    would replace the link itself.
+    Each goes to a temporary file beside its name first, the output one chunk
+    at a time as ``chunks`` yields them, so that no more of its text than a
+    chunk need be held. Only when both are complete are they renamed onto
+    their names. A rename within one directory fails only onto a directory,
+    so both names are checked for that before the first rename. On any
+    failure, a chunk that cannot be made or written included, the temporary
+    files are removed and the old outputs stay as they were. A name that is
+    a symlink is written through, onto its target, as ``open`` writes it; a
+    rename would replace the link itself.
     """
     out = pathlib.Path(args.out)
     sidecar = out.with_name(out.name + ".meta.json")
     meta_text = (json.dumps(meta, sort_keys=True, indent=2) + "\n").encode()
-    files = [(pathlib.Path(os.path.realpath(path)) if path.is_symlink() else path, text)
-             for path, text in ((out, payload), (sidecar, meta_text))]
+    files = [(pathlib.Path(os.path.realpath(path)) if path.is_symlink() else path, parts)
+             for path, parts in ((out, chunks), (sidecar, (meta_text,)))]
     staged = []
     try:
-        for path, text in files:
+        for path, parts in files:
             staged.append(path.with_name(f".{path.name}.{os.getpid()}.tmp"))
-            staged[-1].write_bytes(text)
+            with open(staged[-1], "wb") as stream:
+                stream.writelines(parts)
         for path, _ in files:
             if path.is_dir():
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
@@ -370,7 +375,7 @@ def _initial(alpha2: float | None) -> InitialState | None:
 
 
 def _write_grid(args: argparse.Namespace, ls, ts, values: np.ndarray, grid_meta: dict) -> int:
-    """Write a ``grid_values`` grid as CSV, with ``grid_meta`` as the sidecar's grid block."""
+    """Stream a ``grid_values`` grid into the CSV, with ``grid_meta`` as the sidecar's grid block."""
     _write_outputs(args, grid_csv(ls, ts, values), _metadata(args, {"grid": grid_meta}))
     return EXIT_OK
 
@@ -379,7 +384,7 @@ def _run_fidelity(args: argparse.Namespace) -> int:
     spec, initial = _chain_spec(args), _initial(args.alpha2)
     ls, ts, grid_meta = _grid_axes(args)
     rows = (fidelity_free_row(t, spec, initial) for t in ts)
-    return _write_grid(args, ls, ts, grid_values(ls, rows), grid_meta)
+    return _write_grid(args, ls, ts, grid_values(ls, rows, len(ts)), grid_meta)
 
 
 def _run_qdp_diff(args: argparse.Namespace) -> int:
@@ -389,7 +394,7 @@ def _run_qdp_diff(args: argparse.Namespace) -> int:
     before = np.zeros(args.n)
     rows = (delta_fidelity_projective_row(args.site, t, args.t0, spec) if t >= args.t0 else before
             for t in ts)
-    return _write_grid(args, ls, ts, grid_values(ls, rows, lo=-1.0), grid_meta)
+    return _write_grid(args, ls, ts, grid_values(ls, rows, len(ts), lo=-1.0), grid_meta)
 
 
 def _run_unitary_qdp(args: argparse.Namespace) -> int:
@@ -402,10 +407,9 @@ def _run_unitary_qdp(args: argparse.Namespace) -> int:
     def row(t: float) -> np.ndarray:
         if t < gate.t0:
             return before if args.diff else fidelity_free_row(t, spec)
-        gated = engine.fidelity_row(t)
-        return gated - fidelity_free_row(t, spec) if args.diff else gated
+        return engine._change_row(t) if args.diff else engine.fidelity_row(t)
 
-    values = grid_values(ls, (row(t) for t in ts), lo=-1.0 if args.diff else 0.0)
+    values = grid_values(ls, (row(t) for t in ts), len(ts), lo=-1.0 if args.diff else 0.0)
     return _write_grid(args, ls, ts, values, grid_meta)
 
 
@@ -415,7 +419,7 @@ def _run_two_magnon_split(args: argparse.Namespace) -> int:
     engine = UnitaryQdpEngine(_chain_spec(args), gate)
     before = np.zeros(args.n)
     rows = (engine.split_row(t, args.part) if t >= gate.t0 else before for t in ts)
-    return _write_grid(args, ls, ts, grid_values(ls, rows), grid_meta)
+    return _write_grid(args, ls, ts, grid_values(ls, rows, len(ts)), grid_meta)
 
 
 def _harper_spec(args: argparse.Namespace) -> HarperSpec:
@@ -435,7 +439,7 @@ def _run_harper(args: argparse.Namespace) -> int:
     # one vector stepped once per kick, read out a block of kicks at a time
     blocks = kicked_amplitudes(spec, seed, kicks=args.kicks)
     rows = (fidelity_from_amplitudes(psi, initial) for (psi,) in blocks)
-    values = grid_values(ls, itertools.chain.from_iterable(rows))
+    values = grid_values(ls, itertools.chain.from_iterable(rows), len(ts))
     return _write_grid(args, ls, ts, values, {"l": [1, spec.n], "kicks": args.kicks, "dt": spec.tau})
 
 
@@ -453,7 +457,7 @@ def _run_detector(args: argparse.Namespace) -> int:
     # two rows are stepped once per kick, read out a block of kicks at a time
     readouts = qdp_readouts(spec, args.qdp_site, args.qdp_kick, initial, kicks=args.kicks)
     rows = itertools.chain.from_iterable(res.detector for res in readouts)
-    values = grid_values(ls, rows, lo=-1.0)
+    values = grid_values(ls, rows, len(ts), lo=-1.0)
     grid_meta = {"l": [1, spec.n], "kicks": [args.qdp_kick, args.kicks], "dt": spec.tau}
     return _write_grid(args, ls, ts, values, grid_meta)
 
@@ -581,7 +585,7 @@ def _run_oracle_check(args: argparse.Namespace) -> int:
         failures.append("paired-band census")
 
     meta = _metadata(args, {"report": report})
-    _write_outputs(args, (json.dumps(report, sort_keys=True, indent=2) + "\n").encode(), meta)
+    _write_outputs(args, ((json.dumps(report, sort_keys=True, indent=2) + "\n").encode(),), meta)
     if failures:
         raise CheckFailure(f"{len(failures)} oracle check(s) failed: {', '.join(failures)}")
     return EXIT_OK
@@ -614,7 +618,7 @@ def _run_calibrate(args: argparse.Namespace) -> int:
             _record(report, failures, f"one-magnon propagator ({boundary}, n={n})", worst, tol)
     print(f"conventions fingerprint: {conventions_hash()}")
     meta = _metadata(args, {"report": report})
-    _write_outputs(args, (json.dumps(report, sort_keys=True, indent=2) + "\n").encode(), meta)
+    _write_outputs(args, ((json.dumps(report, sort_keys=True, indent=2) + "\n").encode(),), meta)
     if failures:
         raise CheckFailure(f"calibration failed for: {', '.join(failures)}")
     return EXIT_OK

@@ -34,7 +34,7 @@ import math
 import pathlib
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Literal
+from typing import Literal
 
 import numpy as np
 
@@ -285,25 +285,6 @@ def transfer_fidelity(x: float, y: complex, alpha: complex, beta: complex) -> fl
         + abs(beta) ** 2 * x
         + 2.0 * np.real(alpha * np.conj(beta) * y)
     )
-
-
-def bloch_average(fidelity: Callable[[complex, complex], float]) -> float:
-    """Average a per-state fidelity over the Bloch sphere of (alpha, beta).
-
-    Exact for integrands that are polynomials of degree <= 4 in the state
-    amplitudes (every fidelity in this library is): 5-node Gauss-Legendre in
-    cos(theta) times an 8-node uniform rule in phi.
-    """
-    nodes, weights = np.polynomial.legendre.leggauss(5)
-    total = 0.0
-    for c, w in zip(nodes, weights):
-        alpha = math.sqrt((1.0 + c) / 2.0)
-        sin_half = math.sqrt((1.0 - c) / 2.0)
-        for k in range(8):
-            phi = 2.0 * math.pi * k / 8.0
-            beta = sin_half * complex(math.cos(phi), math.sin(phi))
-            total += (w / 2.0) * (1.0 / 8.0) * fidelity(alpha, beta)
-    return float(total)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ analytically over the Bloch sphere.
 Every readout is a row over all target sites at one time
 (``fidelity_free_row``, ``projective_rdm_row``,
 ``delta_fidelity_projective_row``, ``UnitaryQdpEngine.fidelity_row``), and
-``grid_values`` stacks one row per time into a checked grid. ``_rdm_row``
+``grid_values`` fills one checked grid with one row per time. ``_rdm_row``
 and ``_fidelity_row`` turn a site-weight row and a coherent-amplitude row
 into the checked RDM rows (x, y), y = <flipped|rho|unflipped>, and the
 fidelity row; both act elementwise, so the kicked chain hands them whole
@@ -31,6 +31,7 @@ the literal sum over the intermediate sites y'' != m, and tests h + k = g.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -301,6 +302,12 @@ class UnitaryQdpEngine:
         pairs = self._pair_matrix(t, "total")
         return _gate_fidelity_row(self.gate, *self._rows(t), pairs)
 
+    def _change_row(self, t: float) -> np.ndarray:
+        """``fidelity_row`` minus ``fidelity_free_row``, both read off one row g(1 -> l; t)."""
+        pairs = self._pair_matrix(t, "total")
+        g_t, g_tau = self._rows(t)
+        return _gate_fidelity_row(self.gate, g_t, g_tau, pairs) - fidelity_from_amplitudes(g_t)
+
     def split_row(self, t: float, part: Part) -> np.ndarray:
         """Two-magnon contribution of one propagator part to the averaged fidelity, every site.
 
@@ -407,15 +414,18 @@ def _format_e11(x: np.ndarray, out: np.ndarray) -> None:
         out[python] = _padded((f"{v:.11e}" for v in x[python].tolist()), _FIELD)
 
 
-def grid_csv(l_values, t_values, values: np.ndarray) -> bytearray:
-    """CSV rows l,t,value, time outer, 12 significant digits, as ASCII bytes.
+def grid_csv(l_values, t_values, values: np.ndarray) -> Iterator:
+    """CSV rows l,t,value, time outer, 12 significant digits, as ASCII byte chunks.
 
     Byte for byte the text of ``f"{l},{t:.11e},{value:.11e}"`` per cell,
-    built a few time columns (about ``_CHUNK_CELLS`` cells) at a time in one
-    padded uint8 row buffer: the ``l,`` and ``t,`` fields are formatted once
-    each, every value by ``_format_e11``, and the zero pad bytes are dropped
-    as each chunk is appended. The text is held once, in the returned
-    bytearray.
+    yielded as the header and then one uint8 array per few time columns
+    (about ``_CHUNK_CELLS`` cells), so that a writer never holds more than a
+    chunk of the text. Each chunk is formatted in one padded uint8 row
+    buffer: the ``l,`` and ``t,`` fields are formatted once each, every value
+    by ``_format_e11``, and the zero pad bytes are dropped. ``values`` is
+    read a time column block at a time; the (sites, times) transpose of a
+    C-ordered (times, sites) array, which ``grid_values`` returns, is read
+    without a copy.
     """
     values = np.asarray(values, dtype=float)
     sites = _padded(f"{l}," for l in l_values)
@@ -426,30 +436,36 @@ def grid_csv(l_values, t_values, values: np.ndarray) -> bytearray:
     rows = np.empty((min(step, len(times)), n_sites, value_at + _FIELD + 1), np.uint8)
     rows[:, :, :site_width] = sites
     rows[:, :, -1] = ord("\n")
-    text = bytearray(b"l,t,value\n")
+    yield b"l,t,value\n"
     for start in range(0, len(times), step):
         block = rows[: len(times) - start]
         block[:, :, site_width:value_at] = times[start : start + step, None]
         cells = block.reshape(-1, block.shape[-1])
         _format_e11(values[:, start : start + step].T.reshape(-1), cells[:, value_at:-1])
         flat = block.reshape(-1)
-        text += flat[flat != 0].data
-    return text
+        yield flat[flat != 0]
 
 
-def grid_values(l_values, rows, lo: float = 0.0) -> np.ndarray:
-    """Stack site rows, one per time and each over every site, into a checked grid.
+def grid_values(l_values, rows, count: int, lo: float = 0.0) -> np.ndarray:
+    """Fill a checked grid from ``count`` site rows, one per time and each over every site.
 
-    Picks the 1-based sites ``l_values`` out of every row and returns the
-    (len(l_values), times) array. Raises ValueError unless every value lies
-    in [lo, 1] to 1e-9; ``lo`` is -1 for differences and 0 for fidelities.
+    Picks the 1-based sites ``l_values`` out of every row into one
+    preallocated (times, sites) array and returns its (len(l_values), times)
+    transpose. Raises ValueError unless exactly ``count`` rows arrive and
+    every value lies in [lo, 1] to 1e-9; ``lo`` is -1 for differences and 0
+    for fidelities.
     """
     sites = np.asarray(l_values, dtype=np.int64) - 1
-    columns = [row[sites] for row in rows]
-    # the reshape keeps the (sites, 0) shape of a grid with no times
-    values = np.array(columns).reshape(len(columns), len(sites)).T
-    # written as "all inside" so that NaN, which compares False, fails too
-    if not np.all((values >= lo - 1e-9) & (values <= 1.0 + 1e-9)):
+    grid = np.empty((count, len(sites)))
+    filled = 0
+    for row in rows:
+        if filled == count:
+            raise ValueError(f"more than {count} grid rows")
+        grid[filled] = row[sites]
+        filled += 1
+    if filled != count:
+        raise ValueError(f"{filled} grid rows, expected {count}")
+    # NaN propagates through min and max, and then fails both comparisons
+    if not (grid.min(initial=np.inf) >= lo - 1e-9 and grid.max(initial=-np.inf) <= 1.0 + 1e-9):
         raise ValueError(f"grid values leave [{lo:g}, 1] or are NaN")
-    return values
-
+    return grid.T

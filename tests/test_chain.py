@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from bloch_reference import bloch_average
 from spinchain import protocols
 from spinchain.chain import (
     CONVENTIONS,
@@ -16,7 +17,6 @@ from spinchain.chain import (
     conventions_hash,
     reduced_phase,
 )
-from spinchain.oracle import bloch_average
 
 
 def test_ground_energy_counts_bonds_and_ignores_anisotropy():

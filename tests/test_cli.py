@@ -5,6 +5,7 @@ process boundary to check exit-code propagation of the installed module.
 """
 from __future__ import annotations
 
+import errno
 import importlib.util
 import itertools
 import json
@@ -492,6 +493,28 @@ def test_outputs_are_written_both_or_neither(tmp_path, capsys, earlier):
     (tmp_path / "d.csv").mkdir()
     assert main(args[:-1] + [str(tmp_path / "d.csv")]) == 4
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(before + ["d.csv"])
+
+
+def test_a_failure_between_chunks_leaves_the_earlier_outputs(tmp_path, monkeypatch, capsys):
+    # the CSV is streamed into its staged file; a write that fails part-way leaves no trace
+    from spinchain import cli
+
+    out = tmp_path / "x.csv"
+    args = ["fidelity", "--n", "6", "--tmax", "1", "--dt", "0.5", "--out", str(out)]
+    assert main(args) == 0
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    grid_csv = cli.grid_csv
+
+    def failing(*grid):
+        chunks = grid_csv(*grid)
+        yield next(chunks)
+        assert [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(cli, "grid_csv", failing)
+    assert main(args[:2] + ["7"] + args[3:]) == 4
+    assert "No space left on device" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 def test_outputs_replace_earlier_files_and_write_through_symlinks(tmp_path):

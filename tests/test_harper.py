@@ -15,6 +15,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from bloch_reference import bloch_average
 from csv_reference import grid_csv_reference
 from spinchain import harper
 from spinchain.bessel import MAX_ARG
@@ -30,7 +31,7 @@ from spinchain.harper import (
     qdp_readouts,
     spread_metric,
 )
-from spinchain.oracle import bloch_average, transfer_fidelity
+from spinchain.oracle import transfer_fidelity
 from spinchain.protocols import _projective_parts, _rdm_row, fidelity_from_amplitudes
 
 

@@ -9,13 +9,13 @@ import pathlib
 import numpy as np
 import pytest
 
+from bloch_reference import bloch_average
 from spinchain.chain import ChainSpec, conventions_hash
 from spinchain.green2 import RingTwoMagnon
 from spinchain.oracle import (
     DenseState,
     _flip_map,
     apply_local,
-    bloch_average,
     bound_band_projector,
     build_hamiltonian,
     decode_complex,

@@ -6,13 +6,16 @@ import itertools
 import math
 import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from bloch_reference import bloch_average
 from csv_reference import grid_csv_reference
 from spinchain import oracle
 from spinchain.chain import ChainSpec, InitialState, LocalGate, reduced_phase
+from spinchain.cli import _write_outputs
 from spinchain.green1 import reduced_profile
 from spinchain.protocols import (
     _CHUNK_CELLS,
@@ -136,7 +139,7 @@ def test_averaged_gate_row_matches_bloch_average_of_state_fidelities(channel_fid
             initial = InitialState(alpha, beta)
             return channel_fidelity(engine.state(t, initial), l, initial)
 
-        assert row[l - 1] == pytest.approx(oracle.bloch_average(fidelity), abs=1e-12)
+        assert row[l - 1] == pytest.approx(bloch_average(fidelity), abs=1e-12)
 
 
 def test_gate_state_matches_dense_evolution_on_random_rings():
@@ -261,8 +264,13 @@ def test_split_fidelity_parts_add_up_over_the_ring():
     )
 
 
+def _csv_text(l_values, t_values, values) -> str:
+    """``grid_csv``'s chunks joined into one text."""
+    return b"".join(grid_csv(l_values, t_values, values)).decode()
+
+
 def test_grid_csv_layout():
-    csv = grid_csv((1, 2), (0.0, 1.5), np.array([[0.5, 0.25], [1.0, 0.125]])).decode()
+    csv = _csv_text((1, 2), (0.0, 1.5), np.array([[0.5, 0.25], [1.0, 0.125]]))
     lines = csv.strip().split("\n")
     assert lines[0] == "l,t,value"
     assert lines[1].startswith("1,0.00000000000e+00,5.00000000000e-01")
@@ -309,9 +317,9 @@ def test_grid_csv_matches_the_per_cell_reference(sites, times):
     values = rng.uniform(-1.0, 1.0, size=(len(ls), len(times)))
     # plant every edge value along the flattened grid
     values.flat[: len(_EDGE_VALUES)] = _EDGE_VALUES[: values.size]
-    _assert_same_csv(grid_csv(ls, times, values).decode(), grid_csv_reference(ls, times, values))
+    _assert_same_csv(_csv_text(ls, times, values), grid_csv_reference(ls, times, values))
     if not times:
-        assert grid_csv(ls, times, values).decode() == "l,t,value\n"
+        assert _csv_text(ls, times, values) == "l,t,value\n"
 
 
 def _every_exponent():
@@ -378,7 +386,7 @@ def test_grid_csv_matches_the_reference_on_adversarial_values(make):
     values = make()
     values = np.concatenate([values, np.zeros(-len(values) % 7)]).reshape(7, -1)
     ls, times = list(range(1, 8)), _kicked_times(values.shape[1])
-    _assert_same_csv(grid_csv(ls, times, values).decode(), grid_csv_reference(ls, times, values))
+    _assert_same_csv(_csv_text(ls, times, values), grid_csv_reference(ls, times, values))
 
 
 @pytest.mark.parametrize("sites, times", [
@@ -392,22 +400,26 @@ def test_grid_csv_matches_the_reference_across_chunks(sites, times):
     values = rng.uniform(-1.0, 1.0, size=shape) * 10.0 ** rng.integers(-40, 5, size=shape)
     values.flat[: len(_EDGE_VALUES)] = _EDGE_VALUES
     ls, ts = list(range(1, sites + 1)), _rounded_times(times)
-    _assert_same_csv(grid_csv(ls, ts, values).decode(), grid_csv_reference(ls, ts, values))
+    _assert_same_csv(_csv_text(ls, ts, values), grid_csv_reference(ls, ts, values))
 
 
-def test_grid_csv_holds_its_text_once():
-    # 100 x 2001 cells, about 7.8 MB of text
+def test_grid_csv_streams_in_bounded_memory(tmp_path):
+    # 100 x 2001 cells, about 7.8 MB of text, from a grid laid out as grid_values returns it
     ls, times = list(range(1, 101)), _rounded_times(2001, tmin=0.0, dt=0.05)
-    values = np.random.default_rng(22).uniform(0.0, 1.0, size=(len(ls), len(times)))
-    grid_csv(ls[:1], times[:1], values[:1, :1])  # numpy's lazy set-up stays out of the trace
+    values = np.random.default_rng(22).uniform(0.0, 1.0, size=(len(times), len(ls))).T
+    args = SimpleNamespace(out=str(tmp_path / "x.csv"))
+    _write_outputs(args, grid_csv(ls[:1], times[:1], values[:1, :1]), {})  # numpy's lazy set-up
     tracemalloc.start()
     try:
-        text = grid_csv(ls, times, values)
+        _write_outputs(args, grid_csv(ls, times, values), {})
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(text) > 7_000_000
-    assert peak < 1.5 * len(text)
+    size = (tmp_path / "x.csv").stat().st_size
+    assert size > 7_000_000
+    # the text of a few chunks at most, however long the whole text grows
+    chunk = _CHUNK_CELLS * size / values.size
+    assert peak < values.nbytes + 4 * chunk
 
 
 @pytest.mark.parametrize(
@@ -415,7 +427,14 @@ def test_grid_csv_holds_its_text_once():
 )
 def test_grid_rejects_nan_values(bad, lo):
     with pytest.raises(ValueError):
-        grid_values([1], [np.array([0.5]), np.array([bad])], lo=lo)
+        grid_values([1], [np.array([0.5]), np.array([bad])], 2, lo=lo)
+
+
+@pytest.mark.parametrize("rows", [0, 1, 3], ids=["none", "fewer", "more"])
+def test_grid_refuses_a_row_count_other_than_count(rows):
+    with pytest.raises(ValueError, match="grid rows"):
+        grid_values([1, 2], (np.array([0.5, 0.25]) for _ in range(rows)), 2)
+    assert grid_values([2], [np.array([0.5, 0.25])] * 2, 2).tolist() == [[0.25, 0.25]]
 
 
 def test_sites_outside_the_chain_are_rejected(fidelity_projective_row, hk_propagators):
