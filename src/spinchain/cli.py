@@ -557,7 +557,7 @@ def _run_oracle_check(args: argparse.Namespace) -> int:
     # Gate protocol on the ring against dense evolution in the paired sector.
     spec = ChainSpec(n, "closed", 0.5, 1.0)
     ham = oracle.build_hamiltonian(spec, "vacuum_one_two")
-    y1, y2 = np.array(ham.basis.pairs).T - 1  # 0-based sites of each pair, in basis order
+    y1, y2 = ham.basis.pairs.T - 1  # 0-based sites of each pair, in basis order
     worst = 0.0
     for amplitudes in ((1 / math.sqrt(2), 1 / math.sqrt(2)), (0.0, 1.0)):
         gate = LocalGate(max(1, n // 3), 1.5, *amplitudes)

@@ -5,10 +5,9 @@ never from the analytic dispersion, Bessel, or Bethe formulas -- so that the
 analytic modules and this one form two genuinely independent routes to the
 same numbers.
 
-A basis is its ``configs``, the sorted tuple of flipped sites of each basis
-state, with a config -> index map. Array code reads the same configs as the
-rows of one site table (``sites``), and ``lookup`` finds the index of every
-row of such a table at once. The four sectors hold:
+A basis is one site table, ``sites``: row k holds the flipped sites of basis
+state k. ``lookup`` finds the index of every row of such a table at once, and
+it is the one config -> index path. The four sectors hold:
 
 * "full", the 2^N space (N <= 12): bit s - 1 of an index is site s;
 * "one_excitation" (N <= 2016): one magnon at site 1, ..., N;
@@ -29,16 +28,14 @@ projectors, so RDM entries are summed over the separately evolved branches.
 from __future__ import annotations
 
 import itertools
-import json
 import math
-import pathlib
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Literal
 
 import numpy as np
 
-from .chain import ChainSpec, conventions_hash
+from .chain import ChainSpec
 
 Sector = Literal["full", "one_excitation", "two_excitation", "vacuum_one_two"]
 
@@ -56,50 +53,33 @@ _SECTORS = {
 }
 
 
-def ordered_pairs(n: int) -> list[tuple[int, int]]:
-    """Basis labels of the two-excitation sector: (i, j) with 1 <= i < j <= n."""
-    return list(itertools.combinations(range(1, n + 1), 2))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SectorBasis:
-    """A sector basis: ``configs[k]`` is the sorted tuple of flipped sites of basis state k."""
+    """A sector basis: row k of ``sites`` holds the flipped sites of basis state k,
+    ascending after the zeros that pad it to the longest config."""
 
     kind: Sector
     n: int
-    configs: tuple[tuple[int, ...], ...]
+    sites: np.ndarray
 
     @property
     def dim(self) -> int:
-        return len(self.configs)
+        return len(self.sites)
 
     @cached_property
-    def index(self) -> dict[tuple[int, ...], int]:
-        return {config: k for k, config in enumerate(self.configs)}
-
-    @cached_property
-    def pairs(self) -> tuple[tuple[int, int], ...]:
-        """The two-magnon configs, in basis order."""
-        return tuple(config for config in self.configs if len(config) == 2)
+    def pairs(self) -> np.ndarray:
+        """The (P, 2) table of the two-magnon configs, in basis order."""
+        two = np.count_nonzero(self.sites, axis=1) == 2
+        return self.sites[two, -2:].reshape(-1, 2)
 
     def pair_index(self, i: int, j: int) -> int:
-        """Index of the config with sites i and j flipped."""
-        return self.index[(i, j) if i < j else (j, i)]
-
-    @cached_property
-    def sites(self) -> np.ndarray:
-        """Row k holds the sites of config k, ascending after the zeros that pad it
-        to the longest config."""
-        lengths = np.fromiter(map(len, self.configs), np.intp, self.dim)
-        width = int(lengths.max(initial=0))
-        row = np.repeat(np.arange(self.dim), lengths)
-        ends = np.cumsum(lengths)
-        table = np.zeros((self.dim, width), dtype=np.intp)
-        # a config's last site goes to the last column
-        table[row, np.arange(len(row)) + width - ends[row]] = np.fromiter(
-            itertools.chain.from_iterable(self.configs), np.intp, len(row)
-        )
-        return table
+        """Index of the config with sites i and j flipped; KeyError if the basis lacks it."""
+        lo, hi = sorted((i, j))
+        # a site 0 would read as padding: (0, j) is the one-magnon config (j,)
+        k = self.lookup(np.array([[lo, hi]]))[0] if 1 <= lo < hi <= self.n else -1
+        if k < 0:
+            raise KeyError((lo, hi))
+        return int(k)
 
     def _keys(self, table: np.ndarray) -> np.ndarray:
         """Each row of a ``sites``-style table read as the digits of one number, base n + 1."""
@@ -117,6 +97,8 @@ class SectorBasis:
         Rows are laid out as in ``sites`` (ascending after zero padding) at
         any width; the padding adds nothing to a row's key.
         """
+        if not self.dim:
+            return np.full(len(table), -1, dtype=np.intp)
         keys, order = self._sorted_keys
         wanted = self._keys(table)
         at = np.minimum(np.searchsorted(keys, wanted), self.dim - 1)
@@ -129,12 +111,18 @@ def make_basis(kind: Sector, n: int) -> SectorBasis:
     limit, counts = _SECTORS[kind]
     if n > limit:
         raise ValueError(f"{kind} sector limited to N <= {limit}, got {n}")
-    sites = range(1, n + 1)
-    if counts is None:  # the full space, indexed by its bits
-        configs = [tuple(s for s in sites if k >> (s - 1) & 1) for k in range(1 << n)]
+    if counts is None:  # the full space, indexed by its bits: bit s - 1 of k is site s
+        bits = np.arange(1 << n)[:, np.newaxis] >> np.arange(n) & 1
+        table = np.sort(bits * np.arange(1, n + 1), axis=1)
     else:
-        configs = [c for count in counts for c in itertools.combinations(sites, count)]
-    return SectorBasis(kind, n, tuple(configs))
+        width = max((count for count in counts if count <= n), default=0)
+        rows = [
+            (0,) * (width - count) + config
+            for count in counts
+            for config in itertools.combinations(range(1, n + 1), count)
+        ]
+        table = np.array(rows, dtype=np.intp).reshape(len(rows), width)
+    return SectorBasis(kind, n, table)
 
 
 @dataclass(frozen=True)
@@ -154,14 +142,10 @@ class DenseHamiltonian:
     def __init__(self, matrix: np.ndarray, basis: SectorBasis):
         self.matrix = matrix
         self.basis = basis
-        self._eig: tuple[np.ndarray, np.ndarray] | None = None
 
-    @property
+    @cached_property
     def eig(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._eig is None:
-            w, v = np.linalg.eigh(self.matrix)
-            self._eig = (w, v)
-        return self._eig
+        return np.linalg.eigh(self.matrix)
 
 
 def build_hamiltonian(spec: ChainSpec, sector: Sector) -> DenseHamiltonian:
@@ -253,11 +237,12 @@ def apply_local(op: str | tuple[complex, complex], m: int, state: DenseState) ->
 
 def encoded_state(alpha: complex, beta: complex, basis: SectorBasis) -> DenseState:
     """alpha |all up> + beta |magnon at site 1> in the requested basis."""
-    if () not in basis.index:
+    vacuum, magnon = basis.lookup(np.array([[0], [1]]))
+    if vacuum < 0:
         raise ValueError(f"encoded states need the vacuum in the basis, got {basis.kind}")
     vec = np.zeros(basis.dim, dtype=complex)
-    vec[basis.index[()]] = alpha
-    vec[basis.index[(1,)]] = beta
+    vec[vacuum] = alpha
+    vec[magnon] = beta
     return DenseState(vec, basis)
 
 
@@ -273,18 +258,6 @@ def rdm_site(state: DenseState, l: int) -> tuple[float, complex]:
     paired = flipped & (partner >= 0)
     x = float(np.sum(np.abs(vec[flipped]) ** 2))
     return x, complex(np.vdot(vec[partner[paired]], vec[paired]))
-
-
-def transfer_fidelity(x: float, y: complex, alpha: complex, beta: complex) -> float:
-    """Overlap of site RDM (x, y) with the target qubit state (alpha, beta).
-
-    F = |alpha|^2 (1 - x) + |beta|^2 x + 2 Re(alpha conj(beta) y).
-    """
-    return float(
-        abs(alpha) ** 2 * (1.0 - x)
-        + abs(beta) ** 2 * x
-        + 2.0 * np.real(alpha * np.conj(beta) * y)
-    )
 
 
 @dataclass(frozen=True)
@@ -309,7 +282,7 @@ def _momentum_columns(basis: SectorBasis) -> np.ndarray:
     """
     n = basis.n
     table = np.empty((n + 1, n + 1), dtype=np.intp)
-    first, second = np.array(basis.pairs).reshape(-1, 2).T
+    first, second = basis.pairs.T
     table[first, second] = table[second, first] = np.arange(basis.dim)
     p_tot = 2.0 * math.pi * np.arange(n) / n
     cols = np.zeros((basis.dim, n, n // 2), dtype=complex)
@@ -348,51 +321,3 @@ def bound_band_projector(spec: ChainSpec) -> BoundBandResult:
             bound.append(sector @ v[:, 0])
     levels = np.array(bound).reshape(-1, ham.basis.dim).T
     return BoundBandResult(projector=levels @ levels.conj().T, count=len(bound))
-
-
-# --------------------------------------------------------------------------
-# Golden-file helpers: JSON records {inputs, convention hash, values, tolerance}
-# --------------------------------------------------------------------------
-
-
-def _encode(value):
-    if isinstance(value, complex):
-        return [value.real, value.imag]
-    if isinstance(value, np.ndarray):
-        return [_encode(x) for x in value.tolist()]
-    if isinstance(value, (list, tuple)):
-        return [_encode(x) for x in value]
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    return value
-
-
-def save_golden(path: str | pathlib.Path, *, inputs: dict, values: dict, tolerance: float) -> None:
-    """Freeze oracle-derived values with their inputs and the convention fingerprint."""
-    record = {
-        "inputs": inputs,
-        "convention_hash": conventions_hash(),
-        "tolerance": tolerance,
-        "values": {k: _encode(v) for k, v in values.items()},
-    }
-    pathlib.Path(path).write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
-
-
-def load_golden(path: str | pathlib.Path) -> dict:
-    record = json.loads(pathlib.Path(path).read_text())
-    if record.get("convention_hash") != conventions_hash():
-        raise ValueError(
-            f"golden file {path} was frozen under convention hash "
-            f"{record.get('convention_hash')}, current is {conventions_hash()}; "
-            "regenerate with tools/regenerate_goldens.py"
-        )
-    return record
-
-
-def decode_complex(encoded):
-    """Turn [re, im] pairs (possibly nested) back into complex values."""
-    if isinstance(encoded, list):
-        if len(encoded) == 2 and all(isinstance(x, (int, float)) for x in encoded):
-            return complex(encoded[0], encoded[1])
-        return [decode_complex(x) for x in encoded]
-    return encoded

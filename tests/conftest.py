@@ -7,9 +7,9 @@ import pathlib
 import numpy as np
 import pytest
 
+from golden_io import decode_complex, load_golden
 from spinchain.chain import reduced_phase
 from spinchain.green1 import reduced_profile
-from spinchain.oracle import decode_complex, load_golden
 from spinchain.protocols import (
     _check_measurement_times,
     _fidelity_row,

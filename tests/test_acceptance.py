@@ -17,6 +17,7 @@ import time
 import numpy as np
 import pytest
 
+from golden_io import transfer_fidelity
 from spinchain import oracle
 from spinchain.chain import ChainSpec, InitialState, LocalGate, reduced_phase
 from spinchain.cli import main as cli_main
@@ -184,7 +185,7 @@ def test_criterion_07_gate_protocol_matches_dense_evolution(channel_fidelity):
         assert worst_two <= 1e-10
         for l in (1, 4, 8, 12):
             x, y = oracle.rdm_site(final, l)
-            dense_fid = oracle.transfer_fidelity(x, y, initial.alpha, initial.beta)
+            dense_fid = transfer_fidelity(x, y, initial.alpha, initial.beta)
             assert abs(channel_fidelity(state, l, initial) - dense_fid) <= 1e-10
     # a balanced gate at the source site before any motion pins the averaged
     # fidelity to one half plus the free interference term

@@ -1,0 +1,57 @@
+"""``src/`` holds only what a shipped path runs.
+
+A module-level public function or class of ``src/spinchain`` must be named
+somewhere a shipped path reads: elsewhere in ``src/`` (outside its own
+definition), or in ``demos/``, ``perfbench/`` or ``tools/``. The golden
+generator ``tools/regenerate_goldens.py`` only feeds the tests, so its names
+do not count, and neither do the tests'. A name only they reach belongs with
+them, outside ``src/``.
+"""
+
+from __future__ import annotations
+
+import ast
+import pathlib
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "spinchain"
+
+
+def _references(node: ast.AST) -> set[str]:
+    """Every variable, attribute and imported name that ``node`` mentions."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            names.add(sub.name)
+    return names
+
+
+def _shipped_paths() -> list[pathlib.Path]:
+    tools = [p for p in (ROOT / "tools").glob("*.py") if p.name != "regenerate_goldens.py"]
+    return [*SRC.glob("*.py"), *(ROOT / "demos").glob("*.py"), *(ROOT / "perfbench").glob("*.py"), *tools]
+
+
+def test_every_public_src_name_is_reached_by_a_shipped_path():
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in _shipped_paths()}
+    # per file, the names each top-level statement mentions
+    mentions = {path: [(stmt, _references(stmt)) for stmt in tree.body] for path, tree in trees.items()}
+    unreached = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in trees[path].body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if node.name.startswith("_"):
+                continue
+            reached = any(
+                node.name in names
+                for other, stmts in mentions.items()
+                for stmt, names in stmts
+                if stmt is not node
+            )
+            if not reached:
+                unreached.append(f"{path.stem}.{node.name}")
+    assert unreached == [], f"public names no shipped path reaches: {unreached}"

@@ -152,7 +152,7 @@ def test_ring_parts_match_dense_evolution_and_bound_projector(n):
     psi = _random_pairs(n, n)
     upper = np.triu_indices(n, 1)
     ham = oracle.build_hamiltonian(spec, "two_excitation")
-    assert list(ham.basis.pairs) == [(i + 1, j + 1) for i, j in zip(*upper)]
+    assert ham.basis.pairs.tolist() == [[i + 1, j + 1] for i, j in zip(*upper)]
     t = 2.3
     dense = oracle.evolve(oracle.DenseState(psi, ham.basis), ham, t).vector
     coeffs = ring.project(_matrix(psi, n))

@@ -17,6 +17,7 @@ import pytest
 
 from bloch_reference import bloch_average
 from csv_reference import grid_csv_reference
+from golden_io import transfer_fidelity
 from spinchain import harper
 from spinchain.bessel import MAX_ARG
 from spinchain.chain import ChainSpec, InitialState
@@ -31,7 +32,6 @@ from spinchain.harper import (
     qdp_readouts,
     spread_metric,
 )
-from spinchain.oracle import transfer_fidelity
 from spinchain.protocols import _projective_parts, _rdm_row, fidelity_from_amplitudes
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib.util
+import itertools
 import math
 import pathlib
 
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from bloch_reference import bloch_average
+from golden_io import decode_complex, load_golden, save_golden, transfer_fidelity
 from spinchain.chain import ChainSpec, conventions_hash
 from spinchain.green2 import RingTwoMagnon
 from spinchain.oracle import (
@@ -18,18 +20,36 @@ from spinchain.oracle import (
     apply_local,
     bound_band_projector,
     build_hamiltonian,
-    decode_complex,
     encoded_state,
     evolve,
-    load_golden,
     make_basis,
-    ordered_pairs,
     rdm_site,
-    save_golden,
-    transfer_fidelity,
 )
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def _enumerated(sector, n):
+    """The sector's configs (sorted flipped-site tuples) in basis order, with a config ->
+    index map: the bits of each index for the full space, itertools otherwise."""
+    sites = range(1, n + 1)
+    if sector == "full":
+        configs = [tuple(s for s in sites if k >> (s - 1) & 1) for k in range(1 << n)]
+    else:
+        counts = {"one_excitation": (1,), "two_excitation": (2,), "vacuum_one_two": (0, 1, 2)}
+        configs = [c for count in counts[sector] for c in itertools.combinations(sites, count)]
+    return configs, {config: k for k, config in enumerate(configs)}
+
+
+def _basis_configs(basis):
+    """The test-side configs of ``basis``, after checking that its site table lists them:
+    row k is config k, ascending after the zeros that pad it to the longest config."""
+    configs, index = _enumerated(basis.kind, basis.n)
+    width = max(map(len, configs), default=0)
+    table = np.array([(0,) * (width - len(c)) + c for c in configs], dtype=np.intp)
+    assert basis.sites.dtype == np.intp
+    assert np.array_equal(basis.sites, table.reshape(len(configs), width))
+    return configs, index
 
 
 def test_two_site_spectrum_by_hand():
@@ -67,7 +87,7 @@ def test_every_sector_is_the_full_space_restricted_to_its_configs(n, boundary, d
     spec = ChainSpec(n, boundary, 0.7, delta)
     full = build_hamiltonian(spec, "full").matrix
     ones = [(y,) for y in range(1, n + 1)]
-    pairs = ordered_pairs(n)
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
     for sector, configs in (
         ("one_excitation", ones),
         ("two_excitation", pairs),
@@ -80,6 +100,7 @@ def test_every_sector_is_the_full_space_restricted_to_its_configs(n, boundary, d
 def _hamiltonian_reference(spec, sector):
     """The sector Hamiltonian by a walk over every config and each bond of its flipped sites."""
     basis = make_basis(sector, spec.n)
+    configs, index = _basis_configs(basis)
     ends = {s: [] for s in range(1, spec.n + 1)}
     closing = [(spec.n, 1)] if spec.boundary == "closed" else []
     for a, b in [(i, i + 1) for i in range(1, spec.n)] + closing:
@@ -88,7 +109,7 @@ def _hamiltonian_reference(spec, sector):
     contact = -4.0 * spec.j * spec.delta
     energies = np.empty(basis.dim)
     rows, cols = [], []
-    for k, config in enumerate(basis.configs):
+    for k, config in enumerate(configs):
         energy = spec.ground_energy
         for s in config:
             for o in ends[s]:
@@ -96,7 +117,7 @@ def _hamiltonian_reference(spec, sector):
                     if s < o:  # each contact bond once, from its lower end
                         energy += contact
                 else:
-                    rows.append(basis.index[tuple(sorted(o if x == s else x for x in config))])
+                    rows.append(index[tuple(sorted(o if x == s else x for x in config))])
                     cols.append(k)
         energies[k] = energy
     matrix = np.zeros((basis.dim, basis.dim))
@@ -188,9 +209,10 @@ def test_measurement_branches_resolve_identity():
 
 def _flip_map_reference(basis, m):
     """The site-m flip map, one config at a time through the config -> index map."""
-    flipped = np.array([m in config for config in basis.configs], dtype=bool)
+    configs, index = _basis_configs(basis)
+    flipped = np.array([m in config for config in configs], dtype=bool)
     partner = np.array(
-        [basis.index.get(tuple(sorted(set(config) ^ {m})), -1) for config in basis.configs],
+        [index.get(tuple(sorted(set(config) ^ {m})), -1) for config in configs],
         dtype=np.intp,
     )
     return flipped, partner
@@ -274,9 +296,44 @@ def test_bound_band_census_matches_the_ring_kernel_on_odd_and_even_rings():
 
 def test_pair_ordering_contract():
     basis = make_basis("two_excitation", 5)
-    assert basis.pairs == tuple(ordered_pairs(5))
-    assert basis.pairs[0] == (1, 2)
-    assert basis.pair_index(2, 4) == basis.pairs.index((2, 4))
+    assert basis.pairs.tolist() == [list(p) for p in itertools.combinations(range(1, 6), 2)]
+    assert basis.pairs[0].tolist() == [1, 2]
+    assert basis.pair_index(2, 4) == basis.pairs.tolist().index([2, 4])
+
+
+@pytest.mark.parametrize("sector", ["full", "one_excitation", "two_excitation", "vacuum_one_two"])
+def test_every_basis_lists_the_enumerated_configs(sector):
+    for n in range(1, 9 if sector == "full" else 13):
+        basis = make_basis(sector, n)
+        configs, index = _basis_configs(basis)
+        assert basis.dim == len(configs)
+        pairs = [c for c in configs if len(c) == 2]
+        assert basis.pairs.tolist() == [list(p) for p in pairs], n
+        assert [basis.pair_index(*p) for p in pairs] == [index[p] for p in pairs], n
+
+
+def test_pair_index_refuses_pairs_outside_the_basis():
+    basis = make_basis("vacuum_one_two", 5)
+    # (0, 3) would read as the one-magnon config (3,), which the basis holds
+    for i, j in ((0, 3), (3, 0), (3, 3), (2, 6), (6, 7), (-1, 2)):
+        with pytest.raises(KeyError):
+            basis.pair_index(i, j)
+    assert basis.pair_index(4, 2) == basis.pair_index(2, 4)
+    with pytest.raises(KeyError):
+        make_basis("full", 5).pair_index(0, 3)
+    with pytest.raises(KeyError):  # no pairs at all
+        make_basis("one_excitation", 5).pair_index(1, 2)
+    empty = make_basis("two_excitation", 1)
+    assert empty.dim == 0 and empty.pairs.shape == (0, 2)
+    for i, j in ((1, 2), (1, 1), (0, 1)):
+        with pytest.raises(KeyError):
+            empty.pair_index(i, j)
+
+
+@pytest.mark.parametrize("sector, n", [("one_excitation", 4), ("two_excitation", 4), ("two_excitation", 1)])
+def test_encoded_states_need_the_vacuum(sector, n):
+    with pytest.raises(ValueError, match="need the vacuum"):
+        encoded_state(np.sqrt(0.5), np.sqrt(0.5), make_basis(sector, n))
 
 
 def test_golden_roundtrip_and_fingerprint_guard(tmp_path):
@@ -289,6 +346,33 @@ def test_golden_roundtrip_and_fingerprint_guard(tmp_path):
     path.write_text(text)
     with pytest.raises(ValueError):
         load_golden(path)
+
+
+def test_load_golden_refuses_another_convention_hash(tmp_path):
+    path = tmp_path / "sample.json"
+    save_golden(path, inputs={"n": 3}, values={"amps": np.array([1 + 2j, 0.5])}, tolerance=1e-9)
+    path.write_text(path.read_text().replace(conventions_hash(), "0123456789abcdef"))
+    hint = (
+        f"frozen under convention hash 0123456789abcdef, current is {conventions_hash()}; "
+        "regenerate with tools/regenerate_goldens.py"
+    )
+    with pytest.raises(ValueError, match=hint):
+        load_golden(path)
+
+
+def test_golden_codec_refuses_a_real_value_that_would_load_as_complex(tmp_path):
+    path = tmp_path / "sample.json"
+    # a complex value round-trips whatever its shape
+    values = {"amps": np.array([0.25 + 0j, 0.5]), "grid": np.full((3, 2), 1j), "scalar": 0.5 - 1j}
+    save_golden(path, inputs={}, values=values, tolerance=1e-9)
+    loaded = load_golden(path)["values"]
+    for key, value in values.items():
+        got = np.asarray(decode_complex(loaded[key]))
+        assert got.shape == np.shape(value) and np.array_equal(got, value), key
+    for value in (np.array([0.25, 0.5]), [0.25, 0.5], np.zeros((3, 2)), np.array([1, 2])):
+        with pytest.raises(ValueError, match="golden value 'pair' is real"):
+            save_golden(tmp_path / "refused.json", inputs={}, values={"ok": 1.0, "pair": value}, tolerance=1e-9)
+    assert not (tmp_path / "refused.json").exists()
 
 
 def test_dense_state_norm():

@@ -10,13 +10,15 @@ Run from the repository root:
 
     python3 tools/regenerate_goldens.py
 
-Files are rewritten in place; they embed the convention fingerprint and are
-refused by the loader if the conventions change.
+Files are rewritten in place through the record codec of
+``tests/golden_io.py``; they embed the convention fingerprint and are refused
+by the loader if the conventions change.
 """
 
 from __future__ import annotations
 
 import pathlib
+import sys
 
 import numpy as np
 
@@ -30,11 +32,12 @@ from spinchain.oracle import (
     evolve,
     make_basis,
     rdm_site,
-    save_golden,
-    transfer_fidelity,
 )
 
-GOLDEN_DIR = pathlib.Path(__file__).resolve().parent.parent / "tests" / "golden"
+TESTS_DIR = pathlib.Path(__file__).resolve().parent.parent / "tests"
+GOLDEN_DIR = TESTS_DIR / "golden"
+sys.path.insert(0, str(TESTS_DIR))
+from golden_io import save_golden, transfer_fidelity  # noqa: E402
 
 
 def _reduced(spec: ChainSpec, t: float, amplitudes: np.ndarray) -> np.ndarray:
