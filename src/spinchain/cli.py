@@ -6,12 +6,14 @@ sidecar ``<out>.meta.json`` echoing the resolved parameters, the convention
 fingerprint, and the relevant tolerances.  Outputs are byte-identical across
 re-runs.  Each grid command has its own runner, which builds its kernels
 once and streams one row of sites per time (before ``--t0``: the free row,
-or zeros for a difference) into ``protocols.grid_values``; the kicked-chain
+or zeros for a difference) into ``protocols.grid_csv``; the kicked-chain
 commands compute their rows a block of kicks at a time and stream the rows
-of each block.  ``grid_values`` refuses NaN and values outside [0, 1]
-([-1, 1] for differences and the detector) before any file is written.
-``protocols.grid_csv``'s chunks are written one by one into a temporary
-file, and the CSV and its sidecar are renamed into place both or neither.
+of each block.  ``grid_csv`` checks a few rows at a time (no NaN, values in
+[0, 1], or [-1, 1] for differences and the detector) and turns them into a
+chunk of text for the temporary CSV file, so no command holds its grid; the
+CSV and its sidecar are renamed into place both or neither.  The temporary
+file is opened before the first row is computed, so an unwritable ``--out``
+exits 4 even where a row would fail.
 ``--threads`` is still accepted but has no effect.
 
 ``main`` builds the argument parser on its first call and reuses it, unchanged,
@@ -42,7 +44,7 @@ from .chain import CONVENTIONS, ChainSpec, InitialState, LocalGate, conventions_
 from .green1 import HALF_INFINITE_MIN_N, free_propagator, reduced_profile
 from .harper import HarperSpec, kicked_amplitudes, qdp_readouts
 from .protocols import UnitaryQdpEngine, delta_fidelity_projective_row, fidelity_free_row, grid_csv
-from .protocols import fidelity_from_amplitudes, grid_values, projective_rdm_row
+from .protocols import fidelity_from_amplitudes, projective_rdm_row
 from . import oracle
 
 EXIT_OK = 0
@@ -374,9 +376,9 @@ def _initial(alpha2: float | None) -> InitialState | None:
 # --------------------------------------------------------------------------
 
 
-def _write_grid(args: argparse.Namespace, ls, ts, values: np.ndarray, grid_meta: dict) -> int:
-    """Stream a ``grid_values`` grid into the CSV, with ``grid_meta`` as the sidecar's grid block."""
-    _write_outputs(args, grid_csv(ls, ts, values), _metadata(args, {"grid": grid_meta}))
+def _write_grid(args: argparse.Namespace, ls, ts, rows, grid_meta: dict, lo: float = 0.0) -> int:
+    """Write ``grid_csv`` of ``rows`` as the CSV, with ``grid_meta`` as the sidecar's grid block."""
+    _write_outputs(args, grid_csv(ls, ts, rows, lo), _metadata(args, {"grid": grid_meta}))
     return EXIT_OK
 
 
@@ -384,7 +386,7 @@ def _run_fidelity(args: argparse.Namespace) -> int:
     spec, initial = _chain_spec(args), _initial(args.alpha2)
     ls, ts, grid_meta = _grid_axes(args)
     rows = (fidelity_free_row(t, spec, initial) for t in ts)
-    return _write_grid(args, ls, ts, grid_values(ls, rows, len(ts)), grid_meta)
+    return _write_grid(args, ls, ts, rows, grid_meta)
 
 
 def _run_qdp_diff(args: argparse.Namespace) -> int:
@@ -394,7 +396,7 @@ def _run_qdp_diff(args: argparse.Namespace) -> int:
     before = np.zeros(args.n)
     rows = (delta_fidelity_projective_row(args.site, t, args.t0, spec) if t >= args.t0 else before
             for t in ts)
-    return _write_grid(args, ls, ts, grid_values(ls, rows, len(ts), lo=-1.0), grid_meta)
+    return _write_grid(args, ls, ts, rows, grid_meta, lo=-1.0)
 
 
 def _run_unitary_qdp(args: argparse.Namespace) -> int:
@@ -409,8 +411,8 @@ def _run_unitary_qdp(args: argparse.Namespace) -> int:
             return before if args.diff else fidelity_free_row(t, spec)
         return engine._change_row(t) if args.diff else engine.fidelity_row(t)
 
-    values = grid_values(ls, (row(t) for t in ts), len(ts), lo=-1.0 if args.diff else 0.0)
-    return _write_grid(args, ls, ts, values, grid_meta)
+    lo = -1.0 if args.diff else 0.0
+    return _write_grid(args, ls, ts, (row(t) for t in ts), grid_meta, lo)
 
 
 def _run_two_magnon_split(args: argparse.Namespace) -> int:
@@ -419,7 +421,7 @@ def _run_two_magnon_split(args: argparse.Namespace) -> int:
     engine = UnitaryQdpEngine(_chain_spec(args), gate)
     before = np.zeros(args.n)
     rows = (engine.split_row(t, args.part) if t >= gate.t0 else before for t in ts)
-    return _write_grid(args, ls, ts, grid_values(ls, rows, len(ts)), grid_meta)
+    return _write_grid(args, ls, ts, rows, grid_meta)
 
 
 def _harper_spec(args: argparse.Namespace) -> HarperSpec:
@@ -439,12 +441,14 @@ def _run_harper(args: argparse.Namespace) -> int:
     # one vector stepped once per kick, read out a block of kicks at a time
     blocks = kicked_amplitudes(spec, seed, kicks=args.kicks)
     rows = (fidelity_from_amplitudes(psi, initial) for (psi,) in blocks)
-    values = grid_values(ls, itertools.chain.from_iterable(rows), len(ts))
-    return _write_grid(args, ls, ts, values, {"l": [1, spec.n], "kicks": args.kicks, "dt": spec.tau})
+    grid_meta = {"l": [1, spec.n], "kicks": args.kicks, "dt": spec.tau}
+    return _write_grid(args, ls, ts, itertools.chain.from_iterable(rows), grid_meta)
 
 
 def _run_detector(args: argparse.Namespace) -> int:
     spec = _harper_spec(args)
+    if not 1 <= args.qdp_site <= spec.n:
+        raise ValueError(f"need 1 <= qdp-site <= n, got qdp-site {args.qdp_site} on n={spec.n}")
     if not 0 <= args.qdp_kick <= args.kicks:
         raise ValueError("need 0 <= qdp-kick <= kicks")
     # every kick from 0 is stepped, not only the kicks read out
@@ -457,9 +461,8 @@ def _run_detector(args: argparse.Namespace) -> int:
     # two rows are stepped once per kick, read out a block of kicks at a time
     readouts = qdp_readouts(spec, args.qdp_site, args.qdp_kick, initial, kicks=args.kicks)
     rows = itertools.chain.from_iterable(res.detector for res in readouts)
-    values = grid_values(ls, rows, len(ts), lo=-1.0)
     grid_meta = {"l": [1, spec.n], "kicks": [args.qdp_kick, args.kicks], "dt": spec.tau}
-    return _write_grid(args, ls, ts, values, grid_meta)
+    return _write_grid(args, ls, ts, rows, grid_meta, lo=-1.0)
 
 
 # --------------------------------------------------------------------------

@@ -129,7 +129,7 @@ def kicked_amplitudes(
         yield blocks
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HarperQdpResult:
     """Per-site readout of a block of kicks after a site-m occupation measurement at kick n0.
 

@@ -125,7 +125,7 @@ def make_basis(kind: Sector, n: int) -> SectorBasis:
     return SectorBasis(kind, n, table)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DenseState:
     """Complex amplitude vector over a sector basis."""
 
@@ -260,7 +260,7 @@ def rdm_site(state: DenseState, l: int) -> tuple[float, complex]:
     return x, complex(np.vdot(vec[partner[paired]], vec[paired]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundBandResult:
     """Spectral split of the two-excitation sector into pair-bound and scattering states."""
 

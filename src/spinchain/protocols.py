@@ -10,7 +10,8 @@ analytically over the Bloch sphere.
 Every readout is a row over all target sites at one time
 (``fidelity_free_row``, ``projective_rdm_row``,
 ``delta_fidelity_projective_row``, ``UnitaryQdpEngine.fidelity_row``), and
-``grid_values`` fills one checked grid with one row per time. ``_rdm_row``
+``grid_csv`` streams one such row per time into checked CSV text, a few
+times at a time, without ever holding the whole grid. ``_rdm_row``
 and ``_fidelity_row`` turn a site-weight row and a coherent-amplitude row
 into the checked RDM rows (x, y), y = <flipped|rho|unflipped>, and the
 fidelity row; both act elementwise, so the kicked chain hands them whole
@@ -31,6 +32,7 @@ the literal sum over the intermediate sites y'' != m, and tests h + k = g.
 """
 from __future__ import annotations
 
+import itertools
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -178,7 +180,7 @@ def projective_rdm_row(
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UnitaryState:
     """Sector amplitudes (full phases) after a local gate at site m, time t0.
 
@@ -414,58 +416,48 @@ def _format_e11(x: np.ndarray, out: np.ndarray) -> None:
         out[python] = _padded((f"{v:.11e}" for v in x[python].tolist()), _FIELD)
 
 
-def grid_csv(l_values, t_values, values: np.ndarray) -> Iterator:
-    """CSV rows l,t,value, time outer, 12 significant digits, as ASCII byte chunks.
+def grid_csv(l_values, t_values, rows, lo: float = 0.0) -> Iterator:
+    """A grid's CSV rows l,t,value, time outer, 12 significant digits, as checked ASCII chunks.
 
-    Byte for byte the text of ``f"{l},{t:.11e},{value:.11e}"`` per cell,
-    yielded as the header and then one uint8 array per few time columns
-    (about ``_CHUNK_CELLS`` cells), so that a writer never holds more than a
-    chunk of the text. Each chunk is formatted in one padded uint8 row
-    buffer: the ``l,`` and ``t,`` fields are formatted once each, every value
-    by ``_format_e11``, and the zero pad bytes are dropped. ``values`` is
-    read a time column block at a time; the (sites, times) transpose of a
-    C-ordered (times, sites) array, which ``grid_values`` returns, is read
-    without a copy.
+    ``rows`` yields, per time, one row over every site; the 1-based
+    ``l_values`` are picked out of each into one reused buffer of a few
+    times (about ``_CHUNK_CELLS`` cells), so neither the grid nor more than
+    a chunk of its text is held. Before a chunk is yielded: ValueError
+    unless its values lie in [lo, 1] to 1e-9 (NaN fails; ``lo`` is -1 for
+    differences, 0 for fidelities), and unless exactly ``len(t_values)``
+    rows arrive. The text, byte for byte ``f"{l},{t:.11e},{value:.11e}"``
+    per cell, is formatted in one padded uint8 row buffer: the ``l,`` and
+    ``t,`` fields once each, every value by ``_format_e11``, and the zero
+    pad bytes dropped.
     """
-    values = np.asarray(values, dtype=float)
+    picks = np.asarray(l_values, dtype=np.int64) - 1
     sites = _padded(f"{l}," for l in l_values)
     times = _padded(f"{t:.11e}," for t in t_values)
-    (n_sites, site_width), time_width = sites.shape, times.shape[1]
+    (n_sites, site_width), (count, time_width) = sites.shape, times.shape
     value_at = site_width + time_width
     step = max(1, _CHUNK_CELLS // max(n_sites, 1))
-    rows = np.empty((min(step, len(times)), n_sites, value_at + _FIELD + 1), np.uint8)
-    rows[:, :, :site_width] = sites
-    rows[:, :, -1] = ord("\n")
+    values = np.empty((min(step, count), n_sites))
+    text = np.empty((len(values), n_sites, value_at + _FIELD + 1), np.uint8)
+    text[:, :, :site_width] = sites
+    text[:, :, -1] = ord("\n")
+    rows = iter(rows)
     yield b"l,t,value\n"
-    for start in range(0, len(times), step):
-        block = rows[: len(times) - start]
+    for start in range(0, count, step):
+        chunk = values[: count - start]
+        filled = 0
+        for row in itertools.islice(rows, len(chunk)):
+            chunk[filled] = row[picks]
+            filled += 1
+        if filled < len(chunk):
+            raise ValueError(f"{start + filled} grid rows, expected {count}")
+        # NaN propagates through min and max, and then fails both comparisons
+        if not (chunk.min(initial=np.inf) >= lo - 1e-9
+                and chunk.max(initial=-np.inf) <= 1.0 + 1e-9):
+            raise ValueError(f"grid values leave [{lo:g}, 1] or are NaN")
+        block = text[: len(chunk)]
         block[:, :, site_width:value_at] = times[start : start + step, None]
-        cells = block.reshape(-1, block.shape[-1])
-        _format_e11(values[:, start : start + step].T.reshape(-1), cells[:, value_at:-1])
+        _format_e11(chunk.reshape(-1), block.reshape(-1, block.shape[-1])[:, value_at:-1])
         flat = block.reshape(-1)
         yield flat[flat != 0]
-
-
-def grid_values(l_values, rows, count: int, lo: float = 0.0) -> np.ndarray:
-    """Fill a checked grid from ``count`` site rows, one per time and each over every site.
-
-    Picks the 1-based sites ``l_values`` out of every row into one
-    preallocated (times, sites) array and returns its (len(l_values), times)
-    transpose. Raises ValueError unless exactly ``count`` rows arrive and
-    every value lies in [lo, 1] to 1e-9; ``lo`` is -1 for differences and 0
-    for fidelities.
-    """
-    sites = np.asarray(l_values, dtype=np.int64) - 1
-    grid = np.empty((count, len(sites)))
-    filled = 0
-    for row in rows:
-        if filled == count:
-            raise ValueError(f"more than {count} grid rows")
-        grid[filled] = row[sites]
-        filled += 1
-    if filled != count:
-        raise ValueError(f"{filled} grid rows, expected {count}")
-    # NaN propagates through min and max, and then fails both comparisons
-    if not (grid.min(initial=np.inf) >= lo - 1e-9 and grid.max(initial=-np.inf) <= 1.0 + 1e-9):
-        raise ValueError(f"grid values leave [{lo:g}, 1] or are NaN")
-    return grid.T
+    if next(rows, None) is not None:
+        raise ValueError(f"more than {count} grid rows")

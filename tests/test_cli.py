@@ -517,6 +517,28 @@ def test_a_failure_between_chunks_leaves_the_earlier_outputs(tmp_path, monkeypat
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
+def test_a_row_failing_in_a_later_chunk_leaves_the_earlier_outputs(tmp_path, capsys):
+    # 3 001 rows on 4 sites, 2 048 to a chunk; 4*J*t first passes 10^5 at row 2 502, t = 50 020
+    out = tmp_path / "x.csv"
+    args = ["fidelity", "--n", "4", "--tmax", "60000", "--dt", "20", "--out", str(out)]
+    assert main(args[:4] + ["20000"] + args[5:]) == 0
+    capsys.readouterr()
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert main(args) == 2
+    assert "4*J*t must be <= 100000.0, got 100040.0" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    # the staged CSV is opened before the first row is computed, so an unwritable
+    # --out exits 4 before the failing row is reached
+    assert main(args[:-1] + [str(tmp_path / "no_such_dir" / "x.csv")]) == 4
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+@pytest.mark.parametrize("site", ["0", "101"])
+def test_detector_site_is_refused_before_any_file_is_opened(tmp_path, site):
+    out = str(tmp_path / "no_such_dir" / "x.csv")
+    assert main(["detector", "--qdp-site", site, "--kicks", "10", "--out", out]) == 2
+
+
 def test_outputs_replace_earlier_files_and_write_through_symlinks(tmp_path):
     target, link = tmp_path / "real.csv", tmp_path / "link.csv"
     link.symlink_to(target)

@@ -17,13 +17,16 @@ from spinchain import oracle
 from spinchain.chain import ChainSpec, InitialState, LocalGate, reduced_phase
 from spinchain.cli import _write_outputs
 from spinchain.green1 import reduced_profile
+from spinchain.harper import HarperQdpResult
 from spinchain.protocols import (
     _CHUNK_CELLS,
+    _FIELD,
     UnitaryQdpEngine,
+    UnitaryState,
+    _format_e11,
     delta_fidelity_projective_row,
     fidelity_free_row,
     grid_csv,
-    grid_values,
     projective_rdm_row,
 )
 
@@ -264,9 +267,19 @@ def test_split_fidelity_parts_add_up_over_the_ring():
     )
 
 
+def _site_rows(l_values, values: np.ndarray) -> np.ndarray:
+    """``values.T`` as rows over sites 1..max(l_values); the sites left out hold NaN.
+
+    ``grid_csv`` must never pick, or check, a site outside ``l_values``.
+    """
+    rows = np.full((values.shape[1], max(l_values)), np.nan)
+    rows[:, np.asarray(l_values) - 1] = values.T
+    return rows
+
+
 def _csv_text(l_values, t_values, values) -> str:
-    """``grid_csv``'s chunks joined into one text."""
-    return b"".join(grid_csv(l_values, t_values, values)).decode()
+    """``grid_csv``'s chunks, from the (sites, times) array ``values``, joined into one text."""
+    return b"".join(grid_csv(l_values, t_values, _site_rows(l_values, values), lo=-1.0)).decode()
 
 
 def test_grid_csv_layout():
@@ -383,10 +396,14 @@ def _near_ties():
     lambda: np.array([np.inf, -np.inf, 0.5, -np.inf]),
 ], ids=["every-exponent", "subnormals-zeros-ones", "carries", "decimal-ties", "near-ties", "inf"])
 def test_grid_csv_matches_the_reference_on_adversarial_values(make):
+    # grid_csv refuses values outside [-1, 1], so its value field, _format_e11, is held to
+    # the reference's f-string directly: into a buffer that held other text before
     values = make()
-    values = np.concatenate([values, np.zeros(-len(values) % 7)]).reshape(7, -1)
-    ls, times = list(range(1, 8)), _kicked_times(values.shape[1])
-    _assert_same_csv(_csv_text(ls, times, values), grid_csv_reference(ls, times, values))
+    out = np.zeros((len(values), _FIELD), np.uint8)
+    _format_e11(np.roll(values, 1), out)
+    _format_e11(values, out)
+    got = [row[row != 0].tobytes().decode() for row in out]  # grid_csv drops the pad bytes
+    _assert_same_csv("\n".join(got), "\n".join(f"{v:.11e}" for v in values.tolist()))
 
 
 @pytest.mark.parametrize("sites, times", [
@@ -397,44 +414,68 @@ def test_grid_csv_matches_the_reference_on_adversarial_values(make):
 def test_grid_csv_matches_the_reference_across_chunks(sites, times):
     rng = np.random.default_rng(sites * 31 + times)
     shape = (sites, times)
-    values = rng.uniform(-1.0, 1.0, size=shape) * 10.0 ** rng.integers(-40, 5, size=shape)
+    # 45 decades below 1: grid_csv refuses values outside [-1, 1]
+    values = rng.uniform(-1.0, 1.0, size=shape) * 10.0 ** (rng.integers(-40, 5, size=shape) - 4)
     values.flat[: len(_EDGE_VALUES)] = _EDGE_VALUES
     ls, ts = list(range(1, sites + 1)), _rounded_times(times)
     _assert_same_csv(_csv_text(ls, ts, values), grid_csv_reference(ls, ts, values))
 
 
 def test_grid_csv_streams_in_bounded_memory(tmp_path):
-    # 100 x 2001 cells, about 7.8 MB of text, from a grid laid out as grid_values returns it
+    # 100 x 2001 cells, about 7.8 MB of text and 1.6 MB of values, from a stream of rows
     ls, times = list(range(1, 101)), _rounded_times(2001, tmin=0.0, dt=0.05)
-    values = np.random.default_rng(22).uniform(0.0, 1.0, size=(len(times), len(ls))).T
+    rng = np.random.default_rng(22)
     args = SimpleNamespace(out=str(tmp_path / "x.csv"))
-    _write_outputs(args, grid_csv(ls[:1], times[:1], values[:1, :1]), {})  # numpy's lazy set-up
+    _write_outputs(args, grid_csv(ls[:1], times[:1], [np.ones(1)]), {})  # numpy's lazy set-up
     tracemalloc.start()
     try:
-        _write_outputs(args, grid_csv(ls, times, values), {})
+        _write_outputs(args, grid_csv(ls, times, (rng.uniform(size=len(ls)) for _ in times)), {})
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     size = (tmp_path / "x.csv").stat().st_size
     assert size > 7_000_000
-    # the text of a few chunks at most, however long the whole text grows
-    chunk = _CHUNK_CELLS * size / values.size
-    assert peak < values.nbytes + 4 * chunk
+    # a few chunks of text and one chunk of values at most, however large the grid grows
+    chunk = _CHUNK_CELLS * size / (len(ls) * len(times))
+    assert peak < 4 * chunk + 8 * _CHUNK_CELLS
 
 
 @pytest.mark.parametrize(
     "bad, lo", [(np.nan, 0.0), (1.5, 0.0), (-1.5, -1.0)], ids=["nan", "above-one", "below-lo"]
 )
 def test_grid_rejects_nan_values(bad, lo):
-    with pytest.raises(ValueError):
-        grid_values([1], [np.array([0.5]), np.array([bad])], 2, lo=lo)
+    # one site, so a chunk holds _CHUNK_CELLS times: the bad value in the first or second chunk
+    for at in (1, _CHUNK_CELLS + 5):
+        rows = [np.array([0.5])] * (2 * _CHUNK_CELLS + 1)
+        rows[at] = np.array([bad])
+        yielded = []
+        with pytest.raises(ValueError, match="grid values leave"):
+            yielded.extend(grid_csv([1], _kicked_times(len(rows)), rows, lo=lo))
+        # the header and the chunks before the bad one, and no later chunk
+        assert len(yielded) == 1 + at // _CHUNK_CELLS
 
 
 @pytest.mark.parametrize("rows", [0, 1, 3], ids=["none", "fewer", "more"])
 def test_grid_refuses_a_row_count_other_than_count(rows):
+    times = [0.0, 0.5]
     with pytest.raises(ValueError, match="grid rows"):
-        grid_values([1, 2], (np.array([0.5, 0.25]) for _ in range(rows)), 2)
-    assert grid_values([2], [np.array([0.5, 0.25])] * 2, 2).tolist() == [[0.25, 0.25]]
+        b"".join(grid_csv([1, 2], times, (np.array([0.5, 0.25]) for _ in range(rows))))
+    # site 2 of each row
+    text = b"".join(grid_csv([2], times, [np.array([0.5, 0.25])] * 2)).decode()
+    assert text == grid_csv_reference([2], times, np.full((1, 2), 0.25))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: oracle.DenseState(np.zeros(3, dtype=complex), oracle.make_basis("one_excitation", 3)),
+    lambda: oracle.BoundBandResult(np.eye(3), 1),
+    lambda: UnitaryState(1.0 + 0.0j, np.zeros(3, dtype=complex), np.zeros((3, 3), complex), 0.0),
+    lambda: HarperQdpResult(*[np.zeros((1, 3))] * 5, n=np.arange(1)),
+], ids=["DenseState", "BoundBandResult", "UnitaryState", "HarperQdpResult"])
+def test_array_records_compare_and_hash_by_identity(make):
+    # field-wise == over arrays would raise (ambiguous truth value), and so would hash()
+    first, second = make(), make()
+    assert first == first and first != second
+    assert hash(first) == hash(first) and len({first, second}) == 2
 
 
 def test_sites_outside_the_chain_are_rejected(fidelity_projective_row, hk_propagators):
