@@ -1,11 +1,11 @@
 """``src/`` holds only what a shipped path runs.
 
-A module-level public function or class of ``src/spinchain`` must be named
-somewhere a shipped path reads: elsewhere in ``src/`` (outside its own
-definition), or in ``demos/``, ``perfbench/`` or ``tools/``. The golden
-generator ``tools/regenerate_goldens.py`` only feeds the tests, so its names
-do not count, and neither do the tests'. A name only they reach belongs with
-them, outside ``src/``.
+A module-level function, class or constant of ``src/spinchain``, public or
+private (``_name``), must be named somewhere a shipped path reads: elsewhere
+in ``src/`` (outside its own definition), or in ``demos/``, ``perfbench/`` or
+``tools/``. The golden generator ``tools/regenerate_goldens.py`` only feeds
+the tests, so its names do not count, and neither do the tests'. A name only
+they reach belongs with them, outside ``src/``.
 """
 
 from __future__ import annotations
@@ -35,23 +35,42 @@ def _shipped_paths() -> list[pathlib.Path]:
     return [*SRC.glob("*.py"), *(ROOT / "demos").glob("*.py"), *(ROOT / "perfbench").glob("*.py"), *tools]
 
 
-def test_every_public_src_name_is_reached_by_a_shipped_path():
+def _defined(node: ast.stmt) -> list[str]:
+    """The module-level names a top-level statement defines: a function, class or constant."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
+def _unreached(private: bool) -> list[str]:
+    """``module.name`` of every public (or private) ``src/`` name no shipped path reaches."""
     trees = {path: ast.parse(path.read_text(), str(path)) for path in _shipped_paths()}
     # per file, the names each top-level statement mentions
     mentions = {path: [(stmt, _references(stmt)) for stmt in tree.body] for path, tree in trees.items()}
     unreached = []
     for path in sorted(SRC.glob("*.py")):
         for node in trees[path].body:
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                continue
-            if node.name.startswith("_"):
-                continue
-            reached = any(
-                node.name in names
-                for other, stmts in mentions.items()
-                for stmt, names in stmts
-                if stmt is not node
-            )
-            if not reached:
-                unreached.append(f"{path.stem}.{node.name}")
+            for name in _defined(node):
+                # dunders such as __version__ are the language's, not the module's
+                if name.startswith("__") or name.startswith("_") != private:
+                    continue
+                reached = any(
+                    name in names
+                    for stmts in mentions.values()
+                    for stmt, names in stmts
+                    if stmt is not node
+                )
+                if not reached:
+                    unreached.append(f"{path.stem}.{name}")
+    return unreached
+
+
+def test_every_public_src_name_is_reached_by_a_shipped_path():
+    unreached = _unreached(private=False)
     assert unreached == [], f"public names no shipped path reaches: {unreached}"
+
+
+def test_every_private_src_name_is_reached_by_a_shipped_path():
+    unreached = _unreached(private=True)
+    assert unreached == [], f"private names no shipped path reaches: {unreached}"

@@ -18,6 +18,7 @@ import pytest
 from bloch_reference import bloch_average
 from csv_reference import grid_csv_reference
 from golden_io import transfer_fidelity
+from kicked_reference import expm_hermitian, hopping_matrix
 from spinchain import harper
 from spinchain.bessel import MAX_ARG
 from spinchain.chain import ChainSpec, InitialState
@@ -33,11 +34,6 @@ from spinchain.harper import (
     spread_metric,
 )
 from spinchain.protocols import _projective_parts, _rdm_row, fidelity_from_amplitudes
-
-
-def _expm_hermitian(h: np.ndarray, scale: complex) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(h)
-    return (vecs * np.exp(scale * vals)) @ vecs.conj().T
 
 
 def _after_kicks(spec: HarperSpec, n_kicks: int, amplitude: complex = 1.0) -> np.ndarray:
@@ -69,7 +65,7 @@ def test_step_is_hop_exponential_times_kick_diagonal():
     # must agree with a brute-force matrix exponential of the hopping matrix
     for boundary in ("open", "closed"):
         spec = HarperSpec(n=9, g=1.3, tau=0.45, boundary=boundary)
-        hop = _expm_hermitian(hopping_matrix(spec), -1j * spec.tau)
+        hop = expm_hermitian(hopping_matrix(spec), -1j * spec.tau)
         expected = hop @ np.diag(kick_phases(spec))
         assert np.allclose(floquet_step(spec), expected, atol=1e-12)
 
@@ -120,18 +116,6 @@ def test_averaged_fidelity_matches_direct_sphere_quadrature():
             lambda a, b: float(fidelity_from_amplitudes(u, InitialState(a, b))[site - 1])
         )
         assert averaged[site - 1] == pytest.approx(direct, abs=1e-12)
-
-
-def hopping_matrix(spec: HarperSpec) -> np.ndarray:
-    """Dense reference of the hop: real symmetric nearest-neighbour matrix, +1 on each bond."""
-    t = np.zeros((spec.n, spec.n))
-    idx = np.arange(spec.n - 1)
-    t[idx, idx + 1] = 1.0
-    t[idx + 1, idx] = 1.0
-    if spec.boundary == "closed":
-        t[0, spec.n - 1] += 1.0
-        t[spec.n - 1, 0] += 1.0
-    return t
 
 
 def per_kick_vectors(spec: HarperSpec, kicks: int, *seeds: np.ndarray) -> list[tuple]:
@@ -189,7 +173,7 @@ class _FullSpaceOracle:
         v = spec.g * np.cos(2.0 * np.pi * j_sites * spec.eta / n)
         kick = np.exp(-1j * spec.tau * (v @ occ))
         self.occ = occ
-        self.step = _expm_hermitian(hop, -1j * spec.tau) * kick[np.newaxis, :]
+        self.step = expm_hermitian(hop, -1j * spec.tau) * kick[np.newaxis, :]
         self.n = n
 
     def measure_run(
@@ -307,7 +291,7 @@ def test_kicked_walk_converges_first_order_to_static_flow():
         static = hopping_matrix(spec) + np.diag(
             g * np.cos(2.0 * np.pi * j_sites * spec.eta / n_sites)
         )
-        exact = _expm_hermitian(static, -1j * total_time) @ seed
+        exact = expm_hermitian(static, -1j * total_time) @ seed
         kicked = _after_kicks(spec, steps)
         errors.append(np.linalg.norm(kicked - exact))
     assert 1.7 < errors[0] / errors[1] < 2.3
