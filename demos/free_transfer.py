@@ -10,7 +10,8 @@ from __future__ import annotations
 import numpy as np
 
 from spinchain.chain import ChainSpec
-from spinchain.protocols import fidelity_free_row
+from spinchain.green1 import reduced_profile
+from spinchain.protocols import fidelity_from_amplitudes
 
 
 def main() -> None:
@@ -19,7 +20,7 @@ def main() -> None:
     best = {l: (0.0, -1.0) for l in sites}
     for k in range(1, 601):
         t = 0.1 * k
-        row = fidelity_free_row(t, spec)
+        row = fidelity_from_amplitudes(reduced_profile(1, t, spec))
         for l in sites:
             if row[l - 1] > best[l][1]:
                 best[l] = (t, float(row[l - 1]))
@@ -30,7 +31,7 @@ def main() -> None:
         t_peak, f_peak = best[l]
         print(f"{l:>8} {t_peak:>10.1f} {l / 2:>8.1f} {f_peak:>8.4f}")
 
-    late = fidelity_free_row(200.0, spec)
+    late = fidelity_from_amplitudes(reduced_profile(1, 200.0, spec))
     print("\nAt t = 200 the fidelity has relaxed to the 1/2 plateau:")
     print(f"  max |F - 1/2| over sites 1..20: {np.max(np.abs(late[:20] - 0.5)):.2e}")
 

@@ -14,7 +14,8 @@ from __future__ import annotations
 import numpy as np
 
 from spinchain.chain import ChainSpec, LocalGate
-from spinchain.protocols import UnitaryQdpEngine, fidelity_free_row
+from spinchain.green1 import reduced_profile
+from spinchain.protocols import UnitaryQdpEngine, fidelity_from_amplitudes
 
 
 def main() -> None:
@@ -25,7 +26,7 @@ def main() -> None:
     engine = UnitaryQdpEngine(ring, gate)
     for k in range(1, 19):
         t = 7.5 + 0.25 * k
-        free = fidelity_free_row(t, ring)
+        free = fidelity_from_amplitudes(reduced_profile(1, t, ring))
         gated = engine.fidelity_row(t)
         gain = (gated - free) / free
         idx = int(np.argmax(gain))

@@ -12,25 +12,28 @@ from __future__ import annotations
 import numpy as np
 
 from spinchain.chain import InitialState
-from spinchain.harper import HarperSpec, kicked_amplitudes, qdp_readouts, spread_metric
+from spinchain.harper import HarperSpec, KickedChain, spread_metric
+from spinchain.protocols import measured, occupation_change
+
+
+def detector_rows(spec: HarperSpec, initial: InitialState, kicks):
+    """The detector row after each of ``kicks``, for a site-1 measurement after 5 kicks."""
+    blocks = occupation_change(measured(KickedChain(spec), 1, 5, kicks), initial)
+    return (row for block in blocks for row in block)
 
 
 def first_passage(tau: float, threshold: float = 1e-3) -> int:
-    spec = HarperSpec(n=100, g=1.0, tau=tau)
-    # blocks of kicks 5..600; the first kick read is 6
-    for result in qdp_readouts(spec, 1, 5, InitialState(0.0, 1.0), kicks=600):
-        passed = result.n[(result.n > 5) & (np.abs(result.detector[:, -1]) > threshold)]
-        if passed.size:
-            return int(passed[0])
+    kicks = range(6, 601)
+    rows = detector_rows(HarperSpec(n=100, g=1.0, tau=tau), InitialState(0.0, 1.0), kicks)
+    for kick, row in zip(kicks, rows):
+        if abs(row[-1]) > threshold:
+            return kick
     raise RuntimeError("no passage within 600 kicks")
 
 
 def occupation_after(spec: HarperSpec, kicks: int) -> np.ndarray:
     """Site occupations of a particle released at site 1, after ``kicks`` periods."""
-    seed = np.zeros(spec.n, dtype=complex)
-    seed[0] = 1.0
-    for (block,) in kicked_amplitudes(spec, seed, kicks=kicks):
-        pass
+    (block,) = KickedChain(spec).rows(1, [kicks])
     return np.abs(block[-1]) ** 2
 
 
@@ -45,10 +48,9 @@ def main() -> None:
         n = first_passage(tau)
         print(f"  tau = {tau:.1f}: far-end signal |f_100| > 1e-3 first reached at kick {n}")
 
-    spec = HarperSpec(n=100, g=1.0, tau=0.1)
-    for result in qdp_readouts(spec, 1, 5, InitialState(np.sqrt(0.5), np.sqrt(0.5)), kicks=50):
-        pass
-    total = np.sum(result.detector[-1])
+    balanced = InitialState(np.sqrt(0.5), np.sqrt(0.5))
+    (row,) = detector_rows(HarperSpec(n=100, g=1.0, tau=0.1), balanced, [50])
+    total = np.sum(row)
     print(f"\nDetector profile sums to zero by construction: sum = {total:+.1e}")
 
 

@@ -19,36 +19,31 @@ from __future__ import annotations
 import numpy as np
 
 from spinchain.chain import ChainSpec
-from spinchain.green1 import reduced_profile
-from spinchain.protocols import delta_fidelity_projective_row
+from spinchain.protocols import SpinChain, _projective_parts, fidelity_change, measured
 
 
 def main() -> None:
-    spec = ChainSpec(100, "open", 0.5, 1.0)
+    chain = SpinChain(ChainSpec(100, "open", 0.5, 1.0))
     print("Extremes of the averaged fidelity change caused by one measurement:")
     for label, m, t0 in (
         ("probe source at t0 -> 0+", 1, 0.0),
         ("probe site 20 at t0 = 10", 20, 10.0),
         ("probe source at t0 = 10 ", 1, 10.0),
     ):
-        worst = 0.0
-        for k in range(1, 1201):
-            row = delta_fidelity_projective_row(m, t0 + 0.05 * k, t0, spec)
-            worst = max(worst, float(np.max(np.abs(row))))
+        times = [t0 + 0.05 * k for k in range(1, 1201)]
+        blocks = fidelity_change(measured(chain, m, t0, times))
+        worst = max(float(np.max(np.abs(block))) for block in blocks)
         print(f"  {label}: max |dF| = {worst:.4f}")
 
     print("\nMatched probe (m = l, t0 = l/2), flipped-spin input:")
     print(f"{'target l':>9} {'free peak pop.':>15} {'measured peak pop.':>19} {'gain':>7}")
     for l in range(40, 101, 10):
         m, t0 = l, l / 2.0
-        source_at_probe = complex(reduced_profile(1, t0, spec)[m - 1])
         best_free, best_meas = 0.0, 0.0
-        for k in range(1, 1201):
-            t = t0 + 0.05 * k
-            g_l = reduced_profile(1, t, spec)[l - 1]
-            k_l = source_at_probe * reduced_profile(m, t - t0, spec)[l - 1]
-            best_free = max(best_free, abs(g_l) ** 2)
-            best_meas = max(best_meas, abs(g_l - k_l) ** 2 + abs(k_l) ** 2)
+        for g, k in measured(chain, m, t0, [t0 + 0.05 * k for k in range(1, 1201)]):
+            weight, _ = _projective_parts(g[:, l - 1], k[:, l - 1])
+            best_free = max(best_free, float(np.max(np.abs(g[:, l - 1]) ** 2)))
+            best_meas = max(best_meas, float(np.max(weight)))
         print(f"{l:>9} {best_free:>15.4f} {best_meas:>19.4f} {best_meas - best_free:>7.4f}")
 
 

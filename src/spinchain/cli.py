@@ -4,16 +4,17 @@ Every grid subcommand writes two files: the CSV named by ``--out`` (header
 ``l,t,value``, time as the outer loop, 12 significant digits) and a metadata
 sidecar ``<out>.meta.json`` echoing the resolved parameters, the convention
 fingerprint, and the relevant tolerances.  Outputs are byte-identical across
-re-runs.  Each grid command has its own runner, which builds its kernels
-once and streams one row of sites per time (before ``--t0``: the free row,
-or zeros for a difference) into ``protocols.grid_csv``; the kicked-chain
-commands compute their rows a block of kicks at a time and stream the rows
-of each block.  ``grid_csv`` checks a few rows at a time (no NaN, values in
-[0, 1], or [-1, 1] for differences and the detector) and turns them into a
-chunk of text for the temporary CSV file, so no command holds its grid; the
-CSV and its sidecar are renamed into place both or neither.  The temporary
-file is opened before the first row is computed, so an unwritable ``--out``
-exits 4 even where a row would fail.
+re-runs.  Each grid command has its own runner of four steps: the axes,
+a dynamics (``protocols.SpinChain``, ``harper.KickedChain``, or the gate's
+``protocols.UnitaryQdpEngine``, whose rows are stacked per block), a readout
+over its row blocks (before ``--t0``: the free rows, or zeros for a
+difference), and ``protocols.grid_csv``.  Every stream yields blocks of
+max(1, 8192 // N) times; ``grid_csv`` checks each block as it arrives (no
+NaN, values in [0, 1], or [-1, 1] for differences and the detector) and
+turns it into a chunk of text for the temporary CSV file, so no command
+holds its grid; the CSV and its sidecar are renamed into place both or
+neither.  The temporary file is opened before the first row is computed,
+so an unwritable ``--out`` exits 4 even where a row would fail.
 ``--threads`` is still accepted but has no effect.
 
 ``main`` builds the argument parser on its first call and reuses it, unchanged,
@@ -26,6 +27,7 @@ check failed, 4 output could not be written.
 from __future__ import annotations
 
 import argparse
+import bisect
 import cmath
 import errno
 import functools
@@ -42,9 +44,9 @@ import numpy as np
 from . import __version__
 from .chain import CONVENTIONS, ChainSpec, InitialState, LocalGate, conventions_hash, reduced_phase
 from .green1 import HALF_INFINITE_MIN_N, free_propagator, reduced_profile
-from .harper import HarperSpec, kicked_amplitudes, qdp_readouts
-from .protocols import UnitaryQdpEngine, delta_fidelity_projective_row, fidelity_free_row, grid_csv
-from .protocols import fidelity_from_amplitudes, projective_rdm_row
+from .harper import HarperSpec, KickedChain
+from .protocols import SpinChain, UnitaryQdpEngine, _projective_parts, _rdm_row, fidelity_change
+from .protocols import fidelity_from_amplitudes, grid_csv, measured, occupation_change, row_blocks
 from . import oracle
 
 EXIT_OK = 0
@@ -376,27 +378,30 @@ def _initial(alpha2: float | None) -> InitialState | None:
 # --------------------------------------------------------------------------
 
 
-def _write_grid(args: argparse.Namespace, ls, ts, rows, grid_meta: dict, lo: float = 0.0) -> int:
-    """Write ``grid_csv`` of ``rows`` as the CSV, with ``grid_meta`` as the sidecar's grid block."""
-    _write_outputs(args, grid_csv(ls, ts, rows, lo), _metadata(args, {"grid": grid_meta}))
+def _write_grid(args: argparse.Namespace, ls, ts, blocks, grid_meta: dict, lo: float = 0.0) -> int:
+    """Write ``grid_csv`` of ``blocks`` as the CSV, with ``grid_meta`` as the sidecar's grid block."""
+    _write_outputs(args, grid_csv(ls, ts, blocks, lo), _metadata(args, {"grid": grid_meta}))
     return EXIT_OK
 
 
 def _run_fidelity(args: argparse.Namespace) -> int:
     spec, initial = _chain_spec(args), _initial(args.alpha2)
     ls, ts, grid_meta = _grid_axes(args)
-    rows = (fidelity_free_row(t, spec, initial) for t in ts)
-    return _write_grid(args, ls, ts, rows, grid_meta)
+    blocks = (fidelity_from_amplitudes(u, initial) for u in SpinChain(spec).rows(1, ts))
+    return _write_grid(args, ls, ts, blocks, grid_meta)
 
 
 def _run_qdp_diff(args: argparse.Namespace) -> int:
+    """The measurement's fidelity change: zero before --t0, then the measured stream's."""
     spec = _chain_spec(args)
     _site_and_t0(args)
     ls, ts, grid_meta = _grid_axes(args)
-    before = np.zeros(args.n)
-    rows = (delta_fidelity_projective_row(args.site, t, args.t0, spec) if t >= args.t0 else before
-            for t in ts)
-    return _write_grid(args, ls, ts, rows, grid_meta, lo=-1.0)
+    cut, zeros = bisect.bisect_left(ts, args.t0), np.zeros(args.n)
+    blocks = itertools.chain(
+        row_blocks(lambda t: zeros, ts[:cut], args.n),
+        fidelity_change(measured(SpinChain(spec), args.site, args.t0, ts[cut:])),
+    )
+    return _write_grid(args, ls, ts, blocks, grid_meta, lo=-1.0)
 
 
 def _run_unitary_qdp(args: argparse.Namespace) -> int:
@@ -404,23 +409,24 @@ def _run_unitary_qdp(args: argparse.Namespace) -> int:
     spec, gate = _chain_spec(args), _gate(args)
     ls, ts, grid_meta = _grid_axes(args)
     engine = UnitaryQdpEngine(spec, gate)
-    before = np.zeros(args.n)
+    zeros = np.zeros(args.n)
 
     def row(t: float) -> np.ndarray:
         if t < gate.t0:
-            return before if args.diff else fidelity_free_row(t, spec)
+            return zeros if args.diff else fidelity_from_amplitudes(reduced_profile(1, t, spec))
         return engine._change_row(t) if args.diff else engine.fidelity_row(t)
 
     lo = -1.0 if args.diff else 0.0
-    return _write_grid(args, ls, ts, (row(t) for t in ts), grid_meta, lo)
+    return _write_grid(args, ls, ts, row_blocks(row, ts, args.n), grid_meta, lo)
 
 
 def _run_two_magnon_split(args: argparse.Namespace) -> int:
     gate = _gate(args)
     ls, ts, grid_meta = _grid_axes(args)
     engine = UnitaryQdpEngine(_chain_spec(args), gate)
-    before = np.zeros(args.n)
-    rows = (engine.split_row(t, args.part) if t >= gate.t0 else before for t in ts)
+    zeros = np.zeros(args.n)
+    rows = row_blocks(lambda t: engine.split_row(t, args.part) if t >= gate.t0 else zeros, ts,
+                      args.n)
     return _write_grid(args, ls, ts, rows, grid_meta)
 
 
@@ -434,15 +440,10 @@ def _run_harper(args: argparse.Namespace) -> int:
         raise ValueError("kick count must be >= 0")
     _check_grid_size(spec.n, args.kicks + 1)
     initial = _initial(args.alpha2)
-    ls = list(range(1, spec.n + 1))
-    ts = [n * spec.tau for n in range(args.kicks + 1)]
-    seed = np.zeros(spec.n, dtype=complex)
-    seed[0] = 1.0
-    # one vector stepped once per kick, read out a block of kicks at a time
-    blocks = kicked_amplitudes(spec, seed, kicks=args.kicks)
-    rows = (fidelity_from_amplitudes(psi, initial) for (psi,) in blocks)
+    kicks = range(args.kicks + 1)
+    blocks = (fidelity_from_amplitudes(u, initial) for u in KickedChain(spec).rows(1, kicks))
     grid_meta = {"l": [1, spec.n], "kicks": args.kicks, "dt": spec.tau}
-    return _write_grid(args, ls, ts, itertools.chain.from_iterable(rows), grid_meta)
+    return _write_grid(args, range(1, spec.n + 1), [n * spec.tau for n in kicks], blocks, grid_meta)
 
 
 def _run_detector(args: argparse.Namespace) -> int:
@@ -456,13 +457,11 @@ def _run_detector(args: argparse.Namespace) -> int:
     initial = _initial(args.alpha2)
     if initial is None:
         raise ValueError("the detector needs a definite encoded state (--alpha2)")
-    ls = list(range(1, spec.n + 1))
-    ts = [n * spec.tau for n in range(args.qdp_kick, args.kicks + 1)]
-    # two rows are stepped once per kick, read out a block of kicks at a time
-    readouts = qdp_readouts(spec, args.qdp_site, args.qdp_kick, initial, kicks=args.kicks)
-    rows = itertools.chain.from_iterable(res.detector for res in readouts)
+    kicks = range(args.qdp_kick, args.kicks + 1)
+    stream = measured(KickedChain(spec), args.qdp_site, args.qdp_kick, kicks)
     grid_meta = {"l": [1, spec.n], "kicks": [args.qdp_kick, args.kicks], "dt": spec.tau}
-    return _write_grid(args, ls, ts, rows, grid_meta, lo=-1.0)
+    return _write_grid(args, range(1, spec.n + 1), [n * spec.tau for n in kicks],
+                       occupation_change(stream, initial), grid_meta, lo=-1.0)
 
 
 # --------------------------------------------------------------------------
@@ -551,7 +550,8 @@ def _run_oracle_check(args: argparse.Namespace) -> int:
         state = oracle.encoded_state(initial.alpha, initial.beta, ham.basis)
         mid = oracle.evolve(state, ham, t0)
         branches = [oracle.evolve(oracle.apply_local(p, m, mid), ham, t - t0) for p in ("p0", "p1")]
-        x, y = projective_rdm_row(m, t, t0, spec, initial)
+        ((g, k),) = measured(SpinChain(spec), m, t0, [t])
+        x, y = _rdm_row(*_projective_parts(g[0], k[0]), initial)
         for l in (1, m, n):
             x_caught, y_caught = map(sum, zip(*(oracle.rdm_site(b, l) for b in branches)))
             worst = max(worst, abs(x[l - 1] - x_caught), abs(y[l - 1] - y_caught))

@@ -7,22 +7,23 @@ or an instantaneous local unitary gate at site m at t0 (which opens the
 two-magnon channel). Fidelities are reported per encoded state or averaged
 analytically over the Bloch sphere.
 
-Every readout is a row over all target sites at one time
-(``fidelity_free_row``, ``projective_rdm_row``,
-``delta_fidelity_projective_row``, ``UnitaryQdpEngine.fidelity_row``), and
-``grid_csv`` streams one such row per time into checked CSV text, a few
-times at a time, without ever holding the whole grid. ``_rdm_row``
-and ``_fidelity_row`` turn a site-weight row and a coherent-amplitude row
-into the checked RDM rows (x, y), y = <flipped|rho|unflipped>, and the
-fidelity row; both act elementwise, so the kicked chain hands them whole
-blocks of kicks. The measurement's survive/collapse rule is one formula,
-``_projective_parts(g, k)``: from a free row g and a collapse row k it gives
-the site weight |h|^2 + |k|^2 and the survive row h = g - k. The spin chain
-feeds it the rows of ``_reduced_gk_rows``; the kicked chain (``harper``)
-feeds it two stepped blocks and reads its free runs through
-``fidelity_from_amplitudes``. The gate's readouts, ``_gate_fidelity_row``
-and ``_gate_state``, are formulas on reduced rows and on the pair matrix
-that ``UnitaryQdpEngine`` supplies.
+Every stream is a sequence of (times x N) row blocks, each of
+max(1, ``_BLOCK_CELLS`` // N) times. A dynamics yields them from a source
+site: ``SpinChain.rows`` stacks ``reduced_profile`` rows, and
+``harper.KickedChain.rows`` steps a vector once per kick. Readouts act
+elementwise, so they take whole blocks: ``fidelity_from_amplitudes`` reads
+the free rows, and ``measured(dynamics, m, t0, times)`` gives a
+measurement's (g, k) blocks, the free row g and the collapse row k, for
+``fidelity_change`` (qdp-diff), ``occupation_change`` (the detector) and
+``_rdm_row``. The measurement's survive/collapse rule is one formula,
+``_projective_parts(g, k)``: it gives the site weight |h|^2 + |k|^2 and the
+survive row h = g - k. ``_rdm_row`` and ``_fidelity_row`` turn a site weight
+and a coherent amplitude into the checked RDM rows (x, y),
+y = <flipped|rho|unflipped>, and the fidelity. The gate's readouts,
+``_gate_fidelity_row`` and ``_gate_state``, are formulas on reduced rows and
+on the pair matrix that ``UnitaryQdpEngine`` supplies one time at a time.
+``grid_csv`` turns each arriving block into a checked chunk of CSV text, so
+no command holds its grid.
 
 Phase bookkeeping: the gate's public amplitudes (UnitaryState) carry full
 phases. Fidelity formulas consume reduced amplitudes (the e^{-i*eps0*t}
@@ -32,7 +33,6 @@ the literal sum over the intermediate sites y'' != m, and tests h + k = g.
 """
 from __future__ import annotations
 
-import itertools
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -122,14 +122,40 @@ def fidelity_from_amplitudes(u: np.ndarray, initial: InitialState | None = None)
     return _fidelity_row(np.abs(u) ** 2, u, initial)
 
 
-def fidelity_free_row(t: float, spec: ChainSpec, initial: InitialState | None = None) -> np.ndarray:
-    """Transfer fidelity at every site under free evolution from site 1, in reduced phases."""
-    return fidelity_from_amplitudes(reduced_profile(1, t, spec), initial)
+# --------------------------------------------------------------------------
+# Row blocks and the measurement stream
+# --------------------------------------------------------------------------
 
 
-# --------------------------------------------------------------------------
-# Projective mid-evolution measurement
-# --------------------------------------------------------------------------
+#: Cells (times x sites) of one row block: every stream yields
+#: max(1, _BLOCK_CELLS // N) times per block, the last block fewer.
+_BLOCK_CELLS = 8192
+#: Largest |sum over sites| of a detector row (see ``occupation_change``).
+_ZERO_SUM = 1e-9
+
+
+def _blocks(times, n: int) -> Iterator:
+    """``times`` cut into consecutive runs of max(1, _BLOCK_CELLS // n), the last one shorter."""
+    step = max(1, _BLOCK_CELLS // n)
+    return (times[start : start + step] for start in range(0, len(times), step))
+
+
+def row_blocks(row, times, n: int) -> Iterator[np.ndarray]:
+    """The length-n rows ``row(t)`` of every time, stacked a block of times at a time."""
+    for chunk in _blocks(times, n):
+        yield np.stack([row(t) for t in chunk])
+
+
+class SpinChain:
+    """The spin chain's one-magnon dynamics: reduced rows from a source site at any times."""
+
+    def __init__(self, spec: ChainSpec):
+        self.spec = spec
+        self.n = spec.n
+
+    def rows(self, source: int, times) -> Iterator[np.ndarray]:
+        """Blocks of the reduced rows g(source -> l; t), one ``reduced_profile`` per time."""
+        return row_blocks(lambda t: reduced_profile(source, t, self.spec), times, self.n)
 
 
 def _check_measurement_times(t: float, t0: float) -> None:
@@ -142,11 +168,21 @@ def _check_measurement_times(t: float, t0: float) -> None:
         )
 
 
-def _reduced_gk_rows(m: int, t: float, t0: float, spec: ChainSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Reduced free (g) and collapse (k) rows from source site 1 to every site; h = g - k."""
-    _check_measurement_times(t, t0)
-    g_tau = reduced_profile(m, t - t0, spec)
-    return reduced_profile(1, t, spec), reduced_profile(1, t0, spec)[m - 1] * g_tau
+def measured(dynamics, m: int, t0, times) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(g, k) blocks of a measurement of site m at t0, read at the ascending ``times`` >= t0.
+
+    g holds the rows ``dynamics.rows(1, times)`` and k the collapse rows
+    u(t0)[m] * ``dynamics.rows(m, times - t0)``, u(t0) the row from site 1 at
+    t0, so the survive rows are h = g - k (``_projective_parts``).
+    """
+    if not len(times):
+        return
+    _check_measurement_times(times[0], t0)
+    u0 = None
+    for g, k in zip(dynamics.rows(1, times), dynamics.rows(m, [t - t0 for t in times])):
+        if u0 is None:  # after the first rows, so that a time out of range fails on t, not t0
+            (u0,) = next(dynamics.rows(1, [t0]))
+        yield g, u0[m - 1] * k
 
 
 def _projective_parts(g: np.ndarray, k: np.ndarray):
@@ -158,21 +194,30 @@ def _projective_parts(g: np.ndarray, k: np.ndarray):
     return np.abs(h) ** 2 + np.abs(k) ** 2, h
 
 
-def delta_fidelity_projective_row(m: int, t: float, t0: float, spec: ChainSpec) -> np.ndarray:
-    """Bloch-averaged fidelity change at every site caused by measuring site m at t0.
+def fidelity_change(blocks) -> Iterator[np.ndarray]:
+    """Bloch-averaged fidelity change, measured minus free, of every ``measured`` block.
 
     Exact reduced form (|k|^2 - Re(conj(g) k) - Re k)/3, algebraically equal
     to the projective minus the free averaged fidelity.
     """
-    g, k = _reduced_gk_rows(m, t, t0, spec)
-    return (np.abs(k) ** 2 - (np.conj(g) * k).real - k.real) / 3.0
+    for g, k in blocks:
+        yield (np.abs(k) ** 2 - (np.conj(g) * k).real - k.real) / 3.0
 
 
-def projective_rdm_row(
-    m: int, t: float, t0: float, spec: ChainSpec, initial: InitialState
-) -> tuple[np.ndarray, np.ndarray]:
-    """RDM rows (x, y) at every site after a projective measurement of site m at t0."""
-    return _rdm_row(*_projective_parts(*_reduced_gk_rows(m, t, t0, spec)), initial)
+def occupation_change(blocks, initial: InitialState) -> Iterator[np.ndarray]:
+    """Detector rows of every ``measured`` block: site occupation with minus without it.
+
+    Each row sums to zero, since the measurement keeps the expected particle
+    number; ValueError unless it does to ``_ZERO_SUM``.
+    """
+    for g, k in blocks:
+        occupation, _ = _rdm_row(*_projective_parts(g, k), initial)
+        change = occupation - abs(initial.beta) ** 2 * np.abs(g) ** 2
+        worst = float(np.max(np.abs(np.sum(change, axis=1))))
+        # written as "not within" so that NaN, which compares False, fails too
+        if not worst <= _ZERO_SUM:
+            raise ValueError(f"detector profile must sum to 0, got |sum| = {worst:.3e}")
+        yield change
 
 
 # --------------------------------------------------------------------------
@@ -305,7 +350,7 @@ class UnitaryQdpEngine:
         return _gate_fidelity_row(self.gate, *self._rows(t), pairs)
 
     def _change_row(self, t: float) -> np.ndarray:
-        """``fidelity_row`` minus ``fidelity_free_row``, both read off one row g(1 -> l; t)."""
+        """``fidelity_row`` minus the free fidelity row, both read off one row g(1 -> l; t)."""
         pairs = self._pair_matrix(t, "total")
         g_t, g_tau = self._rows(t)
         return _gate_fidelity_row(self.gate, g_t, g_tau, pairs) - fidelity_from_amplitudes(g_t)
@@ -334,8 +379,6 @@ class UnitaryQdpEngine:
 # --------------------------------------------------------------------------
 
 
-#: Cells formatted per step of ``grid_csv``; its temporaries scale with this.
-_CHUNK_CELLS = 8192
 #: Bytes of one value field: the widest ``%.11e`` text, "-1.00000000000e-300".
 _FIELD = 19
 #: How close to .5 a scaled fraction may come before Python decides the
@@ -416,48 +459,45 @@ def _format_e11(x: np.ndarray, out: np.ndarray) -> None:
         out[python] = _padded((f"{v:.11e}" for v in x[python].tolist()), _FIELD)
 
 
-def grid_csv(l_values, t_values, rows, lo: float = 0.0) -> Iterator:
+def grid_csv(l_values, t_values, blocks, lo: float = 0.0) -> Iterator:
     """A grid's CSV rows l,t,value, time outer, 12 significant digits, as checked ASCII chunks.
 
-    ``rows`` yields, per time, one row over every site; the 1-based
-    ``l_values`` are picked out of each into one reused buffer of a few
-    times (about ``_CHUNK_CELLS`` cells), so neither the grid nor more than
-    a chunk of its text is held. Before a chunk is yielded: ValueError
-    unless its values lie in [lo, 1] to 1e-9 (NaN fails; ``lo`` is -1 for
-    differences, 0 for fidelities), and unless exactly ``len(t_values)``
-    rows arrive. The text, byte for byte ``f"{l},{t:.11e},{value:.11e}"``
-    per cell, is formatted in one padded uint8 row buffer: the ``l,`` and
-    ``t,`` fields once each, every value by ``_format_e11``, and the zero
-    pad bytes dropped.
+    ``blocks`` yields (times, sites) row blocks over every site, in time
+    order; each becomes one chunk, its 1-based ``l_values`` picked out, so
+    neither the grid nor more than a block of its text is held. Before a
+    chunk is yielded: ValueError unless its values lie in [lo, 1] to 1e-9
+    (NaN fails; ``lo`` is -1 for differences, 0 for fidelities), and unless
+    the blocks hold exactly ``len(t_values)`` rows. The text, byte for byte
+    ``f"{l},{t:.11e},{value:.11e}"`` per cell, is formatted in one padded
+    uint8 buffer, kept while the blocks keep their size: the ``l,`` field
+    and the newline set once, the ``t,`` field once per row, every value by
+    ``_format_e11``, and the zero pad bytes dropped.
     """
     picks = np.asarray(l_values, dtype=np.int64) - 1
     sites = _padded(f"{l}," for l in l_values)
     times = _padded(f"{t:.11e}," for t in t_values)
     (n_sites, site_width), (count, time_width) = sites.shape, times.shape
     value_at = site_width + time_width
-    step = max(1, _CHUNK_CELLS // max(n_sites, 1))
-    values = np.empty((min(step, count), n_sites))
-    text = np.empty((len(values), n_sites, value_at + _FIELD + 1), np.uint8)
-    text[:, :, :site_width] = sites
-    text[:, :, -1] = ord("\n")
-    rows = iter(rows)
+    text = np.empty((0, n_sites, value_at + _FIELD + 1), np.uint8)
     yield b"l,t,value\n"
-    for start in range(0, count, step):
-        chunk = values[: count - start]
-        filled = 0
-        for row in itertools.islice(rows, len(chunk)):
-            chunk[filled] = row[picks]
-            filled += 1
-        if filled < len(chunk):
-            raise ValueError(f"{start + filled} grid rows, expected {count}")
+    start = 0
+    for block in blocks:
+        chunk = block[:, picks]
+        stop = start + len(chunk)
+        if stop > count:
+            raise ValueError(f"more than {count} grid rows")
         # NaN propagates through min and max, and then fails both comparisons
         if not (chunk.min(initial=np.inf) >= lo - 1e-9
                 and chunk.max(initial=-np.inf) <= 1.0 + 1e-9):
             raise ValueError(f"grid values leave [{lo:g}, 1] or are NaN")
-        block = text[: len(chunk)]
-        block[:, :, site_width:value_at] = times[start : start + step, None]
-        _format_e11(chunk.reshape(-1), block.reshape(-1, block.shape[-1])[:, value_at:-1])
-        flat = block.reshape(-1)
+        if len(text) != len(chunk):  # kept for every block of the same size
+            text = np.empty((len(chunk), *text.shape[1:]), np.uint8)
+            text[:, :, :site_width] = sites
+            text[:, :, -1] = ord("\n")
+        text[:, :, site_width:value_at] = times[start:stop, None]
+        _format_e11(chunk.reshape(-1), text.reshape(-1, text.shape[-1])[:, value_at:-1])
+        flat = text.reshape(-1)
         yield flat[flat != 0]
-    if next(rows, None) is not None:
-        raise ValueError(f"more than {count} grid rows")
+        start = stop
+    if start < count:
+        raise ValueError(f"{start} grid rows, expected {count}")

@@ -11,10 +11,11 @@ from golden_io import decode_complex, load_golden
 from spinchain.chain import reduced_phase
 from spinchain.green1 import reduced_profile
 from spinchain.protocols import (
+    SpinChain,
     _check_measurement_times,
     _fidelity_row,
     _projective_parts,
-    _reduced_gk_rows,
+    measured,
 )
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
@@ -67,12 +68,13 @@ def channel_fidelity():
 def fidelity_projective_row():
     """Transfer fidelity at every site with a site-m measurement at t0 (Bloch or per-state).
 
-    The library's measurement readouts composed into one fidelity row; no CLI
-    command writes it (``qdp-diff`` reads ``delta_fidelity_projective_row``).
+    The library's measurement stream composed into one fidelity row; no CLI
+    command writes it (``qdp-diff`` reads ``protocols.fidelity_change``).
     """
 
     def _row(m: int, t: float, t0: float, spec, initial=None) -> np.ndarray:
-        return _fidelity_row(*_projective_parts(*_reduced_gk_rows(m, t, t0, spec)), initial)
+        ((g, k),) = measured(SpinChain(spec), m, t0, [t])
+        return _fidelity_row(*_projective_parts(g[0], k[0]), initial)
 
     return _row
 

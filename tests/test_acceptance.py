@@ -23,22 +23,25 @@ from spinchain.chain import ChainSpec, InitialState, LocalGate, reduced_phase
 from spinchain.cli import main as cli_main
 from spinchain.green1 import reduced_profile
 from spinchain.green2 import green2
-from spinchain.harper import (
-    HarperSpec,
-    floquet_step,
-    kicked_amplitudes,
-    qdp_readouts,
-    spread_metric,
-)
+from spinchain.harper import HarperSpec, KickedChain, floquet_step, spread_metric
 from spinchain.protocols import (
+    SpinChain,
     UnitaryQdpEngine,
-    delta_fidelity_projective_row,
-    fidelity_free_row,
+    fidelity_change,
+    fidelity_from_amplitudes,
+    measured,
+    occupation_change,
 )
 
 from bessel_reference import reduced_hop_amplitudes
 
 OPEN100 = ChainSpec(100, "open", 0.5, 1.0)
+
+
+def _change_row(m: int, t: float, t0: float, spec: ChainSpec) -> np.ndarray:
+    """The measurement's fidelity change row at one time, as ``qdp-diff`` reads it."""
+    (row,) = next(fidelity_change(measured(SpinChain(spec), m, t0, [t])))
+    return row
 
 
 def _averaged_free_row(spec: ChainSpec, t: float) -> np.ndarray:
@@ -110,7 +113,7 @@ def test_criterion_04_measurement_induced_fidelity_extremes():
             worst = max(worst, float(np.max(np.abs(row))))
         extremes[label] = worst
     # tie the vectorized rows to the library's row form
-    probe = delta_fidelity_projective_row(1, 3.5, 0.0, OPEN100)[6]
+    probe = _change_row(1, 3.5, 0.0, OPEN100)[6]
     row = _measurement_delta_row(OPEN100, 1, 0.0, 3.5, complex(reduced_profile(1, 0.0, OPEN100)[0]))
     assert row[6] == pytest.approx(probe, abs=1e-12)
     elapsed = time.perf_counter() - start
@@ -156,8 +159,9 @@ def test_criterion_06_measurement_splitting_identities(fidelity_projective_row, 
         weight = float(np.sum(np.abs(h_row) ** 2 + np.abs(k_row) ** 2))
         worst_trace = max(worst_trace, abs(weight - 1.0))
 
-        direct = delta_fidelity_projective_row(m, t, t0, spec)[l - 1]
-        recomposed = fidelity_projective_row(m, t, t0, spec) - fidelity_free_row(t, spec)
+        direct = _change_row(m, t, t0, spec)[l - 1]
+        free = fidelity_from_amplitudes(reduced_profile(1, t, spec))
+        recomposed = fidelity_projective_row(m, t, t0, spec) - free
         worst_delta = max(worst_delta, abs(direct - recomposed[l - 1]))
     assert worst_split <= 1e-9
     assert worst_trace <= 1e-9
@@ -267,31 +271,32 @@ def test_criterion_11_kicked_chain_transport_properties():
     u = floquet_step(spec)
     assert float(np.max(np.abs(u.conj().T @ u - np.eye(100)))) <= 1e-12
 
+    def detector_rows(spec: HarperSpec, initial: InitialState, kicks):
+        blocks = occupation_change(measured(KickedChain(spec), 1, 5, kicks), initial)
+        return np.concatenate(list(blocks))
+
     balanced = InitialState(1 / math.sqrt(2), 1 / math.sqrt(2))
-    for result in qdp_readouts(spec, 1, 5, balanced, kicks=50):
-        pass
-    assert result.n[-1] == 50
-    assert abs(float(np.sum(result.detector[-1]))) <= 1e-10
+    rows = detector_rows(spec, balanced, range(5, 51))
+    assert len(rows) == 46
+    assert abs(float(np.sum(rows[-1]))) <= 1e-10
 
     flip = InitialState(0.0, 1.0)
-    seed = np.zeros(100, dtype=complex)
-    seed[0] = 1.0
 
     def occupation_after_200_kicks(g: float) -> np.ndarray:
-        for (block,) in kicked_amplitudes(HarperSpec(n=100, g=g, tau=0.1), seed, kicks=200):
-            pass
+        (block,) = KickedChain(HarperSpec(n=100, g=g, tau=0.1)).rows(1, [200])
         return np.abs(block[-1]) ** 2
 
     widths = {g: spread_metric(occupation_after_200_kicks(g)) for g in (1.0, 3.0)}
     assert widths[3.0] < widths[1.0]
 
     def first_passage_kicks(tau: float) -> int:
-        # one readout stream after the kick-5 measurement, kicks 6..600
-        for result in qdp_readouts(HarperSpec(n=100, g=1.0, tau=tau), 1, 5, flip, kicks=600):
-            passed = result.n[(result.n > 5) & (np.abs(result.detector[:, -1]) > 1e-3)]
-            if passed.size:
-                return int(passed[0])
-        raise AssertionError("no far-end passage within 600 kicks")
+        # one detector stream after the kick-5 measurement, kicks 6..600
+        kicks = range(6, 601)
+        far = np.abs(detector_rows(HarperSpec(n=100, g=1.0, tau=tau), flip, kicks)[:, -1])
+        passed = np.flatnonzero(far > 1e-3)
+        if not passed.size:
+            raise AssertionError("no far-end passage within 600 kicks")
+        return kicks[passed[0]]
 
     slow = first_passage_kicks(0.1)
     fast = first_passage_kicks(0.9)

@@ -21,8 +21,8 @@ import pytest
 from spinchain.chain import ChainSpec, InitialState, conventions_hash, reduced_phase
 from spinchain.cli import _splitting_samples, main
 from spinchain.green1 import reduced_profile
-from spinchain.harper import HarperSpec, kicked_amplitudes
-from spinchain.protocols import fidelity_free_row, fidelity_from_amplitudes
+from spinchain.harper import HarperSpec, KickedChain
+from spinchain.protocols import fidelity_from_amplitudes, measured, occupation_change
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -52,7 +52,8 @@ def test_fidelity_command_matches_library_and_reruns_byte_identical(tmp_path):
     assert rows[0][1] == 0.0 and rows[-1][1] == 1.0
     spec = ChainSpec(8, "open", 0.5, 1.0)
     for l, t, v in rows:
-        assert v == pytest.approx(fidelity_free_row(t, spec)[l - 1], rel=1e-10, abs=1e-12)
+        free = fidelity_from_amplitudes(reduced_profile(1, t, spec))
+        assert v == pytest.approx(free[l - 1], rel=1e-10, abs=1e-12)
 
 
 def test_thread_count_does_not_change_output(tmp_path):
@@ -376,8 +377,8 @@ def test_oversized_grids_exit_before_allocation(tmp_path, monkeypatch):
     def refused(*args, **kwargs):
         pytest.fail("a row was computed before the grid guard refused the grid")
 
-    monkeypatch.setattr(cli, "fidelity_free_row", refused)
-    monkeypatch.setattr(cli, "qdp_readouts", refused)
+    monkeypatch.setattr(cli, "SpinChain", refused)
+    monkeypatch.setattr(cli, "KickedChain", refused)
     out = ["--out", str(tmp_path / "x.csv")]
     assert main(["fidelity", "--n", "10", "--tmax", "1e6", "--dt", "1"] + out) == 2  # 10 000 010 cells
     assert main(["fidelity", "--tmax", "1e12", "--dt", "1e-3"] + out) == 2
@@ -619,9 +620,7 @@ def test_harper_grid_matches_library(tmp_path):
     rows = _read_csv(out)
     assert len(rows) == 8 * 4
     spec = HarperSpec(n=8, g=1.1, tau=0.4)
-    seed = np.zeros(8, dtype=complex)
-    seed[0] = 1.0
-    (block,) = next(kicked_amplitudes(spec, seed, kicks=3))
+    (block,) = KickedChain(spec).rows(1, range(4))
     for kicks in (0, 3):
         expected = fidelity_from_amplitudes(block[kicks])
         got = [v for l, t, v in rows if t == pytest.approx(kicks * 0.4)]
@@ -645,15 +644,14 @@ def test_detector_grid_sums_to_zero_per_column(tmp_path, monkeypatch):
         "--qdp-site", "2", "--qdp-kick", "2", "--kicks", "5",
         "--out", str(out),
     ]) == 0
-    assert len(steps) <= 2  # each vector is stepped once per kick, not once per column
+    assert len(steps) == 1  # one step for the command; each vector stepped once per kick
     rows = _read_csv(out)
     ts = sorted({t for _, t, _ in rows})
     assert len(ts) == 4  # kicks 2..5 inclusive
     spec = HarperSpec(12, 1.0, 0.3)
     initial = InitialState(math.sqrt(0.5), math.sqrt(0.5))
-    (readout,) = harper.qdp_readouts(spec, 2, 2, initial, kicks=5)
-    assert list(readout.n) == [2, 3, 4, 5]
-    for t, detector in zip(ts, readout.detector, strict=True):
+    (detectors,) = occupation_change(measured(KickedChain(spec), 2, 2, range(2, 6)), initial)
+    for t, detector in zip(ts, detectors, strict=True):
         column = [v for _, tt, v in rows if tt == t]
         assert len(column) == 12
         assert abs(sum(column)) < 1e-10

@@ -2,15 +2,14 @@
 
 The headline check rebuilds the model in the full 2^N many-body space with an
 independently constructed hopping + kicked-potential Floquet operator and a
-projective occupation measurement, then compares every readout channel of
-the ``qdp_readouts`` stream against it.  The CLI's kicked grids are held,
-byte for byte, to a per-kick ``v = step @ v`` loop across block edges.
+projective occupation measurement, then compares every readout of the
+``protocols.measured`` stream on ``KickedChain`` against it.  The CLI's kicked
+grids are held, byte for byte, to a per-kick ``v = step @ v`` loop across
+block edges.
 """
 from __future__ import annotations
 
-import dataclasses
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,37 +18,32 @@ from bloch_reference import bloch_average
 from csv_reference import grid_csv_reference
 from golden_io import transfer_fidelity
 from kicked_reference import expm_hermitian, hopping_matrix
-from spinchain import harper
+from spinchain import harper, protocols
 from spinchain.bessel import MAX_ARG
 from spinchain.chain import ChainSpec, InitialState
 from spinchain.cli import main
 from spinchain.green1 import reduced_profile
-from spinchain.harper import (
-    MAX_N,
-    HarperSpec,
-    floquet_step,
-    kick_phases,
-    kicked_amplitudes,
-    qdp_readouts,
-    spread_metric,
+from spinchain.harper import MAX_N, HarperSpec, KickedChain, floquet_step, kick_phases, spread_metric
+from spinchain.protocols import (
+    _fidelity_row,
+    _projective_parts,
+    _rdm_row,
+    fidelity_from_amplitudes,
+    measured,
+    occupation_change,
 )
-from spinchain.protocols import _projective_parts, _rdm_row, fidelity_from_amplitudes
 
 
 def _after_kicks(spec: HarperSpec, n_kicks: int, amplitude: complex = 1.0) -> np.ndarray:
     """The one-particle vector of a particle released at site 1 with ``amplitude``, after n_kicks."""
-    seed = np.zeros(spec.n, dtype=complex)
-    seed[0] = amplitude
-    for (block,) in kicked_amplitudes(spec, seed, kicks=n_kicks):
-        pass
-    return block[-1]
+    (block,) = KickedChain(spec).rows(1, [n_kicks])
+    return amplitude * block[-1]
 
 
-def _readout(spec: HarperSpec, m: int, n0: int, n: int, initial: InitialState):
-    """The readout after kick n of a site-m measurement at kick n0: the last block's last row."""
-    for block in qdp_readouts(spec, m, n0, initial, kicks=n):
-        pass
-    return SimpleNamespace(**{f.name: getattr(block, f.name)[-1] for f in dataclasses.fields(block)})
+def _gk(spec: HarperSpec, m: int, n0: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (g, k) rows after kick n of a site-m measurement at kick n0."""
+    ((g, k),) = measured(KickedChain(spec), m, n0, [n])
+    return g[0], k[0]
 
 
 def test_floquet_step_is_unitary():
@@ -212,14 +206,18 @@ def test_measured_run_matches_full_space_rebuild():
     spec = HarperSpec(n=10, g=1.2, tau=0.3)
     m, n0, n = 3, 2, 6
     initial = InitialState(math.sqrt(0.4), math.sqrt(0.6))
-    result = _readout(spec, m, n0, n, initial)
+    g, k = _gk(spec, m, n0, n)
+    weight, h = _projective_parts(g, k)
+    occupation, coherence = _rdm_row(weight, h, initial)
+    (detector,) = next(occupation_change([(g[None], k[None])], initial))
+    fidelity = _fidelity_row(weight, h, None)
     oracle = _FullSpaceOracle(spec)
     x, y, x_free = oracle.measure_run(initial.alpha, initial.beta, m, n0, n)
 
-    assert np.allclose(result.occupation, x, atol=1e-10)
-    assert np.allclose(result.coherence, y, atol=1e-10)
-    assert np.allclose(result.free_occupation, x_free, atol=1e-10)
-    assert np.allclose(result.detector, x - x_free, atol=1e-10)
+    assert np.allclose(occupation, x, atol=1e-10)
+    assert np.allclose(coherence, y, atol=1e-10)
+    assert np.allclose(abs(initial.beta) ** 2 * np.abs(g) ** 2, x_free, atol=1e-10)
+    assert np.allclose(detector, x - x_free, atol=1e-10)
 
     cache: dict[tuple[complex, complex], tuple[np.ndarray, np.ndarray]] = {}
 
@@ -236,46 +234,68 @@ def test_measured_run_matches_full_space_rebuild():
                 readout(a, b)[0][site - 1], readout(a, b)[1][site - 1], a, b
             )
         )
-        assert result.fidelity[site - 1] == pytest.approx(direct, abs=1e-10)
+        assert fidelity[site - 1] == pytest.approx(direct, abs=1e-10)
+
+
+class _CountingStep(np.ndarray):
+    """A Floquet step that counts the matrix-vector products taken with it."""
+
+    products = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+        if ufunc is np.matmul:
+            _CountingStep.products += 1
+        inputs = tuple(np.asarray(x) if isinstance(x, _CountingStep) else x for x in inputs)
+        return getattr(ufunc, method)(*inputs, **({} if out is None else {"out": out}), **kwargs)
 
 
 def test_measured_run_steps_two_rows(monkeypatch):
-    # one row to the measurement, then the free row and the row released from m at n0:
-    # no survive, collapse or re-seeded free copy
-    calls = []
-    original = harper.kicked_amplitudes
+    # one step build; the row from site 1 to the measurement, then the free row from site 1
+    # and the row released from m at n0, one product per kick each: no survive, collapse or
+    # re-seeded free copy
+    builds = []
+    original = harper.floquet_step
 
-    def counting(spec, *seeds, kicks):
-        calls.append((len(seeds), kicks))
-        return original(spec, *seeds, kicks=kicks)
+    def counting(spec):
+        builds.append(spec)
+        return original(spec).view(_CountingStep)
 
-    monkeypatch.setattr(harper, "kicked_amplitudes", counting)
+    monkeypatch.setattr(harper, "floquet_step", counting)
+    monkeypatch.setattr(_CountingStep, "products", 0)
     spec = HarperSpec(n=10, g=1.2, tau=0.3)
-    _readout(spec, 3, 2, 6, InitialState(0.6, 0.8))
-    assert calls == [(1, 2), (2, 4)]
+    n0, n = 2, 6
+    list(measured(KickedChain(spec), 3, n0, range(n0, n + 1)))
+    assert len(builds) == 1
+    assert _CountingStep.products == n0 + n + (n - n0)
 
 
 def test_detector_profile_sums_to_zero():
     spec = HarperSpec(n=30, g=2.0, tau=0.25, boundary="closed")
-    result = _readout(spec, 5, 4, 20, InitialState(0.6, 0.8))
-    assert abs(float(np.sum(result.detector))) < 1e-12
-    assert result.n == 20
+    blocks = occupation_change(measured(KickedChain(spec), 5, 4, range(4, 21)), InitialState(0.6, 0.8))
+    rows = np.concatenate(list(blocks))
+    assert len(rows) == 17
+    assert abs(float(np.sum(rows[-1]))) < 1e-12
 
 
 def test_blocks_hold_consecutive_kicks(monkeypatch):
     # every block but the last has max(1, _BLOCK_CELLS // n) rows, and the kicks run on unbroken
     spec = HarperSpec(n=5, g=1.2, tau=0.3)
-    seed = np.eye(5, dtype=complex)[0]
+    chain = KickedChain(spec)
+    every = np.concatenate(list(chain.rows(1, range(11))))
+    assert np.array_equal(every[0], np.eye(5)[0])
     for cells, rows in ((23, 4), (5, 1), (4, 1)):
-        monkeypatch.setattr(harper, "_BLOCK_CELLS", cells)
-        sizes = [len(block) for (block,) in kicked_amplitudes(spec, seed, kicks=10)]
-        assert sizes[:-1] == [rows] * (len(sizes) - 1) and sum(sizes) == 11
-        readouts = qdp_readouts(spec, 2, 3, InitialState(0.6, 0.8), kicks=10)
-        starts = [int(block.n[0]) for block in readouts]
-        assert starts == list(range(3, 11, rows))
-    assert [len(b) for (b,) in kicked_amplitudes(spec, seed, kicks=0)] == [1]
-    with pytest.raises(ValueError, match="kick count"):
-        next(kicked_amplitudes(spec, seed, kicks=-1))
+        monkeypatch.setattr(protocols, "_BLOCK_CELLS", cells)
+        for kicks in (range(11), range(3, 11)):  # from kick 0, and from past it
+            blocks = list(chain.rows(1, kicks))
+            sizes = [len(block) for block in blocks]
+            assert sizes[:-1] == [rows] * (len(sizes) - 1) and sum(sizes) == len(kicks)
+            assert np.array_equal(np.concatenate(blocks), every[kicks.start:])
+        gk = list(measured(chain, 2, 3, range(3, 11)))
+        assert [len(g) for g, _ in gk] == [len(k) for _, k in gk] == sizes
+    assert [len(b) for b in chain.rows(1, [0])] == [1]
+    for bad in ([-1], [3, 2]):
+        with pytest.raises(ValueError, match="kicks must ascend from 0"):
+            list(chain.rows(1, bad))
 
 
 def test_kicked_walk_converges_first_order_to_static_flow():
@@ -323,18 +343,18 @@ def test_parameter_validation():
             HarperSpec(n=5, g=bad, tau=0.1)
         with pytest.raises(ValueError):
             HarperSpec(n=5, g=1.0, tau=0.1, eta=bad)
-    spec = HarperSpec(n=5, g=1.0, tau=0.1)
+    chain = KickedChain(HarperSpec(n=5, g=1.0, tau=0.1))
+    with pytest.raises(ValueError, match="source site 0"):
+        next(measured(chain, 0, 1, range(1, 4)))
+    with pytest.raises(ValueError, match="source site 6"):
+        next(measured(chain, 6, 1, range(1, 4)))
+    with pytest.raises(ValueError, match=r"t0 must be >= 0, got -1"):
+        next(measured(chain, 2, -1, range(0, 4)))
+    with pytest.raises(ValueError, match=r"t = 3 precedes the measurement at t0 = 4"):
+        next(measured(chain, 2, 4, [3]))
+    # tau * g overflows, so every kick phase and the detector would be NaN
     with pytest.raises(ValueError):
-        next(qdp_readouts(spec, 0, 1, InitialState(0.0, 1.0), kicks=3))
-    with pytest.raises(ValueError):
-        next(qdp_readouts(spec, 6, 1, InitialState(0.0, 1.0), kicks=3))
-    with pytest.raises(ValueError, match=r"n0 = -1"):
-        next(qdp_readouts(spec, 2, -1, InitialState(0.0, 1.0), kicks=3))
-    with pytest.raises(ValueError, match=r"n0 = 4, kicks = 3"):
-        next(qdp_readouts(spec, 2, 4, InitialState(0.0, 1.0), kicks=3))
-    # tau * g overflows, so every kick phase and the detector are NaN
-    with pytest.raises(ValueError):
-        _readout(HarperSpec(8, 1e10, 1e300), 2, 1, 3, InitialState(0.6, 0.8))
+        _gk(HarperSpec(8, 1e10, 1e300), 2, 1, 3)
     # the spec itself refuses it, and a potential phase 2*pi*n*eta that overflows, by name
     HarperSpec(n=5, g=1e300, tau=1.0, eta=1e300)
     with pytest.raises(ValueError, match=r"tau = .*g = "):
@@ -363,7 +383,7 @@ def test_kicked_grids_match_the_per_kick_reference_across_block_edges(
 ):
     # 14 kicks span 4 blocks of 4 rows (or 14 of 1); the measurement falls on
     # the first kick, on a block edge, and on the last kick
-    monkeypatch.setattr(harper, "_BLOCK_CELLS", rows * n + n - 1)
+    monkeypatch.setattr(protocols, "_BLOCK_CELLS", rows * n + n - 1)
     kicks, g, tau, alpha2 = 13, 1.3, 0.35, 0.3
     spec = HarperSpec(n, g, tau, boundary=boundary)
     chain = ["--n", str(n), "--boundary", boundary, "--g", str(g), "--tau", str(tau)]

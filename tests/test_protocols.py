@@ -17,21 +17,39 @@ from spinchain import oracle
 from spinchain.chain import ChainSpec, InitialState, LocalGate, reduced_phase
 from spinchain.cli import _write_outputs
 from spinchain.green1 import reduced_profile
-from spinchain.harper import HarperQdpResult
 from spinchain.protocols import (
-    _CHUNK_CELLS,
+    _BLOCK_CELLS,
     _FIELD,
+    SpinChain,
     UnitaryQdpEngine,
     UnitaryState,
     _format_e11,
-    delta_fidelity_projective_row,
-    fidelity_free_row,
+    _projective_parts,
+    _rdm_row,
+    fidelity_change,
+    fidelity_from_amplitudes,
     grid_csv,
-    projective_rdm_row,
+    measured,
 )
 
 OPEN12 = ChainSpec(12, "open", 0.5, 1.0)
 CLOSED12 = ChainSpec(12, "closed", 0.5, 1.0)
+
+
+def _change_row(m: int, t: float, t0: float, spec: ChainSpec) -> np.ndarray:
+    """The fidelity change row at one time, as ``qdp-diff`` reads it."""
+    (row,) = next(fidelity_change(measured(SpinChain(spec), m, t0, [t])))
+    return row
+
+
+def _projective_rdm_row(m: int, t: float, t0: float, spec: ChainSpec, initial: InitialState):
+    """RDM rows (x, y) at one time after measuring site m at t0."""
+    ((g, k),) = measured(SpinChain(spec), m, t0, [t])
+    return _rdm_row(*_projective_parts(g[0], k[0]), initial)
+
+
+def _free_row(t: float, spec: ChainSpec) -> np.ndarray:
+    return fidelity_from_amplitudes(reduced_profile(1, t, spec))
 
 
 @pytest.mark.parametrize("boundary", ["open", "closed"])
@@ -89,14 +107,14 @@ def test_fidelity_change_identity(fidelity_projective_row):
         l, m = int(rng.integers(1, n + 1)), int(rng.integers(1, n + 1))
         t0 = float(rng.uniform(0, 3))
         t = t0 + float(rng.uniform(0, 3))
-        direct = delta_fidelity_projective_row(m, t, t0, spec)[l - 1]
-        recomposed = fidelity_projective_row(m, t, t0, spec) - fidelity_free_row(t, spec)
+        direct = _change_row(m, t, t0, spec)[l - 1]
+        recomposed = fidelity_projective_row(m, t, t0, spec) - _free_row(t, spec)
         assert direct == pytest.approx(recomposed[l - 1], abs=1e-12)
 
 
 def test_rdm_is_physical():
     initial = InitialState(np.sqrt(0.3), np.sqrt(0.7) * np.exp(0.9j))
-    x, y = projective_rdm_row(6, 3.0, 1.0, OPEN12, initial)
+    x, y = _projective_rdm_row(6, 3.0, 1.0, OPEN12, initial)
     x4, y4 = x[3], y[3]
     assert 0.0 <= x4 <= 1.0
     assert abs(y4) ** 2 <= x4 * (1 - x4) + 1e-12
@@ -226,7 +244,7 @@ def test_phase_only_gate_holds_no_pair_matrix():
     assert split.shape == (3000,) and np.all(split == 0.0)
     for t, row in zip((1.0, 2.0, 3.0), rows):
         # the one free Bloch rule, so exactly the free rows
-        assert np.array_equal(row, fidelity_free_row(t, spec))
+        assert np.array_equal(row, _free_row(t, spec))
     # state() too: its two_magnon is a read-only zero view, no N x N matrix
     engine = UnitaryQdpEngine(ChainSpec(1000, "open", 0.5, 1.0), gate)
     tracemalloc.start()
@@ -267,14 +285,21 @@ def test_split_fidelity_parts_add_up_over_the_ring():
     )
 
 
-def _site_rows(l_values, values: np.ndarray) -> np.ndarray:
-    """``values.T`` as rows over sites 1..max(l_values); the sites left out hold NaN.
+def _as_blocks(rows):
+    """The rows cut into blocks as every stream cuts them: max(1, _BLOCK_CELLS // N) rows each."""
+    rows = np.asarray(rows)
+    step = max(1, _BLOCK_CELLS // rows.shape[1])
+    return [rows[start : start + step] for start in range(0, len(rows), step)]
+
+
+def _site_rows(l_values, values: np.ndarray) -> list[np.ndarray]:
+    """``values.T`` as row blocks over sites 1..max(l_values); the sites left out hold NaN.
 
     ``grid_csv`` must never pick, or check, a site outside ``l_values``.
     """
     rows = np.full((values.shape[1], max(l_values)), np.nan)
     rows[:, np.asarray(l_values) - 1] = values.T
-    return rows
+    return _as_blocks(rows)
 
 
 def _csv_text(l_values, t_values, values) -> str:
@@ -407,9 +432,9 @@ def test_grid_csv_matches_the_reference_on_adversarial_values(make):
 
 
 @pytest.mark.parametrize("sites, times", [
-    (1, _CHUNK_CELLS - 1), (1, _CHUNK_CELLS), (1, _CHUNK_CELLS + 1),
-    (3, _CHUNK_CELLS // 3 * 2 + 1),  # two whole chunks and a ragged one-column chunk
-    (_CHUNK_CELLS + 1, 2),  # a column wider than a chunk
+    (1, _BLOCK_CELLS - 1), (1, _BLOCK_CELLS), (1, _BLOCK_CELLS + 1),
+    (3, _BLOCK_CELLS // 3 * 2 + 1),  # two whole blocks and a ragged one-row block
+    (_BLOCK_CELLS + 1, 2),  # a row wider than a block
 ], ids=["chunk-minus-one", "chunk", "chunk-plus-one", "ragged", "wide-column"])
 def test_grid_csv_matches_the_reference_across_chunks(sites, times):
     rng = np.random.default_rng(sites * 31 + times)
@@ -422,46 +447,52 @@ def test_grid_csv_matches_the_reference_across_chunks(sites, times):
 
 
 def test_grid_csv_streams_in_bounded_memory(tmp_path):
-    # 100 x 2001 cells, about 7.8 MB of text and 1.6 MB of values, from a stream of rows
+    # 100 x 2001 cells, about 7.8 MB of text and 1.6 MB of values, from a stream of blocks
     ls, times = list(range(1, 101)), _rounded_times(2001, tmin=0.0, dt=0.05)
     rng = np.random.default_rng(22)
+    step = _BLOCK_CELLS // len(ls)
+    blocks = (rng.uniform(size=(len(times[start : start + step]), len(ls)))
+              for start in range(0, len(times), step))
     args = SimpleNamespace(out=str(tmp_path / "x.csv"))
-    _write_outputs(args, grid_csv(ls[:1], times[:1], [np.ones(1)]), {})  # numpy's lazy set-up
+    _write_outputs(args, grid_csv(ls[:1], times[:1], [np.ones((1, 1))]), {})  # numpy's lazy set-up
     tracemalloc.start()
     try:
-        _write_outputs(args, grid_csv(ls, times, (rng.uniform(size=len(ls)) for _ in times)), {})
+        _write_outputs(args, grid_csv(ls, times, blocks), {})
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     size = (tmp_path / "x.csv").stat().st_size
     assert size > 7_000_000
-    # a few chunks of text and one chunk of values at most, however large the grid grows
-    chunk = _CHUNK_CELLS * size / (len(ls) * len(times))
-    assert peak < 4 * chunk + 8 * _CHUNK_CELLS
+    # a few blocks of text and one block of values at most, however large the grid grows
+    chunk = _BLOCK_CELLS * size / (len(ls) * len(times))
+    assert peak < 4 * chunk + 8 * _BLOCK_CELLS
 
 
 @pytest.mark.parametrize(
     "bad, lo", [(np.nan, 0.0), (1.5, 0.0), (-1.5, -1.0)], ids=["nan", "above-one", "below-lo"]
 )
 def test_grid_rejects_nan_values(bad, lo):
-    # one site, so a chunk holds _CHUNK_CELLS times: the bad value in the first or second chunk
-    for at in (1, _CHUNK_CELLS + 5):
-        rows = [np.array([0.5])] * (2 * _CHUNK_CELLS + 1)
-        rows[at] = np.array([bad])
+    # one site, so a block holds _BLOCK_CELLS times: the bad value in the first or second block
+    for at in (1, _BLOCK_CELLS + 5):
+        rows = np.full((2 * _BLOCK_CELLS + 1, 1), 0.5)
+        rows[at] = bad
         yielded = []
         with pytest.raises(ValueError, match="grid values leave"):
-            yielded.extend(grid_csv([1], _kicked_times(len(rows)), rows, lo=lo))
+            yielded.extend(grid_csv([1], _kicked_times(len(rows)), _as_blocks(rows), lo=lo))
         # the header and the chunks before the bad one, and no later chunk
-        assert len(yielded) == 1 + at // _CHUNK_CELLS
+        assert len(yielded) == 1 + at // _BLOCK_CELLS
 
 
 @pytest.mark.parametrize("rows", [0, 1, 3], ids=["none", "fewer", "more"])
 def test_grid_refuses_a_row_count_other_than_count(rows):
     times = [0.0, 0.5]
+    # as one-row blocks and as one block
     with pytest.raises(ValueError, match="grid rows"):
-        b"".join(grid_csv([1, 2], times, (np.array([0.5, 0.25]) for _ in range(rows))))
+        b"".join(grid_csv([1, 2], times, (np.array([[0.5, 0.25]]) for _ in range(rows))))
+    with pytest.raises(ValueError, match="grid rows"):
+        b"".join(grid_csv([1, 2], times, [np.full((rows, 2), 0.5)]))
     # site 2 of each row
-    text = b"".join(grid_csv([2], times, [np.array([0.5, 0.25])] * 2)).decode()
+    text = b"".join(grid_csv([2], times, [np.array([[0.5, 0.25]] * 2)])).decode()
     assert text == grid_csv_reference([2], times, np.full((1, 2), 0.25))
 
 
@@ -469,8 +500,7 @@ def test_grid_refuses_a_row_count_other_than_count(rows):
     lambda: oracle.DenseState(np.zeros(3, dtype=complex), oracle.make_basis("one_excitation", 3)),
     lambda: oracle.BoundBandResult(np.eye(3), 1),
     lambda: UnitaryState(1.0 + 0.0j, np.zeros(3, dtype=complex), np.zeros((3, 3), complex), 0.0),
-    lambda: HarperQdpResult(*[np.zeros((1, 3))] * 5, n=np.arange(1)),
-], ids=["DenseState", "BoundBandResult", "UnitaryState", "HarperQdpResult"])
+], ids=["DenseState", "BoundBandResult", "UnitaryState"])
 def test_array_records_compare_and_hash_by_identity(make):
     # field-wise == over arrays would raise (ambiguous truth value), and so would hash()
     first, second = make(), make()
@@ -481,11 +511,11 @@ def test_array_records_compare_and_hash_by_identity(make):
 def test_sites_outside_the_chain_are_rejected(fidelity_projective_row, hk_propagators):
     # the measured site picks an entry of a row over the chain; no index may wrap
     with pytest.raises(ValueError):
-        delta_fidelity_projective_row(13, 2.0, 1.0, OPEN12)
+        _change_row(13, 2.0, 1.0, OPEN12)
     with pytest.raises(ValueError):
         fidelity_projective_row(0, 2.0, 1.0, OPEN12)
     with pytest.raises(ValueError):
-        projective_rdm_row(13, 2.0, 1.0, OPEN12, InitialState(0.6, 0.8))
+        _projective_rdm_row(13, 2.0, 1.0, OPEN12, InitialState(0.6, 0.8))
     # the measured site of the split propagators is checked too
     with pytest.raises(ValueError):
         hk_propagators(1, 2, 0, 2.0, 1.0, OPEN12)
@@ -496,8 +526,8 @@ def test_sites_outside_the_chain_are_rejected(fidelity_projective_row, hk_propag
 def test_time_ordering_validation(fidelity_projective_row):
     with pytest.raises(ValueError):
         fidelity_projective_row(2, 1.0, 2.0, OPEN12)
-    with pytest.raises(ValueError):
-        projective_rdm_row(2, 1.0, 2.0, OPEN12, InitialState(0.6, 0.8))
+    with pytest.raises(ValueError, match="precedes the measurement"):
+        _projective_rdm_row(2, 1.0, 2.0, OPEN12, InitialState(0.6, 0.8))
     with pytest.raises(ValueError):
         UnitaryQdpEngine(CLOSED12, LocalGate(2, 3.0, 0.0, 1.0)).fidelity_row(2.0)
     with pytest.raises(ValueError):
