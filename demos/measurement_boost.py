@@ -30,7 +30,7 @@ def main() -> None:
         ("probe site 20 at t0 = 10", 20, 10.0),
         ("probe source at t0 = 10 ", 1, 10.0),
     ):
-        times = [t0 + 0.05 * k for k in range(1, 1201)]
+        times = [t0 + 0.05 * i for i in range(1, 1201)]
         blocks = fidelity_change(measured(chain, m, t0, times))
         worst = max(float(np.max(np.abs(block))) for block in blocks)
         print(f"  {label}: max |dF| = {worst:.4f}")
@@ -40,7 +40,7 @@ def main() -> None:
     for l in range(40, 101, 10):
         m, t0 = l, l / 2.0
         best_free, best_meas = 0.0, 0.0
-        for g, k in measured(chain, m, t0, [t0 + 0.05 * k for k in range(1, 1201)]):
+        for g, k in measured(chain, m, t0, [t0 + 0.05 * i for i in range(1, 1201)]):
             weight, _ = _projective_parts(g[:, l - 1], k[:, l - 1])
             best_free = max(best_free, float(np.max(np.abs(g[:, l - 1]) ** 2)))
             best_meas = max(best_meas, float(np.max(weight)))
