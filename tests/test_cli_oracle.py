@@ -8,6 +8,12 @@ formulas:
 * ``fidelity`` and ``qdp-diff``: the dense ``vacuum_one_two`` sector of
   ``oracle``, the measurement as its ``p0`` and ``p1`` branches, site RDMs
   by ``oracle.rdm_site``;
+* ``unitary-qdp`` (with and without ``--diff``) and ``two-magnon-split``:
+  the same sector, the gate as ``oracle.apply_local((gamma, delta), m, ...)``
+  at t0; the split's ``bound`` part is the pair sector times
+  ``oracle.bound_band_projector`` (Delta = 1), its ``scattering`` part the
+  pair sector minus that, and each part's weight at a site is read by the
+  fidelity's x term;
 * ``harper`` and ``detector``: the one-particle vector stepped by
   ``kicked_reference.dense_step`` (the hop by ``eigh``, times the kick
   phases), the measurement as its two branches.
@@ -15,10 +21,12 @@ formulas:
 A Bloch average is ``bloch_reference.bloch_average`` over per-state
 fidelities. The CSV prints 12 significant digits, which round a value in
 [-1, 1] by at most 5e-12. The worst error measured over these cases is
-4.99e-13: the rounding of the last printed digit of a value below 1.
+4.99e-13 (4.98e-13 on the gate commands): the rounding of the last printed
+digit of a value below 1.
 """
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -67,11 +75,15 @@ def _averaged(per_state, alpha2):
                     ).reshape(shape)
 
 
-def _chain_case(rng):
-    """A drawn small chain, its flags, its time axis and its kept sites."""
+def _chain_case(rng, boundary=None, delta=None):
+    """A drawn small chain, its flags, its time axis and its kept sites.
+
+    A boundary or Delta that is given is not drawn.
+    """
     n = int(rng.integers(3, 11))
-    spec = ChainSpec(n, str(rng.choice(["open", "closed"])), float(rng.uniform(0.3, 1.0)),
-                     float(rng.uniform(-1.5, 2.0)))
+    boundary = str(rng.choice(["open", "closed"])) if boundary is None else boundary
+    j = float(rng.uniform(0.3, 1.0))
+    spec = ChainSpec(n, boundary, j, float(rng.uniform(-1.5, 2.0)) if delta is None else delta)
     dt = float(rng.choice([0.25, 0.5, 0.75]))
     ts = dt * np.arange(int(rng.integers(2, 8)))
     lmin = int(rng.integers(1, n + 1))
@@ -130,6 +142,86 @@ def test_qdp_diff_cells_match_dense_measurement_branches(tmp_path, case):
             free = [oracle.evolve(state, ham, t)]
             rows.append(_site_fidelities(measured, sites, alpha, beta)
                         - _site_fidelities(free, sites, alpha, beta))
+        return np.array(rows)
+
+    assert np.max(np.abs(got - _averaged(per_state, None))) <= PRINTED
+
+
+def _gate_case(rng, delta=None):
+    """A drawn small ring, its gate (site, t0, gamma, delta), and the flags of both."""
+    spec, flags, ts, sites = _chain_case(rng, boundary="closed", delta=delta)
+    m = int(rng.integers(1, spec.n + 1))
+    t0 = round(float(rng.uniform(0.0, ts[-1])), 3)
+    theta, phase = float(rng.uniform(0.0, math.pi)), float(rng.uniform(-math.pi, math.pi))
+    gamma, delta_abs = math.cos(theta), math.sin(theta)
+    flags += ["--site", str(m), "--t0", repr(t0), "--gamma-abs", repr(gamma),
+              "--delta-abs", repr(delta_abs), "--delta-phase", repr(phase)]
+    return spec, flags, ts, sites, (m, t0, gamma, delta_abs * cmath.exp(1j * phase))
+
+
+def _gated(spec, ts, gate):
+    """per_state(alpha, beta) -> the dense vacuum_one_two state at each time, gated at t0."""
+    m, t0, gamma, delta = gate
+    ham = oracle.build_hamiltonian(spec, "vacuum_one_two")
+
+    def per_state(alpha, beta):
+        state = oracle.encoded_state(alpha, beta, ham.basis)
+        after = oracle.apply_local((gamma, delta), m, oracle.evolve(state, ham, t0))
+        return [oracle.evolve(after, ham, t - t0) if t >= t0 else None for t in ts], [
+            oracle.evolve(state, ham, t) for t in ts]
+
+    return per_state
+
+
+@pytest.mark.parametrize("diff", [False, True])
+@pytest.mark.parametrize("case", CASES)
+def test_unitary_qdp_cells_match_the_dense_gate(tmp_path, case, diff):
+    rng = np.random.default_rng(500 + case)
+    spec, flags, ts, sites, gate = _gate_case(rng)
+    got = _printed(tmp_path, ["unitary-qdp", *flags, *(["--diff"] if diff else [])])
+    states = _gated(spec, ts, gate)
+
+    def per_state(alpha, beta):
+        rows = []
+        for gated, free in zip(*states(alpha, beta)):
+            before = _site_fidelities([free], sites, alpha, beta)
+            # before t0 the gate has not acted: the free fidelity, or no change
+            after = before if gated is None else _site_fidelities([gated], sites, alpha, beta)
+            rows.append(after - before if diff else after)
+        return np.array(rows)
+
+    assert np.max(np.abs(got - _averaged(per_state, None))) <= PRINTED
+
+
+@pytest.mark.parametrize("part", ["bound", "scattering", "total"])
+@pytest.mark.parametrize("case", CASES)
+def test_two_magnon_split_cells_match_the_dense_bound_band(tmp_path, case, part):
+    rng = np.random.default_rng(600 + case)
+    spec, flags, ts, sites, gate = _gate_case(rng, delta=1.0)
+    got = _printed(tmp_path, ["two-magnon-split", *flags, "--part", part])
+    states = _gated(spec, ts, gate)
+    two = oracle.make_basis("two_excitation", spec.n)
+    bound = oracle.bound_band_projector(spec).projector
+
+    def pair_part(state):
+        """The pair sector of a vacuum_one_two state, cut to the part, on the pair basis."""
+        is_pair = np.count_nonzero(state.basis.sites, axis=1) == 2
+        psi = np.zeros(two.dim, dtype=complex)
+        psi[two.lookup(state.basis.sites[is_pair])] = state.vector[is_pair]
+        # the scattering part is the pair state minus its bound part
+        kept = {"total": psi, "bound": bound @ psi, "scattering": psi - bound @ psi}[part]
+        return oracle.DenseState(kept, two)
+
+    def per_state(alpha, beta):
+        rows = []
+        for gated, _ in zip(*states(alpha, beta)):
+            if gated is None:  # no pair before the gate
+                rows.append(np.zeros(len(sites)))
+                continue
+            # the fidelity's x term reading the part's weight at each site
+            x = [oracle.rdm_site(pair_part(gated), l)[0] for l in sites]
+            rows.append([transfer_fidelity(w, 0.0, alpha, beta)
+                         - transfer_fidelity(0.0, 0.0, alpha, beta) for w in x])
         return np.array(rows)
 
     assert np.max(np.abs(got - _averaged(per_state, None))) <= PRINTED
