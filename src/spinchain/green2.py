@@ -15,9 +15,10 @@ on the modes, independent of the time), then ``evolve_projected`` (per time);
 a caller that evolves one state to many times projects it once.
 ``green2`` projects one source pair, evolves it and reads one target
 entry. Both it and the gate protocol take their kernel from
-``ring_kernel``, which keeps one kernel per ring while their modes total at
-most those of one ``MAX_RING_SITES`` ring (134.7 MB), dropping the least
-recently used first.
+``ring_kernel``, which keeps one kernel per ring in the dict ``kernels``
+while their modes total at most those of one ``MAX_RING_SITES`` ring
+(134.7 MB), dropping the least recently used first; ``kernels.clear()``
+frees them.
 
 Amplitudes inside ``RingTwoMagnon`` are reduced (measured from the polarized
 reference, like green1's reduced rows); ``green2`` returns full amplitudes,
@@ -27,7 +28,6 @@ sectors and are refused.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
 from typing import Literal, get_args
 
@@ -404,52 +404,29 @@ class RingTwoMagnon:
         return half + half.T
 
 
-_CacheInfo = namedtuple("_CacheInfo", "hits misses currsize kept_bytes")
+#: The kernels ``ring_kernel`` keeps, least recently used first.
+kernels: dict[ChainSpec, RingTwoMagnon] = {}
 
 
-class _RingKernels:
-    """``ring_kernel(spec)``: the ring's kernel, built on its first request and kept.
+def ring_kernel(spec: ChainSpec) -> RingTwoMagnon:
+    """The ring's kernel, built on its first request and kept in ``kernels``.
 
     ``green2`` and ``protocols.UnitaryQdpEngine`` both read their kernel
     here, so gate commands and ``green2`` calls share one build per ring,
-    also when they alternate between rings. Kernels stay alive after their
-    callers return. After each build the least recently used kernels are
-    dropped until the modes kept (``_evecs.nbytes``) total at most
-    ``_MAX_KEPT_BYTES``, the modes of one MAX_RING_SITES ring (134.7 MB);
-    the kernel just built is never dropped. ``cache_clear()`` frees them all,
-    and ``cache_info()`` reports hits, misses, kernels kept and their mode
-    bytes, which depend on what the process asked before. A kernel is
-    shared read-only: nothing mutates it after the build.
+    also when they alternate between rings. After each build the least
+    recently used kernels are dropped until the modes kept
+    (``_evecs.nbytes``) total at most ``_MAX_KEPT_BYTES``, the modes of one
+    MAX_RING_SITES ring (134.7 MB); the kernel just built is never dropped,
+    and a build that raises stores nothing. A kernel is shared read-only:
+    nothing mutates it after the build.
     """
-
-    def __init__(self) -> None:
-        self._kernels: OrderedDict[ChainSpec, RingTwoMagnon] = OrderedDict()
-        self._hits = self._misses = 0
-
-    def __call__(self, spec: ChainSpec) -> RingTwoMagnon:
-        kernel = self._kernels.get(spec)
-        if kernel is not None:
-            self._hits += 1
-            self._kernels.move_to_end(spec)
-            return kernel
-        self._misses += 1
-        kernel = self._kernels[spec] = RingTwoMagnon(spec)
-        while len(self._kernels) > 1 and self._kept_bytes() > _MAX_KEPT_BYTES:
-            self._kernels.popitem(last=False)
+    if spec in kernels:
+        kernel = kernels[spec] = kernels.pop(spec)  # to the end: dict order is use order
         return kernel
-
-    def _kept_bytes(self) -> int:
-        return sum(kernel._evecs.nbytes for kernel in self._kernels.values())
-
-    def cache_info(self) -> _CacheInfo:
-        return _CacheInfo(self._hits, self._misses, len(self._kernels), self._kept_bytes())
-
-    def cache_clear(self) -> None:
-        self._kernels.clear()
-        self._hits = self._misses = 0
-
-
-ring_kernel = _RingKernels()
+    kernel = kernels[spec] = RingTwoMagnon(spec)
+    while len(kernels) > 1 and sum(k._evecs.nbytes for k in kernels.values()) > _MAX_KEPT_BYTES:
+        del kernels[next(iter(kernels))]
+    return kernel
 
 
 def green2(

@@ -132,9 +132,6 @@ class DenseState:
     vector: np.ndarray
     basis: SectorBasis
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.vector))
-
 
 class DenseHamiltonian:
     """Dense real-symmetric Hamiltonian on a sector basis, with cached eigendecomposition."""

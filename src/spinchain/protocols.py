@@ -296,11 +296,12 @@ class UnitaryQdpEngine:
     source onto its modes (``RingTwoMagnon.project``) once, on the first time
     at or after t0, so a grid that ends before t0 builds nothing; each time
     then runs only ``RingTwoMagnon.evolve_projected``. Engines on one ring
-    share its kernel. The per-time methods hand L and the one-magnon rows to
-    ``_gate_fidelity_row`` and ``_gate_state``. A phase-only gate (delta = 0)
-    opens no pair channel: it runs on any chain, in O(N) memory, its
-    fidelity rows are the free readout ``fidelity_from_amplitudes`` of g_t
-    for every gamma ``LocalGate`` admits, and ``state`` holds no N x N matrix.
+    share its kernel, kept in ``green2.kernels``. The per-time methods hand L
+    and the one-magnon rows to ``_gate_fidelity_row`` and ``_gate_state``. A
+    phase-only gate (delta = 0) opens no pair channel: it runs on any chain,
+    in O(N) memory, its fidelity rows are the free readout
+    ``fidelity_from_amplitudes`` of g_t for every gamma ``LocalGate`` admits,
+    and ``state`` holds no N x N matrix.
     """
 
     def __init__(self, spec: ChainSpec, gate: LocalGate):
@@ -338,11 +339,6 @@ class UnitaryQdpEngine:
         """Reduced rows g(1 -> l; t) and g(m -> l; t - t0) over every site l."""
         spec, gate = self.spec, self.gate
         return reduced_profile(1, t, spec), reduced_profile(gate.m, t - gate.t0, spec)
-
-    def two_magnon_weight(self, t: float) -> float:
-        """sum over pairs |L|^2; equals sum_{y'' != m} |g(1 -> y''; t0)|^2 exactly."""
-        pairs = self._pair_matrix(t, "total")
-        return 0.0 if pairs is None else float(np.sum(np.abs(pairs) ** 2)) / 2.0
 
     def fidelity_row(self, t: float) -> np.ndarray:
         """Bloch-averaged transfer fidelity at every site."""
@@ -469,15 +465,14 @@ def grid_csv(l_values, t_values, blocks, lo: float = 0.0) -> Iterator:
     (NaN fails; ``lo`` is -1 for differences, 0 for fidelities), and unless
     the blocks hold exactly ``len(t_values)`` rows. The text, byte for byte
     ``f"{l},{t:.11e},{value:.11e}"`` per cell, is formatted in one padded
-    uint8 buffer, kept while the blocks keep their size: the ``l,`` field
-    and the newline set once, the ``t,`` field once per row, every value by
-    ``_format_e11``, and the zero pad bytes dropped.
+    uint8 buffer, kept while the blocks keep their size: the ``l,`` field,
+    the commas and the newline set once, the block's times and every value
+    by ``_format_e11``, and the zero pad bytes dropped.
     """
     picks = np.asarray(l_values, dtype=np.int64) - 1
     sites = _padded(f"{l}," for l in l_values)
-    times = _padded(f"{t:.11e}," for t in t_values)
-    (n_sites, site_width), (count, time_width) = sites.shape, times.shape
-    value_at = site_width + time_width
+    (n_sites, site_width), count = sites.shape, len(t_values)
+    value_at = site_width + _FIELD + 1
     text = np.empty((0, n_sites, value_at + _FIELD + 1), np.uint8)
     yield b"l,t,value\n"
     start = 0
@@ -493,8 +488,12 @@ def grid_csv(l_values, t_values, blocks, lo: float = 0.0) -> Iterator:
         if len(text) != len(chunk):  # kept for every block of the same size
             text = np.empty((len(chunk), *text.shape[1:]), np.uint8)
             text[:, :, :site_width] = sites
+            text[:, :, value_at - 1] = ord(",")
             text[:, :, -1] = ord("\n")
-        text[:, :, site_width:value_at] = times[start:stop, None]
+        # each row's time, formatted at its first site and copied to the rest
+        times = text[:, 0, site_width : value_at - 1]
+        _format_e11(np.asarray(t_values[start:stop], dtype=float), times)
+        text[:, 1:, site_width : value_at - 1] = times[:, None]
         _format_e11(chunk.reshape(-1), text.reshape(-1, text.shape[-1])[:, value_at:-1])
         flat = text.reshape(-1)
         yield flat[flat != 0]

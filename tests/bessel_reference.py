@@ -126,7 +126,7 @@ def bessel_j(order: int, y: float) -> float:
     _check_domain(y)
     if _series_applies(order, y):
         return sign * _series(order, y)
-    if order > truncation_order(y, extra=60):
+    if order > truncation_order(y) + 50:
         return 0.0
     return sign * float(bessel_j_sequence(order, y)[order])
 

@@ -211,7 +211,8 @@ def test_criterion_08_pair_kernel_completeness_and_free_factorization():
 
     gate = LocalGate(10, 2.0, 0.0, 1.0)
     engine = UnitaryQdpEngine(ring40, gate)
-    weights = [engine.two_magnon_weight(t) for t in (3.0, 7.0)]
+    # sum over pairs |L|^2; the pair matrix holds each pair twice
+    weights = [float(np.sum(np.abs(engine._pair_matrix(t, "total")) ** 2)) / 2.0 for t in (3.0, 7.0)]
     assert abs(weights[0] - weights[1]) <= 1e-3
 
     free = ChainSpec(40, "closed", 0.5, 0.0)

@@ -58,7 +58,7 @@ def test_three_term_recurrence():
 def test_normalization_sum():
     # J_0^2 + 2 sum_{n>=1} J_n^2 = 1 once orders run past the truncation point
     for z in (1.0, 12.0, 80.0):
-        seq = bessel_j_sequence(truncation_order(z, extra=20), z)
+        seq = bessel_j_sequence(truncation_order(z) + 10, z)
         total = seq[0] ** 2 + 2 * np.sum(seq[1:] ** 2)
         assert total == pytest.approx(1.0, abs=1e-12)
 

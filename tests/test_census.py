@@ -6,11 +6,19 @@ in ``src/`` (outside its own definition), or in ``demos/``, ``perfbench/`` or
 ``tools/``. The golden generator ``tools/regenerate_goldens.py`` only feeds
 the tests, so its names do not count, and neither do the tests'. A name only
 they reach belongs with them, outside ``src/``.
+
+A method or property of a ``src/`` class, dunders excepted, must likewise be
+read as an attribute (``x.name``) by a shipped path, outside its own
+definition. The census matches names, not objects: a member that shares its
+name with an attribute read elsewhere passes unseen (a ``norm`` method would,
+once any shipped path calls ``np.linalg.norm``). Dataclass fields and instance attributes are values, not
+members, and are not counted.
 """
 
 from __future__ import annotations
 
 import ast
+import collections
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -74,3 +82,29 @@ def test_every_public_src_name_is_reached_by_a_shipped_path():
 def test_every_private_src_name_is_reached_by_a_shipped_path():
     unreached = _unreached(private=True)
     assert unreached == [], f"private names no shipped path reaches: {unreached}"
+
+
+def _attribute_reads(node: ast.AST) -> collections.Counter:
+    """How often ``node`` reads each attribute name, as in ``x.name``."""
+    return collections.Counter(
+        sub.attr for sub in ast.walk(node)
+        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)
+    )
+
+
+def test_every_src_class_member_is_read_by_a_shipped_path():
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in _shipped_paths()}
+    reads = sum((_attribute_reads(tree) for tree in trees.values()), collections.Counter())
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        for cls in (node for node in trees[path].body if isinstance(node, ast.ClassDef)):
+            for member in cls.body:
+                if not isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                name = member.name
+                if name.startswith("__") and name.endswith("__"):
+                    continue
+                # a read inside the member's own body (recursion) does not count
+                if reads[name] <= _attribute_reads(member)[name]:
+                    unread.append(f"{path.stem}.{cls.name}.{name}")
+    assert unread == [], f"class members no shipped path reads: {unread}"

@@ -427,7 +427,7 @@ def test_each_gate_command_builds_its_ring_kernel_once(tmp_path, monkeypatch):
         builds.append(args)
         original(self, *args, **kwargs)
 
-    green2.ring_kernel.cache_clear()
+    green2.kernels.clear()
     monkeypatch.setattr(green2.RingTwoMagnon, "__init__", counting_init)
     ring = ["--n", "12", "--boundary", "closed", "--site", "3", "--t0", "1.0",
             "--tmax", "3.0", "--dt", "0.5"]  # five columns at or after t0
@@ -439,7 +439,7 @@ def test_each_gate_command_builds_its_ring_kernel_once(tmp_path, monkeypatch):
     ring[1] = "13"
     assert main(["unitary-qdp", *ring, "--out", str(tmp_path / "13.csv")]) == 0
     assert len(builds) == 2
-    green2.ring_kernel.cache_clear()
+    green2.kernels.clear()
 
 
 def test_gate_grid_ending_before_t0_builds_no_ring_kernel(tmp_path, monkeypatch):
@@ -447,7 +447,7 @@ def test_gate_grid_ending_before_t0_builds_no_ring_kernel(tmp_path, monkeypatch)
 
     builds = []
     monkeypatch.setattr(green2.RingTwoMagnon, "__init__", lambda self, spec: builds.append(spec))
-    green2.ring_kernel.cache_clear()
+    green2.kernels.clear()
     ring = ["--n", "12", "--boundary", "closed", "--site", "3", "--t0", "5.0",
             "--tmax", "4.5", "--dt", "0.5"]  # every column before t0
     for command in ("unitary-qdp", "two-magnon-split"):
@@ -459,7 +459,7 @@ def test_gate_grid_ending_before_t0_builds_no_ring_kernel(tmp_path, monkeypatch)
     assert main(["unitary-qdp", *big, "--out", str(tmp_path / "big.csv")]) == 2
     assert not (tmp_path / "big.csv").exists()
     assert builds == []
-    green2.ring_kernel.cache_clear()
+    green2.kernels.clear()
 
 
 def test_exit_code_for_failed_numerical_check(tmp_path):

@@ -271,7 +271,7 @@ def test_green2_builds_each_ring_kernel_once(monkeypatch):
         builds.append(args)
         original(self, *args, **kwargs)
 
-    green2_module.ring_kernel.cache_clear()
+    green2_module.kernels.clear()
     monkeypatch.setattr(RingTwoMagnon, "__init__", counting_init)
     ring, other = ChainSpec(18, "closed", 0.5, 0.8), ChainSpec(19, "closed", 0.5, 0.8)
     calls = [((2, 5, 3, 7, t), part) for t in (0.0, 1.5, 4.0)
@@ -283,10 +283,10 @@ def test_green2_builds_each_ring_kernel_once(monkeypatch):
     assert len(builds) == 2
     # a freshly built kernel gives every value again, to the bit
     for (args, part), value in zip(calls, values):
-        green2_module.ring_kernel.cache_clear()
+        green2_module.kernels.clear()
         assert green2(*args, ring, part=part).value == value
     # bad input is refused before the lookup, and an open chain caches nothing
-    green2_module.ring_kernel.cache_clear()
+    green2_module.kernels.clear()
     builds.clear()
     for args, part in (((1, 2, 1, 2, float("nan")), "total"), ((1, 2, 1, 2, 1.0), "foo"),
                        ((1, 2, 1, 19, 1.0), "total")):
@@ -295,7 +295,7 @@ def test_green2_builds_each_ring_kernel_once(monkeypatch):
     assert builds == []
     with pytest.raises(ValueError):
         green2(1, 2, 1, 2, 1.0, ChainSpec(18, "open", 0.5, 0.8))
-    assert green2_module.ring_kernel.cache_info().currsize == 0
+    assert green2_module.kernels == {}
 
 
 @pytest.fixture
@@ -308,14 +308,18 @@ def counted_builds(monkeypatch):
         builds.append(spec)
         original(self, spec)
 
-    green2_module.ring_kernel.cache_clear()
+    green2_module.kernels.clear()
     monkeypatch.setattr(RingTwoMagnon, "__init__", counting_init)
     yield builds
-    green2_module.ring_kernel.cache_clear()
+    green2_module.kernels.clear()
 
 
 def _mode_bytes(n):
     return (n // 2 + 1) * (n // 2) ** 2 * 8
+
+
+def _kept_bytes():
+    return sum(kernel._evecs.nbytes for kernel in green2_module.kernels.values())
 
 
 def test_ring_kernel_keeps_one_kernel_per_ring(counted_builds):
@@ -325,13 +329,14 @@ def test_ring_kernel_keeps_one_kernel_per_ring(counted_builds):
     ring_kernel(b)
     assert ring_kernel(a) is first
     assert counted_builds == [a, b]
-    info = ring_kernel.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (1, 2, 2)
-    assert info.kept_bytes == _mode_bytes(8) + _mode_bytes(9)
+    assert list(green2_module.kernels) == [b, a]  # least recently used first
+    assert _kept_bytes() == _mode_bytes(8) + _mode_bytes(9)
     # the ceiling is the modes of one MAX_RING_SITES ring, as a one-kernel store held
     assert green2_module._MAX_KEPT_BYTES == 257 * 256 * 256 * 8 == _mode_bytes(MAX_RING_SITES)
-    ring_kernel.cache_clear()
-    assert ring_kernel.cache_info() == (0, 0, 0, 0)
+    # clearing the store frees its kernels: the next request builds again
+    green2_module.kernels.clear()
+    assert ring_kernel(a) is not first
+    assert counted_builds == [a, b, a]
 
 
 def test_ring_kernel_drops_the_least_recently_used_over_its_ceiling(counted_builds, monkeypatch):
@@ -341,7 +346,7 @@ def test_ring_kernel_drops_the_least_recently_used_over_its_ceiling(counted_buil
     for spec in (a, b, a, c):  # b is the least recently used when c arrives
         ring_kernel(spec)
     assert counted_builds == [a, b, c]
-    assert ring_kernel.cache_info().currsize == 2
+    assert list(green2_module.kernels) == [a, c]
     ring_kernel(a)
     ring_kernel(c)
     assert counted_builds == [a, b, c]
@@ -349,12 +354,13 @@ def test_ring_kernel_drops_the_least_recently_used_over_its_ceiling(counted_buil
     assert counted_builds == [a, b, c, b]
     ring_kernel(c)
     assert counted_builds == [a, b, c, b]
+    assert list(green2_module.kernels) == [b, c]
     # a kernel alone over the ceiling is still returned and kept, by itself
     big = ChainSpec(14, "closed", 0.5, 1.0)
     kernel = ring_kernel(big)
-    assert ring_kernel.cache_info().currsize == 1
+    assert list(green2_module.kernels) == [big]
     assert ring_kernel(big) is kernel
-    assert ring_kernel.cache_info().kept_bytes == _mode_bytes(14) > green2_module._MAX_KEPT_BYTES
+    assert _kept_bytes() == _mode_bytes(14) > green2_module._MAX_KEPT_BYTES
 
 
 def test_ring_kernel_never_keeps_more_than_its_ceiling(counted_builds, monkeypatch):
@@ -364,11 +370,13 @@ def test_ring_kernel_never_keeps_more_than_its_ceiling(counted_builds, monkeypat
     sizes = np.random.default_rng(3).integers(3, 13, size=60)
     for n in sizes:
         spec = ChainSpec(int(n), "closed", 0.5, 1.0)
+        builds, kept = len(counted_builds), spec in green2_module.kernels
         kernel = ring_kernel(spec)
         assert kernel.spec == spec
-        info = ring_kernel.cache_info()
-        assert info.kept_bytes <= ceiling
-        assert info.misses == len(counted_builds)
+        # a kept kernel is returned, any other is built, and either is now the newest
+        assert len(counted_builds) == builds + (not kept)
+        assert list(green2_module.kernels)[-1] == spec
+        assert _kept_bytes() <= ceiling
     assert len(counted_builds) < len(sizes)
 
 

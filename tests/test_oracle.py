@@ -15,7 +15,6 @@ from golden_io import decode_complex, load_golden, save_golden, transfer_fidelit
 from spinchain.chain import ChainSpec, conventions_hash
 from spinchain.green2 import RingTwoMagnon
 from spinchain.oracle import (
-    DenseState,
     _flip_map,
     apply_local,
     bound_band_projector,
@@ -165,7 +164,7 @@ def test_local_gate_preserves_norm_and_acts_locally():
     ham = build_hamiltonian(spec, "vacuum_one_two")
     state = evolve(encoded_state(np.sqrt(0.5), np.sqrt(0.5), basis), ham, 1.3)
     kicked = apply_local((0.0, 1.0), 3, state)
-    assert kicked.norm() == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(kicked.vector) == pytest.approx(1.0, abs=1e-12)
     # a gate at site 3 cannot move weight at sites far from 3 within the same sector
     x_before = rdm_site(state, 6)[0]
     x_after = rdm_site(kicked, 6)[0]
@@ -204,7 +203,9 @@ def test_measurement_branches_resolve_identity():
     found = apply_local("p1", 3, state)
     assert np.allclose(survive.vector + found.vector, state.vector, atol=1e-14)
     assert np.vdot(survive.vector, found.vector) == pytest.approx(0.0, abs=1e-14)
-    assert survive.norm() ** 2 + found.norm() ** 2 == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(survive.vector) ** 2 + np.linalg.norm(found.vector) ** 2 == pytest.approx(
+        1.0, abs=1e-12
+    )
 
 
 def _flip_map_reference(basis, m):
@@ -373,12 +374,6 @@ def test_golden_codec_refuses_a_real_value_that_would_load_as_complex(tmp_path):
         with pytest.raises(ValueError, match="golden value 'pair' is real"):
             save_golden(tmp_path / "refused.json", inputs={}, values={"ok": 1.0, "pair": value}, tolerance=1e-9)
     assert not (tmp_path / "refused.json").exists()
-
-
-def test_dense_state_norm():
-    basis = make_basis("one_excitation", 4)
-    vec = np.array([0.6, 0.8j, 0.0, 0.0], dtype=complex)
-    assert DenseState(vec, basis).norm() == pytest.approx(1.0, abs=1e-15)
 
 
 def test_golden_generator_reproduces_the_committed_goldens(tmp_path, monkeypatch):

@@ -216,7 +216,7 @@ def test_gate_identity_at_origin_reduces_to_free_interference():
 def test_phase_only_gate_has_no_pair_channel():
     gate = LocalGate(3, 1.0, 1.0, 0.0)
     engine = UnitaryQdpEngine(CLOSED12, gate)
-    assert engine.two_magnon_weight(2.5) == 0.0
+    assert engine._pair_matrix(2.5, "total") is None
     assert engine.ring is None
 
 
@@ -259,14 +259,19 @@ def test_phase_only_gate_holds_no_pair_matrix():
     assert state.norm_defect <= 1e-10
 
 
+def _pair_weight(engine, t):
+    """sum over pairs |L|^2, off the total pair matrix, which holds each pair twice."""
+    return float(np.sum(np.abs(engine._pair_matrix(t, "total")) ** 2)) / 2.0
+
+
 def test_pair_weight_equals_injected_companion_weight():
     gate = LocalGate(4, 2.0, 0.0, 1.0)
     engine = UnitaryQdpEngine(CLOSED12, gate)
     u0 = reduced_profile(1, 2.0, CLOSED12)
     expected = float(np.sum(np.abs(u0) ** 2) - abs(u0[3]) ** 2)
-    assert engine.two_magnon_weight(5.0) == pytest.approx(expected, abs=1e-12)
+    assert _pair_weight(engine, 5.0) == pytest.approx(expected, abs=1e-12)
     # and it is a constant of the motion
-    assert engine.two_magnon_weight(9.0) == pytest.approx(expected, abs=1e-12)
+    assert _pair_weight(engine, 9.0) == pytest.approx(expected, abs=1e-12)
 
 
 def test_split_fidelity_parts_add_up_over_the_ring():
@@ -281,7 +286,7 @@ def test_split_fidelity_parts_add_up_over_the_ring():
     assert np.sum(bounds) + np.sum(scatters) == pytest.approx(np.sum(totals), abs=1e-10)
     gate_weight = abs(gate.delta) ** 2 / 6.0
     assert np.sum(totals) == pytest.approx(
-        2.0 * gate_weight * engine.two_magnon_weight(5.0), abs=1e-10
+        2.0 * gate_weight * _pair_weight(engine, 5.0), abs=1e-10
     )
 
 
