@@ -490,10 +490,9 @@ def grid_csv(l_values, t_values, blocks, lo: float = 0.0) -> Iterator:
             text[:, :, :site_width] = sites
             text[:, :, value_at - 1] = ord(",")
             text[:, :, -1] = ord("\n")
-        # each row's time, formatted at its first site and copied to the rest
-        times = text[:, 0, site_width : value_at - 1]
+        times = np.empty((len(chunk), _FIELD), np.uint8)  # contiguous: a faster copy source
         _format_e11(np.asarray(t_values[start:stop], dtype=float), times)
-        text[:, 1:, site_width : value_at - 1] = times[:, None]
+        text[:, :, site_width : value_at - 1] = times[:, None]
         _format_e11(chunk.reshape(-1), text.reshape(-1, text.shape[-1])[:, value_at:-1])
         flat = text.reshape(-1)
         yield flat[flat != 0]
