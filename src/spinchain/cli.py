@@ -13,8 +13,9 @@ max(1, 8192 // N) times; ``grid_csv`` checks each block as it arrives (no
 NaN, values in [0, 1], or [-1, 1] for differences and the detector) and
 turns it into a chunk of text for the temporary CSV file, so no command
 holds its grid; the CSV and its sidecar are renamed into place both or
-neither.  The temporary file is opened before the first row is computed,
-so an unwritable ``--out`` exits 4 even where a row would fail.
+neither.  Each grid command first runs the time checks its rows would run
+at its last time; the temporary file is then opened before the first row
+is computed, so an unwritable ``--out`` exits 4 even where a row would fail.
 ``--threads`` is still accepted but has no effect.
 
 ``main`` builds the argument parser on its first call and reuses it, unchanged,
@@ -27,7 +28,6 @@ check failed, 4 output could not be written.
 from __future__ import annotations
 
 import argparse
-import bisect
 import cmath
 import errno
 import functools
@@ -43,7 +43,8 @@ import numpy as np
 
 from . import __version__
 from .chain import CONVENTIONS, ChainSpec, InitialState, LocalGate, conventions_hash, reduced_phase
-from .green1 import HALF_INFINITE_MIN_N, free_propagator, reduced_profile
+from .green1 import HALF_INFINITE_MIN_N, free_propagator, propagator_argument, reduced_profile
+from .green2 import _check_evolution
 from .harper import HarperSpec, KickedChain
 from .protocols import SpinChain, UnitaryQdpEngine, _projective_parts, _rdm_row, fidelity_change
 from .protocols import fidelity_from_amplitudes, grid_csv, measured, occupation_change, row_blocks
@@ -333,8 +334,8 @@ def _check_grid_size(sites: int, times: float) -> None:
         raise ValueError(f"grid of {sites} x {times:.4g} cells is over {MAX_GRID_CELLS}")
 
 
-def _grid_axes(args: argparse.Namespace) -> tuple[list[int], list[float], dict]:
-    """Site and time axes from the grid flags, and the sidecar's grid block."""
+def _grid_axes(args: argparse.Namespace) -> tuple[list[int], np.ndarray, dict]:
+    """Site and time axes, the times as a float64 array, and the sidecar's grid block."""
     lmax = args.lmax if args.lmax is not None else args.n
     if not 1 <= args.lmin <= lmax <= args.n:
         raise ValueError(f"need 1 <= lmin <= lmax <= n, got {args.lmin}..{lmax} on n={args.n}")
@@ -345,9 +346,18 @@ def _grid_axes(args: argparse.Namespace) -> tuple[list[int], list[float], dict]:
     steps = (args.tmax - args.tmin) / args.dt
     # every row is computed over all n sites, whatever part of it is kept
     _check_grid_size(args.n, steps + 1)
-    ls = list(range(args.lmin, lmax + 1))
-    ts = [round(args.tmin + k * args.dt, 12) for k in range(int(steps + 1e-9) + 1)]
-    return ls, ts, {"l": [ls[0], ls[-1]], "t": [ts[0], ts[-1]], "dt": args.dt}
+    ls, count = list(range(args.lmin, lmax + 1)), int(steps + 1e-9) + 1
+    ts = np.fromiter((round(args.tmin + k * args.dt, 12) for k in range(count)), float, count)
+    return ls, ts, {"l": [ls[0], ls[-1]], "t": [float(ts[0]), float(ts[-1])], "dt": args.dt}
+
+
+def _check_pair_time(spec: ChainSpec, gate: LocalGate, t: float) -> None:
+    """Refuse a grid's last time t where a flipping gate's pair evolution would refuse it.
+
+    Run before any file is opened, as ``green1.propagator_argument`` is for one-magnon rows.
+    """
+    if gate.delta != 0.0 and t >= gate.t0:
+        _check_evolution(t - gate.t0, "total", spec)
 
 
 def _site_and_t0(args: argparse.Namespace) -> None:
@@ -387,6 +397,7 @@ def _write_grid(args: argparse.Namespace, ls, ts, blocks, grid_meta: dict, lo: f
 def _run_fidelity(args: argparse.Namespace) -> int:
     spec, initial = _chain_spec(args), _initial(args.alpha2)
     ls, ts, grid_meta = _grid_axes(args)
+    propagator_argument(ts[-1], spec)  # the rows' time check, before any file is opened
     blocks = (fidelity_from_amplitudes(u, initial) for u in SpinChain(spec).rows(1, ts))
     return _write_grid(args, ls, ts, blocks, grid_meta)
 
@@ -396,7 +407,9 @@ def _run_qdp_diff(args: argparse.Namespace) -> int:
     spec = _chain_spec(args)
     _site_and_t0(args)
     ls, ts, grid_meta = _grid_axes(args)
-    cut, zeros = bisect.bisect_left(ts, args.t0), np.zeros(args.n)
+    cut, zeros = np.searchsorted(ts, args.t0), np.zeros(args.n)
+    if cut < len(ts):  # rows are computed only from --t0 on
+        propagator_argument(ts[-1], spec)
     blocks = itertools.chain(
         row_blocks(lambda t: zeros, ts[:cut], args.n),
         fidelity_change(measured(SpinChain(spec), args.site, args.t0, ts[cut:])),
@@ -409,6 +422,8 @@ def _run_unitary_qdp(args: argparse.Namespace) -> int:
     spec, gate = _chain_spec(args), _gate(args)
     ls, ts, grid_meta = _grid_axes(args)
     engine = UnitaryQdpEngine(spec, gate)
+    propagator_argument(ts[-1], spec)
+    _check_pair_time(spec, gate, ts[-1])
     zeros = np.zeros(args.n)
 
     def row(t: float) -> np.ndarray:
@@ -421,9 +436,10 @@ def _run_unitary_qdp(args: argparse.Namespace) -> int:
 
 
 def _run_two_magnon_split(args: argparse.Namespace) -> int:
-    gate = _gate(args)
+    spec, gate = _chain_spec(args), _gate(args)
     ls, ts, grid_meta = _grid_axes(args)
-    engine = UnitaryQdpEngine(_chain_spec(args), gate)
+    engine = UnitaryQdpEngine(spec, gate)
+    _check_pair_time(spec, gate, ts[-1])
     zeros = np.zeros(args.n)
     rows = row_blocks(lambda t: engine.split_row(t, args.part) if t >= gate.t0 else zeros, ts,
                       args.n)

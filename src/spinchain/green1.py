@@ -58,14 +58,20 @@ def _check_site(x: int, spec: ChainSpec, name: str) -> None:
         raise ValueError(f"site {name}={x} out of range 1..{spec.n}")
 
 
-def reduced_profile(x: int, t: float, spec: ChainSpec) -> np.ndarray:
-    """e^{+i*eps0*t} G^{x'}_x(t) for every target x' = 1..N, as an array of length N."""
-    _check_site(x, spec, "x")
+def propagator_argument(t: float, spec: ChainSpec) -> float:
+    """z = 4*J*t of a row at time t; ValueError for a negative t or a z over ``MAX_ARG``."""
     if t < 0:
         raise ValueError(f"time must be >= 0, got {t}")
     z = 4.0 * spec.j * t
     if not z <= MAX_ARG:
         raise ValueError(f"4*J*t must be <= {MAX_ARG}, got {z}")
+    return z
+
+
+def reduced_profile(x: int, t: float, spec: ChainSpec) -> np.ndarray:
+    """e^{+i*eps0*t} G^{x'}_x(t) for every target x' = 1..N, as an array of length N."""
+    _check_site(x, spec, "x")
+    z = propagator_argument(t, spec)
     width = spec.n
     if spec.boundary == "open" and spec.n >= HALF_INFINITE_MIN_N:
         width += truncation_order(z)

@@ -22,8 +22,8 @@ and a coherent amplitude into the checked RDM rows (x, y),
 y = <flipped|rho|unflipped>, and the fidelity. The gate's readouts,
 ``_gate_fidelity_row`` and ``_gate_state``, are formulas on reduced rows and
 on the pair matrix that ``UnitaryQdpEngine`` supplies one time at a time.
-``grid_csv`` turns each arriving block into a checked chunk of CSV text, so
-no command holds its grid.
+``grid_csv`` turns each arriving block into a checked chunk of CSV text, built
+from 4-byte words of digits, so no command holds its grid.
 
 Phase bookkeeping: the gate's public amplitudes (UnitaryState) carry full
 phases. Fidelity formulas consume reduced amplitudes (the e^{-i*eps0*t}
@@ -396,29 +396,41 @@ _DIGITS4 = (
 _POW10 = np.array([float(f"1e{k}") for k in range(-90, 113)])
 
 
+def _words(texts) -> np.ndarray:
+    """Texts of four ASCII bytes each as uint32 words whose uint8 view reads them in order."""
+    return np.frombuffer("".join(texts).encode(), np.uint32)
+
+
+#: Bytes 0..3 of a value field, at 100 * (sign bit) + the first two digits:
+#: the sign (a zero pad byte for +), the lead digit, '.' and the next digit.
+_HEAD = _words(f"{sign}{d // 10}.{d % 10}" for sign in "\0-" for d in range(100))
+#: Bytes 12..15, at 100 * (e < 0) + the last two digits: the digits, 'e', the exponent sign.
+_TAIL = _words(f"{d:02d}e{sign}" for sign in "+-" for d in range(100))
+#: Bytes 16..19 per separator, at |e|: the exponent digits, a pad byte, the separator.
+_EXPONENTS = {sep: _words(f"{e:02d}\0{sep}" for e in range(100)) for sep in ",\n"}
+
+
 def _padded(texts, width: int | None = None) -> np.ndarray:
-    """ASCII texts as the rows of a uint8 matrix, zero-padded; ASCII holds no zero byte."""
+    """ASCII texts (no zero byte) as zero-padded uint8 rows, by default the longest in whole words."""
     data = [text.encode() for text in texts]
-    width = max(map(len, data), default=0) if width is None else width
+    width = -(-max(map(len, data), default=0) // 4) * 4 if width is None else width
     return np.frombuffer(b"".join(d.ljust(width, b"\0") for d in data), np.uint8).reshape(
         len(data), width
     )
 
 
-def _digits(groups: np.ndarray) -> np.ndarray:
-    """The four ASCII digits of every group in 0..9999, one row each."""
-    return _DIGITS4[groups].view(np.uint8).reshape(-1, 4)
+def _format_e11(x: np.ndarray, out: np.ndarray, sep: str) -> None:
+    """Write ``f"{v:.11e}"`` of every float v in x, then ``sep``, into the rows of ``out``.
 
-
-def _format_e11(x: np.ndarray, out: np.ndarray) -> None:
-    """Write ``f"{v:.11e}"`` of every float v in x into the rows of ``out``.
-
-    ``out`` is a (len(x), _FIELD) uint8 view; each row gets the text padded
-    with zero bytes. The 12-digit significand is the int64 nearest to
-    |v|*10^(11 - e); Python formats the cells where that can differ from the
-    exact decimal rounding (a scaled fraction within ``_TIE_MARGIN`` of .5)
-    and those outside the two-digit-exponent form (three-digit exponents,
-    inf, nan).
+    ``out`` is a (len(x), 5) uint32 view: each row's 20 bytes get the text
+    padded with zero bytes to byte 18 and ``sep`` (',' or newline) in byte
+    19, five word gathers from ``_HEAD``, ``_DIGITS4``, ``_TAIL`` and
+    ``_EXPONENTS``. The 12-digit significand is the int64 nearest to
+    |v|*10^(11 - e), cut into digit groups by ``//`` and subtraction.
+    Python formats the cells where it can differ from the exact decimal
+    rounding (a scaled fraction within ``_TIE_MARGIN`` of .5) and those
+    outside the two-digit-exponent form (three-digit exponents, inf, nan)
+    into bytes 0..18, leaving the separator.
     """
     finite = np.isfinite(x)
     a = np.where(finite, np.abs(x), 0.0)
@@ -440,19 +452,20 @@ def _format_e11(x: np.ndarray, out: np.ndarray) -> None:
     e += carry
     python |= np.abs(e) >= 100
 
-    head = _digits(significand // 10**8)
-    out[:, 0] = np.where(np.signbit(x), ord("-"), 0)
-    out[:, 1] = head[:, 0]
-    out[:, 2] = ord(".")
-    out[:, 3:6] = head[:, 1:]
-    out[:, 6:10] = _digits(significand // 10**4 % 10**4)
-    out[:, 10:14] = _digits(significand % 10**4)
-    out[:, 14] = ord("e")
-    out[:, 15] = np.where(e < 0, ord("-"), ord("+"))
-    out[:, 16:18] = _digits(np.abs(e))[:, 2:]
-    out[:, 18] = 0  # a Python-formatted cell of an earlier chunk may have filled it
+    del a, scaled, whole, frac  # a lower peak for the digit groups
+    lead = significand // 10**10
+    significand -= lead * 10**10
+    middle = significand // 10**6
+    significand -= middle * 10**6
+    low = significand // 100
+    out[:, 0] = _HEAD[lead + 100 * np.signbit(x)]
+    out[:, 1] = _DIGITS4[middle]
+    out[:, 2] = _DIGITS4[low]
+    out[:, 3] = _TAIL[significand - low * 100 + 100 * (e < 0)]
+    out[:, 4] = _EXPONENTS[sep][np.minimum(np.abs(e), 99)]  # Python rewrites |e| >= 100
     if python.any():
-        out[python] = _padded((f"{v:.11e}" for v in x[python].tolist()), _FIELD)
+        texts = (f"{v:.11e}" for v in x[python].tolist())
+        out.view(np.uint8)[python, :_FIELD] = _padded(texts, _FIELD)
 
 
 def grid_csv(l_values, t_values, blocks, lo: float = 0.0) -> Iterator:
@@ -464,16 +477,16 @@ def grid_csv(l_values, t_values, blocks, lo: float = 0.0) -> Iterator:
     chunk is yielded: ValueError unless its values lie in [lo, 1] to 1e-9
     (NaN fails; ``lo`` is -1 for differences, 0 for fidelities), and unless
     the blocks hold exactly ``len(t_values)`` rows. The text, byte for byte
-    ``f"{l},{t:.11e},{value:.11e}"`` per cell, is formatted in one padded
-    uint8 buffer, kept while the blocks keep their size: the ``l,`` field,
-    the commas and the newline set once, the block's times and every value
-    by ``_format_e11``, and the zero pad bytes dropped.
+    ``f"{l},{t:.11e},{value:.11e}"`` per cell, is formatted in one uint32
+    buffer of zero-padded words, kept while the blocks keep their size: the
+    ``l,`` words set once, then each block's times (five words ending in a
+    comma) and values (five ending in a newline) by ``_format_e11``; one
+    ``bytes.translate`` drops the pad bytes.
     """
     picks = np.asarray(l_values, dtype=np.int64) - 1
-    sites = _padded(f"{l}," for l in l_values)
-    (n_sites, site_width), count = sites.shape, len(t_values)
-    value_at = site_width + _FIELD + 1
-    text = np.empty((0, n_sites, value_at + _FIELD + 1), np.uint8)
+    sites = _padded(f"{l}," for l in l_values).view(np.uint32)
+    count, time_at = len(t_values), sites.shape[1]
+    text = np.empty((0, len(sites), time_at + 10), np.uint32)
     yield b"l,t,value\n"
     start = 0
     for block in blocks:
@@ -486,16 +499,13 @@ def grid_csv(l_values, t_values, blocks, lo: float = 0.0) -> Iterator:
                 and chunk.max(initial=-np.inf) <= 1.0 + 1e-9):
             raise ValueError(f"grid values leave [{lo:g}, 1] or are NaN")
         if len(text) != len(chunk):  # kept for every block of the same size
-            text = np.empty((len(chunk), *text.shape[1:]), np.uint8)
-            text[:, :, :site_width] = sites
-            text[:, :, value_at - 1] = ord(",")
-            text[:, :, -1] = ord("\n")
-        times = np.empty((len(chunk), _FIELD), np.uint8)  # contiguous: a faster copy source
-        _format_e11(np.asarray(t_values[start:stop], dtype=float), times)
-        text[:, :, site_width : value_at - 1] = times[:, None]
-        _format_e11(chunk.reshape(-1), text.reshape(-1, text.shape[-1])[:, value_at:-1])
-        flat = text.reshape(-1)
-        yield flat[flat != 0]
+            text = np.empty((len(chunk), *text.shape[1:]), np.uint32)
+            text[:, :, :time_at] = sites
+        times = np.empty((len(chunk), 5), np.uint32)  # contiguous: a faster copy source
+        _format_e11(np.asarray(t_values[start:stop], dtype=float), times, ",")
+        text[:, :, time_at : time_at + 5] = times[:, None]
+        _format_e11(chunk.reshape(-1), text.reshape(-1, text.shape[-1])[:, time_at + 5 :], "\n")
+        yield text.tobytes().translate(None, b"\0")
         start = stop
     if start < count:
         raise ValueError(f"{start} grid rows, expected {count}")

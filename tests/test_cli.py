@@ -518,20 +518,49 @@ def test_a_failure_between_chunks_leaves_the_earlier_outputs(tmp_path, monkeypat
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
-def test_a_row_failing_in_a_later_chunk_leaves_the_earlier_outputs(tmp_path, capsys):
-    # 3 001 rows on 4 sites, 2 048 to a chunk; 4*J*t first passes 10^5 at row 2 502, t = 50 020
+def test_a_row_failing_in_a_later_chunk_leaves_the_earlier_outputs(tmp_path, monkeypatch, capsys):
+    # 3 001 rows on 4 sites, 2 048 to a chunk; the stream's second block ends in a NaN row
+    from spinchain import protocols
+
+    rows = protocols.SpinChain.rows
+
+    def nan_in_the_second_block(self, source, times):
+        for k, block in enumerate(rows(self, source, times)):
+            if k == 1:
+                block[-1] = np.nan
+            yield block
+
+    monkeypatch.setattr(protocols.SpinChain, "rows", nan_in_the_second_block)
     out = tmp_path / "x.csv"
-    args = ["fidelity", "--n", "4", "--tmax", "60000", "--dt", "20", "--out", str(out)]
-    assert main(args[:4] + ["20000"] + args[5:]) == 0
+    args = ["fidelity", "--n", "4", "--tmax", "6000", "--dt", "2", "--out", str(out)]
+    assert main(args[:4] + ["2000"] + args[5:]) == 0  # one block
     capsys.readouterr()
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
     assert main(args) == 2
-    assert "4*J*t must be <= 100000.0, got 100040.0" in capsys.readouterr().err
+    assert "grid values leave [0, 1] or are NaN" in capsys.readouterr().err
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
     # the staged CSV is opened before the first row is computed, so an unwritable
     # --out exits 4 before the failing row is reached
     assert main(args[:-1] + [str(tmp_path / "no_such_dir" / "x.csv")]) == 4
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["fidelity", "--n", "2", "--tmax", "99999", "--dt", "1"],
+     "4*J*t must be <= 100000.0, got 199998.0"),
+    (["qdp-diff", "--n", "4", "--site", "2", "--t0", "1", "--tmax", "60000", "--dt", "1000"],
+     "4*J*t must be <= 100000.0, got 120000.0"),
+    (["unitary-qdp", "--n", "8", "--site", "2", "--t0", "1", "--tmax", "20000", "--dt", "1000"],
+     "4*J*(|Delta| + 2)*|t| must be <= 100000.0, got 119994.0 at t = 19999.0"),
+], ids=["fidelity", "qdp-diff", "unitary-qdp"])
+def test_a_time_past_the_bound_is_refused_before_any_file_is_opened(tmp_path, capsys, argv,
+                                                                     message):
+    # the last time is checked before the first row: no file, not even under a missing
+    # directory, where a row failing on the way would exit 4
+    for out in (tmp_path / "x.csv", tmp_path / "no_such_dir" / "x.csv"):
+        assert main(argv + ["--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("site", ["0", "101"])

@@ -19,7 +19,6 @@ from spinchain.cli import _write_outputs
 from spinchain.green1 import reduced_profile
 from spinchain.protocols import (
     _BLOCK_CELLS,
-    _FIELD,
     SpinChain,
     UnitaryQdpEngine,
     UnitaryState,
@@ -427,13 +426,26 @@ def _near_ties():
 ], ids=["every-exponent", "subnormals-zeros-ones", "carries", "decimal-ties", "near-ties", "inf"])
 def test_grid_csv_matches_the_reference_on_adversarial_values(make):
     # grid_csv refuses values outside [-1, 1], so its value field, _format_e11, is held to
-    # the reference's f-string directly: into a buffer that held other text before
+    # the reference's f-string directly: into words that held other text and separators
     values = make()
-    out = np.zeros((len(values), _FIELD), np.uint8)
-    _format_e11(np.roll(values, 1), out)
-    _format_e11(values, out)
-    got = [row[row != 0].tobytes().decode() for row in out]  # grid_csv drops the pad bytes
-    _assert_same_csv("\n".join(got), "\n".join(f"{v:.11e}" for v in values.tolist()))
+    out = np.zeros((len(values), 5), np.uint32)
+    _format_e11(np.roll(values, 1), out, ",")
+    _format_e11(values, out, "\n")
+    got = out.tobytes().translate(None, b"\0").decode()  # grid_csv drops the pad bytes
+    _assert_same_csv(got, "".join(f"{v:.11e}\n" for v in values.tolist()))
+
+
+def test_grid_csv_reuses_its_buffer_across_python_formatted_cells():
+    # Python writes 5e-324 and -1e-300 (three-digit exponents) into bytes 0..18 of their
+    # fields, in another slot of every block; the next block's regular cells in those
+    # slots must clear byte 18, and no cell may lose its separator byte
+    ls, step = list(range(1, 8)), _BLOCK_CELLS // 7
+    ts = _rounded_times(5 * step + 3)  # five whole blocks, then a ragged one
+    values = np.random.default_rng(23).uniform(-1.0, 1.0, size=(len(ls), len(ts)))
+    for block in range(5):
+        for k, v in enumerate((5e-324, -1e-300)):
+            values[(block + 2 * k) % len(ls), block * step + 2 * block + k] = v
+    _assert_same_csv(_csv_text(ls, ts, values), grid_csv_reference(ls, ts, values))
 
 
 @pytest.mark.parametrize("sites, times", [
