@@ -22,8 +22,9 @@ is computed, so an unwritable ``--out`` exits 4 even where a row would fail.
 for every later call in the process.  A ``--config`` file's values become the
 defaults of a parser built for that call alone, so they never reach another.
 
-Exit codes: 0 success, 2 unusable arguments or config file, 3 a numerical
-check failed, 4 output could not be written.
+Exit codes, mapped in ``main``'s one ``try``: 0 success, 2 unusable arguments
+or config file (a ValueError), 3 a self-check failed (``_write_report`` writes
+its report first), 4 output could not be written (an OSError).
 """
 from __future__ import annotations
 
@@ -60,10 +61,6 @@ _CSV_FORMAT = "l,t,value; t outer, l inner; 12 significant digits"
 #: Most rows x sites a command computes (all n sites per row, every kick from 0 on the
 #: kicked chain); more exits 2 before allocation.
 MAX_GRID_CELLS = 10**7
-
-
-class CheckFailure(RuntimeError):
-    """A validation subcommand found a number outside its tolerance."""
 
 
 # --------------------------------------------------------------------------
@@ -104,6 +101,8 @@ def _add_gate_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_harper_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--n", type=int, default=100)
+    p.add_argument("--boundary", choices=("open", "closed"), default="open")
     p.add_argument("--g", type=float, default=1.0, help="kick potential strength")
     p.add_argument("--tau", type=float, default=0.1, help="kick interval")
     p.add_argument("--eta", type=float, default=math.sqrt(2.0), help="potential commensuration")
@@ -147,16 +146,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(p, "two_magnon_split.csv")
 
     p = sub.add_parser("harper", help="kicked-chain transfer fidelity grid")
-    p.add_argument("--n", type=int, default=100)
-    p.add_argument("--boundary", choices=("open", "closed"), default="open")
     _add_harper_flags(p)
     p.add_argument("--alpha2", type=float, default=None,
                    help="|alpha|^2 of the encoded state; omit for the Bloch average")
     _add_common_flags(p, "harper.csv")
 
     p = sub.add_parser("detector", help="occupation-difference profile after a measurement")
-    p.add_argument("--n", type=int, default=100)
-    p.add_argument("--boundary", choices=("open", "closed"), default="open")
     _add_harper_flags(p)
     p.add_argument("--qdp-site", type=int, default=1, help="measured site")
     p.add_argument("--qdp-kick", type=int, default=5, help="kick count at measurement")
@@ -304,11 +299,11 @@ def _write_outputs(args: argparse.Namespace, chunks: Iterable, meta: dict) -> No
     print(f"wrote {out} and {sidecar}")
 
 
-def _metadata(args: argparse.Namespace, extra: dict | None = None) -> dict:
-    """Deterministic sidecar: parameter echo, conventions, package version."""
+def _metadata(args: argparse.Namespace, extra: dict) -> dict:
+    """Deterministic sidecar: parameter echo, conventions, package version, then ``extra``."""
     skip = {"out", "config", "threads", "command"}
     params = {k: v for k, v in sorted(vars(args).items()) if k not in skip}
-    meta = {
+    return {
         "command": args.command,
         "parameters": params,
         "conventions": {
@@ -318,10 +313,8 @@ def _metadata(args: argparse.Namespace, extra: dict | None = None) -> dict:
         },
         "format_version": 1,
         "package_version": __version__,
+        **extra,
     }
-    if extra:
-        meta.update(extra)
-    return meta
 
 
 def _chain_spec(args: argparse.Namespace) -> ChainSpec:
@@ -351,11 +344,16 @@ def _grid_axes(args: argparse.Namespace) -> tuple[list[int], np.ndarray, dict]:
     return ls, ts, {"l": [ls[0], ls[-1]], "t": [float(ts[0]), float(ts[-1])], "dt": args.dt}
 
 
-def _check_pair_time(spec: ChainSpec, gate: LocalGate, t: float) -> None:
-    """Refuse a grid's last time t where a flipping gate's pair evolution would refuse it.
+def _check_gate_times(spec: ChainSpec, gate: LocalGate, t: float, free_rows: bool) -> None:
+    """Refuse a gate grid's last time t where its rows would, before any file is opened.
 
-    Run before any file is opened, as ``green1.propagator_argument`` is for one-magnon rows.
+    Rows from t0 on read the source row at t0 and a flipping gate's pair
+    evolution; ``free_rows`` rows read g(1 -> l; t) too.
     """
+    if t >= gate.t0:
+        propagator_argument(gate.t0, spec)
+    if free_rows:
+        propagator_argument(t, spec)
     if gate.delta != 0.0 and t >= gate.t0:
         _check_evolution(t - gate.t0, "total", spec)
 
@@ -422,8 +420,7 @@ def _run_unitary_qdp(args: argparse.Namespace) -> int:
     spec, gate = _chain_spec(args), _gate(args)
     ls, ts, grid_meta = _grid_axes(args)
     engine = UnitaryQdpEngine(spec, gate)
-    propagator_argument(ts[-1], spec)
-    _check_pair_time(spec, gate, ts[-1])
+    _check_gate_times(spec, gate, ts[-1], free_rows=True)
     zeros = np.zeros(args.n)
 
     def row(t: float) -> np.ndarray:
@@ -439,7 +436,7 @@ def _run_two_magnon_split(args: argparse.Namespace) -> int:
     spec, gate = _chain_spec(args), _gate(args)
     ls, ts, grid_meta = _grid_axes(args)
     engine = UnitaryQdpEngine(spec, gate)
-    _check_pair_time(spec, gate, ts[-1])
+    _check_gate_times(spec, gate, ts[-1], free_rows=False)
     zeros = np.zeros(args.n)
     rows = row_blocks(lambda t: engine.split_row(t, args.part) if t >= gate.t0 else zeros, ts,
                       args.n)
@@ -450,16 +447,22 @@ def _harper_spec(args: argparse.Namespace) -> HarperSpec:
     return HarperSpec(args.n, args.g, args.tau, eta=args.eta, boundary=args.boundary)
 
 
+def _kick_axes(spec: HarperSpec, first: int, last: int) -> tuple[range, np.ndarray, np.ndarray]:
+    """Sites, the kicks first..last as int64 and their times; every kick from 0 is stepped."""
+    _check_grid_size(spec.n, last + 1)
+    kicks = np.arange(first, last + 1, dtype=np.int64)
+    return range(1, spec.n + 1), kicks, kicks * spec.tau
+
+
 def _run_harper(args: argparse.Namespace) -> int:
     spec = _harper_spec(args)
     if args.kicks < 0:
         raise ValueError("kick count must be >= 0")
-    _check_grid_size(spec.n, args.kicks + 1)
+    ls, kicks, ts = _kick_axes(spec, 0, args.kicks)
     initial = _initial(args.alpha2)
-    kicks = range(args.kicks + 1)
     blocks = (fidelity_from_amplitudes(u, initial) for u in KickedChain(spec).rows(1, kicks))
     grid_meta = {"l": [1, spec.n], "kicks": args.kicks, "dt": spec.tau}
-    return _write_grid(args, range(1, spec.n + 1), [n * spec.tau for n in kicks], blocks, grid_meta)
+    return _write_grid(args, ls, ts, blocks, grid_meta)
 
 
 def _run_detector(args: argparse.Namespace) -> int:
@@ -468,16 +471,13 @@ def _run_detector(args: argparse.Namespace) -> int:
         raise ValueError(f"need 1 <= qdp-site <= n, got qdp-site {args.qdp_site} on n={spec.n}")
     if not 0 <= args.qdp_kick <= args.kicks:
         raise ValueError("need 0 <= qdp-kick <= kicks")
-    # every kick from 0 is stepped, not only the kicks read out
-    _check_grid_size(spec.n, args.kicks + 1)
+    ls, kicks, ts = _kick_axes(spec, args.qdp_kick, args.kicks)
     initial = _initial(args.alpha2)
     if initial is None:
         raise ValueError("the detector needs a definite encoded state (--alpha2)")
-    kicks = range(args.qdp_kick, args.kicks + 1)
     stream = measured(KickedChain(spec), args.qdp_site, args.qdp_kick, kicks)
     grid_meta = {"l": [1, spec.n], "kicks": [args.qdp_kick, args.kicks], "dt": spec.tau}
-    return _write_grid(args, range(1, spec.n + 1), [n * spec.tau for n in kicks],
-                       occupation_change(stream, initial), grid_meta, lo=-1.0)
+    return _write_grid(args, ls, ts, occupation_change(stream, initial), grid_meta, lo=-1.0)
 
 
 # --------------------------------------------------------------------------
@@ -491,6 +491,16 @@ def _tolerance(args: argparse.Namespace, default: float) -> float:
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and > 0, got tol = {tol}")
     return tol
+
+
+def _write_report(args: argparse.Namespace, report: dict, failures: list, what: str) -> int:
+    """Write ``report`` as JSON, with its sidecar; exit 3, naming ``what`` failed, if any did."""
+    text = (json.dumps(report, sort_keys=True, indent=2) + "\n").encode()
+    _write_outputs(args, (text,), _metadata(args, {"report": report}))
+    if failures:
+        print(f"error: {what}: {', '.join(failures)}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    return EXIT_OK
 
 
 def _record(report: dict, failures: list, name: str, worst: float, bound: float) -> None:
@@ -594,20 +604,12 @@ def _run_oracle_check(args: argparse.Namespace) -> int:
     # Paired-band census on a 20-site ring.
     result = oracle.bound_band_projector(ChainSpec(20, "closed", 0.5, 1.0))
     ok = bool(17 <= result.count <= 20)
-    report["paired-band census"] = {
-        "count": int(result.count),
-        "window": [17, 20],
-        "pass": ok,
-    }
+    report["paired-band census"] = {"count": int(result.count), "window": [17, 20], "pass": ok}
     print(f"{'ok  ' if ok else 'FAIL'} paired-band census: {result.count} states (expected 17..20)")
     if not ok:
         failures.append("paired-band census")
 
-    meta = _metadata(args, {"report": report})
-    _write_outputs(args, ((json.dumps(report, sort_keys=True, indent=2) + "\n").encode(),), meta)
-    if failures:
-        raise CheckFailure(f"{len(failures)} oracle check(s) failed: {', '.join(failures)}")
-    return EXIT_OK
+    return _write_report(args, report, failures, f"{len(failures)} oracle check(s) failed")
 
 
 def _run_calibrate(args: argparse.Namespace) -> int:
@@ -636,11 +638,7 @@ def _run_calibrate(args: argparse.Namespace) -> int:
                 worst = max(worst, float(np.max(np.abs(mine - dense))))
             _record(report, failures, f"one-magnon propagator ({boundary}, n={n})", worst, tol)
     print(f"conventions fingerprint: {conventions_hash()}")
-    meta = _metadata(args, {"report": report})
-    _write_outputs(args, ((json.dumps(report, sort_keys=True, indent=2) + "\n").encode(),), meta)
-    if failures:
-        raise CheckFailure(f"calibration failed for: {', '.join(failures)}")
-    return EXIT_OK
+    return _write_report(args, report, failures, "calibration failed for")
 
 
 _RUNNERS = {
@@ -658,16 +656,9 @@ _RUNNERS = {
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _apply_config(_shared_parser(), sys.argv[1:] if argv is None else list(argv))
+        return _RUNNERS[args.command](args)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        return _RUNNERS[args.command](args)
-    except CheckFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -33,6 +33,7 @@ the literal sum over the intermediate sites y'' != m, and tests h + k = g.
 """
 from __future__ import annotations
 
+import functools
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -179,7 +180,7 @@ def measured(dynamics, m: int, t0, times) -> Iterator[tuple[np.ndarray, np.ndarr
         return
     _check_measurement_times(times[0], t0)
     u0 = None
-    for g, k in zip(dynamics.rows(1, times), dynamics.rows(m, [t - t0 for t in times])):
+    for g, k in zip(dynamics.rows(1, times), dynamics.rows(m, np.asarray(times) - t0)):
         if u0 is None:  # after the first rows, so that a time out of range fails on t, not t0
             (u0,) = next(dynamics.rows(1, [t0]))
         yield g, u0[m - 1] * k
@@ -292,12 +293,14 @@ class UnitaryQdpEngine:
     at each companion site into a source pair with the gate site, which then
     evolves into the pair amplitudes L(y1, y2; t). ``_pair_matrix`` picks the
     propagator: the exact kernel of ``green2.ring_kernel``, which refuses any
-    chain but a ring of 3 to 512 sites. It takes the kernel and projects the
-    source onto its modes (``RingTwoMagnon.project``) once, on the first time
-    at or after t0, so a grid that ends before t0 builds nothing; each time
-    then runs only ``RingTwoMagnon.evolve_projected``. Engines on one ring
-    share its kernel, kept in ``green2.kernels``. The per-time methods hand L
-    and the one-magnon rows to ``_gate_fidelity_row`` and ``_gate_state``. A
+    chain but a ring of 3 to 512 sites. It reads the source row u0 =
+    g(1 -> l; t0), takes the kernel and projects the source onto its modes
+    (``RingTwoMagnon.project``) once, on the first time at or after t0, so a
+    grid that ends before t0 computes nothing at t0, however far off t0 is;
+    each time then runs only ``RingTwoMagnon.evolve_projected``. Engines on
+    one ring share its kernel, kept in ``green2.kernels``. The per-time
+    methods hand L and the one-magnon rows g(1 -> l; t) and g(m -> l; t - t0)
+    to ``_gate_fidelity_row`` and ``_gate_state``. A
     phase-only gate (delta = 0) opens no pair channel: it runs on any chain,
     in O(N) memory, its fidelity rows are the free readout
     ``fidelity_from_amplitudes`` of g_t for every gamma ``LocalGate`` admits,
@@ -312,10 +315,14 @@ class UnitaryQdpEngine:
             _check_ring(spec)
         self.spec = spec
         self.gate = gate
-        self.u0 = reduced_profile(1, gate.t0, spec)
         # the kernel and the projected source, set by the first _pair_matrix
         self.ring: RingTwoMagnon | None = None
         self._source_modes: np.ndarray | None = None
+
+    @functools.cached_property
+    def u0(self) -> np.ndarray:
+        """The reduced row g(1 -> l; t0), computed on its first read."""
+        return reduced_profile(1, self.gate.t0, self.spec)
 
     def _pair_matrix(self, t: float, part: Part) -> np.ndarray | None:
         """Reduced L of one propagator part, symmetric with zero diagonal: row l holds L(l, y).

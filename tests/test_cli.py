@@ -14,6 +14,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -448,18 +449,46 @@ def test_gate_grid_ending_before_t0_builds_no_ring_kernel(tmp_path, monkeypatch)
     builds = []
     monkeypatch.setattr(green2.RingTwoMagnon, "__init__", lambda self, spec: builds.append(spec))
     green2.kernels.clear()
-    ring = ["--n", "12", "--boundary", "closed", "--site", "3", "--t0", "5.0",
-            "--tmax", "4.5", "--dt", "0.5"]  # every column before t0
-    for command in ("unitary-qdp", "two-magnon-split"):
-        assert main([command, *ring, "--out", str(tmp_path / f"{command}.csv")]) == 0
-    assert main(["unitary-qdp", *ring, "--diff", "--out", str(tmp_path / "diff.csv")]) == 0
-    assert builds == []
+    # every column before t0; at 4*J*t0 = 2e6 the source row at t0 would be refused
+    for t0, tmax in (("5.0", "4.5"), ("1000000", "10")):
+        ring = ["--n", "12", "--boundary", "closed", "--site", "3", "--t0", t0,
+                "--tmax", tmax, "--dt", "0.5"]
+        for command in ("unitary-qdp", "two-magnon-split"):
+            assert main([command, *ring, "--out", str(tmp_path / f"{command}.csv")]) == 0
+        assert main(["unitary-qdp", *ring, "--diff", "--out", str(tmp_path / "diff.csv")]) == 0
+        assert builds == []
+        # before t0 the gated grid is the free one
+        assert main(["fidelity", *ring[:4], *ring[-4:], "--out", str(tmp_path / "free.csv")]) == 0
+        assert (tmp_path / "unitary-qdp.csv").read_bytes() == (tmp_path / "free.csv").read_bytes()
     # a ring too large to build is still refused before any time is read
     big = ["--n", "513", "--boundary", "closed", "--site", "3", "--t0", "50", "--tmax", "10"]
     assert main(["unitary-qdp", *big, "--out", str(tmp_path / "big.csv")]) == 2
     assert not (tmp_path / "big.csv").exists()
     assert builds == []
     green2.kernels.clear()
+
+
+@pytest.mark.parametrize("command,per_kick", [
+    (["harper"], 24),
+    (["detector", "--qdp-site", "1", "--qdp-kick", "0", "--alpha2", "0.5"], 32),
+], ids=["harper", "detector"])
+def test_kicked_grids_hold_their_axes_as_arrays(tmp_path, command, per_kick):
+    # the kicks, their times and the detector's kicks since the measurement are arrays of
+    # 8 bytes a kick; as Python lists they take about 33 (harper) and 74 (detector) bytes
+    def peak(kicks: int) -> int:
+        argv = [command[0], "--n", "2", *command[1:], "--kicks", str(kicks)]
+        tracemalloc.start()
+        try:
+            assert main([*argv, "--out", str(tmp_path / "x.csv")]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(3)  # numpy's lazy set-up
+    # both axes are longer than a block of 4096 kicks, so their block buffers are alike
+    short, long = 5_000, 25_000
+    growth = (peak(long) - peak(short)) / (long - short)
+    assert growth < per_kick, growth
 
 
 def test_exit_code_for_failed_numerical_check(tmp_path):
