@@ -13,32 +13,25 @@ from __future__ import annotations
 
 import numpy as np
 
-from spinchain.chain import ChainSpec, LocalGate
-from spinchain.green1 import reduced_profile
-from spinchain.protocols import UnitaryQdpEngine, fidelity_from_amplitudes
+from spinchain.chain import ChainSpec, LocalProcess, gate
+from spinchain.protocols import ProcessEngine, SpinChain, fidelity_from_amplitudes, process_fidelity
 
 
 def main() -> None:
     ring = ChainSpec(100, "closed", 0.5, 1.0)
-    gate = LocalGate(15, 7.5, 0.0, 1.0)
-
-    best = (-1.0, 0, 0.0)
-    engine = UnitaryQdpEngine(ring, gate)
-    for k in range(1, 19):
-        t = 7.5 + 0.25 * k
-        free = fidelity_from_amplitudes(reduced_profile(1, t, ring))
-        gated = engine.fidelity_row(t)
-        gain = (gated - free) / free
-        idx = int(np.argmax(gain))
-        if gain[idx] > best[0]:
-            best = (float(gain[idx]), idx + 1, t)
+    flip = LocalProcess(15, 7.5, gate(0.0, 1.0))
+    times = [7.5 + 0.25 * k for k in range(1, 19)]
+    (gated,) = process_fidelity(flip, ProcessEngine(ring, flip).rows(times))
+    (free,) = (fidelity_from_amplitudes(u) for u in SpinChain(ring).rows(1, times))
+    gain = (gated - free) / free
+    at, site = np.unravel_index(np.argmax(gain), gain.shape)
     print("Bit-flip gate at site 15, t0 = 7.5, on the 100-site ring:")
-    print(f"  best relative fidelity gain: {best[0]:+.2%} at site {best[1]}, t = {best[2]:.2f}")
+    print(f"  best relative fidelity gain: {gain[at, site]:+.2%} at site {site + 1}, "
+          f"t = {times[at]:.2f}")
 
-    probe = LocalGate(10, 5.0, 0.0, 1.0)
-    engine = UnitaryQdpEngine(ring, probe)
-    scattering = float(np.sum(engine.split_row(6.0, "scattering")))
-    bound = float(np.sum(engine.split_row(6.0, "bound")))
+    engine = ProcessEngine(ring, LocalProcess(10, 5.0, gate(0.0, 1.0)))
+    (scattering,), (bound,) = (engine.split_rows([6.0], part) for part in ("scattering", "bound"))
+    scattering, bound = float(np.sum(scattering)), float(np.sum(bound))
     print("\nWhere does the injected pair weight go? (gate at site 10, t0 = 5)")
     print(f"  scattering-continuum share of the averaged-fidelity weight: {scattering:.4f}")
     print(f"  interaction-bound share:                                    {bound:.4f}")

@@ -11,14 +11,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from spinchain.chain import InitialState
+from spinchain.chain import MEASUREMENT, InitialState, LocalProcess
 from spinchain.harper import HarperSpec, KickedChain, spread_metric
-from spinchain.protocols import measured, occupation_change
+from spinchain.protocols import occupation_change, process_rows
 
 
 def detector_rows(spec: HarperSpec, initial: InitialState, kicks):
     """The detector row after each of ``kicks``, for a site-1 measurement after 5 kicks."""
-    blocks = occupation_change(measured(KickedChain(spec), 1, 5, kicks), initial)
+    process = LocalProcess(1, 5, MEASUREMENT)
+    blocks = occupation_change(process, process_rows(KickedChain(spec), process, kicks), initial)
     return (row for block in blocks for row in block)
 
 

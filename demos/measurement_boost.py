@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from spinchain.chain import ChainSpec
-from spinchain.protocols import SpinChain, _projective_parts, fidelity_change, measured
+from spinchain.chain import MEASUREMENT, ChainSpec, InitialState, LocalProcess
+from spinchain.protocols import SpinChain, process_fidelity, process_rows, site_rdm
 
 
 def main() -> None:
@@ -31,19 +31,20 @@ def main() -> None:
         ("probe source at t0 = 10 ", 1, 10.0),
     ):
         times = [t0 + 0.05 * i for i in range(1, 1201)]
-        blocks = fidelity_change(measured(chain, m, t0, times))
+        probe = LocalProcess(m, t0, MEASUREMENT)
+        blocks = process_fidelity(probe, process_rows(chain, probe, times), change=True)
         worst = max(float(np.max(np.abs(block))) for block in blocks)
         print(f"  {label}: max |dF| = {worst:.4f}")
 
     print("\nMatched probe (m = l, t0 = l/2), flipped-spin input:")
     print(f"{'target l':>9} {'free peak pop.':>15} {'measured peak pop.':>19} {'gain':>7}")
     for l in range(40, 101, 10):
-        m, t0 = l, l / 2.0
+        probe = LocalProcess(l, l / 2.0, MEASUREMENT)
         best_free, best_meas = 0.0, 0.0
-        for g, k in measured(chain, m, t0, [t0 + 0.05 * i for i in range(1, 1201)]):
-            weight, _ = _projective_parts(g[:, l - 1], k[:, l - 1])
-            best_free = max(best_free, float(np.max(np.abs(g[:, l - 1]) ** 2)))
-            best_meas = max(best_meas, float(np.max(weight)))
+        for block in process_rows(chain, probe, [probe.t0 + 0.05 * i for i in range(1, 1201)]):
+            population, _ = site_rdm(probe, block, InitialState(0.0, 1.0))
+            best_free = max(best_free, float(np.max(np.abs(block[0][:, l - 1]) ** 2)))
+            best_meas = max(best_meas, float(np.max(population[:, l - 1])))
         print(f"{l:>9} {best_free:>15.4f} {best_meas:>19.4f} {best_meas - best_free:>7.4f}")
 
 

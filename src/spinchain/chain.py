@@ -8,11 +8,14 @@ files and CLI sidecars can detect a convention drift.
 from __future__ import annotations
 
 import cmath
+import functools
 import hashlib
 import json
 import math
 from dataclasses import dataclass
 from typing import Literal
+
+import numpy as np
 
 Boundary = Literal["open", "closed"]
 
@@ -84,9 +87,6 @@ class ChainSpec:
         return -self.j * self.n_bonds
 
 
-_NORM_TOL = 1e-12
-
-
 @dataclass(frozen=True)
 class InitialState:
     """Qubit amplitudes (alpha, beta) encoded on the first site: alpha|0> + beta|1>."""
@@ -101,36 +101,56 @@ class InitialState:
             raise ValueError(f"|alpha|^2 + |beta|^2 must be 1, got {norm}")
 
 
-@dataclass(frozen=True)
-class LocalGate:
-    """The local unitary gate V applied at site ``m`` at time ``t0``.
+#: The projective measurement of a site: {diag(1, 0), diag(0, 1)}.
+MEASUREMENT = (((1, 0), (0, 0)), ((0, 0), (0, 1)))
 
-    ``V|up> = gamma|up> + delta|down>``, ``V|down> = -conj(delta)|up> + gamma|down>``.
-    Unitarity of V forces gamma to be real whenever delta != 0. gamma and
-    delta are stored as complex numbers.
-    """
+
+def gate(gamma: complex, delta: complex) -> tuple:
+    """The Kraus set of ``CONVENTIONS``' gate V: one operator [[gamma, -conj(delta)], [delta, gamma]]."""
+    return (((gamma, -complex(delta).conjugate()), (delta, gamma)),)
+
+
+@dataclass(frozen=True, eq=False)
+class LocalProcess:
+    """A local instantaneous process at site ``m`` and time ``t0``, given by its Kraus operators.
+
+    Each K = [[a, b], [c, d]] acts in the basis (unflipped, flipped) of site m:
+    K|up> = a|up> + c|down>, K|down> = b|up> + d|down>. ``kraus`` is kept as a
+    read-only complex (count, 2, 2) array; the set must be complete, sum K^dagger K = 1
+    to 1e-11, which a flipping gate is only for a real gamma."""
 
     m: int
     t0: float
-    gamma: complex
-    delta: complex
+    kraus: np.ndarray
 
     def __post_init__(self) -> None:
         if self.m < 1:
             raise ValueError(f"site index m must be >= 1, got {self.m}")
         if not (self.t0 >= 0.0 and math.isfinite(self.t0)):
             raise ValueError(f"t0 must be finite and >= 0, got {self.t0}")
-        gamma, delta = complex(self.gamma), complex(self.delta)
-        object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "delta", delta)
-        norm = abs(gamma) * abs(gamma) + abs(delta) * abs(delta)  # inf, not OverflowError
-        if not abs(norm - 1.0) <= _NORM_TOL * 10:  # NaN fails this test too
-            raise ValueError(f"|gamma|^2 + |delta|^2 must be 1, got {norm}")
-        if abs(delta) > _NORM_TOL and abs(gamma.imag) > 1e-9:
+        kraus = np.array(self.kraus, dtype=complex)
+        if kraus.ndim != 3 or kraus.shape[1:] != (2, 2) or not len(kraus):
+            raise ValueError(f"need a set of 2 x 2 Kraus operators, got shape {kraus.shape}")
+        with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN fail below
+            defect = np.max(np.abs(np.einsum("kij,kil->jl", kraus.conj(), kraus) - np.eye(2)))
+        if not defect <= 1e-11:  # NaN fails this test too
             raise ValueError(
-                "gamma must be real for the gate to be unitary "
-                f"(got Im(gamma) = {gamma.imag})"
+                "Kraus operators must satisfy sum K^dagger K = 1 (the gate: |gamma|^2 + |delta|^2"
+                f" must be 1, gamma real), off by {defect:.3e}"
             )
+        kraus.flags.writeable = False
+        object.__setattr__(self, "kraus", kraus)
+
+    @functools.cached_property
+    def opens_pairs(self) -> bool:
+        """Whether some operator flips an unflipped site m (c != 0): the pair channel."""
+        return bool(np.any(self.kraus[:, 1, 0] != 0))
+
+    @functools.cached_property
+    def is_phase(self) -> bool:
+        """Whether the process is one scalar multiple of the identity, a global phase."""
+        k = self.kraus
+        return len(k) == 1 and k[0, 0, 1] == k[0, 1, 0] == 0 and k[0, 0, 0] == k[0, 1, 1]
 
 
 def reduced_phase(spec: ChainSpec, t: float) -> complex:

@@ -5,10 +5,11 @@ Every grid subcommand writes two files: the CSV named by ``--out`` (header
 sidecar ``<out>.meta.json`` echoing the resolved parameters, the convention
 fingerprint, and the relevant tolerances.  Outputs are byte-identical across
 re-runs.  Each grid command has its own runner of four steps: the axes,
-a dynamics (``protocols.SpinChain``, ``harper.KickedChain``, or the gate's
-``protocols.UnitaryQdpEngine``, whose rows are stacked per block), a readout
-over its row blocks (before ``--t0``: the free rows, or zeros for a
-difference), and ``protocols.grid_csv``.  Every stream yields blocks of
+a dynamics (``protocols.SpinChain`` or ``harper.KickedChain``; the gate's
+``protocols.ProcessEngine`` adds the pair channel), a readout over its row
+blocks of the local process the runner builds as its Kraus set (before
+``--t0``: the free rows, or zeros for a difference), and
+``protocols.grid_csv``.  Every stream yields blocks of
 max(1, 8192 // N) times; ``grid_csv`` checks each block as it arrives (no
 NaN, values in [0, 1], or [-1, 1] for differences and the detector) and
 turns it into a chunk of text for the temporary CSV file, so no command
@@ -43,12 +44,13 @@ from collections.abc import Iterable
 import numpy as np
 
 from . import __version__
-from .chain import CONVENTIONS, ChainSpec, InitialState, LocalGate, conventions_hash, reduced_phase
+from .chain import CONVENTIONS, MEASUREMENT, ChainSpec, InitialState, LocalProcess, conventions_hash
+from .chain import gate, reduced_phase
 from .green1 import HALF_INFINITE_MIN_N, free_propagator, propagator_argument, reduced_profile
 from .green2 import _check_evolution
 from .harper import HarperSpec, KickedChain
-from .protocols import SpinChain, UnitaryQdpEngine, _projective_parts, _rdm_row, fidelity_change
-from .protocols import fidelity_from_amplitudes, grid_csv, measured, occupation_change, row_blocks
+from .protocols import ProcessEngine, SpinChain, fidelity_from_amplitudes, grid_csv
+from .protocols import occupation_change, process_fidelity, process_rows, row_blocks, site_rdm
 from . import oracle
 
 EXIT_OK = 0
@@ -344,18 +346,18 @@ def _grid_axes(args: argparse.Namespace) -> tuple[list[int], np.ndarray, dict]:
     return ls, ts, {"l": [ls[0], ls[-1]], "t": [float(ts[0]), float(ts[-1])], "dt": args.dt}
 
 
-def _check_gate_times(spec: ChainSpec, gate: LocalGate, t: float, free_rows: bool) -> None:
+def _check_gate_times(spec: ChainSpec, process: LocalProcess, t: float, free_rows: bool) -> None:
     """Refuse a gate grid's last time t where its rows would, before any file is opened.
 
     Rows from t0 on read the source row at t0 and a flipping gate's pair
     evolution; ``free_rows`` rows read g(1 -> l; t) too.
     """
-    if t >= gate.t0:
-        propagator_argument(gate.t0, spec)
+    if t >= process.t0:
+        propagator_argument(process.t0, spec)
     if free_rows:
         propagator_argument(t, spec)
-    if gate.delta != 0.0 and t >= gate.t0:
-        _check_evolution(t - gate.t0, "total", spec)
+    if process.opens_pairs and t >= process.t0:
+        _check_evolution(t - process.t0, "total", spec)
 
 
 def _site_and_t0(args: argparse.Namespace) -> None:
@@ -366,11 +368,11 @@ def _site_and_t0(args: argparse.Namespace) -> None:
         raise ValueError(f"t0 must be finite and >= 0, got {args.t0}")
 
 
-def _gate(args: argparse.Namespace) -> LocalGate:
+def _gate(args: argparse.Namespace) -> LocalProcess:
     """The gate of the gate flags, at --site and --t0."""
     _site_and_t0(args)
     delta = args.delta_abs * cmath.exp(1j * args.delta_phase)
-    return LocalGate(args.site, args.t0, complex(args.gamma_abs), delta)
+    return LocalProcess(args.site, args.t0, gate(args.gamma_abs, delta))
 
 
 def _initial(alpha2: float | None) -> InitialState | None:
@@ -408,38 +410,37 @@ def _run_qdp_diff(args: argparse.Namespace) -> int:
     cut, zeros = np.searchsorted(ts, args.t0), np.zeros(args.n)
     if cut < len(ts):  # rows are computed only from --t0 on
         propagator_argument(ts[-1], spec)
+    process = LocalProcess(args.site, args.t0, MEASUREMENT)
     blocks = itertools.chain(
         row_blocks(lambda t: zeros, ts[:cut], args.n),
-        fidelity_change(measured(SpinChain(spec), args.site, args.t0, ts[cut:])),
+        process_fidelity(process, process_rows(SpinChain(spec), process, ts[cut:]), change=True),
     )
     return _write_grid(args, ls, ts, blocks, grid_meta, lo=-1.0)
 
 
 def _run_unitary_qdp(args: argparse.Namespace) -> int:
     """Gated fidelity, or with --diff its change against free evolution (0 before t0)."""
-    spec, gate = _chain_spec(args), _gate(args)
+    spec, process = _chain_spec(args), _gate(args)
     ls, ts, grid_meta = _grid_axes(args)
-    engine = UnitaryQdpEngine(spec, gate)
-    _check_gate_times(spec, gate, ts[-1], free_rows=True)
-    zeros = np.zeros(args.n)
-
-    def row(t: float) -> np.ndarray:
-        if t < gate.t0:
-            return zeros if args.diff else fidelity_from_amplitudes(reduced_profile(1, t, spec))
-        return engine._change_row(t) if args.diff else engine.fidelity_row(t)
-
-    lo = -1.0 if args.diff else 0.0
-    return _write_grid(args, ls, ts, row_blocks(row, ts, args.n), grid_meta, lo)
+    engine = ProcessEngine(spec, process)
+    _check_gate_times(spec, process, ts[-1], free_rows=True)
+    cut, zeros = np.searchsorted(ts, process.t0), np.zeros(args.n)
+    if args.diff:
+        before = row_blocks(lambda t: zeros, ts[:cut], args.n)
+    else:
+        before = (fidelity_from_amplitudes(u) for u in SpinChain(spec).rows(1, ts[:cut]))
+    blocks = itertools.chain(before, process_fidelity(process, engine.rows(ts[cut:]), change=args.diff))
+    return _write_grid(args, ls, ts, blocks, grid_meta, -1.0 if args.diff else 0.0)
 
 
 def _run_two_magnon_split(args: argparse.Namespace) -> int:
-    spec, gate = _chain_spec(args), _gate(args)
+    spec, process = _chain_spec(args), _gate(args)
     ls, ts, grid_meta = _grid_axes(args)
-    engine = UnitaryQdpEngine(spec, gate)
-    _check_gate_times(spec, gate, ts[-1], free_rows=False)
-    zeros = np.zeros(args.n)
-    rows = row_blocks(lambda t: engine.split_row(t, args.part) if t >= gate.t0 else zeros, ts,
-                      args.n)
+    engine = ProcessEngine(spec, process)
+    _check_gate_times(spec, process, ts[-1], free_rows=False)
+    cut, zeros = np.searchsorted(ts, process.t0), np.zeros(args.n)
+    rows = itertools.chain(row_blocks(lambda t: zeros, ts[:cut], args.n),
+                           engine.split_rows(ts[cut:], args.part))
     return _write_grid(args, ls, ts, rows, grid_meta)
 
 
@@ -475,9 +476,10 @@ def _run_detector(args: argparse.Namespace) -> int:
     initial = _initial(args.alpha2)
     if initial is None:
         raise ValueError("the detector needs a definite encoded state (--alpha2)")
-    stream = measured(KickedChain(spec), args.qdp_site, args.qdp_kick, kicks)
+    process = LocalProcess(args.qdp_site, args.qdp_kick, MEASUREMENT)
+    rows = occupation_change(process, process_rows(KickedChain(spec), process, kicks), initial)
     grid_meta = {"l": [1, spec.n], "kicks": [args.qdp_kick, args.kicks], "dt": spec.tau}
-    return _write_grid(args, ls, ts, occupation_change(stream, initial), grid_meta, lo=-1.0)
+    return _write_grid(args, ls, ts, rows, grid_meta, lo=-1.0)
 
 
 # --------------------------------------------------------------------------
@@ -561,26 +563,25 @@ def _run_oracle_check(args: argparse.Namespace) -> int:
     failures = []
 
     # Propagator splitting: survive + collapse amplitudes reassemble free motion.
-    worst = 0.0
-    for h, k, g in _splitting_samples(n):
-        worst = max(worst, abs(h + k - g))
+    worst = np.max([abs(h + k - g) for h, k, g in _splitting_samples(n)])  # NaN stays NaN
     _record(report, failures, "splitting identity", worst, tol)
 
     # Measurement protocol against its two dense branches, each evolved exactly.
     spec = ChainSpec(n, "open", 0.5, 1.0)
     ham = oracle.build_hamiltonian(spec, "vacuum_one_two")
     worst = 0.0
-    m, t0, t = max(1, n // 2), 1.0, 2.5
+    process = LocalProcess(max(1, n // 2), 1.0, MEASUREMENT)
+    m, t0, t = process.m, process.t0, 2.5
+    (block,) = process_rows(SpinChain(spec), process, [t])
     for alpha2 in (1.0, 0.5, 0.0):
         initial = _initial(alpha2)
         state = oracle.encoded_state(initial.alpha, initial.beta, ham.basis)
         mid = oracle.evolve(state, ham, t0)
-        branches = [oracle.evolve(oracle.apply_local(p, m, mid), ham, t - t0) for p in ("p0", "p1")]
-        ((g, k),) = measured(SpinChain(spec), m, t0, [t])
-        x, y = _rdm_row(*_projective_parts(g[0], k[0]), initial)
+        branches = [oracle.evolve(oracle.apply_local(k, m, mid), ham, t - t0) for k in process.kraus]
+        x, y = site_rdm(process, block, initial)
         for l in (1, m, n):
             x_caught, y_caught = map(sum, zip(*(oracle.rdm_site(b, l) for b in branches)))
-            worst = max(worst, abs(x[l - 1] - x_caught), abs(y[l - 1] - y_caught))
+            worst = np.max([worst, abs(x[0, l - 1] - x_caught), abs(y[0, l - 1] - y_caught)])
     _record(report, failures, "measurement protocol vs dense evolution", worst, tol)
 
     # Gate protocol on the ring against dense evolution in the paired sector.
@@ -589,16 +590,16 @@ def _run_oracle_check(args: argparse.Namespace) -> int:
     y1, y2 = ham.basis.pairs.T - 1  # 0-based sites of each pair, in basis order
     worst = 0.0
     for amplitudes in ((1 / math.sqrt(2), 1 / math.sqrt(2)), (0.0, 1.0)):
-        gate = LocalGate(max(1, n // 3), 1.5, *amplitudes)
+        process = LocalProcess(max(1, n // 3), 1.5, gate(*amplitudes))
         initial = InitialState(math.sqrt(0.3), math.sqrt(0.7))
         state = oracle.encoded_state(initial.alpha, initial.beta, ham.basis)
-        gated = oracle.apply_local(amplitudes, gate.m, oracle.evolve(state, ham, gate.t0))
-        final = oracle.evolve(gated, ham, 3.0 - gate.t0).vector
-        mine = UnitaryQdpEngine(spec, gate).state(3.0, initial)
+        gated = oracle.apply_local(process.kraus[0], process.m, oracle.evolve(state, ham, process.t0))
+        final = oracle.evolve(gated, ham, 3.0 - process.t0).vector
+        mine = ProcessEngine(spec, process).state(3.0, initial)
         # the sector lists the vacuum, then the n one-magnon configs, then the pairs
         errors = np.concatenate(([mine.vacuum], mine.one_magnon, mine.two_magnon[y1, y2])) - final
         # hypot rounds as a scalar's abs does; the array abs can differ in the last bit
-        worst = max(worst, float(np.max(np.hypot(errors.real, errors.imag))))
+        worst = np.maximum(worst, np.max(np.hypot(errors.real, errors.imag)))
     _record(report, failures, "gate protocol vs dense evolution", worst, tol)
 
     # Paired-band census on a 20-site ring.
@@ -635,7 +636,7 @@ def _run_calibrate(args: argparse.Namespace) -> int:
             for t in (0.7, 2.3, 5.0):
                 dense = oracle.evolve(seed, ham, t).vector
                 mine = reduced_phase(spec, t) * reduced_profile(1, t, spec)
-                worst = max(worst, float(np.max(np.abs(mine - dense))))
+                worst = np.maximum(worst, np.max(np.abs(mine - dense)))  # NaN stays NaN
             _record(report, failures, f"one-magnon propagator ({boundary}, n={n})", worst, tol)
     print(f"conventions fingerprint: {conventions_hash()}")
     return _write_report(args, report, failures, "calibration failed for")

@@ -411,7 +411,7 @@ kernels: dict[ChainSpec, RingTwoMagnon] = {}
 def ring_kernel(spec: ChainSpec) -> RingTwoMagnon:
     """The ring's kernel, built on its first request and kept in ``kernels``.
 
-    ``green2`` and ``protocols.UnitaryQdpEngine`` both read their kernel
+    ``green2`` and ``protocols.ProcessEngine`` both read their kernel
     here, so gate commands and ``green2`` calls share one build per ring,
     also when they alternate between rings. After each build the least
     recently used kernels are dropped until the modes kept

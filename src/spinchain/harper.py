@@ -17,7 +17,7 @@ The Floquet step is built once per chain, and each kick is one matvec of
 the vector before it, so the numbers do not depend on the block size.  The
 protocols' readouts then act on the kicked rows as on the spin chain's:
 ``protocols.fidelity_from_amplitudes`` for a free run, and
-``protocols.measured`` with its readouts for a measurement after kick n0.
+``protocols.process_rows`` with its readouts for a measurement after kick n0.
 
 The kick-strength/kick-interval plane interpolates between transport that is
 ballistic (small g, small tau), localized (large g), and effectively
@@ -113,7 +113,7 @@ class KickedChain:
         at = 0
         for chunk in _blocks(kicks, self.n):
             block = np.empty((len(chunk), self.n), dtype=complex)
-            for row, kick in zip(block, chunk):
+            for row, kick in zip(block, np.asarray(chunk).tolist()):  # Python ints step faster
                 if kick < at:
                     raise ValueError(f"kicks must ascend from 0, got {kick} after {at}")
                 for _ in range(at + 1, kick):

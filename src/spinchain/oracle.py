@@ -14,16 +14,17 @@ it is the one config -> index path. The four sectors hold:
 * "two_excitation" (N <= 64): the pairs (i, j), i < j, in lexicographic order;
 * "vacuum_one_two" (N <= 64): the vacuum, then the two sectors above.
 
-Each sector supports the Hamiltonian, evolution, site projectors, local gates
-and site RDMs, from one Hamiltonian rule and one site-m flip map, both array
-operations on the site table. A gate refuses to move weight out of the basis
+Each sector supports the Hamiltonian, evolution, local 2 x 2 operators and
+site RDMs, from one Hamiltonian rule and one site-m flip map, both array
+operations on the site table. An operator refuses to move weight out of the basis
 (in vacuum_one_two: onto a third magnon); an RDM sees no coherence with a
 sector the basis lacks. Encoded states need the vacuum: the full space or
 vacuum_one_two. The bound-band projector lives on the two-excitation ring.
 
-An unread projective measurement is its two pure branches p0|psi> and
-p1|psi>: evolution and the site RDM are linear in rho = sum of the branch
-projectors, so RDM entries are summed over the separately evolved branches.
+A local process is its Kraus operators K, each a 2 x 2 operator at one site
+(``apply_local``), and an unread one is its pure branches K|psi>: evolution
+and the site RDM are linear in rho = sum of the branch projectors, so RDM
+entries are summed over the separately evolved branches.
 """
 from __future__ import annotations
 
@@ -198,37 +199,32 @@ def _flip_map(basis: SectorBasis, m: int) -> tuple[np.ndarray, np.ndarray]:
     return flipped, basis.lookup(np.sort(toggled, axis=1))
 
 
-def apply_local(op: str | tuple[complex, complex], m: int, state: DenseState) -> DenseState:
-    """Apply a local projector ('p0' / 'p1') or gate (gamma, delta) at site m.
+def apply_local(op, m: int, state: DenseState) -> DenseState:
+    """Apply a local 2 x 2 operator K = [[a, b], [c, d]] at site m, in the basis (unflipped, flipped).
 
-    A projector returns the unnormalized branch. Gate convention:
-    V|up> = gamma|up> + delta|down>, V|down> = -conj(delta)|up> + gamma|down>.
-    V acts on each pair of configs that differ only at site m; a gate raises
-    when its delta branch would move amplitude onto a config outside the basis
-    (in vacuum_one_two: a pair not containing m, which would need three
-    flipped spins).
+    K acts on each pair of configs that differ only at site m; it must be
+    finite and of norm at most 1, as an operator of a complete Kraus set is.
+    It raises when it would move amplitude onto a config outside the basis
+    (in vacuum_one_two: c onto a third magnon).
     """
     basis, vec = state.basis, state.vector
     flipped, partner = _flip_map(basis, m)
-    if isinstance(op, str):
-        if op not in ("p0", "p1"):
-            raise ValueError(f"projector must be 'p0' or 'p1', got {op!r}")
-        keep = flipped if op == "p1" else ~flipped
-        return DenseState(np.where(keep, vec, 0.0), basis)
-    gamma, delta = complex(op[0]), complex(op[1])
-    # abs(x) * abs(x) gives inf where ** 2 would overflow; NaN fails "not within" too
-    if not abs(abs(gamma) * abs(gamma) + abs(delta) * abs(delta) - 1.0) <= 1e-10:
-        raise ValueError("gate (gamma, delta) must satisfy |gamma|^2 + |delta|^2 = 1")
-    leak = abs(delta) ** 2 * float(np.sum(np.abs(vec[partner < 0]) ** 2))
-    if leak > 1e-10:
-        raise ValueError(
-            f"gate at site {m} would move weight {leak:.3e} out of the {basis.kind} basis"
-        )
-    up = np.flatnonzero(~flipped & (partner >= 0))
-    down = partner[up]
-    out = gamma * vec
-    out[up] = gamma * vec[up] - np.conj(delta) * vec[down]
-    out[down] = delta * vec[up] + gamma * vec[down]
+    op = np.asarray(op, dtype=complex)
+    if op.shape != (2, 2) or not np.all(np.isfinite(op)) or not np.linalg.norm(op, 2) <= 1 + 1e-10:
+        raise ValueError("a local operator must be a finite 2 x 2 matrix of norm at most 1")
+    (a, b), (c, d) = op
+    out = np.where(flipped, d * vec, a * vec)
+    if b or c:  # only these move amplitude between configs
+        outside = partner < 0
+        leak = float(np.sum(np.abs(np.where(flipped, b, c)[outside] * vec[outside]) ** 2))
+        if leak > 1e-10:
+            raise ValueError(
+                f"operator at site {m} would move weight {leak:.3e} out of the {basis.kind} basis"
+            )
+        up = np.flatnonzero(~flipped & (partner >= 0))
+        down = partner[up]
+        out[up] += b * vec[down]
+        out[down] += c * vec[up]
     return DenseState(out, basis)
 
 

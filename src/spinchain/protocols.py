@@ -1,35 +1,32 @@
-"""State-transfer protocols: free evolution, mid-evolution measurement, local gates.
+"""State-transfer protocols: free evolution and one local process at site m, time t0.
 
 A single excitation encodes a qubit (alpha, beta) as alpha|vacuum> + beta|site 1>.
 The protocols track the reduced density matrix of every target site through
-free evolution, an instantaneous projective measurement of site m at time t0,
-or an instantaneous local unitary gate at site m at t0 (which opens the
-two-magnon channel). Fidelities are reported per encoded state or averaged
-analytically over the Bloch sphere.
+free evolution, or through one instantaneous local process given by its Kraus
+operators (a ``chain.LocalProcess``): the measurement, the gate or any other.
+Fidelities are reported per encoded state or averaged over the Bloch sphere.
 
 Every stream is a sequence of (times x N) row blocks, each of
 max(1, ``_BLOCK_CELLS`` // N) times. A dynamics yields them from a source
 site: ``SpinChain.rows`` stacks ``reduced_profile`` rows, and
 ``harper.KickedChain.rows`` steps a vector once per kick. Readouts act
-elementwise, so they take whole blocks: ``fidelity_from_amplitudes`` reads
-the free rows, and ``measured(dynamics, m, t0, times)`` gives a
-measurement's (g, k) blocks, the free row g and the collapse row k, for
-``fidelity_change`` (qdp-diff), ``occupation_change`` (the detector) and
-``_rdm_row``. The measurement's survive/collapse rule is one formula,
-``_projective_parts(g, k)``: it gives the site weight |h|^2 + |k|^2 and the
-survive row h = g - k. ``_rdm_row`` and ``_fidelity_row`` turn a site weight
-and a coherent amplitude into the checked RDM rows (x, y),
-y = <flipped|rho|unflipped>, and the fidelity. The gate's readouts,
-``_gate_fidelity_row`` and ``_gate_state``, are formulas on reduced rows and
-on the pair matrix that ``UnitaryQdpEngine`` supplies one time at a time.
-``grid_csv`` turns each arriving block into a checked chunk of CSV text, built
-from 4-byte words of digits, so no command holds its grid.
-
-Phase bookkeeping: the gate's public amplitudes (UnitaryState) carry full
-phases. Fidelity formulas consume reduced amplitudes (the e^{-i*eps0*t}
-reference phase drops out of every physical combination). The survive row
-is read here as h = g - k; ``oracle-check`` composes it independently, as
-the literal sum over the intermediate sites y'' != m, and tests h + k = g.
+elementwise on blocks. ``fidelity_from_amplitudes`` reads the free rows, its
+Bloch average in closed form. A process reads ``process_rows`` blocks: g =
+g(1 -> l; t), g_tau = g(m -> l; t - t0), u0(m) = g(1 -> m; t0) and, when an
+operator flips an unflipped site m, the ring pair matrix L's contractions,
+one L at a time (``ProcessEngine``). With k = u0(m) g_tau, each operator
+K = [[a, b], [c, d]] gives the one-magnon row A = beta (a g + (d - a) k) +
+alpha c g_tau, the vacuum V = alpha a + beta b u0(m) and the pairs P = beta c L.
+The site RDM sums over K: x = sum (|A|^2 + sum_y |P_ly|^2) and
+y = <flipped|rho|unflipped> = sum (A conj(V) + P conj(A)). The one readout,
+``_forms``, expands both in the amplitudes, so a block's rows are formed once
+and each state only weighs them; the Bloch average is the mean over six
+states. The change against free evolution is read in a reduced form: by
+completeness, sum K^dagger K = 1, each of its terms carries R = A - a beta g,
+c, or sum |a|^2 - 1. ``grid_csv`` turns each arriving block into a checked
+chunk of CSV text, built from 4-byte words of digits, so no command holds its
+grid. Readouts consume reduced amplitudes (the e^{-i*eps0*t} reference phase
+drops out); the pieces of a one-operator process (UnitaryState) carry full phases.
 """
 from __future__ import annotations
 
@@ -39,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainSpec, InitialState, LocalGate, reduced_phase
+from .chain import ChainSpec, InitialState, LocalProcess, reduced_phase
 from .green1 import reduced_profile
 from .green2 import Part, RingTwoMagnon, _check_ring, ring_kernel
 
@@ -59,80 +56,103 @@ def _check_rdm(x, y) -> None:
         raise ValueError(f"coherence |y|^2 exceeds the bound x(1-x) by {np.max(excess):.3e}")
 
 
-def state_fidelity(x, y, alpha: complex, beta: complex):
-    """Transfer fidelity of the encoded state against RDM elements (x, y); rows allowed."""
-    return (
-        abs(alpha) ** 2 * (1.0 - x)
-        + abs(beta) ** 2 * x
-        + 2.0 * (alpha * np.conj(beta) * y).real
-    )
+def _projector(initial: InitialState) -> tuple:
+    """The encoded state's projector entries (|alpha|^2, |beta|^2, beta conj(alpha))."""
+    return abs(initial.alpha) ** 2, abs(initial.beta) ** 2, initial.beta * np.conj(initial.alpha)
 
 
-# Uniform Bloch-sphere averages of the qubit amplitudes, alpha = cos(theta/2)
-# and beta = sin(theta/2) e^{i phi}: <|alpha|^2> = 1/2, <|alpha|^2 |beta|^2> = 1/6
-# and <|alpha|^4> = 1/3.
-_ABS_ALPHA_SQ = 0.5
-_ALPHA_SQ_BETA_SQ = 1.0 / 6.0
-_ABS_ALPHA_4 = 1.0 / 3.0
+#: The projector entries of the six +-z, +-x and +-y Bloch states, stacked on
+#: a leading axis before a block's (times, sites). Every fidelity here is
+#: linear in the state's projector times an RDM linear in it, so the mean over
+#: the six is the exact Bloch average (they form a 3-design; Bowdrey et al.,
+#: Phys. Lett. A 294, 258 (2002)).
+_SIX_STATES = tuple(np.array(entry).reshape(6, 1, 1) for entry in (
+    [1.0, 0.0, 0.5, 0.5, 0.5, 0.5],
+    [0.0, 1.0, 0.5, 0.5, 0.5, 0.5],
+    [0.0, 0.0, 0.5, -0.5, 0.5j, -0.5j],
+))
 
 
-def _bloch_from_quadratic(abs2, re_coherence):
-    """Bloch average of |alpha|^2(1-x) + |beta|^2 x + 2|alpha|^2|beta|^2 Re(c).
+def _fidelity(x, y, state: tuple, base: float = 1.0):
+    """Fidelity rows of the states ``state`` (``_projector`` entries) from RDM rows (x, y).
 
-    Valid whenever x = |beta|^2 * abs2 and the coherence term is
-    |alpha|^2 |beta|^2 * re_coherence; uses the exact sphere moments.
+    With ``base`` 0 and the changes of (x, y) against free evolution: the fidelity's change."""
+    aa, bb, ba = state
+    return aa * (base - x) + bb * x + (2.0 * np.conj(ba) * y).real
+
+
+def _forms(process: LocalProcess, g, g_tau, u0_m: complex, pair, change: bool) -> tuple:
+    """The readout of one block: the rows (X_bb, X_aa, X_ba, Y_ba, Y_bb, Y_aa, Y_ab).
+
+    A state (alpha, beta) then has the site RDM rows
+    x = |beta|^2 X_bb + |alpha|^2 X_aa + 2 Re(beta conj(alpha) X_ba) and
+    y = beta conj(alpha) Y_ba + |beta|^2 Y_bb + |alpha|^2 Y_aa + alpha conj(beta) Y_ab
+    (``_rdm``), the sums over K of the pieces A, V and P. ``pair`` is None
+    or the block's (sum_y |L_ly|^2, L conj(g), L conj(g_tau)). With
+    ``change`` the rows are those of x - |beta|^2 |g|^2 and
+    y - beta conj(alpha) g, in the reduced form. A row no term reaches is 0.0.
     """
-    return (
-        _ABS_ALPHA_SQ
-        - _ALPHA_SQ_BETA_SQ * abs2
-        + _ABS_ALPHA_4 * abs2
-        + 2.0 * _ALPHA_SQ_BETA_SQ * re_coherence
-    )
+    k = u0_m * g_tau
+    x_bb = x_aa = x_ba = y_ba = y_bb = y_aa = y_ab = 0.0  # each += below makes a new array first
+    for (a, b), (c, d) in process.kraus:
+        r = (d - a) * k  # the beta part of R = A - a beta g; its alpha part is h below
+        one = a * g + r  # the beta part of A
+        x_bb += 2.0 * (a * g * np.conj(r)).real + np.abs(r) ** 2 if change else np.abs(one) ** 2
+        y_ba += np.conj(a) * (r if change else one)
+        if b:
+            y_bb += np.conj(b * u0_m) * (r if change else one)
+        if c and pair is None:
+            raise ValueError("a process that flips site m needs the pair channel")
+        if c:
+            weight, l_g, l_tau = pair
+            h = c * g_tau
+            x_bb += abs(c) ** 2 * weight
+            x_aa += np.abs(h) ** 2
+            x_ba += one * np.conj(h)
+            y_ba += abs(c) ** 2 * l_tau
+            y_bb += c * (np.conj(a) * l_g + np.conj((d - a) * u0_m) * l_tau)
+            y_aa += np.conj(a) * h
+            y_ab += np.conj(b * u0_m) * h
+    if change:  # the free terms, each with sum |a|^2 - 1 or, by completeness, sum c conj(d)
+        excess = float(np.sum(np.abs(process.kraus[:, 0, 0]) ** 2)) - 1.0
+        x_bb += excess * np.abs(g) ** 2
+        y_ba += excess * g
+        y_bb -= np.sum(process.kraus[:, 1, 0] * np.conj(process.kraus[:, 1, 1])) * np.conj(u0_m) * g
+    return x_bb, x_aa, x_ba, y_ba, y_bb, y_aa, y_ab
 
 
-def _rdm_row(weight: np.ndarray, amp: np.ndarray, initial: InitialState):
-    """Checked RDM rows (x, y) from the site weight per |beta|^2 and the coherent amplitude.
-
-    y = beta * conj(alpha) * amp is the element <flipped|rho|unflipped>.
-    """
-    x = abs(initial.beta) ** 2 * weight
-    y = initial.beta * np.conj(initial.alpha) * amp
-    _check_rdm(x, y)
-    return x, y
-
-
-def _fidelity_row(weight: np.ndarray, amp: np.ndarray, initial: InitialState | None) -> np.ndarray:
-    """Bloch-averaged (no ``initial``) or per-state fidelity row."""
-    if initial is None:
-        return _bloch_from_quadratic(weight, amp.real)
-    x, y = _rdm_row(weight, amp, initial)
-    return state_fidelity(x, y, initial.alpha, initial.beta)
-
-
-# --------------------------------------------------------------------------
-# Free transfer
-# --------------------------------------------------------------------------
+def _rdm(forms: tuple, state: tuple):
+    """Site RDM rows (x, y), or their changes, of the states ``state`` from ``_forms``."""
+    x_bb, x_aa, x_ba, y_ba, y_bb, y_aa, y_ab = forms
+    aa, bb, ba = state
+    x = bb * x_bb + aa * x_aa + (2.0 * ba * x_ba).real
+    return x, ba * y_ba + bb * y_bb + aa * y_aa + np.conj(ba) * y_ab
 
 
 def fidelity_from_amplitudes(u: np.ndarray, initial: InitialState | None = None) -> np.ndarray:
     """Transfer fidelity per site from the amplitudes u of an excitation released at site 1.
 
-    Without ``initial``: the analytic Bloch-sphere average
-    1/2 + |u_l|^2/6 + Re(u_l)/3.  With it: the per-state fidelity of (alpha, beta).
+    Without ``initial``: the Bloch average 1/2 + |u_l|^2/6 + Re(u_l)/3 in
+    closed form. With it: the per-state fidelity of (alpha, beta).
     """
-    return _fidelity_row(np.abs(u) ** 2, u, initial)
+    abs2 = np.abs(u) ** 2
+    if initial is None:
+        # summed as (1/2 - |u|^2/6) + |u|^2/3 + Re(u)/3: the printed grids' last digits depend on it
+        return 0.5 - abs2 * (1.0 / 6.0) + abs2 * (1.0 / 3.0) + u.real * (1.0 / 3.0)
+    state = _projector(initial)
+    x, y = state[1] * abs2, state[2] * u
+    _check_rdm(x, y)
+    return _fidelity(x, y, state)
 
 
 # --------------------------------------------------------------------------
-# Row blocks and the measurement stream
+# Row blocks and the local-process stream
 # --------------------------------------------------------------------------
 
 
 #: Cells (times x sites) of one row block: every stream yields
 #: max(1, _BLOCK_CELLS // N) times per block, the last block fewer.
 _BLOCK_CELLS = 8192
-#: Largest |sum over sites| of a detector row (see ``occupation_change``).
-_ZERO_SUM = 1e-9
 
 
 def _blocks(times, n: int) -> Iterator:
@@ -160,8 +180,6 @@ class SpinChain:
 
 
 def _check_measurement_times(t: float, t0: float) -> None:
-    if t0 < 0:
-        raise ValueError(f"measurement time t0 must be >= 0, got {t0}")
     if t < t0:
         raise ValueError(
             f"t = {t} precedes the measurement at t0 = {t0}; use the free forms "
@@ -169,73 +187,75 @@ def _check_measurement_times(t: float, t0: float) -> None:
         )
 
 
-def measured(dynamics, m: int, t0, times) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(g, k) blocks of a measurement of site m at t0, read at the ascending ``times`` >= t0.
+def process_rows(dynamics, process: LocalProcess, times, pairs=None) -> Iterator[tuple]:
+    """(g, g_tau, u0_m, pair) blocks of ``process``, read at the ascending ``times`` >= t0.
 
-    g holds the rows ``dynamics.rows(1, times)`` and k the collapse rows
-    u(t0)[m] * ``dynamics.rows(m, times - t0)``, u(t0) the row from site 1 at
-    t0, so the survive rows are h = g - k (``_projective_parts``).
-    """
+    g holds the rows ``dynamics.rows(1, times)``, g_tau ``dynamics.rows(m, times - t0)``,
+    u0_m entry m of the row from site 1 at t0; ``pair`` is ``pairs(block_times, g, g_tau)``."""
     if not len(times):
         return
-    _check_measurement_times(times[0], t0)
-    u0 = None
-    for g, k in zip(dynamics.rows(1, times), dynamics.rows(m, np.asarray(times) - t0)):
+    _check_measurement_times(times[0], process.t0)
+    m, u0 = process.m, None
+    rows = zip(_blocks(times, dynamics.n), dynamics.rows(1, times),
+               dynamics.rows(m, np.asarray(times) - process.t0))
+    for chunk, g, g_tau in rows:
         if u0 is None:  # after the first rows, so that a time out of range fails on t, not t0
-            (u0,) = next(dynamics.rows(1, [t0]))
-        yield g, u0[m - 1] * k
+            (u0,) = next(dynamics.rows(1, [process.t0]))
+        yield g, g_tau, u0[m - 1], None if pairs is None else pairs(chunk, g, g_tau)
 
 
-def _projective_parts(g: np.ndarray, k: np.ndarray):
-    """(site weight, coherent amplitude) rows after the measurement: |h|^2 + |k|^2 and h.
+def site_rdm(process: LocalProcess, block: tuple, initial: InitialState):
+    """Checked site RDM rows (x, y) of ``initial`` after ``process``, from one ``process_rows`` block."""
+    x, y = _rdm(_forms(process, *block, change=False), _projector(initial))
+    _check_rdm(x, y)
+    return x, y
 
-    g is the free row and k the collapse row, so the survive row is h = g - k.
+
+def process_fidelity(process: LocalProcess, blocks, initial: InitialState | None = None,
+                     change: bool = False) -> Iterator[np.ndarray]:
+    """Per-state or Bloch-averaged (no ``initial``) fidelity rows of every ``process_rows`` block.
+
+    With ``change``, each row minus the free row, in the reduced form. A
+    process that is a global phase reads the free rows (and a zero change).
     """
-    h = g - k
-    return np.abs(h) ** 2 + np.abs(k) ** 2, h
+    state = _SIX_STATES if initial is None else _projector(initial)
+    for block in blocks:
+        if process.is_phase:
+            yield np.zeros(block[0].shape) if change else fidelity_from_amplitudes(block[0], initial)
+            continue
+        x, y = _rdm(_forms(process, *block, change), state)
+        if not change:
+            _check_rdm(x, y)
+        rows = _fidelity(x, y, state, 0.0 if change else 1.0)
+        yield rows if initial is not None else rows.mean(axis=0)
 
 
-def fidelity_change(blocks) -> Iterator[np.ndarray]:
-    """Bloch-averaged fidelity change, measured minus free, of every ``measured`` block.
+def occupation_change(process: LocalProcess, blocks, initial: InitialState) -> Iterator[np.ndarray]:
+    """Detector rows of every ``process_rows`` block: site occupation with minus without it.
 
-    Exact reduced form (|k|^2 - Re(conj(g) k) - Re k)/3, algebraically equal
-    to the projective minus the free averaged fidelity.
-    """
-    for g, k in blocks:
-        yield (np.abs(k) ** 2 - (np.conj(g) * k).real - k.real) / 3.0
-
-
-def occupation_change(blocks, initial: InitialState) -> Iterator[np.ndarray]:
-    """Detector rows of every ``measured`` block: site occupation with minus without it.
-
-    Each row sums to zero, since the measurement keeps the expected particle
-    number; ValueError unless it does to ``_ZERO_SUM``.
-    """
-    for g, k in blocks:
-        occupation, _ = _rdm_row(*_projective_parts(g, k), initial)
-        change = occupation - abs(initial.beta) ** 2 * np.abs(g) ** 2
+    Each row of a number-keeping process (the measurement) sums to zero; ValueError unless
+    it does to 1e-9."""
+    for block in blocks:
+        occupation, _ = site_rdm(process, block, initial)
+        change = occupation - abs(initial.beta) ** 2 * np.abs(block[0]) ** 2
         worst = float(np.max(np.abs(np.sum(change, axis=1))))
         # written as "not within" so that NaN, which compares False, fails too
-        if not worst <= _ZERO_SUM:
+        if not worst <= 1e-9:
             raise ValueError(f"detector profile must sum to 0, got |sum| = {worst:.3e}")
         yield change
 
 
 # --------------------------------------------------------------------------
-# Local unitary gate: one- and two-magnon channels
+# The local process on the spin chain: one- and two-magnon channels
 # --------------------------------------------------------------------------
 
 
 @dataclass(frozen=True, eq=False)
 class UnitaryState:
-    """Sector amplitudes (full phases) after a local gate at site m, time t0.
+    """The pieces V, A and P (full phases) of a one-operator process: its sector amplitudes.
 
-    two_magnon is a symmetric N x N matrix with a zero diagonal: entry
-    (y1 - 1, y2 - 1) holds the pair {y1, y2}; after a phase-only gate it is
-    a read-only view of zeros. norm_defect is
-    |1 - total norm^2|, which the exact sector propagators keep at rounding
-    level for every gate; ``_gate_state`` raises above 1e-10.
-    """
+    two_magnon is symmetric with a zero diagonal, entry (y1 - 1, y2 - 1) the pair {y1, y2};
+    without a pair channel, a read-only view of zeros. norm_defect is |1 - total norm^2|."""
 
     vacuum: complex
     one_magnon: np.ndarray
@@ -243,78 +263,26 @@ class UnitaryState:
     norm_defect: float
 
 
-def _gate_fidelity_row(gate: LocalGate, g_t, g_tau, pairs) -> np.ndarray:
-    """Bloch-averaged transfer fidelity at every site l after the gate.
+class ProcessEngine:
+    """A local process on the spin chain, read at any observation times t >= t0.
 
-    Takes the reduced rows g_t = g(1 -> l; t) and g_tau = g(m -> l; t - t0)
-    and the reduced pair matrix L (None for an empty pair channel, where the
-    gate is a global phase and the row is the free readout of g_t).
-    Otherwise gamma * g_t is read by the free Bloch rule, and L adds its
-    weight and its interference with delta * g_tau.
-    """
-    if pairs is None:
-        return fidelity_from_amplitudes(g_t)
-    gamma2 = abs(gate.gamma) ** 2
-    free = _bloch_from_quadratic(gamma2 * np.abs(g_t) ** 2, gamma2 * g_t.real)
-    pair_sum = np.sum(np.abs(pairs) ** 2, axis=1)
-    cross = np.conj(pairs) @ g_tau
-    return free + (abs(gate.delta) ** 2 / 6.0) * (pair_sum - np.abs(g_tau) ** 2 + 2.0 * cross.real)
-
-
-def _gate_state(
-    gate: LocalGate, u0_m: complex, g_t, g_tau, pairs, phase: complex, initial: InitialState
-) -> UnitaryState:
-    """Sector amplitudes for one encoded state from ``_gate_fidelity_row``'s inputs.
-
-    ``u0_m`` is g(1 -> m; t0) and ``phase`` the full phase at t; a norm defect
-    above 1e-10 raises ValueError.
-    """
-    alpha, beta = initial.alpha, initial.beta
-    gamma, delta = gate.gamma, gate.delta
-    vac = phase * (alpha * gamma - beta * np.conj(delta) * u0_m)
-    one = phase * (alpha * delta * g_tau + beta * gamma * g_t)
-    norm_sq = abs(vac) ** 2 + float(np.sum(np.abs(one) ** 2))
-    if pairs is None:
-        two = np.broadcast_to(np.complex128(0.0), (len(g_t), len(g_t)))
-    else:
-        two = phase * beta * delta * pairs
-        norm_sq += abs(beta * delta) ** 2 * float(np.sum(np.abs(pairs) ** 2)) / 2.0
-    defect = abs(1.0 - norm_sq)
-    # written as "not within" so that NaN, which compares False, fails too
-    if not defect <= 1e-10:
-        raise ValueError(f"norm defect {defect:.3e} after the gate at site {gate.m}")
-    return UnitaryState(complex(vac), one, two, defect)
-
-
-class UnitaryQdpEngine:
-    """The gate protocol's pair source, read at any observation time t >= t0.
-
-    The gate (a ``chain.LocalGate``) turns the one-magnon wavepacket amplitude
-    at each companion site into a source pair with the gate site, which then
-    evolves into the pair amplitudes L(y1, y2; t). ``_pair_matrix`` picks the
-    propagator: the exact kernel of ``green2.ring_kernel``, which refuses any
-    chain but a ring of 3 to 512 sites. It reads the source row u0 =
-    g(1 -> l; t0), takes the kernel and projects the source onto its modes
-    (``RingTwoMagnon.project``) once, on the first time at or after t0, so a
-    grid that ends before t0 computes nothing at t0, however far off t0 is;
-    each time then runs only ``RingTwoMagnon.evolve_projected``. Engines on
-    one ring share its kernel, kept in ``green2.kernels``. The per-time
-    methods hand L and the one-magnon rows g(1 -> l; t) and g(m -> l; t - t0)
-    to ``_gate_fidelity_row`` and ``_gate_state``. A
-    phase-only gate (delta = 0) opens no pair channel: it runs on any chain,
-    in O(N) memory, its fidelity rows are the free readout
-    ``fidelity_from_amplitudes`` of g_t for every gamma ``LocalGate`` admits,
-    and ``state`` holds no N x N matrix.
+    A process that flips site m (some c != 0) pairs the wavepacket amplitude
+    u0 = g(1 -> l; t0) of each companion site with site m; the pairs evolve
+    into L(y1, y2; t) by the exact kernel of ``green2.ring_kernel`` (a ring
+    of 3 to 512 sites only), shared by the engines of one ring. The source is
+    projected onto its modes once, at the first time at or after t0, so a
+    grid that ends before t0 computes nothing at t0; each time then runs only
+    ``RingTwoMagnon.evolve_projected``, and one L is held at a time. Any other
+    process runs on any chain, in O(N) memory.
     """
 
-    def __init__(self, spec: ChainSpec, gate: LocalGate):
-        if gate.m > spec.n:
-            raise ValueError(f"gate site m={gate.m} out of range 1..{spec.n}")
-        # A phase-only gate conserves the magnon number: no pair channel.
-        if gate.delta != 0.0:
+    def __init__(self, spec: ChainSpec, process: LocalProcess):
+        if process.m > spec.n:
+            raise ValueError(f"process site m={process.m} out of range 1..{spec.n}")
+        if process.opens_pairs:
             _check_ring(spec)
         self.spec = spec
-        self.gate = gate
+        self.process = process
         # the kernel and the projected source, set by the first _pair_matrix
         self.ring: RingTwoMagnon | None = None
         self._source_modes: np.ndarray | None = None
@@ -322,59 +290,72 @@ class UnitaryQdpEngine:
     @functools.cached_property
     def u0(self) -> np.ndarray:
         """The reduced row g(1 -> l; t0), computed on its first read."""
-        return reduced_profile(1, self.gate.t0, self.spec)
+        return reduced_profile(1, self.process.t0, self.spec)
 
     def _pair_matrix(self, t: float, part: Part) -> np.ndarray | None:
-        """Reduced L of one propagator part, symmetric with zero diagonal: row l holds L(l, y).
-
-        None for a phase-only gate, whose pair channel stays empty.
-        """
-        _check_measurement_times(t, self.gate.t0)
-        if self.gate.delta == 0.0:
+        """Reduced L of one part, symmetric with zero diagonal (row l holds L(l, y)), or None."""
+        _check_measurement_times(t, self.process.t0)
+        if not self.process.opens_pairs:
             return None
         if self.ring is None:
-            # each pair holding the gate site starts with the amplitude of its partner
-            m = self.gate.m - 1
+            # each pair holding site m starts with the amplitude of its partner
+            m = self.process.m - 1
             source = np.zeros((self.spec.n, self.spec.n), dtype=complex)
             source[m] = source[:, m] = self.u0
             source[m, m] = 0.0
             self.ring = ring_kernel(self.spec)
             self._source_modes = self.ring.project(source)
-        return self.ring.evolve_projected(self._source_modes, t - self.gate.t0, part)
+        return self.ring.evolve_projected(self._source_modes, t - self.process.t0, part)
 
-    def _rows(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """Reduced rows g(1 -> l; t) and g(m -> l; t - t0) over every site l."""
-        spec, gate = self.spec, self.gate
-        return reduced_profile(1, t, spec), reduced_profile(gate.m, t - gate.t0, spec)
+    def _pair_rows(self, times, g: np.ndarray, g_tau: np.ndarray) -> tuple:
+        """A block's pair contractions (sum_y |L_ly|^2, L conj(g), L conj(g_tau)), one L at a time."""
+        weight, l_g, l_tau = np.empty(g.shape), np.empty_like(g), np.empty_like(g)
+        for i, t in enumerate(times):
+            pairs = self._pair_matrix(t, "total")
+            weight[i] = np.sum(np.abs(pairs) ** 2, axis=1)
+            l_g[i], l_tau[i] = (pairs @ np.conj(np.stack((g[i], g_tau[i]), axis=1))).T
+        return weight, l_g, l_tau
 
-    def fidelity_row(self, t: float) -> np.ndarray:
-        """Bloch-averaged transfer fidelity at every site."""
-        pairs = self._pair_matrix(t, "total")
-        return _gate_fidelity_row(self.gate, *self._rows(t), pairs)
+    def rows(self, times) -> Iterator[tuple]:
+        """``process_rows`` of the spin chain at ``times`` >= t0, with the pair channel's contractions."""
+        pairs = self._pair_rows if self.process.opens_pairs else None
+        return process_rows(SpinChain(self.spec), self.process, times, pairs)
 
-    def _change_row(self, t: float) -> np.ndarray:
-        """``fidelity_row`` minus the free fidelity row, both read off one row g(1 -> l; t)."""
-        pairs = self._pair_matrix(t, "total")
-        g_t, g_tau = self._rows(t)
-        return _gate_fidelity_row(self.gate, g_t, g_tau, pairs) - fidelity_from_amplitudes(g_t)
+    def split_rows(self, times, part: Part) -> Iterator[np.ndarray]:
+        """Blocks of one propagator part's two-magnon contribution to the averaged fidelity.
 
-    def split_row(self, t: float, part: Part) -> np.ndarray:
-        """Two-magnon contribution of one propagator part to the averaged fidelity, every site.
-
-        Cross terms between bound and scattering parts appear only in the
-        total pair amplitudes, never inside a single part.
-        """
-        pairs = self._pair_matrix(t, part)
-        if pairs is None:
-            return np.zeros(self.spec.n)
-        delta2 = abs(self.gate.delta) ** 2
-        return (delta2 / 6.0) * np.sum(np.abs(pairs) ** 2, axis=1)
+        The six states' changes by the pair term |beta c|^2 sum_y |L_ly|^2 of x alone;
+        bound and scattering cross only in the total pair amplitudes."""
+        flips = float(np.sum(np.abs(self.process.kraus[:, 1, 0]) ** 2))
+        for chunk in _blocks(times, self.spec.n):
+            if not self.process.opens_pairs:
+                yield np.zeros((len(chunk), self.spec.n))
+                continue
+            weight = np.stack([np.sum(np.abs(self._pair_matrix(t, part)) ** 2, axis=1) for t in chunk])
+            x = _SIX_STATES[1] * (flips * weight)
+            yield _fidelity(x, 0.0, _SIX_STATES, 0.0).mean(axis=0)
 
     def state(self, t: float, initial: InitialState) -> UnitaryState:
-        """Full-phase sector amplitudes for one encoded state."""
+        """Full-phase pieces V, A, P of a one-operator process for one state; checked norm."""
+        if len(self.process.kraus) != 1:
+            raise ValueError("sector amplitudes need a process of one operator")
+        (((a, b), (c, d)),) = self.process.kraus
         pairs = self._pair_matrix(t, "total")
-        u0_m, phase = self.u0[self.gate.m - 1], reduced_phase(self.spec, t)
-        return _gate_state(self.gate, u0_m, *self._rows(t), pairs, phase, initial)
+        spec, m, alpha, beta = self.spec, self.process.m, initial.alpha, initial.beta
+        g, g_tau = reduced_profile(1, t, spec), reduced_profile(m, t - self.process.t0, spec)
+        u0_m, phase = self.u0[m - 1], reduced_phase(spec, t)
+        vac = phase * (alpha * a + beta * b * u0_m)
+        one = phase * (beta * (a * g + (d - a) * u0_m * g_tau) + alpha * c * g_tau)
+        norm_sq = abs(vac) ** 2 + float(np.sum(np.abs(one) ** 2))
+        if pairs is None:
+            two = np.broadcast_to(np.complex128(0.0), (spec.n, spec.n))
+        else:
+            two = phase * beta * c * pairs
+            norm_sq += abs(beta * c) ** 2 * float(np.sum(np.abs(pairs) ** 2)) / 2.0
+        defect = abs(1.0 - norm_sq)
+        if not defect <= 1e-10:  # NaN fails this test too
+            raise ValueError(f"norm defect {defect:.3e} after the process at site {m}")
+        return UnitaryState(complex(vac), one, two, defect)
 
 
 # --------------------------------------------------------------------------
@@ -485,7 +466,7 @@ def grid_csv(l_values, t_values, blocks, lo: float = 0.0) -> Iterator:
     (NaN fails; ``lo`` is -1 for differences, 0 for fidelities), and unless
     the blocks hold exactly ``len(t_values)`` rows. The text, byte for byte
     ``f"{l},{t:.11e},{value:.11e}"`` per cell, is formatted in one uint32
-    buffer of zero-padded words, kept while the blocks keep their size: the
+    buffer of zero-padded words, as large as the largest block yet: the
     ``l,`` words set once, then each block's times (five words ending in a
     comma) and values (five ending in a newline) by ``_format_e11``; one
     ``bytes.translate`` drops the pad bytes.
@@ -505,14 +486,15 @@ def grid_csv(l_values, t_values, blocks, lo: float = 0.0) -> Iterator:
         if not (chunk.min(initial=np.inf) >= lo - 1e-9
                 and chunk.max(initial=-np.inf) <= 1.0 + 1e-9):
             raise ValueError(f"grid values leave [{lo:g}, 1] or are NaN")
-        if len(text) != len(chunk):  # kept for every block of the same size
+        if len(text) < len(chunk):  # grown to the largest block yet; a smaller one uses its head
             text = np.empty((len(chunk), *text.shape[1:]), np.uint32)
             text[:, :, :time_at] = sites
+        rows = text[: len(chunk)]  # contiguous, so its reshape below is a view
         times = np.empty((len(chunk), 5), np.uint32)  # contiguous: a faster copy source
         _format_e11(np.asarray(t_values[start:stop], dtype=float), times, ",")
-        text[:, :, time_at : time_at + 5] = times[:, None]
-        _format_e11(chunk.reshape(-1), text.reshape(-1, text.shape[-1])[:, time_at + 5 :], "\n")
-        yield text.tobytes().translate(None, b"\0")
+        rows[:, :, time_at : time_at + 5] = times[:, None]
+        _format_e11(chunk.reshape(-1), rows.reshape(-1, rows.shape[-1])[:, time_at + 5 :], "\n")
+        yield rows.tobytes().translate(None, b"\0")
         start = stop
     if start < count:
         raise ValueError(f"{start} grid rows, expected {count}")

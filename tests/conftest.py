@@ -8,15 +8,9 @@ import numpy as np
 import pytest
 
 from golden_io import decode_complex, load_golden
-from spinchain.chain import reduced_phase
+from spinchain.chain import MEASUREMENT, LocalProcess, reduced_phase
 from spinchain.green1 import reduced_profile
-from spinchain.protocols import (
-    SpinChain,
-    _check_measurement_times,
-    _fidelity_row,
-    _projective_parts,
-    measured,
-)
+from spinchain.protocols import SpinChain, _check_measurement_times, process_fidelity, process_rows
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
 
@@ -68,13 +62,14 @@ def channel_fidelity():
 def fidelity_projective_row():
     """Transfer fidelity at every site with a site-m measurement at t0 (Bloch or per-state).
 
-    The library's measurement stream composed into one fidelity row; no CLI
-    command writes it (``qdp-diff`` reads ``protocols.fidelity_change``).
+    The library's process readout of the measurement at one time; no CLI
+    command writes it (``qdp-diff`` reads its change).
     """
 
     def _row(m: int, t: float, t0: float, spec, initial=None) -> np.ndarray:
-        ((g, k),) = measured(SpinChain(spec), m, t0, [t])
-        return _fidelity_row(*_projective_parts(g[0], k[0]), initial)
+        process = LocalProcess(m, t0, MEASUREMENT)
+        ((row,),) = process_fidelity(process, process_rows(SpinChain(spec), process, [t]), initial)
+        return row
 
     return _row
 

@@ -19,18 +19,19 @@ import pytest
 
 from golden_io import transfer_fidelity
 from spinchain import oracle
-from spinchain.chain import ChainSpec, InitialState, LocalGate, reduced_phase
+from engine_rows import fidelity_row, gate_process, split_row
+from spinchain.chain import MEASUREMENT, ChainSpec, InitialState, LocalProcess, reduced_phase
 from spinchain.cli import main as cli_main
 from spinchain.green1 import reduced_profile
 from spinchain.green2 import green2
 from spinchain.harper import HarperSpec, KickedChain, floquet_step, spread_metric
 from spinchain.protocols import (
+    ProcessEngine,
     SpinChain,
-    UnitaryQdpEngine,
-    fidelity_change,
     fidelity_from_amplitudes,
-    measured,
     occupation_change,
+    process_fidelity,
+    process_rows,
 )
 
 from bessel_reference import reduced_hop_amplitudes
@@ -40,7 +41,8 @@ OPEN100 = ChainSpec(100, "open", 0.5, 1.0)
 
 def _change_row(m: int, t: float, t0: float, spec: ChainSpec) -> np.ndarray:
     """The measurement's fidelity change row at one time, as ``qdp-diff`` reads it."""
-    (row,) = next(fidelity_change(measured(SpinChain(spec), m, t0, [t])))
+    process = LocalProcess(m, t0, MEASUREMENT)
+    ((row,),) = process_fidelity(process, process_rows(SpinChain(spec), process, [t]), change=True)
     return row
 
 
@@ -174,10 +176,10 @@ def test_criterion_07_gate_protocol_matches_dense_evolution(channel_fidelity):
     ham = oracle.build_hamiltonian(spec, "vacuum_one_two")
     initial = InitialState(math.sqrt(0.3), math.sqrt(0.7))
     for amplitudes in ((1 / math.sqrt(2), 1 / math.sqrt(2)), (0.0, 1.0)):
-        gate = LocalGate(4, 2.0, *amplitudes)
+        gate = gate_process(4, 2.0, *amplitudes)
         mid = oracle.evolve(oracle.encoded_state(initial.alpha, initial.beta, basis), ham, 2.0)
-        final = oracle.evolve(oracle.apply_local(amplitudes, 4, mid), ham, 2.0)
-        state = UnitaryQdpEngine(spec, gate).state(4.0, initial)
+        final = oracle.evolve(oracle.apply_local(gate.kraus[0], 4, mid), ham, 2.0)
+        state = ProcessEngine(spec, gate).state(4.0, initial)
 
         assert abs(state.vacuum - final.vector[0]) <= 1e-10
         one_dense = final.vector[1:13]
@@ -194,11 +196,11 @@ def test_criterion_07_gate_protocol_matches_dense_evolution(channel_fidelity):
     # a balanced gate at the source site before any motion pins the averaged
     # fidelity to one half plus the free interference term
     ring = ChainSpec(24, "closed", 0.5, 1.0)
-    gate = LocalGate(1, 0.0, 1 / math.sqrt(2), 1 / math.sqrt(2))
-    engine = UnitaryQdpEngine(ring, gate)
+    gate = gate_process(1, 0.0, 1 / math.sqrt(2), 1 / math.sqrt(2))
+    engine = ProcessEngine(ring, gate)
     for t in (0.5, 2.0, 6.5):
         g = reduced_profile(1, t, ring)
-        residual = float(np.max(np.abs(engine.fidelity_row(t) - 0.5 - g.real / 6.0)))
+        residual = float(np.max(np.abs(fidelity_row(engine, t) - 0.5 - g.real / 6.0)))
         assert residual <= 1e-10
 
 
@@ -209,8 +211,8 @@ def test_criterion_08_pair_kernel_completeness_and_free_factorization():
     for target in ((11, 12), (9, 13), (8, 10)):
         assert abs(green2(10, 11, *target, 0.0, ring40).value) <= 1e-12
 
-    gate = LocalGate(10, 2.0, 0.0, 1.0)
-    engine = UnitaryQdpEngine(ring40, gate)
+    gate = gate_process(10, 2.0, 0.0, 1.0)
+    engine = ProcessEngine(ring40, gate)
     # sum over pairs |L|^2; the pair matrix holds each pair twice
     weights = [float(np.sum(np.abs(engine._pair_matrix(t, "total")) ** 2)) / 2.0 for t in (3.0, 7.0)]
     assert abs(weights[0] - weights[1]) <= 1e-3
@@ -232,14 +234,14 @@ def test_criterion_09_paired_band_census_and_scattering_dominance():
     assert 17 <= census.count <= 20
 
     ring = ChainSpec(100, "closed", 0.5, 1.0)
-    gate = LocalGate(10, 5.0, 0.0, 1.0)
+    gate = gate_process(10, 5.0, 0.0, 1.0)
 
-    engine = UnitaryQdpEngine(ring, gate)
+    engine = ProcessEngine(ring, gate)
 
     def part_weights(t: float) -> tuple[float, float]:
         return (
-            float(np.sum(engine.split_row(t, "scattering"))),
-            float(np.sum(engine.split_row(t, "bound"))),
+            float(np.sum(split_row(engine, t, "scattering"))),
+            float(np.sum(split_row(engine, t, "bound"))),
         )
 
     scattering, bound = part_weights(6.0)
@@ -251,14 +253,14 @@ def test_criterion_09_paired_band_census_and_scattering_dominance():
 
 def test_criterion_10_gate_induced_relative_fidelity_gain_region():
     ring = ChainSpec(100, "closed", 0.5, 1.0)
-    gate = LocalGate(15, 7.5, 0.0, 1.0)
+    gate = gate_process(15, 7.5, 0.0, 1.0)
     best = -math.inf
     region_points = 0
-    engine = UnitaryQdpEngine(ring, gate)
+    engine = ProcessEngine(ring, gate)
     for k in range(1, 19):
         t = 7.5 + 0.25 * k
         free = _averaged_free_row(ring, t)
-        gated = engine.fidelity_row(t)
+        gated = fidelity_row(engine, t)
         gain = (gated - free) / free
         best = max(best, float(np.max(gain)))
         region_points += int(np.sum(gain >= 0.15))
@@ -273,7 +275,8 @@ def test_criterion_11_kicked_chain_transport_properties():
     assert float(np.max(np.abs(u.conj().T @ u - np.eye(100)))) <= 1e-12
 
     def detector_rows(spec: HarperSpec, initial: InitialState, kicks):
-        blocks = occupation_change(measured(KickedChain(spec), 1, 5, kicks), initial)
+        process = LocalProcess(1, 5, MEASUREMENT)
+        blocks = occupation_change(process, process_rows(KickedChain(spec), process, kicks), initial)
         return np.concatenate(list(blocks))
 
     balanced = InitialState(1 / math.sqrt(2), 1 / math.sqrt(2))

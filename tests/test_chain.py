@@ -12,9 +12,11 @@ from spinchain import protocols
 from spinchain.chain import (
     CONVENTIONS,
     ChainSpec,
+    MEASUREMENT,
     InitialState,
-    LocalGate,
+    LocalProcess,
     conventions_hash,
+    gate,
     reduced_phase,
 )
 
@@ -52,42 +54,70 @@ def test_initial_state_norm():
 
 
 def test_bloch_moments_are_exact_sphere_integrals():
-    # the constants the averaged fidelity rows read, against the oracle's sphere quadrature
+    # the six states the averaged rows read, against the sphere quadrature: their
+    # mean holds every projector moment of first and second order that a fidelity reads
+    aa, bb, ba = (entry.ravel() for entry in protocols._SIX_STATES)
+    assert np.array_equal(aa + bb, np.ones(6)) and np.allclose(np.abs(ba) ** 2, aa * bb)
     moments = (
-        (protocols._ABS_ALPHA_SQ, lambda a, b: abs(a) ** 2),
-        (protocols._ABS_ALPHA_SQ, lambda a, b: abs(b) ** 2),
-        (protocols._ALPHA_SQ_BETA_SQ, lambda a, b: abs(a) ** 2 * abs(b) ** 2),
-        (protocols._ABS_ALPHA_4, lambda a, b: abs(a) ** 4),
-        (protocols._ABS_ALPHA_4, lambda a, b: abs(b) ** 4),
+        (aa, lambda a, b: abs(a) ** 2),
+        (bb, lambda a, b: abs(b) ** 2),
+        (aa * bb, lambda a, b: abs(a) ** 2 * abs(b) ** 2),
+        (aa * aa, lambda a, b: abs(a) ** 4),
+        (bb * bb, lambda a, b: abs(b) ** 4),
+        (ba * np.conj(ba), lambda a, b: abs(a * b) ** 2),
+        (ba, lambda a, b: b * np.conj(a)),
+        (ba * aa, lambda a, b: b * np.conj(a) * abs(a) ** 2),
+        (ba * bb, lambda a, b: b * np.conj(a) * abs(b) ** 2),
+        (ba * ba, lambda a, b: (b * np.conj(a)) ** 2),
     )
-    for constant, integrand in moments:
-        assert constant == pytest.approx(bloch_average(integrand), abs=1e-15)
-    assert bloch_average(lambda a, b: (a * b).real) == pytest.approx(0.0, abs=1e-15)
+    for six, integrand in moments:
+        mean = np.mean(six)
+        assert mean.real == pytest.approx(bloch_average(lambda a, b: integrand(a, b).real), abs=1e-15)
+        assert mean.imag == pytest.approx(bloch_average(lambda a, b: integrand(a, b).imag), abs=1e-15)
 
 
 def test_gate_event_requires_real_diagonal_and_unit_norm():
-    gate = LocalGate(3, 1.0, 0.6, 0.8j)
-    assert (gate.gamma, gate.delta) == (0.6, 0.8j)
-    # stored as complex numbers whatever the caller passes
-    assert type(LocalGate(1, 0.0, 1, 0).gamma) is complex
-    assert type(LocalGate(1, 0.0, 0.0, 1.0).delta) is complex
-    with pytest.raises(ValueError, match="gamma must be real"):
-        LocalGate(3, 1.0, 0.6j, 0.8)
-    with pytest.raises(ValueError, match=r"\|gamma\|\^2 \+ \|delta\|\^2 must be 1"):
-        LocalGate(3, 1.0, 0.6, 0.9)
-    with pytest.raises(ValueError, match=r"\|gamma\|\^2 \+ \|delta\|\^2 must be 1"):
-        LocalGate(3, 1.0, float("nan"), 0.0)
+    process = LocalProcess(3, 1.0, gate(0.6, 0.8j))
+    assert np.array_equal(process.kraus, [[[0.6, 0.8j], [0.8j, 0.6]]])
+    # stored as a read-only complex array whatever the caller passes
+    assert LocalProcess(1, 0.0, gate(1, 0)).kraus.dtype == complex
+    assert not LocalProcess(1, 0.0, gate(0.0, 1.0)).kraus.flags.writeable
+    complete = r"sum K\^dagger K = 1"
+    # a flipping gate with Im(gamma) != 0 is not unitary
+    with pytest.raises(ValueError, match=complete):
+        LocalProcess(3, 1.0, gate(0.6j, 0.8))
+    with pytest.raises(ValueError, match=complete):
+        LocalProcess(3, 1.0, gate(0.6, 0.9))
+    with pytest.raises(ValueError, match=complete):
+        LocalProcess(3, 1.0, gate(float("nan"), 0.0))
     # a value too large to square is refused, not an OverflowError
     for gamma, delta in ((1e155, 0.0), (0.0, 1e200), (0.0, 1e200j)):
-        with pytest.raises(ValueError, match=r"\|gamma\|\^2 \+ \|delta\|\^2 must be 1"):
-            LocalGate(3, 1.0, gamma, delta)
+        with pytest.raises(ValueError, match=complete):
+            LocalProcess(3, 1.0, gate(gamma, delta))
     with pytest.raises(ValueError, match="site index m must be >= 1"):
-        LocalGate(0, 1.0, 0.0, 1.0)
+        LocalProcess(0, 1.0, gate(0.0, 1.0))
     for t0 in (float("nan"), float("inf"), -1.0):
         with pytest.raises(ValueError, match="t0 must be finite and >= 0"):
-            LocalGate(1, t0, 0.0, 1.0)
+            LocalProcess(1, t0, gate(0.0, 1.0))
     # a phase-only gate may carry a complex gamma
-    LocalGate(1, 0.0, 0.6 + 0.8j, 0.0)
+    LocalProcess(1, 0.0, gate(0.6 + 0.8j, 0.0))
+
+
+def test_local_process_refuses_incomplete_sets_and_non_finite_entries():
+    complete = r"sum K\^dagger K = 1"
+    LocalProcess(2, 0.5, MEASUREMENT)
+    with pytest.raises(ValueError, match=complete):
+        LocalProcess(2, 0.5, MEASUREMENT[:1])  # one outcome only
+    damping = (((1, 0), (0, math.sqrt(0.63))), ((0, math.sqrt(0.37)), (0, 0)))
+    LocalProcess(2, 0.5, damping)
+    with pytest.raises(ValueError, match=complete):
+        LocalProcess(2, 0.5, damping[:1])
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=complete):
+            LocalProcess(2, 0.5, (((1, 0), (0, 0)), ((0, 0), (0, bad))))
+    for shape in ((), ((1, 0), (0, 1)), ([[1, 0, 0], [0, 1, 0], [0, 0, 1]],)):
+        with pytest.raises(ValueError, match="2 x 2 Kraus operators"):
+            LocalProcess(2, 0.5, shape)
 
 
 def test_conventions_fingerprint_is_stable_and_covers_every_rule():

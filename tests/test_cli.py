@@ -19,11 +19,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from spinchain.chain import ChainSpec, InitialState, conventions_hash, reduced_phase
+from spinchain.chain import MEASUREMENT, ChainSpec, InitialState, LocalProcess, conventions_hash
+from spinchain.chain import reduced_phase
+from spinchain import cli
 from spinchain.cli import _splitting_samples, main
 from spinchain.green1 import reduced_profile
 from spinchain.harper import HarperSpec, KickedChain
-from spinchain.protocols import fidelity_from_amplitudes, measured, occupation_change
+from spinchain.protocols import fidelity_from_amplitudes, occupation_change, process_rows
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -636,6 +638,25 @@ def test_oracle_check_passes(tmp_path):
         assert report[name]["tolerance"] == 1e-9, name
 
 
+def test_calibrate_fails_on_nan_rows(tmp_path, monkeypatch, capsys):
+    # max(0.0, nan) is 0.0, so a fold by max would pass NaN rows as exact
+    monkeypatch.setattr(cli, "reduced_profile", lambda source, t, spec: np.full(spec.n, np.nan))
+    out = tmp_path / "cal.json"
+    assert main(["calibrate", "--n", "8", "--out", str(out)]) == 3
+    assert "ok  " not in capsys.readouterr().out
+    report = json.loads(out.read_text())
+    assert report and not any(entry["pass"] for entry in report.values())
+
+
+def test_oracle_check_fails_on_a_nan_free_propagator(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "free_propagator",
+                        lambda n, boundary, z, sites: np.full((len(sites), n), np.nan + 0j))
+    out = tmp_path / "oracle.json"
+    assert main(["oracle-check", "--n", "6", "--out", str(out)]) == 3
+    assert "FAIL splitting identity: nan" in capsys.readouterr().out
+    assert not json.loads(out.read_text())["splitting identity"]["pass"]
+
+
 @pytest.mark.parametrize("n", [3, 12, 64])
 def test_splitting_check_is_the_one_sample_reference(tmp_path, hk_propagators, n):
     # the check's own draws, one sample at a time, as the batched check makes them
@@ -708,7 +729,9 @@ def test_detector_grid_sums_to_zero_per_column(tmp_path, monkeypatch):
     assert len(ts) == 4  # kicks 2..5 inclusive
     spec = HarperSpec(12, 1.0, 0.3)
     initial = InitialState(math.sqrt(0.5), math.sqrt(0.5))
-    (detectors,) = occupation_change(measured(KickedChain(spec), 2, 2, range(2, 6)), initial)
+    process = LocalProcess(2, 2, MEASUREMENT)
+    (detectors,) = occupation_change(process, process_rows(KickedChain(spec), process, range(2, 6)),
+                                     initial)
     for t, detector in zip(ts, detectors, strict=True):
         column = [v for _, tt, v in rows if tt == t]
         assert len(column) == 12

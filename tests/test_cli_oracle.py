@@ -6,11 +6,11 @@ printed value with a reference that shares none of the library's readout
 formulas:
 
 * ``fidelity`` and ``qdp-diff``: the dense ``vacuum_one_two`` sector of
-  ``oracle``, the measurement as its ``p0`` and ``p1`` branches, site RDMs
-  by ``oracle.rdm_site``;
+  ``oracle``, the measurement as its branches diag(1, 0) and diag(0, 1)
+  by ``oracle.apply_local``, site RDMs by ``oracle.rdm_site``;
 * ``unitary-qdp`` (with and without ``--diff``) and ``two-magnon-split``:
-  the same sector, the gate as ``oracle.apply_local((gamma, delta), m, ...)``
-  at t0; the split's ``bound`` part is the pair sector times
+  the same sector, the gate as ``oracle.apply_local`` of the 2 x 2 matrix
+  [[gamma, -conj(delta)], [delta, gamma]] at t0; the split's ``bound`` part is the pair sector times
   ``oracle.bound_band_projector`` (Delta = 1), its ``scattering`` part the
   pair sector minus that, and each part's weight at a site is read by the
   fidelity's x term;
@@ -36,6 +36,7 @@ from bloch_reference import bloch_average
 from golden_io import transfer_fidelity
 from kicked_reference import dense_step
 from spinchain import oracle
+from spinchain.bessel import truncation_order
 from spinchain.chain import ChainSpec
 from spinchain.cli import main
 from spinchain.harper import HarperSpec
@@ -132,7 +133,7 @@ def test_qdp_diff_cells_match_dense_measurement_branches(tmp_path, case):
     def per_state(alpha, beta):
         state = oracle.encoded_state(alpha, beta, ham.basis)
         mid = oracle.evolve(state, ham, t0)
-        branches = [oracle.apply_local(p, m, mid) for p in ("p0", "p1")]
+        branches = [oracle.apply_local(np.diag(p), m, mid) for p in ((1, 0), (0, 1))]
         rows = []
         for t in ts:
             if t < t0:  # the measurement has not happened yet
@@ -145,6 +146,19 @@ def test_qdp_diff_cells_match_dense_measurement_branches(tmp_path, case):
         return np.array(rows)
 
     assert np.max(np.abs(got - _averaged(per_state, None))) <= PRINTED
+
+
+def test_qdp_diff_sits_at_the_noise_floor_outside_the_light_cone(tmp_path):
+    # the README grid: no cell farther from the measured site than the Bessel
+    # truncation order of 4 J (t - t0) can change; 1 105 such cells, worst 8.2e-17
+    m, t0, j = 20, 10.0, 0.5
+    got = _printed(tmp_path, ["qdp-diff", "--n", "100", "--site", str(m), "--t0", repr(t0),
+                              "--tmax", "60", "--dt", "0.5"])
+    ts, sites = 0.5 * np.arange(len(got)), np.arange(1, 101)
+    reach = np.array([truncation_order(4.0 * j * (t - t0)) if t >= t0 else -1 for t in ts])
+    outside = (np.abs(sites - m)[np.newaxis, :] > reach[:, np.newaxis]) & (ts >= t0)[:, np.newaxis]
+    assert np.count_nonzero(outside) == 1105
+    assert np.max(np.abs(got[outside])) <= 1e-15
 
 
 def _gate_case(rng, delta=None):
@@ -166,7 +180,8 @@ def _gated(spec, ts, gate):
 
     def per_state(alpha, beta):
         state = oracle.encoded_state(alpha, beta, ham.basis)
-        after = oracle.apply_local((gamma, delta), m, oracle.evolve(state, ham, t0))
+        operator = [[gamma, -np.conj(delta)], [delta, gamma]]
+        after = oracle.apply_local(operator, m, oracle.evolve(state, ham, t0))
         return [oracle.evolve(after, ham, t - t0) if t >= t0 else None for t in ts], [
             oracle.evolve(state, ham, t) for t in ts]
 

@@ -3,7 +3,7 @@
 The headline check rebuilds the model in the full 2^N many-body space with an
 independently constructed hopping + kicked-potential Floquet operator and a
 projective occupation measurement, then compares every readout of the
-``protocols.measured`` stream on ``KickedChain`` against it.  The CLI's kicked
+``protocols.process_rows`` stream on ``KickedChain`` against it.  The CLI's kicked
 grids are held, byte for byte, to a per-kick ``v = step @ v`` loop across
 block edges.
 """
@@ -20,17 +20,16 @@ from golden_io import transfer_fidelity
 from kicked_reference import expm_hermitian, hopping_matrix
 from spinchain import harper, protocols
 from spinchain.bessel import MAX_ARG
-from spinchain.chain import ChainSpec, InitialState
+from spinchain.chain import MEASUREMENT, ChainSpec, InitialState, LocalProcess
 from spinchain.cli import main
 from spinchain.green1 import reduced_profile
 from spinchain.harper import MAX_N, HarperSpec, KickedChain, floquet_step, kick_phases, spread_metric
 from spinchain.protocols import (
-    _fidelity_row,
-    _projective_parts,
-    _rdm_row,
     fidelity_from_amplitudes,
-    measured,
     occupation_change,
+    process_fidelity,
+    process_rows,
+    site_rdm,
 )
 
 
@@ -40,10 +39,15 @@ def _after_kicks(spec: HarperSpec, n_kicks: int, amplitude: complex = 1.0) -> np
     return amplitude * block[-1]
 
 
+def _measured(chain: KickedChain, m: int, n0: int, kicks):
+    """The ``process_rows`` blocks of a measurement of site m after kick n0, read at ``kicks``."""
+    return process_rows(chain, LocalProcess(m, n0, MEASUREMENT), kicks)
+
+
 def _gk(spec: HarperSpec, m: int, n0: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (g, k) rows after kick n of a site-m measurement at kick n0."""
-    ((g, k),) = measured(KickedChain(spec), m, n0, [n])
-    return g[0], k[0]
+    """The free row g and the collapse row k after kick n of a site-m measurement at kick n0."""
+    ((g, g_tau, u0_m, _),) = _measured(KickedChain(spec), m, n0, [n])
+    return g[0], u0_m * g_tau[0]
 
 
 def test_floquet_step_is_unitary():
@@ -137,8 +141,8 @@ def detector_csv_reference(
     u_mid = per_kick_vectors(spec, n0, seed)[-1][0]
     rows = []
     for g, g_m in per_kick_vectors(spec, kicks - n0, u_mid, np.eye(spec.n, dtype=complex)[m - 1]):
-        weight, h = _projective_parts(g, u_mid[m - 1] * g_m)
-        occupation, _ = _rdm_row(weight, h, initial)
+        k = u_mid[m - 1] * g_m
+        occupation = abs(initial.beta) ** 2 * (np.abs(g - k) ** 2 + np.abs(k) ** 2)
         rows.append(occupation - abs(initial.beta) ** 2 * np.abs(g) ** 2)
     ts = [n * spec.tau for n in range(n0, kicks + 1)]
     return grid_csv_reference(range(1, spec.n + 1), ts, np.array(rows).T)
@@ -206,11 +210,12 @@ def test_measured_run_matches_full_space_rebuild():
     spec = HarperSpec(n=10, g=1.2, tau=0.3)
     m, n0, n = 3, 2, 6
     initial = InitialState(math.sqrt(0.4), math.sqrt(0.6))
-    g, k = _gk(spec, m, n0, n)
-    weight, h = _projective_parts(g, k)
-    occupation, coherence = _rdm_row(weight, h, initial)
-    (detector,) = next(occupation_change([(g[None], k[None])], initial))
-    fidelity = _fidelity_row(weight, h, None)
+    process = LocalProcess(m, n0, MEASUREMENT)
+    (block,) = process_rows(KickedChain(spec), process, [n])
+    g = block[0][0]
+    ((occupation,), (coherence,)) = site_rdm(process, block, initial)
+    ((detector,),) = occupation_change(process, [block], initial)
+    ((fidelity,),) = process_fidelity(process, [block])
     oracle = _FullSpaceOracle(spec)
     x, y, x_free = oracle.measure_run(initial.alpha, initial.beta, m, n0, n)
 
@@ -264,14 +269,16 @@ def test_measured_run_steps_two_rows(monkeypatch):
     monkeypatch.setattr(_CountingStep, "products", 0)
     spec = HarperSpec(n=10, g=1.2, tau=0.3)
     n0, n = 2, 6
-    list(measured(KickedChain(spec), 3, n0, range(n0, n + 1)))
+    list(_measured(KickedChain(spec), 3, n0, range(n0, n + 1)))
     assert len(builds) == 1
     assert _CountingStep.products == n0 + n + (n - n0)
 
 
 def test_detector_profile_sums_to_zero():
     spec = HarperSpec(n=30, g=2.0, tau=0.25, boundary="closed")
-    blocks = occupation_change(measured(KickedChain(spec), 5, 4, range(4, 21)), InitialState(0.6, 0.8))
+    process = LocalProcess(5, 4, MEASUREMENT)
+    blocks = occupation_change(process, process_rows(KickedChain(spec), process, range(4, 21)),
+                               InitialState(0.6, 0.8))
     rows = np.concatenate(list(blocks))
     assert len(rows) == 17
     assert abs(float(np.sum(rows[-1]))) < 1e-12
@@ -290,8 +297,8 @@ def test_blocks_hold_consecutive_kicks(monkeypatch):
             sizes = [len(block) for block in blocks]
             assert sizes[:-1] == [rows] * (len(sizes) - 1) and sum(sizes) == len(kicks)
             assert np.array_equal(np.concatenate(blocks), every[kicks.start:])
-        gk = list(measured(chain, 2, 3, range(3, 11)))
-        assert [len(g) for g, _ in gk] == [len(k) for _, k in gk] == sizes
+        rows = list(_measured(chain, 2, 3, range(3, 11)))
+        assert [len(g) for g, *_ in rows] == [len(g_tau) for _, g_tau, *_ in rows] == sizes
     assert [len(b) for b in chain.rows(1, [0])] == [1]
     for bad in ([-1], [3, 2]):
         with pytest.raises(ValueError, match="kicks must ascend from 0"):
@@ -344,14 +351,14 @@ def test_parameter_validation():
         with pytest.raises(ValueError):
             HarperSpec(n=5, g=1.0, tau=0.1, eta=bad)
     chain = KickedChain(HarperSpec(n=5, g=1.0, tau=0.1))
-    with pytest.raises(ValueError, match="source site 0"):
-        next(measured(chain, 0, 1, range(1, 4)))
+    with pytest.raises(ValueError, match="site index m must be >= 1, got 0"):
+        next(_measured(chain, 0, 1, range(1, 4)))
     with pytest.raises(ValueError, match="source site 6"):
-        next(measured(chain, 6, 1, range(1, 4)))
-    with pytest.raises(ValueError, match=r"t0 must be >= 0, got -1"):
-        next(measured(chain, 2, -1, range(0, 4)))
+        next(_measured(chain, 6, 1, range(1, 4)))
+    with pytest.raises(ValueError, match=r"t0 must be finite and >= 0, got -1"):
+        next(_measured(chain, 2, -1, range(0, 4)))
     with pytest.raises(ValueError, match=r"t = 3 precedes the measurement at t0 = 4"):
-        next(measured(chain, 2, 4, [3]))
+        next(_measured(chain, 2, 4, [3]))
     # tau * g overflows, so every kick phase and the detector would be NaN
     with pytest.raises(ValueError):
         _gk(HarperSpec(8, 1e10, 1e300), 2, 1, 3)

@@ -12,7 +12,7 @@ import pytest
 
 from bloch_reference import bloch_average
 from golden_io import decode_complex, load_golden, save_golden, transfer_fidelity
-from spinchain.chain import ChainSpec, conventions_hash
+from spinchain.chain import MEASUREMENT, ChainSpec, conventions_hash, gate
 from spinchain.green2 import RingTwoMagnon
 from spinchain.oracle import (
     _flip_map,
@@ -26,6 +26,7 @@ from spinchain.oracle import (
 )
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+FLIP = gate(0.0, 1.0)[0]
 
 
 def _enumerated(sector, n):
@@ -163,7 +164,7 @@ def test_local_gate_preserves_norm_and_acts_locally():
     basis = make_basis("vacuum_one_two", 6)
     ham = build_hamiltonian(spec, "vacuum_one_two")
     state = evolve(encoded_state(np.sqrt(0.5), np.sqrt(0.5), basis), ham, 1.3)
-    kicked = apply_local((0.0, 1.0), 3, state)
+    kicked = apply_local(FLIP, 3, state)
     assert np.linalg.norm(kicked.vector) == pytest.approx(1.0, abs=1e-12)
     # a gate at site 3 cannot move weight at sites far from 3 within the same sector
     x_before = rdm_site(state, 6)[0]
@@ -177,21 +178,23 @@ def test_gate_agrees_with_the_full_space_and_refuses_a_third_magnon():
     for sector in ("full", "vacuum_one_two"):
         ham = build_hamiltonian(spec, sector)
         mid = evolve(encoded_state(np.sqrt(0.3), np.sqrt(0.7), ham.basis), ham, 1.1)
-        gated.append(evolve(apply_local((0.6, 0.8j), 2, mid), ham, 0.7))
+        gated.append(evolve(apply_local(gate(0.6, 0.8j)[0], 2, mid), ham, 0.7))
     for l in range(1, 6):
         assert rdm_site(gated[0], l) == pytest.approx(rdm_site(gated[1], l), abs=1e-12)
-    apply_local((0.0, 1.0), 4, gated[0])  # the full space holds a third magnon
+    apply_local(FLIP, 4, gated[0])  # the full space holds a third magnon
     with pytest.raises(ValueError, match="out of the vacuum_one_two basis"):
-        apply_local((0.0, 1.0), 4, gated[1])
+        apply_local(FLIP, 4, gated[1])
 
 
 def test_gate_norm_check_refuses_overflow_and_nan():
     basis = make_basis("vacuum_one_two", 5)
     psi = encoded_state(np.sqrt(0.5), np.sqrt(0.5), basis)
     # abs(gamma) ** 2 would raise OverflowError; NaN passes a "> tol" test
-    for gate in ((1e155, 0.0), (0.0, 1e200), (math.nan, 0.0), (0.0, math.nan)):
-        with pytest.raises(ValueError, match=r"\|gamma\|\^2 \+ \|delta\|\^2 = 1"):
-            apply_local(gate, 3, psi)
+    for gamma, delta in ((1e155, 0.0), (0.0, 1e200), (math.nan, 0.0), (0.0, math.nan), (0.6, 0.9)):
+        with pytest.raises(ValueError, match="finite 2 x 2 matrix of norm at most 1"):
+            apply_local(gate(gamma, delta)[0], 3, psi)
+    with pytest.raises(ValueError, match="finite 2 x 2 matrix"):
+        apply_local(np.eye(3), 3, psi)
 
 
 def test_measurement_branches_resolve_identity():
@@ -199,8 +202,7 @@ def test_measurement_branches_resolve_identity():
     basis = make_basis("vacuum_one_two", 6)
     ham = build_hamiltonian(spec, "vacuum_one_two")
     state = evolve(encoded_state(np.sqrt(0.3), np.sqrt(0.7), basis), ham, 0.9)
-    survive = apply_local("p0", 3, state)
-    found = apply_local("p1", 3, state)
+    survive, found = (apply_local(k, 3, state) for k in MEASUREMENT)
     assert np.allclose(survive.vector + found.vector, state.vector, atol=1e-14)
     assert np.vdot(survive.vector, found.vector) == pytest.approx(0.0, abs=1e-14)
     assert np.linalg.norm(survive.vector) ** 2 + np.linalg.norm(found.vector) ** 2 == pytest.approx(
@@ -242,7 +244,7 @@ def test_flip_map_matches_the_config_by_config_map(sector, n):
 def test_sites_outside_the_chain_are_refused(m):
     basis = make_basis("vacuum_one_two", 5)
     psi = encoded_state(np.sqrt(0.5), np.sqrt(0.5), basis)
-    for op in ("p0", "p1", (0.0, 1.0)):
+    for op in (*MEASUREMENT, FLIP):
         with pytest.raises(ValueError, match="out of range"):
             apply_local(op, m, psi)
     with pytest.raises(ValueError, match="out of range"):

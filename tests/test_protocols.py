@@ -14,21 +14,21 @@ import pytest
 from bloch_reference import bloch_average
 from csv_reference import grid_csv_reference
 from spinchain import oracle
-from spinchain.chain import ChainSpec, InitialState, LocalGate, reduced_phase
+from engine_rows import fidelity_row, gate_process, split_row
+from spinchain.chain import MEASUREMENT, ChainSpec, InitialState, LocalProcess, reduced_phase
 from spinchain.cli import _write_outputs
 from spinchain.green1 import reduced_profile
 from spinchain.protocols import (
     _BLOCK_CELLS,
+    ProcessEngine,
     SpinChain,
-    UnitaryQdpEngine,
     UnitaryState,
     _format_e11,
-    _projective_parts,
-    _rdm_row,
-    fidelity_change,
     fidelity_from_amplitudes,
     grid_csv,
-    measured,
+    process_fidelity,
+    process_rows,
+    site_rdm,
 )
 
 OPEN12 = ChainSpec(12, "open", 0.5, 1.0)
@@ -37,14 +37,17 @@ CLOSED12 = ChainSpec(12, "closed", 0.5, 1.0)
 
 def _change_row(m: int, t: float, t0: float, spec: ChainSpec) -> np.ndarray:
     """The fidelity change row at one time, as ``qdp-diff`` reads it."""
-    (row,) = next(fidelity_change(measured(SpinChain(spec), m, t0, [t])))
+    process = LocalProcess(m, t0, MEASUREMENT)
+    ((row,),) = process_fidelity(process, process_rows(SpinChain(spec), process, [t]), change=True)
     return row
 
 
 def _projective_rdm_row(m: int, t: float, t0: float, spec: ChainSpec, initial: InitialState):
     """RDM rows (x, y) at one time after measuring site m at t0."""
-    ((g, k),) = measured(SpinChain(spec), m, t0, [t])
-    return _rdm_row(*_projective_parts(g[0], k[0]), initial)
+    process = LocalProcess(m, t0, MEASUREMENT)
+    (block,) = process_rows(SpinChain(spec), process, [t])
+    x, y = site_rdm(process, block, initial)
+    return x[0], y[0]
 
 
 def _free_row(t: float, spec: ChainSpec) -> np.ndarray:
@@ -128,8 +131,8 @@ def test_gate_channels_match_dense_golden(golden, channel_fidelity):
     tol = record["tolerance"]
     phase = reduced_phase(CLOSED12, t)
     for label, (gr, gi, dr, di) in record["inputs"]["gates"].items():
-        gate = LocalGate(m, t0, complex(gr, gi), complex(dr, di))
-        state = UnitaryQdpEngine(CLOSED12, gate).state(t, initial)
+        gate = gate_process(m, t0, complex(gr, gi), complex(dr, di))
+        state = ProcessEngine(CLOSED12, gate).state(t, initial)
         assert state.norm_defect < 1e-12
         assert state.vacuum / phase == pytest.approx(
             complex(record["values"][f"{label}_vacuum"][0]), abs=tol
@@ -149,10 +152,10 @@ def test_averaged_gate_row_matches_bloch_average_of_state_fidelities(channel_fid
     # the row's partner sums against a per-pair loop over the sector amplitudes,
     # averaged over the Bloch sphere by a rule that is exact for these integrands
     # a rotation by 1.1 about the equatorial axis (0.6, 0.8): (cos 1.1, (0.8 + 0.6i) sin 1.1)
-    gate = LocalGate(4, 1.5, np.cos(1.1), (0.8 + 0.6j) * np.sin(1.1))
-    engine = UnitaryQdpEngine(CLOSED12, gate)
+    gate = gate_process(4, 1.5, np.cos(1.1), (0.8 + 0.6j) * np.sin(1.1))
+    engine = ProcessEngine(CLOSED12, gate)
     t = 3.2
-    row = engine.fidelity_row(t)
+    row = fidelity_row(engine, t)
     for l in (1, 4, 7, 12):
 
         def fidelity(alpha, beta):
@@ -174,7 +177,7 @@ def test_gate_state_matches_dense_evolution_on_random_rings():
         axis = rng.uniform(0.0, 2.0 * np.pi)
         angle = rng.uniform(0.0, np.pi)
         amplitudes = (np.cos(angle), (np.sin(axis) + 1j * np.cos(axis)) * np.sin(angle))
-        gate = LocalGate(int(rng.integers(1, n + 1)), float(rng.uniform(0.0, 3.0)), *amplitudes)
+        gate = gate_process(int(rng.integers(1, n + 1)), float(rng.uniform(0.0, 3.0)), *amplitudes)
         t = gate.t0 + float(rng.uniform(0.0, 3.0))
         alpha2 = rng.uniform(0.0, 1.0)
         initial = InitialState(np.sqrt(alpha2),
@@ -183,9 +186,9 @@ def test_gate_state_matches_dense_evolution_on_random_rings():
         basis = oracle.make_basis("vacuum_one_two", n)
         ham = oracle.build_hamiltonian(spec, "vacuum_one_two")
         mid = oracle.evolve(oracle.encoded_state(initial.alpha, initial.beta, basis), ham, gate.t0)
-        dense = oracle.evolve(oracle.apply_local(amplitudes, gate.m, mid), ham, t - gate.t0).vector
+        dense = oracle.evolve(oracle.apply_local(gate.kraus[0], gate.m, mid), ham, t - gate.t0).vector
 
-        state = UnitaryQdpEngine(spec, gate).state(t, initial)
+        state = ProcessEngine(spec, gate).state(t, initial)
         two = [
             state.two_magnon[y1 - 1, y2 - 1] - dense[basis.pair_index(y1, y2)]
             for y1, y2 in basis.pairs
@@ -203,24 +206,24 @@ def test_gate_identity_at_origin_reduces_to_free_interference():
     # a balanced gate applied at the source site before any propagation leaves
     # the averaged fidelity pinned to the free interference term
     spec = ChainSpec(24, "closed", 0.5, 1.0)
-    gate = LocalGate(1, 0.0, 1 / np.sqrt(2), 1 / np.sqrt(2))
-    engine = UnitaryQdpEngine(spec, gate)
+    gate = gate_process(1, 0.0, 1 / np.sqrt(2), 1 / np.sqrt(2))
+    engine = ProcessEngine(spec, gate)
     for t in (0.5, 2.0, 6.5):
-        row = engine.fidelity_row(t)
+        row = fidelity_row(engine, t)
         g = reduced_profile(1, t, spec)
         for l in (1, 5, 12, 24):
             assert row[l - 1] - 0.5 - g[l - 1].real / 6 == pytest.approx(0.0, abs=1e-10)
 
 
 def test_phase_only_gate_has_no_pair_channel():
-    gate = LocalGate(3, 1.0, 1.0, 0.0)
-    engine = UnitaryQdpEngine(CLOSED12, gate)
+    gate = gate_process(3, 1.0, 1.0, 0.0)
+    engine = ProcessEngine(CLOSED12, gate)
     assert engine._pair_matrix(2.5, "total") is None
     assert engine.ring is None
 
 
 def test_gate_state_refuses_a_norm_defect(monkeypatch):
-    engine = UnitaryQdpEngine(CLOSED12, LocalGate(3, 1.0, 0.6, 0.8))
+    engine = ProcessEngine(CLOSED12, gate_process(3, 1.0, 0.6, 0.8))
     pairs = engine._pair_matrix
     monkeypatch.setattr(engine, "_pair_matrix", lambda t, part: 1.01 * pairs(t, part))
     with pytest.raises(ValueError, match="norm defect"):
@@ -230,12 +233,12 @@ def test_gate_state_refuses_a_norm_defect(monkeypatch):
 def test_phase_only_gate_holds_no_pair_matrix():
     # no pair channel, so nothing of size N x N: 144 MB of zeros at N = 3000
     spec = ChainSpec(3000, "closed", 0.5, 1.0)
-    gate = LocalGate(15, 1.0, 1.0, 0.0)
+    gate = gate_process(15, 1.0, 1.0, 0.0)
     tracemalloc.start()
     try:
-        engine = UnitaryQdpEngine(spec, gate)
-        rows = [engine.fidelity_row(t) for t in (1.0, 2.0, 3.0)]
-        split = engine.split_row(2.0, "total")
+        engine = ProcessEngine(spec, gate)
+        rows = [fidelity_row(engine, t) for t in (1.0, 2.0, 3.0)]
+        split = split_row(engine, 2.0, "total")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -245,7 +248,7 @@ def test_phase_only_gate_holds_no_pair_matrix():
         # the one free Bloch rule, so exactly the free rows
         assert np.array_equal(row, _free_row(t, spec))
     # state() too: its two_magnon is a read-only zero view, no N x N matrix
-    engine = UnitaryQdpEngine(ChainSpec(1000, "open", 0.5, 1.0), gate)
+    engine = ProcessEngine(ChainSpec(1000, "open", 0.5, 1.0), gate)
     tracemalloc.start()
     try:
         state = engine.state(2.0, InitialState(0.6, 0.8))
@@ -264,8 +267,8 @@ def _pair_weight(engine, t):
 
 
 def test_pair_weight_equals_injected_companion_weight():
-    gate = LocalGate(4, 2.0, 0.0, 1.0)
-    engine = UnitaryQdpEngine(CLOSED12, gate)
+    gate = gate_process(4, 2.0, 0.0, 1.0)
+    engine = ProcessEngine(CLOSED12, gate)
     u0 = reduced_profile(1, 2.0, CLOSED12)
     expected = float(np.sum(np.abs(u0) ** 2) - abs(u0[3]) ** 2)
     assert _pair_weight(engine, 5.0) == pytest.approx(expected, abs=1e-12)
@@ -274,16 +277,16 @@ def test_pair_weight_equals_injected_companion_weight():
 
 
 def test_split_fidelity_parts_add_up_over_the_ring():
-    gate = LocalGate(4, 2.0, 0.0, 1.0)
-    engine = UnitaryQdpEngine(CLOSED12, gate)
-    totals = engine.split_row(5.0, "total")
-    bounds = engine.split_row(5.0, "bound")
-    scatters = engine.split_row(5.0, "scattering")
+    gate = gate_process(4, 2.0, 0.0, 1.0)
+    engine = ProcessEngine(CLOSED12, gate)
+    totals = split_row(engine, 5.0, "total")
+    bounds = split_row(engine, 5.0, "bound")
+    scatters = split_row(engine, 5.0, "scattering")
     assert np.all(totals >= 0.0) and np.all(bounds >= 0.0) and np.all(scatters >= 0.0)
     # the projector split is orthogonal, so the cross term cancels once every
     # pair is counted (each pair shows up in the partner sums of both its sites)
     assert np.sum(bounds) + np.sum(scatters) == pytest.approx(np.sum(totals), abs=1e-10)
-    gate_weight = abs(gate.delta) ** 2 / 6.0
+    gate_weight = abs(gate.kraus[0, 1, 0]) ** 2 / 6.0
     assert np.sum(totals) == pytest.approx(
         2.0 * gate_weight * _pair_weight(engine, 5.0), abs=1e-10
     )
@@ -546,6 +549,6 @@ def test_time_ordering_validation(fidelity_projective_row):
     with pytest.raises(ValueError, match="precedes the measurement"):
         _projective_rdm_row(2, 1.0, 2.0, OPEN12, InitialState(0.6, 0.8))
     with pytest.raises(ValueError):
-        UnitaryQdpEngine(CLOSED12, LocalGate(2, 3.0, 0.0, 1.0)).fidelity_row(2.0)
+        fidelity_row(ProcessEngine(CLOSED12, gate_process(2, 3.0, 0.0, 1.0)), 2.0)
     with pytest.raises(ValueError):
-        UnitaryQdpEngine(OPEN12, LocalGate(2, 1.0, 0.0, 1.0))
+        ProcessEngine(OPEN12, gate_process(2, 1.0, 0.0, 1.0))

@@ -22,7 +22,7 @@ import sys
 
 import numpy as np
 
-from spinchain.chain import ChainSpec, reduced_phase
+from spinchain.chain import MEASUREMENT, ChainSpec, gate, reduced_phase
 from spinchain.oracle import (
     DenseState,
     apply_local,
@@ -78,8 +78,7 @@ def split_propagator_rows() -> None:
         seed = np.zeros(basis.dim, dtype=complex)
         seed[0] = 1.0
         mid = evolve(DenseState(seed, basis), ham, t0)
-        survive = apply_local("p0", m, mid)
-        found = apply_local("p1", m, mid)
+        survive, found = (apply_local(k, m, mid) for k in MEASUREMENT)
         for t in times:
             h_row = evolve(survive, ham, t - t0).vector
             k_row = evolve(found, ham, t - t0).vector
@@ -112,7 +111,7 @@ def measurement_fidelities() -> None:
     values: dict[str, object] = {}
     for label, (alpha, beta) in states.items():
         psi0 = encoded_state(alpha, beta, basis)
-        branches = [apply_local(p, m, evolve(psi0, ham, t0)) for p in ("p0", "p1")]
+        branches = [apply_local(k, m, evolve(psi0, ham, t0)) for k in MEASUREMENT]
         for t in times:
             evolved = [evolve(b, ham, t - t0) for b in branches]
             fids = []
@@ -152,10 +151,11 @@ def gate_protocol_channels() -> None:
     basis = ham.basis
     n = spec.n
     values: dict[str, object] = {}
-    for label, gate in gates.items():
+    for label, (gamma, delta) in gates.items():
         psi0 = encoded_state(alpha, beta, basis)
         mid = evolve(psi0, ham, t0)
-        final = evolve(apply_local(gate, m, mid), ham, t - t0)
+        (operator,) = gate(gamma, delta)
+        final = evolve(apply_local(operator, m, mid), ham, t - t0)
         reduced = _reduced(spec, t, final.vector)
         values[f"{label}_vacuum"] = np.array([reduced[0]])
         values[f"{label}_one"] = reduced[1 : 1 + n]
