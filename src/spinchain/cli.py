@@ -424,7 +424,9 @@ def _run_unitary_qdp(args: argparse.Namespace) -> int:
     ls, ts, grid_meta = _grid_axes(args)
     engine = ProcessEngine(spec, process)
     _check_gate_times(spec, process, ts[-1], free_rows=True)
-    cut, zeros = np.searchsorted(ts, process.t0), np.zeros(args.n)
+    # a global phase reads as free evolution, with a zero change, over the whole axis
+    cut = len(ts) if process.is_phase else np.searchsorted(ts, process.t0)
+    zeros = np.zeros(args.n)
     if args.diff:
         before = row_blocks(lambda t: zeros, ts[:cut], args.n)
     else:

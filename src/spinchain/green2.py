@@ -11,8 +11,9 @@ complex N x N matrix with a zero diagonal: entry (y1 - 1, y2 - 1) holds the
 pair {y1, y2}. Its sector eigenstates below the continuum bottom form the
 bound band; the rest scatter; the two parts resolve the identity.
 An evolution is always two calls: ``project`` (the pair state's coefficients
-on the modes, independent of the time), then ``evolve_projected`` (per time);
-a caller that evolves one state to many times projects it once.
+on the modes, independent of the time), then ``evolve_projected`` (per time,
+one write per cell and its mirror); a caller that evolves one state to many
+times projects it once.
 ``green2`` projects one source pair, evolves it and reads one target
 entry. Both it and the gate protocol take their kernel from
 ``ring_kernel``, which keeps one kernel per ring in the dict ``kernels``
@@ -332,10 +333,11 @@ class RingTwoMagnon:
         self.spec = spec
         j = spec.j
 
-        # grid cell (x, r) reads the pair matrix at (x, x + r mod N)
+        # grid cell (x, r): the pair matrix's flat entry (x, x + r mod N) and its mirror
         r_full = n // 2
         r = np.arange(1, r_full + 1)
-        self._cell_cols = (np.arange(n)[:, None] + r) % n
+        sites, partners = np.arange(n)[:, None], (np.arange(n)[:, None] + r) % n
+        self._cells, self._mirrors = sites * n + partners, partners * n + sites
         self._cell_weight = np.where(2 * r == n, 1.0 / math.sqrt(2.0), 1.0)
 
         # Sector k hops -4J cos(pi k'/N) e^{i pi k'/N}, k' = k - N above N/2, so
@@ -345,6 +347,7 @@ class RingTwoMagnon:
         k = np.arange(n)
         signed_k = np.where(2 * k > n, k - n, k)
         self._gauge = np.exp(-1j * math.pi * np.outer(signed_k, np.arange(r_full)) / n)
+        self._gauge_conj = np.conj(self._gauge)
         b = np.arange(r_full + 1)
         cos_b = np.cos(math.pi * b / n)
         # the blocks in units of 4J: hop -cos(pi b/N), contact -Delta, so no J
@@ -375,7 +378,7 @@ class RingTwoMagnon:
             raise ValueError(f"pair state must have shape ({n}, {n})")
         if np.any(psi != psi.T) or np.any(np.diagonal(psi) != 0):
             raise ValueError("pair state must be symmetric with a zero diagonal")
-        grid = psi[np.arange(n)[:, None], self._cell_cols] * self._cell_weight
+        grid = psi.ravel()[self._cells] * self._cell_weight
         sectors = np.fft.fft(grid, axis=0, norm="ortho") * self._gauge
         # sectors k and N - k as the two complex columns of block k, each
         # column a pair of real ones against the shared real modes
@@ -385,23 +388,30 @@ class RingTwoMagnon:
     def evolve_projected(self, coeffs: np.ndarray, t: float, part: Part = "total") -> np.ndarray:
         """The pair state whose ``project`` coefficients are coeffs, evolved for time t.
 
-        Only the part that depends on t: the phases and the part's mode mask,
-        the product back off the modes, the inverse FFT and the scatter into a
-        symmetric N x N matrix with a zero diagonal. coeffs is not modified.
+        Only the part that depends on t: the phases cos(Et) + i sin(-Et) (the bits
+        of e^{-iEt}, cheaper), the part's mode mask, the product back off the modes,
+        the inverse FFT and the write of each cell and its mirror into a symmetric
+        N x N matrix with a zero diagonal. coeffs is not modified.
         The bound and scattering parts add up to the total. A NaN or infinite
         t, or 4*J*(|Delta| + 2)*|t| above ``bessel.MAX_ARG``, is refused.
         """
         _check_evolution(t, part, self.spec)
         n, blocks = len(self._gauge), len(self._evals)
-        modes = coeffs * (np.exp(-1j * self._evals * t) * self._keep[part])[:, :, None]
+        angles, phases = self._evals * t, np.empty(self._evals.shape, dtype=complex)
+        np.cos(angles, out=phases.real)
+        np.sin(-angles, out=phases.imag)
+        modes = coeffs * (phases * self._keep[part])[:, :, None]
         paired = (self._evecs @ modes.view(float)).view(complex)
         sectors = np.concatenate((paired[:, :, 0], paired[n - blocks : 0 : -1, :, 1]))
-        sectors *= np.conj(self._gauge)
+        sectors *= self._gauge_conj
         back = np.fft.ifft(sectors, axis=0, norm="ortho") * self._cell_weight
-        # an antipodal pair has a cell in each triangle; the sum joins them
-        half = np.zeros((n, n), dtype=complex)
-        half[np.arange(n)[:, None], self._cell_cols] = back
-        return half + half.T
+        pairs = np.empty(n * n, dtype=complex)
+        pairs[self._cells] = back
+        pairs[self._mirrors] = back
+        pairs[:: n + 1] = 0.0
+        if n % 2 == 0:  # an antipodal pair has two cells, (x, N/2) and (x + N/2, N/2): their sum
+            pairs[self._cells[:, -1]] = back[:, -1] + back[np.arange(n) - n // 2, -1]
+        return pairs.reshape(n, n)
 
 
 #: The kernels ``ring_kernel`` keeps, least recently used first.

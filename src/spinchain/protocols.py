@@ -8,14 +8,14 @@ Fidelities are reported per encoded state or averaged over the Bloch sphere.
 
 Every stream is a sequence of (times x N) row blocks, each of
 max(1, ``_BLOCK_CELLS`` // N) times. A dynamics yields them from a source
-site: ``SpinChain.rows`` stacks ``reduced_profile`` rows, and
+site: ``SpinChain.rows`` takes one ``reduced_profile`` call per block, and
 ``harper.KickedChain.rows`` steps a vector once per kick. Readouts act
 elementwise on blocks. ``fidelity_from_amplitudes`` reads the free rows, its
 Bloch average in closed form. A process reads ``process_rows`` blocks: g =
 g(1 -> l; t), g_tau = g(m -> l; t - t0), u0(m) = g(1 -> m; t0) and, when an
 operator flips an unflipped site m, the ring pair matrix L's contractions,
-one L at a time (``ProcessEngine``). With k = u0(m) g_tau, each operator
-K = [[a, b], [c, d]] gives the one-magnon row A = beta (a g + (d - a) k) +
+one L at a time, u0 read once (``ProcessEngine``). With k = u0(m) g_tau, each
+operator K = [[a, b], [c, d]] gives the one-magnon row A = beta (a g + (d - a) k) +
 alpha c g_tau, the vacuum V = alpha a + beta b u0(m) and the pairs P = beta c L.
 The site RDM sums over K: x = sum (|A|^2 + sum_y |P_ly|^2) and
 y = <flipped|rho|unflipped> = sum (A conj(V) + P conj(A)). The one readout,
@@ -175,8 +175,8 @@ class SpinChain:
         self.n = spec.n
 
     def rows(self, source: int, times) -> Iterator[np.ndarray]:
-        """Blocks of the reduced rows g(source -> l; t), one ``reduced_profile`` per time."""
-        return row_blocks(lambda t: reduced_profile(source, t, self.spec), times, self.n)
+        """Blocks of the reduced rows g(source -> l; t), one ``reduced_profile`` call per block."""
+        return (reduced_profile(source, chunk, self.spec) for chunk in _blocks(times, self.n))
 
 
 def _check_measurement_times(t: float, t0: float) -> None:
@@ -187,21 +187,21 @@ def _check_measurement_times(t: float, t0: float) -> None:
         )
 
 
-def process_rows(dynamics, process: LocalProcess, times, pairs=None) -> Iterator[tuple]:
+def process_rows(dynamics, process: LocalProcess, times, pairs=None, u0=None) -> Iterator[tuple]:
     """(g, g_tau, u0_m, pair) blocks of ``process``, read at the ascending ``times`` >= t0.
 
-    g holds the rows ``dynamics.rows(1, times)``, g_tau ``dynamics.rows(m, times - t0)``,
-    u0_m entry m of the row from site 1 at t0; ``pair`` is ``pairs(block_times, g, g_tau)``."""
+    g holds the rows ``dynamics.rows(1, times)``, g_tau ``dynamics.rows(m, times - t0)``, u0_m
+    entry m of ``u0()`` (default: the row from site 1 at t0); ``pair`` is ``pairs(chunk, g, g_tau)``."""
     if not len(times):
         return
     _check_measurement_times(times[0], process.t0)
-    m, u0 = process.m, None
+    m, u0_m = process.m, None
     rows = zip(_blocks(times, dynamics.n), dynamics.rows(1, times),
                dynamics.rows(m, np.asarray(times) - process.t0))
     for chunk, g, g_tau in rows:
-        if u0 is None:  # after the first rows, so that a time out of range fails on t, not t0
-            (u0,) = next(dynamics.rows(1, [process.t0]))
-        yield g, g_tau, u0[m - 1], None if pairs is None else pairs(chunk, g, g_tau)
+        if u0_m is None:  # after the first rows, so that a time out of range fails on t, not t0
+            u0_m = (u0() if u0 else next(dynamics.rows(1, [process.t0]))[0])[m - 1]
+        yield g, g_tau, u0_m, None if pairs is None else pairs(chunk, g, g_tau)
 
 
 def site_rdm(process: LocalProcess, block: tuple, initial: InitialState):
@@ -248,6 +248,11 @@ def occupation_change(process: LocalProcess, blocks, initial: InitialState) -> I
 # --------------------------------------------------------------------------
 # The local process on the spin chain: one- and two-magnon channels
 # --------------------------------------------------------------------------
+
+
+def _pair_weights(pairs: np.ndarray) -> np.ndarray:
+    """The row weights sum_y |L_ly|^2 of a pair matrix, as sums of squares over its float view."""
+    return np.einsum("ij,ij->i", pairs.view(float), pairs.view(float))
 
 
 @dataclass(frozen=True, eq=False)
@@ -309,17 +314,18 @@ class ProcessEngine:
 
     def _pair_rows(self, times, g: np.ndarray, g_tau: np.ndarray) -> tuple:
         """A block's pair contractions (sum_y |L_ly|^2, L conj(g), L conj(g_tau)), one L at a time."""
-        weight, l_g, l_tau = np.empty(g.shape), np.empty_like(g), np.empty_like(g)
+        right = np.conj(np.stack((g, g_tau), axis=-1))  # each time's (N, 2) right-hand side
+        weight, products = np.empty(g.shape), np.empty_like(right)
         for i, t in enumerate(times):
             pairs = self._pair_matrix(t, "total")
-            weight[i] = np.sum(np.abs(pairs) ** 2, axis=1)
-            l_g[i], l_tau[i] = (pairs @ np.conj(np.stack((g[i], g_tau[i]), axis=1))).T
-        return weight, l_g, l_tau
+            weight[i] = _pair_weights(pairs)
+            np.matmul(pairs, right[i], out=products[i])
+        return weight, products[..., 0], products[..., 1]
 
     def rows(self, times) -> Iterator[tuple]:
-        """``process_rows`` of the spin chain at ``times`` >= t0, with the pair channel's contractions."""
+        """``process_rows`` of the spin chain at ``times`` >= t0, with the pair contractions and ``u0``."""
         pairs = self._pair_rows if self.process.opens_pairs else None
-        return process_rows(SpinChain(self.spec), self.process, times, pairs)
+        return process_rows(SpinChain(self.spec), self.process, times, pairs, lambda: self.u0)
 
     def split_rows(self, times, part: Part) -> Iterator[np.ndarray]:
         """Blocks of one propagator part's two-magnon contribution to the averaged fidelity.
@@ -331,7 +337,7 @@ class ProcessEngine:
             if not self.process.opens_pairs:
                 yield np.zeros((len(chunk), self.spec.n))
                 continue
-            weight = np.stack([np.sum(np.abs(self._pair_matrix(t, part)) ** 2, axis=1) for t in chunk])
+            weight = np.stack([_pair_weights(self._pair_matrix(t, part)) for t in chunk])
             x = _SIX_STATES[1] * (flips * weight)
             yield _fidelity(x, 0.0, _SIX_STATES, 0.0).mean(axis=0)
 

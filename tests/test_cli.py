@@ -129,6 +129,34 @@ def test_admitted_phase_only_gate_is_exactly_the_free_readout(tmp_path):
     assert all(line.endswith(",0.00000000000e+00") for line in lines)
 
 
+def test_a_phase_only_gate_reads_only_the_free_rows(tmp_path, monkeypatch):
+    # a global phase streams the rows from site 1 over the whole axis, and with
+    # --diff no rows at all: no row from site m, none at t0
+    from spinchain import protocols
+
+    reads, real = [], protocols.reduced_profile
+
+    def recording(x, t, spec):
+        reads.append((x, np.atleast_1d(t).tolist()))
+        return real(x, t, spec)
+
+    monkeypatch.setattr(protocols, "reduced_profile", recording)
+    axes = ["--boundary", "open", "--n", "100", "--tmax", "60", "--dt", "0.5"]
+    gate = ["unitary-qdp", *axes, "--delta-abs", "0", "--gamma-abs", "1", "--site", "20",
+            "--t0", "10"]
+    free, gated, diff = (tmp_path / f"{name}.csv" for name in ("free", "gated", "diff"))
+    assert main(["fidelity", *axes, "--out", str(free)]) == 0
+    reads.clear()
+    assert main([*gate, "--out", str(gated)]) == 0
+    assert {x for x, _ in reads} == {1}
+    assert [t for _, times in reads for t in times] == [0.5 * k for k in range(121)]
+    reads.clear()
+    assert main([*gate, "--diff", "--out", str(diff)]) == 0
+    assert reads == []
+    assert gated.read_bytes() == free.read_bytes()
+    assert all(line.endswith(",0.00000000000e+00") for line in diff.read_text().splitlines()[1:])
+
+
 def test_gate_chain_rule_phase_only_anywhere_flipping_on_rings(tmp_path, capsys):
     axes = ["--n", "100", "--boundary", "open", "--tmax", "12", "--dt", "0.25"]
     gate = ["unitary-qdp", *axes, "--site", "15", "--t0", "7.5"]

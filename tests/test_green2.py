@@ -14,7 +14,7 @@ from spinchain.chain import ChainSpec, reduced_phase
 from spinchain.green2 import _MODE_CHUNK, MAX_RING_SITES, RingTwoMagnon, green2
 
 from bessel_reference import reduced_hop_amplitudes
-from ring_reference import ring_modes
+from ring_reference import evolve_by_scatter, ring_modes
 
 SPEC = ChainSpec(40, "closed", 0.5, 1.0)
 
@@ -392,6 +392,17 @@ def test_projected_evolution_is_the_pair_state_evolution(n):
                                   ring.evolve_projected(ring.project(psi), t, part))
     # one projection serves every time: evolving does not touch it
     assert np.array_equal(coeffs, kept)
+
+
+@pytest.mark.parametrize("n", [3, 4, 12, 13, 100, 101])
+def test_evolve_projected_is_the_scatter_and_transpose_bit_for_bit(n):
+    # one write per cell and its mirror, antipodal pairs summed, against zeros and half + half.T
+    ring = RingTwoMagnon(ChainSpec(n, "closed", 0.5, 0.8))
+    coeffs = ring.project(_matrix(_random_pairs(n, n), n))
+    for part in ("total", "bound", "scattering"):
+        for t in (0.0, 0.7, 4.5, 31.25):
+            assert np.array_equal(ring.evolve_projected(coeffs, t, part),
+                                  evolve_by_scatter(ring, coeffs, t, part))
 
 
 def test_ring_validation():

@@ -14,16 +14,19 @@ import pytest
 from bloch_reference import bloch_average
 from csv_reference import grid_csv_reference
 from spinchain import oracle
+from spinchain import protocols
 from engine_rows import fidelity_row, gate_process, split_row
 from spinchain.chain import MEASUREMENT, ChainSpec, InitialState, LocalProcess, reduced_phase
 from spinchain.cli import _write_outputs
-from spinchain.green1 import reduced_profile
+from spinchain.bessel import MAX_ARG, truncation_order
+from spinchain.green1 import HALF_INFINITE_MIN_N, free_propagator, reduced_profile
 from spinchain.protocols import (
     _BLOCK_CELLS,
     ProcessEngine,
     SpinChain,
     UnitaryState,
     _format_e11,
+    _pair_weights,
     fidelity_from_amplitudes,
     grid_csv,
     process_fidelity,
@@ -290,6 +293,97 @@ def test_split_fidelity_parts_add_up_over_the_ring():
     assert np.sum(totals) == pytest.approx(
         2.0 * gate_weight * _pair_weight(engine, 5.0), abs=1e-10
     )
+
+
+def _single_row(x: int, t: float, spec: ChainSpec) -> np.ndarray:
+    """The row at one time from the float ``free_propagator`` call on its own ring width."""
+    z = 4.0 * spec.j * t
+    width = spec.n
+    if spec.boundary == "open" and spec.n >= HALF_INFINITE_MIN_N:
+        width += truncation_order(z)
+    return free_propagator(width, spec.boundary, z, x)[: spec.n]
+
+
+@pytest.mark.parametrize("dt", [0.05, 0.5])
+@pytest.mark.parametrize("n, boundary", [
+    (12, "closed"), (100, "closed"), (13, "open"), (99, "open"), (100, "open"), (150, "open"),
+])
+def test_spin_chain_rows_are_the_single_rows_bit_for_bit(n, boundary, dt):
+    # from t = 0 across the first block boundary; on the half-infinite chains
+    # dt = 0.05 gives runs of times with one ring width, dt = 0.5 mostly lone times
+    spec = ChainSpec(n, boundary, 0.5, 1.0)
+    step = _BLOCK_CELLS // n
+    times = np.round(np.arange(step + 5) * dt, 12)
+    for source in (1, n // 2 + 1, n):
+        blocks = list(SpinChain(spec).rows(source, times))
+        assert [len(block) for block in blocks] == [step, 5]
+        rows = np.concatenate(blocks)
+        assert np.array_equal(rows, np.stack([reduced_profile(source, t, spec) for t in times]))
+        assert np.array_equal(rows, np.stack([_single_row(source, t, spec) for t in times]))
+
+
+@pytest.mark.parametrize("bad, message", [
+    (-0.5, "time must be >= 0, got -0.5"),
+    (float("nan"), f"4*J*t must be <= {MAX_ARG}, got nan"),
+    (MAX_ARG, f"4*J*t must be <= {MAX_ARG}, got {2.0 * MAX_ARG}"),
+])
+@pytest.mark.parametrize("spec", [CLOSED12, ChainSpec(100, "open", 0.5, 1.0)])
+def test_spin_chain_rows_refuse_the_first_bad_time_of_a_block(spec, bad, message):
+    with pytest.raises(ValueError) as single:
+        reduced_profile(1, bad, spec)
+    assert str(single.value) == message
+    step = _BLOCK_CELLS // spec.n
+    # a later bad time (-1) in the same block does not decide the message
+    times = np.concatenate((np.arange(step) * 0.5, [1.0, bad, -1.0, 2.0]))
+    rows = SpinChain(spec).rows(1, times)
+    assert len(next(rows)) == step  # the block before the bad time is yielded whole
+    with pytest.raises(ValueError) as block:
+        next(rows)
+    assert str(block.value) == message
+
+
+def test_pair_weights_are_the_row_sums_of_squared_moduli():
+    # the float view's sums of squares against |L|^2 summed along each row;
+    # 5e-14 is about 100x the worst difference measured here (5.6e-16)
+    for n in (3, 4, 12, 13, 100, 101):
+        spec = ChainSpec(n, "closed", 0.5, 1.0)
+        for m, t0, gamma, delta in ((1, 0.0, 0.6, 0.8), (n // 2 + 1, 1.5, 0.0, 1j)):
+            engine = ProcessEngine(spec, gate_process(m, t0, gamma, delta))
+            for t in (t0, t0 + 0.3, t0 + 2.5, t0 + 11.0):
+                for part in ("total", "bound", "scattering"):
+                    pairs = engine._pair_matrix(t, part)
+                    want = np.sum(np.abs(pairs) ** 2, axis=1)
+                    assert np.max(np.abs(_pair_weights(pairs) - want)) <= 5e-14
+
+
+def test_pair_rows_conjugate_once_per_block_and_keep_each_product():
+    # each time's products are today's L @ conj([g, g_tau]), bit for bit
+    spec = ChainSpec(13, "closed", 0.5, 1.0)
+    engine = ProcessEngine(spec, gate_process(5, 1.0, 0.6, 0.8))
+    times = np.array([1.0, 1.25, 3.5, 7.0])
+    ((g, g_tau, _, (weight, l_g, l_tau)),) = engine.rows(times)
+    for i, t in enumerate(times):
+        pairs = engine._pair_matrix(t, "total")
+        assert np.array_equal(weight[i], _pair_weights(pairs))
+        want = (pairs @ np.conj(np.stack((g[i], g_tau[i]), axis=1))).T
+        assert np.array_equal(l_g[i], want[0]) and np.array_equal(l_tau[i], want[1])
+
+
+def test_a_gate_grid_reads_the_row_at_t0_once(monkeypatch):
+    # the engine's u0 serves both the pair source and u0(m) of every block
+    t0, reads, real = 1.0, [], protocols.reduced_profile
+
+    def counting(x, t, spec):
+        if np.atleast_1d(t).tolist() == [t0]:
+            reads.append(x)
+        return real(x, t, spec)
+
+    monkeypatch.setattr(protocols, "reduced_profile", counting)
+    engine = ProcessEngine(CLOSED12, gate_process(4, t0, 0.6, 0.8))
+    times = t0 + 0.25 * np.arange(1, _BLOCK_CELLS // 12 + 10)
+    rows = list(process_fidelity(engine.process, engine.rows(times)))
+    assert [len(row) for row in rows] == [_BLOCK_CELLS // 12, 9]
+    assert reads == [1]
 
 
 def _as_blocks(rows):
