@@ -14,14 +14,14 @@ from __future__ import annotations
 import numpy as np
 
 from spinchain.chain import ChainSpec, LocalProcess, gate
-from spinchain.protocols import ProcessEngine, SpinChain, fidelity_from_amplitudes, process_fidelity
+from spinchain.protocols import ProcessEngine, SpinChain, fidelity_from_amplitudes
 
 
 def main() -> None:
     ring = ChainSpec(100, "closed", 0.5, 1.0)
     flip = LocalProcess(15, 7.5, gate(0.0, 1.0))
     times = [7.5 + 0.25 * k for k in range(1, 19)]
-    (gated,) = process_fidelity(flip, ProcessEngine(ring, flip).rows(times))
+    (gated,) = ProcessEngine(SpinChain(ring), flip).fidelity_rows(times, False)
     (free,) = (fidelity_from_amplitudes(u) for u in SpinChain(ring).rows(1, times))
     gain = (gated - free) / free
     at, site = np.unravel_index(np.argmax(gain), gain.shape)
@@ -29,7 +29,7 @@ def main() -> None:
     print(f"  best relative fidelity gain: {gain[at, site]:+.2%} at site {site + 1}, "
           f"t = {times[at]:.2f}")
 
-    engine = ProcessEngine(ring, LocalProcess(10, 5.0, gate(0.0, 1.0)))
+    engine = ProcessEngine(SpinChain(ring), LocalProcess(10, 5.0, gate(0.0, 1.0)))
     (scattering,), (bound,) = (engine.split_rows([6.0], part) for part in ("scattering", "bound"))
     scattering, bound = float(np.sum(scattering)), float(np.sum(bound))
     print("\nWhere does the injected pair weight go? (gate at site 10, t0 = 5)")

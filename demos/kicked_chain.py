@@ -13,13 +13,13 @@ import numpy as np
 
 from spinchain.chain import MEASUREMENT, InitialState, LocalProcess
 from spinchain.harper import HarperSpec, KickedChain, spread_metric
-from spinchain.protocols import occupation_change, process_rows
+from spinchain.protocols import ProcessEngine, occupation_change
 
 
 def detector_rows(spec: HarperSpec, initial: InitialState, kicks):
     """The detector row after each of ``kicks``, for a site-1 measurement after 5 kicks."""
     process = LocalProcess(1, 5, MEASUREMENT)
-    blocks = occupation_change(process, process_rows(KickedChain(spec), process, kicks), initial)
+    blocks = occupation_change(process, ProcessEngine(KickedChain(spec), process).rows(kicks), initial)
     return (row for block in blocks for row in block)
 
 

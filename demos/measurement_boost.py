@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from spinchain.chain import MEASUREMENT, ChainSpec, InitialState, LocalProcess
-from spinchain.protocols import SpinChain, process_fidelity, process_rows, site_rdm
+from spinchain.protocols import ProcessEngine, SpinChain, site_rdm
 
 
 def main() -> None:
@@ -32,7 +32,7 @@ def main() -> None:
     ):
         times = [t0 + 0.05 * i for i in range(1, 1201)]
         probe = LocalProcess(m, t0, MEASUREMENT)
-        blocks = process_fidelity(probe, process_rows(chain, probe, times), change=True)
+        blocks = ProcessEngine(chain, probe).fidelity_rows(times, True)
         worst = max(float(np.max(np.abs(block))) for block in blocks)
         print(f"  {label}: max |dF| = {worst:.4f}")
 
@@ -41,7 +41,8 @@ def main() -> None:
     for l in range(40, 101, 10):
         probe = LocalProcess(l, l / 2.0, MEASUREMENT)
         best_free, best_meas = 0.0, 0.0
-        for block in process_rows(chain, probe, [probe.t0 + 0.05 * i for i in range(1, 1201)]):
+        times = [probe.t0 + 0.05 * i for i in range(1, 1201)]
+        for block in ProcessEngine(chain, probe).rows(times):
             population, _ = site_rdm(probe, block, InitialState(0.0, 1.0))
             best_free = max(best_free, float(np.max(np.abs(block[0][:, l - 1]) ** 2)))
             best_meas = max(best_meas, float(np.max(population[:, l - 1])))

@@ -4,19 +4,20 @@ Every grid subcommand writes two files: the CSV named by ``--out`` (header
 ``l,t,value``, time as the outer loop, 12 significant digits) and a metadata
 sidecar ``<out>.meta.json`` echoing the resolved parameters, the convention
 fingerprint, and the relevant tolerances.  Outputs are byte-identical across
-re-runs.  Each grid command has its own runner of four steps: the axes,
-a dynamics (``protocols.SpinChain`` or ``harper.KickedChain``; the gate's
-``protocols.ProcessEngine`` adds the pair channel), a readout over its row
-blocks of the local process the runner builds as its Kraus set (before
-``--t0``: the free rows, or zeros for a difference), and
-``protocols.grid_csv``.  Every stream yields blocks of
-max(1, 8192 // N) times; ``grid_csv`` checks each block as it arrives (no
-NaN, values in [0, 1], or [-1, 1] for differences and the detector) and
-turns it into a chunk of text for the temporary CSV file, so no command
-holds its grid; the CSV and its sidecar are renamed into place both or
-neither.  Each grid command first runs the time checks its rows would run
-at its last time; the temporary file is then opened before the first row
-is computed, so an unwritable ``--out`` exits 4 even where a row would fail.
+re-runs.  Each grid command has a runner of four steps: the axes, a
+dynamics (``protocols.SpinChain`` or ``harper.KickedChain``), a readout of
+its rows, and ``protocols.grid_csv``.  A command with a local process builds
+its Kraus set and reads it through ``protocols.ProcessEngine``, whose
+readouts split the time axis at ``--t0`` themselves; ``qdp-diff`` and
+``unitary-qdp`` share one runner and differ only in the Kraus set and
+``--diff``.  Every stream yields blocks of max(1, 8192 // N) times;
+``grid_csv`` checks each block as it arrives (no NaN, values in [0, 1], or
+[-1, 1] for differences and the detector) and turns it into a chunk of text
+for the temporary CSV file, so no command holds its grid; the CSV and its
+sidecar are renamed into place both or neither.  A grid's readout first
+runs the time checks of the rows it reads at their last time, and only of
+those; the temporary file is then opened before the first row is computed,
+so an unwritable ``--out`` exits 4 even where a row would fail.
 ``--threads`` is still accepted but has no effect.
 
 ``main`` builds the argument parser on its first call and reuses it, unchanged,
@@ -33,7 +34,6 @@ import argparse
 import cmath
 import errno
 import functools
-import itertools
 import json
 import math
 import os
@@ -46,11 +46,11 @@ import numpy as np
 from . import __version__
 from .chain import CONVENTIONS, MEASUREMENT, ChainSpec, InitialState, LocalProcess, conventions_hash
 from .chain import gate, reduced_phase
-from .green1 import HALF_INFINITE_MIN_N, free_propagator, propagator_argument, reduced_profile
-from .green2 import _check_evolution
+from .green1 import HALF_INFINITE_MIN_N, free_propagator, reduced_profile
+from .green2 import _check_ring
 from .harper import HarperSpec, KickedChain
 from .protocols import ProcessEngine, SpinChain, fidelity_from_amplitudes, grid_csv
-from .protocols import occupation_change, process_fidelity, process_rows, row_blocks, site_rdm
+from .protocols import occupation_change, site_rdm
 from . import oracle
 
 EXIT_OK = 0
@@ -346,33 +346,25 @@ def _grid_axes(args: argparse.Namespace) -> tuple[list[int], np.ndarray, dict]:
     return ls, ts, {"l": [ls[0], ls[-1]], "t": [float(ts[0]), float(ts[-1])], "dt": args.dt}
 
 
-def _check_gate_times(spec: ChainSpec, process: LocalProcess, t: float, free_rows: bool) -> None:
-    """Refuse a gate grid's last time t where its rows would, before any file is opened.
+def _process(args: argparse.Namespace) -> LocalProcess:
+    """The command's process at --site and --t0: qdp-diff's measurement, else the gate flags' gate.
 
-    Rows from t0 on read the source row at t0 and a flipping gate's pair
-    evolution; ``free_rows`` rows read g(1 -> l; t) too.
-    """
-    if t >= process.t0:
-        propagator_argument(process.t0, spec)
-    if free_rows:
-        propagator_argument(t, spec)
-    if process.opens_pairs and t >= process.t0:
-        _check_evolution(t - process.t0, "total", spec)
-
-
-def _site_and_t0(args: argparse.Namespace) -> None:
-    """Refuse a --site outside 1..n and a non-finite or negative --t0."""
+    A site outside 1..n and a non-finite or negative --t0 are refused first."""
     if not 1 <= args.site <= args.n:
         raise ValueError(f"need 1 <= site <= n, got site {args.site} on n={args.n}")
     if not (args.t0 >= 0.0 and math.isfinite(args.t0)):
         raise ValueError(f"t0 must be finite and >= 0, got {args.t0}")
-
-
-def _gate(args: argparse.Namespace) -> LocalProcess:
-    """The gate of the gate flags, at --site and --t0."""
-    _site_and_t0(args)
+    if args.command == "qdp-diff":
+        return LocalProcess(args.site, args.t0, MEASUREMENT)
     delta = args.delta_abs * cmath.exp(1j * args.delta_phase)
     return LocalProcess(args.site, args.t0, gate(args.gamma_abs, delta))
+
+
+def _engine(spec: ChainSpec, process: LocalProcess) -> ProcessEngine:
+    """The process on the spin chain of ``spec``, the ring its pairs need checked before the chain."""
+    if process.opens_pairs:
+        _check_ring(spec)
+    return ProcessEngine(SpinChain(spec), process)
 
 
 def _initial(alpha2: float | None) -> InitialState | None:
@@ -397,53 +389,25 @@ def _write_grid(args: argparse.Namespace, ls, ts, blocks, grid_meta: dict, lo: f
 def _run_fidelity(args: argparse.Namespace) -> int:
     spec, initial = _chain_spec(args), _initial(args.alpha2)
     ls, ts, grid_meta = _grid_axes(args)
-    propagator_argument(ts[-1], spec)  # the rows' time check, before any file is opened
-    blocks = (fidelity_from_amplitudes(u, initial) for u in SpinChain(spec).rows(1, ts))
+    chain = SpinChain(spec)
+    chain.check(ts[-1])  # the rows' time check, before any file is opened
+    blocks = (fidelity_from_amplitudes(u, initial) for u in chain.rows(1, ts))
     return _write_grid(args, ls, ts, blocks, grid_meta)
 
 
-def _run_qdp_diff(args: argparse.Namespace) -> int:
-    """The measurement's fidelity change: zero before --t0, then the measured stream's."""
-    spec = _chain_spec(args)
-    _site_and_t0(args)
+def _run_process(args: argparse.Namespace) -> int:
+    """qdp-diff, the measurement's change, and unitary-qdp, the gated fidelity or its change."""
+    spec, process = _chain_spec(args), _process(args)
     ls, ts, grid_meta = _grid_axes(args)
-    cut, zeros = np.searchsorted(ts, args.t0), np.zeros(args.n)
-    if cut < len(ts):  # rows are computed only from --t0 on
-        propagator_argument(ts[-1], spec)
-    process = LocalProcess(args.site, args.t0, MEASUREMENT)
-    blocks = itertools.chain(
-        row_blocks(lambda t: zeros, ts[:cut], args.n),
-        process_fidelity(process, process_rows(SpinChain(spec), process, ts[cut:]), change=True),
-    )
-    return _write_grid(args, ls, ts, blocks, grid_meta, lo=-1.0)
-
-
-def _run_unitary_qdp(args: argparse.Namespace) -> int:
-    """Gated fidelity, or with --diff its change against free evolution (0 before t0)."""
-    spec, process = _chain_spec(args), _gate(args)
-    ls, ts, grid_meta = _grid_axes(args)
-    engine = ProcessEngine(spec, process)
-    _check_gate_times(spec, process, ts[-1], free_rows=True)
-    # a global phase reads as free evolution, with a zero change, over the whole axis
-    cut = len(ts) if process.is_phase else np.searchsorted(ts, process.t0)
-    zeros = np.zeros(args.n)
-    if args.diff:
-        before = row_blocks(lambda t: zeros, ts[:cut], args.n)
-    else:
-        before = (fidelity_from_amplitudes(u) for u in SpinChain(spec).rows(1, ts[:cut]))
-    blocks = itertools.chain(before, process_fidelity(process, engine.rows(ts[cut:]), change=args.diff))
-    return _write_grid(args, ls, ts, blocks, grid_meta, -1.0 if args.diff else 0.0)
+    change = args.command == "qdp-diff" or args.diff
+    blocks = _engine(spec, process).fidelity_rows(ts, change)
+    return _write_grid(args, ls, ts, blocks, grid_meta, -1.0 if change else 0.0)
 
 
 def _run_two_magnon_split(args: argparse.Namespace) -> int:
-    spec, process = _chain_spec(args), _gate(args)
+    spec, process = _chain_spec(args), _process(args)
     ls, ts, grid_meta = _grid_axes(args)
-    engine = ProcessEngine(spec, process)
-    _check_gate_times(spec, process, ts[-1], free_rows=False)
-    cut, zeros = np.searchsorted(ts, process.t0), np.zeros(args.n)
-    rows = itertools.chain(row_blocks(lambda t: zeros, ts[:cut], args.n),
-                           engine.split_rows(ts[cut:], args.part))
-    return _write_grid(args, ls, ts, rows, grid_meta)
+    return _write_grid(args, ls, ts, _engine(spec, process).split_rows(ts, args.part), grid_meta)
 
 
 def _harper_spec(args: argparse.Namespace) -> HarperSpec:
@@ -479,7 +443,8 @@ def _run_detector(args: argparse.Namespace) -> int:
     if initial is None:
         raise ValueError("the detector needs a definite encoded state (--alpha2)")
     process = LocalProcess(args.qdp_site, args.qdp_kick, MEASUREMENT)
-    rows = occupation_change(process, process_rows(KickedChain(spec), process, kicks), initial)
+    engine = ProcessEngine(KickedChain(spec), process)
+    rows = occupation_change(process, engine.rows(kicks), initial)
     grid_meta = {"l": [1, spec.n], "kicks": [args.qdp_kick, args.kicks], "dt": spec.tau}
     return _write_grid(args, ls, ts, rows, grid_meta, lo=-1.0)
 
@@ -574,7 +539,7 @@ def _run_oracle_check(args: argparse.Namespace) -> int:
     worst = 0.0
     process = LocalProcess(max(1, n // 2), 1.0, MEASUREMENT)
     m, t0, t = process.m, process.t0, 2.5
-    (block,) = process_rows(SpinChain(spec), process, [t])
+    (block,) = ProcessEngine(SpinChain(spec), process).rows([t])
     for alpha2 in (1.0, 0.5, 0.0):
         initial = _initial(alpha2)
         state = oracle.encoded_state(initial.alpha, initial.beta, ham.basis)
@@ -597,7 +562,7 @@ def _run_oracle_check(args: argparse.Namespace) -> int:
         state = oracle.encoded_state(initial.alpha, initial.beta, ham.basis)
         gated = oracle.apply_local(process.kraus[0], process.m, oracle.evolve(state, ham, process.t0))
         final = oracle.evolve(gated, ham, 3.0 - process.t0).vector
-        mine = ProcessEngine(spec, process).state(3.0, initial)
+        mine = ProcessEngine(SpinChain(spec), process).state(3.0, initial)
         # the sector lists the vacuum, then the n one-magnon configs, then the pairs
         errors = np.concatenate(([mine.vacuum], mine.one_magnon, mine.two_magnon[y1, y2])) - final
         # hypot rounds as a scalar's abs does; the array abs can differ in the last bit
@@ -646,8 +611,8 @@ def _run_calibrate(args: argparse.Namespace) -> int:
 
 _RUNNERS = {
     "fidelity": _run_fidelity,
-    "qdp-diff": _run_qdp_diff,
-    "unitary-qdp": _run_unitary_qdp,
+    "qdp-diff": _run_process,
+    "unitary-qdp": _run_process,
     "two-magnon-split": _run_two_magnon_split,
     "harper": _run_harper,
     "detector": _run_detector,

@@ -17,7 +17,8 @@ The Floquet step is built once per chain, and each kick is one matvec of
 the vector before it, so the numbers do not depend on the block size.  The
 protocols' readouts then act on the kicked rows as on the spin chain's:
 ``protocols.fidelity_from_amplitudes`` for a free run, and
-``protocols.process_rows`` with its readouts for a measurement after kick n0.
+``protocols.ProcessEngine(KickedChain(spec), process).rows`` with the block
+readouts for a measurement after kick n0.
 
 The kick-strength/kick-interval plane interpolates between transport that is
 ballistic (small g, small tau), localized (large g), and effectively

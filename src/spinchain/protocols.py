@@ -11,10 +11,15 @@ max(1, ``_BLOCK_CELLS`` // N) times. A dynamics yields them from a source
 site: ``SpinChain.rows`` takes one ``reduced_profile`` call per block, and
 ``harper.KickedChain.rows`` steps a vector once per kick. Readouts act
 elementwise on blocks. ``fidelity_from_amplitudes`` reads the free rows, its
-Bloch average in closed form. A process reads ``process_rows`` blocks: g =
-g(1 -> l; t), g_tau = g(m -> l; t - t0), u0(m) = g(1 -> m; t0) and, when an
-operator flips an unflipped site m, the ring pair matrix L's contractions,
-one L at a time, u0 read once (``ProcessEngine``). With k = u0(m) g_tau, each
+Bloch average in closed form. A process on either dynamics is read through
+``ProcessEngine(dynamics, process)``: its ``rows`` are blocks of g =
+g(1 -> l; t), g_tau = g(m -> l; t - t0), u0(m) = g(1 -> m; t0) (the
+dynamics' own row at t0, read once) and, when an operator flips an
+unflipped site m, the ring pair matrix L's contractions, one L at a time.
+On the spin chain its ``fidelity_rows`` and ``split_rows`` take a whole time
+axis, split it at t0 and check, before any block, the last time of every
+row they read; the block readouts ``process_fidelity``, ``site_rdm`` and
+``occupation_change`` read ``rows`` blocks. With k = u0(m) g_tau, each
 operator K = [[a, b], [c, d]] gives the one-magnon row A = beta (a g + (d - a) k) +
 alpha c g_tau, the vacuum V = alpha a + beta b u0(m) and the pairs P = beta c L.
 The site RDM sums over K: x = sum (|A|^2 + sum_y |P_ly|^2) and
@@ -31,14 +36,15 @@ drops out); the pieces of a one-operator process (UnitaryState) carry full phase
 from __future__ import annotations
 
 import functools
+import itertools
 from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .chain import ChainSpec, InitialState, LocalProcess, reduced_phase
-from .green1 import reduced_profile
-from .green2 import Part, RingTwoMagnon, _check_ring, ring_kernel
+from .green1 import _check_site, propagator_argument, reduced_profile
+from .green2 import Part, RingTwoMagnon, _check_evolution, _check_ring, ring_kernel
 
 
 # --------------------------------------------------------------------------
@@ -101,8 +107,6 @@ def _forms(process: LocalProcess, g, g_tau, u0_m: complex, pair, change: bool) -
         y_ba += np.conj(a) * (r if change else one)
         if b:
             y_bb += np.conj(b * u0_m) * (r if change else one)
-        if c and pair is None:
-            raise ValueError("a process that flips site m needs the pair channel")
         if c:
             weight, l_g, l_tau = pair
             h = c * g_tau
@@ -161,10 +165,9 @@ def _blocks(times, n: int) -> Iterator:
     return (times[start : start + step] for start in range(0, len(times), step))
 
 
-def row_blocks(row, times, n: int) -> Iterator[np.ndarray]:
-    """The length-n rows ``row(t)`` of every time, stacked a block of times at a time."""
-    for chunk in _blocks(times, n):
-        yield np.stack([row(t) for t in chunk])
+def _zero_rows(times, n: int) -> Iterator[np.ndarray]:
+    """Blocks of zero rows at ``times``: a change, or a pair term, before the process."""
+    return (np.zeros((len(chunk), n)) for chunk in _blocks(times, n))
 
 
 class SpinChain:
@@ -173,6 +176,10 @@ class SpinChain:
     def __init__(self, spec: ChainSpec):
         self.spec = spec
         self.n = spec.n
+
+    def check(self, t: float) -> None:
+        """Refuse a time the rows refuse (t < 0, NaN, 4Jt over ``MAX_ARG``), computing none."""
+        propagator_argument(t, self.spec)
 
     def rows(self, source: int, times) -> Iterator[np.ndarray]:
         """Blocks of the reduced rows g(source -> l; t), one ``reduced_profile`` call per block."""
@@ -187,25 +194,8 @@ def _check_measurement_times(t: float, t0: float) -> None:
         )
 
 
-def process_rows(dynamics, process: LocalProcess, times, pairs=None, u0=None) -> Iterator[tuple]:
-    """(g, g_tau, u0_m, pair) blocks of ``process``, read at the ascending ``times`` >= t0.
-
-    g holds the rows ``dynamics.rows(1, times)``, g_tau ``dynamics.rows(m, times - t0)``, u0_m
-    entry m of ``u0()`` (default: the row from site 1 at t0); ``pair`` is ``pairs(chunk, g, g_tau)``."""
-    if not len(times):
-        return
-    _check_measurement_times(times[0], process.t0)
-    m, u0_m = process.m, None
-    rows = zip(_blocks(times, dynamics.n), dynamics.rows(1, times),
-               dynamics.rows(m, np.asarray(times) - process.t0))
-    for chunk, g, g_tau in rows:
-        if u0_m is None:  # after the first rows, so that a time out of range fails on t, not t0
-            u0_m = (u0() if u0 else next(dynamics.rows(1, [process.t0]))[0])[m - 1]
-        yield g, g_tau, u0_m, None if pairs is None else pairs(chunk, g, g_tau)
-
-
 def site_rdm(process: LocalProcess, block: tuple, initial: InitialState):
-    """Checked site RDM rows (x, y) of ``initial`` after ``process``, from one ``process_rows`` block."""
+    """Checked site RDM rows (x, y) of ``initial`` after ``process``, from one engine ``rows`` block."""
     x, y = _rdm(_forms(process, *block, change=False), _projector(initial))
     _check_rdm(x, y)
     return x, y
@@ -213,16 +203,11 @@ def site_rdm(process: LocalProcess, block: tuple, initial: InitialState):
 
 def process_fidelity(process: LocalProcess, blocks, initial: InitialState | None = None,
                      change: bool = False) -> Iterator[np.ndarray]:
-    """Per-state or Bloch-averaged (no ``initial``) fidelity rows of every ``process_rows`` block.
+    """Per-state or Bloch-averaged (no ``initial``) fidelity rows of every engine ``rows`` block.
 
-    With ``change``, each row minus the free row, in the reduced form. A
-    process that is a global phase reads the free rows (and a zero change).
-    """
+    With ``change``, each row minus the free row, in the reduced form."""
     state = _SIX_STATES if initial is None else _projector(initial)
     for block in blocks:
-        if process.is_phase:
-            yield np.zeros(block[0].shape) if change else fidelity_from_amplitudes(block[0], initial)
-            continue
         x, y = _rdm(_forms(process, *block, change), state)
         if not change:
             _check_rdm(x, y)
@@ -231,7 +216,7 @@ def process_fidelity(process: LocalProcess, blocks, initial: InitialState | None
 
 
 def occupation_change(process: LocalProcess, blocks, initial: InitialState) -> Iterator[np.ndarray]:
-    """Detector rows of every ``process_rows`` block: site occupation with minus without it.
+    """Detector rows of every engine ``rows`` block: site occupation with minus without it.
 
     Each row of a number-keeping process (the measurement) sums to zero; ValueError unless
     it does to 1e-9."""
@@ -269,24 +254,32 @@ class UnitaryState:
 
 
 class ProcessEngine:
-    """A local process on the spin chain, read at any observation times t >= t0.
+    """A local process on a dynamics, ``SpinChain`` or ``harper.KickedChain``, read at any times.
+
+    ``rows`` yields the blocks a block readout (``process_fidelity``,
+    ``site_rdm``, ``occupation_change``) reads at times t >= t0. The spin
+    chain's readouts ``fidelity_rows`` and ``split_rows`` take a whole time
+    axis and split it at t0 themselves; when called, before any block, they
+    refuse (``SpinChain.check``) the last time of every row they will read.
 
     A process that flips site m (some c != 0) pairs the wavepacket amplitude
     u0 = g(1 -> l; t0) of each companion site with site m; the pairs evolve
-    into L(y1, y2; t) by the exact kernel of ``green2.ring_kernel`` (a ring
-    of 3 to 512 sites only), shared by the engines of one ring. The source is
-    projected onto its modes once, at the first time at or after t0, so a
-    grid that ends before t0 computes nothing at t0; each time then runs only
-    ``RingTwoMagnon.evolve_projected``, and one L is held at a time. Any other
-    process runs on any chain, in O(N) memory.
+    into L(y1, y2; t) by the exact kernel of ``green2.ring_kernel`` (a spin
+    chain ring of 3 to 512 sites only), shared by the engines of one ring.
+    The source is projected onto its modes once, at the first time at or
+    after t0, so a grid that ends before t0 computes nothing at t0; each
+    time then runs only ``RingTwoMagnon.evolve_projected``, and one L is
+    held at a time. Any other process runs on either dynamics, in O(N) memory.
     """
 
-    def __init__(self, spec: ChainSpec, process: LocalProcess):
-        if process.m > spec.n:
-            raise ValueError(f"process site m={process.m} out of range 1..{spec.n}")
+    def __init__(self, dynamics, process: LocalProcess):
+        if isinstance(dynamics, SpinChain):  # a kicked chain's rows refuse the site themselves
+            _check_site(process.m, dynamics.spec, "m")
+        elif process.opens_pairs:
+            raise ValueError("a process that flips site m needs the spin chain's pair channel")
         if process.opens_pairs:
-            _check_ring(spec)
-        self.spec = spec
+            _check_ring(dynamics.spec)
+        self.dynamics = dynamics
         self.process = process
         # the kernel and the projected source, set by the first _pair_matrix
         self.ring: RingTwoMagnon | None = None
@@ -294,8 +287,8 @@ class ProcessEngine:
 
     @functools.cached_property
     def u0(self) -> np.ndarray:
-        """The reduced row g(1 -> l; t0), computed on its first read."""
-        return reduced_profile(1, self.process.t0, self.spec)
+        """The dynamics' own row g(1 -> l; t0), computed on its first read."""
+        return next(self.dynamics.rows(1, [self.process.t0]))[0]
 
     def _pair_matrix(self, t: float, part: Part) -> np.ndarray | None:
         """Reduced L of one part, symmetric with zero diagonal (row l holds L(l, y)), or None."""
@@ -304,11 +297,11 @@ class ProcessEngine:
             return None
         if self.ring is None:
             # each pair holding site m starts with the amplitude of its partner
-            m = self.process.m - 1
-            source = np.zeros((self.spec.n, self.spec.n), dtype=complex)
+            spec, m = self.dynamics.spec, self.process.m - 1
+            source = np.zeros((spec.n, spec.n), dtype=complex)
             source[m] = source[:, m] = self.u0
             source[m, m] = 0.0
-            self.ring = ring_kernel(self.spec)
+            self.ring = ring_kernel(spec)
             self._source_modes = self.ring.project(source)
         return self.ring.evolve_projected(self._source_modes, t - self.process.t0, part)
 
@@ -323,23 +316,60 @@ class ProcessEngine:
         return weight, products[..., 0], products[..., 1]
 
     def rows(self, times) -> Iterator[tuple]:
-        """``process_rows`` of the spin chain at ``times`` >= t0, with the pair contractions and ``u0``."""
-        pairs = self._pair_rows if self.process.opens_pairs else None
-        return process_rows(SpinChain(self.spec), self.process, times, pairs, lambda: self.u0)
+        """(g, g_tau, u0_m, pair) blocks of the process at the ascending ``times`` >= t0.
+
+        g holds the rows ``dynamics.rows(1, times)``, g_tau ``dynamics.rows(m, times - t0)``,
+        u0_m entry m of ``u0``; ``pair`` is None without a pair channel, else the block's
+        pair contractions."""
+        if not len(times):
+            return
+        t0, m = self.process.t0, self.process.m
+        _check_measurement_times(times[0], t0)
+        rows = zip(_blocks(times, self.dynamics.n), self.dynamics.rows(1, times),
+                   self.dynamics.rows(m, np.asarray(times) - t0))
+        for chunk, g, g_tau in rows:
+            # u0 after the first rows, so that a time out of range fails on t, not t0
+            pair = self._pair_rows(chunk, g, g_tau) if self.process.opens_pairs else None
+            yield g, g_tau, self.u0[m - 1], pair
+
+    def fidelity_rows(self, times, change: bool) -> Iterator[np.ndarray]:
+        """Blocks of the Bloch-averaged fidelity rows at the ascending ``times``, or their changes.
+
+        With ``change``, each row minus the free row, in the reduced form. Before t0 the free
+        rows, or zeros; a process that is a global phase reads as free evolution over the axis.
+        When called: ValueError at the last time the rows from site 1 are read, if any, and at
+        the pair evolution's (the rows from site m and at t0 reach no later time)."""
+        times, process, n = np.asarray(times), self.process, self.dynamics.n
+        cut = len(times) if process.is_phase else int(np.searchsorted(times, process.t0))
+        if cut < len(times) or (cut and not change):
+            self.dynamics.check(times[-1])
+        if cut < len(times) and process.opens_pairs:
+            _check_evolution(times[-1] - process.t0, "total", self.dynamics.spec)
+        if change:
+            before = _zero_rows(times[:cut], n)
+        else:
+            before = (fidelity_from_amplitudes(u) for u in self.dynamics.rows(1, times[:cut]))
+        after = process_fidelity(process, self.rows(times[cut:]), change=change)
+        return itertools.chain(before, after)
 
     def split_rows(self, times, part: Part) -> Iterator[np.ndarray]:
         """Blocks of one propagator part's two-magnon contribution to the averaged fidelity.
 
-        The six states' changes by the pair term |beta c|^2 sum_y |L_ly|^2 of x alone;
-        bound and scattering cross only in the total pair amplitudes."""
-        flips = float(np.sum(np.abs(self.process.kraus[:, 1, 0]) ** 2))
-        for chunk in _blocks(times, self.spec.n):
-            if not self.process.opens_pairs:
-                yield np.zeros((len(chunk), self.spec.n))
-                continue
-            weight = np.stack([_pair_weights(self._pair_matrix(t, part)) for t in chunk])
-            x = _SIX_STATES[1] * (flips * weight)
-            yield _fidelity(x, 0.0, _SIX_STATES, 0.0).mean(axis=0)
+        The six states' changes by the pair term |beta c|^2 sum_y |L_ly|^2 of x alone at the
+        ascending ``times``: zeros before t0 and without a pair channel. Bound and scattering
+        cross only in the total pair amplitudes. When called: ValueError at t0 and at the last
+        time where the pair source or its evolution refuses them."""
+        times, process, n = np.asarray(times), self.process, self.dynamics.n
+        cut = int(np.searchsorted(times, process.t0)) if process.opens_pairs else len(times)
+        if cut < len(times):
+            self.dynamics.check(process.t0)
+            _check_evolution(times[-1] - process.t0, part, self.dynamics.spec)
+        flips = float(np.sum(np.abs(process.kraus[:, 1, 0]) ** 2))
+        weights = (np.stack([_pair_weights(self._pair_matrix(t, part)) for t in chunk])
+                   for chunk in _blocks(times[cut:], n))
+        after = (_fidelity(_SIX_STATES[1] * (flips * w), 0.0, _SIX_STATES, 0.0).mean(axis=0)
+                 for w in weights)
+        return itertools.chain(_zero_rows(times[:cut], n), after)
 
     def state(self, t: float, initial: InitialState) -> UnitaryState:
         """Full-phase pieces V, A, P of a one-operator process for one state; checked norm."""
@@ -347,7 +377,7 @@ class ProcessEngine:
             raise ValueError("sector amplitudes need a process of one operator")
         (((a, b), (c, d)),) = self.process.kraus
         pairs = self._pair_matrix(t, "total")
-        spec, m, alpha, beta = self.spec, self.process.m, initial.alpha, initial.beta
+        spec, m, alpha, beta = self.dynamics.spec, self.process.m, initial.alpha, initial.beta
         g, g_tau = reduced_profile(1, t, spec), reduced_profile(m, t - self.process.t0, spec)
         u0_m, phase = self.u0[m - 1], reduced_phase(spec, t)
         vac = phase * (alpha * a + beta * b * u0_m)

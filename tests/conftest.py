@@ -10,7 +10,7 @@ import pytest
 from golden_io import decode_complex, load_golden
 from spinchain.chain import MEASUREMENT, LocalProcess, reduced_phase
 from spinchain.green1 import reduced_profile
-from spinchain.protocols import SpinChain, _check_measurement_times, process_fidelity, process_rows
+from spinchain.protocols import ProcessEngine, SpinChain, _check_measurement_times, process_fidelity
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
 
@@ -68,7 +68,7 @@ def fidelity_projective_row():
 
     def _row(m: int, t: float, t0: float, spec, initial=None) -> np.ndarray:
         process = LocalProcess(m, t0, MEASUREMENT)
-        ((row,),) = process_fidelity(process, process_rows(SpinChain(spec), process, [t]), initial)
+        ((row,),) = process_fidelity(process, ProcessEngine(SpinChain(spec), process).rows([t]), initial)
         return row
 
     return _row

@@ -31,7 +31,6 @@ from spinchain.protocols import (
     fidelity_from_amplitudes,
     occupation_change,
     process_fidelity,
-    process_rows,
 )
 
 from bessel_reference import reduced_hop_amplitudes
@@ -42,7 +41,7 @@ OPEN100 = ChainSpec(100, "open", 0.5, 1.0)
 def _change_row(m: int, t: float, t0: float, spec: ChainSpec) -> np.ndarray:
     """The measurement's fidelity change row at one time, as ``qdp-diff`` reads it."""
     process = LocalProcess(m, t0, MEASUREMENT)
-    ((row,),) = process_fidelity(process, process_rows(SpinChain(spec), process, [t]), change=True)
+    ((row,),) = process_fidelity(process, ProcessEngine(SpinChain(spec), process).rows([t]), change=True)
     return row
 
 
@@ -179,7 +178,7 @@ def test_criterion_07_gate_protocol_matches_dense_evolution(channel_fidelity):
         gate = gate_process(4, 2.0, *amplitudes)
         mid = oracle.evolve(oracle.encoded_state(initial.alpha, initial.beta, basis), ham, 2.0)
         final = oracle.evolve(oracle.apply_local(gate.kraus[0], 4, mid), ham, 2.0)
-        state = ProcessEngine(spec, gate).state(4.0, initial)
+        state = ProcessEngine(SpinChain(spec), gate).state(4.0, initial)
 
         assert abs(state.vacuum - final.vector[0]) <= 1e-10
         one_dense = final.vector[1:13]
@@ -197,7 +196,7 @@ def test_criterion_07_gate_protocol_matches_dense_evolution(channel_fidelity):
     # fidelity to one half plus the free interference term
     ring = ChainSpec(24, "closed", 0.5, 1.0)
     gate = gate_process(1, 0.0, 1 / math.sqrt(2), 1 / math.sqrt(2))
-    engine = ProcessEngine(ring, gate)
+    engine = ProcessEngine(SpinChain(ring), gate)
     for t in (0.5, 2.0, 6.5):
         g = reduced_profile(1, t, ring)
         residual = float(np.max(np.abs(fidelity_row(engine, t) - 0.5 - g.real / 6.0)))
@@ -212,7 +211,7 @@ def test_criterion_08_pair_kernel_completeness_and_free_factorization():
         assert abs(green2(10, 11, *target, 0.0, ring40).value) <= 1e-12
 
     gate = gate_process(10, 2.0, 0.0, 1.0)
-    engine = ProcessEngine(ring40, gate)
+    engine = ProcessEngine(SpinChain(ring40), gate)
     # sum over pairs |L|^2; the pair matrix holds each pair twice
     weights = [float(np.sum(np.abs(engine._pair_matrix(t, "total")) ** 2)) / 2.0 for t in (3.0, 7.0)]
     assert abs(weights[0] - weights[1]) <= 1e-3
@@ -236,7 +235,7 @@ def test_criterion_09_paired_band_census_and_scattering_dominance():
     ring = ChainSpec(100, "closed", 0.5, 1.0)
     gate = gate_process(10, 5.0, 0.0, 1.0)
 
-    engine = ProcessEngine(ring, gate)
+    engine = ProcessEngine(SpinChain(ring), gate)
 
     def part_weights(t: float) -> tuple[float, float]:
         return (
@@ -256,7 +255,7 @@ def test_criterion_10_gate_induced_relative_fidelity_gain_region():
     gate = gate_process(15, 7.5, 0.0, 1.0)
     best = -math.inf
     region_points = 0
-    engine = ProcessEngine(ring, gate)
+    engine = ProcessEngine(SpinChain(ring), gate)
     for k in range(1, 19):
         t = 7.5 + 0.25 * k
         free = _averaged_free_row(ring, t)
@@ -276,7 +275,7 @@ def test_criterion_11_kicked_chain_transport_properties():
 
     def detector_rows(spec: HarperSpec, initial: InitialState, kicks):
         process = LocalProcess(1, 5, MEASUREMENT)
-        blocks = occupation_change(process, process_rows(KickedChain(spec), process, kicks), initial)
+        blocks = occupation_change(process, ProcessEngine(KickedChain(spec), process).rows(kicks), initial)
         return np.concatenate(list(blocks))
 
     balanced = InitialState(1 / math.sqrt(2), 1 / math.sqrt(2))

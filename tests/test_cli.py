@@ -25,7 +25,7 @@ from spinchain import cli
 from spinchain.cli import _splitting_samples, main
 from spinchain.green1 import reduced_profile
 from spinchain.harper import HarperSpec, KickedChain
-from spinchain.protocols import fidelity_from_amplitudes, occupation_change, process_rows
+from spinchain.protocols import ProcessEngine, fidelity_from_amplitudes, occupation_change
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -622,6 +622,25 @@ def test_a_time_past_the_bound_is_refused_before_any_file_is_opened(tmp_path, ca
     assert list(tmp_path.iterdir()) == []
 
 
+_PHASE_AT_T0 = ["--n", "8", "--site", "2", "--delta-abs", "0", "--gamma-abs", "1",
+                "--tmin", "60000", "--tmax", "60000", "--t0", "60000"]
+
+
+@pytest.mark.parametrize("argv, cells", [
+    (["unitary-qdp", "--diff", "--n", "8", "--site", "2", "--t0", "60000", "--tmax", "59000",
+      "--dt", "1000"], 8 * 60),
+    (["unitary-qdp", "--diff", *_PHASE_AT_T0], 8),
+    (["two-magnon-split", *_PHASE_AT_T0], 8),
+], ids=["diff-before-t0", "phase-diff", "phase-split"])
+def test_a_grid_that_reads_no_row_is_not_held_to_the_time_bound(tmp_path, argv, cells):
+    # only the rows a readout reads are checked: a change before t0, a phase's change and
+    # a split without a pair channel read none, so 4*J*t past 1e5 is no refusal here
+    out = tmp_path / "x.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    lines = out.read_text().splitlines()[1:]
+    assert len(lines) == cells and all(line.endswith(",0.00000000000e+00") for line in lines)
+
+
 @pytest.mark.parametrize("site", ["0", "101"])
 def test_detector_site_is_refused_before_any_file_is_opened(tmp_path, site):
     out = str(tmp_path / "no_such_dir" / "x.csv")
@@ -758,7 +777,7 @@ def test_detector_grid_sums_to_zero_per_column(tmp_path, monkeypatch):
     spec = HarperSpec(12, 1.0, 0.3)
     initial = InitialState(math.sqrt(0.5), math.sqrt(0.5))
     process = LocalProcess(2, 2, MEASUREMENT)
-    (detectors,) = occupation_change(process, process_rows(KickedChain(spec), process, range(2, 6)),
+    (detectors,) = occupation_change(process, ProcessEngine(KickedChain(spec), process).rows(range(2, 6)),
                                      initial)
     for t, detector in zip(ts, detectors, strict=True):
         column = [v for _, tt, v in rows if tt == t]

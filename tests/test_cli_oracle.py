@@ -161,6 +161,26 @@ def test_qdp_diff_sits_at_the_noise_floor_outside_the_light_cone(tmp_path):
     assert np.max(np.abs(got[outside])) <= 1e-15
 
 
+def test_gate_diff_sits_at_the_noise_floor_outside_both_light_cones(tmp_path):
+    # the N = 200 ring, long enough that no front meets itself: no cell farther around
+    # the ring from site 1 than the truncation order of 4 J t and from the gated site
+    # than that of 4 J (t - t0) can change; 1 723 of the 3 800 cells at t >= t0, worst 8.6e-17
+    m, t0, j, n = 15, 7.5, 0.5, 200
+    got = _printed(tmp_path, ["unitary-qdp", "--diff", "--boundary", "closed", "--n", str(n),
+                              "--site", str(m), "--t0", repr(t0), "--tmax", "12", "--dt", "0.25"])
+    ts, sites = 0.25 * np.arange(len(got)), np.arange(1, n + 1)
+
+    def ring_distance(x):
+        return np.minimum(np.abs(sites - x), n - np.abs(sites - x))[np.newaxis, :]
+
+    front = np.array([truncation_order(4.0 * j * t) for t in ts])[:, np.newaxis]
+    reach = np.array([truncation_order(4.0 * j * (t - t0)) if t >= t0 else -1 for t in ts])
+    after = (ts >= t0)[:, np.newaxis]
+    outside = (ring_distance(1) > front) & (ring_distance(m) > reach[:, np.newaxis]) & after
+    assert np.count_nonzero(after) * n == 3800 and np.count_nonzero(outside) == 1723
+    assert np.max(np.abs(got[outside])) <= 1e-15
+
+
 def _gate_case(rng, delta=None):
     """A drawn small ring, its gate (site, t0, gamma, delta), and the flags of both."""
     spec, flags, ts, sites = _chain_case(rng, boundary="closed", delta=delta)

@@ -3,7 +3,7 @@
 The headline check rebuilds the model in the full 2^N many-body space with an
 independently constructed hopping + kicked-potential Floquet operator and a
 projective occupation measurement, then compares every readout of the
-``protocols.process_rows`` stream on ``KickedChain`` against it.  The CLI's kicked
+``protocols.ProcessEngine.rows`` stream on ``KickedChain`` against it.  The CLI's kicked
 grids are held, byte for byte, to a per-kick ``v = step @ v`` loop across
 block edges.
 """
@@ -25,10 +25,10 @@ from spinchain.cli import main
 from spinchain.green1 import reduced_profile
 from spinchain.harper import MAX_N, HarperSpec, KickedChain, floquet_step, kick_phases, spread_metric
 from spinchain.protocols import (
+    ProcessEngine,
     fidelity_from_amplitudes,
     occupation_change,
     process_fidelity,
-    process_rows,
     site_rdm,
 )
 
@@ -40,8 +40,8 @@ def _after_kicks(spec: HarperSpec, n_kicks: int, amplitude: complex = 1.0) -> np
 
 
 def _measured(chain: KickedChain, m: int, n0: int, kicks):
-    """The ``process_rows`` blocks of a measurement of site m after kick n0, read at ``kicks``."""
-    return process_rows(chain, LocalProcess(m, n0, MEASUREMENT), kicks)
+    """The ``ProcessEngine.rows`` blocks of a measurement of site m after kick n0, read at ``kicks``."""
+    return ProcessEngine(chain, LocalProcess(m, n0, MEASUREMENT)).rows(kicks)
 
 
 def _gk(spec: HarperSpec, m: int, n0: int, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -211,7 +211,7 @@ def test_measured_run_matches_full_space_rebuild():
     m, n0, n = 3, 2, 6
     initial = InitialState(math.sqrt(0.4), math.sqrt(0.6))
     process = LocalProcess(m, n0, MEASUREMENT)
-    (block,) = process_rows(KickedChain(spec), process, [n])
+    (block,) = ProcessEngine(KickedChain(spec), process).rows([n])
     g = block[0][0]
     ((occupation,), (coherence,)) = site_rdm(process, block, initial)
     ((detector,),) = occupation_change(process, [block], initial)
@@ -277,7 +277,7 @@ def test_measured_run_steps_two_rows(monkeypatch):
 def test_detector_profile_sums_to_zero():
     spec = HarperSpec(n=30, g=2.0, tau=0.25, boundary="closed")
     process = LocalProcess(5, 4, MEASUREMENT)
-    blocks = occupation_change(process, process_rows(KickedChain(spec), process, range(4, 21)),
+    blocks = occupation_change(process, ProcessEngine(KickedChain(spec), process).rows(range(4, 21)),
                                InitialState(0.6, 0.8))
     rows = np.concatenate(list(blocks))
     assert len(rows) == 17

@@ -19,7 +19,7 @@ import pytest
 from bloch_reference import bloch_average
 from spinchain import oracle
 from spinchain.chain import MEASUREMENT, ChainSpec, InitialState, LocalProcess, gate
-from spinchain.protocols import ProcessEngine, process_fidelity, site_rdm
+from spinchain.protocols import ProcessEngine, SpinChain, process_fidelity, site_rdm
 
 P_DAMP, Q_DEPHASE = 0.37, 0.23
 THETA, PHI = 1.1, 0.7
@@ -77,7 +77,7 @@ def test_kraus_set_readout_matches_dense_branches(name):
     worst = 0.0
     for _ in range(DRAWS):
         spec, process, t, initial = _draw(rng, SETS[name])
-        engine = ProcessEngine(spec, process)
+        engine = ProcessEngine(SpinChain(spec), process)
         (block,) = engine.rows([t])
         x, y = site_rdm(process, block, initial)
         ham = oracle.build_hamiltonian(spec, "vacuum_one_two")
@@ -111,5 +111,5 @@ def test_gate_and_measurement_are_one_operator_and_two():
     assert LocalProcess(2, 1.0, gate(0.6 + 0.8j, 0.0)).is_phase
     assert not LocalProcess(2, 1.0, _DEPHASING).is_phase
     with pytest.raises(ValueError, match="one operator"):
-        ProcessEngine(ChainSpec(6, "closed"), LocalProcess(2, 1.0, MEASUREMENT)).state(
+        ProcessEngine(SpinChain(ChainSpec(6, "closed")), LocalProcess(2, 1.0, MEASUREMENT)).state(
             2.0, InitialState(0.6, 0.8))

@@ -30,7 +30,6 @@ from spinchain.protocols import (
     fidelity_from_amplitudes,
     grid_csv,
     process_fidelity,
-    process_rows,
     site_rdm,
 )
 
@@ -41,14 +40,14 @@ CLOSED12 = ChainSpec(12, "closed", 0.5, 1.0)
 def _change_row(m: int, t: float, t0: float, spec: ChainSpec) -> np.ndarray:
     """The fidelity change row at one time, as ``qdp-diff`` reads it."""
     process = LocalProcess(m, t0, MEASUREMENT)
-    ((row,),) = process_fidelity(process, process_rows(SpinChain(spec), process, [t]), change=True)
+    ((row,),) = process_fidelity(process, ProcessEngine(SpinChain(spec), process).rows([t]), change=True)
     return row
 
 
 def _projective_rdm_row(m: int, t: float, t0: float, spec: ChainSpec, initial: InitialState):
     """RDM rows (x, y) at one time after measuring site m at t0."""
     process = LocalProcess(m, t0, MEASUREMENT)
-    (block,) = process_rows(SpinChain(spec), process, [t])
+    (block,) = ProcessEngine(SpinChain(spec), process).rows([t])
     x, y = site_rdm(process, block, initial)
     return x[0], y[0]
 
@@ -135,7 +134,7 @@ def test_gate_channels_match_dense_golden(golden, channel_fidelity):
     phase = reduced_phase(CLOSED12, t)
     for label, (gr, gi, dr, di) in record["inputs"]["gates"].items():
         gate = gate_process(m, t0, complex(gr, gi), complex(dr, di))
-        state = ProcessEngine(CLOSED12, gate).state(t, initial)
+        state = ProcessEngine(SpinChain(CLOSED12), gate).state(t, initial)
         assert state.norm_defect < 1e-12
         assert state.vacuum / phase == pytest.approx(
             complex(record["values"][f"{label}_vacuum"][0]), abs=tol
@@ -156,7 +155,7 @@ def test_averaged_gate_row_matches_bloch_average_of_state_fidelities(channel_fid
     # averaged over the Bloch sphere by a rule that is exact for these integrands
     # a rotation by 1.1 about the equatorial axis (0.6, 0.8): (cos 1.1, (0.8 + 0.6i) sin 1.1)
     gate = gate_process(4, 1.5, np.cos(1.1), (0.8 + 0.6j) * np.sin(1.1))
-    engine = ProcessEngine(CLOSED12, gate)
+    engine = ProcessEngine(SpinChain(CLOSED12), gate)
     t = 3.2
     row = fidelity_row(engine, t)
     for l in (1, 4, 7, 12):
@@ -191,7 +190,7 @@ def test_gate_state_matches_dense_evolution_on_random_rings():
         mid = oracle.evolve(oracle.encoded_state(initial.alpha, initial.beta, basis), ham, gate.t0)
         dense = oracle.evolve(oracle.apply_local(gate.kraus[0], gate.m, mid), ham, t - gate.t0).vector
 
-        state = ProcessEngine(spec, gate).state(t, initial)
+        state = ProcessEngine(SpinChain(spec), gate).state(t, initial)
         two = [
             state.two_magnon[y1 - 1, y2 - 1] - dense[basis.pair_index(y1, y2)]
             for y1, y2 in basis.pairs
@@ -210,7 +209,7 @@ def test_gate_identity_at_origin_reduces_to_free_interference():
     # the averaged fidelity pinned to the free interference term
     spec = ChainSpec(24, "closed", 0.5, 1.0)
     gate = gate_process(1, 0.0, 1 / np.sqrt(2), 1 / np.sqrt(2))
-    engine = ProcessEngine(spec, gate)
+    engine = ProcessEngine(SpinChain(spec), gate)
     for t in (0.5, 2.0, 6.5):
         row = fidelity_row(engine, t)
         g = reduced_profile(1, t, spec)
@@ -220,13 +219,13 @@ def test_gate_identity_at_origin_reduces_to_free_interference():
 
 def test_phase_only_gate_has_no_pair_channel():
     gate = gate_process(3, 1.0, 1.0, 0.0)
-    engine = ProcessEngine(CLOSED12, gate)
+    engine = ProcessEngine(SpinChain(CLOSED12), gate)
     assert engine._pair_matrix(2.5, "total") is None
     assert engine.ring is None
 
 
 def test_gate_state_refuses_a_norm_defect(monkeypatch):
-    engine = ProcessEngine(CLOSED12, gate_process(3, 1.0, 0.6, 0.8))
+    engine = ProcessEngine(SpinChain(CLOSED12), gate_process(3, 1.0, 0.6, 0.8))
     pairs = engine._pair_matrix
     monkeypatch.setattr(engine, "_pair_matrix", lambda t, part: 1.01 * pairs(t, part))
     with pytest.raises(ValueError, match="norm defect"):
@@ -239,8 +238,9 @@ def test_phase_only_gate_holds_no_pair_matrix():
     gate = gate_process(15, 1.0, 1.0, 0.0)
     tracemalloc.start()
     try:
-        engine = ProcessEngine(spec, gate)
-        rows = [fidelity_row(engine, t) for t in (1.0, 2.0, 3.0)]
+        engine = ProcessEngine(SpinChain(spec), gate)
+        # the spliced readout, the route a global phase takes in the CLI
+        rows = np.concatenate(list(engine.fidelity_rows([1.0, 2.0, 3.0], False)))
         split = split_row(engine, 2.0, "total")
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -251,7 +251,7 @@ def test_phase_only_gate_holds_no_pair_matrix():
         # the one free Bloch rule, so exactly the free rows
         assert np.array_equal(row, _free_row(t, spec))
     # state() too: its two_magnon is a read-only zero view, no N x N matrix
-    engine = ProcessEngine(ChainSpec(1000, "open", 0.5, 1.0), gate)
+    engine = ProcessEngine(SpinChain(ChainSpec(1000, "open", 0.5, 1.0)), gate)
     tracemalloc.start()
     try:
         state = engine.state(2.0, InitialState(0.6, 0.8))
@@ -271,7 +271,7 @@ def _pair_weight(engine, t):
 
 def test_pair_weight_equals_injected_companion_weight():
     gate = gate_process(4, 2.0, 0.0, 1.0)
-    engine = ProcessEngine(CLOSED12, gate)
+    engine = ProcessEngine(SpinChain(CLOSED12), gate)
     u0 = reduced_profile(1, 2.0, CLOSED12)
     expected = float(np.sum(np.abs(u0) ** 2) - abs(u0[3]) ** 2)
     assert _pair_weight(engine, 5.0) == pytest.approx(expected, abs=1e-12)
@@ -281,7 +281,7 @@ def test_pair_weight_equals_injected_companion_weight():
 
 def test_split_fidelity_parts_add_up_over_the_ring():
     gate = gate_process(4, 2.0, 0.0, 1.0)
-    engine = ProcessEngine(CLOSED12, gate)
+    engine = ProcessEngine(SpinChain(CLOSED12), gate)
     totals = split_row(engine, 5.0, "total")
     bounds = split_row(engine, 5.0, "bound")
     scatters = split_row(engine, 5.0, "scattering")
@@ -348,7 +348,7 @@ def test_pair_weights_are_the_row_sums_of_squared_moduli():
     for n in (3, 4, 12, 13, 100, 101):
         spec = ChainSpec(n, "closed", 0.5, 1.0)
         for m, t0, gamma, delta in ((1, 0.0, 0.6, 0.8), (n // 2 + 1, 1.5, 0.0, 1j)):
-            engine = ProcessEngine(spec, gate_process(m, t0, gamma, delta))
+            engine = ProcessEngine(SpinChain(spec), gate_process(m, t0, gamma, delta))
             for t in (t0, t0 + 0.3, t0 + 2.5, t0 + 11.0):
                 for part in ("total", "bound", "scattering"):
                     pairs = engine._pair_matrix(t, part)
@@ -359,7 +359,7 @@ def test_pair_weights_are_the_row_sums_of_squared_moduli():
 def test_pair_rows_conjugate_once_per_block_and_keep_each_product():
     # each time's products are today's L @ conj([g, g_tau]), bit for bit
     spec = ChainSpec(13, "closed", 0.5, 1.0)
-    engine = ProcessEngine(spec, gate_process(5, 1.0, 0.6, 0.8))
+    engine = ProcessEngine(SpinChain(spec), gate_process(5, 1.0, 0.6, 0.8))
     times = np.array([1.0, 1.25, 3.5, 7.0])
     ((g, g_tau, _, (weight, l_g, l_tau)),) = engine.rows(times)
     for i, t in enumerate(times):
@@ -379,7 +379,7 @@ def test_a_gate_grid_reads_the_row_at_t0_once(monkeypatch):
         return real(x, t, spec)
 
     monkeypatch.setattr(protocols, "reduced_profile", counting)
-    engine = ProcessEngine(CLOSED12, gate_process(4, t0, 0.6, 0.8))
+    engine = ProcessEngine(SpinChain(CLOSED12), gate_process(4, t0, 0.6, 0.8))
     times = t0 + 0.25 * np.arange(1, _BLOCK_CELLS // 12 + 10)
     rows = list(process_fidelity(engine.process, engine.rows(times)))
     assert [len(row) for row in rows] == [_BLOCK_CELLS // 12, 9]
@@ -643,6 +643,6 @@ def test_time_ordering_validation(fidelity_projective_row):
     with pytest.raises(ValueError, match="precedes the measurement"):
         _projective_rdm_row(2, 1.0, 2.0, OPEN12, InitialState(0.6, 0.8))
     with pytest.raises(ValueError):
-        fidelity_row(ProcessEngine(CLOSED12, gate_process(2, 3.0, 0.0, 1.0)), 2.0)
+        fidelity_row(ProcessEngine(SpinChain(CLOSED12), gate_process(2, 3.0, 0.0, 1.0)), 2.0)
     with pytest.raises(ValueError):
-        ProcessEngine(OPEN12, gate_process(2, 1.0, 0.0, 1.0))
+        ProcessEngine(SpinChain(OPEN12), gate_process(2, 1.0, 0.0, 1.0))
