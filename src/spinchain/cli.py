@@ -47,7 +47,6 @@ from . import __version__
 from .chain import CONVENTIONS, MEASUREMENT, ChainSpec, InitialState, LocalProcess, conventions_hash
 from .chain import gate, reduced_phase
 from .green1 import HALF_INFINITE_MIN_N, free_propagator, reduced_profile
-from .green2 import _check_ring
 from .harper import HarperSpec, KickedChain
 from .protocols import ProcessEngine, SpinChain, fidelity_from_amplitudes, grid_csv
 from .protocols import occupation_change, site_rdm
@@ -347,24 +346,11 @@ def _grid_axes(args: argparse.Namespace) -> tuple[list[int], np.ndarray, dict]:
 
 
 def _process(args: argparse.Namespace) -> LocalProcess:
-    """The command's process at --site and --t0: qdp-diff's measurement, else the gate flags' gate.
-
-    A site outside 1..n and a non-finite or negative --t0 are refused first."""
-    if not 1 <= args.site <= args.n:
-        raise ValueError(f"need 1 <= site <= n, got site {args.site} on n={args.n}")
-    if not (args.t0 >= 0.0 and math.isfinite(args.t0)):
-        raise ValueError(f"t0 must be finite and >= 0, got {args.t0}")
+    """The command's process at --site and --t0: qdp-diff's measurement, else the gate flags' gate."""
     if args.command == "qdp-diff":
         return LocalProcess(args.site, args.t0, MEASUREMENT)
     delta = args.delta_abs * cmath.exp(1j * args.delta_phase)
     return LocalProcess(args.site, args.t0, gate(args.gamma_abs, delta))
-
-
-def _engine(spec: ChainSpec, process: LocalProcess) -> ProcessEngine:
-    """The process on the spin chain of ``spec``, the ring its pairs need checked before the chain."""
-    if process.opens_pairs:
-        _check_ring(spec)
-    return ProcessEngine(SpinChain(spec), process)
 
 
 def _initial(alpha2: float | None) -> InitialState | None:
@@ -400,14 +386,15 @@ def _run_process(args: argparse.Namespace) -> int:
     spec, process = _chain_spec(args), _process(args)
     ls, ts, grid_meta = _grid_axes(args)
     change = args.command == "qdp-diff" or args.diff
-    blocks = _engine(spec, process).fidelity_rows(ts, change)
+    blocks = ProcessEngine(SpinChain(spec), process).fidelity_rows(ts, change)
     return _write_grid(args, ls, ts, blocks, grid_meta, -1.0 if change else 0.0)
 
 
 def _run_two_magnon_split(args: argparse.Namespace) -> int:
     spec, process = _chain_spec(args), _process(args)
     ls, ts, grid_meta = _grid_axes(args)
-    return _write_grid(args, ls, ts, _engine(spec, process).split_rows(ts, args.part), grid_meta)
+    blocks = ProcessEngine(SpinChain(spec), process).split_rows(ts, args.part)
+    return _write_grid(args, ls, ts, blocks, grid_meta)
 
 
 def _harper_spec(args: argparse.Namespace) -> HarperSpec:
@@ -434,8 +421,6 @@ def _run_harper(args: argparse.Namespace) -> int:
 
 def _run_detector(args: argparse.Namespace) -> int:
     spec = _harper_spec(args)
-    if not 1 <= args.qdp_site <= spec.n:
-        raise ValueError(f"need 1 <= qdp-site <= n, got qdp-site {args.qdp_site} on n={spec.n}")
     if not 0 <= args.qdp_kick <= args.kicks:
         raise ValueError("need 0 <= qdp-kick <= kicks")
     ls, kicks, ts = _kick_axes(spec, args.qdp_kick, args.kicks)

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import ChainSpec, InitialState, LocalProcess, reduced_phase
-from .green1 import _check_site, propagator_argument, reduced_profile
+from .green1 import propagator_argument, reduced_profile
 from .green2 import Part, RingTwoMagnon, _check_evolution, _check_ring, ring_kernel
 
 
@@ -256,6 +256,9 @@ class UnitaryState:
 class ProcessEngine:
     """A local process on a dynamics, ``SpinChain`` or ``harper.KickedChain``, read at any times.
 
+    Building it refuses, before any row is computed, a site m above the dynamics' n and a
+    process that flips site m on anything but a ring ``green2.ring_kernel`` builds (below).
+
     ``rows`` yields the blocks a block readout (``process_fidelity``,
     ``site_rdm``, ``occupation_change``) reads at times t >= t0. The spin
     chain's readouts ``fidelity_rows`` and ``split_rows`` take a whole time
@@ -273,11 +276,11 @@ class ProcessEngine:
     """
 
     def __init__(self, dynamics, process: LocalProcess):
-        if isinstance(dynamics, SpinChain):  # a kicked chain's rows refuse the site themselves
-            _check_site(process.m, dynamics.spec, "m")
-        elif process.opens_pairs:
-            raise ValueError("a process that flips site m needs the spin chain's pair channel")
+        if process.m > dynamics.n:  # LocalProcess refuses m < 1
+            raise ValueError(f"site m={process.m} out of range 1..{dynamics.n}")
         if process.opens_pairs:
+            if not isinstance(dynamics, SpinChain):
+                raise ValueError("a process that flips site m needs the spin chain's pair channel")
             _check_ring(dynamics.spec)
         self.dynamics = dynamics
         self.process = process
@@ -355,8 +358,9 @@ class ProcessEngine:
     def split_rows(self, times, part: Part) -> Iterator[np.ndarray]:
         """Blocks of one propagator part's two-magnon contribution to the averaged fidelity.
 
-        The six states' changes by the pair term |beta c|^2 sum_y |L_ly|^2 of x alone at the
-        ascending ``times``: zeros before t0 and without a pair channel. Bound and scattering
+        The six states' mean change by the pair term |beta c|^2 sum_y |L_ly|^2 of x alone at
+        the ascending ``times``, which moves only the flipped input's x: sum |c|^2 sum_y
+        |L_ly|^2 / 6. Zeros before t0 and without a pair channel. Bound and scattering
         cross only in the total pair amplitudes. When called: ValueError at t0 and at the last
         time where the pair source or its evolution refuses them."""
         times, process, n = np.asarray(times), self.process, self.dynamics.n
@@ -367,8 +371,7 @@ class ProcessEngine:
         flips = float(np.sum(np.abs(process.kraus[:, 1, 0]) ** 2))
         weights = (np.stack([_pair_weights(self._pair_matrix(t, part)) for t in chunk])
                    for chunk in _blocks(times[cut:], n))
-        after = (_fidelity(_SIX_STATES[1] * (flips * w), 0.0, _SIX_STATES, 0.0).mean(axis=0)
-                 for w in weights)
+        after = (flips * w / 6.0 for w in weights)  # the flipped input is one of the six states
         return itertools.chain(_zero_rows(times[:cut], n), after)
 
     def state(self, t: float, initial: InitialState) -> UnitaryState:
@@ -378,7 +381,7 @@ class ProcessEngine:
         (((a, b), (c, d)),) = self.process.kraus
         pairs = self._pair_matrix(t, "total")
         spec, m, alpha, beta = self.dynamics.spec, self.process.m, initial.alpha, initial.beta
-        g, g_tau = reduced_profile(1, t, spec), reduced_profile(m, t - self.process.t0, spec)
+        g, g_tau = (next(self.dynamics.rows(x, [s]))[0] for x, s in ((1, t), (m, t - self.process.t0)))
         u0_m, phase = self.u0[m - 1], reduced_phase(spec, t)
         vac = phase * (alpha * a + beta * b * u0_m)
         one = phase * (beta * (a * g + (d - a) * u0_m * g_tau) + alpha * c * g_tau)

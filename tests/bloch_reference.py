@@ -12,8 +12,8 @@ from typing import Callable
 import numpy as np
 
 
-def bloch_average(fidelity: Callable[[complex, complex], float]) -> float:
-    """Average a per-state fidelity over the Bloch sphere of (alpha, beta).
+def bloch_average(fidelity: Callable[[complex, complex], float]) -> float | np.ndarray:
+    """Average a per-state fidelity over the Bloch sphere of (alpha, beta), elementwise for arrays.
 
     Exact for integrands that are polynomials of degree <= 4 in the state
     amplitudes (every fidelity in this library is): 5-node Gauss-Legendre in
@@ -28,4 +28,4 @@ def bloch_average(fidelity: Callable[[complex, complex], float]) -> float:
             phi = 2.0 * math.pi * k / 8.0
             beta = sin_half * complex(math.cos(phi), math.sin(phi))
             total += (w / 2.0) * (1.0 / 8.0) * fidelity(alpha, beta)
-    return float(total)
+    return total if isinstance(total, np.ndarray) else float(total)

@@ -25,7 +25,8 @@ from spinchain import cli
 from spinchain.cli import _splitting_samples, main
 from spinchain.green1 import reduced_profile
 from spinchain.harper import HarperSpec, KickedChain
-from spinchain.protocols import ProcessEngine, fidelity_from_amplitudes, occupation_change
+from spinchain.protocols import ProcessEngine, SpinChain, fidelity_from_amplitudes
+from spinchain.protocols import occupation_change
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -408,7 +409,7 @@ def test_oversized_grids_exit_before_allocation(tmp_path, monkeypatch):
     def refused(*args, **kwargs):
         pytest.fail("a row was computed before the grid guard refused the grid")
 
-    monkeypatch.setattr(cli, "SpinChain", refused)
+    monkeypatch.setattr(SpinChain, "rows", refused)
     monkeypatch.setattr(cli, "KickedChain", refused)
     out = ["--out", str(tmp_path / "x.csv")]
     assert main(["fidelity", "--n", "10", "--tmax", "1e6", "--dt", "1"] + out) == 2  # 10 000 010 cells
@@ -641,10 +642,25 @@ def test_a_grid_that_reads_no_row_is_not_held_to_the_time_bound(tmp_path, argv, 
     assert len(lines) == cells and all(line.endswith(",0.00000000000e+00") for line in lines)
 
 
-@pytest.mark.parametrize("site", ["0", "101"])
-def test_detector_site_is_refused_before_any_file_is_opened(tmp_path, site):
-    out = str(tmp_path / "no_such_dir" / "x.csv")
-    assert main(["detector", "--qdp-site", site, "--kicks", "10", "--out", out]) == 2
+_LOW, _T0 = "site index m must be >= 1, got 0", "t0 must be finite and >= 0, got -1.0"
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["detector", "--qdp-site", "0", "--kicks", "10"], _LOW, id="0"),
+    pytest.param(["detector", "--qdp-site", "101", "--kicks", "10"],
+                 "site m=101 out of range 1..100", id="101"),
+    *[pytest.param([command, "--n", "12", "--boundary", "closed", "--tmax", "1", "--site", site],
+                   message, id=f"{command}-{site}")
+      for command in ("qdp-diff", "unitary-qdp", "two-magnon-split")
+      for site, message in (("0", _LOW), ("13", "site m=13 out of range 1..12"))],
+    pytest.param(["qdp-diff", "--n", "12", "--tmax", "1", "--t0", "-1"], _T0, id="t0"),
+])
+def test_detector_site_is_refused_before_any_file_is_opened(tmp_path, capsys, argv, message):
+    # the library's own refusals of the site and of t0, each before any file is opened
+    out = tmp_path / "no_such_dir" / "x.csv"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_outputs_replace_earlier_files_and_write_through_symlinks(tmp_path):

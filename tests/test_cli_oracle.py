@@ -16,13 +16,19 @@ formulas:
   fidelity's x term;
 * ``harper`` and ``detector``: the one-particle vector stepped by
   ``kicked_reference.dense_step`` (the hop by ``eigh``, times the kick
-  phases), the measurement as its two branches.
+  phases), the measurement as its two branches;
+* the README's ``fidelity`` and ``qdp-diff`` grids on the open 100-site
+  chain, which the README models as half-infinite: the dense
+  ``one_excitation`` sector of the chain widened by
+  ``truncation_order(4 J tmax)`` (275 sites), sites 1..100 kept, the
+  measurement as its branches site m zeroed and site m alone.
 
 A Bloch average is ``bloch_reference.bloch_average`` over per-state
 fidelities. The CSV prints 12 significant digits, which round a value in
-[-1, 1] by at most 5e-12. The worst error measured over these cases is
+[-1, 1] by at most 5e-12. The worst error measured over the small chains is
 4.99e-13 (4.98e-13 on the gate commands): the rounding of the last printed
-digit of a value below 1.
+digit of a value below 1. On the README grids it is 5.42e-13 (``fidelity``)
+and 9.2e-14 (``qdp-diff``).
 """
 from __future__ import annotations
 
@@ -37,7 +43,7 @@ from golden_io import transfer_fidelity
 from kicked_reference import dense_step
 from spinchain import oracle
 from spinchain.bessel import truncation_order
-from spinchain.chain import ChainSpec
+from spinchain.chain import ChainSpec, reduced_phase
 from spinchain.cli import main
 from spinchain.harper import HarperSpec
 
@@ -64,16 +70,7 @@ def _averaged(per_state, alpha2):
     """per_state(alpha, beta) -> array, for one encoded state or averaged over the sphere."""
     if alpha2 is not None:
         return per_state(math.sqrt(alpha2), math.sqrt(1.0 - alpha2))
-    cache = {}
-
-    def value(alpha, beta, index):
-        if (alpha, beta) not in cache:
-            cache[alpha, beta] = per_state(alpha, beta)
-        return cache[alpha, beta][index]
-
-    shape = per_state(1.0, 0.0).shape
-    return np.array([bloch_average(lambda a, b: value(a, b, i)) for i in np.ndindex(shape)]
-                    ).reshape(shape)
+    return bloch_average(per_state)
 
 
 def _chain_case(rng, boundary=None, delta=None):
@@ -159,6 +156,64 @@ def test_qdp_diff_sits_at_the_noise_floor_outside_the_light_cone(tmp_path):
     outside = (np.abs(sites - m)[np.newaxis, :] > reach[:, np.newaxis]) & (ts >= t0)[:, np.newaxis]
     assert np.count_nonzero(outside) == 1105
     assert np.max(np.abs(got[outside])) <= 1e-15
+
+
+def _widened(n: int, tmax: float, j: float = 0.5):
+    """The README's model of an open chain of n >= 100 sites up to tmax: the open chain
+    widened by truncation_order(4 J tmax) sites, its spec, dense one-excitation sector and
+    the magnon at site 1."""
+    spec = ChainSpec(n + truncation_order(4.0 * j * tmax), "open", j, 1.0)
+    ham = oracle.build_hamiltonian(spec, "one_excitation")
+    return spec, ham, oracle.DenseState(np.eye(spec.n, dtype=complex)[0], ham.basis)
+
+
+def _kept(state, spec, t, n) -> np.ndarray:
+    """Sites 1..n of a widened chain's one-excitation state at time t, without the phase
+    e^{-i eps0 t} of that chain's reference energy, which the vacuum carries too."""
+    return state.vector[:n] * np.conj(reduced_phase(spec, t))
+
+
+def _branch_fidelities(branches, alpha, beta) -> np.ndarray:
+    """Per-state fidelity at each kept site of branches (vacuum amplitude, reduced row of site 1)."""
+    x = sum(np.abs(beta * u) ** 2 for _, u in branches)
+    y = sum(beta * u * np.conj(vacuum) for vacuum, u in branches)
+    return np.vectorize(transfer_fidelity)(x, y, alpha, beta)
+
+
+def test_readme_fidelity_grid_matches_the_widened_dense_chain(tmp_path):
+    # the half-infinite 100-site chain of the README's fidelity grid, widened to 275 sites
+    n, tmax = 100, 60.0
+    got = _printed(tmp_path, ["fidelity", "--n", str(n), "--tmax", repr(tmax), "--dt", "0.5"])
+    spec, ham, seed = _widened(n, tmax)
+    assert spec.n == 275
+    rows = [_kept(oracle.evolve(seed, ham, t), spec, t, n) for t in 0.5 * np.arange(len(got))]
+
+    def per_state(alpha, beta):
+        return np.array([_branch_fidelities([(alpha, u)], alpha, beta) for u in rows])
+
+    assert np.max(np.abs(got - _averaged(per_state, None))) <= PRINTED
+
+
+def test_readme_qdp_diff_grid_matches_the_widened_dense_measurement_branches(tmp_path):
+    # the README's qdp-diff grid: the branches are site m zeroed, with the vacuum, and site m alone
+    n, m, t0, tmax = 100, 20, 10.0, 60.0
+    got = _printed(tmp_path, ["qdp-diff", "--n", str(n), "--site", str(m), "--t0", repr(t0),
+                              "--tmax", repr(tmax), "--dt", "0.5"])
+    spec, ham, seed = _widened(n, tmax)
+    mid = oracle.evolve(seed, ham, t0).vector
+    alone = np.where(np.arange(spec.n) == m - 1, mid, 0.0)
+    survive, caught = (oracle.DenseState(v, ham.basis) for v in (mid - alone, alone))
+    ts = 0.5 * np.arange(len(got))
+    rows = [None if t < t0 else [_kept(oracle.evolve(seed, ham, t), spec, t, n)]
+            + [_kept(oracle.evolve(b, ham, t - t0), spec, t, n) for b in (survive, caught)]
+            for t in ts]
+
+    def per_state(alpha, beta):
+        return np.array([np.zeros(n) if row is None else
+                         _branch_fidelities([(alpha, row[1]), (0.0, row[2])], alpha, beta)
+                         - _branch_fidelities([(alpha, row[0])], alpha, beta) for row in rows])
+
+    assert np.max(np.abs(got - _averaged(per_state, None))) <= PRINTED
 
 
 def test_gate_diff_sits_at_the_noise_floor_outside_both_light_cones(tmp_path):

@@ -353,7 +353,7 @@ def test_parameter_validation():
     chain = KickedChain(HarperSpec(n=5, g=1.0, tau=0.1))
     with pytest.raises(ValueError, match="site index m must be >= 1, got 0"):
         next(_measured(chain, 0, 1, range(1, 4)))
-    with pytest.raises(ValueError, match="source site 6"):
+    with pytest.raises(ValueError, match=r"site m=6 out of range 1\.\.5"):
         next(_measured(chain, 6, 1, range(1, 4)))
     with pytest.raises(ValueError, match=r"t0 must be finite and >= 0, got -1"):
         next(_measured(chain, 2, -1, range(0, 4)))
