@@ -253,10 +253,8 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.
 
 
 def _subparser_for(parser: argparse.ArgumentParser, command: str) -> argparse.ArgumentParser:
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            return action.choices[command]
-    raise ValueError(f"no subcommand {command!r}")
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return subparsers.choices[command]
 
 
 # --------------------------------------------------------------------------
@@ -425,8 +423,6 @@ def _run_detector(args: argparse.Namespace) -> int:
         raise ValueError("need 0 <= qdp-kick <= kicks")
     ls, kicks, ts = _kick_axes(spec, args.qdp_kick, args.kicks)
     initial = _initial(args.alpha2)
-    if initial is None:
-        raise ValueError("the detector needs a definite encoded state (--alpha2)")
     process = LocalProcess(args.qdp_site, args.qdp_kick, MEASUREMENT)
     engine = ProcessEngine(KickedChain(spec), process)
     rows = occupation_change(process, engine.rows(kicks), initial)

@@ -15,11 +15,11 @@ on the modes, independent of the time), then ``evolve_projected`` (per time,
 one write per cell and its mirror); a caller that evolves one state to many
 times projects it once.
 ``green2`` projects one source pair, evolves it and reads one target
-entry. Both it and the gate protocol take their kernel from
-``ring_kernel``, which keeps one kernel per ring in the dict ``kernels``
-while their modes total at most those of one ``MAX_RING_SITES`` ring
-(134.7 MB), dropping the least recently used first; ``kernels.clear()``
-frees them.
+entry. Both it and the spin chain's pair channel, ``protocols.SpinChain.pairs``,
+take their kernel from ``ring_kernel``, which keeps one kernel per ring in
+the dict ``kernels`` while their modes total at most those of one
+``MAX_RING_SITES`` ring (134.7 MB), dropping the least recently used first;
+``kernels.clear()`` frees them.
 
 Amplitudes inside ``RingTwoMagnon`` are reduced (measured from the polarized
 reference, like green1's reduced rows); ``green2`` returns full amplitudes,
@@ -421,7 +421,7 @@ kernels: dict[ChainSpec, RingTwoMagnon] = {}
 def ring_kernel(spec: ChainSpec) -> RingTwoMagnon:
     """The ring's kernel, built on its first request and kept in ``kernels``.
 
-    ``green2`` and ``protocols.ProcessEngine`` both read their kernel
+    ``green2`` and ``protocols.SpinChain.pairs`` both read their kernel
     here, so gate commands and ``green2`` calls share one build per ring,
     also when they alternate between rings. After each build the least
     recently used kernels are dropped until the modes kept

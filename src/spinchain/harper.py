@@ -18,7 +18,7 @@ the vector before it, so the numbers do not depend on the block size.  The
 protocols' readouts then act on the kicked rows as on the spin chain's:
 ``protocols.fidelity_from_amplitudes`` for a free run, and
 ``protocols.ProcessEngine(KickedChain(spec), process).rows`` with the block
-readouts for a measurement after kick n0.
+readouts for a measurement after kick n0 (``check_pairs`` refuses any flip).
 
 The kick-strength/kick-interval plane interpolates between transport that is
 ballistic (small g, small tau), localized (large g), and effectively
@@ -100,6 +100,10 @@ class KickedChain:
         self.n = spec.n
         self.step = floquet_step(spec)
 
+    def check_pairs(self, t: float, part: str) -> None:
+        """Refuse every process that opens pairs: the kicked chain has no pair channel yet."""
+        raise ValueError("a process that flips site m needs the spin chain's pair channel")
+
     def rows(self, source: int, kicks) -> Iterator[np.ndarray]:
         """Blocks of the vector released at ``source`` after each of the ascending ``kicks``.
 
@@ -107,8 +111,6 @@ class KickedChain:
         kick, and stored at each requested kick, so no kick past the last
         one is stepped.
         """
-        if not 1 <= source <= self.n:
-            raise ValueError(f"source site {source} outside 1..{self.n}")
         v = np.zeros(self.n, dtype=complex)
         v[source - 1] = 1.0
         at = 0

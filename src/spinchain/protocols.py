@@ -14,8 +14,8 @@ elementwise on blocks. ``fidelity_from_amplitudes`` reads the free rows, its
 Bloch average in closed form. A process on either dynamics is read through
 ``ProcessEngine(dynamics, process)``: its ``rows`` are blocks of g =
 g(1 -> l; t), g_tau = g(m -> l; t - t0), u0(m) = g(1 -> m; t0) (the
-dynamics' own row at t0, read once) and, when an operator flips an
-unflipped site m, the ring pair matrix L's contractions, one L at a time.
+dynamics' own row at t0, read once) and, when an operator flips an unflipped
+site m, the contractions of the dynamics' pair matrix L, one L at a time.
 On the spin chain its ``fidelity_rows`` and ``split_rows`` take a whole time
 axis, split it at t0 and check, before any block, the last time of every
 row they read; the block readouts ``process_fidelity``, ``site_rdm`` and
@@ -44,7 +44,7 @@ import numpy as np
 
 from .chain import ChainSpec, InitialState, LocalProcess, reduced_phase
 from .green1 import propagator_argument, reduced_profile
-from .green2 import Part, RingTwoMagnon, _check_evolution, _check_ring, ring_kernel
+from .green2 import Part, _check_evolution, _check_ring, ring_kernel
 
 
 # --------------------------------------------------------------------------
@@ -171,7 +171,7 @@ def _zero_rows(times, n: int) -> Iterator[np.ndarray]:
 
 
 class SpinChain:
-    """The spin chain's one-magnon dynamics: reduced rows from a source site at any times."""
+    """The spin chain's dynamics: reduced rows from a source site at any times; on rings, pairs."""
 
     def __init__(self, spec: ChainSpec):
         self.spec = spec
@@ -184,6 +184,20 @@ class SpinChain:
     def rows(self, source: int, times) -> Iterator[np.ndarray]:
         """Blocks of the reduced rows g(source -> l; t), one ``reduced_profile`` call per block."""
         return (reduced_profile(source, chunk, self.spec) for chunk in _blocks(times, self.n))
+
+    def check_pairs(self, t: float, part: Part) -> None:
+        """Refuse a chain with no pair channel (rings of 3 to 512 sites have one), a pair time, a part."""
+        _check_ring(self.spec)
+        _check_evolution(t, part, self.spec)
+
+    def pairs(self, m: int, u0: np.ndarray):
+        """The evolution (t, part) -> L of the pairs {m, y} from amplitudes u0(y), per call one
+        ``evolve_projected`` of the source projected once on the ring's shared ``ring_kernel``."""
+        source = np.zeros((self.n, self.n), dtype=complex)
+        source[m - 1] = source[:, m - 1] = u0
+        source[m - 1, m - 1] = 0.0
+        ring = ring_kernel(self.spec)
+        return functools.partial(ring.evolve_projected, ring.project(source))
 
 
 def _check_measurement_times(t: float, t0: float) -> None:
@@ -257,7 +271,7 @@ class ProcessEngine:
     """A local process on a dynamics, ``SpinChain`` or ``harper.KickedChain``, read at any times.
 
     Building it refuses, before any row is computed, a site m above the dynamics' n and a
-    process that flips site m on anything but a ring ``green2.ring_kernel`` builds (below).
+    process that flips site m on a dynamics whose ``check_pairs`` refuses it (below).
 
     ``rows`` yields the blocks a block readout (``process_fidelity``,
     ``site_rdm``, ``occupation_change``) reads at times t >= t0. The spin
@@ -265,48 +279,35 @@ class ProcessEngine:
     axis and split it at t0 themselves; when called, before any block, they
     refuse (``SpinChain.check``) the last time of every row they will read.
 
-    A process that flips site m (some c != 0) pairs the wavepacket amplitude
-    u0 = g(1 -> l; t0) of each companion site with site m; the pairs evolve
-    into L(y1, y2; t) by the exact kernel of ``green2.ring_kernel`` (a spin
-    chain ring of 3 to 512 sites only), shared by the engines of one ring.
-    The source is projected onto its modes once, at the first time at or
-    after t0, so a grid that ends before t0 computes nothing at t0; each
-    time then runs only ``RingTwoMagnon.evolve_projected``, and one L is
-    held at a time. Any other process runs on either dynamics, in O(N) memory.
+    A process that flips site m (some c != 0) pairs the amplitude u0 = g(1 -> l; t0) of each
+    companion site with site m, and the dynamics evolves the pairs into L(y1, y2; t): its
+    ``check_pairs(t, part)`` refuses what it cannot, and its ``pairs(m, u0)``, taken at the
+    first time at or after t0 (so never for a grid that ends before t0), gives L per time,
+    one held at a time. Any other process runs on either dynamics, in O(N) memory.
     """
 
     def __init__(self, dynamics, process: LocalProcess):
         if process.m > dynamics.n:  # LocalProcess refuses m < 1
             raise ValueError(f"site m={process.m} out of range 1..{dynamics.n}")
         if process.opens_pairs:
-            if not isinstance(dynamics, SpinChain):
-                raise ValueError("a process that flips site m needs the spin chain's pair channel")
-            _check_ring(dynamics.spec)
+            dynamics.check_pairs(0.0, "total")
         self.dynamics = dynamics
         self.process = process
-        # the kernel and the projected source, set by the first _pair_matrix
-        self.ring: RingTwoMagnon | None = None
-        self._source_modes: np.ndarray | None = None
 
     @functools.cached_property
     def u0(self) -> np.ndarray:
         """The dynamics' own row g(1 -> l; t0), computed on its first read."""
         return next(self.dynamics.rows(1, [self.process.t0]))[0]
 
+    @functools.cached_property
+    def _pairs(self):
+        """The dynamics' pair evolution (t - t0, part) -> L from site m and ``u0``, on first read."""
+        return self.dynamics.pairs(self.process.m, self.u0)
+
     def _pair_matrix(self, t: float, part: Part) -> np.ndarray | None:
         """Reduced L of one part, symmetric with zero diagonal (row l holds L(l, y)), or None."""
         _check_measurement_times(t, self.process.t0)
-        if not self.process.opens_pairs:
-            return None
-        if self.ring is None:
-            # each pair holding site m starts with the amplitude of its partner
-            spec, m = self.dynamics.spec, self.process.m - 1
-            source = np.zeros((spec.n, spec.n), dtype=complex)
-            source[m] = source[:, m] = self.u0
-            source[m, m] = 0.0
-            self.ring = ring_kernel(spec)
-            self._source_modes = self.ring.project(source)
-        return self.ring.evolve_projected(self._source_modes, t - self.process.t0, part)
+        return self._pairs(t - self.process.t0, part) if self.process.opens_pairs else None
 
     def _pair_rows(self, times, g: np.ndarray, g_tau: np.ndarray) -> tuple:
         """A block's pair contractions (sum_y |L_ly|^2, L conj(g), L conj(g_tau)), one L at a time."""
@@ -347,7 +348,7 @@ class ProcessEngine:
         if cut < len(times) or (cut and not change):
             self.dynamics.check(times[-1])
         if cut < len(times) and process.opens_pairs:
-            _check_evolution(times[-1] - process.t0, "total", self.dynamics.spec)
+            self.dynamics.check_pairs(times[-1] - process.t0, "total")
         if change:
             before = _zero_rows(times[:cut], n)
         else:
@@ -367,7 +368,7 @@ class ProcessEngine:
         cut = int(np.searchsorted(times, process.t0)) if process.opens_pairs else len(times)
         if cut < len(times):
             self.dynamics.check(process.t0)
-            _check_evolution(times[-1] - process.t0, part, self.dynamics.spec)
+            self.dynamics.check_pairs(times[-1] - process.t0, part)
         flips = float(np.sum(np.abs(process.kraus[:, 1, 0]) ** 2))
         weights = (np.stack([_pair_weights(self._pair_matrix(t, part)) for t in chunk])
                    for chunk in _blocks(times[cut:], n))

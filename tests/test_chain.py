@@ -36,6 +36,9 @@ def test_spec_validation():
         ChainSpec(4, "diagonal", 0.5, 1.0)  # type: ignore[arg-type]
     with pytest.raises(ValueError):
         ChainSpec(4, "open", 0.0, 1.0)
+    for delta in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="delta must be finite"):
+            ChainSpec(4, "open", 0.5, delta)
     # the pair energy 4*J*(|Delta| + 4) overflows; the message names both fields
     ChainSpec(4, "closed", 0.5, 1e300)
     for j, delta in ((0.5, 1e308), (1e308, 1.0), (1e308, -1e308)):

@@ -663,6 +663,42 @@ def test_detector_site_is_refused_before_any_file_is_opened(tmp_path, capsys, ar
     assert list(tmp_path.iterdir()) == []
 
 
+_PAIR_RING = ["--boundary", "closed", "--n", "2", "--site", "1", "--t0", "0.5", "--tmax", "1"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["unitary-qdp", *_PAIR_RING], "two magnons need at least 3 sites"),
+    (["two-magnon-split", *_PAIR_RING], "two magnons need at least 3 sites"),
+    (["fidelity", "--n", "4", "--dt", "0"], "need dt > 0 and tmax >= tmin"),
+    (["fidelity", "--n", "4", "--tmin", "2", "--tmax", "1"], "need dt > 0 and tmax >= tmin"),
+    (["harper", "--n", "4", "--kicks", "-1"], "kick count must be >= 0"),
+], ids=["unitary-qdp-n2", "two-magnon-split-n2", "dt-0", "tmax-below-tmin", "kicks-negative"])
+def test_each_refusal_exits_2_with_its_message_and_writes_nothing(tmp_path, capsys, argv, message):
+    assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_config_lines_need_an_equals_sign_and_set_a_switch_by_word(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n = 10\ntmax 2\n")
+    assert main(["fidelity", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err == f"error: {cfg}:2: expected 'key = value', got 'tmax 2'\n"
+    assert list(tmp_path.iterdir()) == [cfg]
+    # a true word in the file is the flag, a false word its absence, byte for byte
+    gate = ["unitary-qdp", "--n", "10", "--boundary", "closed", "--site", "3", "--t0", "1",
+            "--tmax", "2"]
+    for word, flag in (("yes", ["--diff"]), ("no", [])):
+        by_flag, by_file = tmp_path / f"flag-{word}.csv", tmp_path / f"file-{word}.csv"
+        assert main([*gate, *flag, "--out", str(by_flag)]) == 0
+        cfg.write_text(f"diff = {word}\n")
+        assert main([*gate, "--config", str(cfg), "--out", str(by_file)]) == 0
+        for suffix in ("", ".meta.json"):
+            assert (tmp_path / f"file-{word}.csv{suffix}").read_bytes() == (
+                tmp_path / f"flag-{word}.csv{suffix}").read_bytes()
+    assert (tmp_path / "file-yes.csv").read_bytes() != (tmp_path / "file-no.csv").read_bytes()
+
+
 def test_outputs_replace_earlier_files_and_write_through_symlinks(tmp_path):
     target, link = tmp_path / "real.csv", tmp_path / "link.csv"
     link.symlink_to(target)
@@ -718,6 +754,17 @@ def test_oracle_check_fails_on_a_nan_free_propagator(tmp_path, monkeypatch, caps
     assert main(["oracle-check", "--n", "6", "--out", str(out)]) == 3
     assert "FAIL splitting identity: nan" in capsys.readouterr().out
     assert not json.loads(out.read_text())["splitting identity"]["pass"]
+
+
+def test_oracle_check_fails_on_a_paired_band_outside_its_window(tmp_path, monkeypatch, capsys):
+    from spinchain import oracle
+
+    monkeypatch.setattr(oracle, "bound_band_projector", lambda spec: oracle.BoundBandResult(None, 5))
+    out = tmp_path / "oracle.json"
+    assert main(["oracle-check", "--n", "6", "--out", str(out)]) == 3
+    assert "FAIL paired-band census: 5 states (expected 17..20)" in capsys.readouterr().out
+    assert json.loads(out.read_text())["paired-band census"] == {"count": 5, "window": [17, 20],
+                                                                 "pass": False}
 
 
 @pytest.mark.parametrize("n", [3, 12, 64])

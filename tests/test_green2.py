@@ -418,6 +418,9 @@ def test_ring_validation():
         green2(1, 2, 40, 41, 1.0, SPEC)
     with pytest.raises(ValueError):
         green2(1, 2, 1, 2, 1.0, SPEC, part="foo")
+    for sites in ((3, 3, 1, 2), (1, 2, 4, 4)):
+        with pytest.raises(ValueError, match=r"two-magnon pair needs distinct sites, got \((3, 3|4, 4)\)"):
+            green2(*sites, 1.0, SPEC)
     # 4*J*|t| past bessel.MAX_ARG would leave only rounding noise in the phases
     ring12 = RingTwoMagnon(ChainSpec(12, "closed", 0.5, 1.0))
     source = np.zeros((12, 12), dtype=complex)

@@ -20,7 +20,7 @@ from golden_io import transfer_fidelity
 from kicked_reference import expm_hermitian, hopping_matrix
 from spinchain import harper, protocols
 from spinchain.bessel import MAX_ARG
-from spinchain.chain import MEASUREMENT, ChainSpec, InitialState, LocalProcess
+from spinchain.chain import MEASUREMENT, ChainSpec, InitialState, LocalProcess, gate
 from spinchain.cli import main
 from spinchain.green1 import reduced_profile
 from spinchain.harper import MAX_N, HarperSpec, KickedChain, floquet_step, kick_phases, spread_metric
@@ -359,6 +359,9 @@ def test_parameter_validation():
         next(_measured(chain, 2, -1, range(0, 4)))
     with pytest.raises(ValueError, match=r"t = 3 precedes the measurement at t0 = 4"):
         next(_measured(chain, 2, 4, [3]))
+    # the kicked chain has no pair channel yet: a flip at site m is refused before any row
+    with pytest.raises(ValueError, match="a process that flips site m needs the spin chain's pair channel"):
+        ProcessEngine(chain, LocalProcess(3, 2, gate(0.0, 1.0)))
     # tau * g overflows, so every kick phase and the detector would be NaN
     with pytest.raises(ValueError):
         _gk(HarperSpec(8, 1e10, 1e300), 2, 1, 3)

@@ -52,6 +52,15 @@ def _basis_configs(basis):
     return configs, index
 
 
+def test_dense_builds_refuse_an_unknown_sector_a_size_over_its_limit_and_an_open_band():
+    with pytest.raises(ValueError, match="unknown sector 'pairs'"):
+        make_basis("pairs", 4)
+    with pytest.raises(ValueError, match="full sector limited to N <= 12, got 13"):
+        make_basis("full", 13)
+    with pytest.raises(ValueError, match="bound-band classification needs a closed chain at delta = 1"):
+        bound_band_projector(ChainSpec(6, "open", 0.5, 1.0))
+
+
 def test_two_site_spectrum_by_hand():
     spec = ChainSpec(2, "open", 0.5, 1.0)
     ham = build_hamiltonian(spec, "full")

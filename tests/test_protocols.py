@@ -13,7 +13,7 @@ import pytest
 
 from bloch_reference import bloch_average
 from csv_reference import grid_csv_reference
-from spinchain import oracle
+from spinchain import green2, oracle
 from spinchain import protocols
 from engine_rows import fidelity_row, gate_process, split_row
 from spinchain.chain import MEASUREMENT, ChainSpec, InitialState, LocalProcess, reduced_phase
@@ -217,11 +217,35 @@ def test_gate_identity_at_origin_reduces_to_free_interference():
             assert row[l - 1] - 0.5 - g[l - 1].real / 6 == pytest.approx(0.0, abs=1e-10)
 
 
-def test_phase_only_gate_has_no_pair_channel():
+def test_phase_only_gate_has_no_pair_channel(monkeypatch):
+    builds = []
+    monkeypatch.setattr(green2.RingTwoMagnon, "__init__", lambda self, spec: builds.append(spec))
+    green2.kernels.clear()
     gate = gate_process(3, 1.0, 1.0, 0.0)
     engine = ProcessEngine(SpinChain(CLOSED12), gate)
     assert engine._pair_matrix(2.5, "total") is None
-    assert engine.ring is None
+    assert builds == []
+    green2.kernels.clear()
+
+
+class _ForwardingDynamics:
+    """No ``SpinChain``, but every member the engine reads is one's: the interface is all it asks."""
+
+    def __init__(self, chain: SpinChain):
+        self.n, self.spec, self.rows, self.check = chain.n, chain.spec, chain.rows, chain.check
+        self.check_pairs, self.pairs = chain.check_pairs, chain.pairs
+
+
+def test_a_flipping_gate_reads_the_pair_channel_of_any_dynamics():
+    gate = gate_process(4, 1.5, 0.6, 0.8)
+    times = np.arange(0.0, 4.01, 0.25)  # across t0, so both halves of the axis are read
+    for change in (False, True):
+        rows = [np.concatenate(list(ProcessEngine(dynamics, gate).fidelity_rows(times, change)))
+                for dynamics in (SpinChain(CLOSED12), _ForwardingDynamics(SpinChain(CLOSED12)))]
+        assert np.array_equal(rows[1], rows[0])
+    # and it is refused as the chain refuses it: an open chain has no pair channel
+    with pytest.raises(ValueError, match="ring propagator needs a closed chain"):
+        ProcessEngine(_ForwardingDynamics(SpinChain(OPEN12)), gate)
 
 
 def test_gate_state_refuses_a_norm_defect(monkeypatch):
