@@ -5,8 +5,8 @@ floor(N/2) + 1 real tridiagonal blocks over pair separations (momenta k and
 N - k share one), and evolves any pair state exactly. Each block's modes are
 Bethe-ansatz waves (bound ones included) at the roots of its first-row
 condition, found by safeguarded Newton steps in brackets set by interlacing;
-they are filled a few blocks at a time into the N^3 bytes of modes the
-kernel keeps, and the build peaks not far above that. A pair state is a symmetric
+they are filled one separation row at a time into the N^3 bytes of modes the
+kernel keeps, and the build holds little beyond them. A pair state is a symmetric
 complex N x N matrix with a zero diagonal: entry (y1 - 1, y2 - 1) holds the
 pair {y1, y2}. Its sector eigenstates below the continuum bottom form the
 bound band; the rest scatter; the two parts resolve the identity.
@@ -40,11 +40,8 @@ from .chain import ChainSpec, reduced_phase
 Part = Literal["bound", "scattering", "total"]
 
 #: Largest ring RingTwoMagnon builds. Its floor(N/2) + 1 real blocks of modes
-#: take N^3 bytes (134 MB at 512 sites), and the build peaks not far above that.
+#: take N^3 bytes (134 MB at 512 sites); the build's transient is O(N^2) beside them.
 MAX_RING_SITES = 512
-#: Sector blocks whose modes are filled per step; the build's transient is the
-#: complex rotations of a few such blocks, not of all of them.
-_MODE_CHUNK = 8
 #: Rows per restart of the rotation e^{ik} that fills a mode; the modes stay
 #: within 1e-14 of direct cos and sin (5.1e-15 measured up to N = 512).
 _ROTATION_ROWS = 16
@@ -263,35 +260,31 @@ def _sector_roots(n: int, c: np.ndarray, d: float):
 def _sector_modes(n: int, c: np.ndarray, d: float) -> tuple[np.ndarray, np.ndarray]:
     """Ascending levels and orthonormal modes of the sector blocks (see ``_sector_roots``).
 
-    Modes are filled ``_MODE_CHUNK`` blocks at a time straight into the N^3
-    bytes they take, each by a rotation e^{ik} along the rows restarted
-    every ``_ROTATION_ROWS``.
+    The modes are filled one separation row of every block at a time, straight into the N^3
+    bytes they take: one complex row, turned by e^{ik} from row to row and restarted from
+    the direct exponential every ``_ROTATION_ROWS`` rows.
     """
     evals, wave, sine, flipped, (bound_block, bound_col, bound_modes) = _sector_roots(n, c, d)
     blocks, r_full = wave.shape
-    # row r = start + step: e^{ik(r - h)} from e^{ik(start - h)} and step
-    # powers of e^{ik}, times -1 per row where staggered (every start is odd)
-    starts = np.arange(1, r_full + 1, _ROTATION_ROWS)[:, None] - n / 2
-    row_turn = np.exp(1j * wave) * np.where(flipped, -1.0, 1.0)
+    # row i, at separation r = i + 1, is e^{ik(r - h)}: row i - 1 turned by e^{ik}, times -1
+    # per row where staggered, restarted every _ROTATION_ROWS rows (always at an odd r)
+    turn = np.exp(1j * wave) * np.where(flipped, -1.0, 1.0)
+    row = np.empty((blocks, r_full), dtype=complex)
     evecs = np.empty((blocks, r_full, r_full))
-    for first in range(0, blocks, _MODE_CHUNK):
-        s = slice(first, first + _MODE_CHUNK)
-        # Re(-i e^{ix}) = sin(x) with no rounding of pi/2
-        start = np.exp(1j * wave[s, None, :] * starts) * np.where(sine[s, None, :], -1j, 1.0)
-        turn = np.repeat(row_turn[s, None, :], _ROTATION_ROWS, axis=1)
-        turn[:, 0] = 1.0
-        np.cumprod(turn, axis=1, out=turn)
-        chunk = evecs[s]
-        chunk[...] = (start[:, :, None] * turn[:, None]).reshape(len(chunk), -1, r_full)[:, :r_full].real
-        here = (bound_block >= first) & (bound_block < first + len(chunk))
-        chunk[bound_block[here] - first, :, bound_col[here]] = bound_modes[here]
-        if n % 2 == 0:
-            chunk[:, -1] *= math.sqrt(0.5)  # w on the antipodal row, relative to the rest
-            odd = slice((first + 1) % 2, None, 2)
-            chunk[odd, -1, :] = 0.0
-            chunk[odd, :, -1] = 0.0
-            chunk[odd, -1, -1] = 1.0
-        chunk /= np.sqrt(np.einsum("brk,brk->bk", chunk, chunk))[:, None, :]
+    for i in range(r_full):
+        if i % _ROTATION_ROWS:
+            row *= turn
+        else:
+            np.exp(1j * wave * (i + 1 - n / 2), out=row)
+            row[sine] *= -1j  # Re(-i e^{ix}) = sin(x) with no rounding of pi/2
+        evecs[:, i] = row.real
+    evecs[bound_block, :, bound_col] = bound_modes
+    if n % 2 == 0:
+        evecs[:, -1] *= math.sqrt(0.5)  # w on the antipodal row, relative to the rest
+        evecs[1::2, -1, :] = 0.0  # an odd block's parked level: the unit vector on that row
+        evecs[1::2, :, -1] = 0.0
+        evecs[1::2, -1, -1] = 1.0
+    evecs /= np.sqrt(np.einsum("brk,brk->bk", evecs, evecs))[:, None, :]
     return evals, evecs
 
 
@@ -317,7 +310,7 @@ class RingTwoMagnon:
     are diagonalized. No block is formed: its modes are cos or sin waves
     over the separations (or decaying ones, for a bound or antibound level)
     at the roots of the block's first-row condition (``_sector_roots``), and
-    the build holds the modes plus the waves of ``_MODE_CHUNK`` blocks.
+    the build holds the modes plus one complex separation row of every block.
 
     Sector eigenstates below the infinite-chain continuum bottom
     -8J|cos(P/2)| form the bound band; the rest scatter. Propagation can be

@@ -100,6 +100,10 @@ class KickedChain:
         self.n = spec.n
         self.step = floquet_step(spec)
 
+    def check(self, t: float) -> None:
+        """Refuse every time: ``ProcessEngine.fidelity_rows`` and ``state`` read the spin chain only."""
+        raise ValueError("the kicked chain is read at kicks through ProcessEngine.rows, not at times")
+
     def check_pairs(self, t: float, part: str) -> None:
         """Refuse every process that opens pairs: the kicked chain has no pair channel yet."""
         raise ValueError("a process that flips site m needs the spin chain's pair channel")

@@ -277,7 +277,8 @@ class ProcessEngine:
     ``site_rdm``, ``occupation_change``) reads at times t >= t0. The spin
     chain's readouts ``fidelity_rows`` and ``split_rows`` take a whole time
     axis and split it at t0 themselves; when called, before any block, they
-    refuse (``SpinChain.check``) the last time of every row they will read.
+    refuse (the dynamics' ``check``, which refuses every time of a
+    ``harper.KickedChain``) the last time of every row they will read.
 
     A process that flips site m (some c != 0) pairs the amplitude u0 = g(1 -> l; t0) of each
     companion site with site m, and the dynamics evolves the pairs into L(y1, y2; t): its
@@ -379,6 +380,7 @@ class ProcessEngine:
         """Full-phase pieces V, A, P of a one-operator process for one state; checked norm."""
         if len(self.process.kraus) != 1:
             raise ValueError("sector amplitudes need a process of one operator")
+        self.dynamics.check(t)  # before any row, as fidelity_rows checks
         (((a, b), (c, d)),) = self.process.kraus
         pairs = self._pair_matrix(t, "total")
         spec, m, alpha, beta = self.dynamics.spec, self.process.m, initial.alpha, initial.beta

@@ -11,7 +11,7 @@ from spinchain import green2 as green2_module
 from spinchain import oracle
 from spinchain.bessel import MAX_ARG
 from spinchain.chain import ChainSpec, reduced_phase
-from spinchain.green2 import _MODE_CHUNK, MAX_RING_SITES, RingTwoMagnon, green2
+from spinchain.green2 import _ROTATION_ROWS, MAX_RING_SITES, RingTwoMagnon, _sector_roots, green2
 
 from bessel_reference import reduced_hop_amplitudes
 from ring_reference import evolve_by_scatter, ring_modes
@@ -193,11 +193,11 @@ def test_ring_keeps_floor_half_plus_one_real_blocks(n):
     assert ring._evals.shape == (r + 1, r)
 
 
-# the block count floor(N/2) + 1 on either side of one and two chunks
-_CHUNK_EDGES = [n for c in (_MODE_CHUNK, 2 * _MODE_CHUNK) for n in range(2 * c - 4, 2 * c + 2)]
+# the row count floor(N/2) on either side of the rotation's first and second restart
+_RESTART_EDGES = [n for rows in (_ROTATION_ROWS, 2 * _ROTATION_ROWS) for n in range(2 * rows - 2, 2 * rows + 4)]
 
 
-@pytest.mark.parametrize("n", sorted(set(range(3, 41)) | set(_CHUNK_EDGES) | {63, 64, 199, 200}))
+@pytest.mark.parametrize("n", sorted(set(range(3, 41)) | set(_RESTART_EDGES) | {63, 64, 199, 200}))
 def test_chunked_build_matches_one_dense_eigh(n):
     # the modes built from the blocks' roots against one batched eigh: the same
     # masks and census, the levels, orthonormal modes, and every block rebuilt
@@ -249,9 +249,33 @@ def test_bethe_roots_match_dense_evolution_at_the_edge_cases(n, delta):
         assert not ring._keep["bound"][0, 0]
 
 
-def test_build_holds_the_modes_plus_a_chunk():
-    # the modes are written a few blocks at a time: filling all floor(N/2) + 1 blocks'
-    # temporaries at once would add as much again as the modes
+@pytest.mark.parametrize("n", [199, 200, 255, 256])
+def test_rotated_modes_match_direct_cos_and_sin(n):
+    # every wave column, filled by the rotation e^{ik} restarted every _ROTATION_ROWS rows,
+    # against cos(k(r - h)) or sin(k(r - h)) taken directly, weighted and normalized alike
+    for delta in (1.0, 0.5, -3.0):
+        ring = RingTwoMagnon(ChainSpec(n, "closed", 0.5, delta))
+        cos_b = np.cos(np.pi * np.arange(n // 2 + 1) / n)
+        _, wave, sine, flipped, (bound_block, bound_col, _) = _sector_roots(n, -cos_b, -delta)
+        r = np.arange(1, n // 2 + 1)[:, None]
+        angle = wave[:, None, :] * (r - n / 2)
+        # the staggered sign is (-1)^(r + 1): each restart, at an odd r, takes no sign
+        direct = np.where(sine[:, None, :], np.sin(angle), np.cos(angle))
+        direct *= np.where(flipped[:, None, :], (-1.0) ** (r + 1), 1.0)
+        waves = np.ones(wave.shape, dtype=bool)
+        waves[bound_block, bound_col] = False
+        if n % 2 == 0:
+            direct[:, -1] *= np.sqrt(0.5)
+            direct[1::2, -1] = 0.0  # an odd block has no antipodal row
+            waves[1::2, -1] = False  # its parked unit vector
+        direct /= np.linalg.norm(direct, axis=1, keepdims=True)
+        assert np.max(np.abs(ring._evecs - direct).transpose(0, 2, 1)[waves]) <= 1e-14
+
+
+def test_build_holds_little_beyond_the_modes():
+    # the modes are written one separation row of every block at a time: the build's
+    # transient is a few such complex rows (about 1 MB here; filling them a few
+    # blocks at a time took 2.5 MB, and all blocks at once as much again as the modes)
     spec = ChainSpec(200, "closed", 0.5, 1.0)
     RingTwoMagnon(ChainSpec(6, "closed"))  # numpy's lazy set-up stays out of the trace
     tracemalloc.start()
@@ -260,7 +284,7 @@ def test_build_holds_the_modes_plus_a_chunk():
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak - kept < ring._evecs.nbytes / 2
+    assert peak - kept < 2e6
 
 
 def test_green2_builds_each_ring_kernel_once(monkeypatch):

@@ -20,6 +20,7 @@ from spinchain.chain import MEASUREMENT, ChainSpec, InitialState, LocalProcess, 
 from spinchain.cli import _write_outputs
 from spinchain.bessel import MAX_ARG, truncation_order
 from spinchain.green1 import HALF_INFINITE_MIN_N, free_propagator, reduced_profile
+from spinchain.harper import HarperSpec, KickedChain
 from spinchain.protocols import (
     _BLOCK_CELLS,
     ProcessEngine,
@@ -29,6 +30,7 @@ from spinchain.protocols import (
     _pair_weights,
     fidelity_from_amplitudes,
     grid_csv,
+    occupation_change,
     process_fidelity,
     site_rdm,
 )
@@ -122,6 +124,35 @@ def test_rdm_is_physical():
     x4, y4 = x[3], y[3]
     assert 0.0 <= x4 <= 1.0
     assert abs(y4) ** 2 <= x4 * (1 - x4) + 1e-12
+
+
+def _crafted_block(g, g_tau=(0.0, 0.0)) -> tuple:
+    """A one-time engine ``rows`` block on two sites, u0(m) = 1 and no pairs: one no dynamics gives."""
+    return np.array([g], dtype=complex), np.array([g_tau], dtype=complex), 1.0, None
+
+
+@pytest.mark.parametrize("g, initial, message", [
+    # the identity gate reads x = |beta|^2 |g|^2 and y = beta conj(alpha) g
+    ([math.sqrt(1.0 + 2e-9), 0.5], InitialState(0.0, 1.0),
+     r"excitation weight x outside \[0, 1\]: 0\.25 \.\. 1\.00000000[12]"),
+    ([math.nan, 0.5], InitialState(0.0, 1.0), r"excitation weight x outside \[0, 1\]: nan \.\. nan"),
+    # x = (1 + 8e-9)/2 lies inside [0, 1], but |y|^2 - x(1 - x) = (1 + 8e-9) 2e-9
+    ([math.sqrt(1.0 + 8e-9), 0.5], InitialState(math.sqrt(0.5), math.sqrt(0.5)),
+     r"coherence \|y\|\^2 exceeds the bound x\(1-x\) by 2\.000e-09"),
+], ids=["x-over-one", "x-nan", "coherence"])
+def test_block_readouts_refuse_an_unphysical_rdm(g, initial, message):
+    identity = gate_process(2, 0.0, 1.0, 0.0)
+    with pytest.raises(ValueError, match=message):
+        site_rdm(identity, _crafted_block(g), initial)
+    with pytest.raises(ValueError, match=message):
+        next(occupation_change(identity, [_crafted_block(g)], initial))
+
+
+def test_detector_refuses_a_row_that_does_not_sum_to_zero():
+    # the measurement moves x by 2|k|^2 - 2 Re(g conj(k)), k = u0(m) g_tau: here 2e-9 at site 1
+    crafted = _crafted_block([0.0, 0.0], [math.sqrt(1e-9), 0.0])
+    with pytest.raises(ValueError, match=r"detector profile must sum to 0, got \|sum\| = 2\.000e-09"):
+        next(occupation_change(LocalProcess(2, 0.0, MEASUREMENT), [crafted], InitialState(0.0, 1.0)))
 
 
 def test_gate_channels_match_dense_golden(golden, channel_fidelity):
@@ -246,6 +277,38 @@ def test_a_flipping_gate_reads_the_pair_channel_of_any_dynamics():
     # and it is refused as the chain refuses it: an open chain has no pair channel
     with pytest.raises(ValueError, match="ring propagator needs a closed chain"):
         ProcessEngine(_ForwardingDynamics(SpinChain(OPEN12)), gate)
+
+
+def _kicked_engine(monkeypatch, process: LocalProcess) -> ProcessEngine:
+    """An engine on a 6-site kicked chain whose rows fail the test if any is computed."""
+    chain = KickedChain(HarperSpec(n=6, g=1.0, tau=0.5))
+    monkeypatch.setattr(chain, "rows", lambda *args: pytest.fail("a row was computed"))
+    return ProcessEngine(chain, process)
+
+
+_KICKED_REFUSAL = "the kicked chain is read at kicks through ProcessEngine.rows, not at times"
+_KICKED_PHASE = gate_process(4, 2, 0.6 + 0.8j, 0.0)  # opens no pairs, so the kicked chain admits it
+_KICKED_MEASUREMENT = LocalProcess(4, 2, MEASUREMENT)
+
+
+def test_a_kicked_chain_state_is_refused_before_any_row(monkeypatch):
+    engine = _kicked_engine(monkeypatch, _KICKED_PHASE)
+    with pytest.raises(ValueError) as refused:
+        engine.state(4, InitialState(0.6, 0.8))
+    assert str(refused.value) == _KICKED_REFUSAL
+
+
+@pytest.mark.parametrize("process, change", [
+    (_KICKED_PHASE, False), (_KICKED_MEASUREMENT, False), (_KICKED_MEASUREMENT, True),
+], ids=["phase", "measurement", "measurement-change"])
+def test_a_kicked_chain_fidelity_axis_is_refused_before_any_row(monkeypatch, process, change):
+    engine = _kicked_engine(monkeypatch, process)
+    with pytest.raises(ValueError) as refused:
+        engine.fidelity_rows([1, 2, 3], change)
+    assert str(refused.value) == _KICKED_REFUSAL
+    # a change grid that reads no row is zeros, as on the spin chain: a phase's, or one before t0
+    times = [1, 2, 3] if process is _KICKED_PHASE else [0, 1]
+    assert not np.any(np.concatenate(list(engine.fidelity_rows(times, True))))
 
 
 def test_gate_state_refuses_a_norm_defect(monkeypatch):
