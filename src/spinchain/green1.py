@@ -72,8 +72,8 @@ def propagator_argument(t, spec: ChainSpec):
 def reduced_profile(x: int, t, spec: ChainSpec) -> np.ndarray:
     """Rows e^{+i*eps0*t} G^{x'}_x(t), x' = 1..N: one for a float t, a (len(t), N) block for a 1-D t.
 
-    One array ``free_propagator`` call per run of times that share a chain width (all of them
-    off half-infinite chains), a lone time and a float t included."""
+    One ``free_propagator`` call per run of times that share a chain width, all of them off
+    half-infinite chains; a lone time, a float t among them, takes the float call."""
     _check_site(x, spec, "x")
     times = np.asarray(t, dtype=float)
     z, start = np.atleast_1d(propagator_argument(times, spec)), 0
@@ -82,7 +82,9 @@ def reduced_profile(x: int, t, spec: ChainSpec) -> np.ndarray:
     rows = np.empty((len(z), spec.n), dtype=complex)
     for width, group in itertools.groupby(widths):
         stop = start + len(list(group))
-        row = free_propagator(width, spec.boundary, z[start:stop], np.full(stop - start, x))
-        rows[start:stop] = row[:, : spec.n]
+        lone = stop == start + 1  # the float call costs a lone time less
+        row = free_propagator(width, spec.boundary, float(z[start]) if lone else z[start:stop],
+                              x if lone else np.full(stop - start, x))
+        rows[start:stop] = row[..., : spec.n]
         start = stop
     return rows if times.ndim else rows[0]

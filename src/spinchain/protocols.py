@@ -273,12 +273,11 @@ class ProcessEngine:
     Building it refuses, before any row is computed, a site m above the dynamics' n and a
     process that flips site m on a dynamics whose ``check_pairs`` refuses it (below).
 
-    ``rows`` yields the blocks a block readout (``process_fidelity``,
-    ``site_rdm``, ``occupation_change``) reads at times t >= t0. The spin
-    chain's readouts ``fidelity_rows`` and ``split_rows`` take a whole time
-    axis and split it at t0 themselves; when called, before any block, they
-    refuse (the dynamics' ``check``, which refuses every time of a
-    ``harper.KickedChain``) the last time of every row they will read.
+    ``rows`` yields the blocks a block readout (``process_fidelity``, ``site_rdm``,
+    ``occupation_change``) reads at times t >= t0. The readouts ``fidelity_rows`` and
+    ``split_rows`` take a whole time axis and split it at t0 themselves; they and ``state``
+    refuse, when called and before any row or kernel, the last time of every row and pair
+    evolution they will read (the dynamics' ``check`` refuses every time of a kicked chain).
 
     A process that flips site m (some c != 0) pairs the amplitude u0 = g(1 -> l; t0) of each
     companion site with site m, and the dynamics evolves the pairs into L(y1, y2; t): its
@@ -380,7 +379,9 @@ class ProcessEngine:
         """Full-phase pieces V, A, P of a one-operator process for one state; checked norm."""
         if len(self.process.kraus) != 1:
             raise ValueError("sector amplitudes need a process of one operator")
-        self.dynamics.check(t)  # before any row, as fidelity_rows checks
+        self.dynamics.check(t)  # before any row or kernel, as fidelity_rows checks
+        if self.process.opens_pairs:
+            self.dynamics.check_pairs(t - self.process.t0, "total")
         (((a, b), (c, d)),) = self.process.kraus
         pairs = self._pair_matrix(t, "total")
         spec, m, alpha, beta = self.dynamics.spec, self.process.m, initial.alpha, initial.beta

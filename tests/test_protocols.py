@@ -311,6 +311,20 @@ def test_a_kicked_chain_fidelity_axis_is_refused_before_any_row(monkeypatch, pro
     assert not np.any(np.concatenate(list(engine.fidelity_rows(times, True))))
 
 
+def test_gate_state_refuses_a_pair_time_before_any_row_or_kernel(monkeypatch):
+    # 4*J*t = 90 000 is under MAX_ARG, the pair time's 4*J*(|Delta| + 2)*(t - t0) = 269 994 over it
+    builds = []
+    monkeypatch.setattr(green2.RingTwoMagnon, "__init__", lambda self, spec: builds.append(spec))
+    green2.kernels.clear()
+    chain = SpinChain(CLOSED12)
+    monkeypatch.setattr(chain, "rows", lambda *args: pytest.fail("a row was computed"))
+    engine = ProcessEngine(chain, gate_process(3, 1.0, 0.6, 0.8))
+    with pytest.raises(ValueError, match=r"4\*J\*\(\|Delta\| \+ 2\)\*\|t\| must be <="):
+        engine.state(45000.0, InitialState(0.6, 0.8))
+    assert builds == [] and not green2.kernels
+    green2.kernels.clear()
+
+
 def test_gate_state_refuses_a_norm_defect(monkeypatch):
     engine = ProcessEngine(SpinChain(CLOSED12), gate_process(3, 1.0, 0.6, 0.8))
     pairs = engine._pair_matrix
